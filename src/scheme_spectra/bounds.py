@@ -34,7 +34,9 @@ from .errors import (
 from .exactnum import CycInt, binom, entropy_q, multinom, _reduction_rows
 from .groups import (
     Composition,
+    FiniteField,
     GroupSpec,
+    _prime_power,
     cyclic,
     enumerate_shell,
     index_word,
@@ -43,6 +45,7 @@ from .krawtchouk import first_nonpositive, first_root_ratio, kraw
 from .schemes import (
     CompositionGraphSpec,
     HammingGraphSpec,
+    _digit_matrix,
     composition_spectrum,
     hamming_spectrum,
     hoffman_bound,
@@ -188,15 +191,6 @@ def lp_search(
 
 # ---------------------------------------------------------------------------
 # representations
-
-
-def _digit_matrix(q: int, n: int, rows: int) -> np.ndarray:
-    digits = np.empty((rows, n), dtype=np.int64)
-    idx = np.arange(rows)
-    for k in range(n - 1, -1, -1):
-        digits[:, k] = idx % q
-        idx = idx // q
-    return digits
 
 
 def _char_table(group: GroupSpec) -> np.ndarray:
@@ -496,19 +490,6 @@ def verify_representation(
 # reports
 
 
-def _is_prime_power(v: int) -> bool:
-    if v < 2:
-        return False
-    p = 2
-    while p * p <= v:
-        if v % p == 0:
-            while v % p == 0:
-                v //= p
-            return v == 1
-        p += 1
-    return True
-
-
 def _frac_str(value: Fraction | int) -> str:
     f = Fraction(value)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
@@ -555,19 +536,16 @@ def _finish_report(
     return BoundReport(spec, tuple(lower), tuple(upper), exact, diagnostics)
 
 
-def bound_report(
-    spec: HammingGraphSpec | CompositionGraphSpec,
-    threads: int | None = None,
-) -> BoundReport:
+def bound_report(spec: HammingGraphSpec | CompositionGraphSpec) -> BoundReport:
     """Compute every applicable bound for a graph and reconcile them."""
     if isinstance(spec, HammingGraphSpec):
-        return _hamming_report(spec, threads)
-    return _composition_report(spec, threads)
+        return _hamming_report(spec)
+    return _composition_report(spec)
 
 
-def _hamming_report(spec: HammingGraphSpec, threads: int | None) -> BoundReport:
+def _hamming_report(spec: HammingGraphSpec) -> BoundReport:
     n, q, d = spec.n, spec.q, spec.d
-    spectrum = hamming_spectrum(spec, threads=threads)
+    spectrum = hamming_spectrum(spec)
     lower: list[tuple[Fraction, str]] = [(hoffman_bound(spectrum), "hoffman")]
     solution = lp_two_support(n, q, d)
     upper: list[tuple[Fraction, str]] = [(Fraction(solution.objective), "lp-two-support")]
@@ -588,7 +566,7 @@ def _hamming_report(spec: HammingGraphSpec, threads: int | None) -> BoundReport:
     return _finish_report(spec, lower, upper, diagnostics)
 
 
-def _composition_report(spec: CompositionGraphSpec, threads: int | None) -> BoundReport:
+def _composition_report(spec: CompositionGraphSpec) -> BoundReport:
     group, n = spec.group, spec.n
     diagnostics: dict = {
         "balanced": spec.balanced,
@@ -597,16 +575,14 @@ def _composition_report(spec: CompositionGraphSpec, threads: int | None) -> Boun
     lower: list[tuple[Fraction, str]] = []
     upper: list[tuple[Fraction, str]] = []
     if spec.undirected:
-        spectrum = composition_spectrum(spec, threads=threads)
+        spectrum = composition_spectrum(spec)
         try:
             lower.append((hoffman_bound(spectrum), "hoffman"))
         except (IrrationalEigenvalue, NoNegativeEigenvalue, NonRealEigenvalue) as exc:
             diagnostics["hoffman_unavailable"] = type(exc).__name__
     if spec.balanced:
         upper.append((Fraction(n), "hadamard-character"))
-        from .groups import FiniteField
-
-        if isinstance(group, FiniteField) and _is_prime_power(n):
+        if isinstance(group, FiniteField) and _prime_power(n) is not None:
             diagnostics["prime_power_pair"] = True
     return _finish_report(spec, lower, upper, diagnostics)
 
@@ -642,7 +618,7 @@ class ProbeVerdict:
         return out
 
 
-def conjecture_probe(q: int, n: int, threads: int | None = None) -> ProbeVerdict:
+def conjecture_probe(q: int, n: int) -> ProbeVerdict:
     """Test whether the balanced graph's least eigenvalue matches the
     predicted value -multinom(n; n/q,...,n/q)/(n-1).
 
@@ -659,7 +635,7 @@ def conjecture_probe(q: int, n: int, threads: int | None = None) -> ProbeVerdict
         return ProbeVerdict("not-applicable", q, n, reason="(q-1)n/q odd")
     group = cyclic(q)
     spec = CompositionGraphSpec(group, n, Composition.balanced(q, n))
-    spectrum = composition_spectrum(spec, threads=threads)
+    spectrum = composition_spectrum(spec)
     minimum, _ = min_eigenvalue(spectrum)
     target = Fraction(-multinom(n, Composition.balanced(q, n)), n - 1)
     counts = [0] * q
@@ -667,11 +643,7 @@ def conjecture_probe(q: int, n: int, threads: int | None = None) -> ProbeVerdict
     counts[1] += 1
     counts[q - 1] += 1
     pattern = Composition(tuple(counts))
-    achieving = tuple(
-        entry.label
-        for entry in spectrum.entries
-        if Fraction(entry.eigenvalue.expect_integer()) == Fraction(minimum)
-    )
+    achieving = tuple(entry.label for entry in spectrum.entries if entry.eigenvalue == minimum)
     verdict = "holds" if Fraction(minimum) == target else "fails"
     return ProbeVerdict(
         verdict,

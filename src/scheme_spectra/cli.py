@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -47,6 +46,7 @@ from .exactnum import binom, multinom
 from .groups import (
     Composition,
     GroupSpec,
+    all_words,
     cyclic,
     enumerate_compositions,
     finite_field,
@@ -82,18 +82,6 @@ _VERIFY_ERRORS = (Infeasible, NotOrthogonal, NotUnitModulus)
 
 def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
-
-
-def _threads_from(args: argparse.Namespace) -> int | None:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("SCHEME_SPECTRA_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise DomainError(f"SCHEME_SPECTRA_THREADS={env!r} is not an integer") from exc
-    return None
 
 
 def _parse_comp(text: str) -> tuple[int, ...]:
@@ -147,18 +135,17 @@ def _add_graph_flags(sub: argparse.ArgumentParser) -> None:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     spec = _graph_from_args(args)
-    threads = _threads_from(args)
     if isinstance(spec, HammingGraphSpec):
-        spectrum = hamming_spectrum(spec, threads=threads)
+        spectrum = hamming_spectrum(spec)
     else:
-        spectrum = composition_spectrum(spec, threads=threads)
+        spectrum = composition_spectrum(spec)
     print(_dump(spectrum.to_json()))
     return 0
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     spec = _graph_from_args(args)
-    report = bound_report(spec, threads=_threads_from(args))
+    report = bound_report(spec)
     print(_dump(report.to_json()))
     return 0
 
@@ -193,7 +180,7 @@ def _cmd_represent(args: argparse.Namespace) -> int:
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
-    verdict = conjecture_probe(args.q, args.n, threads=_threads_from(args))
+    verdict = conjecture_probe(args.q, args.n)
     print(_dump(verdict.to_json()))
     return 0
 
@@ -213,20 +200,21 @@ def _suite_reciprocity(max_n: int, emit: Callable[[str], None]) -> list[str]:
                         failures.append(f"classical reciprocity at q={q} n={n} i={i} j={j}")
     emit_name = f"classical reciprocity, q in 2..5, n <= {max_n}"
     emit(("ok - " if not failures else "FAIL - ") + emit_name)
+    before = len(failures)
     for q in (2, 3):
         group = cyclic(q)
         for n in range(1, min(max_n, 5) + 1):
             comps = list(enumerate_compositions(q, n))
             for ci in comps:
                 for cj in comps:
-                    lhs = gen_kraw(group, n, ci, cj).value * multinom(n, cj)
-                    rhs = gen_kraw(group, n, cj, ci).value * multinom(n, ci)
+                    lhs = gen_kraw(group, n, ci, cj) * multinom(n, cj)
+                    rhs = gen_kraw(group, n, cj, ci) * multinom(n, ci)
                     if lhs != rhs:
                         failures.append(
                             f"composition reciprocity at q={q} n={n} i={tuple(ci)} j={tuple(cj)}"
                         )
     emit(
-        ("ok - " if len(failures) == 0 else "FAIL - ")
+        ("ok - " if len(failures) == before else "FAIL - ")
         + f"composition reciprocity, q in 2..3, n <= {min(max_n, 5)}"
     )
     return failures
@@ -273,6 +261,7 @@ def _suite_representations(max_n: int, emit: Callable[[str], None]) -> list[str]
         ("ok - " if not failures else "FAIL - ")
         + f"lp representations over {len(_representation_grid(max_n))} graphs"
     )
+    before = len(failures)
     had = 0
     for q, make in ((2, cyclic), (3, cyclic), (4, finite_field)):
         group = make(q)
@@ -284,7 +273,7 @@ def _suite_representations(max_n: int, emit: Callable[[str], None]) -> list[str]
             except (NotOrthogonal, NotUnitModulus) as exc:
                 failures.append(f"hadamard representation at q={q} n={n}: {exc}")
             had += 1
-    emit(("ok - " if len(failures) == 0 else "FAIL - ") + f"hadamard representations on {had} graphs")
+    emit(("ok - " if len(failures) == before else "FAIL - ") + f"hadamard representations on {had} graphs")
     return failures
 
 
@@ -311,12 +300,16 @@ def _suite_eigenvalues(max_n: int, emit: Callable[[str], None]) -> list[str]:
             if not trace_identity_check(spectrum):
                 failures.append(f"trace identity at balanced q={q} n={n}")
             for entry in spectrum.entries:
-                if zero_shell_predicate(q, entry.label):
-                    if entry.eigenvalue.expect_integer() != 0:
-                        failures.append(
-                            f"zero-shell prediction at q={q} n={n} shell={tuple(entry.label)}"
-                        )
-                value = entry.eigenvalue.expect_integer()
+                value = entry.eigenvalue
+                if not isinstance(value, int):
+                    failures.append(
+                        f"irrational balanced value at q={q} n={n} shell={tuple(entry.label)}"
+                    )
+                    continue
+                if zero_shell_predicate(q, entry.label) and value != 0:
+                    failures.append(
+                        f"zero-shell prediction at q={q} n={n} shell={tuple(entry.label)}"
+                    )
                 circ = gen_kraw_circulant(q, n, entry.label)
                 if circ != value:
                     failures.append(
@@ -334,8 +327,6 @@ def _suite_eigenvalues(max_n: int, emit: Callable[[str], None]) -> list[str]:
     ]
     for spec, x in spot:
         group = cyclic(spec.q) if isinstance(spec, HammingGraphSpec) else spec.group
-        from .groups import all_words
-
         if not eigenvector_check(spec, x, all_words(group, spec.n)):
             failures.append(f"eigenvector action at {spec.describe()} x={x}")
     emit(("ok - " if len(failures) == before else "FAIL - ") + "eigenvector adjacency action spot checks")
@@ -449,24 +440,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="scheme-spectra",
         description="Exact spectra and quantum-chromatic bounds for Hamming and composition graphs.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="cap internal parallelism (default: SCHEME_SPECTRA_THREADS or serial)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", parents=[common], help="exact spectrum of one graph as JSON")
+    p = sub.add_parser("spectrum", help="exact spectrum of one graph as JSON")
     _add_graph_flags(p)
     p.set_defaults(fn=_cmd_spectrum)
 
-    p = sub.add_parser("bounds", parents=[common], help="bound report for one graph as JSON")
+    p = sub.add_parser("bounds", help="bound report for one graph as JSON")
     _add_graph_flags(p)
     p.set_defaults(fn=_cmd_bounds)
 
-    p = sub.add_parser("represent", parents=[common], help="build and verify an orthogonal representation")
+    p = sub.add_parser("represent", help="build and verify an orthogonal representation")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
@@ -476,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int, default=None, help="sampled verification pair count")
     p.set_defaults(fn=_cmd_represent)
 
-    p = sub.add_parser("verify", parents=[common], help="run the self-check suites")
+    p = sub.add_parser("verify", help="run the self-check suites")
     p.add_argument(
         "--suite",
         choices=("reciprocity", "projectors", "representations", "eigenvalues", "all"),
@@ -485,12 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", dest="max_n", type=int, default=6)
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("probe", parents=[common], help="probe the balanced least-eigenvalue prediction")
+    p = sub.add_parser("probe", help="probe the balanced least-eigenvalue prediction")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(fn=_cmd_probe)
 
-    p = sub.add_parser("table", parents=[common], help="tabulate a bound family over a grid")
+    p = sub.add_parser("table", help="tabulate a bound family over a grid")
     p.add_argument("--theorem", choices=("1.1", "1.2", "1.3"), required=True,
                    help="1.1 upper bounds, 1.2 spectral lower bounds, 1.3 balanced exact values")
     p.add_argument("--grid", required=True, help="like 'n<=10,q in {2,3}'")

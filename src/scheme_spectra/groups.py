@@ -192,6 +192,22 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _prime_power(v: int) -> tuple[int, int] | None:
+    """(p, k) with v = p^k for a prime p, or None when v is not a prime power."""
+    if v < 2:
+        return None
+    p = 2
+    while p * p <= v and v % p:
+        p += 1
+    if v % p:
+        p = v
+    k = 0
+    while v % p == 0:
+        v //= p
+        k += 1
+    return (p, k) if v == 1 else None
+
+
 def default_modulus(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree k over Z_p.
 
@@ -320,16 +336,10 @@ def finite_field(q: int, modulus: Sequence[int] | None = None) -> FiniteField:
     """GF(q) for a prime power q; the modulus defaults to the canonical one."""
     if q < 2:
         raise DomainError(f"field order must be >= 2, got {q}")
-    p = 2
-    while q % p:
-        p += 1
-    k = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        k += 1
-    if rest != 1:
+    base = _prime_power(q)
+    if base is None:
         raise DomainError(f"{q} is not a prime power")
+    p, k = base
     if modulus is None:
         modulus = default_modulus(p, k)
     return FiniteField(p, k, tuple(modulus))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -68,27 +67,6 @@ def first_root_ratio(q: int, delta: float) -> float:
         raise DomainError(f"delta must lie in [0, {q - 1}/{q}], got {delta}")
     delta = float(delta)
     return (q - 1 - (q - 2) * delta - 2.0 * math.sqrt((q - 1) * delta * (1.0 - delta))) / q
-
-
-@dataclass(frozen=True)
-class GenKrawValue:
-    """A composition Krawtchouk value with its integer certification.
-
-    ``certified_integer`` is the plain-int value when the cyclotomic
-    canonical form happens to be rational, and None otherwise.
-    """
-
-    value: CycInt
-    certified_integer: int | None
-
-    @classmethod
-    def from_cyc(cls, value: CycInt) -> GenKrawValue:
-        return cls(value, value.as_integer())
-
-    def expect_integer(self) -> int:
-        if self.certified_integer is None:
-            raise ArithmeticError(f"value {self.value!r} is not a rational integer")
-        return self.certified_integer
 
 
 def _validate_pair(group: GroupSpec, n: int, i: Composition, j: Composition) -> None:
@@ -166,7 +144,7 @@ def gen_kraw(
     i: Composition,
     j: Composition,
     method: str = "extraction",
-) -> GenKrawValue:
+) -> int | CycInt:
     """Composition Krawtchouk value K_i(j) over the given alphabet.
 
     This is the eigenvalue, on the character shell of composition j, of
@@ -178,6 +156,9 @@ def gen_kraw(
     ``method`` selects the route: "brute" walks the shell and sums
     characters; "extraction" (default) reads the coefficient of z^i off
     a product of linear forms without touching the shell.
+
+    The value is a plain int when it is rational, as for :func:`kraw`,
+    and a :class:`CycInt` otherwise.
     """
     _validate_pair(group, n, i, j)
     if method == "brute":
@@ -186,7 +167,8 @@ def gen_kraw(
         value = _gen_kraw_extraction(group, n, i, j)
     else:
         raise DomainError(f"unknown method {method!r}")
-    return GenKrawValue.from_cyc(value)
+    integer = value.as_integer()
+    return value if integer is None else integer
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:

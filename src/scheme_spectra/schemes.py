@@ -11,10 +11,9 @@ module.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .groups import (
     word_add,
     word_char_value,
 )
-from .krawtchouk import GenKrawValue, gen_kraw, kraw
+from .krawtchouk import gen_kraw, kraw
 
 #: Precision-escalation schedule: how many times the mantissa doubles.
 MAX_PRECISION_DOUBLINGS = 4
@@ -130,7 +129,7 @@ class SpectrumEntry:
     """One character shell: its label, eigenvalue, and formal multiplicity."""
 
     label: int | Composition
-    eigenvalue: int | GenKrawValue
+    eigenvalue: int | CycInt
     multiplicity: int
 
 
@@ -155,33 +154,22 @@ class Spectrum:
 def _entry_json(entry: SpectrumEntry) -> dict:
     label = entry.label if isinstance(entry.label, int) else list(entry.label)
     value = entry.eigenvalue
-    if isinstance(value, GenKrawValue):
-        if value.certified_integer is not None:
-            eig: object = value.certified_integer
-        else:
-            eig = {"coeffs": list(value.value.coeffs), "order": value.value.order}
+    if isinstance(value, CycInt):
+        eig: object = {"coeffs": list(value.coeffs), "order": value.order}
     else:
         eig = value
     return {"shell": label, "eigenvalue": eig, "multiplicity": str(entry.multiplicity)}
 
 
-def _ordered_map(fn: Callable, items: Sequence, threads: int | None):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
-def hamming_spectrum(spec: HammingGraphSpec, threads: int | None = None) -> Spectrum:
+def hamming_spectrum(spec: HammingGraphSpec) -> Spectrum:
     """Exact spectrum of a Hamming graph: K_d(j) on the weight-j shell.
 
     Shells are listed by ascending weight; multiplicities are the shell
     sizes (q-1)^j C(n,j).
     """
     n, q, d = spec.n, spec.q, spec.d
-    values = _ordered_map(lambda j: kraw(n, q, d, j), range(n + 1), threads)
     entries = tuple(
-        SpectrumEntry(j, values[j], (q - 1) ** j * binom(n, j)) for j in range(n + 1)
+        SpectrumEntry(j, kraw(n, q, d, j), (q - 1) ** j * binom(n, j)) for j in range(n + 1)
     )
     return Spectrum(spec, entries, spec.degree, spec.vertex_count)
 
@@ -189,7 +177,6 @@ def hamming_spectrum(spec: HammingGraphSpec, threads: int | None = None) -> Spec
 def composition_spectrum(
     spec: CompositionGraphSpec,
     method: str = "extraction",
-    threads: int | None = None,
 ) -> Spectrum:
     """Exact spectrum of a composition graph, one entry per composition shell.
 
@@ -198,26 +185,15 @@ def composition_spectrum(
     evaluated at j, and the multiplicity is the shell size.
     """
     group, n, dcomp = spec.group, spec.n, spec.dcomp
-    labels = list(enumerate_compositions(group.order, n))
-    values = _ordered_map(
-        lambda j: gen_kraw(group, n, dcomp, j, method=method), labels, threads
-    )
     entries = tuple(
-        SpectrumEntry(label, value, multinom(n, label))
-        for label, value in zip(labels, values)
+        SpectrumEntry(j, gen_kraw(group, n, dcomp, j, method=method), multinom(n, j))
+        for j in enumerate_compositions(group.order, n)
     )
     return Spectrum(spec, entries, spec.degree, spec.vertex_count)
 
 
 # ---------------------------------------------------------------------------
 # ordering and bounds
-
-
-def _entry_value(entry: SpectrumEntry) -> int | CycInt:
-    v = entry.eigenvalue
-    if isinstance(v, GenKrawValue):
-        return v.certified_integer if v.certified_integer is not None else v.value
-    return v
 
 
 def _require_real(value: CycInt) -> None:
@@ -261,7 +237,7 @@ def min_eigenvalue(spectrum: Spectrum) -> tuple[int | CycInt, int | Composition]
     """
     if not spectrum.entries:
         raise DomainError("empty spectrum")
-    values = [_entry_value(e) for e in spectrum.entries]
+    values = [e.eigenvalue for e in spectrum.entries]
     for v in values:
         if isinstance(v, CycInt):
             _require_real(v)
@@ -276,7 +252,7 @@ def max_eigenvalue(spectrum: Spectrum) -> tuple[int | CycInt, int | Composition]
     """Largest eigenvalue, found the same way as :func:`min_eigenvalue`."""
     if not spectrum.entries:
         raise DomainError("empty spectrum")
-    values = [_entry_value(e) for e in spectrum.entries]
+    values = [e.eigenvalue for e in spectrum.entries]
     for v in values:
         if isinstance(v, CycInt):
             _require_real(v)
@@ -312,17 +288,8 @@ def trace_identity_check(spectrum: Spectrum) -> bool:
     Counts closed walks of length two in two ways; exact in the
     cyclotomic ring, so any corrupted eigenvalue or multiplicity trips it.
     """
-    total: int | CycInt = 0
-    for entry in spectrum.entries:
-        v = _entry_value(entry)
-        if isinstance(v, int):
-            total = total + entry.multiplicity * v * v
-        else:
-            total = (v * v) * entry.multiplicity + total
-    expected = spectrum.vertex_count * spectrum.regular_degree
-    if isinstance(total, CycInt):
-        return total == expected
-    return total == expected
+    total = sum(e.multiplicity * e.eigenvalue * e.eigenvalue for e in spectrum.entries)
+    return total == spectrum.vertex_count * spectrum.regular_degree
 
 
 def multiplicity_ratio(q: int, n: int) -> Fraction:
@@ -350,6 +317,16 @@ def multiplicity_ratio(q: int, n: int) -> Fraction:
 # independent oracles
 
 
+def _digit_matrix(q: int, n: int, rows: int) -> np.ndarray:
+    """Base-q digits of the vertex indices 0..rows-1, most significant first."""
+    digits = np.empty((rows, n), dtype=np.int64)
+    idx = np.arange(rows)
+    for k in range(n - 1, -1, -1):
+        digits[:, k] = idx % q
+        idx = idx // q
+    return digits
+
+
 def eigenvector_check(
     spec: HammingGraphSpec | CompositionGraphSpec,
     x: Sequence[int],
@@ -373,8 +350,7 @@ def eigenvector_check(
     else:
         group = spec.group
         shell_label = spec.dcomp
-        lam_val = gen_kraw(group, spec.n, spec.dcomp, word_composition(group, x))
-        lam = lam_val.certified_integer if lam_val.certified_integer is not None else lam_val.value
+        lam = gen_kraw(group, spec.n, spec.dcomp, word_composition(group, x))
     m = group.char_order
     x = tuple(x)
     shell = list(enumerate_shell(group, spec.n, shell_label))
@@ -406,11 +382,7 @@ def projector_identity_check(n: int, q: int) -> bool:
             f"got {q**n}"
         )
     size = q**n
-    digits = np.empty((size, n), dtype=np.int64)
-    idx = np.arange(size)
-    for k in range(n - 1, -1, -1):
-        digits[:, k] = idx % q
-        idx = idx // q
+    digits = _digit_matrix(q, n, size)
     diff = digits[:, None, :] != digits[None, :, :]
     w = diff.sum(axis=2)
     ktab = np.array([[kraw(n, q, j, i) for i in range(n + 1)] for j in range(n + 1)], dtype=np.int64)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from scheme_spectra import NotOrthogonal
+from scheme_spectra import CycInt, NotOrthogonal, Spectrum, SpectrumEntry
 from scheme_spectra import cli
 
 
@@ -59,16 +59,6 @@ def test_repeat_invocations_are_byte_identical(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
-
-
-def test_threads_flag_does_not_change_bytes(capsys, monkeypatch):
-    args = ("spectrum", "--family", "hamming", "--n", "6", "--q", "2", "--d", "3")
-    _, serial, _ = run(capsys, *args)
-    _, threaded, _ = run(capsys, *args, "--threads", "4")
-    assert serial == threaded
-    monkeypatch.setenv("SCHEME_SPECTRA_THREADS", "3")
-    _, from_env, _ = run(capsys, *args)
-    assert serial == from_env
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +161,55 @@ def test_verify_all_small(capsys):
     assert code == 0
     assert out.count("ok - ") >= 6
     assert "FAIL" not in out
+
+
+def test_verify_composition_line_ignores_classical_failures(capsys, monkeypatch):
+    real_kraw = cli.kraw
+
+    def broken(n, q, i, j):
+        return real_kraw(n, q, i, j) + (1 if (n, q, i, j) == (2, 3, 0, 1) else 0)
+
+    monkeypatch.setattr(cli, "kraw", broken)
+    code, out, _ = run(capsys, "verify", "--suite", "reciprocity", "--max-n", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL - classical reciprocity")
+    assert lines[1].startswith("ok - composition reciprocity")
+
+
+def test_verify_hadamard_line_ignores_lp_failures(capsys, monkeypatch):
+    real_verify = cli.verify_representation
+
+    def lp_only_fails(rep, spec, sample=None):
+        if rep.provenance == "lp-orthogonal-representation":
+            raise NotOrthogonal(0, 1, (0,), (1,))
+        return real_verify(rep, spec, sample=sample)
+
+    monkeypatch.setattr(cli, "verify_representation", lp_only_fails)
+    code, out, _ = run(capsys, "verify", "--suite", "representations", "--max-n", "2")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL - lp representations")
+    assert lines[1].startswith("ok - hadamard representations")
+
+
+def test_verify_reports_an_irrational_balanced_value(monkeypatch):
+    real_spectrum = cli.composition_spectrum
+
+    def with_irrational_entry(spec):
+        sp = real_spectrum(spec)
+        if spec.group.order != 3:
+            return sp
+        e = sp.entries[1]
+        entries = list(sp.entries)
+        entries[1] = SpectrumEntry(e.label, CycInt(3, (0, 1)), e.multiplicity)
+        return Spectrum(sp.graph, tuple(entries), sp.regular_degree, sp.vertex_count)
+
+    monkeypatch.setattr(cli, "composition_spectrum", with_irrational_entry)
+    lines: list[str] = []
+    failures = cli._suite_eigenvalues(3, lines.append)
+    assert "irrational balanced value at q=3 n=3 shell=(2, 1, 0)" in failures
+    assert lines[1].startswith("FAIL - balanced spectra")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from scheme_spectra import (
     CycInt,
     DivisibilityError,
     DomainError,
-    GenKrawValue,
     NotFound,
     RangeError,
     SumMismatch,
@@ -138,13 +137,13 @@ def test_gen_kraw_routes_agree():
             for ci, cj in itertools.product(comps, repeat=2):
                 a = gen_kraw(group, n, ci, cj, method="brute")
                 b = gen_kraw(group, n, ci, cj, method="extraction")
-                assert a.value == b.value
+                assert a == b
 
 
 def test_gen_kraw_is_independent_of_the_representative():
     group = cyclic(3)
     n, i, j = 5, Composition((2, 2, 1)), Composition((2, 1, 2))
-    reference = gen_kraw(group, n, i, j).value
+    reference = gen_kraw(group, n, i, j)
     rng = random.Random(11)
     reps = list(enumerate_shell(group, n, j))
     for x in rng.sample(reps, 6):
@@ -158,7 +157,7 @@ def test_gen_kraw_against_raw_character_sum():
     i, j = Composition((1, 1, 0, 1)), Composition((1, 0, 2, 0))
     x = (2, 2, 0)
     assert comp(group, x) == j
-    assert gen_kraw(group, n, i, j).value == char_sum_oracle(group, n, i, x)
+    assert gen_kraw(group, n, i, j) == char_sum_oracle(group, n, i, x)
 
 
 def test_generalized_reciprocity():
@@ -167,8 +166,8 @@ def test_generalized_reciprocity():
         for n in (2, 3, 4, 5):
             comps = list(enumerate_compositions(q, n))
             for ci, cj in itertools.product(comps, repeat=2):
-                lhs = gen_kraw(group, n, ci, cj).value * multinom(n, cj)
-                rhs = gen_kraw(group, n, cj, ci).value * multinom(n, ci)
+                lhs = gen_kraw(group, n, ci, cj) * multinom(n, cj)
+                rhs = gen_kraw(group, n, cj, ci) * multinom(n, ci)
                 assert lhs == rhs
 
 
@@ -182,7 +181,7 @@ def test_composition_values_refine_weight_values():
         total = CycInt.from_int(group.char_order, 0)
         for ci in enumerate_compositions(3, n):
             if n - ci[0] == w:
-                total = total + gen_kraw(group, n, ci, comp(group, x)).value
+                total = total + gen_kraw(group, n, ci, comp(group, x))
         assert total == kraw(n, 3, w, 3)
 
 
@@ -199,8 +198,22 @@ def test_gen_kraw_validation():
 def test_certified_integer_passthrough():
     group = cyclic(2)
     val = gen_kraw(group, 4, Composition((2, 2)), Composition((2, 2)))
-    assert isinstance(val, GenKrawValue)
-    assert val.expect_integer() == -2
+    assert type(val) is int
+    assert val == -2
+
+
+def test_gen_kraw_is_a_plain_int_exactly_when_rational():
+    group = cyclic(5)
+    kinds = set()
+    for ci, cj in itertools.product(enumerate_compositions(5, 2), repeat=2):
+        for method in ("brute", "extraction"):
+            value = gen_kraw(group, 2, ci, cj, method=method)
+            if isinstance(value, CycInt):
+                assert value.as_integer() is None
+            else:
+                assert type(value) is int
+            kinds.add(type(value))
+    assert kinds == {int, CycInt}
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +233,8 @@ def test_circulant_matches_extraction_everywhere():
         group = cyclic(q)
         balanced = Composition.balanced(q, n)
         for r in enumerate_compositions(q, n):
-            expected = gen_kraw(group, n, balanced, r).expect_integer()
+            expected = gen_kraw(group, n, balanced, r)
+            assert type(expected) is int
             assert gen_kraw_circulant(q, n, r) == expected
 
 
@@ -233,7 +247,8 @@ def test_circulant_matches_extraction_sampled_large_q():
         balanced = Composition.balanced(q, n)
         shells = list(enumerate_compositions(q, n))
         for r in rng.sample(shells, 8):
-            expected = gen_kraw(group, n, balanced, r).expect_integer()
+            expected = gen_kraw(group, n, balanced, r)
+            assert type(expected) is int
             assert gen_kraw_circulant(q, n, r) == expected
 
 

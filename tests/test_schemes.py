@@ -102,8 +102,8 @@ def eig_multiset(matrix):
 def spectrum_multiset(spectrum):
     out = {}
     for e in spectrum.entries:
-        v = e.eigenvalue if isinstance(e.eigenvalue, int) else e.eigenvalue.certified_integer
-        assert v is not None
+        v = e.eigenvalue
+        assert isinstance(v, int)
         out[float(v)] = out.get(float(v), 0) + e.multiplicity
     return out
 
@@ -141,7 +141,7 @@ def test_frozen_balanced_spectrum():
     sp = composition_spectrum(
         CompositionGraphSpec(cyclic(3), 3, Composition((1, 1, 1)))
     )
-    values = {tuple(e.label): e.eigenvalue.certified_integer for e in sp.entries}
+    values = {tuple(e.label): e.eigenvalue for e in sp.entries}
     assert values[(3, 0, 0)] == 6
     assert values[(1, 1, 1)] == -3
     assert all(values[k] == 0 for k in values if k not in {(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)})
@@ -158,7 +158,7 @@ def test_binary_composition_spectrum_refines_hamming():
         by_shell = {tuple(e.label): e for e in comp_sp.entries}
         for e in ham.entries:
             twin = by_shell[(n - e.label, e.label)]
-            assert twin.eigenvalue.certified_integer == e.eigenvalue
+            assert twin.eigenvalue == e.eigenvalue
             assert twin.multiplicity == e.multiplicity
 
 
@@ -166,16 +166,6 @@ def test_spectrum_labels_are_colex_ordered():
     sp = composition_spectrum(CompositionGraphSpec(cyclic(3), 4, Composition((2, 1, 1))))
     labels = [tuple(e.label) for e in sp.entries]
     assert labels == [tuple(c) for c in enumerate_compositions(3, 4)]
-
-
-def test_threads_do_not_change_the_answer():
-    spec = HammingGraphSpec(7, 3, 4)
-    assert hamming_spectrum(spec, threads=4).to_json() == hamming_spectrum(spec).to_json()
-    cspec = CompositionGraphSpec(cyclic(3), 6, Composition((4, 1, 1)))
-    assert (
-        composition_spectrum(cspec, threads=3).to_json()
-        == composition_spectrum(cspec).to_json()
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +255,7 @@ def test_balanced_composition_minimum_and_pattern():
         achieved = {
             tuple(e.label)
             for e in sp.entries
-            if e.eigenvalue.certified_integer == value
+            if e.eigenvalue == value
         }
         assert pattern in achieved
 
@@ -392,7 +382,9 @@ def test_spectrum_does_not_depend_on_the_field_modulus():
         sp = composition_spectrum(CompositionGraphSpec(group, n, Composition(counts)))
         vals = []
         for e in sp.entries:
-            vals.extend([e.eigenvalue.value.coeffs] * e.multiplicity)
+            value = e.eigenvalue
+            cyc = value if isinstance(value, CycInt) else CycInt.from_int(group.char_order, value)
+            vals.extend([cyc.coeffs] * e.multiplicity)
         return sorted(vals)
 
     f8a, f8b = finite_field(8, (1, 1, 0, 1)), finite_field(8, (1, 0, 1, 1))
