@@ -27,6 +27,7 @@ from .errors import (
     NonRealEigenvalue,
     NotOrthogonal,
     NotUnitModulus,
+    OrderMismatch,
     SizeExceeded,
     SpecMismatch,
     UnsupportedSize,
@@ -206,8 +207,9 @@ class Representation:
 
     Rows follow the canonical base-q vertex order.  Entries are stored as
     exponents of the common root of unity; tests may swap individual
-    entries for arbitrary cyclotomic values via :meth:`with_entry`, which
-    is how the verifier's failure modes stay reachable.
+    entries for arbitrary cyclotomic values of the same root order via
+    :meth:`with_entry`, which is how the verifier's failure modes stay
+    reachable.
     """
 
     def __init__(
@@ -226,6 +228,11 @@ class Representation:
         self.provenance = provenance
         self.solution = solution
         self.overrides = dict(overrides or {})
+        for value in self.overrides.values():
+            if value.order != self.root_order:
+                raise OrderMismatch(
+                    f"entry has root order {value.order}, representation has {self.root_order}"
+                )
 
     @property
     def rows(self) -> int:
@@ -254,13 +261,17 @@ class Representation:
     def write_csv(self, fp: IO[str]) -> None:
         """CSV export: a root-order header, a column header, then one row
         per vertex with entries in canonical ``a0+a1*z+...`` form."""
-        fp.write(f"root_order,{self.root_order}\n")
+        m = self.root_order
+        fp.write(f"root_order,{m}\n")
         fp.write("vertex," + ",".join(f"c{c}" for c in range(self.cols)) + "\n")
-        for r in range(self.rows):
-            cells = [str(r)]
-            for c in range(self.cols):
-                cells.append(self.entry(r, c).to_term_string())
-            fp.write(",".join(cells) + "\n")
+        terms = np.array(
+            [CycInt.root_of_unity(m, k).to_term_string() for k in range(m)], dtype=object
+        )
+        cells = terms[self.exponents % m]
+        for (r, c), value in self.overrides.items():
+            cells[r, c] = value.to_term_string()
+        for r, row in enumerate(cells.tolist()):
+            fp.write(",".join((str(r), *row)) + "\n")
 
     def to_csv_text(self) -> str:
         import io
@@ -350,11 +361,8 @@ def _mix64(z: int) -> int:
 def _splitmix_stream(seed: int):
     state = seed & _MASK64
     while True:
+        yield _mix64(state)
         state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        yield z ^ (z >> 31)
 
 
 def representation_seed(spec: HammingGraphSpec | CompositionGraphSpec) -> int:
@@ -383,24 +391,46 @@ def _generating_labels(
     return spec.group, spec.dcomp
 
 
-def _pair_inner_is_zero(rep: Representation, xi: int, yi: int) -> bool:
+def _folded_exponents(rep: Representation) -> tuple[np.ndarray, int]:
+    """The exponent matrix reduced to 0..order-1 with the (unit-modulus)
+    overrides written in, and its root order.  A unit of modulus one in
+    Z[zeta_m] is +-zeta_m^k (Kronecker), a power of zeta_(2m) when m is odd,
+    so with overrides present an odd order is lifted to 2m."""
     m = rep.root_order
-    counts = [0] * m
-    extra: CycInt | None = None
-    for c in range(rep.cols):
-        ox = rep.overrides.get((xi, c))
-        oy = rep.overrides.get((yi, c))
-        if ox is None and oy is None:
-            counts[int(rep.exponents[yi, c] - rep.exponents[xi, c]) % m] += 1
-        else:
-            a = ox if ox is not None else CycInt.root_of_unity(m, int(rep.exponents[xi, c]))
-            b = oy if oy is not None else CycInt.root_of_unity(m, int(rep.exponents[yi, c]))
-            term = a.conjugate() * b
-            extra = term if extra is None else extra + term
-    total = CycInt.from_root_powers(m, counts)
-    if extra is not None:
-        total = total + extra
-    return total.is_zero()
+    expm = np.asarray(rep.exponents, dtype=np.int64) % m
+    if not rep.overrides:
+        return expm, m
+    lift = 1 if m % 2 == 0 else 2
+    order = lift * m
+    powers = {}
+    for k in range(m):
+        unit = CycInt.root_of_unity(m, k)
+        powers[unit.coeffs] = lift * k
+        powers[(-unit).coeffs] = (lift * k + order // 2) % order
+    expm *= lift
+    for (r, c), value in rep.overrides.items():
+        expm[r, c] = powers[value.coeffs]
+    return expm, order
+
+
+def _shifted(digits: np.ndarray, s: np.ndarray, addt: np.ndarray, place: np.ndarray) -> np.ndarray:
+    """Vertex indices of x + s for the digit rows of x; s is one word or one per row."""
+    out = np.zeros(len(digits), dtype=np.int64)
+    for k in range(len(place)):
+        out += addt[digits[:, k], s[..., k]] * place[k]
+    return out
+
+
+def _failing_rows(ex: np.ndarray, ey: np.ndarray, m: int) -> np.ndarray:
+    """Rows i where exponent rows ex[i], ey[i] in 0..m-1 are not orthogonal:
+    ey - ex + m is counted in 2m bins per row, bin j standing for zeta_m^(j % m),
+    and the counts are reduced modulo the m-th cyclotomic polynomial."""
+    rows = len(ex)
+    diff = ey - ex
+    diff += m + 2 * m * np.arange(rows, dtype=np.int64)[:, None]
+    counts = np.bincount(diff.ravel(), minlength=2 * m * rows).reshape(rows, 2 * m)
+    red = np.array(_reduction_rows(m)[:m] * 2, dtype=np.int64)
+    return np.nonzero((counts @ red).any(axis=1))[0]
 
 
 def verify_representation(
@@ -410,11 +440,14 @@ def verify_representation(
 ) -> bool:
     """Check unit modulus everywhere and orthogonality on adjacent pairs.
 
-    Full mode (``sample=None``) walks every vertex x and every generator
-    s, checking the pair (x, x + s); sampled mode draws ``sample`` pairs
-    from the deterministic generator seeded by :func:`representation_seed`.
-    Failures raise NotOrthogonal or NotUnitModulus carrying the first
-    witness in canonical vertex order; a clean pass returns True.
+    Overrides set by :meth:`Representation.with_entry` are checked for unit
+    modulus first, in (row, column) order, and raise NotUnitModulus.  Full
+    mode (``sample=None``) checks the pair (x, x + s) for every vertex x and
+    generator s; sampled mode checks ``sample`` pairs drawn from the
+    deterministic generator seeded by :func:`representation_seed`.  Both run
+    the same exact check.  A failure raises NotOrthogonal carrying, in full
+    mode, the smallest failing x and then the smallest failing x + s, and in
+    sampled mode the first failing pair in draw order; a clean pass is True.
     """
     group, label = _generating_labels(spec, rep)
     n = spec.n
@@ -428,58 +461,32 @@ def verify_representation(
         if value * value.conjugate() != one:
             raise NotUnitModulus(r, c)
 
-    m = rep.root_order
-    if sample is not None:
-        members = list(enumerate_shell(group, n, label))
-        stream = _splitmix_stream(representation_seed(spec))
-        digits_pow = [q ** (n - 1 - k) for k in range(n)]
-        for _ in range(sample):
-            xi = next(stream) % rep.rows
-            s = members[next(stream) % len(members)]
-            x_word = index_word(group, xi, n)
-            yi = sum(group.add(a, b) * p for a, b, p in zip(x_word, s, digits_pow))
-            if not _pair_inner_is_zero(rep, xi, yi):
-                y_word = index_word(group, yi, n)
-                raise NotOrthogonal(xi, yi, x_word, y_word)
-        return True
-
-    if rep.overrides:
-        # Exact but slow path; only mutated representations land here.
-        members = list(enumerate_shell(group, n, label))
-        for xi in range(rep.rows):
-            x_word = index_word(group, xi, n)
-            failing: list[int] = []
-            for s in members:
-                y_word = tuple(group.add(a, b) for a, b in zip(x_word, s))
-                yi = 0
-                for g in y_word:
-                    yi = yi * q + g
-                if not _pair_inner_is_zero(rep, xi, yi):
-                    failing.append(yi)
-            if failing:
-                yi = min(failing)
-                raise NotOrthogonal(xi, yi, x_word, index_word(group, yi, n))
-        return True
-
+    expm, m = _folded_exponents(rep)
+    members = list(enumerate_shell(group, n, label))
     digits = _digit_matrix(q, n, rep.rows)
     addt = np.array([[group.add(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
     place = np.array([q ** (n - 1 - k) for k in range(n)], dtype=np.int64)
-    red = np.array(_reduction_rows(m)[:m], dtype=np.int64)
-    expm = rep.exponents
     witness: tuple[int, int] | None = None
-    for s in enumerate_shell(group, n, label):
-        perm = np.zeros(rep.rows, dtype=np.int64)
-        for k, g in enumerate(s):
-            perm += addt[digits[:, k], g] * place[k]
-        diff = (expm[perm] - expm) % m
-        counts = np.stack([(diff == r).sum(axis=1) for r in range(m)], axis=1)
-        residue = counts @ red
-        bad = np.nonzero(residue.any(axis=1))[0]
-        if bad.size:
-            xi = int(bad[0])
-            yi = int(perm[xi])
-            if witness is None or (xi, yi) < witness:
-                witness = (xi, yi)
+    if sample is not None:
+        words = np.array(members, dtype=np.int64)
+        stream = _splitmix_stream(representation_seed(spec))
+        for start in range(0, sample, rep.rows):
+            draws = [(next(stream) % rep.rows, next(stream) % len(members))
+                     for _ in range(min(rep.rows, sample - start))]
+            xs = np.array([x for x, _ in draws], dtype=np.int64)
+            ys = _shifted(digits[xs], words[[s for _, s in draws]], addt, place)
+            bad = _failing_rows(np.take(expm, xs, axis=0), np.take(expm, ys, axis=0), m)
+            if bad.size:
+                witness = (int(xs[bad[0]]), int(ys[bad[0]]))
+                break
+    else:
+        # Once a pair fails, later generators only need the rows up to its x.
+        for s in members:
+            limit = rep.rows if witness is None else witness[0] + 1
+            ys = _shifted(digits[:limit], np.array(s, dtype=np.int64), addt, place)
+            bad = _failing_rows(expm[:limit], np.take(expm, ys, axis=0), m)
+            if bad.size and (witness is None or (bad[0], ys[bad[0]]) < witness):
+                witness = (int(bad[0]), int(ys[bad[0]]))
     if witness is not None:
         xi, yi = witness
         raise NotOrthogonal(xi, yi, index_word(group, xi, n), index_word(group, yi, n))

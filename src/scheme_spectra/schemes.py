@@ -205,22 +205,18 @@ def _require_real(value: CycInt) -> None:
 
 
 def _less_than(a: int | CycInt, b: int | CycInt) -> bool:
-    """Exact a < b for real cyclotomic values, escalating precision as needed."""
+    """Exact a < b for real cyclotomic values: the sign of the exact
+    difference, read from an embedding whose precision doubles as needed."""
     if isinstance(a, int) and isinstance(b, int):
         return a < b
-    if a == b:
+    diff = a - b
+    if diff.is_zero():
         return False
-    ca = a if isinstance(a, CycInt) else None
-    cb = b if isinstance(b, CycInt) else None
     bits = DEFAULT_EMBED_BITS
     for _ in range(MAX_PRECISION_DOUBLINGS + 1):
-        ea = ca.embed(bits) if ca is not None else None
-        eb = cb.embed(bits) if cb is not None else None
-        ra, pa = (ea.real, ea.precision) if ea else (float(a), 0.0)
-        rb, pb = (eb.real, eb.precision) if eb else (float(b), 0.0)
-        margin = 2.0 * (pa + pb)
-        if abs(ra - rb) > margin:
-            return ra < rb
+        approx = diff.embed(bits)
+        if abs(approx.real) > 2.0 * approx.precision:
+            return approx.real < 0
         bits *= 2
     raise PrecisionEscalationError(
         f"could not separate {a!r} and {b!r} after "

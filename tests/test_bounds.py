@@ -1,8 +1,10 @@
 """Chromatic-bound machinery: LP certificates, representations, reports, probe."""
 
 import io
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from scheme_spectra import (
@@ -16,7 +18,9 @@ from scheme_spectra import (
     LPSolution,
     NotOrthogonal,
     NotUnitModulus,
+    OrderMismatch,
     ProbeVerdict,
+    Representation,
     SpecMismatch,
     UnsupportedSize,
     binom,
@@ -25,13 +29,18 @@ from scheme_spectra import (
     check_lp_solution,
     conjecture_probe,
     cyclic,
+    enumerate_shell,
     finite_field,
     hadamard_representation,
+    index_word,
     lp_search,
     lp_two_support,
     representation_seed,
     verify_representation,
+    word_add,
+    word_index,
 )
+from scheme_spectra.bounds import _splitmix_stream
 
 # ---------------------------------------------------------------------------
 # LP certificates
@@ -179,10 +188,115 @@ def test_non_unit_entry_is_caught_before_orthogonality():
 
 def test_with_entry_does_not_mutate_the_original():
     rep = build_representation(lp_two_support(4, 2, 2), cyclic(2))
-    rep.with_entry(0, 0, CycInt.from_int(2, -1))
+    changed = rep.with_entry(0, 0, CycInt.from_int(2, -1))
     assert rep.entry(0, 0) == 1
+    assert rep.to_csv_text().splitlines()[2].split(",")[1] == "1"
+    assert changed.to_csv_text().splitlines()[2].split(",")[1] == "-1"
     with pytest.raises(DomainError):
         rep.with_entry(99, 0, CycInt.from_int(2, 1))
+
+
+def test_with_entry_rejects_another_root_order():
+    rep = build_representation(lp_two_support(4, 2, 2), cyclic(2))
+    with pytest.raises(OrderMismatch):
+        rep.with_entry(0, 0, CycInt.root_of_unity(4, 1))
+    assert rep.overrides == {}
+    with pytest.raises(OrderMismatch):
+        Representation(
+            rep.group, rep.n, rep.exponents, "test", overrides={(0, 0): CycInt.from_int(3, 1)}
+        )
+
+
+def _oracle_orthogonal(rep, x, y):
+    # the inner product summed entry by entry in the cyclotomic ring
+    total = CycInt.from_int(rep.root_order, 0)
+    for c in range(rep.cols):
+        total = total + rep.entry(x, c).conjugate() * rep.entry(y, c)
+    return total.is_zero()
+
+
+def _verdict(rep, spec, sample=None):
+    try:
+        return verify_representation(rep, spec, sample=sample)
+    except NotOrthogonal as exc:
+        return (exc.row_x, exc.row_y, exc.word_x, exc.word_y)
+
+
+def _differential_cases():
+    rng = random.Random(20261018)
+    reps = [
+        (build_representation(lp_two_support(n, q, d), group), HammingGraphSpec(n, q, d))
+        for n, q, d, group in (
+            (4, 2, 2, cyclic(2)),
+            (3, 3, 2, cyclic(3)),
+            (2, 4, 2, cyclic(4)),
+            (2, 4, 2, finite_field(4)),
+            (2, 5, 2, cyclic(5)),
+            (3, 3, 3, cyclic(3)),
+        )
+    ]
+    spec = CompositionGraphSpec(cyclic(3), 3, Composition.balanced(3, 3))
+    reps.append((hadamard_representation(cyclic(3), 3), spec))
+    # Row 1 of H(2,3,2) has only larger neighbours, met in generator order as
+    # rows 5, 3, 8, 6: the witness is not the first failure found for x = 1.
+    rep = build_representation(lp_two_support(2, 3, 2), cyclic(3))
+    yield rep.with_entry(1, 0, CycInt.from_int(3, -1)), HammingGraphSpec(2, 3, 2)
+    for rep, spec in reps:
+        m = rep.root_order
+        yield rep, spec
+        for _ in range(4):
+            mutated = rep
+            for _ in range(rng.randint(1, 3)):
+                value = CycInt.root_of_unity(m, rng.randrange(m)) * rng.choice((1, -1))
+                row, col = rng.randrange(rep.rows), rng.randrange(rep.cols)
+                mutated = mutated.with_entry(row, col, value)
+            yield mutated, spec
+
+
+def _generators(spec, group):
+    label = spec.d if isinstance(spec, HammingGraphSpec) else spec.dcomp
+    return list(enumerate_shell(group, spec.n, label))
+
+
+def _plus(group, n, x, s):
+    return word_index(group, word_add(group, index_word(group, x, n), s))
+
+
+def test_full_verification_reports_the_smallest_failing_pair():
+    for rep, spec in _differential_cases():
+        group = rep.group
+        members = _generators(spec, group)
+        failing = [
+            (x, y)
+            for x in range(rep.rows)
+            for y in (_plus(group, spec.n, x, s) for s in members)
+            if not _oracle_orthogonal(rep, x, y)
+        ]
+        expected = True
+        if failing:
+            x, y = min(failing)
+            expected = (x, y, index_word(group, x, spec.n), index_word(group, y, spec.n))
+        assert _verdict(rep, spec) == expected
+
+
+def test_sampled_verification_reports_the_first_failing_draw():
+    late_failures = 0
+    for rep, spec in _differential_cases():
+        group = rep.group
+        members = _generators(spec, group)
+        for sample in (7, 3 * rep.rows + 1):
+            stream = _splitmix_stream(representation_seed(spec))
+            expected = True
+            for draw in range(sample):
+                x = next(stream) % rep.rows
+                s = members[next(stream) % len(members)]
+                y = _plus(group, spec.n, x, s)
+                if not _oracle_orthogonal(rep, x, y):
+                    expected = (x, y, index_word(group, x, spec.n), index_word(group, y, spec.n))
+                    late_failures += draw >= rep.rows
+                    break
+            assert _verdict(rep, spec, sample) == expected
+    assert late_failures  # some first failures lie beyond the first rep.rows draws
 
 
 def test_sampled_verification_is_deterministic():
@@ -204,6 +318,16 @@ def test_hadamard_representations_verify():
         assert rep.cols == n
         spec = CompositionGraphSpec(group, n, Composition.balanced(group.order, n))
         assert verify_representation(rep, spec) is True
+
+
+def test_verification_does_not_depend_on_the_exponent_dtype():
+    group, n = cyclic(3), 6
+    rep = hadamard_representation(group, n)
+    spec = CompositionGraphSpec(group, n, Composition.balanced(3, n))
+    for dtype in (np.int8, np.uint8, np.int16):
+        narrow = Representation(group, n, rep.exponents.astype(dtype), rep.provenance)
+        assert verify_representation(narrow, spec) is True
+        assert verify_representation(narrow, spec, sample=100) is True
 
 
 def test_hadamard_needs_q_dividing_n():

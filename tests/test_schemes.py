@@ -40,6 +40,7 @@ from scheme_spectra import (
     word_sub,
     weight,
 )
+from scheme_spectra.schemes import _less_than
 
 # ---------------------------------------------------------------------------
 # graph specs
@@ -297,6 +298,14 @@ def test_golden_ratio_minimum_is_compared_exactly():
     assert tuple(label) == (1, 0, 1, 0, 0)
     with pytest.raises(IrrationalEigenvalue):
         hoffman_bound(sp)
+
+
+def test_irrational_value_orders_against_a_close_integer_above_2_53():
+    # 10**20 + zeta + zeta^4 lies about 0.38 below 10**20 + 1; rounding each
+    # side to a float on its own made the two inseparable at any precision.
+    near = CycInt(5, [10**20, 1, 0, 0, 1])
+    assert _less_than(near, 10**20 + 1) is True
+    assert _less_than(10**20 + 1, near) is False
 
 
 def test_hoffman_bound_values():
