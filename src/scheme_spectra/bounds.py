@@ -42,7 +42,7 @@ from .groups import (
     enumerate_shell,
     index_word,
 )
-from .krawtchouk import first_nonpositive, first_root_ratio, kraw
+from .krawtchouk import _shell_sizes, first_nonpositive, first_root_ratio, kraw_column
 from .schemes import (
     CompositionGraphSpec,
     HammingGraphSpec,
@@ -91,6 +91,7 @@ class LPSolution:
         return sum(
             c * (self.q - 1) ** i * binom(self.n, i)
             for i, c in enumerate(self.coefficients)
+            if c
         )
 
     def to_json(self) -> dict:
@@ -111,7 +112,8 @@ def check_lp_solution(solution: LPSolution) -> bool:
             raise Infeasible(f"coefficient c_{i} = {c} is negative", witness=("sign", i))
     if sum(solution.coefficients) <= 0:
         raise Infeasible("total weight is not positive", witness=("positivity",))
-    acc = sum(c * kraw(n, q, i, d) for i, c in enumerate(solution.coefficients))
+    column = kraw_column(n, q, d)
+    acc = sum(c * k for c, k in zip(solution.coefficients, column))
     if acc != 0:
         raise Infeasible(
             f"weighted Krawtchouk column at d={d} sums to {acc}, expected 0",
@@ -123,30 +125,31 @@ def check_lp_solution(solution: LPSolution) -> bool:
 def lp_two_support(n: int, q: int, d: int) -> LPSolution:
     """Best two-support feasible solution: c_0 = -K_i(d), c_i = 1.
 
-    Scans shells i with K_i(d) <= 0 and keeps the smallest objective,
-    breaking ties toward the smaller shell index.  A nonpositive value
-    always exists for d >= 1 because the Krawtchouk column sums to zero.
+    Reads the column K_i(d) in one recurrence pass, scans the shells i
+    with K_i(d) <= 0 for the smallest objective m_i - K_i(d) (m_i the
+    shell size), breaking ties toward the smaller shell index, and builds
+    only the winner.  A nonpositive value always exists for d >= 1
+    because the Krawtchouk column sums to zero.
     """
     HammingGraphSpec(n, q, d)
-    best: LPSolution | None = None
-    best_obj: int | None = None
+    column = kraw_column(n, q, d)
+    sizes = _shell_sizes(n, q)
+    best: int | None = None
     for i in range(1, n + 1):
-        k = kraw(n, q, i, d)
-        if k > 0:
+        if column[i] > 0:
             continue
-        coeffs = [0] * (n + 1)
-        coeffs[0] = -k
-        coeffs[i] = 1
-        sol = LPSolution(n, q, d, tuple(coeffs))
-        obj = sol.objective
-        if best_obj is None or obj < best_obj:
-            best, best_obj = sol, obj
+        if best is None or sizes[i] - column[i] < sizes[best] - column[best]:
+            best = i
     if best is None:
         raise Infeasible(
             f"no shell index has a nonpositive Krawtchouk value at d={d}"
         )
-    check_lp_solution(best)
-    return best
+    coeffs = [0] * (n + 1)
+    coeffs[0] = -column[best]
+    coeffs[best] = 1
+    solution = LPSolution(n, q, d, tuple(coeffs))
+    check_lp_solution(solution)
+    return solution
 
 
 def lp_search(
@@ -170,8 +173,8 @@ def lp_search(
         raise DomainError(f"coefficient bound must be >= 1, got {coeff_bound}")
     best = lp_two_support(n, q, d)
     best_obj = best.objective
-    kcol = [kraw(n, q, i, d) for i in range(n + 1)]
-    sizes = [(q - 1) ** i * binom(n, i) for i in range(n + 1)]
+    kcol = kraw_column(n, q, d)
+    sizes = _shell_sizes(n, q)
     for support_size in range(1, max_support + 1):
         for support in itertools.combinations(range(1, n + 1), support_size):
             for weights in itertools.product(range(1, coeff_bound + 1), repeat=support_size):

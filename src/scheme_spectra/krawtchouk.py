@@ -3,16 +3,21 @@
 The classical value K_i(j) is the eigenvalue of the distance-d Hamming
 graph on the weight-j character shell.  Its composition refinement
 replaces weights by full occurrence-count vectors and takes values in a
-cyclotomic integer ring; three independent routes to it are provided
-(direct character sums, coefficient extraction from a product of linear
-forms, and — for balanced generators over Z_q — extraction from a power
-of a circulant determinant), which is what makes cross-checking possible.
+cyclotomic integer ring.  Whole columns (one argument, every index) come
+from one pass each: the three-term recurrence for the classical values,
+one expansion of a product of linear forms for the refined ones.  Three
+independent per-value routes stay as oracles (direct character sums,
+coefficient extraction from the same product, and — for balanced
+generators over Z_q — extraction from a power of a circulant
+determinant), next to the closed-form classical sum; that is what makes
+cross-checking possible.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -24,7 +29,7 @@ from .errors import (
     UnsupportedSize,
 )
 from .exactnum import CycInt, binom, multinom
-from .groups import Composition, GroupSpec, enumerate_shell
+from .groups import Composition, GroupSpec, enumerate_compositions, enumerate_shell
 
 #: Largest alphabet for which the circulant determinant is expanded exactly.
 CIRCULANT_MAX_Q = 7
@@ -44,15 +49,54 @@ def kraw(n: int, q: int, i: int, j: int) -> int:
     return total
 
 
+def kraw_column(n: int, q: int, x: int) -> list[int]:
+    """The column K_i(x), i = 0..n, in one pass of the three-term recurrence
+
+        (i+1) K_{i+1}(x) = (i + (q-1)(n-i) - q x) K_i(x) - (q-1)(n-i+1) K_{i-1}(x)
+
+    (Delsarte 1973; MacWilliams-Sloane ch. 5).  Every division is checked
+    to be exact, so a wrong recurrence raises instead of rounding.  The
+    closed-form :func:`kraw` stays as the independent per-value oracle.
+    """
+    if n < 1 or q < 2:
+        raise DomainError(f"need n >= 1 and q >= 2, got n={n}, q={q}")
+    if not 0 <= x <= n:
+        raise RangeError(f"argument x={x} outside 0..{n}")
+    # kraw refuses non-integral n and x too (math.comb raises TypeError)
+    n, x = operator.index(n), operator.index(x)
+    column = [1]
+    prev = 0
+    for i in range(n):
+        num = (i + (q - 1) * (n - i) - q * x) * column[i] - (q - 1) * (n - i + 1) * prev
+        value, rem = divmod(num, i + 1)
+        if rem:
+            raise ArithmeticError(f"recurrence is not integral at n={n}, q={q}, x={x}, i={i}")
+        prev = column[i]
+        column.append(value)
+    return column
+
+
+def _shell_sizes(n: int, q: int) -> list[int]:
+    """Weight-shell sizes (q-1)^j C(n, j), j = 0..n, by the ratio recurrence."""
+    sizes = [1]
+    for j in range(n):
+        sizes.append(sizes[j] * (q - 1) * (n - j) // (j + 1))
+    return sizes
+
+
 def first_nonpositive(n: int, q: int, d: int) -> int:
     """Smallest shell index j >= 1 with K_d(j) <= 0.
 
-    For d >= 1 the row-sum identity guarantees a sign change, so the scan
-    cannot run off the end; NotFound guards the degenerate d = 0 case.
+    By reciprocity m_j K_d(j) = m_d K_j(d) with positive shell sizes, so
+    the sign is read off the column K_j(d).  For d >= 1 the row-sum
+    identity guarantees a sign change, so the scan cannot run off the end;
+    NotFound guards the degenerate d = 0 case (and n = 0, with no shells).
     """
-    for j in range(1, n + 1):
-        if kraw(n, q, d, j) <= 0:
-            return j
+    if n >= 1:
+        column = kraw_column(n, q, d)
+        for j in range(1, n + 1):
+            if column[j] <= 0:
+                return j
     raise NotFound(f"K_{d} stays positive on 1..{n} for n={n}, q={q}")
 
 
@@ -136,6 +180,43 @@ def _gen_kraw_extraction(group: GroupSpec, n: int, i: Composition, j: Compositio
     if final is None:
         return CycInt(m)
     return CycInt.from_root_powers(m, final)
+
+
+def _gen_kraw_column(group: GroupSpec, n: int, x: Composition) -> list[tuple[Composition, CycInt]]:
+    # K_j(x) for every composition j of n, in colexicographic order: the
+    # z^j coefficients of prod_h (sum_g phi_h(g) z_g)^(x_h), expanded once
+    # (the extraction route reads one coefficient of this product per
+    # call).  The monomial z^c is keyed by sum_g c_g (n+1)^g, so
+    # multiplying by z_g adds (n+1)^g.  A coefficient lives in the group
+    # ring Z[Z_m]: m nonnegative counts packed into one int, `width` bits
+    # each, where multiplying by zeta^e rotates the fields by e.  The
+    # counts of all monomials add up to q^(copies so far) <= q^n, so no
+    # field ever carries into the next.
+    m, q = group.char_order, group.order
+    width = (q**n).bit_length()
+    full = (1 << (m * width)) - 1
+    keys = [(n + 1) ** g for g in range(q)]
+    poly = {0: 1}
+    for h, copies in enumerate(tuple(x)):
+        moves = []
+        for g in range(q):
+            e = group.char_exponent(h, g) % m
+            moves.append((keys[g], e * width, (m - e) * width))
+        for _ in range(copies):
+            nxt: dict[int, int] = {}
+            get = nxt.get
+            for step, up, down in moves:
+                for key, packed in poly.items():
+                    dest = key + step
+                    nxt[dest] = get(dest, 0) + (((packed << up) & full) | (packed >> down))
+            poly = nxt
+    mask = (1 << width) - 1
+    out = []
+    for j in enumerate_compositions(q, n):
+        packed = poly.get(sum(c * k for c, k in zip(j, keys)), 0)
+        counts = [(packed >> (e * width)) & mask for e in range(m)]
+        out.append((j, CycInt.from_root_powers(m, counts)))
+    return out
 
 
 def gen_kraw(

@@ -38,7 +38,7 @@ from .groups import (
     word_add,
     word_char_value,
 )
-from .krawtchouk import gen_kraw, kraw
+from .krawtchouk import _gen_kraw_column, _shell_sizes, gen_kraw, kraw, kraw_column
 
 #: Precision-escalation schedule: how many times the mantissa doubles.
 MAX_PRECISION_DOUBLINGS = 4
@@ -165,13 +165,33 @@ def hamming_spectrum(spec: HammingGraphSpec) -> Spectrum:
     """Exact spectrum of a Hamming graph: K_d(j) on the weight-j shell.
 
     Shells are listed by ascending weight; multiplicities are the shell
-    sizes (q-1)^j C(n,j).
+    sizes m_j = (q-1)^j C(n,j).  One recurrence pass gives the column
+    K_j(d), and reciprocity m_j K_d(j) = m_d K_j(d) turns it into the
+    eigenvalues, each division checked to be exact.
     """
     n, q, d = spec.n, spec.q, spec.d
-    entries = tuple(
-        SpectrumEntry(j, kraw(n, q, d, j), (q - 1) ** j * binom(n, j)) for j in range(n + 1)
-    )
-    return Spectrum(spec, entries, spec.degree, spec.vertex_count)
+    sizes = _shell_sizes(n, q)
+    entries = []
+    for j, dual in enumerate(kraw_column(n, q, d)):
+        value, rem = divmod(sizes[d] * dual, sizes[j])
+        if rem:
+            raise ArithmeticError(f"reciprocity is not integral at n={n}, q={q}, d={d}, j={j}")
+        entries.append(SpectrumEntry(j, value, sizes[j]))
+    return Spectrum(spec, tuple(entries), spec.degree, spec.vertex_count)
+
+
+def _rescale(value: CycInt, num: int, den: int) -> int | CycInt:
+    # value * num / den, coefficient by coefficient: exact whenever the
+    # result is a cyclotomic integer, because the power basis is integral.
+    coeffs = []
+    for c in value.coeffs:
+        quo, rem = divmod(c * num, den)
+        if rem:
+            raise ArithmeticError(f"{value!r} * {num} / {den} is not a cyclotomic integer")
+        coeffs.append(quo)
+    if any(coeffs[1:]):
+        return CycInt(value.order, coeffs)
+    return coeffs[0]
 
 
 def composition_spectrum(
@@ -181,15 +201,29 @@ def composition_spectrum(
     """Exact spectrum of a composition graph, one entry per composition shell.
 
     Shell labels run in colexicographic order; the eigenvalue on shell j
-    is the composition Krawtchouk value of the generating composition
-    evaluated at j, and the multiplicity is the shell size.
+    is the composition Krawtchouk value K_dcomp(j), a plain int when it
+    is rational and a :class:`CycInt` otherwise, and the multiplicity is
+    the shell size multinom(n, j).
+
+    ``method="extraction"`` (default) expands the generating product
+    once, which yields K_j(dcomp) for every shell j, and applies
+    reciprocity K_dcomp(j) = K_j(dcomp) multinom(n, dcomp) / multinom(n, j)
+    with every division checked.  ``method="brute"`` sums characters over
+    the generating shell once per shell j, as :func:`gen_kraw` does.
     """
-    group, n, dcomp = spec.group, spec.n, spec.dcomp
-    entries = tuple(
-        SpectrumEntry(j, gen_kraw(group, n, dcomp, j, method=method), multinom(n, j))
-        for j in enumerate_compositions(group.order, n)
-    )
-    return Spectrum(spec, entries, spec.degree, spec.vertex_count)
+    if method not in ("extraction", "brute"):
+        raise DomainError(f"unknown method {method!r}")
+    group, n, dcomp, degree = spec.group, spec.n, spec.dcomp, spec.degree
+    entries = []
+    if method == "brute":
+        for j in enumerate_compositions(group.order, n):
+            value = gen_kraw(group, n, dcomp, j, method="brute")
+            entries.append(SpectrumEntry(j, value, multinom(n, j)))
+    else:
+        for j, dual in _gen_kraw_column(group, n, dcomp):
+            size = multinom(n, j)
+            entries.append(SpectrumEntry(j, _rescale(dual, degree, size), size))
+    return Spectrum(spec, tuple(entries), degree, spec.vertex_count)
 
 
 # ---------------------------------------------------------------------------

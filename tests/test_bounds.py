@@ -20,6 +20,7 @@ from scheme_spectra import (
     NotUnitModulus,
     OrderMismatch,
     ProbeVerdict,
+    RangeError,
     Representation,
     SpecMismatch,
     UnsupportedSize,
@@ -33,6 +34,7 @@ from scheme_spectra import (
     finite_field,
     hadamard_representation,
     index_word,
+    kraw,
     lp_search,
     lp_two_support,
     representation_seed,
@@ -67,6 +69,60 @@ def test_two_support_solutions_check_out_on_a_grid():
                 assert sol.objective == sum(
                     c * (q - 1) ** i * binom(n, i) for i, c in enumerate(sol.coefficients)
                 )
+
+
+def test_two_support_matches_a_closed_form_scan():
+    # the per-shell scan the column replaced: price every candidate from
+    # closed-form values and keep the first cheapest
+    for q in range(2, 7):
+        for n in range(1, 21):
+            sizes = [(q - 1) ** i * binom(n, i) for i in range(n + 1)]
+            for d in range(1, n + 1):
+                best = None
+                for i in range(1, n + 1):
+                    k = kraw(n, q, i, d)
+                    if k <= 0 and (best is None or sizes[i] - k < best[0]):
+                        best = (sizes[i] - k, i, k)
+                expected = [0] * (n + 1)
+                expected[0], expected[best[1]] = -best[2], 1
+                sol = lp_two_support(n, q, d)
+                assert sol.coefficients == tuple(expected), (n, q, d)
+                assert sol.objective == best[0]
+
+
+def test_check_reports_the_closed_form_weighted_sum():
+    rng = random.Random(41)
+    for _ in range(300):
+        q, n = rng.randint(2, 6), rng.randint(1, 30)
+        d = rng.randint(0, n)
+        coeffs = [rng.choice((0, 0, 0, 1, 2, 7)) for _ in range(n + 1)]
+        coeffs[0] += 1
+        acc = sum(c * kraw(n, q, i, d) for i, c in enumerate(coeffs))
+        sol = LPSolution(n, q, d, tuple(coeffs))
+        if acc == 0:
+            assert check_lp_solution(sol)
+        else:
+            with pytest.raises(Infeasible) as err:
+                check_lp_solution(sol)
+            assert err.value.witness == ("orthogonality", acc)
+
+
+def test_lp_errors_keep_their_types():
+    ones = (1, 0, 0, 0, 0)
+    for d in (5, -1):
+        with pytest.raises(RangeError):
+            check_lp_solution(LPSolution(4, 2, d, ones))
+    with pytest.raises(DomainError):
+        check_lp_solution(LPSolution(4, 1, 2, ones))
+    with pytest.raises(DomainError):
+        check_lp_solution(LPSolution(0, 2, 0, (1,)))
+    for d in (0, 5):
+        with pytest.raises(RangeError):
+            lp_two_support(4, 2, d)
+        with pytest.raises(RangeError):
+            lp_search(4, 2, d)
+    with pytest.raises(DomainError):
+        lp_two_support(4, 1, 2)
 
 
 def test_check_rejects_negative_coefficient():

@@ -275,6 +275,24 @@ def test_semantic_flag_errors_exit_2(capsys):
     assert code == 2  # six is not a prime power
 
 
+def test_hamming_flag_errors_are_pinned_byte_for_byte(capsys):
+    cases = [
+        (("bounds", "--family", "hamming", "--n", "5", "--q", "3", "--d", "0"),
+         "error: distance d=0 outside 1..5\n"),
+        (("spectrum", "--family", "hamming", "--n", "3", "--q", "3", "--d", "4"),
+         "error: distance d=4 outside 1..3\n"),
+        (("spectrum", "--family", "hamming", "--n", "3", "--q", "1", "--d", "1"),
+         "error: need n >= 1 and q >= 2, got n=3, q=1\n"),
+        (("represent", "--n", "4", "--q", "2", "--d", "5"),
+         "error: distance d=5 outside 1..4\n"),
+        (("represent", "--n", "0", "--q", "2", "--d", "0"),
+         "error: need n >= 1 and q >= 2, got n=0, q=2\n"),
+        (("probe", "--q", "1", "--n", "6"), "error: need q >= 2, got q=1\n"),
+    ]
+    for argv, expected in cases:
+        assert run(capsys, *argv) == (2, "", expected)
+
+
 def test_verification_failure_exits_1(capsys, monkeypatch):
     def explode(rep, spec, sample=None):
         raise NotOrthogonal(0, 1, (0, 0), (0, 1))

@@ -28,6 +28,7 @@ from scheme_spectra import (
     gen_kraw,
     gen_kraw_circulant,
     kraw,
+    kraw_column,
     multinom,
     word_char_value,
     zero_shell_predicate,
@@ -117,12 +118,65 @@ def test_kraw_argument_validation():
         kraw(4, 2, 1, -1)
 
 
+def test_kraw_column_matches_the_closed_form():
+    # every column of every table up to n = 40, so a wrong sign or factor
+    # in any recurrence term shows up somewhere
+    for q in range(2, 8):
+        for n in range(1, 41):
+            for x in range(n + 1):
+                column = kraw_column(n, q, x)
+                assert column == [kraw(n, q, i, x) for i in range(n + 1)], (n, q, x)
+                assert all(type(k) is int for k in column)
+
+
+def test_kraw_column_validation_matches_kraw():
+    for args in ((4, 1, 1), (0, 2, 0), (-1, 2, 0)):
+        with pytest.raises(DomainError):
+            kraw(*args[:2], 0, args[2])
+        with pytest.raises(DomainError):
+            kraw_column(*args)
+    for x in (-1, 5):
+        with pytest.raises(RangeError):
+            kraw(4, 2, 0, x)
+        with pytest.raises(RangeError):
+            kraw_column(4, 2, x)
+    for args in ((4.0, 2, 1), (4, 2, 1.0)):
+        with pytest.raises(TypeError):
+            kraw(args[0], args[1], 1, args[2])
+        with pytest.raises(TypeError):
+            kraw_column(*args)
+
+
 def test_first_nonpositive():
     assert first_nonpositive(8, 2, 3) == 2
     assert first_nonpositive(9, 3, 6) == 1
     assert first_nonpositive(4, 2, 2) == 1  # K_1(2) = 0 counts
     with pytest.raises(NotFound):
         first_nonpositive(5, 2, 0)
+
+
+def test_first_nonpositive_matches_a_closed_form_scan():
+    for q in (2, 3, 5):
+        for n in range(1, 16):
+            for d in range(1, n + 1):
+                scan = next(j for j in range(1, n + 1) if kraw(n, q, d, j) <= 0)
+                assert first_nonpositive(n, q, d) == scan
+
+
+def test_first_nonpositive_errors():
+    # the same exception types as the per-value scan it replaced
+    for n in (1, 6):
+        with pytest.raises(NotFound):
+            first_nonpositive(n, 3, 0)
+    for n in (0, -2):  # no shells to scan
+        with pytest.raises(NotFound):
+            first_nonpositive(n, 3, 1)
+    with pytest.raises(RangeError):
+        first_nonpositive(6, 3, 7)
+    with pytest.raises(RangeError):
+        first_nonpositive(6, 3, -1)
+    with pytest.raises(DomainError):
+        first_nonpositive(6, 1, 2)
 
 
 # ---------------------------------------------------------------------------

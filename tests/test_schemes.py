@@ -1,6 +1,8 @@
 """Graph specs, exact spectra, extreme eigenvalues, projector identities."""
 
 import json
+import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +30,8 @@ from scheme_spectra import (
     eigenvector_check,
     enumerate_compositions,
     finite_field,
+    gen_kraw,
+    gen_kraw_circulant,
     hamming_spectrum,
     hoffman_bound,
     kraw,
@@ -167,6 +171,117 @@ def test_spectrum_labels_are_colex_ordered():
     sp = composition_spectrum(CompositionGraphSpec(cyclic(3), 4, Composition((2, 1, 1))))
     labels = [tuple(e.label) for e in sp.entries]
     assert labels == [tuple(c) for c in enumerate_compositions(3, 4)]
+
+
+# ---------------------------------------------------------------------------
+# one-pass spectra against the per-value routes
+
+
+def test_hamming_spectrum_matches_the_closed_form():
+    for q in range(2, 8):
+        for n in range(1, 41):
+            sizes = [(q - 1) ** j * binom(n, j) for j in range(n + 1)]
+            for d in range(1, n + 1):
+                sp = hamming_spectrum(HammingGraphSpec(n, q, d))
+                assert [e.label for e in sp.entries] == list(range(n + 1))
+                assert [e.multiplicity for e in sp.entries] == sizes
+                expected = [kraw(n, q, d, j) for j in range(n + 1)]
+                assert [e.eigenvalue for e in sp.entries] == expected, (n, q, d)
+                assert all(type(e.eigenvalue) is int for e in sp.entries)
+
+
+# (group, n, generating compositions): balanced, unbalanced and directed
+# generators; the directed ones have non-real eigenvalues, so a conjugated
+# character or a dropped reciprocity factor cannot hide behind symmetry.
+COMPOSITION_GRID = [
+    (cyclic(2), 5, [(5, 0), (3, 2), (1, 4), (0, 5)]),
+    (cyclic(2), 6, [(3, 3), (4, 2)]),
+    (cyclic(3), 3, [(1, 1, 1), (3, 0, 0), (1, 2, 0), (0, 0, 3)]),
+    (cyclic(3), 4, [(2, 1, 1), (1, 3, 0), (0, 2, 2)]),
+    (cyclic(4), 4, [(1, 1, 1, 1), (2, 1, 0, 1), (1, 2, 1, 0), (0, 0, 4, 0)]),
+    (cyclic(5), 5, [(1, 1, 1, 1, 1), (1, 2, 0, 0, 2), (2, 1, 1, 1, 0)]),
+    (cyclic(6), 3, [(1, 1, 0, 0, 0, 1), (0, 1, 1, 1, 0, 0), (0, 0, 0, 3, 0, 0)]),
+    (finite_field(3), 3, [(1, 1, 1), (1, 2, 0)]),
+    (finite_field(4), 4, [(1, 1, 1, 1), (2, 1, 0, 1), (0, 3, 1, 0)]),
+    (finite_field(8), 2, [(0, 1, 0, 0, 0, 1, 0, 0), (1, 1, 0, 0, 0, 0, 0, 0)]),
+    (finite_field(8), 3, [(1, 0, 1, 0, 0, 0, 1, 0)]),
+]
+
+
+@pytest.mark.parametrize(
+    "group,n,dcomps", COMPOSITION_GRID, ids=[f"{type(g).__name__}{g.order}-n{n}" for g, n, _ in COMPOSITION_GRID]
+)
+def test_composition_spectrum_matches_per_shell_values(group, n, dcomps):
+    shells = list(enumerate_compositions(group.order, n))
+    kinds = set()
+    for counts in dcomps:
+        spec = CompositionGraphSpec(group, n, Composition(counts))
+        one_pass = composition_spectrum(spec)
+        brute = composition_spectrum(spec, method="brute")
+        for sp in (one_pass, brute):
+            assert [e.label for e in sp.entries] == shells
+            assert [e.multiplicity for e in sp.entries] == [multinom(n, j) for j in shells]
+        for j, fast, slow in zip(shells, one_pass.entries, brute.entries):
+            expected = gen_kraw(group, n, spec.dcomp, j, method="extraction")
+            for value in (fast.eigenvalue, slow.eigenvalue):
+                assert type(value) is type(expected)
+                assert value == expected, (counts, j)
+            kinds.add(type(expected))
+        if spec.undirected:
+            assert trace_identity_check(one_pass)
+    if group.char_order > 2:
+        assert CycInt in kinds
+
+
+def test_composition_spectrum_matches_balanced_z6_extraction():
+    group = cyclic(6)
+    spec = CompositionGraphSpec(group, 6, Composition.balanced(6, 6))
+    sp = composition_spectrum(spec)
+    rng = random.Random(2026)
+    for entry in rng.sample(sp.entries, 40):
+        assert entry.eigenvalue == gen_kraw(group, 6, spec.dcomp, entry.label)
+    assert trace_identity_check(sp)
+
+
+def test_unknown_spectrum_method_raises_before_any_work():
+    huge = CompositionGraphSpec(cyclic(5), 400, Composition.balanced(5, 400))
+    start = time.perf_counter()
+    for method in ("bogus", "", None):
+        with pytest.raises(DomainError):
+            composition_spectrum(huge, method=method)
+    assert time.perf_counter() - start < 1.0
+
+
+# Both used to take minutes (one O(n) closed-form sum per shell, one
+# extraction DP per shell); a generous wall budget keeps the one-pass
+# routes honest without timing noise.
+LARGE_SPECTRUM_BUDGET_S = 10.0
+
+
+def test_large_hamming_spectrum_is_exact_and_fast():
+    n, q, d = 2000, 3, 1000
+    start = time.perf_counter()
+    sp = hamming_spectrum(HammingGraphSpec(n, q, d))
+    assert trace_identity_check(sp)
+    assert time.perf_counter() - start < LARGE_SPECTRUM_BUDGET_S
+    for j in (0, 1, 2, 3, 999, 1000, 1001, 1999, 2000):
+        assert sp.entries[j].eigenvalue == kraw(n, q, d, j)
+        assert sp.entries[j].multiplicity == 2**j * binom(n, j)
+
+
+def test_large_balanced_spectrum_is_exact_and_fast():
+    q, n = 5, 20
+    start = time.perf_counter()
+    sp = composition_spectrum(CompositionGraphSpec(cyclic(q), n, Composition.balanced(q, n)))
+    assert trace_identity_check(sp)
+    assert time.perf_counter() - start < LARGE_SPECTRUM_BUDGET_S
+    assert len(sp.entries) == binom(n + q - 1, q - 1)
+    by_shell = {tuple(e.label): e.eigenvalue for e in sp.entries}
+    rng = random.Random(20)
+    spots = [(20, 0, 0, 0, 0), (4, 4, 4, 4, 4), (18, 1, 0, 0, 1), (0, 0, 0, 0, 20)]
+    spots += rng.sample(sorted(by_shell), 8)
+    for r in spots:
+        assert by_shell[r] == gen_kraw_circulant(q, n, Composition(r)), r
 
 
 # ---------------------------------------------------------------------------
