@@ -42,7 +42,7 @@ from .groups import (
     enumerate_shell,
     index_word,
 )
-from .krawtchouk import _shell_sizes, first_nonpositive, first_root_ratio, kraw_column
+from .krawtchouk import _shell_sizes, first_root_ratio, kraw_column
 from .schemes import (
     CompositionGraphSpec,
     HammingGraphSpec,
@@ -500,11 +500,6 @@ def verify_representation(
 # reports
 
 
-def _frac_str(value: Fraction | int) -> str:
-    f = Fraction(value)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Lower and upper bounds on the quantum chromatic number of one graph.
@@ -524,9 +519,9 @@ class BoundReport:
     def to_json(self) -> dict:
         return {
             "graph": self.graph.describe(),
-            "lower": [{"value": _frac_str(v), "method": tag} for v, tag in self.lower],
-            "upper": [{"value": _frac_str(v), "method": tag} for v, tag in self.upper],
-            "exact": None if self.exact is None else _frac_str(self.exact),
+            "lower": [{"value": str(v), "method": tag} for v, tag in self.lower],
+            "upper": [{"value": str(v), "method": tag} for v, tag in self.upper],
+            "exact": None if self.exact is None else str(self.exact),
             "diagnostics": self.diagnostics,
         }
 
@@ -560,7 +555,7 @@ def _hamming_report(spec: HammingGraphSpec) -> BoundReport:
     solution = lp_two_support(n, q, d)
     upper: list[tuple[Fraction, str]] = [(Fraction(solution.objective), "lp-two-support")]
     diagnostics: dict = {
-        "first_nonpositive_shell": first_nonpositive(n, q, d),
+        "first_nonpositive_shell": next(e.label for e in spectrum.entries if e.eigenvalue <= 0),
         "lp_coefficients": list(solution.coefficients),
     }
     slack = (q - 1) * n - q * d
@@ -622,7 +617,7 @@ class ProbeVerdict:
             out["q"] = self.q
             out["n"] = self.n
             out["minimum"] = str(self.minimum)
-            out["conjectured"] = _frac_str(self.conjectured)
+            out["conjectured"] = str(self.conjectured)
             out["pattern_shell"] = list(self.pattern)
             out["achieving_shells"] = [list(a) for a in self.achieving]
         return out

@@ -17,7 +17,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .bounds import (
     bound_report,
@@ -185,11 +185,11 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     return 0
 
 
-# -- verify suites ----------------------------------------------------------
+# -- verify checks: each returns (status-line title, failures) -------------
 
 
-def _suite_reciprocity(max_n: int, emit: Callable[[str], None]) -> list[str]:
-    failures: list[str] = []
+def _check_classical_reciprocity(max_n: int) -> tuple[str, list[str]]:
+    failures = []
     for q in (2, 3, 4, 5):
         for n in range(1, max_n + 1):
             for i in range(n + 1):
@@ -198,12 +198,15 @@ def _suite_reciprocity(max_n: int, emit: Callable[[str], None]) -> list[str]:
                     rhs = (q - 1) ** i * binom(n, i) * kraw(n, q, j, i)
                     if lhs != rhs:
                         failures.append(f"classical reciprocity at q={q} n={n} i={i} j={j}")
-    emit_name = f"classical reciprocity, q in 2..5, n <= {max_n}"
-    emit(("ok - " if not failures else "FAIL - ") + emit_name)
-    before = len(failures)
+    return f"classical reciprocity, q in 2..5, n <= {max_n}", failures
+
+
+def _check_composition_reciprocity(max_n: int) -> tuple[str, list[str]]:
+    failures = []
+    top = min(max_n, 5)
     for q in (2, 3):
         group = cyclic(q)
-        for n in range(1, min(max_n, 5) + 1):
+        for n in range(1, top + 1):
             comps = list(enumerate_compositions(q, n))
             for ci in comps:
                 for cj in comps:
@@ -213,72 +216,54 @@ def _suite_reciprocity(max_n: int, emit: Callable[[str], None]) -> list[str]:
                         failures.append(
                             f"composition reciprocity at q={q} n={n} i={tuple(ci)} j={tuple(cj)}"
                         )
-    emit(
-        ("ok - " if len(failures) == before else "FAIL - ")
-        + f"composition reciprocity, q in 2..3, n <= {min(max_n, 5)}"
-    )
-    return failures
+    return f"composition reciprocity, q in 2..3, n <= {top}", failures
 
 
-def _suite_projectors(max_n: int, emit: Callable[[str], None]) -> list[str]:
-    failures: list[str] = []
-    checked = 0
-    q = 2
-    while q**1 <= 81:
-        n = 1
-        while q**n <= 81 and n <= max_n:
-            if not projector_identity_check(n, q):
-                failures.append(f"projector identities at n={n} q={q}")
-            checked += 1
-            n += 1
-        q += 1
-    emit(("ok - " if not failures else "FAIL - ") + f"projector identities on {checked} grids")
-    return failures
+def _check_projectors(max_n: int) -> tuple[str, list[str]]:
+    grids = [(n, q) for q in range(2, 82) for n in range(1, max_n + 1) if q**n <= 81]
+    failures = [
+        f"projector identities at n={n} q={q}"
+        for n, q in grids
+        if not projector_identity_check(n, q)
+    ]
+    return f"projector identities on {len(grids)} grids", failures
 
 
-def _representation_grid(max_n: int) -> list[tuple[int, int, int]]:
-    grid = []
-    for q in (2, 3):
-        for n in range(1, max_n + 1):
-            if q**n > 2187:
-                continue
-            d_lo = -((-(q - 1) * n) // q)
-            for d in range(max(1, d_lo), n + 1):
-                grid.append((n, q, d))
-    return grid
-
-
-def _suite_representations(max_n: int, emit: Callable[[str], None]) -> list[str]:
-    failures: list[str] = []
-    for n, q, d in _representation_grid(max_n):
-        spec = HammingGraphSpec(n, q, d)
+def _check_lp_representations(max_n: int) -> tuple[str, list[str]]:
+    grid = [
+        (n, q, d)
+        for q in (2, 3)
+        for n in range(1, max_n + 1)
+        if q**n <= 2187
+        for d in range(max(1, -((-(q - 1) * n) // q)), n + 1)
+    ]
+    failures = []
+    for n, q, d in grid:
         rep = build_representation(lp_two_support(n, q, d), cyclic(q))
         try:
-            verify_representation(rep, spec)
+            verify_representation(rep, HammingGraphSpec(n, q, d))
         except (NotOrthogonal, NotUnitModulus) as exc:
             failures.append(f"lp representation at n={n} q={q} d={d}: {exc}")
-    emit(
-        ("ok - " if not failures else "FAIL - ")
-        + f"lp representations over {len(_representation_grid(max_n))} graphs"
-    )
-    before = len(failures)
-    had = 0
+    return f"lp representations over {len(grid)} graphs", failures
+
+
+def _check_hadamard_representations(max_n: int) -> tuple[str, list[str]]:
+    failures = []
+    count = 0
     for q, make in ((2, cyclic), (3, cyclic), (4, finite_field)):
         group = make(q)
         for n in range(q, max_n + 1, q):
             spec = CompositionGraphSpec(group, n, Composition.balanced(q, n))
-            rep = hadamard_representation(group, n)
             try:
-                verify_representation(rep, spec)
+                verify_representation(hadamard_representation(group, n), spec)
             except (NotOrthogonal, NotUnitModulus) as exc:
                 failures.append(f"hadamard representation at q={q} n={n}: {exc}")
-            had += 1
-    emit(("ok - " if len(failures) == before else "FAIL - ") + f"hadamard representations on {had} graphs")
-    return failures
+            count += 1
+    return f"hadamard representations on {count} graphs", failures
 
 
-def _suite_eigenvalues(max_n: int, emit: Callable[[str], None]) -> list[str]:
-    failures: list[str] = []
+def _check_least_eigenvalues(max_n: int) -> tuple[str, list[str]]:
+    failures = []
     for q in (3, 4, 5):
         for n in range(2, max_n + 1):
             d_lo = ((q - 1) * n + 1 + q - 1) // q
@@ -290,8 +275,11 @@ def _suite_eigenvalues(max_n: int, emit: Callable[[str], None]) -> list[str]:
                     failures.append(f"least-eigenvalue closed form at n={n} q={q} d={d}")
                 if hoffman_bound(spectrum) != Fraction(q * d, q * d - (q - 1) * n):
                     failures.append(f"spectral bound closed form at n={n} q={q} d={d}")
-    emit(("ok - " if not failures else "FAIL - ") + f"least-eigenvalue closed forms, n <= {max_n}")
-    before = len(failures)
+    return f"least-eigenvalue closed forms, n <= {max_n}", failures
+
+
+def _check_balanced_spectra(max_n: int) -> tuple[str, list[str]]:
+    failures = []
     for q in (2, 3, 4):
         for n in range(q, max_n + 1, q):
             spectrum = composition_spectrum(
@@ -315,29 +303,28 @@ def _suite_eigenvalues(max_n: int, emit: Callable[[str], None]) -> list[str]:
                     failures.append(
                         f"circulant route disagrees at q={q} n={n} shell={tuple(entry.label)}"
                     )
-    emit(
-        ("ok - " if len(failures) == before else "FAIL - ")
-        + f"balanced spectra: trace, zero shells, circulant agreement, n <= {max_n}"
-    )
-    before = len(failures)
+    return f"balanced spectra: trace, zero shells, circulant agreement, n <= {max_n}", failures
+
+
+def _check_eigenvector_spots(max_n: int) -> tuple[str, list[str]]:
     spot = [
         (HammingGraphSpec(4, 2, 2), (1, 0, 0, 0)),
         (HammingGraphSpec(3, 3, 2), (0, 1, 2)),
         (CompositionGraphSpec(cyclic(3), 3, Composition((1, 1, 1))), (1, 2, 0)),
     ]
+    failures = []
     for spec, x in spot:
         group = cyclic(spec.q) if isinstance(spec, HammingGraphSpec) else spec.group
         if not eigenvector_check(spec, x, all_words(group, spec.n)):
             failures.append(f"eigenvector action at {spec.describe()} x={x}")
-    emit(("ok - " if len(failures) == before else "FAIL - ") + "eigenvector adjacency action spot checks")
-    return failures
+    return "eigenvector adjacency action spot checks", failures
 
 
 _SUITES = {
-    "reciprocity": _suite_reciprocity,
-    "projectors": _suite_projectors,
-    "representations": _suite_representations,
-    "eigenvalues": _suite_eigenvalues,
+    "reciprocity": (_check_classical_reciprocity, _check_composition_reciprocity),
+    "projectors": (_check_projectors,),
+    "representations": (_check_lp_representations, _check_hadamard_representations),
+    "eigenvalues": (_check_least_eigenvalues, _check_balanced_spectra, _check_eigenvector_spots),
 }
 
 
@@ -345,7 +332,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     failures: list[str] = []
     for name in names:
-        failures.extend(_SUITES[name](args.max_n, print))
+        for check in _SUITES[name]:
+            title, failed = check(args.max_n)
+            print(("FAIL - " if failed else "ok - ") + title)
+            failures.extend(failed)
     if failures:
         print(f"FAIL: {failures[0]}")
         return 1
@@ -393,10 +383,7 @@ def _table_lower(max_n: int, qs: tuple[int, ...], out) -> None:
                     continue
                 case = "balanced" if q * d == (q - 1) * n else "strict"
                 spectrum = hamming_spectrum(HammingGraphSpec(n, q, d))
-                value = hoffman_bound(spectrum)
-                num, den = value.numerator, value.denominator
-                text = str(num) if den == 1 else f"{num}/{den}"
-                out.write(f"{n},{q},{d},{case},{text}\n")
+                out.write(f"{n},{q},{d},{case},{hoffman_bound(spectrum)}\n")
 
 
 def _table_exact(max_n: int, qs: tuple[int, ...], out) -> None:
@@ -416,9 +403,8 @@ def _table_exact(max_n: int, qs: tuple[int, ...], out) -> None:
                 report = bound_report(spec)
                 lower = max((v for v, _ in report.lower), default=None)
                 upper = min((v for v, _ in report.upper), default=None)
-                exact = report.exact
-                fmt = lambda v: "" if v is None else (str(v.numerator) if v.denominator == 1 else str(v))
-                out.write(f"{family},{q},{n},{fmt(lower)},{fmt(upper)},{fmt(exact)}\n")
+                row = (family, q, n, lower, upper, report.exact)
+                out.write(",".join("" if v is None else str(v) for v in row) + "\n")
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -461,11 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_represent)
 
     p = sub.add_parser("verify", help="run the self-check suites")
-    p.add_argument(
-        "--suite",
-        choices=("reciprocity", "projectors", "representations", "eigenvalues", "all"),
-        required=True,
-    )
+    p.add_argument("--suite", choices=(*_SUITES, "all"), required=True)
     p.add_argument("--max-n", dest="max_n", type=int, default=6)
     p.set_defaults(fn=_cmd_verify)
 

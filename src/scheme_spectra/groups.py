@@ -181,17 +181,6 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
     return True
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    t = 2
-    while t * t <= p:
-        if p % t == 0:
-            return False
-        t += 1
-    return True
-
-
 def _prime_power(v: int) -> tuple[int, int] | None:
     """(p, k) with v = p^k for a prime p, or None when v is not a prime power."""
     if v < 2:
@@ -234,7 +223,7 @@ class FiniteField(GroupSpec):
     modulus: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not _is_prime(self.p):
+        if _prime_power(self.p) != (self.p, 1):
             raise DomainError(f"field characteristic must be prime, got {self.p}")
         if not self.modulus or self.modulus[-1] % self.p != 1:
             raise SpecMismatch(f"modulus {self.modulus} is not monic over Z_{self.p}")
@@ -501,12 +490,6 @@ def enumerate_compositions(q: int, n: int) -> Iterator[Composition]:
                 yield head + (last,)
 
     return (Composition(t) for t in rec(q, n))
-
-
-def composition_count(q: int, n: int) -> int:
-    from .exactnum import binom
-
-    return binom(n + q - 1, q - 1)
 
 
 def shell_size(group: GroupSpec, n: int, label: int | Composition | Sequence[int]) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .groups import (
     GroupSpec,
     comp as word_composition,
     cyclic,
-    enumerate_compositions,
     enumerate_shell,
     word_add,
     word_char_value,
@@ -194,10 +193,7 @@ def _rescale(value: CycInt, num: int, den: int) -> int | CycInt:
     return coeffs[0]
 
 
-def composition_spectrum(
-    spec: CompositionGraphSpec,
-    method: str = "extraction",
-) -> Spectrum:
+def composition_spectrum(spec: CompositionGraphSpec) -> Spectrum:
     """Exact spectrum of a composition graph, one entry per composition shell.
 
     Shell labels run in colexicographic order; the eigenvalue on shell j
@@ -205,24 +201,17 @@ def composition_spectrum(
     is rational and a :class:`CycInt` otherwise, and the multiplicity is
     the shell size multinom(n, j).
 
-    ``method="extraction"`` (default) expands the generating product
-    once, which yields K_j(dcomp) for every shell j, and applies
-    reciprocity K_dcomp(j) = K_j(dcomp) multinom(n, dcomp) / multinom(n, j)
-    with every division checked.  ``method="brute"`` sums characters over
-    the generating shell once per shell j, as :func:`gen_kraw` does.
+    The generating product is expanded once, which yields K_j(dcomp) for
+    every shell j, and reciprocity
+    K_dcomp(j) = K_j(dcomp) multinom(n, dcomp) / multinom(n, j) turns
+    that column into the eigenvalues, every division checked.  Per-shell
+    values from :func:`gen_kraw` (either method) are the oracle for it.
     """
-    if method not in ("extraction", "brute"):
-        raise DomainError(f"unknown method {method!r}")
-    group, n, dcomp, degree = spec.group, spec.n, spec.dcomp, spec.degree
+    n, degree = spec.n, spec.degree
     entries = []
-    if method == "brute":
-        for j in enumerate_compositions(group.order, n):
-            value = gen_kraw(group, n, dcomp, j, method="brute")
-            entries.append(SpectrumEntry(j, value, multinom(n, j)))
-    else:
-        for j, dual in _gen_kraw_column(group, n, dcomp):
-            size = multinom(n, j)
-            entries.append(SpectrumEntry(j, _rescale(dual, degree, size), size))
+    for j, dual in _gen_kraw_column(spec.group, n, spec.dcomp):
+        size = multinom(n, j)
+        entries.append(SpectrumEntry(j, _rescale(dual, degree, size), size))
     return Spectrum(spec, tuple(entries), degree, spec.vertex_count)
 
 
@@ -258,6 +247,24 @@ def _less_than(a: int | CycInt, b: int | CycInt) -> bool:
     )
 
 
+def _extreme(
+    spectrum: Spectrum, before: Callable[[int | CycInt, int | CycInt], bool]
+) -> tuple[int | CycInt, int | Composition]:
+    # before(a, b) is True when a ranks strictly ahead of b, so ties keep
+    # the earlier entry.
+    if not spectrum.entries:
+        raise DomainError("empty spectrum")
+    values = [e.eigenvalue for e in spectrum.entries]
+    for v in values:
+        if isinstance(v, CycInt):
+            _require_real(v)
+    best = 0
+    for idx in range(1, len(values)):
+        if before(values[idx], values[best]):
+            best = idx
+    return values[best], spectrum.entries[best].label
+
+
 def min_eigenvalue(spectrum: Spectrum) -> tuple[int | CycInt, int | Composition]:
     """The least eigenvalue and the first shell (in entry order) attaining it.
 
@@ -265,32 +272,12 @@ def min_eigenvalue(spectrum: Spectrum) -> tuple[int | CycInt, int | Composition]
     ordered through embeddings whose precision doubles until the ordering
     is unambiguous.  Non-real values (directed-graph misuse) are refused.
     """
-    if not spectrum.entries:
-        raise DomainError("empty spectrum")
-    values = [e.eigenvalue for e in spectrum.entries]
-    for v in values:
-        if isinstance(v, CycInt):
-            _require_real(v)
-    best = 0
-    for idx in range(1, len(values)):
-        if _less_than(values[idx], values[best]):
-            best = idx
-    return values[best], spectrum.entries[best].label
+    return _extreme(spectrum, _less_than)
 
 
 def max_eigenvalue(spectrum: Spectrum) -> tuple[int | CycInt, int | Composition]:
     """Largest eigenvalue, found the same way as :func:`min_eigenvalue`."""
-    if not spectrum.entries:
-        raise DomainError("empty spectrum")
-    values = [e.eigenvalue for e in spectrum.entries]
-    for v in values:
-        if isinstance(v, CycInt):
-            _require_real(v)
-    best = 0
-    for idx in range(1, len(values)):
-        if _less_than(values[best], values[idx]):
-            best = idx
-    return values[best], spectrum.entries[best].label
+    return _extreme(spectrum, lambda a, b: _less_than(b, a))
 
 
 def hoffman_bound(spectrum: Spectrum) -> Fraction:

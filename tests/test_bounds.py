@@ -32,6 +32,7 @@ from scheme_spectra import (
     cyclic,
     enumerate_shell,
     finite_field,
+    first_nonpositive,
     hadamard_representation,
     index_word,
     kraw,
@@ -427,6 +428,14 @@ def test_plotkin_report_frozen():
     assert data["diagnostics"]["regime"] == "balanced-or-above"
     assert data["diagnostics"]["first_nonpositive_shell"] == 1
     assert data["diagnostics"]["lp_coefficients"] == [3, 1, 0, 0]
+
+
+def test_report_first_sign_change_matches_first_nonpositive():
+    for q in range(2, 8):
+        for n in range(1, 41):
+            for d in range(1, n + 1):
+                report = bound_report(HammingGraphSpec(n, q, d))
+                assert report.diagnostics["first_nonpositive_shell"] == first_nonpositive(n, q, d)
 
 
 def test_report_regime_classification():

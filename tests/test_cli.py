@@ -163,6 +163,29 @@ def test_verify_all_small(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_output_is_pinned_byte_for_byte(capsys):
+    assert run(capsys, "verify", "--suite", "all", "--max-n", "4") == (
+        0,
+        "ok - classical reciprocity, q in 2..5, n <= 4\n"
+        "ok - composition reciprocity, q in 2..3, n <= 4\n"
+        "ok - projector identities on 93 grids\n"
+        "ok - lp representations over 14 graphs\n"
+        "ok - hadamard representations on 4 graphs\n"
+        "ok - least-eigenvalue closed forms, n <= 4\n"
+        "ok - balanced spectra: trace, zero shells, circulant agreement, n <= 4\n"
+        "ok - eigenvector adjacency action spot checks\n"
+        "all checks passed (reciprocity, projectors, representations, eigenvalues)\n",
+        "",
+    )
+    assert run(capsys, "verify", "--suite", "reciprocity", "--max-n", "3") == (
+        0,
+        "ok - classical reciprocity, q in 2..5, n <= 3\n"
+        "ok - composition reciprocity, q in 2..3, n <= 3\n"
+        "all checks passed (reciprocity)\n",
+        "",
+    )
+
+
 def test_verify_composition_line_ignores_classical_failures(capsys, monkeypatch):
     real_kraw = cli.kraw
 
@@ -206,10 +229,9 @@ def test_verify_reports_an_irrational_balanced_value(monkeypatch):
         return Spectrum(sp.graph, tuple(entries), sp.regular_degree, sp.vertex_count)
 
     monkeypatch.setattr(cli, "composition_spectrum", with_irrational_entry)
-    lines: list[str] = []
-    failures = cli._suite_eigenvalues(3, lines.append)
+    title, failures = cli._check_balanced_spectra(3)
+    assert title == "balanced spectra: trace, zero shells, circulant agreement, n <= 3"
     assert "irrational balanced value at q=3 n=3 shell=(2, 1, 0)" in failures
-    assert lines[1].startswith("FAIL - balanced spectra")
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,14 @@ def test_field_rejects_bad_sizes_and_moduli():
         FiniteField(2, 3, (1, 1, 1))  # wrong degree
 
 
+def test_field_characteristic_must_be_prime():
+    for p in (-3, 0, 1, 4, 6, 9):
+        with pytest.raises(DomainError):
+            FiniteField(p, 1, (0, 1))
+    for p in (2, 3, 5, 7):
+        assert FiniteField(p, 1, (0, 1)).order == p
+
+
 def test_prime_field_matches_cyclic_arithmetic():
     f5, g5 = finite_field(5), cyclic(5)
     for a in range(5):
