@@ -424,6 +424,28 @@ def _shifted(digits: np.ndarray, s: np.ndarray, addt: np.ndarray, place: np.ndar
     return out
 
 
+def _translation_invariant(
+    expm: np.ndarray, order: int, digits: np.ndarray, addt: np.ndarray, place: np.ndarray
+) -> bool:
+    """Whether expm[x + g*e_k] - expm[x] == expm[g*e_k] - expm[0] (mod order)
+    for every row x, coordinate k and nonzero g.  Adding s to x one coordinate
+    at a time then adds the same exponents to every row, so rows x and x + s
+    have the inner product of rows 0 and s."""
+    n = len(place)
+    for k in range(n):
+        for g in range(1, len(addt)):
+            s = np.zeros(n, dtype=np.int64)
+            s[k] = g
+            step = np.take(expm, _shifted(digits, s, addt, place), axis=0)
+            step -= expm
+            step -= step[0].copy()
+            # step lies in (-2 order, 2 order), where the multiples of order are 0, +-order
+            np.abs(step, out=step)
+            if ((step != 0) & (step != order)).any():
+                return False
+    return True
+
+
 def _failing_rows(ex: np.ndarray, ey: np.ndarray, m: int) -> np.ndarray:
     """Rows i where exponent rows ex[i], ey[i] in 0..m-1 are not orthogonal:
     ey - ex + m is counted in 2m bins per row, bin j standing for zeta_m^(j % m),
@@ -446,9 +468,15 @@ def verify_representation(
     Overrides set by :meth:`Representation.with_entry` are checked for unit
     modulus first, in (row, column) order, and raise NotUnitModulus.  Full
     mode (``sample=None``) checks the pair (x, x + s) for every vertex x and
-    generator s; sampled mode checks ``sample`` pairs drawn from the
-    deterministic generator seeded by :func:`representation_seed`.  Both run
-    the same exact check.  A failure raises NotOrthogonal carrying, in full
+    generator s.  It first checks, in n(q-1) passes over the matrix, that
+    the exponents are additive along each coordinate, as they are in every
+    character-built representation; then each pair has the inner product of
+    rows 0 and s, and one check of row 0 against the rows of all generators
+    decides.  Otherwise, for example after a :meth:`with_entry` that breaks
+    the character structure, it scans all rows once per generator.  Sampled
+    mode checks ``sample`` pairs drawn from the deterministic generator
+    seeded by :func:`representation_seed`.  All paths run the same exact
+    check.  A failure raises NotOrthogonal carrying, in full
     mode, the smallest failing x and then the smallest failing x + s, and in
     sampled mode the first failing pair in draw order; a clean pass is True.
     """
@@ -482,6 +510,13 @@ def verify_representation(
             if bad.size:
                 witness = (int(xs[bad[0]]), int(ys[bad[0]]))
                 break
+    elif _translation_invariant(expm, m, digits, addt, place):
+        words = np.array(members, dtype=np.int64)
+        ys = _shifted(np.zeros_like(words), words, addt, place)
+        ey = np.take(expm, ys, axis=0)
+        bad = _failing_rows(np.broadcast_to(expm[0], ey.shape), ey, m)
+        if bad.size:
+            witness = (0, int(ys[bad].min()))
     else:
         # Once a pair fails, later generators only need the rows up to its x.
         for s in members:

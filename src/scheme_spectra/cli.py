@@ -329,6 +329,8 @@ _SUITES = {
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.max_n < 1:
+        raise DomainError(f"need --max-n >= 1, got {args.max_n}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     failures: list[str] = []
     for name in names:

@@ -43,6 +43,7 @@ from scheme_spectra import (
     word_add,
     word_index,
 )
+from scheme_spectra import bounds
 from scheme_spectra.bounds import _splitmix_stream
 
 # ---------------------------------------------------------------------------
@@ -385,6 +386,151 @@ def test_verification_does_not_depend_on_the_exponent_dtype():
         narrow = Representation(group, n, rep.exponents.astype(dtype), rep.provenance)
         assert verify_representation(narrow, spec) is True
         assert verify_representation(narrow, spec, sample=100) is True
+
+
+# -- the translation-invariant fast path -------------------------------------
+#
+# A character-built matrix passes the additivity check, and full verification
+# then makes one kernel call, row 0 against the rows of all generators; any
+# other matrix is scanned once per generator.
+
+
+def _character_matrix(group, n, words):
+    # column j is the character of words[j]: exponent sum over the coordinates
+    m = group.char_order
+    return np.array(
+        [
+            [sum(group.char_exponent(a, b) for a, b in zip(index_word(group, x, n), y)) % m
+             for y in words]
+            for x in range(group.order**n)
+        ],
+        dtype=np.int64,
+    )
+
+
+def _pair_oracle(rep, spec):
+    """Full verification pair by pair: the smallest failing x, then the
+    smallest failing x + s, each inner product summed in the cyclotomic ring
+    (cached by the multiset of exponent differences)."""
+    assert not rep.overrides
+    group, n, m = rep.group, spec.n, rep.root_order
+    members = _generators(spec, group)
+    rows = rep.exponents.tolist()
+    zero = CycInt.from_int(m, 0)
+    values = {}
+    for x in range(rep.rows):
+        for y in sorted(_plus(group, n, x, s) for s in members):
+            key = tuple(sorted((b - a) % m for a, b in zip(rows[x], rows[y])))
+            if key not in values:
+                values[key] = sum((CycInt.root_of_unity(m, k) for k in key), zero).is_zero()
+            if not values[key]:
+                return (x, y, index_word(group, x, n), index_word(group, y, n))
+    return True
+
+
+def _counted_verdict(monkeypatch, rep, spec):
+    calls = []
+    kernel = bounds._failing_rows
+
+    def counted(ex, ey, m):
+        calls.append(len(ey))
+        return kernel(ex, ey, m)
+
+    monkeypatch.setattr(bounds, "_failing_rows", counted)
+    verdict = _verdict(rep, spec)
+    monkeypatch.undo()
+    return verdict, calls
+
+
+def _fast_path_cases():
+    rng = random.Random(314159)
+    cells = [
+        (cyclic(2), 4), (cyclic(2), 6), (cyclic(3), 3), (cyclic(3), 4), (cyclic(4), 3),
+        (cyclic(4), 4), (cyclic(5), 3), (cyclic(6), 2), (cyclic(6), 3), (finite_field(4), 4),
+    ]
+    for group, n in cells:
+        q = group.order
+        specs = [HammingGraphSpec(n, q, rng.randint(1, n))]
+        if n % q == 0:
+            specs.append(CompositionGraphSpec(group, n, Composition.balanced(q, n)))
+        # a random shell pattern, directed unless negation fixes it
+        cuts = sorted(rng.randint(0, n) for _ in range(q - 1))
+        counts = tuple(b - a for a, b in zip([0, *cuts], [*cuts, n]))
+        specs.append(CompositionGraphSpec(group, n, Composition(counts)))
+        for spec in specs:
+            if isinstance(spec, HammingGraphSpec):
+                rep = build_representation(lp_two_support(n, q, spec.d), group)
+                order = rng.sample(range(rep.cols), rep.cols)
+                yield Representation(group, n, rep.exponents[:, order], "shuffled"), spec
+            elif spec.balanced:
+                yield hadamard_representation(group, n), spec
+            for _ in range(2):
+                words = [tuple(rng.randrange(q) for _ in range(n))
+                         for _ in range(rng.randint(1, 6))]
+                yield Representation(group, n, _character_matrix(group, n, words), "random"), spec
+
+
+def test_fast_path_agrees_with_the_pair_oracle(monkeypatch):
+    verdicts = {True: 0, False: 0}
+    directed = 0
+    for rep, spec in _fast_path_cases():
+        verdict, calls = _counted_verdict(monkeypatch, rep, spec)
+        assert calls == [len(_generators(spec, rep.group))]  # the fast path ran
+        assert verdict == _pair_oracle(rep, spec)
+        if verdict is not True:
+            assert verdict[0] == 0
+        verdicts[verdict is True] += 1
+        directed += isinstance(spec, CompositionGraphSpec) and not spec.undirected
+    assert verdicts[True] >= 10 and verdicts[False] >= 10 and directed >= 4
+
+
+def test_an_override_equal_to_the_entry_keeps_the_fast_path(monkeypatch):
+    # m = 3 is odd, so the override lifts the order to 6; the doubled
+    # exponents are still additive
+    spec = HammingGraphSpec(3, 3, 2)
+    rep = build_representation(lp_two_support(3, 3, 2), cyclic(3))
+    same = rep.with_entry(13, 2, rep.entry(13, 2))
+    assert same.root_order == 3
+    assert _counted_verdict(monkeypatch, same, spec) == (True, [len(_generators(spec, rep.group))])
+
+
+def test_a_negated_row_falls_back_to_the_scan_and_passes(monkeypatch):
+    spec = HammingGraphSpec(3, 3, 2)
+    rep = build_representation(lp_two_support(3, 3, 2), cyclic(3))
+    for c in range(rep.cols):
+        rep = rep.with_entry(13, c, -rep.entry(13, c))
+    members = _generators(spec, rep.group)
+    verdict, calls = _counted_verdict(monkeypatch, rep, spec)
+    assert verdict is True
+    assert len(calls) == len(members)  # one pass per generator
+    assert all(
+        _oracle_orthogonal(rep, x, _plus(rep.group, 3, x, s))
+        for x in range(rep.rows)
+        for s in members
+    )
+
+
+def test_a_flipped_entry_keeps_its_witness():
+    rep = build_representation(lp_two_support(3, 3, 2), cyclic(3))
+    bad = rep.with_entry(13, 2, rep.entry(13, 2) * CycInt.root_of_unity(3, 1))
+    assert _verdict(bad, HammingGraphSpec(3, 3, 2)) == (1, 13, (0, 0, 1), (1, 1, 1))
+
+
+def test_an_infeasible_character_matrix_fails_at_row_zero():
+    # c_0 bumped by one: check_lp_solution would refuse it, so the columns
+    # are assembled here, bypassing build_representation
+    good = lp_two_support(4, 2, 2)
+    bad = LPSolution(4, 2, 2, (good.coefficients[0] + 1,) + good.coefficients[1:])
+    words = [
+        y
+        for i, c in enumerate(bad.coefficients)
+        for y in list(enumerate_shell(cyclic(2), 4, i)) * c
+    ]
+    rep = Representation(cyclic(2), 4, _character_matrix(cyclic(2), 4, words), "test", bad)
+    spec = HammingGraphSpec(4, 2, 2)
+    # every adjacent pair has inner product 1, so the witness is row 0 and
+    # the smallest word of weight 2
+    assert _verdict(rep, spec) == (0, 3, (0, 0, 0, 0), (0, 0, 1, 1)) == _pair_oracle(rep, spec)
 
 
 def test_hadamard_needs_q_dividing_n():

@@ -186,6 +186,14 @@ def test_verify_output_is_pinned_byte_for_byte(capsys):
     )
 
 
+def test_verify_rejects_a_vacuous_max_n(capsys):
+    # below 1 every grid is empty, so the suites would pass having checked nothing
+    for value in ("0", "-3"):
+        assert run(capsys, "verify", "--suite", "all", "--max-n", value) == (
+            2, "", f"error: need --max-n >= 1, got {value}\n"
+        )
+
+
 def test_verify_composition_line_ignores_classical_failures(capsys, monkeypatch):
     real_kraw = cli.kraw
 
