@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO
 
-import numpy as np
-
 from .errors import (
     DivisibilityError,
     DomainError,
@@ -198,6 +196,8 @@ def lp_search(
 
 
 def _char_table(group: GroupSpec) -> np.ndarray:
+    import numpy as np
+
     q = group.order
     return np.array(
         [[group.char_exponent(g, h) for h in range(q)] for g in range(q)],
@@ -264,6 +264,8 @@ class Representation:
     def write_csv(self, fp: IO[str]) -> None:
         """CSV export: a root-order header, a column header, then one row
         per vertex with entries in canonical ``a0+a1*z+...`` form."""
+        import numpy as np
+
         m = self.root_order
         fp.write(f"root_order,{m}\n")
         fp.write("vertex," + ",".join(f"c{c}" for c in range(self.cols)) + "\n")
@@ -292,6 +294,8 @@ def build_representation(solution: LPSolution, group: GroupSpec) -> Representati
     times; the entry in row x is phi_y(x).  The vanishing Krawtchouk
     constraint is exactly what makes rows at graph distance d orthogonal.
     """
+    import numpy as np
+
     check_lp_solution(solution)
     if group.order != solution.q:
         raise SpecMismatch(
@@ -333,6 +337,8 @@ def hadamard_representation(group: GroupSpec, n: int) -> Representation:
     alphabet element equally often; hence the graph's quantum chromatic
     number is at most n.  Requires the alphabet size to divide n.
     """
+    import numpy as np
+
     q = group.order
     if n % q:
         raise DivisibilityError(f"needs q | n, got q={q}, n={n}")
@@ -399,6 +405,8 @@ def _folded_exponents(rep: Representation) -> tuple[np.ndarray, int]:
     overrides written in, and its root order.  A unit of modulus one in
     Z[zeta_m] is +-zeta_m^k (Kronecker), a power of zeta_(2m) when m is odd,
     so with overrides present an odd order is lifted to 2m."""
+    import numpy as np
+
     m = rep.root_order
     expm = np.asarray(rep.exponents, dtype=np.int64) % m
     if not rep.overrides:
@@ -418,6 +426,8 @@ def _folded_exponents(rep: Representation) -> tuple[np.ndarray, int]:
 
 def _shifted(digits: np.ndarray, s: np.ndarray, addt: np.ndarray, place: np.ndarray) -> np.ndarray:
     """Vertex indices of x + s for the digit rows of x; s is one word or one per row."""
+    import numpy as np
+
     out = np.zeros(len(digits), dtype=np.int64)
     for k in range(len(place)):
         out += addt[digits[:, k], s[..., k]] * place[k]
@@ -431,6 +441,8 @@ def _translation_invariant(
     for every row x, coordinate k and nonzero g.  Adding s to x one coordinate
     at a time then adds the same exponents to every row, so rows x and x + s
     have the inner product of rows 0 and s."""
+    import numpy as np
+
     n = len(place)
     for k in range(n):
         for g in range(1, len(addt)):
@@ -450,6 +462,8 @@ def _failing_rows(ex: np.ndarray, ey: np.ndarray, m: int) -> np.ndarray:
     """Rows i where exponent rows ex[i], ey[i] in 0..m-1 are not orthogonal:
     ey - ex + m is counted in 2m bins per row, bin j standing for zeta_m^(j % m),
     and the counts are reduced modulo the m-th cyclotomic polynomial."""
+    import numpy as np
+
     rows = len(ex)
     diff = ey - ex
     diff += m + 2 * m * np.arange(rows, dtype=np.int64)[:, None]
@@ -480,6 +494,8 @@ def verify_representation(
     mode, the smallest failing x and then the smallest failing x + s, and in
     sampled mode the first failing pair in draw order; a clean pass is True.
     """
+    import numpy as np
+
     group, label = _generating_labels(spec, rep)
     n = spec.n
     q = group.order

@@ -7,7 +7,8 @@ least-eigenvalue prediction, and ``table`` tabulates bound families over
 a parameter grid.  All output is deterministic: JSON keys are sorted,
 big integers travel as decimal strings, and repeated invocations produce
 byte-identical bytes.  Exit codes: 0 success, 1 verification failure,
-2 malformed flags.
+2 malformed flags.  numpy loads only for ``represent`` and the projector and
+representation suites, mpmath only to compare irrational eigenvalues.
 """
 
 from __future__ import annotations
@@ -106,7 +107,11 @@ def _graph_from_args(args: argparse.Namespace):
             raise RangeError("--family hamming requires --d")
         if args.group != "cyclic" or args.modulus:
             raise SpecMismatch("hamming graphs do not take --group/--modulus")
+        if args.comp is not None:
+            raise SpecMismatch("hamming graphs do not take --comp")
         return HammingGraphSpec(args.n, args.q, args.d)
+    if args.d is not None:
+        raise SpecMismatch("composition graphs do not take --d")
     group = _make_group(args)
     if args.comp is not None:
         dcomp = Composition(_parse_comp(args.comp))

@@ -16,8 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-import mpmath
-
 from .errors import DomainError, OrderMismatch, SumMismatch
 
 #: Default mantissa size (bits) for complex embeddings.
@@ -266,6 +264,8 @@ class CycInt:
         The ``precision`` field of the result bounds the distance to the
         true complex value; it shrinks as ``bits`` grows.
         """
+        import mpmath
+
         m = self._order
         with mpmath.workprec(bits):
             total = mpmath.mpc(0)

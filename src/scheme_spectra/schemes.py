@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from .errors import (
     DivisibilityError,
     DomainError,
@@ -336,6 +334,8 @@ def multiplicity_ratio(q: int, n: int) -> Fraction:
 
 def _digit_matrix(q: int, n: int, rows: int) -> np.ndarray:
     """Base-q digits of the vertex indices 0..rows-1, most significant first."""
+    import numpy as np
+
     digits = np.empty((rows, n), dtype=np.int64)
     idx = np.arange(rows)
     for k in range(n - 1, -1, -1):
@@ -393,6 +393,8 @@ def projector_identity_check(n: int, q: int) -> bool:
     shell j and verifies sum_j E_j = I and E_j E_l = [j = l] E_j, using
     integer matrices scaled by q^n so every comparison is exact.
     """
+    import numpy as np
+
     if q**n > PROJECTOR_MAX_VERTICES:
         raise SizeExceeded(
             f"dense projector check is capped at q^n <= {PROJECTOR_MAX_VERTICES}, "

@@ -1,6 +1,10 @@
 """End-to-end command-line behaviour, driven through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -323,6 +327,17 @@ def test_hamming_flag_errors_are_pinned_byte_for_byte(capsys):
         assert run(capsys, *argv) == (2, "", expected)
 
 
+def test_inapplicable_graph_flags_are_pinned_byte_for_byte(capsys):
+    cases = [
+        (("bounds", "--family", "hamming", "--n", "5", "--q", "3", "--d", "5", "--comp", "1,1"),
+         "error: hamming graphs do not take --comp\n"),
+        (("spectrum", "--family", "composition", "--n", "3", "--q", "3", "--d", "2"),
+         "error: composition graphs do not take --d\n"),
+    ]
+    for argv, expected in cases:
+        assert run(capsys, *argv) == (2, "", expected)
+
+
 def test_verification_failure_exits_1(capsys, monkeypatch):
     def explode(rep, spec, sample=None):
         raise NotOrthogonal(0, 1, (0, 0), (0, 1))
@@ -332,3 +347,90 @@ def test_verification_failure_exits_1(capsys, monkeypatch):
     assert code == 1
     assert "verification failed" in err
     assert "rows 0 and 1" in err
+
+
+# ---------------------------------------------------------------------------
+# deferred imports: numpy and mpmath load only on the paths that use them
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs main(argv) and then reports, as the last line of stderr, which of the
+# two heavy packages the process has loaded.
+_FRESH_MAIN = """
+import sys
+import scheme_spectra.cli
+code = scheme_spectra.cli.main(sys.argv[1:])
+sys.stdout.flush()
+print(",".join(sorted({"numpy", "mpmath"} & set(sys.modules))), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def fresh_python(*args, cwd=None):
+    # the test process itself already holds numpy, so each check needs a new interpreter
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_importing_the_cli_loads_neither_numpy_nor_mpmath():
+    proc = fresh_python(
+        "-c",
+        "import sys, scheme_spectra, scheme_spectra.cli; "
+        "print(sorted({'numpy', 'mpmath'} & set(sys.modules)))",
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+_DEFERRED_CASES = [
+    pytest.param(
+        ("spectrum", "--family", "hamming", "--n", "5", "--q", "3", "--d", "4"), "",
+        id="spectrum-hamming",
+    ),
+    pytest.param(
+        ("spectrum", "--family", "composition", "--n", "3", "--q", "3"), "",
+        id="spectrum-balanced-z3",
+    ),
+    pytest.param(
+        ("bounds", "--family", "hamming", "--n", "5", "--q", "3", "--d", "4"), "",
+        id="bounds-hamming",
+    ),
+    pytest.param(
+        ("bounds", "--family", "composition", "--n", "6", "--q", "3"), "",
+        id="bounds-rational-composition",
+    ),
+    pytest.param(("probe", "--q", "3", "--n", "6"), "", id="probe"),
+    pytest.param(("table", "--theorem", "1.1", "--grid", "n<=4,q in {2,3}"), "", id="table-1.1"),
+    pytest.param(("table", "--theorem", "1.2", "--grid", "n<=5,q in {3}"), "", id="table-1.2"),
+    pytest.param(("table", "--theorem", "1.3", "--grid", "n<=6,q in {2,3}"), "", id="table-1.3"),
+    pytest.param(("verify", "--suite", "reciprocity", "--max-n", "3"), "", id="verify-reciprocity"),
+    pytest.param(("verify", "--suite", "eigenvalues", "--max-n", "3"), "", id="verify-eigenvalues"),
+    pytest.param(
+        ("represent", "--n", "4", "--q", "3", "--d", "3", "--out", "rep.csv"), "numpy",
+        id="represent",
+    ),
+    pytest.param(("verify", "--suite", "projectors", "--max-n", "2"), "numpy", id="verify-projectors"),
+    # the least eigenvalue is irrational, so comparing it needs an embedding
+    pytest.param(
+        ("bounds", "--family", "composition", "--q", "5", "--n", "4", "--comp", "2,1,0,0,1"),
+        "mpmath",
+        id="bounds-irrational-composition",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, loads", _DEFERRED_CASES)
+def test_first_call_in_a_fresh_process_loads_only_what_it_needs(
+    argv, loads, capsys, tmp_path, monkeypatch
+):
+    (tmp_path / "fresh").mkdir()
+    (tmp_path / "in-process").mkdir()
+    proc = fresh_python("-c", _FRESH_MAIN, *argv, cwd=tmp_path / "fresh")
+    err, newline, loaded = proc.stderr[:-1].rpartition("\n")
+    assert loaded == loads
+    monkeypatch.chdir(tmp_path / "in-process")
+    assert (proc.returncode, proc.stdout, err + newline) == run(capsys, *argv)
+    if "--out" in argv:
+        fresh_csv = (tmp_path / "fresh" / "rep.csv").read_bytes()
+        assert fresh_csv == (tmp_path / "in-process" / "rep.csv").read_bytes()
