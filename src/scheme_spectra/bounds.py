@@ -11,7 +11,7 @@ sight are clearly-labeled diagnostics.
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO
@@ -28,7 +28,6 @@ from .errors import (
     OrderMismatch,
     SizeExceeded,
     SpecMismatch,
-    UnsupportedSize,
 )
 from .exactnum import CycInt, binom, entropy_q, multinom, _reduction_rows
 from .groups import (
@@ -54,9 +53,6 @@ from .schemes import (
 #: Row-count cap for materializing a representation.
 REPRESENTATION_MAX_ROWS = 1 << 20
 
-#: Support-size cap for the exhaustive LP search.
-LP_SEARCH_MAX_SUPPORT = 3
-
 
 # ---------------------------------------------------------------------------
 # LP certificates
@@ -78,7 +74,9 @@ class LPSolution:
     coefficients: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients", tuple(int(c) for c in self.coefficients))
+        object.__setattr__(
+            self, "coefficients", tuple(operator.index(c) for c in self.coefficients)
+        )
         if len(self.coefficients) != self.n + 1:
             raise DomainError(
                 f"need n+1 = {self.n + 1} coefficients, got {len(self.coefficients)}"
@@ -148,47 +146,6 @@ def lp_two_support(n: int, q: int, d: int) -> LPSolution:
     solution = LPSolution(n, q, d, tuple(coeffs))
     check_lp_solution(solution)
     return solution
-
-
-def lp_search(
-    n: int,
-    q: int,
-    d: int,
-    max_support: int = 3,
-    coeff_bound: int = 16,
-) -> LPSolution:
-    """Exhaustive search over small supports; never worse than two-support.
-
-    Enumerates supports of up to ``max_support`` shell indices with
-    coefficients in 1..coeff_bound, solving for c_0 from the vanishing
-    constraint.  The search space grows fast, hence the support cap.
-    """
-    if max_support < 1 or max_support > LP_SEARCH_MAX_SUPPORT:
-        raise UnsupportedSize(
-            f"support size {max_support} outside 1..{LP_SEARCH_MAX_SUPPORT}"
-        )
-    if coeff_bound < 1:
-        raise DomainError(f"coefficient bound must be >= 1, got {coeff_bound}")
-    best = lp_two_support(n, q, d)
-    best_obj = best.objective
-    kcol = kraw_column(n, q, d)
-    sizes = _shell_sizes(n, q)
-    for support_size in range(1, max_support + 1):
-        for support in itertools.combinations(range(1, n + 1), support_size):
-            for weights in itertools.product(range(1, coeff_bound + 1), repeat=support_size):
-                c0 = -sum(w * kcol[i] for i, w in zip(support, weights))
-                if c0 < 0:
-                    continue
-                obj = c0 + sum(w * sizes[i] for i, w in zip(support, weights))
-                if obj < best_obj:
-                    coeffs = [0] * (n + 1)
-                    coeffs[0] = c0
-                    for i, w in zip(support, weights):
-                        coeffs[i] = w
-                    best = LPSolution(n, q, d, tuple(coeffs))
-                    best_obj = obj
-    check_lp_solution(best)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +450,12 @@ def verify_representation(
     check.  A failure raises NotOrthogonal carrying, in full
     mode, the smallest failing x and then the smallest failing x + s, and in
     sampled mode the first failing pair in draw order; a clean pass is True.
+    A ``sample`` below 1 would check nothing and raises DomainError.
     """
     import numpy as np
 
+    if sample is not None and sample < 1:
+        raise DomainError(f"need sample >= 1, got {sample}")
     group, label = _generating_labels(spec, rep)
     n = spec.n
     q = group.order

@@ -1,6 +1,7 @@
 """Chromatic-bound machinery: LP certificates, representations, reports, probe."""
 
 import io
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,7 +24,6 @@ from scheme_spectra import (
     RangeError,
     Representation,
     SpecMismatch,
-    UnsupportedSize,
     binom,
     bound_report,
     build_representation,
@@ -36,7 +36,6 @@ from scheme_spectra import (
     hadamard_representation,
     index_word,
     kraw,
-    lp_search,
     lp_two_support,
     representation_seed,
     verify_representation,
@@ -60,6 +59,30 @@ def test_two_support_frozen_solutions():
     sol = lp_two_support(3, 3, 3)
     assert sol.coefficients == (3, 1, 0, 0)
     assert sol.objective == 9
+    sol = lp_two_support(6, 2, 4)
+    assert sol.coefficients == (2, 1, 0, 0, 0, 0, 0)
+    assert sol.objective == 8
+
+
+def test_two_support_is_optimal_on_small_supports():
+    # oracle: every certificate with at most two shells in 1..n, weights 1..4,
+    # and c_0 solved from the vanishing constraint, priced from closed forms
+    for q in (2, 3, 4):
+        for n in range(1, 9):
+            sizes = [(q - 1) ** i * binom(n, i) for i in range(n + 1)]
+            for d in range(1, n + 1):
+                column = [kraw(n, q, i, d) for i in range(n + 1)]
+                best = None
+                for size in (1, 2):
+                    for support in itertools.combinations(range(1, n + 1), size):
+                        for weights in itertools.product(range(1, 5), repeat=size):
+                            pairs = list(zip(support, weights))
+                            c0 = -sum(w * column[i] for i, w in pairs)
+                            if c0 < 0:
+                                continue
+                            obj = c0 + sum(w * sizes[i] for i, w in pairs)
+                            best = obj if best is None else min(best, obj)
+                assert best == lp_two_support(n, q, d).objective, (n, q, d)
 
 
 def test_two_support_solutions_check_out_on_a_grid():
@@ -121,8 +144,6 @@ def test_lp_errors_keep_their_types():
     for d in (0, 5):
         with pytest.raises(RangeError):
             lp_two_support(4, 2, d)
-        with pytest.raises(RangeError):
-            lp_search(4, 2, d)
     with pytest.raises(DomainError):
         lp_two_support(4, 1, 2)
 
@@ -165,26 +186,14 @@ def test_lp_solution_length_validation():
         LPSolution(4, 2, 2, (1, 1))
 
 
-def test_search_never_loses_to_the_two_support_certificate():
-    for q in (2, 3):
-        for n in range(2, 7):
-            for d in range(1, n + 1):
-                found = lp_search(n, q, d, max_support=2, coeff_bound=4)
-                check_lp_solution(found)
-                assert found.objective <= lp_two_support(n, q, d).objective
-
-
-def test_search_frozen_case():
-    sol = lp_search(6, 2, 4)
-    assert sol.objective <= 8
-    check_lp_solution(sol)
-
-
-def test_search_guards():
-    with pytest.raises(UnsupportedSize):
-        lp_search(4, 2, 2, max_support=4)
-    with pytest.raises(DomainError):
-        lp_search(4, 2, 2, coeff_bound=0)
+def test_lp_solution_takes_only_integral_coefficients():
+    # truncating 0.9 to 0 would turn an infeasible certificate into a feasible one
+    for bad in (0.9, 1.0, Fraction(1)):
+        with pytest.raises(TypeError):
+            LPSolution(4, 2, 2, (bad, 1, 0, 0, 0))
+    sol = LPSolution(4, 2, 2, (False, np.int64(1), True, 0, np.uint8(0)))
+    assert sol.coefficients == (0, 1, 1, 0, 0)
+    assert all(type(c) is int for c in sol.coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +373,22 @@ def test_sampled_verification_is_deterministic():
     assert verify_representation(rep, spec, sample=64) is True
     assert representation_seed(spec) == representation_seed(HammingGraphSpec(5, 2, 2))
     assert representation_seed(spec) != representation_seed(HammingGraphSpec(5, 2, 3))
+
+
+def test_a_sample_below_one_is_rejected_before_any_check():
+    # an empty sample would pass a broken representation having checked nothing
+    spec = HammingGraphSpec(4, 2, 2)
+    broken = build_representation(lp_two_support(4, 2, 2), cyclic(2)).with_entry(
+        0, 0, CycInt.from_int(2, -1)
+    )
+    with pytest.raises(NotOrthogonal):
+        verify_representation(broken, spec)
+    for sample in (0, -3):
+        with pytest.raises(DomainError, match=f"need sample >= 1, got {sample}"):
+            verify_representation(broken, spec, sample=sample)
+    # the guard comes first: a mismatched spec is not looked at
+    with pytest.raises(DomainError):
+        verify_representation(broken, HammingGraphSpec(5, 2, 2), sample=0)
 
 
 def test_seed_is_frozen():

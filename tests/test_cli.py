@@ -131,6 +131,20 @@ def test_represent_sampled_mode_reports_its_seed(capsys, tmp_path):
     assert summary["seed"] == "15132536781063983816"
 
 
+def test_represent_rejects_a_vacuous_sample(capsys, tmp_path):
+    # an empty sample would report "verified": true having checked no pair
+    out_path = tmp_path / "rep.csv"
+    for value in ("0", "-5"):
+        assert run(capsys, "represent", "--n", "4", "--q", "2", "--d", "2", "--sample", value) == (
+            2, "", f"error: need sample >= 1, got {value}\n"
+        )
+        assert run(
+            capsys, "represent", "--n", "4", "--q", "2", "--d", "2",
+            "--sample", value, "--out", str(out_path),
+        ) == (2, "", f"error: need sample >= 1, got {value}\n")
+    assert not out_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # probe
 
