@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO
+from typing import IO, Iterable, Sequence
 
 from .errors import (
     DivisibilityError,
@@ -152,14 +152,34 @@ def lp_two_support(n: int, q: int, d: int) -> LPSolution:
 # representations
 
 
-def _char_table(group: GroupSpec) -> np.ndarray:
+def _character_matrix(group: GroupSpec, n: int, words: Iterable[Sequence[int]]) -> np.ndarray:
+    """The characters of ``words`` as columns: entry (x, j) is the exponent
+    of phi_(words[j])(x), x in canonical vertex order, reduced mod the root
+    order, as C-ordered int64.  The row cap is checked before any word is
+    read.  The rows for the first k+1 coordinates are those for the first k
+    plus one q x cols block of the character table, so a build costs
+    rows x cols."""
     import numpy as np
 
+    if n < 0:
+        raise DomainError(f"need n >= 0, got n={n}")
     q = group.order
-    return np.array(
-        [[group.char_exponent(g, h) for h in range(q)] for g in range(q)],
-        dtype=np.int64,
+    rows = q**n
+    if rows > REPRESENTATION_MAX_ROWS:
+        raise SizeExceeded(
+            f"representation would have {rows} rows; cap is {REPRESENTATION_MAX_ROWS}"
+        )
+    words = list(words)
+    table = np.array(
+        [[group.char_exponent(g, h) for h in range(q)] for g in range(q)], dtype=np.int64
     )
+    exponents = np.zeros((1, len(words)), dtype=np.int64)
+    for k in range(n):
+        # np.take keeps the block C-ordered, where table[:, ...] would not
+        block = np.take(table, [y[k] for y in words], axis=1)
+        exponents = (exponents[:, None, :] + block).reshape(q ** (k + 1), len(words))
+    exponents %= group.char_order
+    return exponents
 
 
 class Representation:
@@ -251,37 +271,18 @@ def build_representation(solution: LPSolution, group: GroupSpec) -> Representati
     times; the entry in row x is phi_y(x).  The vanishing Krawtchouk
     constraint is exactly what makes rows at graph distance d orthogonal.
     """
-    import numpy as np
-
     check_lp_solution(solution)
     if group.order != solution.q:
         raise SpecMismatch(
             f"group order {group.order} does not match solution alphabet q={solution.q}"
         )
-    n, q = solution.n, solution.q
-    rows = q**n
-    if rows > REPRESENTATION_MAX_ROWS:
-        raise SizeExceeded(
-            f"representation would have {rows} rows; cap is {REPRESENTATION_MAX_ROWS}"
-        )
-    digits = _digit_matrix(q, n, rows)
-    expt = _char_table(group)
-    m = group.char_order
-    blocks: list[np.ndarray] = []
-    for i, c in enumerate(solution.coefficients):
-        if c == 0:
-            continue
-        cols = []
-        for y in enumerate_shell(group, n, i):
-            col = np.zeros(rows, dtype=np.int64)
-            for k, g in enumerate(y):
-                if g:
-                    col += expt[digits[:, k], g]
-            cols.append(col % m)
-        block = np.stack(cols, axis=1) if cols else np.zeros((rows, 0), dtype=np.int64)
-        for _ in range(c):
-            blocks.append(block)
-    exponents = np.concatenate(blocks, axis=1)
+    n = solution.n
+    # a generator, so the row cap is checked before any shell is enumerated
+    words = (
+        y for i, c in enumerate(solution.coefficients) if c
+        for y in list(enumerate_shell(group, n, i)) * c
+    )
+    exponents = _character_matrix(group, n, words)
     return Representation(group, n, exponents, "lp-orthogonal-representation", solution)
 
 
@@ -289,24 +290,16 @@ def hadamard_representation(group: GroupSpec, n: int) -> Representation:
     """The n-dimensional coordinatewise character representation.
 
     Row x is (phi(x_1), ..., phi(x_n)) for the fixed character phi of
-    alphabet element 1.  Rows adjacent in the balanced composition graph
-    are orthogonal because their inner product sums phi over every
-    alphabet element equally often; hence the graph's quantum chromatic
-    number is at most n.  Requires the alphabet size to divide n.
+    alphabet element 1, that is, column k is the character of the unit word
+    e_k.  Rows adjacent in the balanced composition graph are orthogonal
+    because their inner product sums phi over every alphabet element equally
+    often; hence the graph's quantum chromatic number is at most n.
+    Requires the alphabet size to divide n.
     """
-    import numpy as np
-
-    q = group.order
-    if n % q:
-        raise DivisibilityError(f"needs q | n, got q={q}, n={n}")
-    rows = q**n
-    if rows > REPRESENTATION_MAX_ROWS:
-        raise SizeExceeded(
-            f"representation would have {rows} rows; cap is {REPRESENTATION_MAX_ROWS}"
-        )
-    digits = _digit_matrix(q, n, rows)
-    char1 = np.array([group.char_exponent(1, g) for g in range(q)], dtype=np.int64)
-    exponents = char1[digits]
+    if n % group.order:
+        raise DivisibilityError(f"needs q | n, got q={group.order}, n={n}")
+    units = ((0,) * k + (1,) + (0,) * (n - 1 - k) for k in range(n))
+    exponents = _character_matrix(group, n, units)
     return Representation(group, n, exponents, "hadamard-character")
 
 
@@ -358,14 +351,15 @@ def _generating_labels(
 
 
 def _folded_exponents(rep: Representation) -> tuple[np.ndarray, int]:
-    """The exponent matrix reduced to 0..order-1 with the (unit-modulus)
-    overrides written in, and its root order.  A unit of modulus one in
-    Z[zeta_m] is +-zeta_m^k (Kronecker), a power of zeta_(2m) when m is odd,
-    so with overrides present an odd order is lifted to 2m."""
+    """The exponent matrix as C-ordered int64 reduced to 0..order-1, with the
+    (unit-modulus) overrides written in, and its root order.  A unit of
+    modulus one in Z[zeta_m] is +-zeta_m^k (Kronecker), a power of
+    zeta_(2m) when m is odd, so with overrides present an odd order is
+    lifted to 2m."""
     import numpy as np
 
     m = rep.root_order
-    expm = np.asarray(rep.exponents, dtype=np.int64) % m
+    expm = np.ascontiguousarray(rep.exponents, dtype=np.int64) % m
     if not rep.overrides:
         return expm, m
     lift = 1 if m % 2 == 0 else 2
@@ -429,6 +423,12 @@ def _failing_rows(ex: np.ndarray, ey: np.ndarray, m: int) -> np.ndarray:
     return np.nonzero((counts @ red).any(axis=1))[0]
 
 
+def _check_sample(sample: int | None) -> None:
+    """Raise DomainError for a sample count below 1, which would check nothing."""
+    if sample is not None and sample < 1:
+        raise DomainError(f"need sample >= 1, got {sample}")
+
+
 def verify_representation(
     rep: Representation,
     spec: HammingGraphSpec | CompositionGraphSpec,
@@ -454,8 +454,7 @@ def verify_representation(
     """
     import numpy as np
 
-    if sample is not None and sample < 1:
-        raise DomainError(f"need sample >= 1, got {sample}")
+    _check_sample(sample)
     group, label = _generating_labels(spec, rep)
     n = spec.n
     q = group.order

@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bounds import (
+    _check_sample,
     bound_report,
     build_representation,
     conjecture_probe,
@@ -31,17 +32,13 @@ from .bounds import (
 )
 from .errors import (
     BadLabel,
-    DivisibilityError,
     DomainError,
     Infeasible,
     NotFound,
     NotOrthogonal,
     NotUnitModulus,
     RangeError,
-    SizeExceeded,
     SpecMismatch,
-    SumMismatch,
-    UnsupportedSize,
 )
 from .exactnum import binom, multinom
 from .groups import (
@@ -65,18 +62,7 @@ from .schemes import (
     trace_identity_check,
 )
 
-_FLAG_ERRORS = (
-    BadLabel,
-    DivisibilityError,
-    DomainError,
-    NotFound,
-    RangeError,
-    SizeExceeded,
-    SpecMismatch,
-    SumMismatch,
-    UnsupportedSize,
-    ValueError,
-)
+_FLAG_ERRORS = (NotFound, ValueError)
 
 _VERIFY_ERRORS = (Infeasible, NotOrthogonal, NotUnitModulus)
 
@@ -157,10 +143,11 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_represent(args: argparse.Namespace) -> int:
     group = _make_group(args)
-    solution = lp_two_support(args.n, args.q, args.d)
-    rep = build_representation(solution, group)
     spec = HammingGraphSpec(args.n, args.q, args.d)
     sample = args.sample
+    _check_sample(sample)
+    solution = lp_two_support(args.n, args.q, args.d)
+    rep = build_representation(solution, group)
     verify_representation(rep, spec, sample=sample)
     summary = {
         "rows": str(rep.rows),

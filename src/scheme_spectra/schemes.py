@@ -348,7 +348,6 @@ def eigenvector_check(
     spec: HammingGraphSpec | CompositionGraphSpec,
     x: Sequence[int],
     sample: Iterable[Sequence[int]],
-    group: GroupSpec | None = None,
 ) -> bool:
     """Verify the character of x is an eigenvector by direct adjacency action.
 
@@ -358,10 +357,7 @@ def eigenvector_check(
     The two sides come from unrelated code paths on purpose.
     """
     if isinstance(spec, HammingGraphSpec):
-        if group is None:
-            group = cyclic(spec.q)
-        if group.order != spec.q:
-            raise DomainError(f"group order {group.order} does not match q={spec.q}")
+        group = cyclic(spec.q)
         shell_label: int | Composition = spec.d
         lam: int | CycInt = kraw(spec.n, spec.q, spec.d, sum(1 for g in x if g))
     else:

@@ -23,6 +23,7 @@ from scheme_spectra import (
     ProbeVerdict,
     RangeError,
     Representation,
+    SizeExceeded,
     SpecMismatch,
     binom,
     bound_report,
@@ -411,6 +412,15 @@ def test_verification_does_not_depend_on_the_exponent_dtype():
         narrow = Representation(group, n, rep.exponents.astype(dtype), rep.provenance)
         assert verify_representation(narrow, spec) is True
         assert verify_representation(narrow, spec, sample=100) is True
+    # a column-major copy is verified as a C-ordered one
+    fortran = Representation(group, n, np.asfortranarray(rep.exponents), rep.provenance)
+    assert not fortran.exponents.flags.c_contiguous
+    assert bounds._folded_exponents(fortran)[0].flags.c_contiguous
+    assert verify_representation(fortran, spec) is True
+    assert verify_representation(fortran, spec, sample=100) is True
+    flipped = fortran.with_entry(5, 2, -fortran.entry(5, 2))
+    assert bounds._folded_exponents(flipped)[0].flags.c_contiguous
+    assert _verdict(flipped, spec) == _verdict(rep.with_entry(5, 2, -rep.entry(5, 2)), spec)
 
 
 # -- the translation-invariant fast path -------------------------------------
@@ -420,7 +430,7 @@ def test_verification_does_not_depend_on_the_exponent_dtype():
 # other matrix is scanned once per generator.
 
 
-def _character_matrix(group, n, words):
+def _characters_by_cell(group, n, words):
     # column j is the character of words[j]: exponent sum over the coordinates
     m = group.char_order
     return np.array(
@@ -431,6 +441,53 @@ def _character_matrix(group, n, words):
         ],
         dtype=np.int64,
     )
+
+
+def test_character_matrix_matches_the_per_cell_oracle():
+    rng = random.Random(271828)
+    groups = [cyclic(q) for q in range(2, 7)] + [finite_field(q) for q in (4, 8, 9)]
+    cases = 0
+    for group in groups:
+        q = group.order
+        for n in range(1, 6):
+            if q**n > 5000:
+                break
+            for _ in range(2):
+                words = [tuple(rng.randrange(q) for _ in range(n))
+                         for _ in range(rng.randint(1, 4))]
+                words += [(0,) * n] + rng.sample(words, min(2, len(words)))  # zero and repeats
+                rng.shuffle(words)
+                got = bounds._character_matrix(group, n, iter(words))
+                assert got.dtype == np.int64 and got.flags.c_contiguous
+                assert np.array_equal(got, _characters_by_cell(group, n, words))
+                cases += 1
+    assert cases >= 60
+    assert bounds._character_matrix(cyclic(3), 2, []).shape == (9, 0)
+
+
+def test_builders_return_c_ordered_int64():
+    reps = [build_representation(lp_two_support(n, q, d), group)
+            for n, q, d, group in ((4, 2, 2, cyclic(2)), (3, 3, 3, cyclic(3)),
+                                   (3, 4, 2, finite_field(4)), (2, 5, 1, cyclic(5)))]
+    reps += [hadamard_representation(group, n)
+             for group, n in ((cyclic(2), 6), (cyclic(3), 3), (finite_field(4), 4))]
+    for rep in reps:
+        assert rep.exponents.dtype == np.int64
+        assert rep.exponents.flags.c_contiguous
+
+
+def test_the_row_cap_fires_before_any_word_is_read(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a shell was enumerated")
+
+    monkeypatch.setattr(bounds, "enumerate_shell", refuse)
+    message = "representation would have 2097152 rows; cap is 1048576"
+    with pytest.raises(SizeExceeded, match=f"^{message}$"):
+        build_representation(lp_two_support(21, 2, 11), cyclic(2))
+    with pytest.raises(SizeExceeded, match=f"^{message}$"):
+        bounds._character_matrix(cyclic(2), 21, (refuse() for _ in range(1)))
+    with pytest.raises(SizeExceeded, match="^representation would have 4194304 rows"):
+        hadamard_representation(cyclic(2), 22)
 
 
 def _pair_oracle(rep, spec):
@@ -492,7 +549,7 @@ def _fast_path_cases():
             for _ in range(2):
                 words = [tuple(rng.randrange(q) for _ in range(n))
                          for _ in range(rng.randint(1, 6))]
-                yield Representation(group, n, _character_matrix(group, n, words), "random"), spec
+                yield Representation(group, n, _characters_by_cell(group, n, words), "random"), spec
 
 
 def test_fast_path_agrees_with_the_pair_oracle(monkeypatch):
@@ -551,7 +608,7 @@ def test_an_infeasible_character_matrix_fails_at_row_zero():
         for i, c in enumerate(bad.coefficients)
         for y in list(enumerate_shell(cyclic(2), 4, i)) * c
     ]
-    rep = Representation(cyclic(2), 4, _character_matrix(cyclic(2), 4, words), "test", bad)
+    rep = Representation(cyclic(2), 4, _characters_by_cell(cyclic(2), 4, words), "test", bad)
     spec = HammingGraphSpec(4, 2, 2)
     # every adjacent pair has inner product 1, so the witness is row 0 and
     # the smallest word of weight 2
@@ -561,6 +618,12 @@ def test_an_infeasible_character_matrix_fails_at_row_zero():
 def test_hadamard_needs_q_dividing_n():
     with pytest.raises(DivisibilityError):
         hadamard_representation(cyclic(2), 3)
+
+
+def test_hadamard_rejects_a_negative_length():
+    with pytest.raises(DomainError, match=r"^need n >= 0, got n=-2$"):
+        hadamard_representation(cyclic(2), -2)
+    assert hadamard_representation(cyclic(2), 0).exponents.shape == (1, 0)
 
 
 def test_csv_format():

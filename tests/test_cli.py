@@ -145,6 +145,16 @@ def test_represent_rejects_a_vacuous_sample(capsys, tmp_path):
     assert not out_path.exists()
 
 
+def test_represent_over_the_row_cap_is_a_flag_error(capsys, tmp_path):
+    out_path = tmp_path / "rep.csv"
+    expected = (2, "", "error: representation would have 2097152 rows; cap is 1048576\n")
+    assert run(capsys, "represent", "--n", "21", "--q", "2", "--d", "11") == expected
+    assert run(
+        capsys, "represent", "--n", "21", "--q", "2", "--d", "11", "--out", str(out_path)
+    ) == expected
+    assert not out_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # probe
 
@@ -423,6 +433,11 @@ _DEFERRED_CASES = [
     pytest.param(
         ("represent", "--n", "4", "--q", "3", "--d", "3", "--out", "rep.csv"), "numpy",
         id="represent",
+    ),
+    # a vacuous sample is refused before the matrix is built
+    pytest.param(
+        ("represent", "--n", "20", "--q", "2", "--d", "3", "--sample", "0"), "",
+        id="represent-vacuous-sample",
     ),
     pytest.param(("verify", "--suite", "projectors", "--max-n", "2"), "numpy", id="verify-projectors"),
     # the least eigenvalue is irrational, so comparing it needs an embedding
