@@ -43,7 +43,6 @@ from .krawtchouk import _shell_sizes, first_root_ratio, kraw_column
 from .schemes import (
     CompositionGraphSpec,
     HammingGraphSpec,
-    _digit_matrix,
     composition_spectrum,
     hamming_spectrum,
     hoffman_bound,
@@ -52,6 +51,10 @@ from .schemes import (
 
 #: Row-count cap for materializing a representation.
 REPRESENTATION_MAX_ROWS = 1 << 20
+
+#: Cell cap (rows x columns) for materializing a representation: 1 GiB of
+#: int64 exponents.
+REPRESENTATION_MAX_CELLS = 1 << 27
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +155,24 @@ def lp_two_support(n: int, q: int, d: int) -> LPSolution:
 # representations
 
 
+def _additive_matrix(blocks: Iterable[np.ndarray], cols: int) -> np.ndarray:
+    """Row x, in canonical vertex order, is the sum over k of row x_k of the
+    q x cols block blocks[k], as int64; each coordinate adds one block to
+    the rows for the coordinates before it, so a build costs rows x cols."""
+    import numpy as np
+
+    out = np.zeros((1, cols), dtype=np.int64)
+    for block in blocks:
+        out = (out[:, None, :] + block).reshape(len(out) * len(block), cols)
+    return out
+
+
 def _character_matrix(group: GroupSpec, n: int, words: Iterable[Sequence[int]]) -> np.ndarray:
     """The characters of ``words`` as columns: entry (x, j) is the exponent
     of phi_(words[j])(x), x in canonical vertex order, reduced mod the root
     order, as C-ordered int64.  The row cap is checked before any word is
-    read.  The rows for the first k+1 coordinates are those for the first k
-    plus one q x cols block of the character table, so a build costs
-    rows x cols."""
+    read and the cell cap once they are listed.  Block k of the
+    :func:`_additive_matrix` holds the character table's columns words[j][k]."""
     import numpy as np
 
     if n < 0:
@@ -170,14 +184,17 @@ def _character_matrix(group: GroupSpec, n: int, words: Iterable[Sequence[int]]) 
             f"representation would have {rows} rows; cap is {REPRESENTATION_MAX_ROWS}"
         )
     words = list(words)
+    if rows * len(words) > REPRESENTATION_MAX_CELLS:
+        raise SizeExceeded(
+            f"representation would have {rows} x {len(words)} = {rows * len(words)} cells; "
+            f"cap is {REPRESENTATION_MAX_CELLS}"
+        )
     table = np.array(
         [[group.char_exponent(g, h) for h in range(q)] for g in range(q)], dtype=np.int64
     )
-    exponents = np.zeros((1, len(words)), dtype=np.int64)
-    for k in range(n):
-        # np.take keeps the block C-ordered, where table[:, ...] would not
-        block = np.take(table, [y[k] for y in words], axis=1)
-        exponents = (exponents[:, None, :] + block).reshape(q ** (k + 1), len(words))
+    # np.take keeps each block C-ordered, where table[:, ...] would not
+    blocks = (np.take(table, [y[k] for y in words], axis=1) for k in range(n))
+    exponents = _additive_matrix(blocks, len(words))
     exponents %= group.char_order
     return exponents
 
@@ -222,7 +239,12 @@ class Representation:
     def cols(self) -> int:
         return self.exponents.shape[1]
 
+    def _check_cell(self, row: int, col: int) -> None:
+        if not 0 <= row < self.rows or not 0 <= col < self.cols:
+            raise DomainError(f"entry ({row}, {col}) outside the matrix")
+
     def entry(self, row: int, col: int) -> CycInt:
+        self._check_cell(row, col)
         override = self.overrides.get((row, col))
         if override is not None:
             return override
@@ -230,8 +252,7 @@ class Representation:
 
     def with_entry(self, row: int, col: int, value: CycInt) -> Representation:
         """A copy of the representation with one entry replaced."""
-        if not 0 <= row < self.rows or not 0 <= col < self.cols:
-            raise DomainError(f"entry ({row}, {col}) outside the matrix")
+        self._check_cell(row, col)
         overrides = dict(self.overrides)
         overrides[(row, col)] = value
         return Representation(
@@ -375,38 +396,36 @@ def _folded_exponents(rep: Representation) -> tuple[np.ndarray, int]:
     return expm, order
 
 
-def _shifted(digits: np.ndarray, s: np.ndarray, addt: np.ndarray, place: np.ndarray) -> np.ndarray:
-    """Vertex indices of x + s for the digit rows of x; s is one word or one per row."""
+def _shifted(digits: Sequence[np.ndarray], s: np.ndarray, addt: np.ndarray) -> np.ndarray:
+    """Vertex indices of x + s for the digit arrays of x (one per coordinate,
+    as from np.unravel_index); s is one word or one per x."""
     import numpy as np
 
-    out = np.zeros(len(digits), dtype=np.int64)
-    for k in range(len(place)):
-        out += addt[digits[:, k], s[..., k]] * place[k]
-    return out
+    shape = (len(addt),) * len(digits)
+    return np.ravel_multi_index([addt[d, s[..., k]] for k, d in enumerate(digits)], shape)
 
 
-def _translation_invariant(
-    expm: np.ndarray, order: int, digits: np.ndarray, addt: np.ndarray, place: np.ndarray
-) -> bool:
+def _translation_invariant(expm: np.ndarray, order: int, addt: np.ndarray, n: int) -> bool:
     """Whether expm[x + g*e_k] - expm[x] == expm[g*e_k] - expm[0] (mod order)
-    for every row x, coordinate k and nonzero g.  Adding s to x one coordinate
-    at a time then adds the same exponents to every row, so rows x and x + s
-    have the inner product of rows 0 and s."""
+    for every row x, coordinate k and g: exactly when each delta_k[g] =
+    expm[g*e_k] - expm[0] is additive in g and expm is expm[0] plus the
+    :func:`_additive_matrix` of the delta_k.  Adding s to x then adds the
+    same exponents to every row, so rows x and x + s have the inner product
+    of rows 0 and s."""
     import numpy as np
 
-    n = len(place)
-    for k in range(n):
-        for g in range(1, len(addt)):
-            s = np.zeros(n, dtype=np.int64)
-            s[k] = g
-            step = np.take(expm, _shifted(digits, s, addt, place), axis=0)
-            step -= expm
-            step -= step[0].copy()
-            # step lies in (-2 order, 2 order), where the multiples of order are 0, +-order
-            np.abs(step, out=step)
-            if ((step != 0) & (step != order)).any():
-                return False
-    return True
+    q = len(addt)
+    # units[:, k, g] are the digits of g*e_k, so delta[k, g] is row g*e_k less row 0
+    units = np.eye(n, dtype=np.int64)[:, :, None] * np.arange(q)
+    delta = np.take(expm, np.ravel_multi_index(units, (q,) * n), axis=0)
+    delta -= expm[0]
+    if ((delta[:, addt] - delta[:, :, None] - delta[:, None, :]) % order).any():
+        return False
+    rebuilt = _additive_matrix(delta, expm.shape[1])
+    rebuilt += expm[0]
+    rebuilt -= expm
+    rebuilt %= order
+    return not rebuilt.any()
 
 
 def _failing_rows(ex: np.ndarray, ey: np.ndarray, m: int) -> np.ndarray:
@@ -439,8 +458,8 @@ def verify_representation(
     Overrides set by :meth:`Representation.with_entry` are checked for unit
     modulus first, in (row, column) order, and raise NotUnitModulus.  Full
     mode (``sample=None``) checks the pair (x, x + s) for every vertex x and
-    generator s.  It first checks, in n(q-1) passes over the matrix, that
-    the exponents are additive along each coordinate, as they are in every
+    generator s.  It first checks, in one pass over the matrix, that the
+    exponents are additive along each coordinate, as they are in every
     character-built representation; then each pair has the inner product of
     rows 0 and s, and one check of row 0 against the rows of all generators
     decides.  Otherwise, for example after a :meth:`with_entry` that breaks
@@ -468,35 +487,33 @@ def verify_representation(
             raise NotUnitModulus(r, c)
 
     expm, m = _folded_exponents(rep)
-    members = list(enumerate_shell(group, n, label))
-    digits = _digit_matrix(q, n, rep.rows)
+    words = np.array(list(enumerate_shell(group, n, label)), dtype=np.int64)
+    shape = (q,) * n
     addt = np.array([[group.add(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
-    place = np.array([q ** (n - 1 - k) for k in range(n)], dtype=np.int64)
     witness: tuple[int, int] | None = None
     if sample is not None:
-        words = np.array(members, dtype=np.int64)
         stream = _splitmix_stream(representation_seed(spec))
         for start in range(0, sample, rep.rows):
-            draws = [(next(stream) % rep.rows, next(stream) % len(members))
+            draws = [(next(stream) % rep.rows, next(stream) % len(words))
                      for _ in range(min(rep.rows, sample - start))]
             xs = np.array([x for x, _ in draws], dtype=np.int64)
-            ys = _shifted(digits[xs], words[[s for _, s in draws]], addt, place)
+            ys = _shifted(np.unravel_index(xs, shape), words[[s for _, s in draws]], addt)
             bad = _failing_rows(np.take(expm, xs, axis=0), np.take(expm, ys, axis=0), m)
             if bad.size:
                 witness = (int(xs[bad[0]]), int(ys[bad[0]]))
                 break
-    elif _translation_invariant(expm, m, digits, addt, place):
-        words = np.array(members, dtype=np.int64)
-        ys = _shifted(np.zeros_like(words), words, addt, place)
+    elif _translation_invariant(expm, m, addt, n):
+        ys = np.ravel_multi_index(words.T, shape)
         ey = np.take(expm, ys, axis=0)
         bad = _failing_rows(np.broadcast_to(expm[0], ey.shape), ey, m)
         if bad.size:
             witness = (0, int(ys[bad].min()))
     else:
         # Once a pair fails, later generators only need the rows up to its x.
-        for s in members:
+        digits = np.unravel_index(np.arange(rep.rows), shape)
+        for s in words:
             limit = rep.rows if witness is None else witness[0] + 1
-            ys = _shifted(digits[:limit], np.array(s, dtype=np.int64), addt, place)
+            ys = _shifted([d[:limit] for d in digits], s, addt)
             bad = _failing_rows(expm[:limit], np.take(expm, ys, axis=0), m)
             if bad.size and (witness is None or (bad[0], ys[bad[0]]) < witness):
                 witness = (int(bad[0]), int(ys[bad[0]]))

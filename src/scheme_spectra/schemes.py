@@ -43,6 +43,11 @@ MAX_PRECISION_DOUBLINGS = 4
 #: Vertex-count cap for the dense projector check.
 PROJECTOR_MAX_VERTICES = 81
 
+#: Work cap for a composition spectrum: shells x n x q x (root order), which
+#: tracks the run time of the generating-product expansion at about 34-64 ns
+#: per unit on a 2-core host, so the cap stands for about 8-16 s.
+COMPOSITION_MAX_WORK = 250_000_000
+
 
 @dataclass(frozen=True)
 class HammingGraphSpec:
@@ -204,8 +209,17 @@ def composition_spectrum(spec: CompositionGraphSpec) -> Spectrum:
     K_dcomp(j) = K_j(dcomp) multinom(n, dcomp) / multinom(n, j) turns
     that column into the eigenvalues, every division checked.  Per-shell
     values from :func:`gen_kraw` (either method) are the oracle for it.
+    Raises SizeExceeded, before expanding anything, when the work estimate
+    C(n+q-1, q-1) n q m exceeds :data:`COMPOSITION_MAX_WORK`.
     """
     n, degree = spec.n, spec.degree
+    q, m = spec.group.order, spec.group.char_order
+    work = binom(n + q - 1, q - 1) * n * q * m
+    if work > COMPOSITION_MAX_WORK:
+        raise SizeExceeded(
+            f"composition spectrum would cost {work} units "
+            f"(shells x n x q x root order); cap is {COMPOSITION_MAX_WORK}"
+        )
     entries = []
     for j, dual in _gen_kraw_column(spec.group, n, spec.dcomp):
         size = multinom(n, j)
@@ -332,18 +346,6 @@ def multiplicity_ratio(q: int, n: int) -> Fraction:
 # independent oracles
 
 
-def _digit_matrix(q: int, n: int, rows: int) -> np.ndarray:
-    """Base-q digits of the vertex indices 0..rows-1, most significant first."""
-    import numpy as np
-
-    digits = np.empty((rows, n), dtype=np.int64)
-    idx = np.arange(rows)
-    for k in range(n - 1, -1, -1):
-        digits[:, k] = idx % q
-        idx = idx // q
-    return digits
-
-
 def eigenvector_check(
     spec: HammingGraphSpec | CompositionGraphSpec,
     x: Sequence[int],
@@ -397,9 +399,7 @@ def projector_identity_check(n: int, q: int) -> bool:
             f"got {q**n}"
         )
     size = q**n
-    digits = _digit_matrix(q, n, size)
-    diff = digits[:, None, :] != digits[None, :, :]
-    w = diff.sum(axis=2)
+    w = sum(d[:, None] != d[None, :] for d in np.unravel_index(np.arange(size), (q,) * n))
     ktab = np.array([[kraw(n, q, j, i) for i in range(n + 1)] for j in range(n + 1)], dtype=np.int64)
     scaled = [ktab[j][w] for j in range(n + 1)]
     ident = size * np.eye(size, dtype=np.int64)

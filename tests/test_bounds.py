@@ -275,6 +275,19 @@ def test_with_entry_rejects_another_root_order():
         )
 
 
+def test_entry_and_with_entry_share_the_bounds_check():
+    rep = build_representation(lp_two_support(4, 2, 2), cyclic(2))
+    assert (rep.rows, rep.cols) == (16, 4)
+    assert rep.entry(15, 3) == CycInt.root_of_unity(2, int(rep.exponents[15, 3]))
+    one = CycInt.from_int(2, 1)
+    for row, col in ((-1, 0), (16, 0), (0, -1), (0, 4)):
+        message = f"^entry \\({row}, {col}\\) outside the matrix$"
+        with pytest.raises(DomainError, match=message):
+            rep.entry(row, col)
+        with pytest.raises(DomainError, match=message):
+            rep.with_entry(row, col, one)
+
+
 def _oracle_orthogonal(rep, x, y):
     # the inner product summed entry by entry in the cyclotomic ring
     total = CycInt.from_int(rep.root_order, 0)
@@ -488,6 +501,83 @@ def test_the_row_cap_fires_before_any_word_is_read(monkeypatch):
         bounds._character_matrix(cyclic(2), 21, (refuse() for _ in range(1)))
     with pytest.raises(SizeExceeded, match="^representation would have 4194304 rows"):
         hadamard_representation(cyclic(2), 22)
+
+
+def test_the_cell_cap_fires_once_the_words_are_listed(monkeypatch):
+    # H(4, 2, 2) and the Hadamard representation of Z_2, n = 4, are 16 x 4
+    monkeypatch.setattr(bounds, "REPRESENTATION_MAX_CELLS", 64)
+    assert build_representation(lp_two_support(4, 2, 2), cyclic(2)).exponents.size == 64
+    assert hadamard_representation(cyclic(2), 4).exponents.size == 64
+    monkeypatch.setattr(bounds, "REPRESENTATION_MAX_CELLS", 63)
+    message = "^representation would have 16 x 4 = 64 cells; cap is 63$"
+    with pytest.raises(SizeExceeded, match=message):
+        build_representation(lp_two_support(4, 2, 2), cyclic(2))
+    with pytest.raises(SizeExceeded, match=message):
+        hadamard_representation(cyclic(2), 4)
+    with pytest.raises(SizeExceeded, match=message):
+        bounds._character_matrix(cyclic(2), 4, iter([(0, 0, 0, 1)] * 4))
+
+
+def _invariant_oracle(expm, order, group, n):
+    """The definition, pair by pair: expm[x + g*e_k] - expm[x] equals
+    expm[g*e_k] - expm[0] (mod order) for every row x, coordinate k and g."""
+    rows = expm.tolist()
+    for k in range(n):
+        for g in range(1, group.order):
+            unit = (0,) * k + (g,) + (0,) * (n - 1 - k)
+            step = [(b - a) % order for a, b in zip(rows[0], rows[word_index(group, unit)])]
+            for x in range(len(rows)):
+                y = _plus(group, n, x, unit)
+                if [(b - a) % order for a, b in zip(rows[x], rows[y])] != step:
+                    return False
+    return True
+
+
+def _invariance_cases():
+    """(kind, exponents, order, group, n) over Z_2..Z_6 and GF(4, 8, 9) at orders
+    m and 2m: character matrices, constant row offsets, point mutations and
+    sums of per-coordinate blocks that are not characters."""
+    rng = random.Random(161803)
+    cells = [(cyclic(q), n) for q in range(2, 7) for n in (1, 2, 3) if q**n <= 125]
+    cells += [(cyclic(2), 5), (finite_field(4), 2), (finite_field(4), 3),
+              (finite_field(8), 2), (finite_field(9), 2)]
+    for group, n in cells:
+        q, m = group.order, group.char_order
+        for _ in range(3):
+            cols = rng.randint(1, 4)
+            words = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(cols)]
+            chars = bounds._character_matrix(group, n, words)
+            offset = (chars + np.array([rng.randrange(m) for _ in range(cols)])) % m
+            mutated = offset.copy()
+            mutated[rng.randrange(q**n), rng.randrange(cols)] += rng.randrange(1, m)
+            blocks = [rng.choices(range(m), k=q * cols) for _ in range(n)]
+            blocked = bounds._additive_matrix(
+                (np.array(b, dtype=np.int64).reshape(q, cols) for b in blocks), cols
+            )
+            kinds = {"chars": chars, "offset": offset, "mutated": mutated % m, "blocked": blocked % m}
+            for kind, expm in kinds.items():
+                yield kind, expm, m, group, n
+                yield kind, 2 * expm, 2 * m, group, n
+                # at order 2m, a negated column keeps the invariance and a
+                # negated row (generically) breaks it
+                negated = 2 * expm
+                negated[:, 0] += m
+                yield kind, negated % (2 * m), 2 * m, group, n
+                negated = 2 * expm
+                negated[rng.randrange(q**n)] += m
+                yield kind, negated % (2 * m), 2 * m, group, n
+
+
+def test_translation_invariance_agrees_with_its_definition():
+    verdicts = {}
+    for kind, expm, order, group, n in _invariance_cases():
+        q = group.order
+        addt = np.array([[group.add(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
+        expected = _invariant_oracle(expm, order, group, n)
+        assert bounds._translation_invariant(expm, order, addt, n) is expected
+        verdicts[kind, expected] = verdicts.get((kind, expected), 0) + 1
+    assert verdicts["chars", True] >= 100 and verdicts["offset", True] >= 100
+    assert verdicts["mutated", False] >= 50 and verdicts["blocked", False] >= 50
 
 
 def _pair_oracle(rep, spec):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,14 @@ def test_spectrum_accepts_explicit_composition(capsys):
     )
     assert code == 0
     assert json.loads(out)["graph"]["dcomp"] == [1, 2, 0]
+
+
+def test_spectrum_over_the_composition_work_cap_is_a_flag_error(capsys):
+    assert run(
+        capsys, "spectrum", "--family", "composition", "--n", "40", "--q", "7",
+        "--comp", "35,1,1,1,1,1,0",
+    ) == (2, "", "error: composition spectrum would cost 18358965240 units "
+                 "(shells x n x q x root order); cap is 250000000\n")
 
 
 def test_repeat_invocations_are_byte_identical(capsys):
@@ -152,6 +161,18 @@ def test_represent_over_the_row_cap_is_a_flag_error(capsys, tmp_path):
     assert run(
         capsys, "represent", "--n", "21", "--q", "2", "--d", "11", "--out", str(out_path)
     ) == expected
+    assert not out_path.exists()
+
+
+def test_represent_over_the_cell_cap_is_a_flag_error(capsys, tmp_path):
+    # 2^20 rows pass the row cap, but 127296 columns would be about 1 TB of exponents
+    out_path = tmp_path / "rep.csv"
+    start = time.perf_counter()
+    assert run(
+        capsys, "represent", "--n", "20", "--q", "2", "--d", "2", "--out", str(out_path)
+    ) == (2, "", "error: representation would have 1048576 x 127296 = 133479530496 cells; "
+                 "cap is 134217728\n")
+    assert time.perf_counter() - start < 2.0
     assert not out_path.exists()
 
 

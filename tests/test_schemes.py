@@ -45,6 +45,7 @@ from scheme_spectra import (
     word_sub,
     weight,
 )
+from scheme_spectra import schemes
 from scheme_spectra.schemes import _less_than
 
 # ---------------------------------------------------------------------------
@@ -273,6 +274,25 @@ def test_large_balanced_spectrum_is_exact_and_fast():
     spots += rng.sample(sorted(by_shell), 8)
     for r in spots:
         assert by_shell[r] == gen_kraw_circulant(q, n, Composition(r)), r
+
+
+def test_composition_spectrum_refuses_work_over_the_cap_up_front(monkeypatch):
+    # C(46, 6) = 9366819 shells: the expansion used to run for minutes
+    spec = CompositionGraphSpec(cyclic(7), 40, Composition((35, 1, 1, 1, 1, 1, 0)))
+    start = time.perf_counter()
+    with pytest.raises(SizeExceeded, match=(
+        r"^composition spectrum would cost 18358965240 units "
+        r"\(shells x n x q x root order\); cap is 250000000$"
+    )):
+        composition_spectrum(spec)
+    assert time.perf_counter() - start < 1.0
+    # the cap is inclusive: Z_3 with n = 4 costs C(6, 2) * 4 * 3 * 3 = 540 units
+    small = CompositionGraphSpec(cyclic(3), 4, Composition((2, 1, 1)))
+    monkeypatch.setattr(schemes, "COMPOSITION_MAX_WORK", 540)
+    assert trace_identity_check(composition_spectrum(small))
+    monkeypatch.setattr(schemes, "COMPOSITION_MAX_WORK", 539)
+    with pytest.raises(SizeExceeded, match="cost 540 units .* cap is 539$"):
+        composition_spectrum(small)
 
 
 # ---------------------------------------------------------------------------
