@@ -39,12 +39,13 @@ from .groups import (
     enumerate_shell,
     index_word,
 )
-from .krawtchouk import _shell_sizes, first_root_ratio, kraw_column
+from .krawtchouk import _first_nonpositive, _shell_sizes, first_root_ratio, kraw_column
 from .schemes import (
     CompositionGraphSpec,
     HammingGraphSpec,
+    _hamming_eigenvalues,
+    _hoffman_value,
     composition_spectrum,
-    hamming_spectrum,
     hoffman_bound,
     min_eigenvalue,
 )
@@ -105,17 +106,24 @@ class LPSolution:
 
 def check_lp_solution(solution: LPSolution) -> bool:
     """Re-verify every LP constraint; raises Infeasible naming the violation."""
-    n, q, d = solution.n, solution.q, solution.d
+    _check_weights(solution)
+    return _check_orthogonality(solution, kraw_column(solution.n, solution.q, solution.d))
+
+
+def _check_weights(solution: LPSolution) -> None:
     for i, c in enumerate(solution.coefficients):
         if c < 0:
             raise Infeasible(f"coefficient c_{i} = {c} is negative", witness=("sign", i))
     if sum(solution.coefficients) <= 0:
         raise Infeasible("total weight is not positive", witness=("positivity",))
-    column = kraw_column(n, q, d)
+
+
+def _check_orthogonality(solution: LPSolution, column: Sequence[int]) -> bool:
+    # column is K_i(d), i = 0..n, for the solution's own n, q and d
     acc = sum(c * k for c, k in zip(solution.coefficients, column))
     if acc != 0:
         raise Infeasible(
-            f"weighted Krawtchouk column at d={d} sums to {acc}, expected 0",
+            f"weighted Krawtchouk column at d={solution.d} sums to {acc}, expected 0",
             witness=("orthogonality", acc),
         )
     return True
@@ -128,11 +136,22 @@ def lp_two_support(n: int, q: int, d: int) -> LPSolution:
     with K_i(d) <= 0 for the smallest objective m_i - K_i(d) (m_i the
     shell size), breaking ties toward the smaller shell index, and builds
     only the winner.  A nonpositive value always exists for d >= 1
-    because the Krawtchouk column sums to zero.
+    because the Krawtchouk column sums to zero.  The winner is checked
+    exactly, as :func:`check_lp_solution` would, before it is returned.
     """
     HammingGraphSpec(n, q, d)
     column = kraw_column(n, q, d)
-    sizes = _shell_sizes(n, q)
+    solution = _two_support(n, q, d, column, _shell_sizes(n, q))
+    _check_weights(solution)
+    _check_orthogonality(solution, column)
+    return solution
+
+
+def _two_support(
+    n: int, q: int, d: int, column: Sequence[int], sizes: Sequence[int]
+) -> LPSolution:
+    # The pick of lp_two_support from the column K_i(d) and the shell sizes;
+    # it checks nothing.
     best: int | None = None
     for i in range(1, n + 1):
         if column[i] > 0:
@@ -146,9 +165,7 @@ def lp_two_support(n: int, q: int, d: int) -> LPSolution:
     coeffs = [0] * (n + 1)
     coeffs[0] = -column[best]
     coeffs[best] = 1
-    solution = LPSolution(n, q, d, tuple(coeffs))
-    check_lp_solution(solution)
-    return solution
+    return LPSolution(n, q, d, tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -576,13 +593,20 @@ def bound_report(spec: HammingGraphSpec | CompositionGraphSpec) -> BoundReport:
 
 
 def _hamming_report(spec: HammingGraphSpec) -> BoundReport:
+    # One Krawtchouk column K_i(d) serves the eigenvalues, the Hoffman
+    # bound, the first sign change and the LP certificate, which is still
+    # checked exactly against it.
     n, q, d = spec.n, spec.q, spec.d
-    spectrum = hamming_spectrum(spec)
-    lower: list[tuple[Fraction, str]] = [(hoffman_bound(spectrum), "hoffman")]
-    solution = lp_two_support(n, q, d)
+    column = kraw_column(n, q, d)
+    sizes = _shell_sizes(n, q)
+    hoffman = _hoffman_value(min(_hamming_eigenvalues(n, q, d, column, sizes)), sizes[d])
+    lower: list[tuple[Fraction, str]] = [(hoffman, "hoffman")]
+    solution = _two_support(n, q, d, column, sizes)
+    _check_weights(solution)
+    _check_orthogonality(solution, column)
     upper: list[tuple[Fraction, str]] = [(Fraction(solution.objective), "lp-two-support")]
     diagnostics: dict = {
-        "first_nonpositive_shell": next(e.label for e in spectrum.entries if e.eigenvalue <= 0),
+        "first_nonpositive_shell": _first_nonpositive(column),
         "lp_coefficients": list(solution.coefficients),
     }
     slack = (q - 1) * n - q * d

@@ -62,8 +62,9 @@ def kraw_column(n: int, q: int, x: int) -> list[int]:
         raise DomainError(f"need n >= 1 and q >= 2, got n={n}, q={q}")
     if not 0 <= x <= n:
         raise RangeError(f"argument x={x} outside 0..{n}")
-    # kraw refuses non-integral n and x too (math.comb raises TypeError)
-    n, x = operator.index(n), operator.index(x)
+    # a float would turn the "exact" column into floats; kraw refuses
+    # non-integral n and x too (math.comb raises TypeError)
+    n, q, x = operator.index(n), operator.index(q), operator.index(x)
     column = [1]
     prev = 0
     for i in range(n):
@@ -93,11 +94,15 @@ def first_nonpositive(n: int, q: int, d: int) -> int:
     NotFound guards the degenerate d = 0 case (and n = 0, with no shells).
     """
     if n >= 1:
-        column = kraw_column(n, q, d)
-        for j in range(1, n + 1):
-            if column[j] <= 0:
-                return j
+        j = _first_nonpositive(kraw_column(n, q, d))
+        if j is not None:
+            return j
     raise NotFound(f"K_{d} stays positive on 1..{n} for n={n}, q={q}")
+
+
+def _first_nonpositive(column: list[int]) -> int | None:
+    """Smallest index j >= 1 with column[j] <= 0, or None."""
+    return next((j for j in range(1, len(column)) if column[j] <= 0), None)
 
 
 def first_root_ratio(q: int, delta: float) -> float:

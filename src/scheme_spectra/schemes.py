@@ -11,6 +11,7 @@ module.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -58,6 +59,10 @@ class HammingGraphSpec:
     d: int
 
     def __post_init__(self) -> None:
+        # a float or a bool would leak into the "exact" outputs; refuse the
+        # first and store the second as the int it stands for
+        for name in ("n", "q", "d"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.n < 1 or self.q < 2:
             raise DomainError(f"need n >= 1 and q >= 2, got n={self.n}, q={self.q}")
         if not 1 <= self.d <= self.n:
@@ -173,13 +178,23 @@ def hamming_spectrum(spec: HammingGraphSpec) -> Spectrum:
     """
     n, q, d = spec.n, spec.q, spec.d
     sizes = _shell_sizes(n, q)
-    entries = []
-    for j, dual in enumerate(kraw_column(n, q, d)):
+    values = _hamming_eigenvalues(n, q, d, kraw_column(n, q, d), sizes)
+    entries = tuple(SpectrumEntry(j, v, m) for j, (v, m) in enumerate(zip(values, sizes)))
+    return Spectrum(spec, entries, spec.degree, spec.vertex_count)
+
+
+def _hamming_eigenvalues(
+    n: int, q: int, d: int, column: Sequence[int], sizes: Sequence[int]
+) -> list[int]:
+    # K_d(j) = m_d K_j(d) / m_j from the column K_j(d) and the shell sizes
+    # m_j, every division checked to be exact.
+    values = []
+    for j, dual in enumerate(column):
         value, rem = divmod(sizes[d] * dual, sizes[j])
         if rem:
             raise ArithmeticError(f"reciprocity is not integral at n={n}, q={q}, d={d}, j={j}")
-        entries.append(SpectrumEntry(j, value, sizes[j]))
-    return Spectrum(spec, tuple(entries), spec.degree, spec.vertex_count)
+        values.append(value)
+    return values
 
 
 def _rescale(value: CycInt, num: int, den: int) -> int | CycInt:
@@ -300,6 +315,11 @@ def hoffman_bound(spectrum: Spectrum) -> Fraction:
     integer for the result to be exact.
     """
     lam_min, _ = min_eigenvalue(spectrum)
+    return _hoffman_value(lam_min, spectrum.regular_degree)
+
+
+def _hoffman_value(lam_min: int | CycInt, degree: int) -> Fraction:
+    # 1 - degree / lam_min, refused unless lam_min is a negative integer.
     if isinstance(lam_min, CycInt):
         raise IrrationalEigenvalue(
             f"least eigenvalue {lam_min!r} is irrational; no exact rational bound"
@@ -308,7 +328,7 @@ def hoffman_bound(spectrum: Spectrum) -> Fraction:
         raise NoNegativeEigenvalue(
             f"least eigenvalue {lam_min} is nonnegative; the bound needs lambda_min < 0"
         )
-    return 1 - Fraction(spectrum.regular_degree, lam_min)
+    return 1 - Fraction(degree, lam_min)
 
 
 def trace_identity_check(spectrum: Spectrum) -> bool:

@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from scheme_spectra import (
+    BoundReport,
     Composition,
     CompositionGraphSpec,
     CycInt,
@@ -31,19 +33,24 @@ from scheme_spectra import (
     check_lp_solution,
     conjecture_probe,
     cyclic,
+    entropy_q,
     enumerate_shell,
     finite_field,
     first_nonpositive,
+    first_root_ratio,
     hadamard_representation,
+    hamming_spectrum,
+    hoffman_bound,
     index_word,
     kraw,
     lp_two_support,
+    min_eigenvalue,
     representation_seed,
     verify_representation,
     word_add,
     word_index,
 )
-from scheme_spectra import bounds
+from scheme_spectra import bounds, schemes
 from scheme_spectra.bounds import _splitmix_stream
 
 # ---------------------------------------------------------------------------
@@ -818,6 +825,106 @@ def test_irrational_minimum_is_reported_not_raised():
     )
     assert report.lower == ()
     assert "hoffman_unavailable" in report.diagnostics
+
+
+def _report_from_public_routes(spec):
+    # The Hamming report as the public functions give it, each running its
+    # own Krawtchouk pass: the reference for the one-column report.
+    n, q, d = spec.n, spec.q, spec.d
+    spectrum = hamming_spectrum(spec)
+    lam_min, _ = min_eigenvalue(spectrum)
+    hoffman = hoffman_bound(spectrum)
+    assert hoffman == 1 - Fraction(spec.degree, lam_min)
+    solution = lp_two_support(n, q, d)
+    assert check_lp_solution(solution) is True
+    upper = Fraction(solution.objective)
+    diagnostics = {
+        "first_nonpositive_shell": first_nonpositive(n, q, d),
+        "lp_coefficients": list(solution.coefficients),
+    }
+    slack = (q - 1) * n - q * d
+    if slack <= 0:
+        diagnostics["regime"] = "balanced-or-above"
+        diagnostics["degree_cap"] = str(q * d)
+    elif slack * slack < (q - 1) * n:
+        diagnostics["regime"] = "near-balanced-window"
+        diagnostics["window_cap"] = str(2 * (q - 1) ** 2 * binom(n, 2))
+    else:
+        diagnostics["regime"] = "entropy"
+        diagnostics["entropy_exponent"] = entropy_q(q, first_root_ratio(q, d / n))
+    exact = hoffman if hoffman == upper else None
+    return BoundReport(
+        spec, ((hoffman, "hoffman"),), ((upper, "lp-two-support"),), exact, diagnostics
+    ).to_json()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_hamming_report_matches_the_public_routes_byte_for_byte(q):
+    # the 312-graph grid q = 2..5, n <= 12, every d, plus large n in each regime
+    specs = [HammingGraphSpec(n, q, d) for n in range(1, 13) for d in range(1, n + 1)]
+    specs += [HammingGraphSpec(n, q, d) for n in (299, 301) for d in (40, 150, 240, n)]
+    for spec in specs:
+        got = json.dumps(bound_report(spec).to_json())
+        assert got == json.dumps(_report_from_public_routes(spec)), spec
+
+
+def test_hamming_report_makes_one_krawtchouk_pass(monkeypatch):
+    calls = {"kraw_column": 0, "_shell_sizes": 0}
+
+    def counting(name):
+        original = getattr(bounds, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Hamming report took a second route")
+
+    for name in calls:
+        monkeypatch.setattr(bounds, name, counting(name))
+    for name in ("lp_two_support", "check_lp_solution", "hoffman_bound", "min_eigenvalue"):
+        monkeypatch.setattr(bounds, name, forbidden)
+    monkeypatch.setattr(schemes, "SpectrumEntry", forbidden)
+    monkeypatch.setattr(schemes, "Spectrum", forbidden)
+    for spec in (HammingGraphSpec(6, 2, 4), HammingGraphSpec(300, 3, 150)):
+        calls.update(dict.fromkeys(calls, 0))
+        bound_report(spec)
+        assert calls == {"kraw_column": 1, "_shell_sizes": 1}, spec
+
+
+def test_hamming_report_still_checks_its_certificate(monkeypatch):
+    pick = bounds._two_support
+
+    def short_by_one(*args):
+        good = pick(*args)
+        return LPSolution(good.n, good.q, good.d, (good.coefficients[0] - 1,) + good.coefficients[1:])
+
+    monkeypatch.setattr(bounds, "_two_support", short_by_one)
+    with pytest.raises(Infeasible) as err:
+        bound_report(HammingGraphSpec(6, 2, 4))
+    assert err.value.witness == ("orthogonality", -1)
+
+
+def test_hamming_report_raises_the_witnesses_of_check_lp_solution(monkeypatch):
+    # the mutated certificates of the LP tests above, handed to the report
+    good = lp_two_support(4, 2, 2)
+    for coeffs, kind in (
+        ((1, -1, 1, 0, 0), "sign"),
+        ((0, 0, 0, 0, 0), "positivity"),
+        ((good.coefficients[0] + 1,) + good.coefficients[1:], "orthogonality"),
+    ):
+        bad = LPSolution(4, 2, 2, coeffs)
+        with pytest.raises(Infeasible) as direct:
+            check_lp_solution(bad)
+        monkeypatch.setattr(bounds, "_two_support", lambda *args: bad)
+        with pytest.raises(Infeasible) as in_report:
+            bound_report(HammingGraphSpec(4, 2, 2))
+        assert direct.value.witness[0] == kind
+        assert in_report.value.witness == direct.value.witness
+        assert str(in_report.value) == str(direct.value)
 
 
 # ---------------------------------------------------------------------------

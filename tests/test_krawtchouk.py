@@ -7,6 +7,7 @@ brute-force character sum (see the oracle helpers at the top).
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from scheme_spectra import (
@@ -145,6 +146,15 @@ def test_kraw_column_validation_matches_kraw():
             kraw(args[0], args[1], 1, args[2])
         with pytest.raises(TypeError):
             kraw_column(*args)
+    # q too, or the column would come out as floats [1, 2.0, 0.0, -2.0, -1.0]
+    with pytest.raises(TypeError):
+        kraw_column(4, 2.0, 1)
+    # and an integer-like q (numpy, bool) is read as a Python int, so the
+    # values stay exact where int64 would wrap
+    column = kraw_column(60, np.int64(3), 1)
+    assert column == kraw_column(60, 3, 1)
+    assert all(type(k) is int for k in column)
+    assert kraw_column(4, 2, True) == kraw_column(4, 2, 1)
 
 
 def test_first_nonpositive():

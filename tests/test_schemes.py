@@ -25,6 +25,7 @@ from scheme_spectra import (
     SpectrumEntry,
     all_words,
     binom,
+    bound_report,
     comp,
     composition_spectrum,
     cyclic,
@@ -62,6 +63,21 @@ def test_hamming_spec_basics():
         HammingGraphSpec(5, 1, 1)
     with pytest.raises(RangeError):
         HammingGraphSpec(5, 3, 0)
+
+
+def test_hamming_spec_takes_only_integral_parameters():
+    # a float would reach the "exact" outputs (eigenvalue 4.0, multiplicity
+    # "4.0") and break the report's exact comparisons
+    for args in ((4.0, 2, 1), (4, 2.0, 1), (4, 2, 1.0), (4, 2, Fraction(1))):
+        with pytest.raises(TypeError):
+            HammingGraphSpec(*args)
+    with pytest.raises(TypeError):
+        bound_report(HammingGraphSpec(4, 2.0, 1))
+    spec = HammingGraphSpec(np.int64(4), np.int64(2), True)
+    assert (spec.n, spec.q, spec.d) == (4, 2, 1)
+    assert all(type(v) is int for v in (spec.n, spec.q, spec.d))
+    assert json.dumps(spec.describe()) == '{"family": "hamming", "n": 4, "q": 2, "d": 1}'
+    assert hamming_spectrum(spec).to_json() == hamming_spectrum(HammingGraphSpec(4, 2, 1)).to_json()
 
 
 def test_composition_spec_basics():
