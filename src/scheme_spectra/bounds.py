@@ -78,6 +78,9 @@ class LPSolution:
     coefficients: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # a float n, q or d would leak into the objective and the JSON
+        for name in ("n", "q", "d"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         object.__setattr__(
             self, "coefficients", tuple(operator.index(c) for c in self.coefficients)
         )

@@ -72,7 +72,12 @@ class IrrationalEigenvalue(SchemeSpectraError, ValueError):
 
 
 class PrecisionEscalationError(SchemeSpectraError, ArithmeticError):
-    """Two distinct values stayed inseparable after the maximum precision raise."""
+    """A fixed-point sign sum failed to decide a nonzero real value.
+
+    An internal invariant: the precision of the sum is chosen in advance
+    from the norm bound, which proves the sum always decides, so this is
+    raised only if that proof or its arithmetic is broken.
+    """
 
 
 class NotOrthogonal(SchemeSpectraError):

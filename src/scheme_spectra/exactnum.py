@@ -3,9 +3,9 @@
 Unbounded integers are plain Python ``int`` and exact rationals are
 ``fractions.Fraction``; the standard library already makes both exact, so
 this module only supplies what it lacks: the ring of cyclotomic integers
-Z[zeta_m] with a canonical normal form, a complex embedding carrying a
-declared error bound, and the handful of counting functions the rest of
-the library leans on.
+Z[zeta_m] with a canonical normal form, the exact sign of its real
+elements, a complex embedding carrying a declared error bound, and the
+handful of counting functions the rest of the library leans on.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import DomainError, OrderMismatch, SumMismatch
+from .errors import DomainError, OrderMismatch, PrecisionEscalationError, SumMismatch
 
 #: Default mantissa size (bits) for complex embeddings.
 DEFAULT_EMBED_BITS = 80
@@ -278,6 +278,69 @@ class CycInt:
         declared = (len(self._coeffs) + 1) * scale * _PER_OP_ERROR
         declared *= 2.0 ** (DEFAULT_EMBED_BITS - bits)
         return ComplexApprox(re, im, declared)
+
+
+@lru_cache(maxsize=None)
+def _cos_table(m: int, bits: int) -> tuple[int, ...]:
+    # T[k] with |T[k] - 2**bits * cos(2*pi*k/m)| < 2 for k = 0..deg-1: the
+    # floor of 2**bits times the lower end of an mpmath interval narrower
+    # than 2**-bits (floor error < 1, interval error < 1).
+    from mpmath import iv
+
+    saved = iv.prec
+    iv.prec = bits + 32
+    try:
+        table = []
+        for k in range(len(_reduction_rows(m)[0])):
+            lo, hi = (_dyadic(end) for end in iv.cos(iv.pi * (2 * k) / m)._mpi_)
+            assert (hi - lo) * 2**bits < 1, f"cos(2*pi*{k}/{m}) interval too wide"
+            table.append(math.floor(lo * 2**bits))
+    finally:
+        iv.prec = saved
+    return tuple(table)
+
+
+def _dyadic(value: tuple) -> Fraction:
+    # The exact value of a finite mpmath mpf tuple (sign, mantissa, exponent, bits).
+    sign, man, exp, bc = value
+    if bc < 0:
+        raise ArithmeticError("interval end point is not finite")
+    out = Fraction(int(man)) * Fraction(2) ** exp
+    return -out if sign else out
+
+
+def _real_sign(value: CycInt) -> int:
+    """The exact sign (-1, 0 or 1) of a real cyclotomic integer.
+
+    With power-basis coefficients c_k, deg = len(c) and L = sum |c_k|, the
+    value is sum c_k cos(2*pi*k/m).  One integer sum S = sum c_k T_k over
+    the fixed-point table of :func:`_cos_table` at B bits satisfies
+    |S - 2**B * value| < 2L.
+
+    B is chosen a priori so that S decides.  A nonzero alpha in Z[zeta_m]
+    has a norm, the product of its deg Galois conjugates, that is a
+    nonzero integer, and each conjugate has modulus at most L.  So
+    |alpha| >= L**-(deg - 1).  With B >= deg * bitlen(L) + 2 we have
+    2**B > 4 * L**deg, hence 2**B * |alpha| > 4L and |S| > 2L with the
+    sign of alpha.  B is rounded up to a multiple of 64 so that the tables
+    are shared between values of similar size.
+
+    |S| <= 2L therefore cannot happen for a nonzero real value; it raises
+    PrecisionEscalationError as an internal invariant.  The value must be
+    real: for a non-real one S carries no such guarantee.
+    """
+    coeffs = value.coeffs
+    size = sum(abs(c) for c in coeffs)
+    if not size:
+        return 0
+    bits = -(-(len(coeffs) * size.bit_length() + 2) // 64) * 64
+    table = _cos_table(value.order, bits)
+    total = sum(c * t for c, t in zip(coeffs, table) if c)
+    if abs(total) <= 2 * size:
+        raise PrecisionEscalationError(
+            f"fixed-point sum {total} at {bits} bits does not decide the sign of {value!r}"
+        )
+    return 1 if total > 0 else -1
 
 
 @dataclass(frozen=True)

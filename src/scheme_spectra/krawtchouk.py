@@ -37,6 +37,8 @@ CIRCULANT_MAX_Q = 7
 
 def kraw(n: int, q: int, i: int, j: int) -> int:
     """Classical Krawtchouk value  sum_k (-1)^k (q-1)^(i-k) C(j,k) C(n-j,i-k)."""
+    # a float would turn the "exact" value into a float
+    n, q, i, j = operator.index(n), operator.index(q), operator.index(i), operator.index(j)
     if n < 1 or q < 2:
         raise DomainError(f"need n >= 1 and q >= 2, got n={n}, q={q}")
     if not (0 <= i <= n and 0 <= j <= n):

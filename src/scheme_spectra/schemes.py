@@ -22,11 +22,10 @@ from .errors import (
     IrrationalEigenvalue,
     NoNegativeEigenvalue,
     NonRealEigenvalue,
-    PrecisionEscalationError,
     RangeError,
     SizeExceeded,
 )
-from .exactnum import DEFAULT_EMBED_BITS, CycInt, binom, multinom
+from .exactnum import CycInt, _real_sign, binom, multinom
 from .groups import (
     Composition,
     GroupSpec,
@@ -37,9 +36,6 @@ from .groups import (
     word_char_value,
 )
 from .krawtchouk import _gen_kraw_column, _shell_sizes, gen_kraw, kraw, kraw_column
-
-#: Precision-escalation schedule: how many times the mantissa doubles.
-MAX_PRECISION_DOUBLINGS = 4
 
 #: Vertex-count cap for the dense projector check.
 PROJECTOR_MAX_VERTICES = 81
@@ -256,22 +252,15 @@ def _require_real(value: CycInt) -> None:
 
 def _less_than(a: int | CycInt, b: int | CycInt) -> bool:
     """Exact a < b for real cyclotomic values: the sign of the exact
-    difference, read from an embedding whose precision doubles as needed."""
+    difference, read directly when it is a rational integer and from one
+    fixed-point sum (:func:`exactnum._real_sign`) when it is not."""
     if isinstance(a, int) and isinstance(b, int):
         return a < b
     diff = a - b
-    if diff.is_zero():
-        return False
-    bits = DEFAULT_EMBED_BITS
-    for _ in range(MAX_PRECISION_DOUBLINGS + 1):
-        approx = diff.embed(bits)
-        if abs(approx.real) > 2.0 * approx.precision:
-            return approx.real < 0
-        bits *= 2
-    raise PrecisionEscalationError(
-        f"could not separate {a!r} and {b!r} after "
-        f"{MAX_PRECISION_DOUBLINGS} precision doublings"
-    )
+    exact = diff.as_integer()
+    if exact is not None:
+        return exact < 0
+    return _real_sign(diff) < 0
 
 
 def _extreme(
@@ -295,9 +284,10 @@ def _extreme(
 def min_eigenvalue(spectrum: Spectrum) -> tuple[int | CycInt, int | Composition]:
     """The least eigenvalue and the first shell (in entry order) attaining it.
 
-    Integer-certified values compare exactly; irrational real values are
-    ordered through embeddings whose precision doubles until the ordering
-    is unambiguous.  Non-real values (directed-graph misuse) are refused.
+    Every comparison is exact: integer values compare as ints, and an
+    irrational real difference takes its sign from one integer sum at a
+    precision fixed in advance by the norm bound, so no comparison can be
+    left undecided.  Non-real values (directed-graph misuse) are refused.
     """
     return _extreme(spectrum, _less_than)
 

@@ -204,6 +204,16 @@ def test_lp_solution_takes_only_integral_coefficients():
     assert all(type(c) is int for c in sol.coefficients)
 
 
+def test_lp_solution_takes_only_integral_parameters():
+    # a float q gave "q": 2.0 and "objective": "4.0" in the JSON
+    for args in ((4.0, 2, 2), (4, 2.0, 2), (4, 2, 2.0), (4, 2, Fraction(2))):
+        with pytest.raises(TypeError):
+            LPSolution(*args, (0, 1, 0, 0, 0))
+    sol = LPSolution(np.int64(4), np.int8(2), np.uint8(2), (0, 1, 0, 0, 0))
+    assert sol.to_json() == LPSolution(4, 2, 2, (0, 1, 0, 0, 0)).to_json()
+    assert all(type(v) is int for v in (sol.n, sol.q, sol.d))
+
+
 # ---------------------------------------------------------------------------
 # representations
 

@@ -461,7 +461,7 @@ _DEFERRED_CASES = [
         id="represent-vacuous-sample",
     ),
     pytest.param(("verify", "--suite", "projectors", "--max-n", "2"), "numpy", id="verify-projectors"),
-    # the least eigenvalue is irrational, so comparing it needs an embedding
+    # the least eigenvalue is irrational, so ordering it builds the cosine table
     pytest.param(
         ("bounds", "--family", "composition", "--q", "5", "--n", "4", "--comp", "2,1,0,0,1"),
         "mpmath",

@@ -12,12 +12,15 @@ from scheme_spectra import (
     CycInt,
     DomainError,
     OrderMismatch,
+    PrecisionEscalationError,
     SumMismatch,
     binom,
     cyclotomic_polynomial,
     entropy_q,
     multinom,
 )
+from scheme_spectra import exactnum
+from scheme_spectra.exactnum import _cos_table, _real_sign
 
 # ---------------------------------------------------------------------------
 # binomial / multinomial against independent oracles
@@ -279,6 +282,49 @@ def test_embed_precision_shrinks_with_bits():
     fine = v.embed(bits=200)
     assert fine.precision < coarse.precision
     assert abs(coarse.real - fine.real) <= coarse.precision + fine.precision
+
+
+# ---------------------------------------------------------------------------
+# exact signs of real values
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 8, 12, 15])
+@pytest.mark.parametrize("bits", [64, 128, 1024])
+def test_cos_table_is_within_two_units(m, bits):
+    import mpmath
+
+    before = mpmath.iv.prec
+    table = _cos_table.__wrapped__(m, bits)  # built afresh, not from the cache
+    # the table's precision is local; mpmath's global state is left alone
+    assert mpmath.iv.prec == before
+    assert table == _cos_table(m, bits)
+    assert len(table) == len(cyclotomic_polynomial(m)) - 1
+    with mpmath.workprec(4 * bits):
+        for k, entry in enumerate(table):
+            exact = mpmath.ldexp(mpmath.cos(2 * mpmath.pi * k / m), bits)
+            assert abs(entry - exact) < 2
+
+
+def test_real_sign_of_small_values():
+    golden = -CycInt(5, (0, 0, 1, 1))  # 1.618...
+    assert _real_sign(golden) == 1
+    assert _real_sign(-golden) == -1
+    assert _real_sign(golden - 1) == 1  # 0.618...
+    assert _real_sign(golden - 2) == -1
+    assert _real_sign(CycInt(5)) == 0
+    assert _real_sign(CycInt(12, (7,))) == 1
+    sqrt2 = CycInt(8, (0, 1, 0, -1))
+    assert _real_sign(sqrt2 * sqrt2 - 2) == 0
+    assert _real_sign(99 * sqrt2 - 140) == 1  # 140.0071...
+    assert _real_sign(70 * sqrt2 - 99) == -1  # 98.9949...
+
+
+def test_a_broken_cos_table_trips_the_invariant(monkeypatch):
+    # the a-priori precision makes |S| > 2L a theorem; a table that breaks
+    # it must raise rather than hand back a guessed sign
+    monkeypatch.setattr(exactnum, "_cos_table", lambda m, bits: (0,) * 4)
+    with pytest.raises(PrecisionEscalationError):
+        _real_sign(CycInt(5, (0, 0, 1, 1)))
 
 
 # ---------------------------------------------------------------------------

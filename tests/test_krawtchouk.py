@@ -147,8 +147,11 @@ def test_kraw_column_validation_matches_kraw():
         with pytest.raises(TypeError):
             kraw_column(*args)
     # q too, or the column would come out as floats [1, 2.0, 0.0, -2.0, -1.0]
+    # and kraw(4, 2.0, 1, 1) as 2.0
     with pytest.raises(TypeError):
         kraw_column(4, 2.0, 1)
+    with pytest.raises(TypeError):
+        kraw(4, 2.0, 1, 1)
     # and an integer-like q (numpy, bool) is read as a Python int, so the
     # values stay exact where int64 would wrap
     column = kraw_column(60, np.int64(3), 1)

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scheme_spectra import (
     Composition,
@@ -367,15 +369,20 @@ def _numeric(value):
     return sum(c * cmath.exp(2j * cmath.pi * k / m) for k, c in enumerate(value.coeffs)).real
 
 
-def _first_extreme(sp, sign):
+def _float_extreme(sp, sign):
     # Independent of _less_than: order by a float embedding (the values
     # here are far apart), then take the first entry exactly equal to it.
     values = [e.eigenvalue for e in sp.entries]
     keys = [sign * _numeric(v) for v in values]
     best = values[keys.index(min(keys))]
     ties = [i for i, v in enumerate(values) if v == best]
-    assert len(ties) > 1
-    return best, sp.entries[ties[0]].label
+    return best, sp.entries[ties[0]].label, len(ties)
+
+
+def _first_extreme(sp, sign):
+    best, label, ties = _float_extreme(sp, sign)
+    assert ties > 1
+    return best, label
 
 
 @pytest.mark.parametrize(
@@ -479,6 +486,108 @@ def test_irrational_value_orders_against_a_close_integer_above_2_53():
     near = CycInt(5, [10**20, 1, 0, 0, 1])
     assert _less_than(near, 10**20 + 1) is True
     assert _less_than(10**20 + 1, near) is False
+
+
+def _fibonacci(count):
+    fib = [0, 1]
+    while len(fib) < count:
+        fib.append(fib[-1] + fib[-2])
+    return fib
+
+
+_FIB = _fibonacci(2003)
+
+
+@pytest.mark.parametrize("k", [*range(1, 61), 200, 701, 1000, 1001, 1500, 2000, 2001])
+def test_fibonacci_near_ties_in_q_zeta_5(k):
+    # zeta^2 + zeta^3 = -phi, so F(k+1) + F(k)(zeta^2 + zeta^3) = psi^k with
+    # psi = (1 - sqrt 5)/2: a value of size 0.618^k, sign (-1)^k, whose
+    # coefficients grow like phi^k
+    alpha = CycInt(5, (_FIB[k + 1], 0, _FIB[k], _FIB[k]))
+    assert _less_than(alpha, 0) is (k % 2 == 1)
+    assert _less_than(0, alpha) is (k % 2 == 0)
+
+
+def test_pell_near_ties_in_q_zeta_8():
+    # zeta - zeta^3 = sqrt 2 in Q(zeta_8); with a + b sqrt 2 = (1 + sqrt 2)^k,
+    # a - b sqrt 2 = (1 - sqrt 2)^k has sign (-1)^k
+    a, b = 1, 0
+    for k in range(1, 1501):
+        a, b = a + 2 * b, a + b
+        alpha = CycInt(8, (a, -b, 0, b))
+        assert _less_than(alpha, 0) is (k % 2 == 1), k
+        assert _less_than(0, alpha) is (k % 2 == 0), k
+
+
+def _mp_floor(alpha):
+    # Test-only oracle: the floor of a real alpha from mpmath at four times
+    # the bits _real_sign would use, far below its distance to any integer.
+    import mpmath
+
+    exact = alpha.as_integer()
+    if exact is not None:
+        return exact
+    coeffs = alpha.coeffs
+    bits = 4 * (len(coeffs) * sum(abs(c) for c in coeffs).bit_length() + 2)
+    with mpmath.workprec(bits):
+        value = mpmath.fsum(
+            c * mpmath.cospi(mpmath.mpf(2 * k) / alpha.order) for k, c in enumerate(coeffs)
+        )
+        return int(mpmath.floor(value))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([7, 12]),
+    st.lists(st.integers(min_value=-(2**200), max_value=2**200), min_size=12, max_size=12),
+)
+def test_real_values_order_exactly_against_their_floor(m, coeffs):
+    beta = CycInt(m, coeffs)
+    alpha = beta + beta.conjugate()
+    floor = _mp_floor(alpha)
+    assert _less_than(alpha, floor) is False
+    assert _less_than(floor, alpha) is (alpha != floor)
+    assert _less_than(alpha, floor + 1) is True
+    assert _less_than(floor + 1, alpha) is False
+
+
+_IRRATIONAL_SPECTRA = [
+    (5, (1, 1, 0, 0, 1)),
+    (7, (0, 1, 0, 0, 0, 0, 1)),
+    (8, (1, 1, 0, 0, 0, 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("q, dcomp", _IRRATIONAL_SPECTRA, ids=["z5", "z7", "z8"])
+def test_extremes_make_no_numerical_embedding(q, dcomp, monkeypatch):
+    sp = composition_spectrum(CompositionGraphSpec(cyclic(q), sum(dcomp), Composition(dcomp)))
+    assert any(isinstance(e.eigenvalue, CycInt) for e in sp.entries)
+    expected = (_float_extreme(sp, 1)[:2], _float_extreme(sp, -1)[:2])
+
+    def refuse(self, bits=80):
+        raise AssertionError("extremes must not embed")
+
+    monkeypatch.setattr(CycInt, "embed", refuse)
+    assert (min_eigenvalue(sp), max_eigenvalue(sp)) == expected
+
+
+def _undirected_grid():
+    for q, max_n in ((5, 6), (7, 4), (8, 4), (10, 3), (12, 3)):
+        for n in range(1, max_n + 1):
+            for dcomp in enumerate_compositions(q, n):
+                spec = CompositionGraphSpec(cyclic(q), n, dcomp)
+                if spec.undirected:
+                    yield spec
+
+
+def test_extremes_match_the_float_order_on_the_undirected_grid():
+    irrational = 0
+    for spec in _undirected_grid():
+        sp = composition_spectrum(spec)
+        irrational += any(isinstance(e.eigenvalue, CycInt) for e in sp.entries)
+        assert min_eigenvalue(sp) == _float_extreme(sp, 1)[:2], spec
+        assert max_eigenvalue(sp) == _float_extreme(sp, -1)[:2], spec
+    assert irrational > 30
 
 
 def test_hoffman_bound_values():
