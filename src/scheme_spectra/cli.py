@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bounds import (
+    REPRESENTATION_MAX_ROWS,
     _check_sample,
     bound_report,
     build_representation,
@@ -245,6 +246,8 @@ def _check_hadamard_representations(max_n: int) -> tuple[str, list[str]]:
     for q, make in ((2, cyclic), (3, cyclic), (4, finite_field)):
         group = make(q)
         for n in range(q, max_n + 1, q):
+            if q**n > REPRESENTATION_MAX_ROWS:
+                break
             spec = CompositionGraphSpec(group, n, Composition.balanced(q, n))
             try:
                 verify_representation(hadamard_representation(group, n), spec)
@@ -401,14 +404,12 @@ def _table_exact(max_n: int, qs: tuple[int, ...], out) -> None:
                 out.write(",".join("" if v is None else str(v) for v in row) + "\n")
 
 
+_TABLES = {"1.1": _table_upper, "1.2": _table_lower, "1.3": _table_exact}
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
     max_n, qs = _parse_grid(args.grid)
-    if args.theorem == "1.1":
-        _table_upper(max_n, qs, sys.stdout)
-    elif args.theorem == "1.2":
-        _table_lower(max_n, qs, sys.stdout)
-    else:
-        _table_exact(max_n, qs, sys.stdout)
+    _TABLES[args.theorem](max_n, qs, sys.stdout)
     return 0
 
 
@@ -451,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_probe)
 
     p = sub.add_parser("table", help="tabulate a bound family over a grid")
-    p.add_argument("--theorem", choices=("1.1", "1.2", "1.3"), required=True,
+    p.add_argument("--theorem", choices=tuple(_TABLES), required=True,
                    help="1.1 upper bounds, 1.2 spectral lower bounds, 1.3 balanced exact values")
     p.add_argument("--grid", required=True, help="like 'n<=10,q in {2,3}'")
     p.set_defaults(fn=_cmd_table)

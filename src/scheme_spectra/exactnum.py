@@ -4,8 +4,8 @@ Unbounded integers are plain Python ``int`` and exact rationals are
 ``fractions.Fraction``; the standard library already makes both exact, so
 this module only supplies what it lacks: the ring of cyclotomic integers
 Z[zeta_m] with a canonical normal form, the exact sign of its real
-elements, a complex embedding carrying a declared error bound, and the
-handful of counting functions the rest of the library leans on.
+elements, a complex embedding with a proven error bound, and the handful
+of counting functions the rest of the library leans on.
 """
 
 from __future__ import annotations
@@ -18,13 +18,8 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError, OrderMismatch, PrecisionEscalationError, SumMismatch
 
-#: Default mantissa size (bits) for complex embeddings.
+#: Default fixed-point precision (bits) for complex embeddings.
 DEFAULT_EMBED_BITS = 80
-
-# Declared per-operation rounding error at the default mantissa size.  The
-# true 80-bit error is far smaller; the declared bound is deliberately
-# conservative and scales by 2**(80 - bits) when precision is raised.
-_PER_OP_ERROR = 1e-12
 
 
 def _exact_poly_div(num: list[int], den: Sequence[int]) -> list[int]:
@@ -259,41 +254,45 @@ class CycInt:
     # -- embedding ----------------------------------------------------
 
     def embed(self, bits: int = DEFAULT_EMBED_BITS) -> ComplexApprox:
-        """Numerical value at zeta_m = exp(2*pi*i/m), with a declared bound.
+        """Numerical value at zeta_m = exp(2*pi*i/m), with a proven bound.
 
-        The ``precision`` field of the result bounds the distance to the
-        true complex value; it shrinks as ``bits`` grows.
+        With L = sum |c_k|, the sums S = sum c_k T_k over the cosine and sine
+        tables of :func:`_cos_table` are within 2L of 2**bits times the real and
+        imaginary parts; ``real`` and ``imag`` are S / 2**bits correctly rounded.
+        ``precision``, 4L / 2**bits plus both rounding errors (exact, rounded up),
+        bounds |d real| + |d imag| and levels off at the value's float resolution.
         """
-        import mpmath
-
-        m = self._order
-        with mpmath.workprec(bits):
-            total = mpmath.mpc(0)
-            for i, c in enumerate(self._coeffs):
-                if c:
-                    total += c * mpmath.expjpi(mpmath.mpf(2 * i) / m)
-            re = float(total.real)
-            im = float(total.imag)
-        scale = sum(abs(c) for c in self._coeffs) + 1
-        declared = (len(self._coeffs) + 1) * scale * _PER_OP_ERROR
-        declared *= 2.0 ** (DEFAULT_EMBED_BITS - bits)
-        return ComplexApprox(re, im, declared)
+        if bits < 1:
+            raise DomainError(f"embedding needs bits >= 1, got {bits}")
+        scale = 1 << bits
+        bound = Fraction(4 * sum(map(abs, self._coeffs)), scale)
+        parts = []
+        for sine in (False, True):
+            total = sum(c * t for c, t in zip(self._coeffs, _cos_table(self._order, bits, sine)))
+            parts.append(total / scale)  # int / int is correctly rounded
+            bound += abs(Fraction(parts[-1]) - Fraction(total, scale))
+        precision = float(bound)
+        if precision < bound:
+            precision = math.nextafter(precision, math.inf)
+        return ComplexApprox(*parts, precision)
 
 
 @lru_cache(maxsize=None)
-def _cos_table(m: int, bits: int) -> tuple[int, ...]:
-    # T[k] with |T[k] - 2**bits * cos(2*pi*k/m)| < 2 for k = 0..deg-1: the
-    # floor of 2**bits times the lower end of an mpmath interval narrower
-    # than 2**-bits (floor error < 1, interval error < 1).
+def _cos_table(m: int, bits: int, sine: bool = False) -> tuple[int, ...]:
+    # T[k] with |T[k] - 2**bits * cos(2*pi*k/m)| < 2 (sin if ``sine``), k < deg:
+    # the floor of 2**bits times the lower end of an mpmath interval narrower
+    # than 2**-bits (floor error < 1, interval error < 1; a raise checks it).
     from mpmath import iv
 
+    trig = iv.sin if sine else iv.cos
     saved = iv.prec
     iv.prec = bits + 32
     try:
         table = []
         for k in range(len(_reduction_rows(m)[0])):
-            lo, hi = (_dyadic(end) for end in iv.cos(iv.pi * (2 * k) / m)._mpi_)
-            assert (hi - lo) * 2**bits < 1, f"cos(2*pi*{k}/{m}) interval too wide"
+            lo, hi = (_dyadic(end) for end in trig(iv.pi * (2 * k) / m)._mpi_)
+            if (hi - lo) * 2**bits >= 1:
+                raise ArithmeticError(f"interval at 2*pi*{k}/{m} is too wide")
             table.append(math.floor(lo * 2**bits))
     finally:
         iv.prec = saved
@@ -345,7 +344,7 @@ def _real_sign(value: CycInt) -> int:
 
 @dataclass(frozen=True)
 class ComplexApprox:
-    """A complex value together with a declared absolute error bound."""
+    """A complex value together with an absolute error bound."""
 
     real: float
     imag: float

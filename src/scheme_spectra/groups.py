@@ -11,6 +11,7 @@ integers of order q (cyclic case) or of the characteristic p (field case).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -26,7 +27,7 @@ class Composition:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        object.__setattr__(self, "counts", tuple(map(operator.index, self.counts)))
         if any(c < 0 for c in self.counts):
             raise BadLabel(f"negative count in composition {self.counts}")
 

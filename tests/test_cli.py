@@ -243,6 +243,18 @@ def test_verify_rejects_a_vacuous_max_n(capsys):
         )
 
 
+def test_verify_stops_each_hadamard_alphabet_at_the_row_cap(capsys):
+    # GF(4) at n = 12 would have 4**12 rows, over REPRESENTATION_MAX_ROWS; the
+    # suite checks n = 4 and 8 there, and 2..12 for q = 2 and 3..12 for q = 3
+    assert run(capsys, "verify", "--suite", "representations", "--max-n", "12") == (
+        0,
+        "ok - lp representations over 55 graphs\n"
+        "ok - hadamard representations on 12 graphs\n"
+        "all checks passed (representations)\n",
+        "",
+    )
+
+
 def test_verify_composition_line_ignores_classical_failures(capsys, monkeypatch):
     real_kraw = cli.kraw
 

@@ -55,6 +55,18 @@ def test_composition_rejects_negative_counts():
         Composition((2, -1, 1))
 
 
+def test_composition_counts_must_be_integers():
+    # a float count used to be truncated: (1.7, 0.3) became (1, 0)
+    for counts in ((1.7, 0.3), (2.0, 1), ("1", "2")):
+        with pytest.raises(TypeError):
+            Composition(counts)
+    import numpy as np
+
+    label = Composition((True, np.int64(3), 0))
+    assert label.counts == (1, 3, 0)
+    assert all(type(c) is int for c in label.counts)
+
+
 def test_cyclic_shifts():
     c = Composition((3, 1, 0, 0, 1))
     assert tuple(c.shift_left()) == (1, 0, 0, 1, 3)
