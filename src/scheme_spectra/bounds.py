@@ -686,6 +686,7 @@ def conjecture_probe(q: int, n: int) -> ProbeVerdict:
     probe computes the full spectrum and reports whether anything lies
     below it.  Odd (q-1)n/q is reported as not applicable.
     """
+    q, n = operator.index(q), operator.index(n)
     if q < 2:
         raise DomainError(f"need q >= 2, got q={q}")
     if n % q:

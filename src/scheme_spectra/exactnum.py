@@ -73,6 +73,15 @@ def _reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _fold_table(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # table[e] = the nonzero (k, coefficient) pairs of zeta^e in the power
+    # basis, e < m: the rows of _reduction_rows(m) with their zeros dropped.
+    return tuple(
+        tuple((k, c) for k, c in enumerate(row) if c) for row in _reduction_rows(m)[:m]
+    )
+
+
 class CycInt:
     """A cyclotomic integer: an element of Z[zeta_m] in canonical form.
 
@@ -88,18 +97,12 @@ class CycInt:
     def __init__(self, order: int, coeffs: Iterable[int] = ()):  # noqa: D107
         if order < 1:
             raise DomainError(f"root order must be >= 1, got {order}")
-        rows = _reduction_rows(order)
-        deg = len(rows[0])
-        folded = [0] * order
+        table = _fold_table(order)
+        acc = [0] * len(_reduction_rows(order)[0])
         for e, c in enumerate(coeffs):
             if c:
-                folded[e % order] += c
-        acc = [0] * deg
-        for e, c in enumerate(folded):
-            if c:
-                row = rows[e]
-                for k in range(deg):
-                    acc[k] += c * row[k]
+                for k, r in table[e % order]:
+                    acc[k] += c * r
         self._order = order
         self._coeffs = tuple(acc)
 
@@ -110,13 +113,17 @@ class CycInt:
         return cls(order, (value,))
 
     @classmethod
+    def _canonical(cls, order: int, coeffs: tuple[int, ...]) -> CycInt:
+        # Wrap coefficients that are already in canonical form, unfolded.
+        out = cls.__new__(cls)
+        out._order = order
+        out._coeffs = coeffs
+        return out
+
+    @classmethod
     def root_of_unity(cls, order: int, power: int = 1) -> CycInt:
         """zeta_m^power as a canonical ring element."""
-        out = cls.__new__(cls)
-        rows = _reduction_rows(order)
-        out._order = order
-        out._coeffs = rows[power % order]
-        return out
+        return cls._canonical(order, _reduction_rows(order)[power % order])
 
     @classmethod
     def from_root_powers(cls, order: int, counts: Sequence[int]) -> CycInt:
@@ -168,18 +175,13 @@ class CycInt:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out = CycInt.__new__(CycInt)
-        out._order = self._order
-        out._coeffs = tuple(a + b for a, b in zip(self._coeffs, rhs._coeffs))
-        return out
+        coeffs = tuple(a + b for a, b in zip(self._coeffs, rhs._coeffs))
+        return CycInt._canonical(self._order, coeffs)
 
     __radd__ = __add__
 
     def __neg__(self) -> CycInt:
-        out = CycInt.__new__(CycInt)
-        out._order = self._order
-        out._coeffs = tuple(-a for a in self._coeffs)
-        return out
+        return CycInt._canonical(self._order, tuple(-a for a in self._coeffs))
 
     def __sub__(self, other: CycInt | int) -> CycInt:
         rhs = self._coerce(other)
@@ -192,10 +194,7 @@ class CycInt:
 
     def __mul__(self, other: CycInt | int) -> CycInt:
         if isinstance(other, int):
-            out = CycInt.__new__(CycInt)
-            out._order = self._order
-            out._coeffs = tuple(a * other for a in self._coeffs)
-            return out
+            return CycInt._canonical(self._order, tuple(a * other for a in self._coeffs))
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented

@@ -32,6 +32,13 @@ class Composition:
             raise BadLabel(f"negative count in composition {self.counts}")
 
     @classmethod
+    def _trusted(cls, counts: tuple[int, ...]) -> Composition:
+        # Wrap a tuple of nonnegative ints without re-validating it.
+        out = cls.__new__(cls)
+        object.__setattr__(out, "counts", counts)
+        return out
+
+    @classmethod
     def balanced(cls, q: int, n: int) -> Composition:
         """The composition (n/q, ..., n/q); requires q to divide n."""
         if n % q:

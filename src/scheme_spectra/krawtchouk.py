@@ -5,7 +5,9 @@ graph on the weight-j character shell.  Its composition refinement
 replaces weights by full occurrence-count vectors and takes values in a
 cyclotomic integer ring.  Whole columns (one argument, every index) come
 from one pass each: the three-term recurrence for the classical values,
-one expansion of a product of linear forms for the refined ones.  Three
+one expansion of a product of linear forms for the refined ones, whose
+sorted monomial keys give the composition labels in colexicographic
+order and whose coefficient count totals give the shell sizes.  Three
 independent per-value routes stay as oracles (direct character sums,
 coefficient extraction from the same product, and — for balanced
 generators over Z_q — extraction from a power of a circulant
@@ -29,7 +31,7 @@ from .errors import (
     UnsupportedSize,
 )
 from .exactnum import CycInt, binom, multinom
-from .groups import Composition, GroupSpec, enumerate_compositions, enumerate_shell
+from .groups import Composition, GroupSpec, enumerate_shell
 
 #: Largest alphabet for which the circulant determinant is expanded exactly.
 CIRCULANT_MAX_Q = 7
@@ -189,20 +191,29 @@ def _gen_kraw_extraction(group: GroupSpec, n: int, i: Composition, j: Compositio
     return CycInt.from_root_powers(m, final)
 
 
-def _gen_kraw_column(group: GroupSpec, n: int, x: Composition) -> list[tuple[Composition, CycInt]]:
-    # K_j(x) for every composition j of n, in colexicographic order: the
-    # z^j coefficients of prod_h (sum_g phi_h(g) z_g)^(x_h), expanded once
-    # (the extraction route reads one coefficient of this product per
-    # call).  The monomial z^c is keyed by sum_g c_g (n+1)^g, so
-    # multiplying by z_g adds (n+1)^g.  A coefficient lives in the group
+def _gen_kraw_column(
+    group: GroupSpec, n: int, x: Composition
+) -> list[tuple[Composition, CycInt, int]]:
+    # (j, K_j(x), multinom(n, j)) for every composition j of n, in
+    # colexicographic order: the z^j coefficients of
+    # prod_h (sum_g phi_h(g) z_g)^(x_h), expanded once (the extraction
+    # route reads one coefficient of this product per call).  The monomial
+    # z^c is keyed by sum_g c_g (n+1)^g, so multiplying by z_g adds
+    # (n+1)^g, and since every c_g <= n the keys are base-(n+1) numerals
+    # with c_(q-1) most significant: ascending keys are colex order, and
+    # each label is decoded from its key.  A coefficient lives in the group
     # ring Z[Z_m]: m nonnegative counts packed into one int, `width` bits
     # each, where multiplying by zeta^e rotates the fields by e.  The
     # counts of all monomials add up to q^(copies so far) <= q^n, so no
-    # field ever carries into the next.
+    # field ever carries into the next.  At zeta = 1 the product is
+    # (sum_g z_g)^n, so the counts of z^j add up to its shell size
+    # multinom(n, j); and since no count can cancel, every composition
+    # occurs as a key.
     m, q = group.char_order, group.order
     width = (q**n).bit_length()
     full = (1 << (m * width)) - 1
-    keys = [(n + 1) ** g for g in range(q)]
+    base = n + 1
+    keys = [base**g for g in range(q)]
     poly = {0: 1}
     for h, copies in enumerate(tuple(x)):
         moves = []
@@ -217,12 +228,21 @@ def _gen_kraw_column(group: GroupSpec, n: int, x: Composition) -> list[tuple[Com
                     dest = key + step
                     nxt[dest] = get(dest, 0) + (((packed << up) & full) | (packed >> down))
             poly = nxt
+    if len(poly) != math.comb(n + q - 1, q - 1):
+        raise ArithmeticError(
+            f"expansion has {len(poly)} monomials, expected one per composition of n={n}"
+        )
     mask = (1 << width) - 1
+    shifts = range(0, m * width, width)
     out = []
-    for j in enumerate_compositions(q, n):
-        packed = poly.get(sum(c * k for c, k in zip(j, keys)), 0)
-        counts = [(packed >> (e * width)) & mask for e in range(m)]
-        out.append((j, CycInt.from_root_powers(m, counts)))
+    for key in sorted(poly):
+        packed = poly[key]
+        counts = [(packed >> s) & mask for s in shifts]
+        label = []
+        for _ in range(q):
+            key, c = divmod(key, base)
+            label.append(c)
+        out.append((Composition._trusted(tuple(label)), CycInt(m, counts), sum(counts)))
     return out
 
 

@@ -41,8 +41,10 @@ from .krawtchouk import _gen_kraw_column, _shell_sizes, gen_kraw, kraw, kraw_col
 PROJECTOR_MAX_VERTICES = 81
 
 #: Work cap for a composition spectrum: shells x n x q x (root order), which
-#: tracks the run time of the generating-product expansion at about 34-64 ns
-#: per unit on a 2-core host, so the cap stands for about 8-16 s.
+#: tracks the run time of the generating-product expansion and its read-out
+#: at about 24-85 ns per unit on a 2-core host over Z_3..Z_7, GF(4) and
+#: GF(8), so the cap stands for about 6-21 s.  Binary words at large n cost
+#: more per unit (about 190 ns at n = 2000, with 2000-bit packed counts).
 COMPOSITION_MAX_WORK = 250_000_000
 
 
@@ -90,6 +92,8 @@ class CompositionGraphSpec:
     dcomp: Composition
 
     def __post_init__(self) -> None:
+        # as for HammingGraphSpec: refuse a float n, store a bool as an int
+        object.__setattr__(self, "n", operator.index(self.n))
         if self.n < 1:
             raise DomainError(f"need n >= 1, got n={self.n}")
         counts = tuple(self.dcomp)
@@ -196,6 +200,8 @@ def _hamming_eigenvalues(
 def _rescale(value: CycInt, num: int, den: int) -> int | CycInt:
     # value * num / den, coefficient by coefficient: exact whenever the
     # result is a cyclotomic integer, because the power basis is integral.
+    # A rational multiple of a canonical coefficient vector is canonical,
+    # so the quotients need no second fold.
     coeffs = []
     for c in value.coeffs:
         quo, rem = divmod(c * num, den)
@@ -203,7 +209,7 @@ def _rescale(value: CycInt, num: int, den: int) -> int | CycInt:
             raise ArithmeticError(f"{value!r} * {num} / {den} is not a cyclotomic integer")
         coeffs.append(quo)
     if any(coeffs[1:]):
-        return CycInt(value.order, coeffs)
+        return CycInt._canonical(value.order, tuple(coeffs))
     return coeffs[0]
 
 
@@ -215,11 +221,14 @@ def composition_spectrum(spec: CompositionGraphSpec) -> Spectrum:
     is rational and a :class:`CycInt` otherwise, and the multiplicity is
     the shell size multinom(n, j).
 
-    The generating product is expanded once, which yields K_j(dcomp) for
-    every shell j, and reciprocity
+    The generating product is expanded once, and every entry is read
+    straight off it: the shell labels come from its sorted monomial keys,
+    K_j(dcomp) from the coefficient of z^j, and the shell size
+    multinom(n, j) from that coefficient's count total.  Reciprocity
     K_dcomp(j) = K_j(dcomp) multinom(n, dcomp) / multinom(n, j) turns
-    that column into the eigenvalues, every division checked.  Per-shell
-    values from :func:`gen_kraw` (either method) are the oracle for it.
+    that column into the eigenvalues, every division still checked.
+    Per-shell values from :func:`gen_kraw` (either method) are the oracle
+    for it.
     Raises SizeExceeded, before expanding anything, when the work estimate
     C(n+q-1, q-1) n q m exceeds :data:`COMPOSITION_MAX_WORK`.
     """
@@ -231,10 +240,10 @@ def composition_spectrum(spec: CompositionGraphSpec) -> Spectrum:
             f"composition spectrum would cost {work} units "
             f"(shells x n x q x root order); cap is {COMPOSITION_MAX_WORK}"
         )
-    entries = []
-    for j, dual in _gen_kraw_column(spec.group, n, spec.dcomp):
-        size = multinom(n, j)
-        entries.append(SpectrumEntry(j, _rescale(dual, degree, size), size))
+    entries = [
+        SpectrumEntry(j, _rescale(dual, degree, size), size)
+        for j, dual, size in _gen_kraw_column(spec.group, n, spec.dcomp)
+    ]
     return Spectrum(spec, tuple(entries), degree, spec.vertex_count)
 
 

@@ -978,6 +978,13 @@ def test_probe_validation():
         conjecture_probe(3, 7)
     with pytest.raises(DomainError):
         conjecture_probe(1, 4)
+    # a float q failed deep inside with "can't multiply sequence by
+    # non-int of type 'float'"
+    for q, n in ((5.0, 10), (3, 6.0)):
+        with pytest.raises(TypeError):
+            conjecture_probe(q, n)
+    probe = conjecture_probe(np.int64(3), np.int64(6))
+    assert json.dumps(probe.to_json()) == json.dumps(conjecture_probe(3, 6).to_json())
 
 
 def test_probe_verdict_is_a_plain_record():

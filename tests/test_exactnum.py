@@ -250,6 +250,42 @@ def test_pow_matches_repeated_multiplication(vals, e):
     assert a**e == expected
 
 
+def _dense_fold(m, coeffs):
+    # The reference normal form: sum_e c_e * (row of zeta^(e mod m)), with
+    # every row of the reduction table read in full.
+    rows = exactnum._reduction_rows(m)
+    acc = [0] * len(rows[0])
+    for e, c in enumerate(coeffs):
+        for k, r in enumerate(rows[e % m]):
+            acc[k] += c * r
+    return tuple(acc)
+
+
+@st.composite
+def long_coeff_lists(draw):
+    m = draw(st.integers(min_value=1, max_value=36))
+    entries = st.one_of(small_ints, st.integers(min_value=-(10**30), max_value=10**30))
+    lists = [draw(st.lists(entries, max_size=2 * m)) for _ in range(2)]
+    return m, lists
+
+
+@settings(max_examples=300, deadline=None)
+@given(long_coeff_lists())
+def test_normal_form_matches_the_dense_fold(case):
+    m, (a, b) = case
+    x, y = CycInt(m, a), CycInt(m, b)
+    assert x.coeffs == _dense_fold(m, a)
+    conj = [0] * m
+    for k, c in enumerate(x.coeffs):
+        conj[-k % m] += c
+    assert x.conjugate().coeffs == _dense_fold(m, conj)
+    conv = [0] * (len(x.coeffs) + len(y.coeffs) - 1)
+    for i, ci in enumerate(x.coeffs):
+        for j, cj in enumerate(y.coeffs):
+            conv[i + j] += ci * cj
+    assert (x * y).coeffs == _dense_fold(m, conv)
+
+
 # ---------------------------------------------------------------------------
 # embeddings
 

@@ -48,7 +48,7 @@ from scheme_spectra import (
     word_sub,
     weight,
 )
-from scheme_spectra import schemes
+from scheme_spectra import krawtchouk, schemes
 from scheme_spectra.schemes import _less_than
 
 # ---------------------------------------------------------------------------
@@ -91,6 +91,21 @@ def test_composition_spec_basics():
     assert not skew.undirected and not skew.balanced
     with pytest.raises(DomainError):
         CompositionGraphSpec(cyclic(3), 4, Composition((1, 1, 1)))
+
+
+def test_composition_spec_takes_only_an_integral_n():
+    # a float n was kept, gave "n": 3.0 in the JSON and a bare TypeError
+    # from math.comb in the spectrum; a bool gave "n": true
+    for n in (3.0, Fraction(3)):
+        with pytest.raises(TypeError):
+            CompositionGraphSpec(cyclic(3), n, Composition((1, 1, 1)))
+    spec = CompositionGraphSpec(cyclic(3), True, Composition((1, 0, 0)))
+    assert type(spec.n) is int
+    assert json.dumps(spec.describe()["n"]) == "1"
+    spec = CompositionGraphSpec(cyclic(3), np.int64(3), Composition((1, 1, 1)))
+    assert type(spec.n) is int
+    plain = CompositionGraphSpec(cyclic(3), 3, Composition((1, 1, 1)))
+    assert composition_spectrum(spec).to_json() == composition_spectrum(plain).to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +260,8 @@ def test_composition_spectrum_matches_per_shell_values(group, n, dcomps):
                 expected = gen_kraw(group, n, spec.dcomp, entry.label, method=method)
                 assert type(value) is type(expected)
                 assert value == expected, (counts, entry.label, method)
+            if isinstance(value, CycInt):
+                assert CycInt(value.order, value.coeffs).coeffs == value.coeffs
             kinds.add(type(value))
         if spec.undirected:
             assert trace_identity_check(sp)
@@ -311,6 +328,16 @@ def test_composition_spectrum_refuses_work_over_the_cap_up_front(monkeypatch):
     monkeypatch.setattr(schemes, "COMPOSITION_MAX_WORK", 539)
     with pytest.raises(SizeExceeded, match="cost 540 units .* cap is 539$"):
         composition_spectrum(small)
+
+
+def test_composition_column_refuses_an_expansion_missing_a_shell():
+    # a generator of 3 letters expands to the C(5, 2) = 10 monomials of
+    # degree 3, not the C(6, 2) = 15 shells of n = 4: labels decoded from
+    # those keys would be wrong, so the read-out raises instead
+    with pytest.raises(ArithmeticError, match="10 monomials, expected one per composition of n=4"):
+        krawtchouk._gen_kraw_column(cyclic(3), 4, Composition((1, 1, 1)))
+    column = krawtchouk._gen_kraw_column(cyclic(3), 3, Composition((1, 1, 1)))
+    assert [j for j, _, _ in column] == list(enumerate_compositions(3, 3))
 
 
 # ---------------------------------------------------------------------------
