@@ -458,7 +458,7 @@ def _failing_rows(ex: np.ndarray, ey: np.ndarray, m: int) -> np.ndarray:
     diff = ey - ex
     diff += m + 2 * m * np.arange(rows, dtype=np.int64)[:, None]
     counts = np.bincount(diff.ravel(), minlength=2 * m * rows).reshape(rows, 2 * m)
-    red = np.array(_reduction_rows(m)[:m] * 2, dtype=np.int64)
+    red = np.array(_reduction_rows(m) * 2, dtype=np.int64)
     return np.nonzero((counts @ red).any(axis=1))[0]
 
 

@@ -58,13 +58,13 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
-    # rows[r] = coefficients of x^r reduced modulo the m-th cyclotomic
-    # polynomial.  Enough rows for any product of two reduced elements.
+    # rows[e] = coefficients of zeta^e in the power basis, e < m: x^e
+    # reduced modulo the m-th cyclotomic polynomial.  Row 0 gives the degree.
     phi = cyclotomic_polynomial(m)
     deg = len(phi) - 1
     rows: list[tuple[int, ...]] = []
     row = [1] + [0] * (deg - 1)
-    for _ in range(max(2 * deg - 1, m)):
+    for _ in range(m):
         rows.append(tuple(row))
         carry = row[deg - 1]
         row = [0] + row[: deg - 1]
@@ -77,9 +77,7 @@ def _reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
 def _fold_table(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     # table[e] = the nonzero (k, coefficient) pairs of zeta^e in the power
     # basis, e < m: the rows of _reduction_rows(m) with their zeros dropped.
-    return tuple(
-        tuple((k, c) for k, c in enumerate(row) if c) for row in _reduction_rows(m)[:m]
-    )
+    return tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in _reduction_rows(m))
 
 
 class CycInt:

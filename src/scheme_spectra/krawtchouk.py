@@ -7,9 +7,10 @@ cyclotomic integer ring.  Whole columns (one argument, every index) come
 from one pass each: the three-term recurrence for the classical values,
 one expansion of a product of linear forms for the refined ones, whose
 sorted monomial keys give the composition labels in colexicographic
-order and whose coefficient count totals give the shell sizes.  Three
-independent per-value routes stay as oracles (direct character sums,
-coefficient extraction from the same product, and — for balanced
+order and whose coefficient count totals give the shell sizes.  The
+default per-value route expands the same product with one kernel,
+pruned to the sub-compositions of its target.  Two independent routes
+stay as oracles for it (direct character sums, and — for balanced
 generators over Z_q — extraction from a power of a circulant
 determinant), next to the closed-form classical sum; that is what makes
 cross-checking possible.
@@ -154,72 +155,31 @@ def _gen_kraw_brute(group: GroupSpec, n: int, i: Composition, j: Composition) ->
     return CycInt.from_root_powers(m, counts)
 
 
-def _gen_kraw_extraction(group: GroupSpec, n: int, i: Composition, j: Composition) -> CycInt:
-    # Coefficient of z^i in prod_h (sum_g phi_h(g) z_g)^(j_h).  States live
-    # in the group ring Z[Z_m] (length-m count vectors), where multiplying
-    # by a root of unity is a cyclic shift; reduction happens only once.
-    m = group.char_order
-    q = group.order
-    target = tuple(i)
-    exps = [[group.char_exponent(g, h) for h in group.elements()] for g in group.elements()]
-    zero_part = (0,) * q
-    start = [0] * m
-    start[0] = 1
-    states: dict[tuple[int, ...], list[int]] = {zero_part: start}
-    for h, copies in enumerate(tuple(j)):
-        row = exps[h]
-        for _ in range(copies):
-            nxt: dict[tuple[int, ...], list[int]] = {}
-            for part, vec in states.items():
-                for g in range(q):
-                    if part[g] >= target[g]:
-                        continue
-                    npart = part[:g] + (part[g] + 1,) + part[g + 1 :]
-                    e = row[g]
-                    dest = nxt.get(npart)
-                    if dest is None:
-                        dest = [0] * m
-                        nxt[npart] = dest
-                    for idx in range(m):
-                        c = vec[idx]
-                        if c:
-                            dest[(idx + e) % m] += c
-            states = nxt
-    final = states.get(target)
-    if final is None:
-        return CycInt(m)
-    return CycInt.from_root_powers(m, final)
-
-
-def _gen_kraw_column(
-    group: GroupSpec, n: int, x: Composition
-) -> list[tuple[Composition, CycInt, int]]:
-    # (j, K_j(x), multinom(n, j)) for every composition j of n, in
-    # colexicographic order: the z^j coefficients of
-    # prod_h (sum_g phi_h(g) z_g)^(x_h), expanded once (the extraction
-    # route reads one coefficient of this product per call).  The monomial
+def _expand(
+    group: GroupSpec, n: int, x: Composition, keep: set[int] | None = None
+) -> tuple[dict[int, int], int]:
+    # The generating product prod_h (sum_g phi_h(g) z_g)^(x_h), expanded
+    # one linear factor at a time, as ({key: packed}, width).  The monomial
     # z^c is keyed by sum_g c_g (n+1)^g, so multiplying by z_g adds
     # (n+1)^g, and since every c_g <= n the keys are base-(n+1) numerals
-    # with c_(q-1) most significant: ascending keys are colex order, and
-    # each label is decoded from its key.  A coefficient lives in the group
-    # ring Z[Z_m]: m nonnegative counts packed into one int, `width` bits
-    # each, where multiplying by zeta^e rotates the fields by e.  The
-    # counts of all monomials add up to q^(copies so far) <= q^n, so no
-    # field ever carries into the next.  At zeta = 1 the product is
-    # (sum_g z_g)^n, so the counts of z^j add up to its shell size
-    # multinom(n, j); and since no count can cancel, every composition
-    # occurs as a key.
+    # with c_(q-1) most significant.  A coefficient lives in the group ring
+    # Z[Z_m]: m nonnegative counts packed into one int, `width` bits each,
+    # where multiplying by zeta^e rotates the fields by e.  The counts of
+    # all monomials add up to q^(factors so far) <= q^n, so no field ever
+    # carries into the next.  With a key set `keep`, only monomials keyed
+    # in it survive each factor, and z_g is never multiplied in when its
+    # own key (n+1)^g is missing from it.
     m, q = group.char_order, group.order
     width = (q**n).bit_length()
     full = (1 << (m * width)) - 1
-    base = n + 1
-    keys = [base**g for g in range(q)]
+    keys = [(n + 1) ** g for g in range(q)]
     poly = {0: 1}
     for h, copies in enumerate(tuple(x)):
         moves = []
         for g in range(q):
-            e = group.char_exponent(h, g) % m
-            moves.append((keys[g], e * width, (m - e) * width))
+            if keep is None or keys[g] in keep:
+                e = group.char_exponent(h, g) % m
+                moves.append((keys[g], e * width, (m - e) * width))
         for _ in range(copies):
             nxt: dict[int, int] = {}
             get = nxt.get
@@ -227,11 +187,44 @@ def _gen_kraw_column(
                 for key, packed in poly.items():
                     dest = key + step
                     nxt[dest] = get(dest, 0) + (((packed << up) & full) | (packed >> down))
+            if keep is not None:
+                nxt = {key: packed for key, packed in nxt.items() if key in keep}
             poly = nxt
+    return poly, width
+
+
+def _gen_kraw_extraction(group: GroupSpec, n: int, i: Composition, j: Composition) -> CycInt:
+    # The coefficient of z^i in the product of _expand for x = j, expanded
+    # over the keys of the sub-compositions of i only.
+    target, keep = 0, {0}
+    for g, c in enumerate(tuple(i)):
+        step = (n + 1) ** g
+        keep = {key + t * step for key in keep for t in range(c + 1)}
+        target += c * step
+    poly, width = _expand(group, n, j, keep)
+    packed = poly[target]
+    mask = (1 << width) - 1
+    counts = [(packed >> s) & mask for s in range(0, group.char_order * width, width)]
+    return CycInt.from_root_powers(group.char_order, counts)
+
+
+def _gen_kraw_column(
+    group: GroupSpec, n: int, x: Composition
+) -> list[tuple[Composition, CycInt, int]]:
+    # (j, K_j(x), multinom(n, j)) for every composition j of n, in
+    # colexicographic order: the z^j coefficients of the product of
+    # _expand (the extraction route reads one of them per call).  Ascending
+    # keys are colex order, and each label is decoded from its key.  At
+    # zeta = 1 the product is (sum_g z_g)^n, so the counts of z^j add up to
+    # its shell size multinom(n, j); and since no count can cancel, every
+    # composition occurs as a key.
+    m, q = group.char_order, group.order
+    poly, width = _expand(group, n, x)
     if len(poly) != math.comb(n + q - 1, q - 1):
         raise ArithmeticError(
             f"expansion has {len(poly)} monomials, expected one per composition of n={n}"
         )
+    base = n + 1
     mask = (1 << width) - 1
     shifts = range(0, m * width, width)
     out = []
@@ -263,7 +256,8 @@ def gen_kraw(
 
     ``method`` selects the route: "brute" walks the shell and sums
     characters; "extraction" (default) reads the coefficient of z^i off
-    a product of linear forms without touching the shell.
+    a product of linear forms, expanded over the sub-compositions of i
+    only, without touching the shell.
 
     The value is a plain int when it is rational, as for :func:`kraw`,
     and a :class:`CycInt` otherwise.

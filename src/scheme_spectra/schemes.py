@@ -11,6 +11,7 @@ module.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,11 +41,12 @@ from .krawtchouk import _gen_kraw_column, _shell_sizes, gen_kraw, kraw, kraw_col
 #: Vertex-count cap for the dense projector check.
 PROJECTOR_MAX_VERTICES = 81
 
-#: Work cap for a composition spectrum: shells x n x q x (root order), which
-#: tracks the run time of the generating-product expansion and its read-out
-#: at about 24-85 ns per unit on a 2-core host over Z_3..Z_7, GF(4) and
-#: GF(8), so the cap stands for about 6-21 s.  Binary words at large n cost
-#: more per unit (about 190 ns at n = 2000, with 2000-bit packed counts).
+#: Work cap for a composition spectrum: shells x n x q x (root order),
+#: times the number of 512-bit chunks in one packed count (about n log2 q
+#: bits, so one chunk for every input with q^n < 2^512).  That tracks the
+#: run time of the generating-product expansion and its read-out at about
+#: 23-80 ns per unit near the cap on a 2-core x86-64 host, over Z_2 (up to
+#: 6 chunks), Z_3..Z_7, GF(4) and GF(8), so the cap stands for about 6-20 s.
 COMPOSITION_MAX_WORK = 250_000_000
 
 
@@ -230,16 +232,20 @@ def composition_spectrum(spec: CompositionGraphSpec) -> Spectrum:
     Per-shell values from :func:`gen_kraw` (either method) are the oracle
     for it.
     Raises SizeExceeded, before expanding anything, when the work estimate
-    C(n+q-1, q-1) n q m exceeds :data:`COMPOSITION_MAX_WORK`.
+    C(n+q-1, q-1) n q m, times the 512-bit chunks in a count of up to
+    q^n, exceeds :data:`COMPOSITION_MAX_WORK`.
     """
-    n, degree = spec.n, spec.degree
+    n = spec.n
     q, m = spec.group.order, spec.group.char_order
-    work = binom(n + q - 1, q - 1) * n * q * m
+    chunks = int(n * math.log2(q)) // 512 + 1
+    work = binom(n + q - 1, q - 1) * n * q * m * chunks
     if work > COMPOSITION_MAX_WORK:
+        wide = f" x {chunks} chunks of 512 bits" if chunks > 1 else ""
         raise SizeExceeded(
             f"composition spectrum would cost {work} units "
-            f"(shells x n x q x root order); cap is {COMPOSITION_MAX_WORK}"
+            f"(shells x n x q x root order{wide}); cap is {COMPOSITION_MAX_WORK}"
         )
+    degree = spec.degree  # n! and its divisions: only after the cap
     entries = [
         SpectrumEntry(j, _rescale(dual, degree, size), size)
         for j, dual, size in _gen_kraw_column(spec.group, n, spec.dcomp)

@@ -319,6 +319,32 @@ def test_circulant_matches_extraction_sampled_large_q():
             assert gen_kraw_circulant(q, n, r) == expected
 
 
+def test_extraction_matches_circulant_past_the_sweeps():
+    # the sweeps above stop at n = 7; the circulant route shares no code
+    # with the generating-product expansion
+    rng = random.Random(30)
+    for q, n in ((3, 30), (4, 16)):
+        group = cyclic(q)
+        balanced = Composition.balanced(q, n)
+        shells = [Composition((n,) + (0,) * (q - 1)), balanced]
+        shells += [comp(group, [rng.randrange(q) for _ in range(n)]) for _ in range(6)]
+        for r in shells:
+            assert gen_kraw(group, n, balanced, r) == gen_kraw_circulant(q, n, r), (q, r)
+
+
+def test_extraction_matches_brute_on_lopsided_targets():
+    # a target such as (n-2, 1, 1) has a small shell, so the literal
+    # character sum reaches n = 60 while the extraction prunes to its
+    # sub-compositions; (n-2, 2, 0) and (n-2, 0, 2) are not closed under
+    # negation, so their values are not real and a conjugated route fails
+    rng = random.Random(40)
+    group = cyclic(3)
+    for n in range(40, 61):
+        i = Composition([(n - 2, 1, 1), (n - 2, 2, 0), (n - 2, 0, 2)][n % 3])
+        j = comp(group, [rng.randrange(3) for _ in range(n)])
+        assert gen_kraw(group, n, i, j) == gen_kraw(group, n, i, j, method="brute"), (n, j)
+
+
 def test_circulant_guards():
     with pytest.raises(UnsupportedSize):
         gen_kraw_circulant(8, 8, Composition((1,) * 8))

@@ -330,6 +330,29 @@ def test_composition_spectrum_refuses_work_over_the_cap_up_front(monkeypatch):
         composition_spectrum(small)
 
 
+def test_composition_work_counts_wide_packed_counts():
+    # Z_2 with n = 7900 has only 7901 shells, but its counts are 7901 bits
+    # wide: 16 chunks of 512 bits, where the narrow estimate read 99.9% of
+    # the cap and the expansion ran for minutes
+    spec = CompositionGraphSpec(cyclic(2), 7900, Composition((3950, 3950)))
+    start = time.perf_counter()
+    with pytest.raises(SizeExceeded, match=(
+        r"^composition spectrum would cost 3994745600 units "
+        r"\(shells x n x q x root order x 16 chunks of 512 bits\); cap is 250000000$"
+    )):
+        composition_spectrum(spec)
+    assert time.perf_counter() - start < 1.0
+    assert 7901 * 7900 * 2 * 2 <= schemes.COMPOSITION_MAX_WORK
+    # and the degree multinom(n, dcomp), whose n! took 22 s at n = 10^6,
+    # is not computed before the cap refuses
+    n = 10**6
+    spec = CompositionGraphSpec(cyclic(2), n, Composition((n - 1, 1)))
+    start = time.perf_counter()
+    with pytest.raises(SizeExceeded, match=r" x 1954 chunks of 512 bits\); cap is 250000000$"):
+        composition_spectrum(spec)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_composition_column_refuses_an_expansion_missing_a_shell():
     # a generator of 3 letters expands to the C(5, 2) = 10 monomials of
     # degree 3, not the C(6, 2) = 15 shells of n = 4: labels decoded from
