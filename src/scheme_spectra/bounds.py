@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import (
     DivisibilityError,
@@ -53,9 +53,13 @@ from .schemes import (
 #: Row-count cap for materializing a representation.
 REPRESENTATION_MAX_ROWS = 1 << 20
 
-#: Cell cap (rows x columns) for materializing a representation: 1 GiB of
-#: int64 exponents.
+#: Cell cap (rows x columns) for materializing a representation: 128 MiB of
+#: one-byte exponents (root orders up to 128).
 REPRESENTATION_MAX_CELLS = 1 << 27
+
+# Working memory, in bytes, of one row block when a representation is built,
+# verified or written out; each step sizes its blocks from its bytes per row.
+_BLOCK_BYTES = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -175,47 +179,123 @@ def _two_support(
 # representations
 
 
-def _additive_matrix(blocks: Iterable[np.ndarray], cols: int) -> np.ndarray:
-    """Row x, in canonical vertex order, is the sum over k of row x_k of the
-    q x cols block blocks[k], as int64; each coordinate adds one block to
-    the rows for the coordinates before it, so a build costs rows x cols."""
+def _exponent_dtype(m: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds 2m - 2, the largest sum of two
+    exponents reduced mod m: uint8 for m <= 128."""
     import numpy as np
 
-    out = np.zeros((1, cols), dtype=np.int64)
-    for block in blocks:
-        out = (out[:, None, :] + block).reshape(len(out) * len(block), cols)
-    return out
+    return np.min_scalar_type(2 * m - 2)
 
 
-def _character_matrix(group: GroupSpec, n: int, words: Iterable[Sequence[int]]) -> np.ndarray:
-    """The characters of ``words`` as columns: entry (x, j) is the exponent
-    of phi_(words[j])(x), x in canonical vertex order, reduced mod the root
-    order, as C-ordered int64.  The row cap is checked before any word is
-    read and the cell cap once they are listed.  Block k of the
-    :func:`_additive_matrix` holds the character table's columns words[j][k]."""
-    import numpy as np
+def _block_rows(row_bytes: int) -> int:
+    """Rows per block for a step that takes ``row_bytes`` of working memory
+    per row, so that one block takes about _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // max(1, row_bytes))
 
-    if n < 0:
-        raise DomainError(f"need n >= 0, got n={n}")
-    q = group.order
+
+def _checked_rows(q: int, n: int) -> int:
+    """The row count q^n, or SizeExceeded above the row cap."""
     rows = q**n
     if rows > REPRESENTATION_MAX_ROWS:
         raise SizeExceeded(
             f"representation would have {rows} rows; cap is {REPRESENTATION_MAX_ROWS}"
         )
-    words = list(words)
-    if rows * len(words) > REPRESENTATION_MAX_CELLS:
+    return rows
+
+
+def _additive_matrix(blocks: Iterable[np.ndarray], cols: int, m: int) -> np.ndarray:
+    """Row x, in canonical vertex order, is the sum mod m over k of row x_k of
+    block blocks[k], whose exponents lie below m in the :func:`_exponent_dtype`
+    of m.  Each coordinate adds one block to the rows for the coordinates
+    before it, so a build costs rows x cols, and reduces at once:
+    min(s, s - m) is s mod m for s < 2m, since s - m wraps around above s
+    when s < m."""
+    import numpy as np
+
+    out = np.zeros((1, cols), dtype=_exponent_dtype(m))
+    for block in blocks:
+        out = (out[:, None, :] + block).reshape(len(out) * len(block), cols)
+        np.minimum(out, out - m, out=out)
+    return out
+
+
+def _additive_blocks(
+    blocks: Sequence[np.ndarray], cols: int, m: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The :func:`_additive_matrix` of ``blocks`` as (first row, row block)
+    pairs in row order: the trailing blocks that fit in one row block are
+    summed once, and each row of the leading blocks' sum is added to that."""
+    import numpy as np
+
+    # per row: the tail, the block, its wrapped-around copy and a comparison
+    rows = _block_rows(4 * cols * _exponent_dtype(m).itemsize)
+    split, size = len(blocks), 1
+    while split and size * len(blocks[split - 1]) <= rows:
+        split -= 1
+        size *= len(blocks[split])
+    tail = _additive_matrix(blocks[split:], cols, m)
+    for h, head in enumerate(_additive_matrix(blocks[:split], cols, m)):
+        block = head + tail
+        np.minimum(block, block - m, out=block)
+        yield h * len(tail), block
+
+
+def _weights(q: int, n: int) -> np.ndarray:
+    """The Hamming weight of every vertex, in canonical order, built one
+    coordinate at a time like :func:`_additive_matrix`."""
+    import numpy as np
+
+    weight = np.zeros(1, dtype=np.uint8)
+    step = (np.arange(q) != 0).astype(np.uint8)
+    for _ in range(n):
+        weight = (weight[:, None] + step).ravel()
+    return weight
+
+
+def _shell_indices(group: GroupSpec, n: int, label: int | Composition) -> np.ndarray:
+    """The vertex indices of a shell's words, ascending, which is their
+    canonical order: a weight shell is read off the per-vertex weights, a
+    composition shell is listed by :func:`enumerate_shell`."""
+    import numpy as np
+
+    if isinstance(label, int):
+        return np.flatnonzero(_weights(group.order, n) == label)
+    words = np.array(list(enumerate_shell(group, n, label)), dtype=np.intp)
+    return np.ravel_multi_index(words.T, (group.order,) * n)
+
+
+def _character_matrix(group: GroupSpec, n: int, words: Iterable[Sequence[int]]) -> np.ndarray:
+    """The characters of ``words`` as columns: entry (x, j) is the exponent
+    of phi_(words[j])(x), x in canonical vertex order, reduced mod the root
+    order m, C-ordered in the :func:`_exponent_dtype` of m.  ``words`` may
+    also be a columns x n array of digits.  The row cap is checked before any
+    word is read and the cell cap once they are listed.  Block k of the
+    :func:`_additive_matrix` holds the character table's columns words[j][k],
+    and the matrix is filled one row block at a time."""
+    import numpy as np
+
+    if n < 0:
+        raise DomainError(f"need n >= 0, got n={n}")
+    q = group.order
+    rows = _checked_rows(q, n)
+    words = np.asarray(words if isinstance(words, np.ndarray) else list(words), dtype=np.intp)
+    cols = len(words)
+    if rows * cols > REPRESENTATION_MAX_CELLS:
         raise SizeExceeded(
-            f"representation would have {rows} x {len(words)} = {rows * len(words)} cells; "
+            f"representation would have {rows} x {cols} = {rows * cols} cells; "
             f"cap is {REPRESENTATION_MAX_CELLS}"
         )
+    m = group.char_order
     table = np.array(
-        [[group.char_exponent(g, h) for h in range(q)] for g in range(q)], dtype=np.int64
+        [[group.char_exponent(g, h) for h in range(q)] for g in range(q)],
+        dtype=_exponent_dtype(m),
     )
+    words = words.reshape(cols, n)
     # np.take keeps each block C-ordered, where table[:, ...] would not
-    blocks = (np.take(table, [y[k] for y in words], axis=1) for k in range(n))
-    exponents = _additive_matrix(blocks, len(words))
-    exponents %= group.char_order
+    blocks = [np.take(table, words[:, k], axis=1) for k in range(n)]
+    exponents = np.empty((rows, cols), dtype=table.dtype)
+    for start, block in _additive_blocks(blocks, cols, m):
+        exponents[start : start + len(block)] = block
     return exponents
 
 
@@ -281,20 +361,49 @@ class Representation:
 
     def write_csv(self, fp: IO[str]) -> None:
         """CSV export: a root-order header, a column header, then one row
-        per vertex with entries in canonical ``a0+a1*z+...`` form."""
+        per vertex with entries in canonical ``a0+a1*z+...`` form.
+
+        Rows are written one block at a time.  A table holds, for each
+        exponent k, the cell ``,<term of zeta^k>`` as bytes padded with NULs
+        to a common width; a block gathers its cells from it, puts the vertex
+        digits (leading zeros as NULs) in front and a newline behind, and
+        drops the NULs.  Rows holding an override are written one by one."""
         import numpy as np
 
-        m = self.root_order
+        m, rows, cols = self.root_order, self.rows, self.cols
         fp.write(f"root_order,{m}\n")
-        fp.write("vertex," + ",".join(f"c{c}" for c in range(self.cols)) + "\n")
-        terms = np.array(
-            [CycInt.root_of_unity(m, k).to_term_string() for k in range(m)], dtype=object
-        )
-        cells = terms[self.exponents % m]
+        fp.write("vertex," + ",".join(f"c{c}" for c in range(cols)) + "\n")
+        terms = [CycInt.root_of_unity(m, k).to_term_string() for k in range(m)]
+        table = np.array([f",{t}".encode() for t in terms])  # NUL-padded, fixed width
+        width = table.itemsize
+        # place values of the vertex digits, most significant first
+        place = 10 ** np.arange(len(str(rows - 1)) - 1, -1, -1, dtype=np.int64)
+        digits = len(place)
+        # per row: the line, its gathered cells, the NUL mask, the kept bytes, the text
+        step = _block_rows(6 * (digits + cols * width + 1))
+        exponents = self.exponents
+        unreduced = exponents.size and (exponents.min() < 0 or exponents.max() >= m)
+        changed: dict[int, dict[int, CycInt]] = {}
         for (r, c), value in self.overrides.items():
-            cells[r, c] = value.to_term_string()
-        for r, row in enumerate(cells.tolist()):
-            fp.write(",".join((str(r), *row)) + "\n")
+            changed.setdefault(r, {})[c] = value
+        lo = 0
+        for stop in (*sorted(changed), rows):
+            for start in range(lo, stop, step):
+                end = min(start + step, stop)
+                vertex = np.arange(start, end, dtype=np.int64)[:, None]
+                line = np.empty((end - start, digits + cols * width + 1), dtype=np.uint8)
+                line[:, :digits] = vertex // place % 10 + ord("0")
+                line[:, : digits - 1] *= vertex >= place[:-1]
+                codes = exponents[start:end]
+                line[:, digits:-1].view(table.dtype)[:] = table[codes % m if unreduced else codes]
+                line[:, -1] = ord("\n")
+                fp.write(str(line[line != 0], "ascii"))
+            if stop < rows:
+                row = [terms[k % m] for k in exponents[stop].tolist()]
+                for c, value in changed[stop].items():
+                    row[c] = value.to_term_string()
+                fp.write(",".join((str(stop), *row)) + "\n")
+            lo = stop + 1
 
     def to_csv_text(self) -> str:
         import io
@@ -312,17 +421,20 @@ def build_representation(solution: LPSolution, group: GroupSpec) -> Representati
     times; the entry in row x is phi_y(x).  The vanishing Krawtchouk
     constraint is exactly what makes rows at graph distance d orthogonal.
     """
+    import numpy as np
+
     check_lp_solution(solution)
     if group.order != solution.q:
         raise SpecMismatch(
             f"group order {group.order} does not match solution alphabet q={solution.q}"
         )
     n = solution.n
-    # a generator, so the row cap is checked before any shell is enumerated
-    words = (
-        y for i, c in enumerate(solution.coefficients) if c
-        for y in list(enumerate_shell(group, n, i)) * c
-    )
+    _checked_rows(group.order, n)  # before any shell is listed
+    columns = np.concatenate([
+        np.tile(_shell_indices(group, n, i), c)
+        for i, c in enumerate(solution.coefficients) if c
+    ])
+    words = np.transpose(np.unravel_index(columns, (group.order,) * n))
     exponents = _character_matrix(group, n, words)
     return Representation(group, n, exponents, "lp-orthogonal-representation", solution)
 
@@ -349,20 +461,32 @@ def hadamard_representation(group: GroupSpec, n: int) -> Representation:
 
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def _mix64(z: int) -> int:
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = (z + _GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
 
 
-def _splitmix_stream(seed: int):
-    state = seed & _MASK64
-    while True:
-        yield _mix64(state)
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+def _splitmix_draws(seed: int, start: int, stop: int) -> np.ndarray:
+    """Draws start..stop-1 of the splitmix64 stream seeded by ``seed``, as
+    uint64: draw k is :func:`_mix64` of seed + k * gamma, all mod 2^64."""
+    import numpy as np
+
+    z = np.arange(start + 1, stop + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(seed & _MASK64)
+    z ^= z >> 30
+    z *= np.uint64(_MIX1)
+    z ^= z >> 27
+    z *= np.uint64(_MIX2)
+    z ^= z >> 31
+    return z
 
 
 def representation_seed(spec: HammingGraphSpec | CompositionGraphSpec) -> int:
@@ -392,27 +516,35 @@ def _generating_labels(
 
 
 def _folded_exponents(rep: Representation) -> tuple[np.ndarray, int]:
-    """The exponent matrix as C-ordered int64 reduced to 0..order-1, with the
-    (unit-modulus) overrides written in, and its root order.  A unit of
-    modulus one in Z[zeta_m] is +-zeta_m^k (Kronecker), a power of
-    zeta_(2m) when m is odd, so with overrides present an odd order is
-    lifted to 2m."""
+    """The exponent matrix reduced to 0..order-1, C-ordered in the
+    :func:`_exponent_dtype` of the order, with the (unit-modulus) overrides
+    written in, and its root order.  A unit of modulus one in Z[zeta_m] is
+    +-zeta_m^k (Kronecker), a power of zeta_(2m) when m is odd, so with
+    overrides present an odd order is lifted to 2m.  A matrix already in
+    that form is used as it is; any other is folded one row block at a time,
+    widened to int64 only within the block."""
     import numpy as np
 
     m = rep.root_order
-    expm = np.ascontiguousarray(rep.exponents, dtype=np.int64) % m
-    if not rep.overrides:
-        return expm, m
-    lift = 1 if m % 2 == 0 else 2
+    lift = 2 if rep.overrides and m % 2 else 1
     order = lift * m
-    powers = {}
-    for k in range(m):
-        unit = CycInt.root_of_unity(m, k)
-        powers[unit.coeffs] = lift * k
-        powers[(-unit).coeffs] = (lift * k + order // 2) % order
-    expm *= lift
-    for (r, c), value in rep.overrides.items():
-        expm[r, c] = powers[value.coeffs]
+    exps = rep.exponents
+    dtype = _exponent_dtype(order)
+    if (not rep.overrides and exps.dtype == dtype and exps.flags.c_contiguous
+            and (exps.size == 0 or exps.max() < m)):
+        return exps, m
+    expm = np.empty(exps.shape, dtype=dtype)
+    step = _block_rows(24 * rep.cols)  # three int64 temporaries per cell
+    for start in range(0, rep.rows, step):
+        expm[start : start + step] = exps[start : start + step].astype(np.int64) % m * lift
+    if rep.overrides:
+        powers = {}
+        for k in range(m):
+            unit = CycInt.root_of_unity(m, k)
+            powers[unit.coeffs] = lift * k
+            powers[(-unit).coeffs] = (lift * k + order // 2) % order
+        for (r, c), value in rep.overrides.items():
+            expm[r, c] = powers[value.coeffs]
     return expm, order
 
 
@@ -427,35 +559,43 @@ def _shifted(digits: Sequence[np.ndarray], s: np.ndarray, addt: np.ndarray) -> n
 
 def _translation_invariant(expm: np.ndarray, order: int, addt: np.ndarray, n: int) -> bool:
     """Whether expm[x + g*e_k] - expm[x] == expm[g*e_k] - expm[0] (mod order)
-    for every row x, coordinate k and g: exactly when each delta_k[g] =
-    expm[g*e_k] - expm[0] is additive in g and expm is expm[0] plus the
-    :func:`_additive_matrix` of the delta_k.  Adding s to x then adds the
-    same exponents to every row, so rows x and x + s have the inner product
-    of rows 0 and s."""
+    for every row x, coordinate k and g, where expm holds exponents reduced
+    mod order: exactly when each delta_k[g] = expm[g*e_k] - expm[0] is
+    additive in g and expm is expm[0] plus the :func:`_additive_matrix` of
+    the delta_k.  The sum is rebuilt and compared one row block at a time.
+    Adding s to x then adds the same exponents to every row, so rows x and
+    x + s have the inner product of rows 0 and s."""
     import numpy as np
 
     q = len(addt)
+    dtype = _exponent_dtype(order)
     # units[:, k, g] are the digits of g*e_k, so delta[k, g] is row g*e_k less row 0
     units = np.eye(n, dtype=np.int64)[:, :, None] * np.arange(q)
-    delta = np.take(expm, np.ravel_multi_index(units, (q,) * n), axis=0)
+    delta = np.take(expm, np.ravel_multi_index(units, (q,) * n), axis=0).astype(np.int64)
     delta -= expm[0]
-    if ((delta[:, addt] - delta[:, :, None] - delta[:, None, :]) % order).any():
-        return False
-    rebuilt = _additive_matrix(delta, expm.shape[1])
-    rebuilt += expm[0]
-    rebuilt -= expm
-    rebuilt %= order
-    return not rebuilt.any()
+    delta = (delta % order).astype(dtype)
+    for dk in delta:
+        total = dk[:, None] + dk
+        np.minimum(total, total - order, out=total)
+        if not np.array_equal(total, dk[addt]):
+            return False
+    blocks = [expm[:1].astype(dtype), *delta]
+    return all(
+        np.array_equal(block, expm[start : start + len(block)])
+        for start, block in _additive_blocks(blocks, expm.shape[1], order)
+    )
 
 
 def _failing_rows(ex: np.ndarray, ey: np.ndarray, m: int) -> np.ndarray:
     """Rows i where exponent rows ex[i], ey[i] in 0..m-1 are not orthogonal:
     ey - ex + m is counted in 2m bins per row, bin j standing for zeta_m^(j % m),
-    and the counts are reduced modulo the m-th cyclotomic polynomial."""
+    and the counts are reduced modulo the m-th cyclotomic polynomial.  The
+    differences and bin offsets are widened to int64 here, one block at a time."""
     import numpy as np
 
-    rows = len(ex)
-    diff = ey - ex
+    rows = len(ey)
+    diff = ey.astype(np.int64)
+    diff -= ex
     diff += m + 2 * m * np.arange(rows, dtype=np.int64)[:, None]
     counts = np.bincount(diff.ravel(), minlength=2 * m * rows).reshape(rows, 2 * m)
     red = np.array(_reduction_rows(m) * 2, dtype=np.int64)
@@ -486,10 +626,11 @@ def verify_representation(
     the character structure, it scans all rows once per generator.  Sampled
     mode checks ``sample`` pairs drawn from the deterministic generator
     seeded by :func:`representation_seed`.  All paths run the same exact
-    check.  A failure raises NotOrthogonal carrying, in full
-    mode, the smallest failing x and then the smallest failing x + s, and in
-    sampled mode the first failing pair in draw order; a clean pass is True.
-    A ``sample`` below 1 would check nothing and raises DomainError.
+    check, one block of rows at a time.  A failure raises NotOrthogonal
+    carrying, in full mode, the smallest failing x and then the smallest
+    failing x + s, and in sampled mode the first failing pair in draw order;
+    a clean pass is True.  A ``sample`` below 1 would check nothing and
+    raises DomainError.
     """
     import numpy as np
 
@@ -507,36 +648,46 @@ def verify_representation(
             raise NotUnitModulus(r, c)
 
     expm, m = _folded_exponents(rep)
-    words = np.array(list(enumerate_shell(group, n, label)), dtype=np.int64)
+    ys = _shell_indices(group, n, label)
     shape = (q,) * n
+    words = np.transpose(np.unravel_index(ys, shape))
     addt = np.array([[group.add(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
+    # per row: one gathered row, its int64 differences, and 2m bins
+    step = _block_rows(9 * rep.cols + 32 * m)
     witness: tuple[int, int] | None = None
     if sample is not None:
-        stream = _splitmix_stream(representation_seed(spec))
-        for start in range(0, sample, rep.rows):
-            draws = [(next(stream) % rep.rows, next(stream) % len(words))
-                     for _ in range(min(rep.rows, sample - start))]
-            xs = np.array([x for x, _ in draws], dtype=np.int64)
-            ys = _shifted(np.unravel_index(xs, shape), words[[s for _, s in draws]], addt)
-            bad = _failing_rows(np.take(expm, xs, axis=0), np.take(expm, ys, axis=0), m)
+        seed = representation_seed(spec)
+        for start in range(0, sample, step):
+            draws = _splitmix_draws(seed, 2 * start, 2 * min(start + step, sample))
+            xs = (draws[0::2] % rep.rows).astype(np.intp)
+            gens = (draws[1::2] % len(ys)).astype(np.intp)
+            yv = _shifted(np.unravel_index(xs, shape), words[gens], addt)
+            bad = _failing_rows(np.take(expm, xs, axis=0), np.take(expm, yv, axis=0), m)
             if bad.size:
-                witness = (int(xs[bad[0]]), int(ys[bad[0]]))
+                witness = (int(xs[bad[0]]), int(yv[bad[0]]))
                 break
     elif _translation_invariant(expm, m, addt, n):
-        ys = np.ravel_multi_index(words.T, shape)
-        ey = np.take(expm, ys, axis=0)
-        bad = _failing_rows(np.broadcast_to(expm[0], ey.shape), ey, m)
-        if bad.size:
-            witness = (0, int(ys[bad].min()))
+        # ys ascends, so the first failing block holds the smallest failing y
+        for start in range(0, len(ys), step):
+            ey = np.take(expm, ys[start : start + step], axis=0)
+            bad = _failing_rows(np.broadcast_to(expm[0], ey.shape), ey, m)
+            if bad.size:
+                witness = (0, int(ys[start + bad[0]]))
+                break
     else:
-        # Once a pair fails, later generators only need the rows up to its x.
-        digits = np.unravel_index(np.arange(rep.rows), shape)
-        for s in words:
-            limit = rep.rows if witness is None else witness[0] + 1
-            ys = _shifted([d[:limit] for d in digits], s, addt)
-            bad = _failing_rows(expm[:limit], np.take(expm, ys, axis=0), m)
-            if bad.size and (witness is None or (bad[0], ys[bad[0]]) < witness):
-                witness = (int(bad[0]), int(ys[bad[0]]))
+        # Block by block of rows x, once per generator; once a pair fails,
+        # later generators only need the rows up to its x, and later blocks
+        # none.
+        for start in range(0, rep.rows, step):
+            digits = np.unravel_index(np.arange(start, min(start + step, rep.rows)), shape)
+            for s in words:
+                limit = len(digits[0]) if witness is None else witness[0] - start + 1
+                yv = _shifted([d[:limit] for d in digits], s, addt)
+                bad = _failing_rows(expm[start : start + limit], np.take(expm, yv, axis=0), m)
+                if bad.size and (witness is None or (start + bad[0], yv[bad[0]]) < witness):
+                    witness = (start + int(bad[0]), int(yv[bad[0]]))
+            if witness is not None:
+                break
     if witness is not None:
         xi, yi = witness
         raise NotOrthogonal(xi, yi, index_word(group, xi, n), index_word(group, yi, n))

@@ -51,7 +51,16 @@ from scheme_spectra import (
     word_index,
 )
 from scheme_spectra import bounds, schemes
-from scheme_spectra.bounds import _splitmix_stream
+
+
+def _splitmix_stream(seed):
+    # the splitmix64 stream one draw at a time: the oracle for the sampled draws
+    mask = (1 << 64) - 1
+    state = seed & mask
+    while True:
+        yield bounds._mix64(state)
+        state = (state + 0x9E3779B97F4A7C15) & mask
+
 
 # ---------------------------------------------------------------------------
 # LP certificates
@@ -488,22 +497,30 @@ def test_character_matrix_matches_the_per_cell_oracle():
                 words += [(0,) * n] + rng.sample(words, min(2, len(words)))  # zero and repeats
                 rng.shuffle(words)
                 got = bounds._character_matrix(group, n, iter(words))
-                assert got.dtype == np.int64 and got.flags.c_contiguous
+                assert got.dtype == np.uint8 and got.flags.c_contiguous
                 assert np.array_equal(got, _characters_by_cell(group, n, words))
                 cases += 1
     assert cases >= 60
     assert bounds._character_matrix(cyclic(3), 2, []).shape == (9, 0)
 
 
-def test_builders_return_c_ordered_int64():
+def test_builders_return_c_ordered_narrow_unsigned():
+    # exponents below the root order m, in the narrowest unsigned dtype that
+    # holds 2m - 2: one byte up to m = 128, two bytes from m = 129
     reps = [build_representation(lp_two_support(n, q, d), group)
             for n, q, d, group in ((4, 2, 2, cyclic(2)), (3, 3, 3, cyclic(3)),
                                    (3, 4, 2, finite_field(4)), (2, 5, 1, cyclic(5)))]
     reps += [hadamard_representation(group, n)
              for group, n in ((cyclic(2), 6), (cyclic(3), 3), (finite_field(4), 4))]
     for rep in reps:
-        assert rep.exponents.dtype == np.int64
+        assert rep.exponents.dtype == np.uint8
         assert rep.exponents.flags.c_contiguous
+    for q in (128, 129):
+        rep = build_representation(lp_two_support(1, q, 1), cyclic(q))
+        assert rep.exponents.dtype == (np.uint8 if q == 128 else np.uint16)
+        assert rep.exponents.flags.c_contiguous
+        assert rep.exponents.max() == q - 1
+        assert verify_representation(rep, HammingGraphSpec(1, q, 1)) is True
 
 
 def test_the_row_cap_fires_before_any_word_is_read(monkeypatch):
@@ -511,6 +528,7 @@ def test_the_row_cap_fires_before_any_word_is_read(monkeypatch):
         raise AssertionError("a shell was enumerated")
 
     monkeypatch.setattr(bounds, "enumerate_shell", refuse)
+    monkeypatch.setattr(bounds, "_shell_indices", refuse)
     message = "representation would have 2097152 rows; cap is 1048576"
     with pytest.raises(SizeExceeded, match=f"^{message}$"):
         build_representation(lp_two_support(21, 2, 11), cyclic(2))
@@ -569,7 +587,7 @@ def _invariance_cases():
             mutated[rng.randrange(q**n), rng.randrange(cols)] += rng.randrange(1, m)
             blocks = [rng.choices(range(m), k=q * cols) for _ in range(n)]
             blocked = bounds._additive_matrix(
-                (np.array(b, dtype=np.int64).reshape(q, cols) for b in blocks), cols
+                (np.array(b, dtype=np.uint8).reshape(q, cols) for b in blocks), cols, m
             )
             kinds = {"chars": chars, "offset": offset, "mutated": mutated % m, "blocked": blocked % m}
             for kind, expm in kinds.items():
@@ -754,6 +772,123 @@ def test_csv_polynomial_entries_for_odd_roots():
     lines = text.splitlines()
     assert lines[0] == "root_order,3"
     assert any("z" in line for line in lines[2:])
+
+
+# -- the streamed CSV writer and the block-bounded memory ---------------------
+
+
+def _csv_by_cell(rep):
+    # the per-cell writer: a rows x cols object array of term strings, with
+    # the overrides written in, joined row by row
+    m = rep.root_order
+    terms = np.array([CycInt.root_of_unity(m, k).to_term_string() for k in range(m)], dtype=object)
+    cells = terms[rep.exponents % m]
+    for (r, c), value in rep.overrides.items():
+        cells[r, c] = value.to_term_string()
+    text = f"root_order,{m}\nvertex," + ",".join(f"c{c}" for c in range(rep.cols)) + "\n"
+    return text + "".join(",".join((str(r), *row)) + "\n" for r, row in enumerate(cells.tolist()))
+
+
+def _csv_cases():
+    reps = [
+        build_representation(lp_two_support(n, q, d), group)
+        for n, q, d, group in (
+            (4, 2, 2, cyclic(2)), (7, 2, 3, cyclic(2)), (10, 2, 6, cyclic(2)),
+            (3, 3, 2, cyclic(3)), (5, 3, 4, cyclic(3)), (3, 4, 2, cyclic(4)),
+            (4, 4, 3, cyclic(4)), (3, 4, 2, finite_field(4)), (2, 5, 1, cyclic(5)),
+            (4, 5, 4, cyclic(5)),
+        )
+    ]
+    reps += [hadamard_representation(group, n) for group, n in (
+        (cyclic(2), 0), (cyclic(2), 4), (cyclic(3), 6), (cyclic(4), 4), (finite_field(4), 4),
+        (cyclic(5), 5), (cyclic(2), 14),
+    )]
+    # row counts on both sides of each power of ten, up to 10^5
+    rng = np.random.default_rng(1018)
+    for rows in (9, 10, 11, 99, 100, 101, 999, 1000, 1001, 9999, 10000, 10001, 100001):
+        reps.append(Representation(cyclic(7), 1, rng.integers(0, 7, (rows, 2)), "rows"))
+    # overrides on odd orders in the first and last rows, including a
+    # non-unit value whose term string is longer than any root's
+    for rep in (build_representation(lp_two_support(3, 3, 2), cyclic(3)),
+                hadamard_representation(cyclic(5), 5)):
+        m, last = rep.root_order, rep.rows - 1
+        long = CycInt(m, [-123456789] + [987654321] * (m - 2))
+        changed = rep.with_entry(0, 0, -rep.entry(0, 0)).with_entry(last, rep.cols - 1, long)
+        reps += [changed, changed.with_entry(0, rep.cols - 1, long).with_entry(1, 1, -long)]
+    # exponents outside 0..m-1 and a column-major copy
+    rep = hadamard_representation(cyclic(3), 3)
+    reps.append(Representation(rep.group, 3, rep.exponents.astype(np.int64) - 7, "negative"))
+    reps.append(Representation(rep.group, 3, np.asfortranarray(rep.exponents), "fortran"))
+    return reps
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1, 200, 5000])
+def test_streamed_csv_matches_the_per_cell_writer(monkeypatch, block_bytes):
+    # a block size of 1 byte writes one row per block
+    if block_bytes is not None:
+        monkeypatch.setattr(bounds, "_BLOCK_BYTES", block_bytes)
+    for rep in _csv_cases():
+        if block_bytes is not None and rep.rows > 20000:
+            continue
+        assert rep.to_csv_text() == _csv_by_cell(rep)
+    assert hadamard_representation(cyclic(2), 0).to_csv_text() == "root_order,2\nvertex,\n0\n"
+
+
+class _NullSink:
+    def write(self, text):
+        return len(text)
+
+
+def _traced_peak(call):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1 << 18])
+def test_verification_and_csv_take_the_matrix_and_one_block(monkeypatch, block_bytes):
+    # Full verification and the CSV export allocate at most one block of
+    # working memory beyond a narrow copy of the matrix.
+    if block_bytes is not None:
+        monkeypatch.setattr(bounds, "_BLOCK_BYTES", block_bytes)
+    cases = [
+        (hadamard_representation(cyclic(3), 12),
+         CompositionGraphSpec(cyclic(3), 12, Composition.balanced(3, 12))),
+        (build_representation(lp_two_support(8, 3, 2), cyclic(3)), HammingGraphSpec(8, 3, 2)),
+    ]
+    for rep, spec in cases:
+        assert rep.exponents.dtype == np.uint8 and rep.exponents.nbytes > 6 << 20
+        bound = 2 * rep.exponents.nbytes + bounds._BLOCK_BYTES
+        assert _traced_peak(lambda: verify_representation(rep, spec)) < bound
+        assert _traced_peak(lambda: rep.write_csv(_NullSink())) < bound
+
+
+def test_index_shells_match_enumerate_shell():
+    groups = [cyclic(q) for q in range(2, 6)] + [finite_field(4), finite_field(8)]
+    shells = 0
+    for group in groups:
+        q = group.order
+        for n in range(1, 13):
+            if q**n > 5000:
+                break
+            for w in range(n + 1):
+                expected = [word_index(group, y) for y in enumerate_shell(group, n, w)]
+                assert bounds._shell_indices(group, n, w).tolist() == expected
+                shells += 1
+    assert shells >= 150
+
+
+def test_vectorised_draws_match_the_stream():
+    for seed in (0, 1, representation_seed(HammingGraphSpec(4, 2, 2)), (1 << 64) - 1):
+        stream = _splitmix_stream(seed)
+        expected = [next(stream) for _ in range(300)]
+        assert bounds._splitmix_draws(seed, 0, 300).tolist() == expected
+        assert bounds._splitmix_draws(seed, 117, 300).tolist() == expected[117:]
 
 
 # ---------------------------------------------------------------------------
