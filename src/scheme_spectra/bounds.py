@@ -36,10 +36,15 @@ from .groups import (
     GroupSpec,
     _prime_power,
     cyclic,
-    enumerate_shell,
     index_word,
 )
-from .krawtchouk import _first_nonpositive, _shell_sizes, first_root_ratio, kraw_column
+from .krawtchouk import (
+    _balanced_shells,
+    _first_nonpositive,
+    _shell_sizes,
+    first_root_ratio,
+    kraw_column,
+)
 from .schemes import (
     CompositionGraphSpec,
     HammingGraphSpec,
@@ -47,7 +52,6 @@ from .schemes import (
     _hoffman_value,
     composition_spectrum,
     hoffman_bound,
-    min_eigenvalue,
 )
 
 #: Row-count cap for materializing a representation.
@@ -240,28 +244,34 @@ def _additive_blocks(
         yield h * len(tail), block
 
 
-def _weights(q: int, n: int) -> np.ndarray:
-    """The Hamming weight of every vertex, in canonical order, built one
-    coordinate at a time like :func:`_additive_matrix`."""
+def _occurrences(letters: np.ndarray, n: int) -> np.ndarray:
+    """For every vertex in canonical order, how many of its n coordinates
+    hold a letter g with letters[g] set, built one coordinate at a time like
+    :func:`_additive_matrix`."""
     import numpy as np
 
-    weight = np.zeros(1, dtype=np.uint8)
-    step = (np.arange(q) != 0).astype(np.uint8)
+    count = np.zeros(1, dtype=np.uint8)
+    step = letters.astype(np.uint8)
     for _ in range(n):
-        weight = (weight[:, None] + step).ravel()
-    return weight
+        count = (count[:, None] + step).ravel()
+    return count
 
 
 def _shell_indices(group: GroupSpec, n: int, label: int | Composition) -> np.ndarray:
     """The vertex indices of a shell's words, ascending, which is their
-    canonical order: a weight shell is read off the per-vertex weights, a
-    composition shell is listed by :func:`enumerate_shell`."""
+    canonical order: a weight shell is read off the count of nonzero letters,
+    a composition shell off the count of each letter it holds (the letters
+    it holds none of then occur nowhere, since the counts sum to n)."""
     import numpy as np
 
+    alphabet = np.arange(group.order)
     if isinstance(label, int):
-        return np.flatnonzero(_weights(group.order, n) == label)
-    words = np.array(list(enumerate_shell(group, n, label)), dtype=np.intp)
-    return np.ravel_multi_index(words.T, (group.order,) * n)
+        return np.flatnonzero(_occurrences(alphabet != 0, n) == label)
+    match = np.ones(group.order**n, dtype=bool)
+    for g, c in enumerate(label):
+        if c:
+            match &= _occurrences(alphabet == g, n) == c
+    return np.flatnonzero(match)
 
 
 def _character_matrix(group: GroupSpec, n: int, words: Iterable[Sequence[int]]) -> np.ndarray:
@@ -784,7 +794,16 @@ def _composition_report(spec: CompositionGraphSpec) -> BoundReport:
     }
     lower: list[tuple[Fraction, str]] = []
     upper: list[tuple[Fraction, str]] = []
-    if spec.undirected:
+    if spec.balanced:
+        # A balanced graph is undirected, and its eigenvalues are integers,
+        # 0 on every shell the balanced route leaves out; there is always
+        # such a shell, (n-1, 1, 0, ..., 0) for one.
+        lam_min = min(0, *(value for _, value, _ in _balanced_shells(group, n)))
+        try:
+            lower.append((_hoffman_value(lam_min, spec.degree), "hoffman"))
+        except NoNegativeEigenvalue as exc:
+            diagnostics["hoffman_unavailable"] = type(exc).__name__
+    elif spec.undirected:
         spectrum = composition_spectrum(spec)
         try:
             lower.append((hoffman_bound(spectrum), "hoffman"))
@@ -834,8 +853,16 @@ def conjecture_probe(q: int, n: int) -> ProbeVerdict:
 
     The prediction concerns alphabets Z_q with (q-1)n/q even; the shell
     (n-2, 1, 0, ..., 0, 1) always attains the predicted value, so the
-    probe computes the full spectrum and reports whether anything lies
-    below it.  Odd (q-1)n/q is reported as not applicable.
+    probe reports whether anything lies below it, and lists the shells
+    attaining the least eigenvalue in colex order.  Odd (q-1)n/q is
+    reported as not applicable.
+
+    The eigenvalues come from the balanced route: the nonzero shells of
+    the power n/q of the group determinant, with the work cap
+    :data:`~scheme_spectra.krawtchouk.BALANCED_MAX_WORK` (SizeExceeded
+    above it).  A zero shell cannot attain the minimum, because the
+    pattern shell's value is negative; that is checked, not assumed.  A
+    probe is evidence for the prediction at one (q, n), not a proof.
     """
     q, n = operator.index(q), operator.index(n)
     if q < 2:
@@ -844,17 +871,20 @@ def conjecture_probe(q: int, n: int) -> ProbeVerdict:
         raise DivisibilityError(f"needs q | n, got q={q}, n={n}")
     if ((q - 1) * n // q) % 2:
         return ProbeVerdict("not-applicable", q, n, reason="(q-1)n/q odd")
-    group = cyclic(q)
-    spec = CompositionGraphSpec(group, n, Composition.balanced(q, n))
-    spectrum = composition_spectrum(spec)
-    minimum, _ = min_eigenvalue(spectrum)
+    shells = _balanced_shells(cyclic(q), n)
     target = Fraction(-multinom(n, Composition.balanced(q, n)), n - 1)
     counts = [0] * q
     counts[0] = n - 2
     counts[1] += 1
     counts[q - 1] += 1
     pattern = Composition(tuple(counts))
-    achieving = tuple(entry.label for entry in spectrum.entries if entry.eigenvalue == minimum)
+    at_pattern = next((value for j, value, _ in shells if j == pattern), 0)
+    if at_pattern != target or target >= 0:
+        raise ArithmeticError(
+            f"pattern shell {tuple(pattern)} has eigenvalue {at_pattern}, expected {target} < 0"
+        )
+    minimum = min(value for _, value, _ in shells)
+    achieving = tuple(j for j, value, _ in shells if value == minimum)
     verdict = "holds" if Fraction(minimum) == target else "fails"
     return ProbeVerdict(
         verdict,

@@ -9,15 +9,25 @@ one expansion of a product of linear forms for the refined ones, whose
 sorted monomial keys give the composition labels in colexicographic
 order and whose coefficient count totals give the shell sizes.  The
 default per-value route expands the same product with one kernel,
-pruned to the sub-compositions of its target.  Two independent routes
-stay as oracles for it (direct character sums, and — for balanced
-generators over Z_q — extraction from a power of a circulant
-determinant), next to the closed-form classical sum; that is what makes
-cross-checking possible.
+pruned to the sub-compositions of its target.
+
+For a balanced generator (n/q, ..., n/q) the product is D^(n/q), where D
+is the group determinant of the alphabet (Dedekind-Frobenius).  D has
+rational integer coefficients and is taken once per group from the
+expansion of length q; its power runs over plain ints and keeps only the
+shells whose counts sum to 0 in the group, the only ones with a nonzero
+eigenvalue.
+
+Independent routes stay as oracles: direct character sums for the
+expansion, the expansion (which does not use D) for the balanced route,
+the circulant determinant of Z_q, a sum over permutations, for D itself,
+and the closed-form classical sum for the recurrence.  That is what
+makes cross-checking possible.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -28,6 +38,7 @@ from .errors import (
     DomainError,
     NotFound,
     RangeError,
+    SizeExceeded,
     SumMismatch,
     UnsupportedSize,
 )
@@ -36,6 +47,12 @@ from .groups import Composition, GroupSpec, enumerate_shell
 
 #: Largest alphabet for which the circulant determinant is expanded exactly.
 CIRCULANT_MAX_Q = 7
+
+#: Work cap for the balanced route (:func:`_balanced_work`), in multiply-adds
+#: of plain-int coefficients.  Near the cap these take about 400-800 ns each
+#: on a 2-core x86-64 host, over Z_2..Z_10, GF(4), GF(8) and GF(9), so the
+#: cap stands for about 10-20 s.
+BALANCED_MAX_WORK = 25_000_000
 
 
 def kraw(n: int, q: int, i: int, j: int) -> int:
@@ -239,6 +256,95 @@ def _gen_kraw_column(
     return out
 
 
+@functools.cache
+def _group_determinant(group: GroupSpec) -> tuple[tuple[Composition, int], ...]:
+    # The group determinant D = prod_h L_h, L_h = sum_g phi_h(g) z_g, as
+    # (exponent vector, coefficient) pairs in colex order, zero terms
+    # dropped: the generating product of the balanced generator of length
+    # q.  Galois conjugation permutes the characters, so every coefficient
+    # is a rational integer; anything else is an arithmetic fault.
+    q = group.order
+    terms = []
+    for j, value, _ in _gen_kraw_column(group, q, Composition.balanced(q, q)):
+        coeff = value.as_integer()
+        if coeff is None:
+            raise ArithmeticError(
+                f"group determinant of {group!r} has coefficient {value!r} at z^{tuple(j)}"
+            )
+        if coeff:
+            terms.append((j, coeff))
+    return tuple(terms)
+
+
+def _balanced_work(group: GroupSpec, n: int) -> int:
+    # The work estimate of _balanced_shells.  D has at most C(2q-1, q-1)
+    # terms and the power after t factors at most C(tq+q-1, q-1) monomials;
+    # a monomial sums to 0 in the group about once in q, so the power takes
+    # about C(2q-1, q-1) sum_t C(tq+q-1, q-1) / q^2 multiply-adds, each
+    # once per 2048-bit chunk of a coefficient of up to n log2 q bits.
+    # Building D by the packed expansion of length q costs C(2q-1, q-1)
+    # q q m of COMPOSITION_MAX_WORK's units, about 20 to a multiply-add.
+    q, m = group.order, group.char_order
+    terms = math.comb(2 * q - 1, q - 1)
+    monomials = sum(math.comb(t * q + q - 1, q - 1) for t in range(n // q))
+    chunks = int(n * math.log2(q)) // 2048 + 1
+    return terms * (20 * monomials * chunks + q**4 * m) // (20 * q * q)
+
+
+def _balanced_shells(group: GroupSpec, n: int) -> list[tuple[Composition, int, int]]:
+    # (j, eigenvalue, multinom(n, j)) on every shell j where the balanced
+    # composition graph of length n has a nonzero eigenvalue, in colex
+    # order.  For x = (n/q, ..., n/q) the generating product of _expand is
+    # D^(n/q), D the group determinant, so it is raised one D factor at a
+    # time over plain ints, keyed as in _expand and with zero coefficients
+    # dropped.  Every monomial of D sums to 0 in the group, so only those
+    # shells survive.  Reciprocity turns the z^j coefficient a_j into the
+    # eigenvalue a_j degree / multinom(n, j), each division checked.
+    # Raises SizeExceeded, before anything is expanded, above
+    # BALANCED_MAX_WORK.
+    work = _balanced_work(group, n)
+    if work > BALANCED_MAX_WORK:
+        raise SizeExceeded(
+            f"balanced spectrum would cost {work} units "
+            f"(multiply-adds of the group determinant route); cap is {BALANCED_MAX_WORK}"
+        )
+    q = group.order
+    base = n + 1
+    # D's key steps, grouped by coefficient so that each product is formed
+    # once per monomial and coefficient
+    factor: dict[int, list[int]] = {}
+    for expo, coeff in _group_determinant(group):
+        factor.setdefault(coeff, []).append(sum(c * base**g for g, c in enumerate(expo)))
+    poly = {0: 1}
+    for _ in range(n // q):
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for key, a in poly.items():
+            for coeff, steps in factor.items():
+                ca = coeff * a
+                for step in steps:
+                    dest = key + step
+                    nxt[dest] = get(dest, 0) + ca
+        poly = {key: a for key, a in nxt.items() if a}
+    fact = [1]
+    for i in range(1, n + 1):
+        fact.append(fact[-1] * i)
+    degree = fact[n] // fact[n // q] ** q
+    out = []
+    for key, a in sorted(poly.items()):
+        label = []
+        size = fact[n]
+        for _ in range(q):
+            key, c = divmod(key, base)
+            label.append(c)
+            size //= fact[c]
+        value, rem = divmod(a * degree, size)
+        if rem:
+            raise ArithmeticError(f"{a} * {degree} / {size} is not an integer")
+        out.append((Composition._trusted(tuple(label)), value, size))
+    return out
+
+
 def gen_kraw(
     group: GroupSpec,
     n: int,
@@ -308,9 +414,11 @@ def gen_kraw_circulant(q: int, n: int, r: Composition) -> int:
 
     Computes K_(n/q,...,n/q)(r) by extracting the z^r coefficient of
     det(C)^(n/q) for the circulant C of the z variables and rescaling by
-    the multinomial ratio.  Exact and fully independent of the
-    character-sum routes; the alphabet is capped because the determinant
-    is expanded as a sum over permutations.
+    the multinomial ratio.  det(C) is the group determinant of Z_q, which
+    the balanced spectrum route takes from the character-sum expansion;
+    here it is expanded as a sum over permutations instead, so this route
+    is the oracle for that determinant, independent of the character
+    sums.  The alphabet is capped because of the q! permutations.
     """
     if q < 2:
         raise DomainError(f"need q >= 2, got {q}")

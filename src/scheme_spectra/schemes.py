@@ -36,7 +36,14 @@ from .groups import (
     word_add,
     word_char_value,
 )
-from .krawtchouk import _gen_kraw_column, _shell_sizes, gen_kraw, kraw, kraw_column
+from .krawtchouk import (
+    _balanced_shells,
+    _gen_kraw_column,
+    _shell_sizes,
+    gen_kraw,
+    kraw,
+    kraw_column,
+)
 
 #: Vertex-count cap for the dense projector check.
 PROJECTOR_MAX_VERTICES = 81
@@ -215,6 +222,26 @@ def _rescale(value: CycInt, num: int, den: int) -> int | CycInt:
     return coeffs[0]
 
 
+def _colex_shells(q: int, n: int) -> list[tuple[tuple[int, ...], int]]:
+    # (counts of j, multinom(n, j)) for every composition j of n into q
+    # parts, in colex order, built one part at a time: rows[t] lists the
+    # compositions of t into the parts so far, and appending a last part
+    # c to one of t - c multiplies its multinomial by C(t, c).
+    rows = [[((t,), 1)] for t in range(n + 1)]
+
+    def extend(t: int) -> list[tuple[tuple[int, ...], int]]:
+        return [
+            (head + (last,), size * ways)
+            for last in range(t + 1)
+            for ways in (math.comb(t, last),)
+            for head, size in rows[t - last]
+        ]
+
+    for _ in range(q - 2):
+        rows = [extend(t) for t in range(n + 1)]
+    return extend(n) if q > 1 else rows[n]
+
+
 def composition_spectrum(spec: CompositionGraphSpec) -> Spectrum:
     """Exact spectrum of a composition graph, one entry per composition shell.
 
@@ -231,9 +258,19 @@ def composition_spectrum(spec: CompositionGraphSpec) -> Spectrum:
     that column into the eigenvalues, every division still checked.
     Per-shell values from :func:`gen_kraw` (either method) are the oracle
     for it.
+
+    A balanced dcomp = (n/q, ..., n/q) takes the group-determinant route
+    of :mod:`.krawtchouk` instead: its product is a power of the group
+    determinant, whose nonzero shells give integer eigenvalues; every
+    other shell gets 0, and shell sizes are products of binomials.  The
+    packed expansion is the oracle for that route.
+
     Raises SizeExceeded, before expanding anything, when the work estimate
     C(n+q-1, q-1) n q m, times the 512-bit chunks in a count of up to
-    q^n, exceeds :data:`COMPOSITION_MAX_WORK`.
+    q^n, exceeds :data:`COMPOSITION_MAX_WORK`; this check runs for every
+    dcomp.  The balanced route's own cap,
+    :data:`~scheme_spectra.krawtchouk.BALANCED_MAX_WORK`, admits every
+    balanced spectrum that this one admits.
     """
     n = spec.n
     q, m = spec.group.order, spec.group.char_order
@@ -246,10 +283,18 @@ def composition_spectrum(spec: CompositionGraphSpec) -> Spectrum:
             f"(shells x n x q x root order{wide}); cap is {COMPOSITION_MAX_WORK}"
         )
     degree = spec.degree  # n! and its divisions: only after the cap
-    entries = [
-        SpectrumEntry(j, _rescale(dual, degree, size), size)
-        for j, dual, size in _gen_kraw_column(spec.group, n, spec.dcomp)
-    ]
+    if spec.balanced:
+        # the shells the balanced route leaves out have eigenvalue 0
+        values = {j.counts: value for j, value, _ in _balanced_shells(spec.group, n)}
+        entries = [
+            SpectrumEntry(Composition._trusted(j), values.get(j, 0), size)
+            for j, size in _colex_shells(q, n)
+        ]
+    else:
+        entries = [
+            SpectrumEntry(j, _rescale(dual, degree, size), size)
+            for j, dual, size in _gen_kraw_column(spec.group, n, spec.dcomp)
+        ]
     return Spectrum(spec, tuple(entries), degree, spec.vertex_count)
 
 

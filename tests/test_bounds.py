@@ -3,7 +3,9 @@
 import io
 import itertools
 import json
+import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -16,9 +18,11 @@ from scheme_spectra import (
     CycInt,
     DivisibilityError,
     DomainError,
+    FiniteField,
     HammingGraphSpec,
     Infeasible,
     LPSolution,
+    NoNegativeEigenvalue,
     NotOrthogonal,
     NotUnitModulus,
     OrderMismatch,
@@ -27,6 +31,8 @@ from scheme_spectra import (
     Representation,
     SizeExceeded,
     SpecMismatch,
+    Spectrum,
+    SpectrumEntry,
     binom,
     bound_report,
     build_representation,
@@ -34,6 +40,7 @@ from scheme_spectra import (
     conjecture_probe,
     cyclic,
     entropy_q,
+    enumerate_compositions,
     enumerate_shell,
     finite_field,
     first_nonpositive,
@@ -45,12 +52,13 @@ from scheme_spectra import (
     kraw,
     lp_two_support,
     min_eigenvalue,
+    multinom,
     representation_seed,
     verify_representation,
     word_add,
     word_index,
 )
-from scheme_spectra import bounds, schemes
+from scheme_spectra import bounds, krawtchouk, schemes
 
 
 def _splitmix_stream(seed):
@@ -527,7 +535,6 @@ def test_the_row_cap_fires_before_any_word_is_read(monkeypatch):
     def refuse(*args):
         raise AssertionError("a shell was enumerated")
 
-    monkeypatch.setattr(bounds, "enumerate_shell", refuse)
     monkeypatch.setattr(bounds, "_shell_indices", refuse)
     message = "representation would have 2097152 rows; cap is 1048576"
     with pytest.raises(SizeExceeded, match=f"^{message}$"):
@@ -876,11 +883,11 @@ def test_index_shells_match_enumerate_shell():
         for n in range(1, 13):
             if q**n > 5000:
                 break
-            for w in range(n + 1):
-                expected = [word_index(group, y) for y in enumerate_shell(group, n, w)]
-                assert bounds._shell_indices(group, n, w).tolist() == expected
+            for label in (*range(n + 1), *enumerate_compositions(q, n)):
+                expected = [word_index(group, y) for y in enumerate_shell(group, n, label)]
+                assert bounds._shell_indices(group, n, label).tolist() == expected
                 shells += 1
-    assert shells >= 150
+    assert shells >= 1500
 
 
 def test_vectorised_draws_match_the_stream():
@@ -1030,8 +1037,9 @@ def test_hamming_report_makes_one_krawtchouk_pass(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(bounds, name, counting(name))
-    for name in ("lp_two_support", "check_lp_solution", "hoffman_bound", "min_eigenvalue"):
+    for name in ("lp_two_support", "check_lp_solution", "hoffman_bound"):
         monkeypatch.setattr(bounds, name, forbidden)
+    monkeypatch.setattr(schemes, "min_eigenvalue", forbidden)
     monkeypatch.setattr(schemes, "SpectrumEntry", forbidden)
     monkeypatch.setattr(schemes, "Spectrum", forbidden)
     for spec in (HammingGraphSpec(6, 2, 4), HammingGraphSpec(300, 3, 150)):
@@ -1120,6 +1128,137 @@ def test_probe_validation():
             conjecture_probe(q, n)
     probe = conjecture_probe(np.int64(3), np.int64(6))
     assert json.dumps(probe.to_json()) == json.dumps(conjecture_probe(3, 6).to_json())
+
+
+def _packed_spectrum(spec):
+    # the full spectrum from the packed expansion and reciprocity, every
+    # shell listed: the reference for the balanced route
+    entries = tuple(
+        SpectrumEntry(j, schemes._rescale(dual, spec.degree, size), size)
+        for j, dual, size in krawtchouk._gen_kraw_column(spec.group, spec.n, spec.dcomp)
+    )
+    return Spectrum(spec, entries, spec.degree, spec.vertex_count)
+
+
+def _probe_from_packed_spectrum(q, n):
+    balanced = Composition.balanced(q, n)
+    spectrum = _packed_spectrum(CompositionGraphSpec(cyclic(q), n, balanced))
+    minimum, _ = min_eigenvalue(spectrum)
+    target = Fraction(-multinom(n, balanced), n - 1)
+    pattern = [n - 2] + [0] * (q - 1)
+    pattern[1] += 1
+    pattern[q - 1] += 1
+    return ProbeVerdict(
+        "holds" if minimum == target else "fails",
+        q,
+        n,
+        minimum=minimum,
+        conjectured=target,
+        pattern=Composition(tuple(pattern)),
+        achieving=tuple(e.label for e in spectrum.entries if e.eigenvalue == minimum),
+    ).to_json()
+
+
+def _balanced_report_from_packed_spectrum(spec):
+    spectrum = _packed_spectrum(spec)
+    diagnostics = {"balanced": True, "undirected": True}
+    lower = []
+    try:
+        lower.append((hoffman_bound(spectrum), "hoffman"))
+    except NoNegativeEigenvalue:
+        diagnostics["hoffman_unavailable"] = "NoNegativeEigenvalue"
+    upper = [(Fraction(spec.n), "hadamard-character")]
+    p = min(f for f in range(2, spec.n + 1) if spec.n % f == 0)
+    if isinstance(spec.group, FiniteField) and p ** round(math.log(spec.n, p)) == spec.n:
+        diagnostics["prime_power_pair"] = True
+    exact = lower[0][0] if lower and lower[0][0] == upper[0][0] else None
+    return BoundReport(spec, tuple(lower), tuple(upper), exact, diagnostics).to_json()
+
+
+BALANCED_GRIDS = [
+    (cyclic(2), 40),
+    (cyclic(3), 24),
+    (cyclic(4), 16),
+    (cyclic(5), 15),
+    (cyclic(6), 12),
+    (cyclic(7), 14),
+    (finite_field(4), 12),
+    (finite_field(8), 8),
+]
+
+
+@pytest.mark.parametrize(
+    "group,top", BALANCED_GRIDS, ids=[f"{type(g).__name__}{g.order}" for g, _ in BALANCED_GRIDS]
+)
+def test_balanced_probe_and_report_match_the_packed_spectrum(group, top):
+    q = group.order
+    several = 0
+    for n in range(q, top + 1, q):
+        spec = CompositionGraphSpec(group, n, Composition.balanced(q, n))
+        got = json.dumps(bound_report(spec).to_json())
+        assert got == json.dumps(_balanced_report_from_packed_spectrum(spec)), n
+        if isinstance(group, FiniteField) or ((q - 1) * n // q) % 2:
+            continue
+        probe = conjecture_probe(q, n).to_json()
+        assert json.dumps(probe) == json.dumps(_probe_from_packed_spectrum(q, n)), n
+        several += len(probe["achieving_shells"]) > 1
+    if isinstance(group, FiniteField) or q == 2:
+        return
+    assert several  # some probe has more than one shell at the minimum
+
+
+# Measured at 0.4-2.7 s each on a 2-core x86-64 host; the budget is generous
+# so that timing noise cannot fail it.
+PROBE_BUDGET_S = 10.0
+
+
+def test_probe_runs_past_the_composition_work_cap():
+    # composition_spectrum refuses all three (Z_7 with n = 21 costs
+    # 304594290 of its units); the balanced route reads their nonzero shells
+    for q, n, minimum, achieving in (
+        (7, 21, -9125468352000, 21),
+        (8, 16, -5448643200, 32),
+        (6, 36, -76290792475347121351680, 18),
+    ):
+        start = time.perf_counter()
+        verdict = conjecture_probe(q, n)
+        assert time.perf_counter() - start < PROBE_BUDGET_S, (q, n)
+        assert verdict.verdict == "holds"
+        assert verdict.minimum == minimum == verdict.conjectured
+        assert len(verdict.achieving) == achieving
+        assert verdict.pattern in verdict.achieving
+
+
+def test_balanced_route_refuses_work_over_its_cap_up_front(monkeypatch):
+    message = (
+        r"^balanced spectrum would cost 89956772 units "
+        r"\(multiply-adds of the group determinant route\); cap is 25000000$"
+    )
+    start = time.perf_counter()
+    with pytest.raises(SizeExceeded, match=message):
+        conjecture_probe(10, 20)
+    with pytest.raises(SizeExceeded, match=message):
+        bound_report(CompositionGraphSpec(cyclic(10), 20, Composition.balanced(10, 20)))
+    assert time.perf_counter() - start < 1.0
+    # the cap is inclusive
+    work = krawtchouk._balanced_work(cyclic(3), 6)
+    monkeypatch.setattr(krawtchouk, "BALANCED_MAX_WORK", work)
+    assert conjecture_probe(3, 6).verdict == "holds"
+    monkeypatch.setattr(krawtchouk, "BALANCED_MAX_WORK", work - 1)
+    with pytest.raises(SizeExceeded, match=f"cost {work} units .* cap is {work - 1}$"):
+        conjecture_probe(3, 6)
+
+
+def test_probe_checks_that_the_pattern_shell_is_negative(monkeypatch):
+    # the zero shells are left out, which is sound only while the minimum
+    # is negative; a route that lost the pattern shell must not pass
+    shells = krawtchouk._balanced_shells(cyclic(3), 6)
+    pattern = Composition((4, 1, 1))
+    monkeypatch.setattr(
+        bounds, "_balanced_shells", lambda *args: [e for e in shells if e[0] != pattern]
+    )
+    with pytest.raises(ArithmeticError, match=r"pattern shell \(4, 1, 1\) has eigenvalue 0"):
+        conjecture_probe(3, 6)
 
 
 def test_probe_verdict_is_a_plain_record():

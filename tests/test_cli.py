@@ -194,6 +194,20 @@ def test_probe_holds(capsys):
     assert data["minimum"] == "-10"
 
 
+def test_probe_runs_past_the_composition_work_cap(capsys):
+    code, out, _ = run(capsys, "probe", "--q", "7", "--n", "21")
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdict"] == "holds"
+    assert data["minimum"] == data["conjectured"] == "-9125468352000"
+
+
+def test_probe_over_the_balanced_work_cap_is_a_flag_error(capsys):
+    assert run(capsys, "probe", "--q", "10", "--n", "20") == (
+        2, "", "error: balanced spectrum would cost 89956772 units "
+               "(multiply-adds of the group determinant route); cap is 25000000\n")
+
+
 # ---------------------------------------------------------------------------
 # verify
 

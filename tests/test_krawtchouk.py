@@ -34,6 +34,14 @@ from scheme_spectra import (
     word_char_value,
     zero_shell_predicate,
 )
+from scheme_spectra import finite_field, krawtchouk, schemes
+from scheme_spectra.krawtchouk import (
+    CIRCULANT_MAX_Q,
+    _balanced_shells,
+    _circulant_determinant,
+    _gen_kraw_column,
+    _group_determinant,
+)
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -352,6 +360,67 @@ def test_circulant_guards():
         gen_kraw_circulant(3, 7, Composition((3, 2, 2)))
     with pytest.raises(SumMismatch):
         gen_kraw_circulant(2, 4, Composition((3, 2)))
+
+
+# ---------------------------------------------------------------------------
+# balanced route: a power of the group determinant, read out on its nonzero
+# shells, against the packed expansion (character sums, independent of D)
+
+
+BALANCED_GRIDS = [
+    (cyclic(2), 40),
+    (cyclic(3), 24),
+    (cyclic(4), 16),
+    (cyclic(5), 15),
+    (cyclic(6), 12),
+    (cyclic(7), 14),
+    (finite_field(4), 12),
+    (finite_field(8), 8),
+]
+
+
+def packed_balanced_column(group, n):
+    """(j, eigenvalue, multinom(n, j)) on every shell, from the packed
+    expansion of the balanced generator and reciprocity."""
+    balanced = Composition.balanced(group.order, n)
+    degree = multinom(n, balanced)
+    return [
+        (j, schemes._rescale(dual, degree, size), size)
+        for j, dual, size in _gen_kraw_column(group, n, balanced)
+    ]
+
+
+@pytest.mark.parametrize(
+    "group,top", BALANCED_GRIDS, ids=[f"{type(g).__name__}{g.order}" for g, _ in BALANCED_GRIDS]
+)
+def test_balanced_route_matches_the_packed_column(group, top):
+    q = group.order
+    for n in range(q, top + 1, q):
+        packed = packed_balanced_column(group, n)
+        assert all(type(value) is int for _, value, _ in packed)
+        nonzero = [(tuple(j), value, size) for j, value, size in packed if value != 0]
+        got = _balanced_shells(group, n)
+        assert [(tuple(j), value, size) for j, value, size in got] == nonzero, n
+        assert all(type(j) is Composition for j, _, _ in got)
+
+
+def test_group_determinant_is_the_circulant_determinant():
+    for q in range(2, CIRCULANT_MAX_Q + 1):
+        det = {tuple(j): coeff for j, coeff in _group_determinant(cyclic(q))}
+        assert det == _circulant_determinant(q), q
+
+
+def test_group_determinant_refuses_a_non_integer_coefficient(monkeypatch):
+    # the column of the unbalanced generator (2, 1, 0) has irrational
+    # coefficients; the balanced one of length q never does
+    column = _gen_kraw_column(cyclic(3), 3, Composition((2, 1, 0)))
+    monkeypatch.setattr(krawtchouk, "_gen_kraw_column", lambda *args: column)
+    _group_determinant.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match=r"^group determinant of .* has coefficient"):
+            _group_determinant(cyclic(3))
+    finally:
+        _group_determinant.cache_clear()
 
 
 def test_zero_shells_vanish():

@@ -2,6 +2,7 @@
 
 import cmath
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -351,6 +352,39 @@ def test_composition_work_counts_wide_packed_counts():
     with pytest.raises(SizeExceeded, match=r" x 1954 chunks of 512 bits\); cap is 250000000$"):
         composition_spectrum(spec)
     assert time.perf_counter() - start < 1.0
+
+
+def test_the_balanced_cap_admits_every_balanced_spectrum_the_composition_cap_admits():
+    # composition_spectrum checks COMPOSITION_MAX_WORK first and then runs
+    # the balanced route, whose own cap must never refuse what the first
+    # admitted; the first admits balanced graphs only up to q = 10
+    admitted = 0
+    groups = [cyclic(q) for q in range(2, 13)] + [finite_field(q) for q in (4, 8, 9, 16)]
+    for group in groups:
+        q, m = group.order, group.char_order
+        n = q
+        while True:
+            chunks = int(n * math.log2(q)) // 512 + 1
+            if binom(n + q - 1, q - 1) * n * q * m * chunks > schemes.COMPOSITION_MAX_WORK:
+                break
+            assert krawtchouk._balanced_work(group, n) <= krawtchouk.BALANCED_MAX_WORK, (group, n)
+            admitted += 1
+            n += q
+    assert admitted > 1700
+
+
+def test_balanced_spectra_take_the_group_determinant_route(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the packed expansion ran")
+
+    # D itself comes from the packed column of length q, through krawtchouk
+    monkeypatch.setattr(schemes, "_gen_kraw_column", refuse)
+    sp = composition_spectrum(CompositionGraphSpec(cyclic(3), 6, Composition.balanced(3, 6)))
+    assert [e.label for e in sp.entries] == list(enumerate_compositions(3, 6))
+    assert [e.multiplicity for e in sp.entries] == [multinom(6, j) for j in enumerate_compositions(3, 6)]
+    assert trace_identity_check(sp)
+    with pytest.raises(AssertionError, match="the packed expansion ran"):
+        composition_spectrum(CompositionGraphSpec(cyclic(3), 6, Composition((3, 2, 1))))
 
 
 def test_composition_column_refuses_an_expansion_missing_a_shell():
