@@ -48,7 +48,6 @@ from .krawtchouk import (
 from .schemes import (
     CompositionGraphSpec,
     HammingGraphSpec,
-    _hamming_eigenvalues,
     _hoffman_value,
     composition_spectrum,
     hoffman_bound,
@@ -757,13 +756,13 @@ def bound_report(spec: HammingGraphSpec | CompositionGraphSpec) -> BoundReport:
 
 
 def _hamming_report(spec: HammingGraphSpec) -> BoundReport:
-    # One Krawtchouk column K_i(d) serves the eigenvalues, the Hoffman
+    # One Krawtchouk column K_i(d) serves the least eigenvalue, the Hoffman
     # bound, the first sign change and the LP certificate, which is still
     # checked exactly against it.
     n, q, d = spec.n, spec.q, spec.d
     column = kraw_column(n, q, d)
     sizes = _shell_sizes(n, q)
-    hoffman = _hoffman_value(min(_hamming_eigenvalues(n, q, d, column, sizes)), sizes[d])
+    hoffman = _hoffman_value(_least_hamming_eigenvalue(n, q, d, column, sizes), sizes[d])
     lower: list[tuple[Fraction, str]] = [(hoffman, "hoffman")]
     solution = _two_support(n, q, d, column, sizes)
     _check_weights(solution)
@@ -784,6 +783,34 @@ def _hamming_report(spec: HammingGraphSpec) -> BoundReport:
         diagnostics["regime"] = "entropy"
         diagnostics["entropy_exponent"] = entropy_q(q, first_root_ratio(q, d / n))
     return _finish_report(spec, lower, upper, diagnostics)
+
+
+def _least_hamming_eigenvalue(
+    n: int, q: int, d: int, column: Sequence[int], sizes: Sequence[int]
+) -> int:
+    # By reciprocity K_d(j) = m_d K_j(d) / m_j, so the least eigenvalue sits
+    # on the shell b with the least ratio K_j(d) / m_j.  Only negative K_j(d)
+    # can attain it.  With a = bit length of -K_j(d) and c = that of m_j the
+    # ratio's size lies strictly between 2^(a-c-1) and 2^(a-c+1), so a shell
+    # whose a - c is at least 2 below the best's cannot win; every other one
+    # is decided exactly by cross-multiplication, the first minimiser
+    # winning.  One checked division then gives the eigenvalue.
+    best = 0
+    best_gap = 0
+    for j in range(1, n + 1):
+        k = column[j]
+        if k >= 0:
+            continue
+        gap = (-k).bit_length() - sizes[j].bit_length()
+        if not best or (gap + 2 > best_gap and k * sizes[best] < column[best] * sizes[j]):
+            best, best_gap = j, gap
+    if not best:
+        # sum_j m_j K_d(j) = 0 with K_d(0) = m_d > 0, so this cannot happen
+        raise ArithmeticError(f"no negative Krawtchouk value K_j(d) at n={n}, q={q}, d={d}")
+    value, rem = divmod(sizes[d] * column[best], sizes[best])
+    if rem:
+        raise ArithmeticError(f"reciprocity is not integral at n={n}, q={q}, d={d}, j={best}")
+    return value
 
 
 def _composition_report(spec: CompositionGraphSpec) -> BoundReport:

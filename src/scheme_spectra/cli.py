@@ -263,13 +263,18 @@ def _check_least_eigenvalues(max_n: int) -> tuple[str, list[str]]:
         for n in range(2, max_n + 1):
             d_lo = ((q - 1) * n + 1 + q - 1) // q
             for d in range(d_lo, n + 1):
-                spectrum = hamming_spectrum(HammingGraphSpec(n, q, d))
+                spec = HammingGraphSpec(n, q, d)
+                spectrum = hamming_spectrum(spec)
                 lam, shell = min_eigenvalue(spectrum)
                 expected_num = -((q - 1) ** d) * binom(n, d) * (q * d - (q - 1) * n)
                 if Fraction(expected_num, (q - 1) * n) != lam or shell != 1:
                     failures.append(f"least-eigenvalue closed form at n={n} q={q} d={d}")
-                if hoffman_bound(spectrum) != Fraction(q * d, q * d - (q - 1) * n):
+                bound = Fraction(q * d, q * d - (q - 1) * n)
+                if hoffman_bound(spectrum) != bound:
                     failures.append(f"spectral bound closed form at n={n} q={q} d={d}")
+                # the bound report finds the least eigenvalue by its own route
+                if (bound, "hoffman") not in bound_report(spec).lower:
+                    failures.append(f"report bound closed form at n={n} q={q} d={d}")
     return f"least-eigenvalue closed forms, n <= {max_n}", failures
 
 

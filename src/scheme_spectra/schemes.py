@@ -42,7 +42,6 @@ from .krawtchouk import (
     _shell_sizes,
     gen_kraw,
     kraw,
-    kraw_column,
 )
 
 #: Vertex-count cap for the dense projector check.
@@ -181,27 +180,32 @@ def hamming_spectrum(spec: HammingGraphSpec) -> Spectrum:
     """Exact spectrum of a Hamming graph: K_d(j) on the weight-j shell.
 
     Shells are listed by ascending weight; multiplicities are the shell
-    sizes m_j = (q-1)^j C(n,j).  One recurrence pass gives the column
-    K_j(d), and reciprocity m_j K_d(j) = m_d K_j(d) turns it into the
-    eigenvalues, each division checked to be exact.
+    sizes m_j = (q-1)^j C(n,j).  The eigenvalues come from one pass of the
+    difference equation in j, started at K_d(0) = m_d; every step divides
+    by a small int, and each division is checked to be exact.
     """
-    n, q, d = spec.n, spec.q, spec.d
-    sizes = _shell_sizes(n, q)
-    values = _hamming_eigenvalues(n, q, d, kraw_column(n, q, d), sizes)
-    entries = tuple(SpectrumEntry(j, v, m) for j, (v, m) in enumerate(zip(values, sizes)))
-    return Spectrum(spec, entries, spec.degree, spec.vertex_count)
+    n, q, d, degree = spec.n, spec.q, spec.d, spec.degree
+    values = _hamming_eigenvalues(n, q, d, degree)
+    entries = tuple(
+        SpectrumEntry(j, v, m) for j, (v, m) in enumerate(zip(values, _shell_sizes(n, q)))
+    )
+    return Spectrum(spec, entries, degree, spec.vertex_count)
 
 
-def _hamming_eigenvalues(
-    n: int, q: int, d: int, column: Sequence[int], sizes: Sequence[int]
-) -> list[int]:
-    # K_d(j) = m_d K_j(d) / m_j from the column K_j(d) and the shell sizes
-    # m_j, every division checked to be exact.
-    values = []
-    for j, dual in enumerate(column):
-        value, rem = divmod(sizes[d] * dual, sizes[j])
+def _hamming_eigenvalues(n: int, q: int, d: int, degree: int) -> list[int]:
+    # K_d(j), j = 0..n, from K_d(0) = degree = m_d and the difference equation
+    #   (q-1)(n-j) K_d(j+1) = ((q-1)(n-j) + j - qd) K_d(j) - j K_d(j-1)
+    # (MacWilliams-Sloane ch. 5), every division checked to be exact.
+    values = [degree]
+    prev = 0
+    for j in range(n):
+        span = (q - 1) * (n - j)
+        value, rem = divmod((span + j - q * d) * values[j] - j * prev, span)
         if rem:
-            raise ArithmeticError(f"reciprocity is not integral at n={n}, q={q}, d={d}, j={j}")
+            raise ArithmeticError(
+                f"difference equation is not integral at n={n}, q={q}, d={d}, j={j}"
+            )
+        prev = values[j]
         values.append(value)
     return values
 

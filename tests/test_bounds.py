@@ -1080,6 +1080,74 @@ def test_hamming_report_raises_the_witnesses_of_check_lp_solution(monkeypatch):
         assert str(in_report.value) == str(direct.value)
 
 
+def _reciprocity_hoffman(n, q, d):
+    # the former route, kept as the oracle: every eigenvalue
+    # K_d(j) = m_d K_j(d) / m_j by one bigint division, then the least
+    column = krawtchouk.kraw_column(n, q, d)
+    sizes = [(q - 1) ** j * binom(n, j) for j in range(n + 1)]
+    values = []
+    for j, dual in enumerate(column):
+        value, rem = divmod(sizes[d] * dual, sizes[j])
+        assert not rem, (n, q, d, j)
+        values.append(value)
+    return 1 - Fraction(sizes[d], min(values))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_hamming_report_hoffman_matches_the_reciprocity_oracle(q):
+    cases = [(n, d) for n in range(1, 41) for d in range(1, n + 1)]
+    regimes = set()
+    for n in (299, 301, 1000, 2000):
+        top = -(-(q - 1) * n // q)  # the least d with (q-1)n - qd <= 0
+        cases += [(n, n // 10), (n, top - 1), (n, top), (n, n)]
+    for n, d in cases:
+        report = bound_report(HammingGraphSpec(n, q, d))
+        assert report.lower == ((_reciprocity_hoffman(n, q, d), "hoffman"),), (n, q, d)
+        if n >= 299:
+            regimes.add(report.diagnostics["regime"])
+    assert regimes == {"entropy", "near-balanced-window", "balanced-or-above"}
+
+
+@pytest.mark.parametrize(
+    "n,q,d,winner,runner_up",
+    [(6, 2, 1, 6, 5), (36, 3, 8, 13, 12), (301, 3, 24, 129, 128), (299, 5, 82, 93, 92)],
+)
+def test_least_hamming_eigenvalue_is_decided_exactly_on_near_ties(n, q, d, winner, runner_up):
+    # The two least ratios K_j(d) / m_j lie within a factor of 2 and the
+    # runner-up comes first, with a bit-length gap at least as large, so
+    # neither the scan order nor the bit lengths can pick the winner.
+    column = krawtchouk.kraw_column(n, q, d)
+    sizes = krawtchouk._shell_sizes(n, q)
+    ratios = sorted(
+        (Fraction(column[j], sizes[j]), j) for j in range(1, n + 1) if column[j] < 0
+    )
+    (least, j1), (second, j2) = ratios[:2]
+    assert (j1, j2) == (winner, runner_up)
+    assert least < second and least / second < 2
+    gap = [(-column[j]).bit_length() - sizes[j].bit_length() for j in (winner, runner_up)]
+    assert gap[1] >= gap[0]
+    value = bounds._least_hamming_eigenvalue(n, q, d, column, sizes)
+    assert value == sizes[d] * column[winner] // sizes[winner]
+    assert 1 - Fraction(sizes[d], value) == _reciprocity_hoffman(n, q, d)
+
+
+def test_least_hamming_eigenvalue_refuses_a_column_without_a_negative_entry():
+    sizes = krawtchouk._shell_sizes(3, 2)
+    with pytest.raises(ArithmeticError, match=r"n=3, q=2, d=1"):
+        bounds._least_hamming_eigenvalue(3, 2, 1, [3, 1, 0, 0], sizes)
+
+
+def test_large_hamming_report_is_fast():
+    # one bigint division for the least eigenvalue: about 0.04 s on a 2-core
+    # x86-64 host, where one division per shell took 0.8 s
+    spec = HammingGraphSpec(5000, 5, 2500)
+    start = time.perf_counter()
+    report = bound_report(spec)
+    assert time.perf_counter() - start < 0.4
+    least = min(e.eigenvalue for e in hamming_spectrum(spec).entries)
+    assert report.lower == ((1 - Fraction(spec.degree, least), "hoffman"),)
+
+
 # ---------------------------------------------------------------------------
 # the balanced least-eigenvalue probe
 

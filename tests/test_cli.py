@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour, driven through main(argv)."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -297,6 +298,27 @@ def test_verify_hadamard_line_ignores_lp_failures(capsys, monkeypatch):
     lines = out.splitlines()
     assert lines[0].startswith("FAIL - lp representations")
     assert lines[1].startswith("ok - hadamard representations")
+
+
+def test_verify_eigenvalues_checks_the_report_route(capsys, monkeypatch):
+    real_report = cli.bound_report
+
+    def off_by_one(spec):
+        report = real_report(spec)
+        if (spec.n, spec.q, spec.d) != (3, 3, 3):
+            return report
+        ((value, tag),) = report.lower
+        return dataclasses.replace(report, lower=((value + 1, tag),))
+
+    monkeypatch.setattr(cli, "bound_report", off_by_one)
+    assert run(capsys, "verify", "--suite", "eigenvalues", "--max-n", "3") == (
+        1,
+        "FAIL - least-eigenvalue closed forms, n <= 3\n"
+        "ok - balanced spectra: trace, zero shells, circulant agreement, n <= 3\n"
+        "ok - eigenvector adjacency action spot checks\n"
+        "FAIL: report bound closed form at n=3 q=3 d=3\n",
+        "",
+    )
 
 
 def test_verify_reports_an_irrational_balanced_value(monkeypatch):

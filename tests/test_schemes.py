@@ -226,6 +226,45 @@ def test_hamming_spectrum_matches_the_closed_form():
                 assert all(type(e.eigenvalue) is int for e in sp.entries)
 
 
+def _reciprocity_eigenvalues(n, q, d):
+    # the former route, kept as the oracle: K_d(j) = m_d K_j(d) / m_j from
+    # the column K_j(d), one bigint division per shell, each checked exact
+    column = krawtchouk.kraw_column(n, q, d)
+    sizes = [(q - 1) ** j * binom(n, j) for j in range(n + 1)]
+    values = []
+    for j, dual in enumerate(column):
+        value, rem = divmod(sizes[d] * dual, sizes[j])
+        assert not rem, (n, q, d, j)
+        values.append(value)
+    return values
+
+
+def _regime_distances(n, q):
+    # one d in each regime of the bound report: entropy, the near-balanced
+    # window just below the balanced distance, and balanced-or-above
+    top = -(-(q - 1) * n // q)
+    return (n // 10, top - 1, top, n)
+
+
+def test_hamming_spectrum_matches_the_reciprocity_oracle():
+    cases = [(n, q, d) for q in range(2, 6) for n in range(1, 41) for d in range(1, n + 1)]
+    cases += [
+        (n, q, d)
+        for q in range(2, 6)
+        for n in (299, 301, 1000, 2000)
+        for d in _regime_distances(n, q)
+    ]
+    for n, q, d in cases:
+        sp = hamming_spectrum(HammingGraphSpec(n, q, d))
+        assert [e.eigenvalue for e in sp.entries] == _reciprocity_eigenvalues(n, q, d), (n, q, d)
+
+
+def test_hamming_eigenvalues_check_every_division():
+    # started from 1 instead of m_1 = 6, the first step is 3/6
+    with pytest.raises(ArithmeticError, match=r"n=3, q=3, d=1, j=0"):
+        schemes._hamming_eigenvalues(3, 3, 1, 1)
+
+
 # (group, n, generating compositions): balanced, unbalanced and directed
 # generators; the directed ones have non-real eigenvalues, so a conjugated
 # character or a dropped reciprocity factor cannot hide behind symmetry.
