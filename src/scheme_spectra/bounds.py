@@ -11,6 +11,7 @@ sight are clearly-labeled diagnostics.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +42,7 @@ from .groups import (
 from .krawtchouk import (
     _balanced_shells,
     _first_nonpositive,
+    _read_out,
     _shell_sizes,
     first_root_ratio,
     kraw_column,
@@ -48,9 +50,10 @@ from .krawtchouk import (
 from .schemes import (
     CompositionGraphSpec,
     HammingGraphSpec,
+    _composition_degree,
+    _extreme,
     _hoffman_value,
-    composition_spectrum,
-    hoffman_bound,
+    _less_than,
 )
 
 #: Row-count cap for materializing a representation.
@@ -163,11 +166,14 @@ def _two_support(
     # The pick of lp_two_support from the column K_i(d) and the shell sizes;
     # it checks nothing.
     best: int | None = None
+    best_cost = 0
     for i in range(1, n + 1):
-        if column[i] > 0:
+        k = column[i]
+        if k > 0:
             continue
-        if best is None or sizes[i] - column[i] < sizes[best] - column[best]:
-            best = i
+        cost = sizes[i] - k
+        if best is None or cost < best_cost:
+            best, best_cost = i, cost
     if best is None:
         raise Infeasible(
             f"no shell index has a nonpositive Krawtchouk value at d={d}"
@@ -767,7 +773,11 @@ def _hamming_report(spec: HammingGraphSpec) -> BoundReport:
     solution = _two_support(n, q, d, column, sizes)
     _check_weights(solution)
     _check_orthogonality(solution, column)
-    upper: list[tuple[Fraction, str]] = [(Fraction(solution.objective), "lp-two-support")]
+    # the objective sum_i c_i m_i from the sizes at hand, over the two
+    # shells where c_i is nonzero
+    coeffs = solution.coefficients
+    objective = sum(coeffs[i] * sizes[i] for i in itertools.compress(range(n + 1), coeffs))
+    upper: list[tuple[Fraction, str]] = [(Fraction(objective), "lp-two-support")]
     diagnostics: dict = {
         "first_nonpositive_shell": _first_nonpositive(column),
         "lp_coefficients": list(solution.coefficients),
@@ -831,9 +841,15 @@ def _composition_report(spec: CompositionGraphSpec) -> BoundReport:
         except NoNegativeEigenvalue as exc:
             diagnostics["hoffman_unavailable"] = type(exc).__name__
     elif spec.undirected:
-        spectrum = composition_spectrum(spec)
+        # The read-out computes one shell per negation orbit, the colex-earlier
+        # one, and copies its value to the mirror; the least over those is the
+        # least eigenvalue, and the first minimiser is one of them.
+        degree = _composition_degree(spec)
+        column, computed = _read_out(group, n, spec.dcomp, degree)
+        values = [column[i][1] for i in computed]
         try:
-            lower.append((hoffman_bound(spectrum), "hoffman"))
+            lam_min = values[_extreme(values, _less_than)]
+            lower.append((_hoffman_value(lam_min, degree), "hoffman"))
         except (IrrationalEigenvalue, NoNegativeEigenvalue, NonRealEigenvalue) as exc:
             diagnostics["hoffman_unavailable"] = type(exc).__name__
     if spec.balanced:

@@ -491,13 +491,16 @@ def enumerate_compositions(q: int, n: int) -> Iterator[Composition]:
 
     def rec(parts: int, total: int) -> Iterator[tuple[int, ...]]:
         if parts == 1:
-            yield (total,)
+            # n less the other parts, as an int even when n is an int-like
+            yield (operator.index(total),)
             return
         for last in range(total + 1):
             for head in rec(parts - 1, total - last):
                 yield head + (last,)
 
-    return (Composition(t) for t in rec(q, n))
+    # Every part is a nonnegative int, except the one part of q = 1, which is
+    # n itself and is still validated.
+    return map(Composition if q == 1 else Composition._trusted, rec(q, n))
 
 
 def shell_size(group: GroupSpec, n: int, label: int | Composition | Sequence[int]) -> int:

@@ -5,11 +5,21 @@ graph on the weight-j character shell.  Its composition refinement
 replaces weights by full occurrence-count vectors and takes values in a
 cyclotomic integer ring.  Whole columns (one argument, every index) come
 from one pass each: the three-term recurrence for the classical values,
-one expansion of a product of linear forms for the refined ones, whose
-sorted monomial keys give the composition labels in colexicographic
-order and whose coefficient count totals give the shell sizes.  The
-default per-value route expands the same product with one kernel,
-pruned to the sub-compositions of its target.
+one expansion of a product of linear forms L_h = sum_g phi_h(g) z_g for
+the refined ones.  The expansion is read out in one more pass: its
+sorted monomial keys walk in step with the compositions in
+colexicographic order, each coefficient's count total is checked against
+the shell size, and the coefficient is folded into the power basis and,
+for a spectrum, scaled to the eigenvalue in the same step.  The default
+per-value route expands the same product with one kernel, pruned to the
+sub-compositions of its target.
+
+For a negation-closed generator x (x_h = x_(-h)) the read-out folds one
+shell per negation orbit.  The substitution z_g -> z_(-g) turns L_h into
+sum_g phi_h(-g) z_g = L_(-h), so it maps prod_h L_h^(x_h) to
+prod_h L_h^(x_(-h)), the same product: shell j and its mirror j o (-1)
+carry the same coefficient.  The mirror's coefficient is checked equal
+and the value reused.
 
 For a balanced generator (n/q, ..., n/q) the product is D^(n/q), where D
 is the group determinant of the alphabet (Dedekind-Frobenius).  D has
@@ -32,6 +42,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import (
     DivisibilityError,
@@ -42,7 +53,7 @@ from .errors import (
     SumMismatch,
     UnsupportedSize,
 )
-from .exactnum import CycInt, binom, multinom
+from .exactnum import CycInt, _reduction_rows, binom, multinom
 from .groups import Composition, GroupSpec, enumerate_shell
 
 #: Largest alphabet for which the circulant determinant is expanded exactly.
@@ -225,35 +236,126 @@ def _gen_kraw_extraction(group: GroupSpec, n: int, i: Composition, j: Compositio
     return CycInt.from_root_powers(group.char_order, counts)
 
 
+def _colex_shells(q: int, n: int) -> list[tuple[tuple[int, ...], int]]:
+    # (counts of j, multinom(n, j)) for every composition j of n into q
+    # parts, in colex order, built one part at a time: rows[t] lists the
+    # compositions of t into the parts so far, and appending a last part
+    # c to one of t - c multiplies its multinomial by C(t, c).
+    rows = [[((t,), 1)] for t in range(n + 1)]
+
+    def extend(t: int) -> list[tuple[tuple[int, ...], int]]:
+        return [
+            (head + (last,), size * ways)
+            for last in range(t + 1)
+            for ways in (math.comb(t, last),)
+            for head, size in rows[t - last]
+        ]
+
+    for _ in range(q - 2):
+        rows = [extend(t) for t in range(n + 1)]
+    return extend(n) if q > 1 else rows[n]
+
+
+def _read_out(
+    group: GroupSpec, n: int, x: Composition, degree: int | None = None
+) -> tuple[list[tuple[tuple[int, ...], int | CycInt, int]], Sequence[int]]:
+    # The z^j coefficients of the product of _expand, one per composition j
+    # of n, read out in one pass as (counts of j, value, multinom(n, j)) in
+    # colex order, with the indices of the shells whose value was computed
+    # rather than copied from a mirror.  The value is K_j(x), or with
+    # `degree` the eigenvalue K_j(x) degree / multinom(n, j) by reciprocity,
+    # every division checked; it is an int when rational, else a CycInt.
+    #
+    # Ascending keys are colex order, so the keys walk in step with
+    # _colex_shells, which gives each label and size.  At zeta = 1 the
+    # product is (sum_g z_g)^n, so the counts of z^j add up to its shell
+    # size, which is checked; and since no count can cancel, every
+    # composition occurs as a key.  Each packed coefficient is unpacked and
+    # folded into the power basis, where zeta^e is the e-th basis element
+    # for e below the basis size and a reduction row above it.  For a
+    # negation-closed x (see the module docstring) the colex-earlier shell
+    # of each mirror pair is folded, and the later one is checked against
+    # it and reuses its value.
+    m, q = group.char_order, group.order
+    poly, width = _expand(group, n, x)
+    shells = _colex_shells(q, n)
+    if len(poly) != len(shells):
+        raise ArithmeticError(
+            f"expansion has {len(poly)} monomials, expected one per composition of n={n}"
+        )
+    neg = [group.neg(g) for g in range(q)]
+    mirror = None
+    if neg != list(range(q)) and group.is_negation_closed(x):
+        mirror = operator.itemgetter(*neg)
+    rows = _reduction_rows(m)
+    basis = len(rows[0])
+    high = [(e, [(k, r) for k, r in enumerate(rows[e]) if r]) for e in range(basis, m)]
+    mask = (1 << width) - 1
+    shifts = range(0, m * width, width)
+    seen: dict[tuple[int, ...], tuple[int, int | CycInt]] = {}
+    out: list[tuple[tuple[int, ...], int | CycInt, int]] = []
+    computed: list[int] = []
+    for key, (label, size) in zip(sorted(poly), shells):
+        packed = poly[key]
+        if mirror is not None:
+            twin = mirror(label)
+            hit = seen.get(twin)
+            if hit is not None:
+                first, value = hit
+                if first != packed:
+                    raise ArithmeticError(
+                        f"shells {twin} and {label} are mirrors under negation, "
+                        "but their coefficients differ"
+                    )
+                out.append((label, value, size))
+                continue
+        counts = [(packed >> s) & mask for s in shifts]
+        if sum(counts) != size:
+            raise ArithmeticError(
+                f"coefficient of z^{label} has {sum(counts)} terms, "
+                f"expected multinom(n, j) = {size}"
+            )
+        coeffs = counts[:basis]
+        for e, row in high:
+            c = counts[e]
+            if c:
+                for k, r in row:
+                    coeffs[k] += c * r
+        if degree is not None:
+            scaled = []
+            for c in coeffs:
+                quo, rem = divmod(c * degree, size)
+                if rem:
+                    raise ArithmeticError(
+                        f"{CycInt._canonical(m, tuple(coeffs))!r} * {degree} / {size} "
+                        "is not a cyclotomic integer"
+                    )
+                scaled.append(quo)
+            coeffs = scaled
+        value = CycInt._canonical(m, tuple(coeffs)) if any(coeffs[1:]) else coeffs[0]
+        if mirror is not None:
+            seen[label] = (packed, value)
+            computed.append(len(out))
+        out.append((label, value, size))
+    return out, computed if mirror is not None else range(len(out))
+
+
 def _gen_kraw_column(
     group: GroupSpec, n: int, x: Composition
 ) -> list[tuple[Composition, CycInt, int]]:
     # (j, K_j(x), multinom(n, j)) for every composition j of n, in
-    # colexicographic order: the z^j coefficients of the product of
-    # _expand (the extraction route reads one of them per call).  Ascending
-    # keys are colex order, and each label is decoded from its key.  At
-    # zeta = 1 the product is (sum_g z_g)^n, so the counts of z^j add up to
-    # its shell size multinom(n, j); and since no count can cancel, every
-    # composition occurs as a key.
-    m, q = group.char_order, group.order
-    poly, width = _expand(group, n, x)
-    if len(poly) != math.comb(n + q - 1, q - 1):
-        raise ArithmeticError(
-            f"expansion has {len(poly)} monomials, expected one per composition of n={n}"
+    # colexicographic order (the extraction route reads one of them per
+    # call), each value as a CycInt.
+    m = group.char_order
+    column, _ = _read_out(group, n, x)
+    return [
+        (
+            Composition._trusted(j),
+            value if isinstance(value, CycInt) else CycInt.from_int(m, value),
+            size,
         )
-    base = n + 1
-    mask = (1 << width) - 1
-    shifts = range(0, m * width, width)
-    out = []
-    for key in sorted(poly):
-        packed = poly[key]
-        counts = [(packed >> s) & mask for s in shifts]
-        label = []
-        for _ in range(q):
-            key, c = divmod(key, base)
-            label.append(c)
-        out.append((Composition._trusted(tuple(label)), CycInt(m, counts), sum(counts)))
-    return out
+        for j, value, size in column
+    ]
 
 
 @functools.cache
@@ -265,14 +367,13 @@ def _group_determinant(group: GroupSpec) -> tuple[tuple[Composition, int], ...]:
     # is a rational integer; anything else is an arithmetic fault.
     q = group.order
     terms = []
-    for j, value, _ in _gen_kraw_column(group, q, Composition.balanced(q, q)):
-        coeff = value.as_integer()
-        if coeff is None:
+    for j, value, _ in _read_out(group, q, Composition.balanced(q, q))[0]:
+        if isinstance(value, CycInt):
             raise ArithmeticError(
-                f"group determinant of {group!r} has coefficient {value!r} at z^{tuple(j)}"
+                f"group determinant of {group!r} has coefficient {value!r} at z^{j}"
             )
-        if coeff:
-            terms.append((j, coeff))
+        if value:
+            terms.append((Composition._trusted(j), value))
     return tuple(terms)
 
 

@@ -38,7 +38,8 @@ from .groups import (
 )
 from .krawtchouk import (
     _balanced_shells,
-    _gen_kraw_column,
+    _colex_shells,
+    _read_out,
     _shell_sizes,
     gen_kraw,
     kraw,
@@ -210,42 +211,6 @@ def _hamming_eigenvalues(n: int, q: int, d: int, degree: int) -> list[int]:
     return values
 
 
-def _rescale(value: CycInt, num: int, den: int) -> int | CycInt:
-    # value * num / den, coefficient by coefficient: exact whenever the
-    # result is a cyclotomic integer, because the power basis is integral.
-    # A rational multiple of a canonical coefficient vector is canonical,
-    # so the quotients need no second fold.
-    coeffs = []
-    for c in value.coeffs:
-        quo, rem = divmod(c * num, den)
-        if rem:
-            raise ArithmeticError(f"{value!r} * {num} / {den} is not a cyclotomic integer")
-        coeffs.append(quo)
-    if any(coeffs[1:]):
-        return CycInt._canonical(value.order, tuple(coeffs))
-    return coeffs[0]
-
-
-def _colex_shells(q: int, n: int) -> list[tuple[tuple[int, ...], int]]:
-    # (counts of j, multinom(n, j)) for every composition j of n into q
-    # parts, in colex order, built one part at a time: rows[t] lists the
-    # compositions of t into the parts so far, and appending a last part
-    # c to one of t - c multiplies its multinomial by C(t, c).
-    rows = [[((t,), 1)] for t in range(n + 1)]
-
-    def extend(t: int) -> list[tuple[tuple[int, ...], int]]:
-        return [
-            (head + (last,), size * ways)
-            for last in range(t + 1)
-            for ways in (math.comb(t, last),)
-            for head, size in rows[t - last]
-        ]
-
-    for _ in range(q - 2):
-        rows = [extend(t) for t in range(n + 1)]
-    return extend(n) if q > 1 else rows[n]
-
-
 def composition_spectrum(spec: CompositionGraphSpec) -> Spectrum:
     """Exact spectrum of a composition graph, one entry per composition shell.
 
@@ -254,14 +219,23 @@ def composition_spectrum(spec: CompositionGraphSpec) -> Spectrum:
     is rational and a :class:`CycInt` otherwise, and the multiplicity is
     the shell size multinom(n, j).
 
-    The generating product is expanded once, and every entry is read
-    straight off it: the shell labels come from its sorted monomial keys,
-    K_j(dcomp) from the coefficient of z^j, and the shell size
-    multinom(n, j) from that coefficient's count total.  Reciprocity
-    K_dcomp(j) = K_j(dcomp) multinom(n, dcomp) / multinom(n, j) turns
-    that column into the eigenvalues, every division still checked.
+    The generating product prod_h L_h^(dcomp_h), L_h = sum_g phi_h(g) z_g,
+    is expanded once, and every entry is read straight off it in one
+    pass: its sorted monomial keys walk in step with the colex list of
+    shells and their sizes multinom(n, j), each checked against the count
+    total of the coefficient of z^j, which is K_j(dcomp).  In the same
+    step reciprocity K_dcomp(j) = K_j(dcomp) multinom(n, dcomp) /
+    multinom(n, j) turns it into the eigenvalue, every division checked.
     Per-shell values from :func:`gen_kraw` (either method) are the oracle
     for it.
+
+    For an undirected dcomp (dcomp_h = dcomp_(-h)) the substitution
+    z_g -> z_(-g) maps L_h to sum_g phi_h(-g) z_g = L_(-h), so it maps
+    the product to prod_h L_h^(dcomp_(-h)), which is the product again:
+    shell j and its mirror j o (-1) share one coefficient.  Only the
+    colex-earlier shell of each such pair is folded and scaled; the
+    mirror's coefficient is checked equal (ArithmeticError naming both
+    shells if not) and its eigenvalue copied.
 
     A balanced dcomp = (n/q, ..., n/q) takes the group-determinant route
     of :mod:`.krawtchouk` instead: its product is a power of the group
@@ -276,6 +250,26 @@ def composition_spectrum(spec: CompositionGraphSpec) -> Spectrum:
     :data:`~scheme_spectra.krawtchouk.BALANCED_MAX_WORK`, admits every
     balanced spectrum that this one admits.
     """
+    n, q = spec.n, spec.group.order
+    degree = _composition_degree(spec)
+    if spec.balanced:
+        # the shells the balanced route leaves out have eigenvalue 0
+        values = {j.counts: value for j, value, _ in _balanced_shells(spec.group, n)}
+        entries = [
+            SpectrumEntry(Composition._trusted(j), values.get(j, 0), size)
+            for j, size in _colex_shells(q, n)
+        ]
+    else:
+        column, _ = _read_out(spec.group, n, spec.dcomp, degree)
+        entries = [
+            SpectrumEntry(Composition._trusted(j), value, size) for j, value, size in column
+        ]
+    return Spectrum(spec, tuple(entries), degree, spec.vertex_count)
+
+
+def _composition_degree(spec: CompositionGraphSpec) -> int:
+    # The degree of a composition graph, once its spectrum has passed the
+    # COMPOSITION_MAX_WORK check (SizeExceeded otherwise).
     n = spec.n
     q, m = spec.group.order, spec.group.char_order
     chunks = int(n * math.log2(q)) // 512 + 1
@@ -286,20 +280,7 @@ def composition_spectrum(spec: CompositionGraphSpec) -> Spectrum:
             f"composition spectrum would cost {work} units "
             f"(shells x n x q x root order{wide}); cap is {COMPOSITION_MAX_WORK}"
         )
-    degree = spec.degree  # n! and its divisions: only after the cap
-    if spec.balanced:
-        # the shells the balanced route leaves out have eigenvalue 0
-        values = {j.counts: value for j, value, _ in _balanced_shells(spec.group, n)}
-        entries = [
-            SpectrumEntry(Composition._trusted(j), values.get(j, 0), size)
-            for j, size in _colex_shells(q, n)
-        ]
-    else:
-        entries = [
-            SpectrumEntry(j, _rescale(dual, degree, size), size)
-            for j, dual, size in _gen_kraw_column(spec.group, n, spec.dcomp)
-        ]
-    return Spectrum(spec, tuple(entries), degree, spec.vertex_count)
+    return spec.degree  # n! and its divisions: only after the cap
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +309,12 @@ def _less_than(a: int | CycInt, b: int | CycInt) -> bool:
 
 
 def _extreme(
-    spectrum: Spectrum, before: Callable[[int | CycInt, int | CycInt], bool]
-) -> tuple[int | CycInt, int | Composition]:
-    # before(a, b) is True when a ranks strictly ahead of b, so ties keep
-    # the earlier entry.
-    if not spectrum.entries:
+    values: Sequence[int | CycInt], before: Callable[[int | CycInt, int | CycInt], bool]
+) -> int:
+    # The index of the value ranking first; before(a, b) is True when a
+    # ranks strictly ahead of b, so ties keep the earlier value.
+    if not values:
         raise DomainError("empty spectrum")
-    values = [e.eigenvalue for e in spectrum.entries]
     for v in values:
         if isinstance(v, CycInt):
             _require_real(v)
@@ -342,7 +322,7 @@ def _extreme(
     for idx in range(1, len(values)):
         if before(values[idx], values[best]):
             best = idx
-    return values[best], spectrum.entries[best].label
+    return best
 
 
 def min_eigenvalue(spectrum: Spectrum) -> tuple[int | CycInt, int | Composition]:
@@ -353,12 +333,19 @@ def min_eigenvalue(spectrum: Spectrum) -> tuple[int | CycInt, int | Composition]
     precision fixed in advance by the norm bound, so no comparison can be
     left undecided.  Non-real values (directed-graph misuse) are refused.
     """
-    return _extreme(spectrum, _less_than)
+    return _extreme_entry(spectrum, _less_than)
 
 
 def max_eigenvalue(spectrum: Spectrum) -> tuple[int | CycInt, int | Composition]:
     """Largest eigenvalue, found the same way as :func:`min_eigenvalue`."""
-    return _extreme(spectrum, lambda a, b: _less_than(b, a))
+    return _extreme_entry(spectrum, lambda a, b: _less_than(b, a))
+
+
+def _extreme_entry(
+    spectrum: Spectrum, before: Callable[[int | CycInt, int | CycInt], bool]
+) -> tuple[int | CycInt, int | Composition]:
+    entry = spectrum.entries[_extreme([e.eigenvalue for e in spectrum.entries], before)]
+    return entry.eigenvalue, entry.label
 
 
 def hoffman_bound(spectrum: Spectrum) -> Fraction:

@@ -21,6 +21,7 @@ from scheme_spectra import (
     FiniteField,
     HammingGraphSpec,
     Infeasible,
+    IrrationalEigenvalue,
     LPSolution,
     NoNegativeEigenvalue,
     NotOrthogonal,
@@ -37,6 +38,7 @@ from scheme_spectra import (
     bound_report,
     build_representation,
     check_lp_solution,
+    composition_spectrum,
     conjecture_probe,
     cyclic,
     entropy_q,
@@ -979,6 +981,59 @@ def test_irrational_minimum_is_reported_not_raised():
     assert "hoffman_unavailable" in report.diagnostics
 
 
+# the grid of the read-out tests: Z_2..Z_5 with n <= 6, and Z_6, Z_7,
+# GF(4), GF(8) and GF(9) with n <= 3
+ORBIT_GRID = [(cyclic(q), 6) for q in (2, 3, 4, 5)] + [
+    (group, 3)
+    for group in (cyclic(6), cyclic(7), finite_field(4), finite_field(8), finite_field(9))
+]
+
+
+@pytest.mark.parametrize(
+    "group,top", ORBIT_GRID, ids=[f"{type(g).__name__}{g.order}" for g, _ in ORBIT_GRID]
+)
+def test_report_least_eigenvalue_over_orbit_representatives_is_the_full_minimum(
+    monkeypatch, group, top
+):
+    # The composition report compares one shell per negation orbit.  The
+    # value and shell it picks must be min_eigenvalue's on the full
+    # spectrum, and its Hoffman entry must be the full spectrum's.
+    seen = {}
+
+    def recording(name):
+        original = getattr(bounds, name)
+
+        def wrapper(*args):
+            seen[name] = out = original(*args)
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(bounds, "_read_out", recording("_read_out"))
+    monkeypatch.setattr(bounds, "_extreme", recording("_extreme"))
+    checked = 0
+    for n in range(1, top + 1):
+        for x in enumerate_compositions(group.order, n):
+            spec = CompositionGraphSpec(group, n, x)
+            if not spec.undirected or spec.balanced:
+                continue
+            seen.clear()
+            report = bound_report(spec).to_json()
+            column, computed = seen["_read_out"]
+            assert len(computed) <= len(column)
+            shell = column[computed[seen["_extreme"]]]
+            spectrum = composition_spectrum(spec)
+            assert (shell[1], Composition(shell[0])) == min_eigenvalue(spectrum), (n, x)
+            try:
+                lower = [{"value": str(hoffman_bound(spectrum)), "method": "hoffman"}]
+            except (IrrationalEigenvalue, NoNegativeEigenvalue) as exc:
+                lower = []
+                assert report["diagnostics"]["hoffman_unavailable"] == type(exc).__name__
+            assert report["lower"] == lower, (n, x)
+            checked += 1
+    assert checked > 0
+
+
 def _report_from_public_routes(spec):
     # The Hamming report as the public functions give it, each running its
     # own Krawtchouk pass: the reference for the one-column report.
@@ -1037,7 +1092,7 @@ def test_hamming_report_makes_one_krawtchouk_pass(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(bounds, name, counting(name))
-    for name in ("lp_two_support", "check_lp_solution", "hoffman_bound"):
+    for name in ("lp_two_support", "check_lp_solution", "_extreme"):
         monkeypatch.setattr(bounds, name, forbidden)
     monkeypatch.setattr(schemes, "min_eigenvalue", forbidden)
     monkeypatch.setattr(schemes, "SpectrumEntry", forbidden)
@@ -1202,8 +1257,10 @@ def _packed_spectrum(spec):
     # the full spectrum from the packed expansion and reciprocity, every
     # shell listed: the reference for the balanced route
     entries = tuple(
-        SpectrumEntry(j, schemes._rescale(dual, spec.degree, size), size)
-        for j, dual, size in krawtchouk._gen_kraw_column(spec.group, spec.n, spec.dcomp)
+        SpectrumEntry(Composition(j), value, size)
+        for j, value, size in krawtchouk._read_out(
+            spec.group, spec.n, spec.dcomp, spec.degree
+        )[0]
     )
     return Spectrum(spec, entries, spec.degree, spec.vertex_count)
 

@@ -269,6 +269,25 @@ def test_composition_enumeration_is_colex_sorted():
     ]
 
 
+def test_enumerated_compositions_hold_plain_ints():
+    # the stream wraps its tuples without re-validating them, so it must
+    # build them from plain nonnegative ints itself, as Composition would
+    import numpy as np
+
+    for q, n in ((1, 3), (2, 3), (4, 5)):
+        for t in (int, np.int64):
+            comps = list(enumerate_compositions(q, t(n)))
+            assert len(comps) == len(list(itertools.combinations(range(n + q - 1), q - 1)))
+            assert all(type(c) is int and c >= 0 for comp in comps for c in comp.counts)
+            assert comps == [Composition(tuple(comp)) for comp in comps]
+    # with one part, that part is n itself, and it is still validated
+    with pytest.raises(BadLabel):
+        list(enumerate_compositions(1, -1))
+    assert list(enumerate_compositions(3, -1)) == []
+    with pytest.raises(TypeError):
+        list(enumerate_compositions(2, 2.0))
+
+
 def test_shell_label_validation():
     g = cyclic(3)
     with pytest.raises(BadLabel):

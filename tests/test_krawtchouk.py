@@ -34,13 +34,14 @@ from scheme_spectra import (
     word_char_value,
     zero_shell_predicate,
 )
-from scheme_spectra import finite_field, krawtchouk, schemes
+from scheme_spectra import finite_field, krawtchouk
 from scheme_spectra.krawtchouk import (
     CIRCULANT_MAX_Q,
     _balanced_shells,
     _circulant_determinant,
     _gen_kraw_column,
     _group_determinant,
+    _read_out,
 )
 
 # ---------------------------------------------------------------------------
@@ -383,11 +384,8 @@ def packed_balanced_column(group, n):
     """(j, eigenvalue, multinom(n, j)) on every shell, from the packed
     expansion of the balanced generator and reciprocity."""
     balanced = Composition.balanced(group.order, n)
-    degree = multinom(n, balanced)
-    return [
-        (j, schemes._rescale(dual, degree, size), size)
-        for j, dual, size in _gen_kraw_column(group, n, balanced)
-    ]
+    column, _ = _read_out(group, n, balanced, multinom(n, balanced))
+    return [(Composition(j), value, size) for j, value, size in column]
 
 
 @pytest.mark.parametrize(
@@ -413,14 +411,195 @@ def test_group_determinant_is_the_circulant_determinant():
 def test_group_determinant_refuses_a_non_integer_coefficient(monkeypatch):
     # the column of the unbalanced generator (2, 1, 0) has irrational
     # coefficients; the balanced one of length q never does
-    column = _gen_kraw_column(cyclic(3), 3, Composition((2, 1, 0)))
-    monkeypatch.setattr(krawtchouk, "_gen_kraw_column", lambda *args: column)
+    column = _read_out(cyclic(3), 3, Composition((2, 1, 0)))
+    monkeypatch.setattr(krawtchouk, "_read_out", lambda *args: column)
     _group_determinant.cache_clear()
     try:
         with pytest.raises(ArithmeticError, match=r"^group determinant of .* has coefficient"):
             _group_determinant(cyclic(3))
     finally:
         _group_determinant.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# the one-pass read-out of the packed expansion
+
+
+def _two_pass_column(group, n, x):
+    """The former read-out, kept as the oracle: (j, K_j(x), size) with the
+    label decoded from its key, the value as a CycInt and the size as the
+    coefficient's count total."""
+    m, q = group.char_order, group.order
+    poly, width = krawtchouk._expand(group, n, x)
+    assert len(poly) == binom(n + q - 1, q - 1)
+    mask = (1 << width) - 1
+    out = []
+    for key in sorted(poly):
+        packed = poly[key]
+        counts = [(packed >> s) & mask for s in range(0, m * width, width)]
+        label = []
+        for _ in range(q):
+            key, c = divmod(key, n + 1)
+            label.append(c)
+        out.append((Composition(tuple(label)), CycInt(m, counts), sum(counts)))
+    return out
+
+
+def _two_pass_rescale(value, num, den):
+    """The former second pass: value * num / den, coefficient by coefficient."""
+    coeffs = []
+    for c in value.coeffs:
+        quo, rem = divmod(c * num, den)
+        if rem:
+            raise ArithmeticError(f"{value!r} * {num} / {den} is not a cyclotomic integer")
+        coeffs.append(quo)
+    if any(coeffs[1:]):
+        return CycInt(value.order, coeffs)
+    return coeffs[0]
+
+
+def _plain(value):
+    integer = value.as_integer()
+    return value if integer is None else integer
+
+
+def _mirror(group, label):
+    return tuple(label[group.neg(g)] for g in range(group.order))
+
+
+def _colex_key(label):
+    return tuple(reversed(label))
+
+
+# every composition over Z_2..Z_5 with n <= 6 and over Z_6, Z_7, GF(4),
+# GF(8) and GF(9) with n <= 3: directed and undirected generators alike
+READ_OUT_GRID = [(cyclic(q), 6) for q in (2, 3, 4, 5)] + [
+    (group, 3)
+    for group in (cyclic(6), cyclic(7), finite_field(4), finite_field(8), finite_field(9))
+]
+
+
+def read_out_cases():
+    for group, top in READ_OUT_GRID:
+        for n in range(1, top + 1):
+            for x in enumerate_compositions(group.order, n):
+                yield group, n, x
+
+
+@pytest.mark.parametrize(
+    "group,top", READ_OUT_GRID, ids=[f"{type(g).__name__}{g.order}" for g, _ in READ_OUT_GRID]
+)
+def test_read_out_matches_the_two_pass_oracle(group, top):
+    rng = random.Random(f"{group!r}")
+    flips = any(group.neg(g) != g for g in group.elements())
+    undirected = 0
+    for n in range(1, top + 1):
+        for x in enumerate_compositions(group.order, n):
+            oracle = _two_pass_column(group, n, x)
+            degree = multinom(n, x)
+            assert _gen_kraw_column(group, n, x) == oracle
+            column, computed = _read_out(group, n, x)
+            assert [(Composition(j), v, s) for j, v, s in column] == [
+                (j, _plain(v), s) for j, v, s in oracle
+            ]
+            column, computed = _read_out(group, n, x, degree)
+            expected = [(j, _two_pass_rescale(v, degree, s), s) for j, v, s in oracle]
+            assert [(Composition(j), v, s) for j, v, s in column] == expected, (n, x)
+            assert [type(v) for _, v, _ in column] == [type(v) for _, v, _ in expected]
+            # computed: the colex-earlier shell of each negation orbit when
+            # x is negation-closed and negation is not the identity
+            labels = [j for j, _, _ in column]
+            index = {j: i for i, j in enumerate(labels)}
+            if flips and group.is_negation_closed(x):
+                undirected += 1
+                reps = [i for i, j in enumerate(labels) if index[_mirror(group, j)] >= i]
+                assert list(computed) == reps
+                assert all(column[index[_mirror(group, j)]][1] == v for j, v, _ in column)
+            else:
+                assert list(computed) == list(range(len(labels)))
+            # the brute character sum on sampled shells: K_x(j) = eigenvalue
+            for j, value, _ in rng.sample(column, min(2, len(column))):
+                assert gen_kraw(group, n, x, Composition(j), method="brute") == value
+    assert undirected > 0 or not flips
+
+
+def _corrupt_expand(monkeypatch, pick):
+    # _expand with one packed coefficient replaced by pick(label, packed, width, m)
+    expand = krawtchouk._expand
+
+    def patched(group, n, x, keep=None):
+        poly, width = expand(group, n, x, keep)
+        for key in sorted(poly):
+            label, rest = [], key
+            for _ in range(group.order):
+                rest, c = divmod(rest, n + 1)
+                label.append(c)
+            new = pick(tuple(label), poly[key], width, group.char_order)
+            if new is not None:
+                poly[key] = new
+                break
+        return poly, width
+
+    monkeypatch.setattr(krawtchouk, "_expand", patched)
+
+
+@pytest.mark.parametrize(
+    "group,n,x",
+    [
+        (cyclic(3), 3, (1, 1, 1)),
+        (cyclic(5), 4, (0, 2, 0, 0, 2)),
+        (cyclic(6), 4, (1, 1, 0, 1, 0, 1)),
+        (finite_field(9), 3, (1, 1, 1, 0, 0, 0, 0, 0, 0)),
+    ],
+)
+def test_read_out_refuses_a_mirror_that_differs(monkeypatch, group, n, x):
+    # the colex-later shell of an orbit gets its counts rotated by one
+    # place (a factor zeta): same count total, different coefficient
+    def rotate_later(label, packed, width, m):
+        twin = _mirror(group, label)
+        if _colex_key(twin) >= _colex_key(label):
+            return None
+        full = (1 << (m * width)) - 1
+        rotated = ((packed << width) & full) | (packed >> ((m - 1) * width))
+        return None if rotated == packed else rotated
+
+    _corrupt_expand(monkeypatch, rotate_later)
+    message = r"^shells \(.*\) and \(.*\) are mirrors under negation"
+    with pytest.raises(ArithmeticError, match=message):
+        _read_out(group, n, Composition(x))
+
+
+def test_read_out_checks_every_count_total(monkeypatch):
+    # one more count on a shell of a directed generator: the shell size no
+    # longer matches, although every value could still be scaled
+    def one_more(label, packed, width, m):
+        return packed + 1
+
+    _corrupt_expand(monkeypatch, one_more)
+    message = r"^coefficient of z\^\(3, 0, 0\) has 2 terms, expected multinom\(n, j\) = 1$"
+    with pytest.raises(ArithmeticError, match=message):
+        _read_out(cyclic(3), 3, Composition((1, 2, 0)))
+
+
+def test_read_out_checks_every_division():
+    # a degree one too large makes the shell (3, 0, 0) of size 1 fine and
+    # the shell (2, 1, 0) of size 3 fail, with the old message
+    message = r"^CycInt\(order=3, .*\) \* 4 / 3 is not a cyclotomic integer$"
+    with pytest.raises(ArithmeticError, match=message):
+        _read_out(cyclic(3), 3, Composition((1, 2, 0)), 4)
+
+
+@pytest.mark.parametrize("q", range(2, 8))
+def test_colex_shells_walk_in_step_with_the_sorted_keys(q):
+    # the read-out pairs the i-th sorted key with the i-th shell of
+    # _colex_shells: the two orders must agree on every label
+    for n in range(0, 9 if q < 6 else 6):
+        shells = krawtchouk._colex_shells(q, n)
+        labels = [label for label, _ in shells]
+        keys = [sum(c * (n + 1) ** g for g, c in enumerate(label)) for label in labels]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        assert labels == [tuple(c) for c in enumerate_compositions(q, n)]
+        assert [size for _, size in shells] == [multinom(n, label) for label in labels]
 
 
 def test_zero_shells_vanish():

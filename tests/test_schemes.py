@@ -417,7 +417,7 @@ def test_balanced_spectra_take_the_group_determinant_route(monkeypatch):
         raise AssertionError("the packed expansion ran")
 
     # D itself comes from the packed column of length q, through krawtchouk
-    monkeypatch.setattr(schemes, "_gen_kraw_column", refuse)
+    monkeypatch.setattr(schemes, "_read_out", refuse)
     sp = composition_spectrum(CompositionGraphSpec(cyclic(3), 6, Composition.balanced(3, 6)))
     assert [e.label for e in sp.entries] == list(enumerate_compositions(3, 6))
     assert [e.multiplicity for e in sp.entries] == [multinom(6, j) for j in enumerate_compositions(3, 6)]
