@@ -841,9 +841,11 @@ def _composition_report(spec: CompositionGraphSpec) -> BoundReport:
         except NoNegativeEigenvalue as exc:
             diagnostics["hoffman_unavailable"] = type(exc).__name__
     elif spec.undirected:
-        # The read-out computes one shell per negation orbit, the colex-earlier
-        # one, and copies its value to the mirror; the least over those is the
-        # least eigenvalue, and the first minimiser is one of them.
+        # The read-out folds only the first shell of each distinct
+        # coefficient, and every other shell reuses a folded value, so the
+        # least over the folded shells is the least eigenvalue.  The first
+        # minimiser is folded too: the first shell carrying its coefficient
+        # has the same value and comes no later, so it is that shell.
         degree = _composition_degree(spec)
         column, computed = _read_out(group, n, spec.dcomp, degree)
         values = [column[i][1] for i in computed]

@@ -6,20 +6,23 @@ replaces weights by full occurrence-count vectors and takes values in a
 cyclotomic integer ring.  Whole columns (one argument, every index) come
 from one pass each: the three-term recurrence for the classical values,
 one expansion of a product of linear forms L_h = sum_g phi_h(g) z_g for
-the refined ones.  The expansion is read out in one more pass: its
-sorted monomial keys walk in step with the compositions in
-colexicographic order, each coefficient's count total is checked against
-the shell size, and the coefficient is folded into the power basis and,
-for a spectrum, scaled to the eigenvalue in the same step.  The default
-per-value route expands the same product with one kernel, pruned to the
-sub-compositions of its target.
+the refined ones.  The expansion rotates a coefficient only for a
+character value other than 1, and takes the trivial character's factors
+last.  It is read out in one more pass: its sorted monomial keys walk in
+step with the compositions in colexicographic order, and every shell's
+count total is checked against the shell size.  The first shell carrying
+a given coefficient folds it into the power basis and, for a spectrum,
+scales it to the eigenvalue in the same step; every later shell with the
+same coefficient, after its count-total check, reuses that value.  The
+default per-value route expands the same product with one kernel, pruned
+to the sub-compositions of its target.
 
-For a negation-closed generator x (x_h = x_(-h)) the read-out folds one
-shell per negation orbit.  The substitution z_g -> z_(-g) turns L_h into
-sum_g phi_h(-g) z_g = L_(-h), so it maps prod_h L_h^(x_h) to
+For a negation-closed generator x (x_h = x_(-h)) every shell is also
+checked against its mirror.  The substitution z_g -> z_(-g) turns L_h
+into sum_g phi_h(-g) z_g = L_(-h), so it maps prod_h L_h^(x_h) to
 prod_h L_h^(x_(-h)), the same product: shell j and its mirror j o (-1)
-carry the same coefficient.  The mirror's coefficient is checked equal
-and the value reused.
+carry the same coefficient, so the later of the two is checked equal to
+the earlier, and then reuses its value like any repeated coefficient.
 
 For a balanced generator (n/q, ..., n/q) the product is D^(n/q), where D
 is the group determinant of the alphabet (Dedekind-Frobenius).  D has
@@ -194,27 +197,38 @@ def _expand(
     # Z[Z_m]: m nonnegative counts packed into one int, `width` bits each,
     # where multiplying by zeta^e rotates the fields by e.  The counts of
     # all monomials add up to q^(factors so far) <= q^n, so no field ever
-    # carries into the next.  With a key set `keep`, only monomials keyed
-    # in it survive each factor, and z_g is never multiplied in when its
-    # own key (n+1)^g is missing from it.
+    # carries into the next.  A move with e = 0 (z_g with phi_h(g) = 1)
+    # adds the coefficient unrotated.  The product commutes, so the factors
+    # of h = 0, the trivial character, whose moves all have e = 0, are
+    # taken last, where the polynomial is largest.  With a key set `keep`
+    # (closed under taking sub-compositions), only monomials keyed in it
+    # survive each factor, and z_g is never multiplied in when its own key
+    # (n+1)^g is missing from it; monomials only grow, so this prunes
+    # correctly in any factor order.
     m, q = group.char_order, group.order
     width = (q**n).bit_length()
     full = (1 << (m * width)) - 1
     keys = [(n + 1) ** g for g in range(q)]
+    counts = tuple(x)
     poly = {0: 1}
-    for h, copies in enumerate(tuple(x)):
+    for h in [*range(1, q), 0]:
         moves = []
         for g in range(q):
             if keep is None or keys[g] in keep:
                 e = group.char_exponent(h, g) % m
                 moves.append((keys[g], e * width, (m - e) * width))
-        for _ in range(copies):
+        for _ in range(counts[h]):
             nxt: dict[int, int] = {}
             get = nxt.get
             for step, up, down in moves:
-                for key, packed in poly.items():
-                    dest = key + step
-                    nxt[dest] = get(dest, 0) + (((packed << up) & full) | (packed >> down))
+                if up:
+                    for key, packed in poly.items():
+                        dest = key + step
+                        nxt[dest] = get(dest, 0) + (((packed << up) & full) | (packed >> down))
+                else:
+                    for key, packed in poly.items():
+                        dest = key + step
+                        nxt[dest] = get(dest, 0) + packed
             if keep is not None:
                 nxt = {key: packed for key, packed in nxt.items() if key in keep}
             poly = nxt
@@ -261,21 +275,24 @@ def _read_out(
 ) -> tuple[list[tuple[tuple[int, ...], int | CycInt, int]], Sequence[int]]:
     # The z^j coefficients of the product of _expand, one per composition j
     # of n, read out in one pass as (counts of j, value, multinom(n, j)) in
-    # colex order, with the indices of the shells whose value was computed
-    # rather than copied from a mirror.  The value is K_j(x), or with
-    # `degree` the eigenvalue K_j(x) degree / multinom(n, j) by reciprocity,
-    # every division checked; it is an int when rational, else a CycInt.
+    # colex order, with the indices of the shells whose value was folded
+    # rather than reused: the first shell of each distinct coefficient.
+    # The value is K_j(x), or with `degree` the eigenvalue
+    # K_j(x) degree / multinom(n, j) by reciprocity, every division
+    # checked; it is an int when rational, else a CycInt.
     #
     # Ascending keys are colex order, so the keys walk in step with
     # _colex_shells, which gives each label and size.  At zeta = 1 the
     # product is (sum_g z_g)^n, so the counts of z^j add up to its shell
-    # size, which is checked; and since no count can cancel, every
-    # composition occurs as a key.  Each packed coefficient is unpacked and
-    # folded into the power basis, where zeta^e is the e-th basis element
-    # for e below the basis size and a reduction row above it.  For a
-    # negation-closed x (see the module docstring) the colex-earlier shell
-    # of each mirror pair is folded, and the later one is checked against
-    # it and reuses its value.
+    # size, which is checked on every shell; and since no count can cancel,
+    # every composition occurs as a key.  The first shell carrying a packed
+    # coefficient unpacks it and folds it into the power basis, where
+    # zeta^e is the e-th basis element for e below the basis size and a
+    # reduction row above it.  A later shell with the same packed int has
+    # the same counts, so its count total is the stored one, checked
+    # against its own size, and with an equal size it reuses the value.
+    # For a negation-closed x (see the module docstring) every shell is
+    # first checked against its mirror, when the mirror came earlier.
     m, q = group.char_order, group.order
     poly, width = _expand(group, n, x)
     shells = _colex_shells(q, n)
@@ -292,52 +309,55 @@ def _read_out(
     high = [(e, [(k, r) for k, r in enumerate(rows[e]) if r]) for e in range(basis, m)]
     mask = (1 << width) - 1
     shifts = range(0, m * width, width)
-    seen: dict[tuple[int, ...], tuple[int, int | CycInt]] = {}
+    seen: dict[tuple[int, ...], int] = {}
+    folded: dict[int, tuple[int, int | CycInt]] = {}
     out: list[tuple[tuple[int, ...], int | CycInt, int]] = []
     computed: list[int] = []
     for key, (label, size) in zip(sorted(poly), shells):
         packed = poly[key]
         if mirror is not None:
             twin = mirror(label)
-            hit = seen.get(twin)
-            if hit is not None:
-                first, value = hit
-                if first != packed:
-                    raise ArithmeticError(
-                        f"shells {twin} and {label} are mirrors under negation, "
-                        "but their coefficients differ"
-                    )
-                out.append((label, value, size))
-                continue
-        counts = [(packed >> s) & mask for s in shifts]
-        if sum(counts) != size:
+            other = seen.get(twin)
+            if other is not None and other != packed:
+                raise ArithmeticError(
+                    f"shells {twin} and {label} are mirrors under negation, "
+                    "but their coefficients differ"
+                )
+            seen[label] = packed
+        hit = folded.get(packed)
+        if hit is not None:
+            total, value = hit
+        else:
+            counts = [(packed >> s) & mask for s in shifts]
+            total = sum(counts)
+        if total != size:
             raise ArithmeticError(
-                f"coefficient of z^{label} has {sum(counts)} terms, "
+                f"coefficient of z^{label} has {total} terms, "
                 f"expected multinom(n, j) = {size}"
             )
-        coeffs = counts[:basis]
-        for e, row in high:
-            c = counts[e]
-            if c:
-                for k, r in row:
-                    coeffs[k] += c * r
-        if degree is not None:
-            scaled = []
-            for c in coeffs:
-                quo, rem = divmod(c * degree, size)
-                if rem:
-                    raise ArithmeticError(
-                        f"{CycInt._canonical(m, tuple(coeffs))!r} * {degree} / {size} "
-                        "is not a cyclotomic integer"
-                    )
-                scaled.append(quo)
-            coeffs = scaled
-        value = CycInt._canonical(m, tuple(coeffs)) if any(coeffs[1:]) else coeffs[0]
-        if mirror is not None:
-            seen[label] = (packed, value)
+        if hit is None:
+            coeffs = counts[:basis]
+            for e, row in high:
+                c = counts[e]
+                if c:
+                    for k, r in row:
+                        coeffs[k] += c * r
+            if degree is not None:
+                scaled = []
+                for c in coeffs:
+                    quo, rem = divmod(c * degree, size)
+                    if rem:
+                        raise ArithmeticError(
+                            f"{CycInt._canonical(m, tuple(coeffs))!r} * {degree} / {size} "
+                            "is not a cyclotomic integer"
+                        )
+                    scaled.append(quo)
+                coeffs = scaled
+            value = CycInt._canonical(m, tuple(coeffs)) if any(coeffs[1:]) else coeffs[0]
+            folded[packed] = (total, value)
             computed.append(len(out))
         out.append((label, value, size))
-    return out, computed if mirror is not None else range(len(out))
+    return out, computed
 
 
 def _gen_kraw_column(

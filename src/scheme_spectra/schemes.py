@@ -223,19 +223,21 @@ def composition_spectrum(spec: CompositionGraphSpec) -> Spectrum:
     is expanded once, and every entry is read straight off it in one
     pass: its sorted monomial keys walk in step with the colex list of
     shells and their sizes multinom(n, j), each checked against the count
-    total of the coefficient of z^j, which is K_j(dcomp).  In the same
-    step reciprocity K_dcomp(j) = K_j(dcomp) multinom(n, dcomp) /
-    multinom(n, j) turns it into the eigenvalue, every division checked.
-    Per-shell values from :func:`gen_kraw` (either method) are the oracle
-    for it.
+    total of the coefficient of z^j, which is K_j(dcomp).  The first shell
+    carrying a given coefficient is folded, and in the same step
+    reciprocity K_dcomp(j) = K_j(dcomp) multinom(n, dcomp) / multinom(n, j)
+    turns it into the eigenvalue, every division checked; a later shell
+    with the same coefficient, and so the same checked size, reuses that
+    eigenvalue.  Per-shell values from :func:`gen_kraw` (either method)
+    are the oracle for it.
 
     For an undirected dcomp (dcomp_h = dcomp_(-h)) the substitution
     z_g -> z_(-g) maps L_h to sum_g phi_h(-g) z_g = L_(-h), so it maps
     the product to prod_h L_h^(dcomp_(-h)), which is the product again:
-    shell j and its mirror j o (-1) share one coefficient.  Only the
-    colex-earlier shell of each such pair is folded and scaled; the
-    mirror's coefficient is checked equal (ArithmeticError naming both
-    shells if not) and its eigenvalue copied.
+    shell j and its mirror j o (-1) share one coefficient.  The later
+    shell of each such pair is checked equal to the earlier one
+    (ArithmeticError naming both shells if not), and then reuses its
+    eigenvalue.
 
     A balanced dcomp = (n/q, ..., n/q) takes the group-determinant route
     of :mod:`.krawtchouk` instead: its product is a power of the group

@@ -425,6 +425,44 @@ def test_group_determinant_refuses_a_non_integer_coefficient(monkeypatch):
 # the one-pass read-out of the packed expansion
 
 
+def _rotating_expand(group, n, x, keep=None):
+    """The former packed expansion, kept as the oracle: every factor in
+    the order of x, every move rotated, e = 0 included."""
+    m, q = group.char_order, group.order
+    width = (q**n).bit_length()
+    full = (1 << (m * width)) - 1
+    keys = [(n + 1) ** g for g in range(q)]
+    poly = {0: 1}
+    for h, copies in enumerate(tuple(x)):
+        moves = []
+        for g in range(q):
+            if keep is None or keys[g] in keep:
+                e = group.char_exponent(h, g) % m
+                moves.append((keys[g], e * width, (m - e) * width))
+        for _ in range(copies):
+            nxt = {}
+            get = nxt.get
+            for step, up, down in moves:
+                for key, packed in poly.items():
+                    dest = key + step
+                    nxt[dest] = get(dest, 0) + (((packed << up) & full) | (packed >> down))
+            if keep is not None:
+                nxt = {key: packed for key, packed in nxt.items() if key in keep}
+            poly = nxt
+    return poly, width
+
+
+def _count_vectors(group, n, x):
+    """The count vector of every shell's coefficient, in colex order, from
+    the oracle expansion."""
+    m = group.char_order
+    poly, width = _rotating_expand(group, n, x)
+    mask = (1 << width) - 1
+    return [
+        tuple((poly[key] >> s) & mask for s in range(0, m * width, width)) for key in sorted(poly)
+    ]
+
+
 def _two_pass_column(group, n, x):
     """The former read-out, kept as the oracle: (j, K_j(x), size) with the
     label decoded from its key, the value as a CycInt and the size as the
@@ -498,7 +536,7 @@ def test_read_out_matches_the_two_pass_oracle(group, top):
             oracle = _two_pass_column(group, n, x)
             degree = multinom(n, x)
             assert _gen_kraw_column(group, n, x) == oracle
-            column, computed = _read_out(group, n, x)
+            column, plain_computed = _read_out(group, n, x)
             assert [(Composition(j), v, s) for j, v, s in column] == [
                 (j, _plain(v), s) for j, v, s in oracle
             ]
@@ -506,21 +544,57 @@ def test_read_out_matches_the_two_pass_oracle(group, top):
             expected = [(j, _two_pass_rescale(v, degree, s), s) for j, v, s in oracle]
             assert [(Composition(j), v, s) for j, v, s in column] == expected, (n, x)
             assert [type(v) for _, v, _ in column] == [type(v) for _, v, _ in expected]
-            # computed: the colex-earlier shell of each negation orbit when
-            # x is negation-closed and negation is not the identity
+            # computed: the first shell of each distinct packed coefficient,
+            # in order; every other shell's count vector is that of an
+            # earlier listed shell (counts, not values: for composite m
+            # equal values need not have equal counts)
+            counts = _count_vectors(group, n, x)
+            first_of = {}
+            for i, c in enumerate(counts):
+                first_of.setdefault(c, i)
+            assert list(computed) == list(plain_computed) == sorted(first_of.values())
+            listed = {counts[k]: k for k in computed}
+            assert all(listed[c] <= i for i, c in enumerate(counts))
             labels = [j for j, _, _ in column]
             index = {j: i for i, j in enumerate(labels)}
             if flips and group.is_negation_closed(x):
                 undirected += 1
-                reps = [i for i, j in enumerate(labels) if index[_mirror(group, j)] >= i]
-                assert list(computed) == reps
                 assert all(column[index[_mirror(group, j)]][1] == v for j, v, _ in column)
-            else:
-                assert list(computed) == list(range(len(labels)))
             # the brute character sum on sampled shells: K_x(j) = eigenvalue
             for j, value, _ in rng.sample(column, min(2, len(column))):
                 assert gen_kraw(group, n, x, Composition(j), method="brute") == value
     assert undirected > 0 or not flips
+
+
+@pytest.mark.parametrize(
+    "group,top", READ_OUT_GRID, ids=[f"{type(g).__name__}{g.order}" for g, _ in READ_OUT_GRID]
+)
+def test_expand_matches_the_rotating_oracle(monkeypatch, group, top):
+    # the kernel adds e = 0 moves unrotated and takes the trivial
+    # character's factors last: the same product, so the same packed
+    # polynomial, unpruned on every grid generator and pruned to every
+    # sub-composition key set that the extraction route builds
+    q = group.order
+    for n in range(1, top + 1):
+        for x in enumerate_compositions(q, n):
+            assert krawtchouk._expand(group, n, x) == _rotating_expand(group, n, x), (n, x)
+    expand = krawtchouk._expand
+    calls = []
+
+    def recording(group, n, x, keep=None):
+        calls.append((n, x, keep))
+        return expand(group, n, x, keep)
+
+    monkeypatch.setattr(krawtchouk, "_expand", recording)
+    rng = random.Random(f"{group!r}")
+    for n in range(1, top + 1):
+        shells = list(enumerate_compositions(q, n))
+        for x in shells:
+            for i in rng.sample(shells, min(3, len(shells))):
+                gen_kraw(group, n, i, x)
+    assert calls and all(keep is not None for _, _, keep in calls)
+    for n, x, keep in calls:
+        assert expand(group, n, x, keep) == _rotating_expand(group, n, x, keep), (n, x, keep)
 
 
 def _corrupt_expand(monkeypatch, pick):
@@ -579,6 +653,39 @@ def test_read_out_checks_every_count_total(monkeypatch):
     message = r"^coefficient of z\^\(3, 0, 0\) has 2 terms, expected multinom\(n, j\) = 1$"
     with pytest.raises(ArithmeticError, match=message):
         _read_out(cyclic(3), 3, Composition((1, 2, 0)))
+
+
+@pytest.mark.parametrize(
+    "group,n,x,message",
+    [
+        (cyclic(3), 3, (1, 2, 0), r"z\^\(2, 1, 0\) has 1 terms, expected multinom\(n, j\) = 3$"),
+        (
+            cyclic(5),
+            4,
+            (0, 2, 0, 0, 2),
+            r"z\^\(3, 1, 0, 0, 0\) has 1 terms, expected multinom\(n, j\) = 4$",
+        ),
+    ],
+    ids=["Z3-directed", "Z5-undirected"],
+)
+def test_read_out_checks_the_count_total_of_a_repeated_coefficient(
+    monkeypatch, group, n, x, message
+):
+    # a shell given the packed coefficient of an earlier shell of another
+    # size: its value could be reused, but its count total is checked first
+    earlier = []
+
+    def copy_earlier(label, packed, width, m):
+        size = multinom(n, label)
+        for other, other_size in earlier:
+            if other_size != size:
+                return other
+        earlier.append((packed, size))
+        return None
+
+    _corrupt_expand(monkeypatch, copy_earlier)
+    with pytest.raises(ArithmeticError, match=r"^coefficient of " + message):
+        _read_out(group, n, Composition(x))
 
 
 def test_read_out_checks_every_division():
