@@ -6,16 +6,20 @@ replaces weights by full occurrence-count vectors and takes values in a
 cyclotomic integer ring.  Whole columns (one argument, every index) come
 from one pass each: the three-term recurrence for the classical values,
 one expansion of a product of linear forms L_h = sum_g phi_h(g) z_g for
-the refined ones.  The expansion rotates a coefficient only for a
-character value other than 1, and takes the trivial character's factors
-last.  It is read out in one more pass: its sorted monomial keys walk in
-step with the compositions in colexicographic order, and every shell's
-count total is checked against the shell size.  The first shell carrying
-a given coefficient folds it into the power basis and, for a spectrum,
-scales it to the eigenvalue in the same step; every later shell with the
-same coefficient, after its count-total check, reuses that value.  The
-default per-value route expands the same product with one kernel, pruned
-to the sub-compositions of its target.
+the refined ones.  The expansion holds its polynomial as a list indexed
+by the colexicographic rank of each monomial's exponent vector, and
+multiplies by z_g through a successor table, one per alphabet size and
+number of factors so far, that maps each rank to the rank of the
+exponent vector plus e_g.  It rotates a coefficient only for a character
+value other than 1, and takes the trivial character's factors last.  It
+is read out in one more pass: the list walks in step with the
+compositions in colexicographic order, and every shell's count total is
+checked against the shell size.  The first shell carrying a given
+coefficient folds it into the power basis and, for a spectrum, scales it
+to the eigenvalue in the same step; every later shell with the same
+coefficient, after its count-total check, reuses that value.  The default
+per-value route expands the same product with the same kernel, over
+successor tables of the sub-compositions of its target only.
 
 For a negation-closed generator x (x_h = x_(-h)) every shell is also
 checked against its mirror.  The substitution z_g -> z_(-g) turns L_h
@@ -44,6 +48,8 @@ import functools
 import itertools
 import math
 import operator
+import sys
+from array import array
 from fractions import Fraction
 from typing import Sequence
 
@@ -186,71 +192,167 @@ def _gen_kraw_brute(group: GroupSpec, n: int, i: Composition, j: Composition) ->
     return CycInt.from_root_powers(m, counts)
 
 
+#: _successors(q, t) for t = 0, 1, ... in turn, per alphabet size q: a list
+#: that grows, since table t is built from table t - 1 and a recursion
+#: through every smaller t would run as deep as the longest expansion.
+_SUCCESSORS: dict[int, list[tuple[Sequence[int], ...]]] = {}
+
+
+def _successors(q: int, t: int) -> tuple[Sequence[int], ...]:
+    # Table g maps the colex rank of each composition c of t into q parts
+    # to the colex rank of c + e_g among the compositions of t + 1.  Colex
+    # order takes the last part as most significant, so the compositions
+    # of t fall into blocks by their last part s, and block s lists the
+    # compositions of t - s into q - 1 parts in their own colex order.
+    # Adding e_(q-1) moves block s to block s + 1 of t + 1 and keeps the
+    # rank inside the block: one contiguous range shifted by the size
+    # C(t+q-1, q-2) of block 0 of t + 1.  Adding e_g for g < q - 1 keeps
+    # the block and moves inside it by the (q-1)-part table of t - s,
+    # plus the block's offset in t + 1.  Blocks 1..t of t are the
+    # compositions of t - 1 in their order, each with one more in its last
+    # part, and their images in t + 1 lie C(t+q-1, q-2) further on than
+    # the images in t that table g of t - 1 lists; so table g of t is the
+    # (q-1)-part table g of t (block 0) followed by table g of t - 1
+    # shifted by that much.  The tables depend only on (q, t), so one
+    # cached set, built for t = 0, 1, ... in turn, serves every n > t and
+    # every group of order q: 4-byte arrays, and a range for the
+    # contiguous move.
+    rows = _SUCCESSORS.setdefault(q, [])
+    while len(rows) <= t:
+        u = len(rows)
+        if q == 1:
+            rows.append((range(1),))
+            continue
+        shift = math.comb(u + q - 1, q - 2)
+        tables: list[Sequence[int]] = []
+        for g, head in enumerate(_successors(q - 1, u)):
+            table = array("I", head)
+            if u:
+                table.frombytes(_shifted(rows[u - 1][g], shift))
+            tables.append(table)
+        tables.append(range(shift, shift + math.comb(u + q - 1, q - 1)))
+        rows.append(tuple(tables))
+    return rows[t]
+
+
+_ONE = array("I", [1]).tobytes()
+
+
+def _shifted(table: array, shift: int) -> bytes:
+    # The bytes of an array("I") with `shift` added to every entry, by one
+    # big-int addition over all of them: each entry is one unsigned-int
+    # field, and every rank stays far below 2^32 (the work caps bound the
+    # number of compositions), so no carry crosses into the next field.
+    raw = table.tobytes()
+    ones = int.from_bytes(_ONE * len(table), sys.byteorder)
+    return (int.from_bytes(raw, sys.byteorder) + shift * ones).to_bytes(len(raw), sys.byteorder)
+
+
+@functools.lru_cache(maxsize=32)
+def _sub_successors(
+    parts: tuple[int, ...],
+) -> tuple[list[int], list[int], tuple[array | None, ...]]:
+    # The tables of _successors restricted to the sub-compositions c of a
+    # target composition `parts` of n, as (sizes, starts, tables): sizes[t]
+    # sub-compositions have sum t, and entries starts[t]:starts[t + 1] of
+    # table g send each of them, by colex rank among those of sum t, to
+    # the rank of c + e_g among those of sum t + 1.  Each c is keyed by the
+    # mixed-radix numeral sum_g c_g R_g, R_g = prod_(h<g) (parts_h + 1), so
+    # a stable sort of the keys by sum lists every sum in colex order.  A
+    # move past parts_g goes to the sink -1, and a move by e_g with
+    # parts_g = 0 is left out (None).  A per-value loop (the reciprocity
+    # self-check, say) revisits its targets, so the last 32 are kept.
+    n = sum(parts)
+    sums, radix = [0], []
+    for c in parts:
+        radix.append(len(sums))
+        sums = [s + k for k in range(c + 1) for s in sums]
+    order = sorted(range(len(sums)), key=sums.__getitem__)
+    sizes = [0] * (n + 2)
+    rank = []
+    for s in sums:
+        rank.append(sizes[s])
+        sizes[s] += 1
+    starts = list(itertools.accumulate(sizes, initial=0))
+    tables = []
+    for c, step in zip(parts, radix):
+        span, top = step * (c + 1), c * step
+        tables.append(
+            array("i", [rank[key + step] if key % span < top else -1 for key in order])
+            if c
+            else None
+        )
+    return sizes, starts, tuple(tables)
+
+
 def _expand(
-    group: GroupSpec, n: int, x: Composition, keep: set[int] | None = None
-) -> tuple[dict[int, int], int]:
+    group: GroupSpec, n: int, x: Composition, target: Composition | None = None
+) -> tuple[list[int], int]:
     # The generating product prod_h (sum_g phi_h(g) z_g)^(x_h), expanded
-    # one linear factor at a time, as ({key: packed}, width).  The monomial
-    # z^c is keyed by sum_g c_g (n+1)^g, so multiplying by z_g adds
-    # (n+1)^g, and since every c_g <= n the keys are base-(n+1) numerals
-    # with c_(q-1) most significant.  A coefficient lives in the group ring
-    # Z[Z_m]: m nonnegative counts packed into one int, `width` bits each,
-    # where multiplying by zeta^e rotates the fields by e.  The counts of
-    # all monomials add up to q^(factors so far) <= q^n, so no field ever
-    # carries into the next.  A move with e = 0 (z_g with phi_h(g) = 1)
-    # adds the coefficient unrotated.  The product commutes, so the factors
-    # of h = 0, the trivial character, whose moves all have e = 0, are
-    # taken last, where the polynomial is largest.  With a key set `keep`
-    # (closed under taking sub-compositions), only monomials keyed in it
-    # survive each factor, and z_g is never multiplied in when its own key
-    # (n+1)^g is missing from it; monomials only grow, so this prunes
-    # correctly in any factor order.
+    # one linear factor at a time, as (coefficients, width).  After t
+    # factors the coefficient of z^c sits at the colex rank of c among the
+    # compositions of t, so multiplying by z_g sends rank r to
+    # _successors(q, t)[g][r] and the last list is in colex order.  A
+    # coefficient lives in the group ring Z[Z_m]: m nonnegative counts
+    # packed into one int, `width` bits each, where multiplying by zeta^e
+    # rotates the fields by e.  The counts of all monomials add up to
+    # q^(factors so far) <= q^n, so no field ever carries into the next.
+    # A move with e = 0 (z_g with phi_h(g) = 1) adds the coefficient
+    # unrotated.  The product commutes, so the factors of h = 0, the
+    # trivial character, whose moves all have e = 0, are taken last, where
+    # the polynomial is largest.  With a `target`, only the monomials of
+    # its sub-compositions are kept, over the tables of _sub_successors:
+    # monomials only grow, so this prunes correctly in any factor order,
+    # and the last list holds the coefficient of z^target alone.
     m, q = group.char_order, group.order
     width = (q**n).bit_length()
     full = (1 << (m * width)) - 1
-    keys = [(n + 1) ** g for g in range(q)]
+    if target is None:
+        steps = [(math.comb(t + q, q - 1), _successors(q, t)) for t in range(n)]
+    else:
+        sizes, starts, pruned = _sub_successors(tuple(target))
+        steps = [
+            (sizes[t + 1], [None if g is None else g[starts[t] : starts[t + 1]] for g in pruned])
+            for t in range(n)
+        ]
     counts = tuple(x)
-    poly = {0: 1}
+    poly = [1]
+    t = 0
     for h in [*range(1, q), 0]:
         moves = []
         for g in range(q):
-            if keep is None or keys[g] in keep:
-                e = group.char_exponent(h, g) % m
-                moves.append((keys[g], e * width, (m - e) * width))
+            e = group.char_exponent(h, g) % m
+            moves.append((g, e * width, (m - e) * width))
         for _ in range(counts[h]):
-            nxt: dict[int, int] = {}
-            get = nxt.get
-            for step, up, down in moves:
+            size, tables = steps[t]
+            nxt = [0] * (size + 1)  # the last slot is the sink of a pruned move
+            for g, up, down in moves:
+                table = tables[g]
+                if table is None:
+                    continue
                 if up:
-                    for key, packed in poly.items():
-                        dest = key + step
-                        nxt[dest] = get(dest, 0) + (((packed << up) & full) | (packed >> down))
+                    for i, packed in zip(table, poly):
+                        nxt[i] += ((packed << up) & full) | (packed >> down)
                 else:
-                    for key, packed in poly.items():
-                        dest = key + step
-                        nxt[dest] = get(dest, 0) + packed
-            if keep is not None:
-                nxt = {key: packed for key, packed in nxt.items() if key in keep}
+                    for i, packed in zip(table, poly):
+                        nxt[i] += packed
+            nxt.pop()
             poly = nxt
+            t += 1
     return poly, width
 
 
 def _gen_kraw_extraction(group: GroupSpec, n: int, i: Composition, j: Composition) -> CycInt:
     # The coefficient of z^i in the product of _expand for x = j, expanded
-    # over the keys of the sub-compositions of i only.
-    target, keep = 0, {0}
-    for g, c in enumerate(tuple(i)):
-        step = (n + 1) ** g
-        keep = {key + t * step for key in keep for t in range(c + 1)}
-        target += c * step
-    poly, width = _expand(group, n, j, keep)
-    packed = poly[target]
+    # over the sub-compositions of i only.
+    (packed,), width = _expand(group, n, j, i)
     mask = (1 << width) - 1
     counts = [(packed >> s) & mask for s in range(0, group.char_order * width, width)]
     return CycInt.from_root_powers(group.char_order, counts)
 
 
-def _colex_shells(q: int, n: int) -> list[tuple[tuple[int, ...], int]]:
+@functools.cache
+def _colex_shells(q: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     # (counts of j, multinom(n, j)) for every composition j of n into q
     # parts, in colex order, built one part at a time: rows[t] lists the
     # compositions of t into the parts so far, and appending a last part
@@ -267,7 +369,7 @@ def _colex_shells(q: int, n: int) -> list[tuple[tuple[int, ...], int]]:
 
     for _ in range(q - 2):
         rows = [extend(t) for t in range(n + 1)]
-    return extend(n) if q > 1 else rows[n]
+    return tuple(extend(n) if q > 1 else rows[n])
 
 
 def _read_out(
@@ -281,16 +383,17 @@ def _read_out(
     # K_j(x) degree / multinom(n, j) by reciprocity, every division
     # checked; it is an int when rational, else a CycInt.
     #
-    # Ascending keys are colex order, so the keys walk in step with
-    # _colex_shells, which gives each label and size.  At zeta = 1 the
+    # _expand lists the coefficients in colex order, so they walk in step
+    # with _colex_shells, which gives each label and size.  At zeta = 1 the
     # product is (sum_g z_g)^n, so the counts of z^j add up to its shell
-    # size, which is checked on every shell; and since no count can cancel,
-    # every composition occurs as a key.  The first shell carrying a packed
-    # coefficient unpacks it and folds it into the power basis, where
-    # zeta^e is the e-th basis element for e below the basis size and a
-    # reduction row above it.  A later shell with the same packed int has
-    # the same counts, so its count total is the stored one, checked
-    # against its own size, and with an equal size it reuses the value.
+    # size, which is checked on every shell; since no count can cancel,
+    # a composition that the expansion never reached (count total 0) fails
+    # that check.  The first shell carrying a packed coefficient unpacks
+    # it and folds it into the power basis, where zeta^e is the e-th basis
+    # element for e below the basis size and a reduction row above it.  A
+    # later shell with the same packed int has the same counts, so its
+    # count total is the stored one, checked against its own size, and
+    # with an equal size it reuses the value.
     # For a negation-closed x (see the module docstring) every shell is
     # first checked against its mirror, when the mirror came earlier.
     m, q = group.char_order, group.order
@@ -313,8 +416,7 @@ def _read_out(
     folded: dict[int, tuple[int, int | CycInt]] = {}
     out: list[tuple[tuple[int, ...], int | CycInt, int]] = []
     computed: list[int] = []
-    for key, (label, size) in zip(sorted(poly), shells):
-        packed = poly[key]
+    for packed, (label, size) in zip(poly, shells):
         if mirror is not None:
             twin = mirror(label)
             other = seen.get(twin)
@@ -404,7 +506,9 @@ def _balanced_work(group: GroupSpec, n: int) -> int:
     # about C(2q-1, q-1) sum_t C(tq+q-1, q-1) / q^2 multiply-adds, each
     # once per 2048-bit chunk of a coefficient of up to n log2 q bits.
     # Building D by the packed expansion of length q costs C(2q-1, q-1)
-    # q q m of COMPOSITION_MAX_WORK's units, about 20 to a multiply-add.
+    # q q m of COMPOSITION_MAX_WORK's units, counted as 20 to a multiply-add;
+    # they take about 6-19 ns each (Z_8..Z_11, GF(9), one cold process
+    # each), so D's share is overestimated.
     q, m = group.order, group.char_order
     terms = math.comb(2 * q - 1, q - 1)
     monomials = sum(math.comb(t * q + q - 1, q - 1) for t in range(n // q))
@@ -417,10 +521,12 @@ def _balanced_shells(group: GroupSpec, n: int) -> list[tuple[Composition, int, i
     # composition graph of length n has a nonzero eigenvalue, in colex
     # order.  For x = (n/q, ..., n/q) the generating product of _expand is
     # D^(n/q), D the group determinant, so it is raised one D factor at a
-    # time over plain ints, keyed as in _expand and with zero coefficients
-    # dropped.  Every monomial of D sums to 0 in the group, so only those
-    # shells survive.  Reciprocity turns the z^j coefficient a_j into the
-    # eigenvalue a_j degree / multinom(n, j), each division checked.
+    # time over plain ints, in a dict keyed by the base-(n+1) numeral
+    # sum_g c_g (n+1)^g of each exponent vector c (ascending keys are colex
+    # order) and with zero coefficients dropped.  Every monomial of D sums
+    # to 0 in the group, so only those shells survive.  Reciprocity turns
+    # the z^j coefficient a_j into the eigenvalue a_j degree / multinom(n, j),
+    # each division checked.
     # Raises SizeExceeded, before anything is expanded, above
     # BALANCED_MAX_WORK.
     work = _balanced_work(group, n)

@@ -52,8 +52,9 @@ PROJECTOR_MAX_VERTICES = 81
 #: times the number of 512-bit chunks in one packed count (about n log2 q
 #: bits, so one chunk for every input with q^n < 2^512).  That tracks the
 #: run time of the generating-product expansion and its read-out at about
-#: 23-80 ns per unit near the cap on a 2-core x86-64 host, over Z_2 (up to
-#: 6 chunks), Z_3..Z_7, GF(4) and GF(8), so the cap stands for about 6-20 s.
+#: 16-32 ns per unit at a third to nine tenths of the cap on a 2-core
+#: x86-64 host, one cold process each, over Z_2 (6 chunks), Z_3..Z_7, GF(4)
+#: and GF(8), so the cap stands for about 4-8 s.
 COMPOSITION_MAX_WORK = 250_000_000
 
 
@@ -220,11 +221,12 @@ def composition_spectrum(spec: CompositionGraphSpec) -> Spectrum:
     the shell size multinom(n, j).
 
     The generating product prod_h L_h^(dcomp_h), L_h = sum_g phi_h(g) z_g,
-    is expanded once, and every entry is read straight off it in one
-    pass: its sorted monomial keys walk in step with the colex list of
-    shells and their sizes multinom(n, j), each checked against the count
-    total of the coefficient of z^j, which is K_j(dcomp).  The first shell
-    carrying a given coefficient is folded, and in the same step
+    is expanded once, as a list indexed by colex rank that each factor
+    z_g advances through a cached successor table, and every entry is read
+    straight off it in one pass: the list walks in step with the colex
+    list of shells and their sizes multinom(n, j), each checked against
+    the count total of the coefficient of z^j, which is K_j(dcomp).  The
+    first shell carrying a given coefficient is folded, and in the same step
     reciprocity K_dcomp(j) = K_j(dcomp) multinom(n, dcomp) / multinom(n, j)
     turns it into the eigenvalue, every division checked; a later shell
     with the same coefficient, and so the same checked size, reuses that

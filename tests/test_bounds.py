@@ -992,12 +992,11 @@ ORBIT_GRID = [(cyclic(q), 6) for q in (2, 3, 4, 5)] + [
 @pytest.mark.parametrize(
     "group,top", ORBIT_GRID, ids=[f"{type(g).__name__}{g.order}" for g, _ in ORBIT_GRID]
 )
-def test_report_least_eigenvalue_over_orbit_representatives_is_the_full_minimum(
-    monkeypatch, group, top
-):
-    # The composition report compares one shell per negation orbit.  The
-    # value and shell it picks must be min_eigenvalue's on the full
-    # spectrum, and its Hoffman entry must be the full spectrum's.
+def test_report_least_eigenvalue_over_folded_shells_is_the_full_minimum(monkeypatch, group, top):
+    # The composition report compares only the folded shells, the first
+    # shell carrying each distinct coefficient.  The value and shell it
+    # picks must be min_eigenvalue's on the full spectrum, and its Hoffman
+    # entry must be the full spectrum's.
     seen = {}
 
     def recording(name):

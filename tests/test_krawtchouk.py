@@ -4,6 +4,7 @@ Every closed-form value asserted here was frozen from an independent
 brute-force character sum (see the oracle helpers at the top).
 """
 
+import functools
 import itertools
 import random
 
@@ -452,11 +453,31 @@ def _rotating_expand(group, n, x, keep=None):
     return poly, width
 
 
+@functools.cache
+def _oracle_expand(group, n, x):
+    """_rotating_expand unpruned, once per generator: the grid tests below
+    read the same oracle expansion several times."""
+    return _rotating_expand(group, n, x)
+
+
+def _keep_keys(target, n):
+    """The keys of the sub-compositions of target, the oracle's pruning set."""
+    keep = {0}
+    for g, c in enumerate(tuple(target)):
+        keep = {key + t * (n + 1) ** g for key in keep for t in range(c + 1)}
+    return keep
+
+
+def _oracle_values(poly):
+    """The oracle's coefficients in ascending key order, which is colex order."""
+    return [poly[key] for key in sorted(poly)]
+
+
 def _count_vectors(group, n, x):
     """The count vector of every shell's coefficient, in colex order, from
     the oracle expansion."""
     m = group.char_order
-    poly, width = _rotating_expand(group, n, x)
+    poly, width = _oracle_expand(group, n, x)
     mask = (1 << width) - 1
     return [
         tuple((poly[key] >> s) & mask for s in range(0, m * width, width)) for key in sorted(poly)
@@ -468,7 +489,7 @@ def _two_pass_column(group, n, x):
     label decoded from its key, the value as a CycInt and the size as the
     coefficient's count total."""
     m, q = group.char_order, group.order
-    poly, width = krawtchouk._expand(group, n, x)
+    poly, width = _oracle_expand(group, n, x)
     assert len(poly) == binom(n + q - 1, q - 1)
     mask = (1 << width) - 1
     out = []
@@ -570,20 +591,22 @@ def test_read_out_matches_the_two_pass_oracle(group, top):
     "group,top", READ_OUT_GRID, ids=[f"{type(g).__name__}{g.order}" for g, _ in READ_OUT_GRID]
 )
 def test_expand_matches_the_rotating_oracle(monkeypatch, group, top):
-    # the kernel adds e = 0 moves unrotated and takes the trivial
-    # character's factors last: the same product, so the same packed
-    # polynomial, unpruned on every grid generator and pruned to every
-    # sub-composition key set that the extraction route builds
+    # the kernel adds e = 0 moves unrotated, takes the trivial character's
+    # factors last and lists the coefficients in colex order: the same
+    # product, so the oracle's coefficients in ascending key order,
+    # unpruned on every grid generator and pruned to the sub-compositions
+    # of every target that the extraction route expands for
     q = group.order
     for n in range(1, top + 1):
         for x in enumerate_compositions(q, n):
-            assert krawtchouk._expand(group, n, x) == _rotating_expand(group, n, x), (n, x)
+            poly, width = _oracle_expand(group, n, x)
+            assert krawtchouk._expand(group, n, x) == (_oracle_values(poly), width), (n, x)
     expand = krawtchouk._expand
     calls = []
 
-    def recording(group, n, x, keep=None):
-        calls.append((n, x, keep))
-        return expand(group, n, x, keep)
+    def recording(group, n, x, target=None):
+        calls.append((n, x, target))
+        return expand(group, n, x, target)
 
     monkeypatch.setattr(krawtchouk, "_expand", recording)
     rng = random.Random(f"{group!r}")
@@ -592,25 +615,23 @@ def test_expand_matches_the_rotating_oracle(monkeypatch, group, top):
         for x in shells:
             for i in rng.sample(shells, min(3, len(shells))):
                 gen_kraw(group, n, i, x)
-    assert calls and all(keep is not None for _, _, keep in calls)
-    for n, x, keep in calls:
-        assert expand(group, n, x, keep) == _rotating_expand(group, n, x, keep), (n, x, keep)
+    assert calls and all(target is not None for _, _, target in calls)
+    for n, x, target in calls:
+        poly, width = _rotating_expand(group, n, x, _keep_keys(target, n))
+        assert expand(group, n, x, target) == (_oracle_values(poly), width), (n, x, target)
 
 
 def _corrupt_expand(monkeypatch, pick):
-    # _expand with one packed coefficient replaced by pick(label, packed, width, m)
+    # _expand with one packed coefficient replaced by pick(label, packed,
+    # width, m), the label read off _colex_shells at the same position
     expand = krawtchouk._expand
 
-    def patched(group, n, x, keep=None):
-        poly, width = expand(group, n, x, keep)
-        for key in sorted(poly):
-            label, rest = [], key
-            for _ in range(group.order):
-                rest, c = divmod(rest, n + 1)
-                label.append(c)
-            new = pick(tuple(label), poly[key], width, group.char_order)
+    def patched(group, n, x, target=None):
+        poly, width = expand(group, n, x, target)
+        for index, (label, _) in enumerate(krawtchouk._colex_shells(group.order, n)):
+            new = pick(label, poly[index], width, group.char_order)
             if new is not None:
-                poly[key] = new
+                poly[index] = new
                 break
         return poly, width
 
@@ -707,6 +728,69 @@ def test_colex_shells_walk_in_step_with_the_sorted_keys(q):
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
         assert labels == [tuple(c) for c in enumerate_compositions(q, n)]
         assert [size for _, size in shells] == [multinom(n, label) for label in labels]
+
+
+def _brute_colex(q, t, bound=None):
+    """Every composition of t into q parts (each part at most bound[g],
+    when given), listed part by part and sorted into colex order: last
+    part most significant."""
+    top = bound or (t,) * q
+    comps = [()]
+    for g in range(q):
+        comps = [c + (k,) for c in comps for k in range(min(top[g], t - sum(c)) + 1)]
+    return sorted((c for c in comps if sum(c) == t), key=_colex_key)
+
+
+def _plus(c, g):
+    return c[:g] + (c[g] + 1,) + c[g + 1 :]
+
+
+@pytest.mark.parametrize("q", range(2, 9))
+def test_successor_tables_rank_every_next_composition(q):
+    # table g of (q, t) sends the colex rank of c to that of c + e_g among
+    # the compositions of t + 1, on a brute sorted list of them
+    for t in range(0, 9):
+        here, there = _brute_colex(q, t), _brute_colex(q, t + 1)
+        rank = {c: r for r, c in enumerate(there)}
+        tables = krawtchouk._successors(q, t)
+        assert len(tables) == q
+        for g, table in enumerate(tables):
+            assert list(table) == [rank[_plus(c, g)] for c in here], (q, t, g)
+        assert krawtchouk._successors(q, t) is tables
+
+
+def test_sub_successor_tables_rank_every_next_sub_composition():
+    # the pruned tables of a target: within each sum, colex ranks among its
+    # sub-compositions; a move past the target goes to the sink -1 and a
+    # move by e_g with target_g = 0 is None
+    rng = random.Random("sub-successors")
+    for q in range(2, 7):
+        for n in range(1, 9 if q < 5 else 6):
+            shells = list(enumerate_compositions(q, n))
+            for target in rng.sample(shells, min(4, len(shells))):
+                parts = tuple(target)
+                sizes, starts, tables = krawtchouk._sub_successors(parts)
+                levels = [_brute_colex(q, t, parts) for t in range(n + 1)]
+                assert sizes[: n + 1] == [len(level) for level in levels]
+                for g, table in enumerate(tables):
+                    if parts[g] == 0:
+                        assert table is None
+                        continue
+                    # the target itself, the one sub-composition of sum n, moves to the sink
+                    assert list(table[starts[n] :]) == [-1]
+                    for t in range(n):
+                        rank = {c: r for r, c in enumerate(levels[t + 1])}
+                        expected = [rank.get(_plus(c, g), -1) for c in levels[t]]
+                        assert list(table[starts[t] : starts[t + 1]]) == expected, (parts, t, g)
+
+
+def test_colex_shells_are_cached_and_immutable():
+    shells = krawtchouk._colex_shells(4, 5)
+    assert krawtchouk._colex_shells(4, 5) is shells
+    assert type(shells) is tuple
+    assert all(type(entry) is tuple and type(entry[0]) is tuple for entry in shells)
+    with pytest.raises(TypeError):
+        shells[0] = shells[1]
 
 
 def test_zero_shells_vanish():
