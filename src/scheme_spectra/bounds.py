@@ -912,6 +912,8 @@ def conjecture_probe(q: int, n: int) -> ProbeVerdict:
     q, n = operator.index(q), operator.index(n)
     if q < 2:
         raise DomainError(f"need q >= 2, got q={q}")
+    if n < 1:
+        raise DomainError(f"need n >= 1, got n={n}")
     if n % q:
         raise DivisibilityError(f"needs q | n, got q={q}, n={n}")
     if ((q - 1) * n // q) % 2:

@@ -4,22 +4,18 @@ Unbounded integers are plain Python ``int`` and exact rationals are
 ``fractions.Fraction``; the standard library already makes both exact, so
 this module only supplies what it lacks: the ring of cyclotomic integers
 Z[zeta_m] with a canonical normal form, the exact sign of its real
-elements, a complex embedding with a proven error bound, and the handful
-of counting functions the rest of the library leans on.
+elements, and the handful of counting functions the rest of the library
+leans on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import DomainError, OrderMismatch, PrecisionEscalationError, SumMismatch
-
-#: Default fixed-point precision (bits) for complex embeddings.
-DEFAULT_EMBED_BITS = 80
 
 
 def _exact_poly_div(num: list[int], den: Sequence[int]) -> list[int]:
@@ -248,46 +244,20 @@ class CycInt:
             parts.append(f"{c:+d}*z" if i == 1 else f"{c:+d}*z^{i}")
         return "".join(parts)
 
-    # -- embedding ----------------------------------------------------
-
-    def embed(self, bits: int = DEFAULT_EMBED_BITS) -> ComplexApprox:
-        """Numerical value at zeta_m = exp(2*pi*i/m), with a proven bound.
-
-        With L = sum |c_k|, the sums S = sum c_k T_k over the cosine and sine
-        tables of :func:`_cos_table` are within 2L of 2**bits times the real and
-        imaginary parts; ``real`` and ``imag`` are S / 2**bits correctly rounded.
-        ``precision``, 4L / 2**bits plus both rounding errors (exact, rounded up),
-        bounds |d real| + |d imag| and levels off at the value's float resolution.
-        """
-        if bits < 1:
-            raise DomainError(f"embedding needs bits >= 1, got {bits}")
-        scale = 1 << bits
-        bound = Fraction(4 * sum(map(abs, self._coeffs)), scale)
-        parts = []
-        for sine in (False, True):
-            total = sum(c * t for c, t in zip(self._coeffs, _cos_table(self._order, bits, sine)))
-            parts.append(total / scale)  # int / int is correctly rounded
-            bound += abs(Fraction(parts[-1]) - Fraction(total, scale))
-        precision = float(bound)
-        if precision < bound:
-            precision = math.nextafter(precision, math.inf)
-        return ComplexApprox(*parts, precision)
-
 
 @lru_cache(maxsize=None)
-def _cos_table(m: int, bits: int, sine: bool = False) -> tuple[int, ...]:
-    # T[k] with |T[k] - 2**bits * cos(2*pi*k/m)| < 2 (sin if ``sine``), k < deg:
+def _cos_table(m: int, bits: int) -> tuple[int, ...]:
+    # T[k] with |T[k] - 2**bits * cos(2*pi*k/m)| < 2, k < deg:
     # the floor of 2**bits times the lower end of an mpmath interval narrower
     # than 2**-bits (floor error < 1, interval error < 1; a raise checks it).
     from mpmath import iv
 
-    trig = iv.sin if sine else iv.cos
     saved = iv.prec
     iv.prec = bits + 32
     try:
         table = []
         for k in range(len(_reduction_rows(m)[0])):
-            lo, hi = (_dyadic(end) for end in trig(iv.pi * (2 * k) / m)._mpi_)
+            lo, hi = (_dyadic(end) for end in iv.cos(iv.pi * (2 * k) / m)._mpi_)
             if (hi - lo) * 2**bits >= 1:
                 raise ArithmeticError(f"interval at 2*pi*{k}/{m} is too wide")
             table.append(math.floor(lo * 2**bits))
@@ -337,15 +307,6 @@ def _real_sign(value: CycInt) -> int:
             f"fixed-point sum {total} at {bits} bits does not decide the sign of {value!r}"
         )
     return 1 if total > 0 else -1
-
-
-@dataclass(frozen=True)
-class ComplexApprox:
-    """A complex value together with an absolute error bound."""
-
-    real: float
-    imag: float
-    precision: float
 
 
 def binom(n: int, k: int) -> int:

@@ -54,6 +54,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
+    BadLabel,
     DivisibilityError,
     DomainError,
     NotFound,
@@ -62,7 +63,7 @@ from .errors import (
     SumMismatch,
     UnsupportedSize,
 )
-from .exactnum import CycInt, _reduction_rows, binom, multinom
+from .exactnum import CycInt, _fold_table, _reduction_rows, binom, multinom
 from .groups import Composition, GroupSpec, enumerate_shell
 
 #: Largest alphabet for which the circulant determinant is expanded exactly.
@@ -168,6 +169,8 @@ def _validate_pair(group: GroupSpec, n: int, i: Composition, j: Composition) -> 
                 f"composition {name}={counts} has {len(counts)} parts, "
                 f"group order is {group.order}"
             )
+        if min(counts) < 0:
+            raise BadLabel(f"negative count in composition {name}={counts}")
         if sum(counts) != n:
             raise SumMismatch(f"composition {name}={counts} does not sum to n={n}")
 
@@ -390,10 +393,11 @@ def _read_out(
     # a composition that the expansion never reached (count total 0) fails
     # that check.  The first shell carrying a packed coefficient unpacks
     # it and folds it into the power basis, where zeta^e is the e-th basis
-    # element for e below the basis size and a reduction row above it.  A
-    # later shell with the same packed int has the same counts, so its
-    # count total is the stored one, checked against its own size, and
-    # with an equal size it reuses the value.
+    # element for e below the basis size and row e of _fold_table, the
+    # table CycInt folds with, above it.  A later shell with the same
+    # packed int has the same counts, so its count total is the stored
+    # one, checked against its own size, and with an equal size it reuses
+    # the value.
     # For a negation-closed x (see the module docstring) every shell is
     # first checked against its mirror, when the mirror came earlier.
     m, q = group.char_order, group.order
@@ -407,9 +411,9 @@ def _read_out(
     mirror = None
     if neg != list(range(q)) and group.is_negation_closed(x):
         mirror = operator.itemgetter(*neg)
-    rows = _reduction_rows(m)
-    basis = len(rows[0])
-    high = [(e, [(k, r) for k, r in enumerate(rows[e]) if r]) for e in range(basis, m)]
+    basis = len(_reduction_rows(m)[0])
+    table = _fold_table(m)
+    high = [(e, table[e]) for e in range(basis, m)]
     mask = (1 << width) - 1
     shifts = range(0, m * width, width)
     seen: dict[tuple[int, ...], int] = {}
@@ -460,24 +464,6 @@ def _read_out(
             computed.append(len(out))
         out.append((label, value, size))
     return out, computed
-
-
-def _gen_kraw_column(
-    group: GroupSpec, n: int, x: Composition
-) -> list[tuple[Composition, CycInt, int]]:
-    # (j, K_j(x), multinom(n, j)) for every composition j of n, in
-    # colexicographic order (the extraction route reads one of them per
-    # call), each value as a CycInt.
-    m = group.char_order
-    column, _ = _read_out(group, n, x)
-    return [
-        (
-            Composition._trusted(j),
-            value if isinstance(value, CycInt) else CycInt.from_int(m, value),
-            size,
-        )
-        for j, value, size in column
-    ]
 
 
 @functools.cache

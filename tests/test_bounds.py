@@ -1134,21 +1134,13 @@ def test_hamming_report_raises_the_witnesses_of_check_lp_solution(monkeypatch):
         assert str(in_report.value) == str(direct.value)
 
 
-def _reciprocity_hoffman(n, q, d):
-    # the former route, kept as the oracle: every eigenvalue
-    # K_d(j) = m_d K_j(d) / m_j by one bigint division, then the least
-    column = krawtchouk.kraw_column(n, q, d)
-    sizes = [(q - 1) ** j * binom(n, j) for j in range(n + 1)]
-    values = []
-    for j, dual in enumerate(column):
-        value, rem = divmod(sizes[d] * dual, sizes[j])
-        assert not rem, (n, q, d, j)
-        values.append(value)
-    return 1 - Fraction(sizes[d], min(values))
+def _reciprocity_hoffman(eigenvalues, n, q, d):
+    # the Hoffman bound 1 - m_d / lambda_min off the oracle's eigenvalues
+    return 1 - Fraction((q - 1) ** d * binom(n, d), min(eigenvalues[n, q, d]))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
-def test_hamming_report_hoffman_matches_the_reciprocity_oracle(q):
+def test_hamming_report_hoffman_matches_the_reciprocity_oracle(q, reciprocity_eigenvalues):
     cases = [(n, d) for n in range(1, 41) for d in range(1, n + 1)]
     regimes = set()
     for n in (299, 301, 1000, 2000):
@@ -1156,7 +1148,9 @@ def test_hamming_report_hoffman_matches_the_reciprocity_oracle(q):
         cases += [(n, n // 10), (n, top - 1), (n, top), (n, n)]
     for n, d in cases:
         report = bound_report(HammingGraphSpec(n, q, d))
-        assert report.lower == ((_reciprocity_hoffman(n, q, d), "hoffman"),), (n, q, d)
+        assert report.lower == (
+            (_reciprocity_hoffman(reciprocity_eigenvalues, n, q, d), "hoffman"),
+        ), (n, q, d)
         if n >= 299:
             regimes.add(report.diagnostics["regime"])
     assert regimes == {"entropy", "near-balanced-window", "balanced-or-above"}
@@ -1166,7 +1160,9 @@ def test_hamming_report_hoffman_matches_the_reciprocity_oracle(q):
     "n,q,d,winner,runner_up",
     [(6, 2, 1, 6, 5), (36, 3, 8, 13, 12), (301, 3, 24, 129, 128), (299, 5, 82, 93, 92)],
 )
-def test_least_hamming_eigenvalue_is_decided_exactly_on_near_ties(n, q, d, winner, runner_up):
+def test_least_hamming_eigenvalue_is_decided_exactly_on_near_ties(
+    n, q, d, winner, runner_up, reciprocity_eigenvalues
+):
     # The two least ratios K_j(d) / m_j lie within a factor of 2 and the
     # runner-up comes first, with a bit-length gap at least as large, so
     # neither the scan order nor the bit lengths can pick the winner.
@@ -1182,7 +1178,7 @@ def test_least_hamming_eigenvalue_is_decided_exactly_on_near_ties(n, q, d, winne
     assert gap[1] >= gap[0]
     value = bounds._least_hamming_eigenvalue(n, q, d, column, sizes)
     assert value == sizes[d] * column[winner] // sizes[winner]
-    assert 1 - Fraction(sizes[d], value) == _reciprocity_hoffman(n, q, d)
+    assert 1 - Fraction(sizes[d], value) == _reciprocity_hoffman(reciprocity_eigenvalues, n, q, d)
 
 
 def test_least_hamming_eigenvalue_refuses_a_column_without_a_negative_entry():
@@ -1243,6 +1239,11 @@ def test_probe_validation():
         conjecture_probe(3, 7)
     with pytest.raises(DomainError):
         conjecture_probe(1, 4)
+    # n = -3 failed with IndexError deep in the balanced route, and n = 0
+    # with "negative count in composition (-2, 1, 1)"
+    for n in (0, -3):
+        with pytest.raises(DomainError, match=f"need n >= 1, got n={n}"):
+            conjecture_probe(3, n)
     # a float q failed deep inside with "can't multiply sequence by
     # non-int of type 'float'"
     for q, n in ((5.0, 10), (3, 6.0)):

@@ -415,6 +415,7 @@ def test_hamming_flag_errors_are_pinned_byte_for_byte(capsys):
         (("represent", "--n", "0", "--q", "2", "--d", "0"),
          "error: need n >= 1 and q >= 2, got n=0, q=2\n"),
         (("probe", "--q", "1", "--n", "6"), "error: need q >= 2, got q=1\n"),
+        (("probe", "--q", "3", "--n", "-3"), "error: need n >= 1, got n=-3\n"),
     ]
     for argv, expected in cases:
         assert run(capsys, *argv) == (2, "", expected)

@@ -1,4 +1,4 @@
-"""Exact-arithmetic layer: counting helpers, cyclotomic integers, embeddings."""
+"""Exact-arithmetic layer: counting helpers, cyclotomic integers, exact signs."""
 
 import math
 from fractions import Fraction
@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scheme_spectra import (
-    ComplexApprox,
     CycInt,
     DomainError,
     OrderMismatch,
@@ -287,92 +286,6 @@ def test_normal_form_matches_the_dense_fold(case):
 
 
 # ---------------------------------------------------------------------------
-# embeddings
-
-
-def test_embed_matches_cmath():
-    import cmath
-
-    for m in (3, 4, 5, 8, 12):
-        approx = CycInt.root_of_unity(m).embed()
-        expected = cmath.exp(2j * math.pi / m)
-        assert isinstance(approx, ComplexApprox)
-        assert abs(approx.real - expected.real) < 1e-12
-        assert abs(approx.imag - expected.imag) < 1e-12
-        assert approx.precision < 1e-9
-
-
-def test_embed_is_additive():
-    z = CycInt.root_of_unity(5)
-    a, b = z + 2, z**3 - 4
-    left = (a + b).embed()
-    ra = a.embed()
-    rb = b.embed()
-    assert abs(left.real - (ra.real + rb.real)) < 1e-12
-    assert abs(left.imag - (ra.imag + rb.imag)) < 1e-12
-
-
-def test_embed_precision_shrinks_with_bits():
-    v = CycInt.from_root_powers(12, [3, -2, 5, 0, 1, 0, 0, 0, 0, 0, 0, 7])
-    coarse = v.embed(bits=60)
-    fine = v.embed(bits=200)
-    assert fine.precision < coarse.precision
-    assert abs(coarse.real - fine.real) <= coarse.precision + fine.precision
-
-
-def _embedding_error(value, approx, bits):
-    # distance from approx to the value, evaluated by mpmath point arithmetic
-    # at 4 * bits + 64 bits plus the coefficient size: an oracle independent
-    # of the fixed-point tables, its own error far below any radius tested
-    import mpmath
-
-    size = sum(abs(c) for c in value.coeffs)
-    with mpmath.workprec(4 * bits + 64 + size.bit_length()):
-        exact = mpmath.fsum(
-            c * mpmath.expjpi(mpmath.mpf(2 * k) / value.order)
-            for k, c in enumerate(value.coeffs)
-        )
-        return abs(mpmath.mpc(approx.real, approx.imag) - exact), exact
-
-
-embed_orders = st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16])
-embed_bits = st.sampled_from([1, 20, 53, 80, 120, 200, 400])
-big_ints = st.one_of(small_ints, st.integers(min_value=-(10**30), max_value=10**30))
-
-
-@settings(max_examples=300, deadline=None)
-@given(embed_orders, st.lists(big_ints, max_size=16), embed_bits)
-def test_embed_precision_is_a_proven_radius(m, coeffs, bits):
-    value = CycInt(m, coeffs)
-    approx = value.embed(bits)
-    error, _ = _embedding_error(value, approx, bits)
-    assert error <= approx.precision
-
-
-def test_embed_rounds_correctly_inside_its_radius():
-    # 1 + zeta_5 at 200 bits: the fixed-point term is about 1e-60, so the
-    # float rounding (about 5e-17) is what the radius has to cover
-    value = CycInt(5, [1, 1, 0, 0])
-    approx = value.embed(200)
-    error, exact = _embedding_error(value, approx, 200)
-    assert (approx.real, approx.imag) == (float(exact.real), float(exact.imag))
-    assert 1e-17 < error <= approx.precision < 1e-16
-    for bits in (1, 2, 20, 53):  # here the fixed-point term dominates
-        approx = value.embed(bits)
-        assert _embedding_error(value, approx, bits)[0] <= approx.precision
-
-
-def test_embed_of_zero_is_exact():
-    assert CycInt(7).embed(1) == ComplexApprox(0.0, 0.0, 0.0)
-
-
-@pytest.mark.parametrize("bits", [0, -3])
-def test_embed_needs_a_positive_bit_count(bits):
-    with pytest.raises(DomainError):
-        CycInt(5, [1, 1]).embed(bits)
-
-
-# ---------------------------------------------------------------------------
 # exact signs of real values
 
 
@@ -393,23 +306,9 @@ def test_cos_table_is_within_two_units(m, bits):
             assert abs(entry - exact) < 2
 
 
-@pytest.mark.parametrize("m", [4, 5, 7, 12])
-@pytest.mark.parametrize("bits", [1, 64, 400])
-def test_sin_table_is_within_two_units(m, bits):
-    import mpmath
-
-    table = _cos_table.__wrapped__(m, bits, True)
-    assert table == _cos_table(m, bits, True)
-    assert len(table) == len(cyclotomic_polynomial(m)) - 1
-    with mpmath.workprec(4 * bits + 64):
-        for k, entry in enumerate(table):
-            exact = mpmath.ldexp(mpmath.sin(2 * mpmath.pi * k / m), bits)
-            assert abs(entry - exact) < 2
-
-
 def test_a_wide_cos_interval_raises(monkeypatch):
-    # the sign proof and the embedding radius both rest on the interval
-    # width, so it is checked by a raise that python -O cannot strip
+    # the sign proof rests on the interval width, so it is checked by a
+    # raise that python -O cannot strip
     import mpmath
 
     before = mpmath.iv.prec

@@ -226,19 +226,6 @@ def test_hamming_spectrum_matches_the_closed_form():
                 assert all(type(e.eigenvalue) is int for e in sp.entries)
 
 
-def _reciprocity_eigenvalues(n, q, d):
-    # the former route, kept as the oracle: K_d(j) = m_d K_j(d) / m_j from
-    # the column K_j(d), one bigint division per shell, each checked exact
-    column = krawtchouk.kraw_column(n, q, d)
-    sizes = [(q - 1) ** j * binom(n, j) for j in range(n + 1)]
-    values = []
-    for j, dual in enumerate(column):
-        value, rem = divmod(sizes[d] * dual, sizes[j])
-        assert not rem, (n, q, d, j)
-        values.append(value)
-    return values
-
-
 def _regime_distances(n, q):
     # one d in each regime of the bound report: entropy, the near-balanced
     # window just below the balanced distance, and balanced-or-above
@@ -246,7 +233,7 @@ def _regime_distances(n, q):
     return (n // 10, top - 1, top, n)
 
 
-def test_hamming_spectrum_matches_the_reciprocity_oracle():
+def test_hamming_spectrum_matches_the_reciprocity_oracle(reciprocity_eigenvalues):
     cases = [(n, q, d) for q in range(2, 6) for n in range(1, 41) for d in range(1, n + 1)]
     cases += [
         (n, q, d)
@@ -256,7 +243,7 @@ def test_hamming_spectrum_matches_the_reciprocity_oracle():
     ]
     for n, q, d in cases:
         sp = hamming_spectrum(HammingGraphSpec(n, q, d))
-        assert [e.eigenvalue for e in sp.entries] == _reciprocity_eigenvalues(n, q, d), (n, q, d)
+        assert [e.eigenvalue for e in sp.entries] == reciprocity_eigenvalues[n, q, d], (n, q, d)
 
 
 def test_hamming_eigenvalues_check_every_division():
@@ -431,9 +418,9 @@ def test_composition_column_refuses_an_expansion_missing_a_shell():
     # degree 3, not the C(6, 2) = 15 shells of n = 4: labels decoded from
     # those keys would be wrong, so the read-out raises instead
     with pytest.raises(ArithmeticError, match="10 monomials, expected one per composition of n=4"):
-        krawtchouk._gen_kraw_column(cyclic(3), 4, Composition((1, 1, 1)))
-    column = krawtchouk._gen_kraw_column(cyclic(3), 3, Composition((1, 1, 1)))
-    assert [j for j, _, _ in column] == list(enumerate_compositions(3, 3))
+        krawtchouk._read_out(cyclic(3), 4, Composition((1, 1, 1)))
+    column, _ = krawtchouk._read_out(cyclic(3), 3, Composition((1, 1, 1)))
+    assert [j for j, _, _ in column] == [tuple(c) for c in enumerate_compositions(3, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -672,26 +659,6 @@ def test_real_values_order_exactly_against_their_floor(m, coeffs):
     assert _less_than(floor, alpha) is (alpha != floor)
     assert _less_than(alpha, floor + 1) is True
     assert _less_than(floor + 1, alpha) is False
-
-
-_IRRATIONAL_SPECTRA = [
-    (5, (1, 1, 0, 0, 1)),
-    (7, (0, 1, 0, 0, 0, 0, 1)),
-    (8, (1, 1, 0, 0, 0, 0, 0, 1)),
-]
-
-
-@pytest.mark.parametrize("q, dcomp", _IRRATIONAL_SPECTRA, ids=["z5", "z7", "z8"])
-def test_extremes_make_no_numerical_embedding(q, dcomp, monkeypatch):
-    sp = composition_spectrum(CompositionGraphSpec(cyclic(q), sum(dcomp), Composition(dcomp)))
-    assert any(isinstance(e.eigenvalue, CycInt) for e in sp.entries)
-    expected = (_float_extreme(sp, 1)[:2], _float_extreme(sp, -1)[:2])
-
-    def refuse(self, bits=80):
-        raise AssertionError("extremes must not embed")
-
-    monkeypatch.setattr(CycInt, "embed", refuse)
-    assert (min_eigenvalue(sp), max_eigenvalue(sp)) == expected
 
 
 def _undirected_grid():
