@@ -99,6 +99,16 @@ class LPSolution:
                 f"need n+1 = {self.n + 1} coefficients, got {len(self.coefficients)}"
             )
 
+    @classmethod
+    def _trusted(cls, n: int, q: int, d: int, coefficients: tuple[int, ...]) -> LPSolution:
+        # Wrap ints and n + 1 int coefficients without re-validating them.
+        out = cls.__new__(cls)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "q", q)
+        object.__setattr__(out, "d", d)
+        object.__setattr__(out, "coefficients", coefficients)
+        return out
+
     @property
     def objective(self) -> int:
         return sum(
@@ -124,16 +134,19 @@ def check_lp_solution(solution: LPSolution) -> bool:
 
 
 def _check_weights(solution: LPSolution) -> None:
-    for i, c in enumerate(solution.coefficients):
-        if c < 0:
-            raise Infeasible(f"coefficient c_{i} = {c} is negative", witness=("sign", i))
-    if sum(solution.coefficients) <= 0:
+    coefficients = solution.coefficients
+    if min(coefficients, default=0) < 0:
+        i = next(i for i, c in enumerate(coefficients) if c < 0)
+        raise Infeasible(
+            f"coefficient c_{i} = {coefficients[i]} is negative", witness=("sign", i)
+        )
+    if sum(coefficients) <= 0:
         raise Infeasible("total weight is not positive", witness=("positivity",))
 
 
 def _check_orthogonality(solution: LPSolution, column: Sequence[int]) -> bool:
     # column is K_i(d), i = 0..n, for the solution's own n, q and d
-    acc = sum(c * k for c, k in zip(solution.coefficients, column))
+    acc = sum(map(operator.mul, solution.coefficients, column))
     if acc != 0:
         raise Infeasible(
             f"weighted Krawtchouk column at d={solution.d} sums to {acc}, expected 0",
@@ -152,7 +165,10 @@ def lp_two_support(n: int, q: int, d: int) -> LPSolution:
     because the Krawtchouk column sums to zero.  The winner is checked
     exactly, as :func:`check_lp_solution` would, before it is returned.
     """
-    HammingGraphSpec(n, q, d)
+    spec = HammingGraphSpec(n, q, d)
+    # the spec's plain ints, so that no numpy int reaches the sizes cache
+    # or the trusted solution
+    n, q, d = spec.n, spec.q, spec.d
     column = kraw_column(n, q, d)
     solution = _two_support(n, q, d, column, _shell_sizes(n, q))
     _check_weights(solution)
@@ -181,7 +197,7 @@ def _two_support(
     coeffs = [0] * (n + 1)
     coeffs[0] = -column[best]
     coeffs[best] = 1
-    return LPSolution(n, q, d, tuple(coeffs))
+    return LPSolution._trusted(n, q, d, tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -804,14 +820,15 @@ def _least_hamming_eigenvalue(
     # ratio's size lies strictly between 2^(a-c-1) and 2^(a-c+1), so a shell
     # whose a - c is at least 2 below the best's cannot win; every other one
     # is decided exactly by cross-multiplication, the first minimiser
-    # winning.  One checked division then gives the eigenvalue.
+    # winning.  One checked division then gives the eigenvalue.  (The bit
+    # length of an int ignores its sign, so K_j(d) needs no negation.)
     best = 0
     best_gap = 0
     for j in range(1, n + 1):
         k = column[j]
         if k >= 0:
             continue
-        gap = (-k).bit_length() - sizes[j].bit_length()
+        gap = k.bit_length() - sizes[j].bit_length()
         if not best or (gap + 2 > best_gap and k * sizes[best] < column[best] * sizes[j]):
             best, best_gap = j, gap
     if not best:

@@ -109,23 +109,40 @@ def kraw_column(n: int, q: int, x: int) -> list[int]:
     # non-integral n and x too (math.comb raises TypeError)
     n, q, x = operator.index(n), operator.index(q), operator.index(x)
     column = [1]
-    prev = 0
+    append = column.append
+    # the factors a = i + (q-1)(n-i) - qx and b = (q-1)(n-i+1) at step i
+    a = (q - 1) * n - q * x
+    b = (q - 1) * (n + 1)
+    cur, prev = 1, 0
     for i in range(n):
-        num = (i + (q - 1) * (n - i) - q * x) * column[i] - (q - 1) * (n - i + 1) * prev
-        value, rem = divmod(num, i + 1)
+        value, rem = divmod(a * cur - b * prev, i + 1)
         if rem:
             raise ArithmeticError(f"recurrence is not integral at n={n}, q={q}, x={x}, i={i}")
-        prev = column[i]
-        column.append(value)
+        prev, cur = cur, value
+        append(value)
+        a += 2 - q
+        b -= q - 1
     return column
 
 
-def _shell_sizes(n: int, q: int) -> list[int]:
-    """Weight-shell sizes (q-1)^j C(n, j), j = 0..n, by the ratio recurrence."""
+@functools.lru_cache(maxsize=8)
+def _shell_sizes(n: int, q: int) -> tuple[int, ...]:
+    """Weight-shell sizes (q-1)^j C(n, j), j = 0..n, by the ratio recurrence.
+
+    Cached per (n, q), since a sweep over d at one (n, q) reads the same
+    sizes for every report; the tuple is immutable, so no caller can spoil
+    the cache.  Callers pass plain ints: a numpy n would be a hit for the
+    equal int, and would store sizes that wrapped at 64 bits.  An entry
+    holds n + 1 ints of up to n log2(q) bits: about 5.9 MB at n = 5000,
+    q = 5, so the 8 entries retain at most about 47 MB.
+    """
     sizes = [1]
+    size = 1
     for j in range(n):
-        sizes.append(sizes[j] * (q - 1) * (n - j) // (j + 1))
-    return sizes
+        # one bigint product per step: the small factors multiply first
+        size = size * ((q - 1) * (n - j)) // (j + 1)
+        sizes.append(size)
+    return tuple(sizes)
 
 
 def first_nonpositive(n: int, q: int, d: int) -> int:
@@ -581,6 +598,8 @@ def gen_kraw(
     The value is a plain int when it is rational, as for :func:`kraw`,
     and a :class:`CycInt` otherwise.
     """
+    # a float n would pass the sum check, and the two routes then disagree
+    n = operator.index(n)
     _validate_pair(group, n, i, j)
     if method == "brute":
         value = _gen_kraw_brute(group, n, i, j)

@@ -198,6 +198,35 @@ def test_check_rejects_broken_orthogonality():
     assert err.value.witness[1] != 0
 
 
+def test_lp_two_support_is_the_validated_solution():
+    # the solution built without re-validation equals the one the public
+    # constructor validates, field by field and in its JSON
+    for q in (2, 3, 5):
+        for n in (1, 2, 7, 40, 299):
+            for d in range(1, n + 1):
+                sol = lp_two_support(n, q, d)
+                checked = LPSolution(sol.n, sol.q, sol.d, sol.coefficients)
+                assert sol == checked, (n, q, d)
+                assert json.dumps(sol.to_json()) == json.dumps(checked.to_json()), (n, q, d)
+    sol = lp_two_support(np.int64(4), np.int8(2), np.uint8(2))
+    assert sol == lp_two_support(4, 2, 2)
+    assert all(type(v) is int for v in (sol.n, sol.q, sol.d, *sol.coefficients))
+    # numpy ints must not reach the shell sizes: int64 sizes wrapped, which
+    # picked the objective 1832624140942590534 for H(64,2,1) (the optimum is
+    # 2) and raised OverflowError for H(300,3,150)
+    for n, q, d in ((64, 2, 1), (300, 3, 150)):
+        assert lp_two_support(np.int64(n), q, d) == lp_two_support(n, q, d)
+
+
+def test_reports_spectra_and_lp_share_the_sizes_of_one_pair():
+    krawtchouk._shell_sizes.cache_clear()
+    for d in (1, 20, 40):
+        bound_report(HammingGraphSpec(40, 3, d))
+        lp_two_support(40, 3, d)
+        hamming_spectrum(HammingGraphSpec(40, 3, d))
+    assert krawtchouk._shell_sizes.cache_info().misses == 1
+
+
 def test_lp_solution_json():
     assert lp_two_support(4, 2, 2).to_json() == {
         "n": 4,
@@ -1100,6 +1129,16 @@ def test_hamming_report_makes_one_krawtchouk_pass(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         bound_report(spec)
         assert calls == {"kraw_column": 1, "_shell_sizes": 1}, spec
+    # a sweep over every d at one (n, q) computes the sizes once, and still
+    # one column per report
+    n, q = 31, 3
+    krawtchouk._shell_sizes.cache_clear()
+    calls.update(dict.fromkeys(calls, 0))
+    for d in range(1, n + 1):
+        bound_report(HammingGraphSpec(n, q, d))
+    assert calls == {"kraw_column": n, "_shell_sizes": n}
+    info = krawtchouk._shell_sizes.cache_info()
+    assert (info.misses, info.hits) == (1, n - 1)
 
 
 def test_hamming_report_still_checks_its_certificate(monkeypatch):

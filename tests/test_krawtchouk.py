@@ -7,6 +7,7 @@ brute-force character sum (see the oracle helpers at the top).
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -170,6 +171,17 @@ def test_kraw_column_validation_matches_kraw():
     assert kraw_column(4, 2, True) == kraw_column(4, 2, 1)
 
 
+def test_shell_sizes_are_cached_tuples_of_the_closed_form():
+    for q in range(2, 10):
+        for n in [*range(61), 150, 400, 1000]:
+            sizes = krawtchouk._shell_sizes(n, q)
+            assert type(sizes) is tuple, (n, q)
+            assert sizes == tuple((q - 1) ** j * binom(n, j) for j in range(n + 1)), (n, q)
+            # a repeat call is a cache hit, the very same immutable tuple
+            assert krawtchouk._shell_sizes(n, q) is sizes
+    assert krawtchouk._shell_sizes.cache_info().maxsize == 8
+
+
 def test_first_nonpositive():
     assert first_nonpositive(8, 2, 3) == 2
     assert first_nonpositive(9, 3, 6) == 1
@@ -277,6 +289,14 @@ def test_gen_kraw_validation():
         for method in ("brute", "extraction"):
             with pytest.raises(BadLabel):
                 gen_kraw(cyclic(2), n, i, j, method=method)
+    # a non-integral length passed the sum check: brute returned 9 for 6.0
+    # where extraction raised AttributeError; both refuse it as kraw does
+    balanced = Composition((2, 2, 2))
+    for n in (6.0, Fraction(6)):
+        for method in ("brute", "extraction"):
+            with pytest.raises(TypeError):
+                gen_kraw(group, n, balanced, balanced, method=method)
+    assert gen_kraw(group, np.int64(6), balanced, balanced) == 9
 
 
 def test_certified_integer_passthrough():
