@@ -8,7 +8,7 @@ a parameter grid.  All output is deterministic: JSON keys are sorted,
 big integers travel as decimal strings, and repeated invocations produce
 byte-identical bytes.  Exit codes: 0 success, 1 verification failure,
 2 malformed flags.  numpy loads only for ``represent`` and the projector and
-representation suites, mpmath only to compare irrational eigenvalues.
+representation suites.
 """
 
 from __future__ import annotations

@@ -247,32 +247,32 @@ class CycInt:
 
 @lru_cache(maxsize=None)
 def _cos_table(m: int, bits: int) -> tuple[int, ...]:
-    # T[k] with |T[k] - 2**bits * cos(2*pi*k/m)| < 2, k < deg:
-    # the floor of 2**bits times the lower end of an mpmath interval narrower
-    # than 2**-bits (floor error < 1, interval error < 1; a raise checks it).
-    from mpmath import iv
-
-    saved = iv.prec
-    iv.prec = bits + 32
-    try:
-        table = []
-        for k in range(len(_reduction_rows(m)[0])):
-            lo, hi = (_dyadic(end) for end in iv.cos(iv.pi * (2 * k) / m)._mpi_)
-            if (hi - lo) * 2**bits >= 1:
-                raise ArithmeticError(f"interval at 2*pi*{k}/{m} is too wide")
-            table.append(math.floor(lo * 2**bits))
-    finally:
-        iv.prec = saved
-    return tuple(table)
-
-
-def _dyadic(value: tuple) -> Fraction:
-    # The exact value of a finite mpmath mpf tuple (sign, mantissa, exponent, bits).
-    sign, man, exp, bc = value
-    if bc < 0:
-        raise ArithmeticError("interval end point is not finite")
-    out = Fraction(int(man)) * Fraction(2) ** exp
-    return -out if sign else out
+    # T[k] with |T[k] - 2**bits cos(2 pi k/m)| < 2, k < deg: integer fixed point
+    # at w = bits + g bits, floored to bits (< 1).  In units of 2**-w, each acot
+    # in pi = 16 acot 5 - 4 acot 239 floors N <= w/(2 log2 x) + 1/2 terms
+    # 2**w // x**(2i+1) and drops a tail < 1 (pi is within 4w + 30), so the angle
+    # X = 2j pi // m, j = min(k, m - k) <= m/2, is within 4w + 31 and so is cos X.
+    # Its Taylor terms lag by < 2 each as X**2 < 12, vanish before n = w/2 + 5
+    # and leave a tail < 2.  The total 5w + 41 is below 2**g, g = bitlen(bits) + 8.
+    guard = bits.bit_length() + 8
+    w = bits + guard
+    pi = 0
+    for weight, x in ((16, 5), (-4, 239)):
+        term, odd = (1 << w) // x, 1
+        while term:
+            pi += weight * (-1) ** (odd // 2) * (term // odd)
+            term, odd = term // (x * x), odd + 2
+    deg = len(_reduction_rows(m)[0])
+    cosines = []
+    for j in range(min(deg, m // 2 + 1)):
+        square = (2 * j * pi // m) ** 2
+        term, total, n = 1 << w, 1 << w, 0
+        while term:
+            n += 2
+            term = (term * square >> 2 * w) // ((n - 1) * n)
+            total += (-1) ** (n // 2) * term
+        cosines.append(total >> guard)
+    return tuple(cosines[min(k, m - k)] for k in range(deg))
 
 
 def _real_sign(value: CycInt) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .errors import BadLabel, DivisibilityError, DomainError, SpecMismatch, SumMismatch
+from .errors import BadLabel, DivisibilityError, DomainError, RangeError, SpecMismatch, SumMismatch
 from .exactnum import CycInt
 
 
@@ -40,7 +40,9 @@ class Composition:
 
     @classmethod
     def balanced(cls, q: int, n: int) -> Composition:
-        """The composition (n/q, ..., n/q); requires q to divide n."""
+        """The composition (n/q, ..., n/q); requires q >= 1 dividing n."""
+        if q < 1:
+            raise DomainError(f"balanced composition needs q >= 1, got q={q}")
         if n % q:
             raise DivisibilityError(f"balanced composition needs q | n, got q={q}, n={n}")
         return cls((n // q,) * q)
@@ -377,16 +379,24 @@ def word_sub(group: GroupSpec, x: Sequence[int], y: Sequence[int]) -> tuple[int,
 def word_index(group: GroupSpec, word: Sequence[int]) -> int:
     """Canonical row index: the base-q value of the word, first digit high."""
     out = 0
-    for g in word:
+    for g in map(operator.index, word):
+        group._check_element(g)
         out = out * group.order + g
     return out
 
 
 def index_word(group: GroupSpec, index: int, n: int) -> tuple[int, ...]:
+    """The word of length n whose canonical row index is ``index``."""
+    index, n = operator.index(index), operator.index(n)
+    if n < 0:
+        raise DomainError(f"word length must be >= 0, got n={n}")
+    rest = index
     digits = []
     for _ in range(n):
-        digits.append(index % group.order)
-        index //= group.order
+        digits.append(rest % group.order)
+        rest //= group.order
+    if index < 0 or rest:
+        raise RangeError(f"index {index} is outside 0..q**n - 1 for q={group.order}, n={n}")
     return tuple(reversed(digits))
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from scheme_spectra import binom, krawtchouk
+from scheme_spectra import Composition, binom, cyclic, finite_field, krawtchouk, multinom
 
 
 class _ReciprocityEigenvalues(dict):
@@ -28,3 +28,44 @@ def reciprocity_eigenvalues():
     """The Hamming eigenvalues by reciprocity, shared by the spectrum and
     bound-report tests that run over the same grid."""
     return _ReciprocityEigenvalues()
+
+
+# The balanced generators (n/q, ..., n/q) checked against the packed
+# expansion: each group with the largest n, a multiple of q, on its grid.
+BALANCED_GRIDS = [
+    (cyclic(2), 40),
+    (cyclic(3), 24),
+    (cyclic(4), 16),
+    (cyclic(5), 15),
+    (cyclic(6), 12),
+    (cyclic(7), 14),
+    (finite_field(4), 12),
+    (finite_field(8), 8),
+]
+
+
+@pytest.fixture(
+    params=BALANCED_GRIDS, ids=[f"{type(g).__name__}{g.order}" for g, _ in BALANCED_GRIDS]
+)
+def balanced_grid(request):
+    """One (group, top) of BALANCED_GRIDS per test case."""
+    return request.param
+
+
+class _PackedBalancedColumns(dict):
+    # (group, n) -> (j, eigenvalue, multinom(n, j)) on every shell of the
+    # balanced generator, from the packed expansion (character sums,
+    # independent of the group determinant) and reciprocity.
+    def __missing__(self, key):
+        group, n = key
+        balanced = Composition.balanced(group.order, n)
+        column, _ = krawtchouk._read_out(group, n, balanced, multinom(n, balanced))
+        self[key] = [(Composition(j), value, size) for j, value, size in column]
+        return self[key]
+
+
+@pytest.fixture(scope="session")
+def packed_balanced_columns():
+    """The packed balanced columns, shared by the balanced-route and
+    balanced-report tests that run over BALANCED_GRIDS."""
+    return _PackedBalancedColumns()

@@ -54,7 +54,6 @@ from scheme_spectra import (
     kraw,
     lp_two_support,
     min_eigenvalue,
-    multinom,
     representation_seed,
     verify_representation,
     word_add,
@@ -1292,23 +1291,17 @@ def test_probe_validation():
     assert json.dumps(probe.to_json()) == json.dumps(conjecture_probe(3, 6).to_json())
 
 
-def _packed_spectrum(spec):
-    # the full spectrum from the packed expansion and reciprocity, every
-    # shell listed: the reference for the balanced route
-    entries = tuple(
-        SpectrumEntry(Composition(j), value, size)
-        for j, value, size in krawtchouk._read_out(
-            spec.group, spec.n, spec.dcomp, spec.degree
-        )[0]
-    )
+def _packed_spectrum(spec, column):
+    # the full spectrum from the packed column, every shell listed: the
+    # reference for the balanced route
+    entries = tuple(SpectrumEntry(j, value, size) for j, value, size in column)
     return Spectrum(spec, entries, spec.degree, spec.vertex_count)
 
 
-def _probe_from_packed_spectrum(q, n):
-    balanced = Composition.balanced(q, n)
-    spectrum = _packed_spectrum(CompositionGraphSpec(cyclic(q), n, balanced))
+def _probe_from_packed_spectrum(spectrum):
+    q, n = spectrum.graph.group.order, spectrum.graph.n
     minimum, _ = min_eigenvalue(spectrum)
-    target = Fraction(-multinom(n, balanced), n - 1)
+    target = Fraction(-spectrum.regular_degree, n - 1)
     pattern = [n - 2] + [0] * (q - 1)
     pattern[1] += 1
     pattern[q - 1] += 1
@@ -1323,8 +1316,8 @@ def _probe_from_packed_spectrum(q, n):
     ).to_json()
 
 
-def _balanced_report_from_packed_spectrum(spec):
-    spectrum = _packed_spectrum(spec)
+def _balanced_report_from_packed_spectrum(spectrum):
+    spec = spectrum.graph
     diagnostics = {"balanced": True, "undirected": True}
     lower = []
     try:
@@ -1339,32 +1332,21 @@ def _balanced_report_from_packed_spectrum(spec):
     return BoundReport(spec, tuple(lower), tuple(upper), exact, diagnostics).to_json()
 
 
-BALANCED_GRIDS = [
-    (cyclic(2), 40),
-    (cyclic(3), 24),
-    (cyclic(4), 16),
-    (cyclic(5), 15),
-    (cyclic(6), 12),
-    (cyclic(7), 14),
-    (finite_field(4), 12),
-    (finite_field(8), 8),
-]
-
-
-@pytest.mark.parametrize(
-    "group,top", BALANCED_GRIDS, ids=[f"{type(g).__name__}{g.order}" for g, _ in BALANCED_GRIDS]
-)
-def test_balanced_probe_and_report_match_the_packed_spectrum(group, top):
+def test_balanced_probe_and_report_match_the_packed_spectrum(
+    balanced_grid, packed_balanced_columns
+):
+    group, top = balanced_grid
     q = group.order
     several = 0
     for n in range(q, top + 1, q):
         spec = CompositionGraphSpec(group, n, Composition.balanced(q, n))
+        spectrum = _packed_spectrum(spec, packed_balanced_columns[group, n])
         got = json.dumps(bound_report(spec).to_json())
-        assert got == json.dumps(_balanced_report_from_packed_spectrum(spec)), n
+        assert got == json.dumps(_balanced_report_from_packed_spectrum(spectrum)), n
         if isinstance(group, FiniteField) or ((q - 1) * n // q) % 2:
             continue
         probe = conjecture_probe(q, n).to_json()
-        assert json.dumps(probe) == json.dumps(_probe_from_packed_spectrum(q, n)), n
+        assert json.dumps(probe) == json.dumps(_probe_from_packed_spectrum(spectrum)), n
         several += len(probe["achieving_shells"]) > 1
     if isinstance(group, FiniteField) or q == 2:
         return

@@ -444,7 +444,7 @@ def test_verification_failure_exits_1(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# deferred imports: numpy and mpmath load only on the paths that use them
+# deferred imports: numpy loads only on the paths that use it, mpmath never
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -510,10 +510,10 @@ _DEFERRED_CASES = [
         id="represent-vacuous-sample",
     ),
     pytest.param(("verify", "--suite", "projectors", "--max-n", "2"), "numpy", id="verify-projectors"),
-    # the least eigenvalue is irrational, so ordering it builds the cosine table
+    # the least eigenvalue is irrational; its cosine table is plain integer arithmetic
     pytest.param(
         ("bounds", "--family", "composition", "--q", "5", "--n", "4", "--comp", "2,1,0,0,1"),
-        "mpmath",
+        "",
         id="bounds-irrational-composition",
     ),
 ]
@@ -533,3 +533,31 @@ def test_first_call_in_a_fresh_process_loads_only_what_it_needs(
     if "--out" in argv:
         fresh_csv = (tmp_path / "fresh" / "rep.csv").read_bytes()
         assert fresh_csv == (tmp_path / "in-process" / "rep.csv").read_bytes()
+
+
+# Irrational eigenvalues are ordered without mpmath: with the package made
+# unimportable, a report that ranks them and one irrational least eigenvalue
+# come out as they do in this process.
+_WITHOUT_MPMATH = """
+import sys
+sys.modules["mpmath"] = None
+from scheme_spectra import Composition, CompositionGraphSpec, cli, composition_spectrum
+from scheme_spectra import cyclic, min_eigenvalue
+code = cli.main(sys.argv[1:])
+spec = CompositionGraphSpec(cyclic(5), 4, Composition((2, 1, 0, 0, 1)))
+print(repr(min_eigenvalue(composition_spectrum(spec))))
+sys.exit(code)
+"""
+
+
+def test_irrational_eigenvalues_are_ordered_without_mpmath(capsys):
+    from scheme_spectra import Composition, CompositionGraphSpec, composition_spectrum
+    from scheme_spectra import cyclic, min_eigenvalue
+
+    argv = ("bounds", "--family", "composition", "--q", "5", "--n", "5", "--comp", "3,1,0,0,1")
+    proc = fresh_python("-c", _WITHOUT_MPMATH, *argv)
+    code, out, err = run(capsys, *argv)
+    spec = CompositionGraphSpec(cyclic(5), 4, Composition((2, 1, 0, 0, 1)))
+    least = min_eigenvalue(composition_spectrum(spec))
+    assert least[0].as_integer() is None
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out + f"{least!r}\n", err)

@@ -14,6 +14,7 @@ from scheme_spectra import (
     DivisibilityError,
     DomainError,
     FiniteField,
+    RangeError,
     SpecMismatch,
     all_words,
     binom,
@@ -48,6 +49,12 @@ def test_balanced_composition():
     assert Composition.balanced(2, 4).n == 4
     with pytest.raises(DivisibilityError):
         Composition.balanced(3, 7)
+
+
+@pytest.mark.parametrize("q, n", [(0, 4), (-3, 6)])
+def test_balanced_composition_refuses_q_below_one(q, n):
+    with pytest.raises(DomainError, match="q >= 1"):
+        Composition.balanced(q, n)
 
 
 def test_composition_rejects_negative_counts():
@@ -224,6 +231,29 @@ def test_word_helpers_roundtrip():
         assert word_index(g, index_word(g, idx, 3)) == idx
     assert word_add(g, (1, 2, 0), (2, 2, 1)) == (0, 1, 1)
     assert word_neg(g, (1, 2, 0)) == (2, 1, 0)
+
+
+def test_word_helpers_refuse_out_of_range_input():
+    import numpy as np
+
+    g = cyclic(3)
+    for index in (9, -1, 10**30):
+        with pytest.raises(RangeError):
+            index_word(g, index, 2)
+    with pytest.raises(RangeError):
+        index_word(g, 1, 0)
+    assert index_word(g, 0, 0) == ()
+    with pytest.raises(DomainError):
+        index_word(g, 0, -1)
+    for group, word in ((g, (3, 0)), (g, (-1, 0)), (finite_field(4), (7,))):
+        with pytest.raises(SpecMismatch):
+            word_index(group, word)
+    with pytest.raises(TypeError):
+        word_index(g, (0, 1.0))
+    # numpy ints are indices, as operator.index has it
+    assert index_word(g, np.int64(5), np.int64(3)) == (0, 1, 2)
+    assert word_index(g, np.array([1, 0, 0])) == 9
+    assert all(type(d) is int for d in index_word(g, np.int64(5), 3))
 
 
 def test_weight_and_composition():

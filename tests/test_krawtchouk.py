@@ -396,33 +396,11 @@ def test_circulant_guards():
 # shells, against the packed expansion (character sums, independent of D)
 
 
-BALANCED_GRIDS = [
-    (cyclic(2), 40),
-    (cyclic(3), 24),
-    (cyclic(4), 16),
-    (cyclic(5), 15),
-    (cyclic(6), 12),
-    (cyclic(7), 14),
-    (finite_field(4), 12),
-    (finite_field(8), 8),
-]
-
-
-def packed_balanced_column(group, n):
-    """(j, eigenvalue, multinom(n, j)) on every shell, from the packed
-    expansion of the balanced generator and reciprocity."""
-    balanced = Composition.balanced(group.order, n)
-    column, _ = _read_out(group, n, balanced, multinom(n, balanced))
-    return [(Composition(j), value, size) for j, value, size in column]
-
-
-@pytest.mark.parametrize(
-    "group,top", BALANCED_GRIDS, ids=[f"{type(g).__name__}{g.order}" for g, _ in BALANCED_GRIDS]
-)
-def test_balanced_route_matches_the_packed_column(group, top):
+def test_balanced_route_matches_the_packed_column(balanced_grid, packed_balanced_columns):
+    group, top = balanced_grid
     q = group.order
     for n in range(q, top + 1, q):
-        packed = packed_balanced_column(group, n)
+        packed = packed_balanced_columns[group, n]
         assert all(type(value) is int for _, value, _ in packed)
         nonzero = [(tuple(j), value, size) for j, value, size in packed if value != 0]
         got = _balanced_shells(group, n)
@@ -563,13 +541,6 @@ READ_OUT_GRID = [(cyclic(q), 6) for q in (2, 3, 4, 5)] + [
     (group, 3)
     for group in (cyclic(6), cyclic(7), finite_field(4), finite_field(8), finite_field(9))
 ]
-
-
-def read_out_cases():
-    for group, top in READ_OUT_GRID:
-        for n in range(1, top + 1):
-            for x in enumerate_compositions(group.order, n):
-                yield group, n, x
 
 
 @pytest.mark.parametrize(
