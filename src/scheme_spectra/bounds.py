@@ -53,7 +53,6 @@ from .schemes import (
     _composition_degree,
     _extreme,
     _hoffman_value,
-    _less_than,
 )
 
 #: Row-count cap for materializing a representation.
@@ -867,7 +866,7 @@ def _composition_report(spec: CompositionGraphSpec) -> BoundReport:
         column, computed = _read_out(group, n, spec.dcomp, degree)
         values = [column[i][1] for i in computed]
         try:
-            lam_min = values[_extreme(values, _less_than)]
+            lam_min = values[_extreme(values)]
             lower.append((_hoffman_value(lam_min, degree), "hoffman"))
         except (IrrationalEigenvalue, NoNegativeEigenvalue, NonRealEigenvalue) as exc:
             diagnostics["hoffman_unavailable"] = type(exc).__name__

@@ -3,9 +3,9 @@
 Unbounded integers are plain Python ``int`` and exact rationals are
 ``fractions.Fraction``; the standard library already makes both exact, so
 this module only supplies what it lacks: the ring of cyclotomic integers
-Z[zeta_m] with a canonical normal form, the exact sign of its real
-elements, and the handful of counting functions the rest of the library
-leans on.
+Z[zeta_m] with a canonical normal form, the fixed-point cosine tables that
+order its real elements exactly, and the handful of counting functions the
+rest of the library leans on.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import DomainError, OrderMismatch, PrecisionEscalationError, SumMismatch
+from .errors import DomainError, OrderMismatch, SumMismatch
 
 
 def _exact_poly_div(num: list[int], den: Sequence[int]) -> list[int]:
@@ -145,12 +145,15 @@ class CycInt:
 
     def conjugate(self) -> CycInt:
         """Complex conjugate (the Galois map zeta -> zeta^(-1))."""
-        m = self._order
-        counts = [0] * m
+        # zeta^i maps to zeta^(m - i), whose power-basis row is table[-i]
+        # (row 0 for i = 0)
+        table = _fold_table(self._order)
+        acc = [0] * len(self._coeffs)
         for i, c in enumerate(self._coeffs):
             if c:
-                counts[(m - i) % m] += c
-        return CycInt(m, counts)
+                for k, r in table[-i]:
+                    acc[k] += c * r
+        return CycInt._canonical(self._order, tuple(acc))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -247,13 +250,19 @@ class CycInt:
 
 @lru_cache(maxsize=None)
 def _cos_table(m: int, bits: int) -> tuple[int, ...]:
-    # T[k] with |T[k] - 2**bits cos(2 pi k/m)| < 2, k < deg: integer fixed point
-    # at w = bits + g bits, floored to bits (< 1).  In units of 2**-w, each acot
-    # in pi = 16 acot 5 - 4 acot 239 floors N <= w/(2 log2 x) + 1/2 terms
-    # 2**w // x**(2i+1) and drops a tail < 1 (pi is within 4w + 30), so the angle
-    # X = 2j pi // m, j = min(k, m - k) <= m/2, is within 4w + 31 and so is cos X.
-    # Its Taylor terms lag by < 2 each as X**2 < 12, vanish before n = w/2 + 5
-    # and leave a tail < 2.  The total 5w + 41 is below 2**g, g = bitlen(bits) + 8.
+    # T[k] with |T[k] - 2**bits cos(2 pi k/m)| < 2, k < deg, and T[0] = 2**bits
+    # exactly: integer fixed point at w = bits + g bits, floored to bits (< 1).
+    # In units of 2**-w, each acot in pi = 16 acot 5 - 4 acot 239 floors
+    # N <= w/(2 log2 x) + 1/2 terms 2**w // x**(2i+1) and drops a tail < 1 (pi
+    # is within 4w + 30), so the angle X = 2j pi // m, j = min(k, m - k) <= m/2,
+    # is within 4w + 31, and so is cos X (cos is 1-Lipschitz).  The series runs
+    # in s = Y/2**w, Y = X**2 >> w, a w-bit square whose floor moves s by under
+    # 2**-w and cos(sqrt s) by under half of that (|d cos(sqrt s)/ds| <= 1/2).
+    # Each Taylor term floors once, (term Y >> w) // ((n-1) n), and lags the
+    # exact term in s by < 2 as s < 12; that term is below 1 from n = w + 10 on,
+    # so at most w/2 + 4 terms are nonzero, and the rest leave a tail < 2.  The
+    # total 4w + 31 + 1/2 + (w + 8) + 2 < 5w + 42 is below 2**g,
+    # g = bitlen(bits) + 8.  At j = 0 every term after the first is 0.
     guard = bits.bit_length() + 8
     w = bits + guard
     pi = 0
@@ -265,48 +274,24 @@ def _cos_table(m: int, bits: int) -> tuple[int, ...]:
     deg = len(_reduction_rows(m)[0])
     cosines = []
     for j in range(min(deg, m // 2 + 1)):
-        square = (2 * j * pi // m) ** 2
+        angle = 2 * j * pi // m
+        square = angle * angle >> w
         term, total, n = 1 << w, 1 << w, 0
         while term:
             n += 2
-            term = (term * square >> 2 * w) // ((n - 1) * n)
+            term = (term * square >> w) // ((n - 1) * n)
             total += (-1) ** (n // 2) * term
         cosines.append(total >> guard)
     return tuple(cosines[min(k, m - k)] for k in range(deg))
 
 
-def _real_sign(value: CycInt) -> int:
-    """The exact sign (-1, 0 or 1) of a real cyclotomic integer.
-
-    With power-basis coefficients c_k, deg = len(c) and L = sum |c_k|, the
-    value is sum c_k cos(2*pi*k/m).  One integer sum S = sum c_k T_k over
-    the fixed-point table of :func:`_cos_table` at B bits satisfies
-    |S - 2**B * value| < 2L.
-
-    B is chosen a priori so that S decides.  A nonzero alpha in Z[zeta_m]
-    has a norm, the product of its deg Galois conjugates, that is a
-    nonzero integer, and each conjugate has modulus at most L.  So
-    |alpha| >= L**-(deg - 1).  With B >= deg * bitlen(L) + 2 we have
-    2**B > 4 * L**deg, hence 2**B * |alpha| > 4L and |S| > 2L with the
-    sign of alpha.  B is rounded up to a multiple of 64 so that the tables
-    are shared between values of similar size.
-
-    |S| <= 2L therefore cannot happen for a nonzero real value; it raises
-    PrecisionEscalationError as an internal invariant.  The value must be
-    real: for a non-real one S carries no such guarantee.
-    """
-    coeffs = value.coeffs
-    size = sum(abs(c) for c in coeffs)
-    if not size:
-        return 0
-    bits = -(-(len(coeffs) * size.bit_length() + 2) // 64) * 64
-    table = _cos_table(value.order, bits)
-    total = sum(c * t for c, t in zip(coeffs, table) if c)
-    if abs(total) <= 2 * size:
-        raise PrecisionEscalationError(
-            f"fixed-point sum {total} at {bits} bits does not decide the sign of {value!r}"
-        )
-    return 1 if total > 0 else -1
+def _sign_bits(deg: int, size: int) -> int:
+    # The precision B at which a fixed-point sum over _cos_table decides the
+    # sign of every nonzero real alpha in Z[zeta_m] of degree deg with
+    # sum |c_k| <= size: deg * bitlen(size) + 2 (the argument is written out
+    # at schemes._extreme), rounded up to a multiple of 64 so that values of
+    # similar size share one table.
+    return -(-(deg * size.bit_length() + 2) // 64) * 64
 
 
 def binom(n: int, k: int) -> int:

@@ -33,9 +33,10 @@ class Composition:
 
     @classmethod
     def _trusted(cls, counts: tuple[int, ...]) -> Composition:
-        # Wrap a tuple of nonnegative ints without re-validating it.
-        out = cls.__new__(cls)
-        object.__setattr__(out, "counts", counts)
+        # Wrap a tuple of nonnegative ints without re-validating it, writing
+        # the field straight into the instance dict.
+        out = object.__new__(cls)
+        out.__dict__["counts"] = counts
         return out
 
     @classmethod

@@ -25,8 +25,10 @@ For a negation-closed generator x (x_h = x_(-h)) every shell is also
 checked against its mirror.  The substitution z_g -> z_(-g) turns L_h
 into sum_g phi_h(-g) z_g = L_(-h), so it maps prod_h L_h^(x_h) to
 prod_h L_h^(x_(-h)), the same product: shell j and its mirror j o (-1)
-carry the same coefficient, so the later of the two is checked equal to
-the earlier, and then reuses its value like any repeated coefficient.
+carry the same coefficient.  All pairs are checked in one comparison of
+the list with itself permuted by a cached table of mirror ranks, and the
+later shell of each pair then reuses its value like any repeated
+coefficient.
 
 For a balanced generator (n/q, ..., n/q) the product is D^(n/q), where D
 is the group determinant of the alphabet (Dedekind-Frobenius).  D has
@@ -392,6 +394,17 @@ def _colex_shells(q: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(extend(n) if q > 1 else rows[n])
 
 
+@functools.cache
+def _mirror_ranks(q: int, n: int, neg: tuple[int, ...]) -> array:
+    # Entry r is the colex rank of the mirror of the r-th composition j of n
+    # into q parts, the composition with counts j[neg[g]]: an involution on
+    # the ranks of _colex_shells(q, n), 4 bytes a shell, kept per negation.
+    shells = _colex_shells(q, n)
+    rank = {label: r for r, (label, _) in enumerate(shells)}
+    twin = operator.itemgetter(*neg)
+    return array("I", [rank[twin(label)] for label, _ in shells])
+
+
 def _read_out(
     group: GroupSpec, n: int, x: Composition, degree: int | None = None
 ) -> tuple[list[tuple[tuple[int, ...], int | CycInt, int]], Sequence[int]]:
@@ -416,7 +429,11 @@ def _read_out(
     # one, checked against its own size, and with an equal size it reuses
     # the value.
     # For a negation-closed x (see the module docstring) every shell is
-    # first checked against its mirror, when the mirror came earlier.
+    # checked against its mirror at once, by comparing the list with itself
+    # permuted by the cached _mirror_ranks.  Should a pair differ, the pass
+    # runs up to the later shell of the first such pair and then names that
+    # pair, so the fault raised is the one a check shell by shell would meet
+    # first.
     m, q = group.char_order, group.order
     poly, width = _expand(group, n, x)
     shells = _colex_shells(q, n)
@@ -424,34 +441,31 @@ def _read_out(
         raise ArithmeticError(
             f"expansion has {len(poly)} monomials, expected one per composition of n={n}"
         )
-    neg = [group.neg(g) for g in range(q)]
-    mirror = None
-    if neg != list(range(q)) and group.is_negation_closed(x):
-        mirror = operator.itemgetter(*neg)
+    neg = tuple(group.neg(g) for g in range(q))
+    mirrors = None
+    if neg != tuple(range(q)) and group.is_negation_closed(x):
+        perm = _mirror_ranks(q, n, neg)
+        if list(map(poly.__getitem__, perm)) != poly:
+            i = next(i for i, r in enumerate(perm) if r < i and poly[r] != poly[i])
+            mirrors = (shells[perm[i]][0], shells[i][0])
+            poly = poly[:i]
     basis = len(_reduction_rows(m)[0])
     table = _fold_table(m)
     high = [(e, table[e]) for e in range(basis, m)]
     mask = (1 << width) - 1
     shifts = range(0, m * width, width)
-    seen: dict[tuple[int, ...], int] = {}
     folded: dict[int, tuple[int, int | CycInt]] = {}
     out: list[tuple[tuple[int, ...], int | CycInt, int]] = []
     computed: list[int] = []
     for packed, (label, size) in zip(poly, shells):
-        if mirror is not None:
-            twin = mirror(label)
-            other = seen.get(twin)
-            if other is not None and other != packed:
-                raise ArithmeticError(
-                    f"shells {twin} and {label} are mirrors under negation, "
-                    "but their coefficients differ"
-                )
-            seen[label] = packed
         hit = folded.get(packed)
         if hit is not None:
             total, value = hit
         else:
-            counts = [(packed >> s) & mask for s in shifts]
+            # a plain loop: a list comprehension would be a call of its own
+            counts = []
+            for s in shifts:
+                counts.append((packed >> s) & mask)
             total = sum(counts)
         if total != size:
             raise ArithmeticError(
@@ -468,8 +482,9 @@ def _read_out(
             if degree is not None:
                 scaled = []
                 for c in coeffs:
-                    quo, rem = divmod(c * degree, size)
-                    if rem:
+                    num = c * degree
+                    quo = num // size
+                    if quo * size != num:
                         raise ArithmeticError(
                             f"{CycInt._canonical(m, tuple(coeffs))!r} * {degree} / {size} "
                             "is not a cyclotomic integer"
@@ -480,6 +495,11 @@ def _read_out(
             folded[packed] = (total, value)
             computed.append(len(out))
         out.append((label, value, size))
+    if mirrors is not None:
+        raise ArithmeticError(
+            f"shells {mirrors[0]} and {mirrors[1]} are mirrors under negation, "
+            "but their coefficients differ"
+        )
     return out, computed
 
 

@@ -23,10 +23,11 @@ from .errors import (
     IrrationalEigenvalue,
     NoNegativeEigenvalue,
     NonRealEigenvalue,
+    OrderMismatch,
     RangeError,
     SizeExceeded,
 )
-from .exactnum import CycInt, _real_sign, binom, multinom
+from .exactnum import CycInt, _cos_table, _sign_bits, binom, multinom
 from .groups import (
     Composition,
     GroupSpec,
@@ -149,6 +150,20 @@ class SpectrumEntry:
     eigenvalue: int | CycInt
     multiplicity: int
 
+    @classmethod
+    def _trusted(
+        cls, label: int | Composition, eigenvalue: int | CycInt, multiplicity: int
+    ) -> SpectrumEntry:
+        # Build an entry without the dataclass __init__: the three fields go
+        # straight into the instance dict, where __init__ would put them one
+        # object.__setattr__ call at a time.
+        out = object.__new__(cls)
+        fields = out.__dict__
+        fields["label"] = label
+        fields["eigenvalue"] = eigenvalue
+        fields["multiplicity"] = multiplicity
+        return out
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -169,13 +184,17 @@ class Spectrum:
 
 
 def _entry_json(entry: SpectrumEntry) -> dict:
-    label = entry.label if isinstance(entry.label, int) else list(entry.label)
+    label = entry.label
     value = entry.eigenvalue
-    if isinstance(value, CycInt):
-        eig: object = {"coeffs": list(value.coeffs), "order": value.order}
-    else:
-        eig = value
-    return {"shell": label, "eigenvalue": eig, "multiplicity": str(entry.multiplicity)}
+    return {
+        "shell": label if isinstance(label, int) else list(label.counts),
+        "eigenvalue": (
+            {"coeffs": list(value._coeffs), "order": value._order}
+            if isinstance(value, CycInt)
+            else value
+        ),
+        "multiplicity": str(entry.multiplicity),
+    }
 
 
 def hamming_spectrum(spec: HammingGraphSpec) -> Spectrum:
@@ -236,10 +255,12 @@ def composition_spectrum(spec: CompositionGraphSpec) -> Spectrum:
     For an undirected dcomp (dcomp_h = dcomp_(-h)) the substitution
     z_g -> z_(-g) maps L_h to sum_g phi_h(-g) z_g = L_(-h), so it maps
     the product to prod_h L_h^(dcomp_(-h)), which is the product again:
-    shell j and its mirror j o (-1) share one coefficient.  The later
-    shell of each such pair is checked equal to the earlier one
-    (ArithmeticError naming both shells if not), and then reuses its
-    eigenvalue.
+    shell j and its mirror j o (-1) share one coefficient.  Every pair is
+    checked at once, by comparing the list with itself permuted by the
+    colex ranks of the mirrors, cached per (q, n, negation); if a pair
+    differs, the shells before its later shell are read out and checked
+    first, and then ArithmeticError names both shells.  The later shell
+    of each pair reuses its eigenvalue.
 
     A balanced dcomp = (n/q, ..., n/q) takes the group-determinant route
     of :mod:`.krawtchouk` instead: its product is a power of the group
@@ -259,15 +280,11 @@ def composition_spectrum(spec: CompositionGraphSpec) -> Spectrum:
     if spec.balanced:
         # the shells the balanced route leaves out have eigenvalue 0
         values = {j.counts: value for j, value, _ in _balanced_shells(spec.group, n)}
-        entries = [
-            SpectrumEntry(Composition._trusted(j), values.get(j, 0), size)
-            for j, size in _colex_shells(q, n)
-        ]
+        column = [(j, values.get(j, 0), size) for j, size in _colex_shells(q, n)]
     else:
         column, _ = _read_out(spec.group, n, spec.dcomp, degree)
-        entries = [
-            SpectrumEntry(Composition._trusted(j), value, size) for j, value, size in column
-        ]
+    entry, label = SpectrumEntry._trusted, Composition._trusted
+    entries = [entry(label(j), value, size) for j, value, size in column]
     return Spectrum(spec, tuple(entries), degree, spec.vertex_count)
 
 
@@ -299,56 +316,77 @@ def _require_real(value: CycInt) -> None:
         )
 
 
-def _less_than(a: int | CycInt, b: int | CycInt) -> bool:
-    """Exact a < b for real cyclotomic values: the sign of the exact
-    difference, read directly when it is a rational integer and from one
-    fixed-point sum (:func:`exactnum._real_sign`) when it is not."""
-    if isinstance(a, int) and isinstance(b, int):
-        return a < b
-    diff = a - b
-    exact = diff.as_integer()
-    if exact is not None:
-        return exact < 0
-    return _real_sign(diff) < 0
+def _extreme(values: Sequence[int | CycInt], pick: Callable[[list[int]], int] = min) -> int:
+    """The index of the first least value (``pick=min``) or the first
+    largest one (``pick=max``) among real cyclotomic values.
 
+    Each value gets one integer key, S(v) = sum_k c_k T_k over its
+    power-basis coefficients c_k and the fixed-point table T of
+    :func:`exactnum._cos_table` at B bits, where |T_k - 2**B cos(2 pi k/m)|
+    < 2 and T_0 = 2**B exactly, so an int v has the key v 2**B.  With
+    ||v|| = sum_k |c_k|, S(v) lies within 2||v|| of 2**B v, since a real v
+    is sum_k c_k cos(2 pi k/m).
 
-def _extreme(
-    values: Sequence[int | CycInt], before: Callable[[int | CycInt, int | CycInt], bool]
-) -> int:
-    # The index of the value ranking first; before(a, b) is True when a
-    # ranks strictly ahead of b, so ties keep the earlier value.
+    One B decides every pair.  A nonzero alpha in Z[zeta_m] has a norm, the
+    product of its deg Galois conjugates, that is a nonzero integer, and each
+    conjugate has modulus at most ||alpha||; so |alpha| >= ||alpha||**-(deg-1).
+    With B >= deg bitlen(L) + 2 and ||alpha|| <= L, 2**B > 4 L**deg, hence
+    2**B |alpha| > 4||alpha|| and |S(alpha)| > 2||alpha||, with the sign of
+    alpha.  The key is linear, S(a) - S(b) = S(a - b), and ||a - b|| is at
+    most 2 max ||v||, so L = 2 max ||v|| (:func:`exactnum._sign_bits`) makes
+    S(a) < S(b) exactly when a < b, and equal values get equal keys.  The
+    first index of the least key is then the first exact minimiser, and
+    likewise for the largest.
+
+    Raises DomainError on no values, NonRealEigenvalue on a non-real value
+    (checked first, over all of them) and OrderMismatch when two values have
+    different root orders, naming them in the order of the pairwise scan
+    this replaces: the later one first for the least, the earlier one first
+    for the largest.
+    """
     if not values:
         raise DomainError("empty spectrum")
-    for v in values:
-        if isinstance(v, CycInt):
-            _require_real(v)
-    best = 0
-    for idx in range(1, len(values)):
-        if before(values[idx], values[best]):
-            best = idx
-    return best
+    cyclotomic = [v for v in values if isinstance(v, CycInt)]
+    if not cyclotomic:
+        return values.index(pick(values))
+    for v in cyclotomic:
+        _require_real(v)
+    m = cyclotomic[0].order
+    for v in cyclotomic:
+        if v.order != m:
+            first, second = (v.order, m) if pick is min else (m, v.order)
+            raise OrderMismatch(f"root orders differ: {first} vs {second}")
+    size = max(abs(v) if isinstance(v, int) else sum(map(abs, v.coeffs)) for v in values)
+    bits = _sign_bits(len(cyclotomic[0].coeffs), 2 * size)
+    table = _cos_table(m, bits)
+    keys = [
+        v << bits if isinstance(v, int) else sum(map(operator.mul, v.coeffs, table))
+        for v in values
+    ]
+    return keys.index(pick(keys))
 
 
 def min_eigenvalue(spectrum: Spectrum) -> tuple[int | CycInt, int | Composition]:
     """The least eigenvalue and the first shell (in entry order) attaining it.
 
-    Every comparison is exact: integer values compare as ints, and an
-    irrational real difference takes its sign from one integer sum at a
-    precision fixed in advance by the norm bound, so no comparison can be
-    left undecided.  Non-real values (directed-graph misuse) are refused.
+    Every comparison is exact: integer values compare as ints, and with an
+    irrational real value each value is ranked by one integer key, a
+    fixed-point sum at a precision fixed in advance by the norm bound, so
+    no comparison can be left undecided.  Non-real values (directed-graph
+    misuse) are refused.
     """
-    return _extreme_entry(spectrum, _less_than)
+    return _extreme_entry(spectrum, min)
 
 
 def max_eigenvalue(spectrum: Spectrum) -> tuple[int | CycInt, int | Composition]:
     """Largest eigenvalue, found the same way as :func:`min_eigenvalue`."""
-    return _extreme_entry(spectrum, lambda a, b: _less_than(b, a))
+    return _extreme_entry(spectrum, max)
 
 
 def _extreme_entry(
-    spectrum: Spectrum, before: Callable[[int | CycInt, int | CycInt], bool]
+    spectrum: Spectrum, pick: Callable[[list[int]], int]
 ) -> tuple[int | CycInt, int | Composition]:
-    entry = spectrum.entries[_extreme([e.eigenvalue for e in spectrum.entries], before)]
+    entry = spectrum.entries[_extreme([e.eigenvalue for e in spectrum.entries], pick)]
     return entry.eigenvalue, entry.label
 
 

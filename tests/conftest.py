@@ -2,7 +2,16 @@
 
 import pytest
 
-from scheme_spectra import Composition, binom, cyclic, finite_field, krawtchouk, multinom
+from scheme_spectra import (
+    Composition,
+    PrecisionEscalationError,
+    binom,
+    cyclic,
+    exactnum,
+    finite_field,
+    krawtchouk,
+    multinom,
+)
 
 
 class _ReciprocityEigenvalues(dict):
@@ -69,3 +78,38 @@ def packed_balanced_columns():
     """The packed balanced columns, shared by the balanced-route and
     balanced-report tests that run over BALANCED_GRIDS."""
     return _PackedBalancedColumns()
+
+
+def _real_sign(value):
+    """The exact sign (-1, 0 or 1) of a real cyclotomic integer, one value
+    at a time: the pairwise oracle for the extremes' key ranking.
+
+    With power-basis coefficients c_k, deg = len(c) and L = sum |c_k|, the
+    value is sum c_k cos(2*pi*k/m).  One integer sum S = sum c_k T_k over
+    the fixed-point table of ``exactnum._cos_table`` at B bits satisfies
+    |S - 2**B * value| < 2L.  A nonzero alpha in Z[zeta_m] has a norm, the
+    product of its deg Galois conjugates, that is a nonzero integer, and
+    each conjugate has modulus at most L, so |alpha| >= L**-(deg - 1).  With
+    B = ``exactnum._sign_bits(deg, L)`` >= deg * bitlen(L) + 2, 2**B > 4 L**deg,
+    hence 2**B * |alpha| > 4L and |S| > 2L with the sign of alpha.  So
+    |S| <= 2L cannot happen for a nonzero real value: the oracle raises
+    PrecisionEscalationError rather than guess.
+    """
+    coeffs = value.coeffs
+    size = sum(abs(c) for c in coeffs)
+    if not size:
+        return 0
+    bits = exactnum._sign_bits(len(coeffs), size)
+    table = exactnum._cos_table(value.order, bits)
+    total = sum(c * t for c, t in zip(coeffs, table) if c)
+    if abs(total) <= 2 * size:
+        raise PrecisionEscalationError(
+            f"fixed-point sum {total} at {bits} bits does not decide the sign of {value!r}"
+        )
+    return 1 if total > 0 else -1
+
+
+@pytest.fixture(scope="session")
+def real_sign():
+    """The exact sign of one real cyclotomic integer (see _real_sign)."""
+    return _real_sign

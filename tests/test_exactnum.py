@@ -19,7 +19,7 @@ from scheme_spectra import (
     multinom,
 )
 from scheme_spectra import exactnum
-from scheme_spectra.exactnum import _cos_table, _real_sign
+from scheme_spectra.exactnum import _cos_table
 
 # ---------------------------------------------------------------------------
 # binomial / multinomial against independent oracles
@@ -303,26 +303,40 @@ def test_cos_table_is_within_two_units(m, bits):
             assert abs(entry - exact) < 2
 
 
-def test_real_sign_of_small_values():
+@pytest.mark.parametrize("m", [5, 8, 12, 97])
+@pytest.mark.parametrize("bits", [4096, 8192])
+def test_wide_cos_table_is_within_two_units(m, bits):
+    # the widths that large coefficients or root orders ask for, where the
+    # w-bit square of the angle keeps each Taylor step at w bits
+    mpmath = pytest.importorskip("mpmath")
+    table = _cos_table(m, bits)
+    assert table[0] == 1 << bits
+    with mpmath.workprec(bits + 64):
+        for k, entry in enumerate(table):
+            exact = mpmath.ldexp(mpmath.cos(2 * mpmath.pi * k / m), bits)
+            assert abs(entry - exact) < 2
+
+
+def test_real_sign_of_small_values(real_sign):
     golden = -CycInt(5, (0, 0, 1, 1))  # 1.618...
-    assert _real_sign(golden) == 1
-    assert _real_sign(-golden) == -1
-    assert _real_sign(golden - 1) == 1  # 0.618...
-    assert _real_sign(golden - 2) == -1
-    assert _real_sign(CycInt(5)) == 0
-    assert _real_sign(CycInt(12, (7,))) == 1
+    assert real_sign(golden) == 1
+    assert real_sign(-golden) == -1
+    assert real_sign(golden - 1) == 1  # 0.618...
+    assert real_sign(golden - 2) == -1
+    assert real_sign(CycInt(5)) == 0
+    assert real_sign(CycInt(12, (7,))) == 1
     sqrt2 = CycInt(8, (0, 1, 0, -1))
-    assert _real_sign(sqrt2 * sqrt2 - 2) == 0
-    assert _real_sign(99 * sqrt2 - 140) == 1  # 140.0071...
-    assert _real_sign(70 * sqrt2 - 99) == -1  # 98.9949...
+    assert real_sign(sqrt2 * sqrt2 - 2) == 0
+    assert real_sign(99 * sqrt2 - 140) == 1  # 140.0071...
+    assert real_sign(70 * sqrt2 - 99) == -1  # 98.9949...
 
 
-def test_a_broken_cos_table_trips_the_invariant(monkeypatch):
+def test_a_broken_cos_table_trips_the_invariant(monkeypatch, real_sign):
     # the a-priori precision makes |S| > 2L a theorem; a table that breaks
     # it must raise rather than hand back a guessed sign
     monkeypatch.setattr(exactnum, "_cos_table", lambda m, bits: (0,) * 4)
     with pytest.raises(PrecisionEscalationError):
-        _real_sign(CycInt(5, (0, 0, 1, 1)))
+        real_sign(CycInt(5, (0, 0, 1, 1)))
 
 
 # ---------------------------------------------------------------------------

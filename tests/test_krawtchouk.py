@@ -661,6 +661,44 @@ def test_read_out_refuses_a_mirror_that_differs(monkeypatch, group, n, x):
         _read_out(group, n, Composition(x))
 
 
+@pytest.mark.parametrize(
+    "count_at,message",
+    [
+        (0, r"^coefficient of z\^\(4, 0, 0, 0, 0\) has 2 terms, expected multinom\(n, j\) = 1$"),
+        (
+            19,
+            r"^shells \(3, 0, 1, 0, 0\) and \(3, 0, 0, 1, 0\) are mirrors under negation, "
+            r"but their coefficients differ$",
+        ),
+    ],
+    ids=["count-first", "mirror-first"],
+)
+def test_read_out_raises_the_fault_met_first_in_shell_order(monkeypatch, count_at, message):
+    # Z_5, n = 4: shell 15, (3, 0, 0, 1, 0), the first whose mirror (shell
+    # 5) comes earlier, gets its counts rotated by one place, and the
+    # self-mirror shell 0 or 19 one count too many.  All mirror pairs are
+    # checked at once, yet the fault raised is the one a shell-by-shell
+    # pass meets first.
+    group, n = cyclic(5), 4
+    expand = krawtchouk._expand
+
+    def patched(group, n, x, target=None):
+        poly, width = expand(group, n, x, target)
+        full = (1 << (5 * width)) - 1
+        rotated = ((poly[15] << width) & full) | (poly[15] >> (4 * width))
+        assert rotated != poly[15]
+        poly[15] = rotated
+        poly[count_at] += 1
+        return poly, width
+
+    labels = [label for label, _ in krawtchouk._colex_shells(5, n)]
+    assert _mirror(group, labels[15]) == labels[5]
+    assert _mirror(group, labels[count_at]) == labels[count_at]
+    monkeypatch.setattr(krawtchouk, "_expand", patched)
+    with pytest.raises(ArithmeticError, match=message):
+        _read_out(group, n, Composition((0, 2, 0, 0, 2)))
+
+
 def test_read_out_checks_every_count_total(monkeypatch):
     # one more count on a shell of a directed generator: the shell size no
     # longer matches, although every value could still be scaled

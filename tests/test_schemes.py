@@ -22,6 +22,7 @@ from scheme_spectra import (
     IrrationalEigenvalue,
     NoNegativeEigenvalue,
     NonRealEigenvalue,
+    OrderMismatch,
     RangeError,
     SizeExceeded,
     Spectrum,
@@ -50,7 +51,7 @@ from scheme_spectra import (
     weight,
 )
 from scheme_spectra import krawtchouk, schemes
-from scheme_spectra.schemes import _less_than
+from scheme_spectra.schemes import _extreme
 
 # ---------------------------------------------------------------------------
 # graph specs
@@ -480,7 +481,7 @@ def _numeric(value):
 
 
 def _float_extreme(sp, sign):
-    # Independent of _less_than: order by a float embedding (the values
+    # Independent of the key ranking: order by a float embedding (the values
     # here are far apart), then take the first entry exactly equal to it.
     values = [e.eigenvalue for e in sp.entries]
     keys = [sign * _numeric(v) for v in values]
@@ -579,6 +580,79 @@ def test_directed_graph_refuses_extremes():
         min_eigenvalue(sp)
 
 
+def _hand_built(*values):
+    # a spectrum with the given eigenvalues on shells 0, 1, 2, ...
+    entries = tuple(SpectrumEntry(j, value, 1) for j, value in enumerate(values))
+    return Spectrum(None, entries, 1, len(values))
+
+
+_COS_2PI_5 = CycInt.root_of_unity(5, 1) + CycInt.root_of_unity(5, 4)  # 0.309... x 2
+_SQRT_2 = CycInt.root_of_unity(8, 1) + CycInt.root_of_unity(8, 7)
+
+
+def test_extremes_refuse_mixed_root_orders():
+    # named in the order the two values meet: the later one against the
+    # earlier for the least, the earlier against the later for the largest
+    spectrum = _hand_built(_COS_2PI_5, _SQRT_2)
+    with pytest.raises(OrderMismatch, match=r"^root orders differ: 8 vs 5$"):
+        min_eigenvalue(spectrum)
+    with pytest.raises(OrderMismatch, match=r"^root orders differ: 5 vs 8$"):
+        max_eigenvalue(spectrum)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        (_COS_2PI_5, CycInt.root_of_unity(8, 1)),
+        (CycInt.root_of_unity(5, 2), _SQRT_2),
+        (3, _SQRT_2, _COS_2PI_5, CycInt.root_of_unity(8, 3)),
+    ],
+    ids=["later", "earlier", "last"],
+)
+def test_extremes_refuse_a_non_real_value_before_mixed_orders(values):
+    for extreme in (min_eigenvalue, max_eigenvalue):
+        with pytest.raises(NonRealEigenvalue):
+            extreme(_hand_built(*values))
+
+
+def test_extremes_of_an_empty_spectrum_raise():
+    for extreme in (min_eigenvalue, max_eigenvalue):
+        with pytest.raises(DomainError, match=r"^empty spectrum$"):
+            extreme(_hand_built())
+
+
+def _pell_pair(k):
+    # a + b sqrt 2 = (1 + sqrt 2)^k and a - b sqrt 2, whose product is the
+    # integer (-1)^k; the second is a near tie of a and b sqrt 2
+    a, b = 1, 0
+    for _ in range(k):
+        a, b = a + 2 * b, a + b
+    return CycInt(8, (a, b, 0, -b)), CycInt(8, (a, -b, 0, b))
+
+
+@pytest.mark.parametrize(
+    "values,least,largest",
+    [
+        ((2, _COS_2PI_5, -1, _COS_2PI_5, -1, 2), 2, 0),
+        ((_COS_2PI_5, -_COS_2PI_5, -_COS_2PI_5, _COS_2PI_5), 1, 0),
+        ((CycInt(5, (-1,)), -1, 2, CycInt(5, (2,))), 0, 2),
+        ((-1, CycInt(5, (-1,)), CycInt(5, (2,)), 2), 0, 2),
+        ((_pell_pair(3)[0] * _pell_pair(3)[1], -1, _pell_pair(3)[1]), 0, 2),
+        ((-1, _pell_pair(3)[0] * _pell_pair(3)[1], _pell_pair(3)[1]), 0, 2),
+        ((_pell_pair(40)[1], _pell_pair(40)[0] * _pell_pair(40)[1], 1, 0), 3, 1),
+        ((1, _pell_pair(40)[0] * _pell_pair(40)[1], _pell_pair(40)[1], 0), 3, 0),
+    ],
+    ids=["ints-and-golden", "golden-pairs", "int-valued-first", "int-first",
+         "pell-3-product-first", "pell-3-int-first", "pell-40-product-first", "pell-40-int-first"],
+)
+def test_extreme_ties_keep_the_first_shell(values, least, largest):
+    # equal values tie, whatever their type: an int against a CycInt with
+    # an integer value (the Pell product) ranks neither ahead nor behind
+    spectrum = _hand_built(*values)
+    assert min_eigenvalue(spectrum) == (values[least], least)
+    assert max_eigenvalue(spectrum) == (values[largest], largest)
+
+
 def test_golden_ratio_minimum_is_compared_exactly():
     sp = composition_spectrum(
         CompositionGraphSpec(cyclic(5), 2, Composition((0, 1, 0, 0, 1)))
@@ -590,12 +664,21 @@ def test_golden_ratio_minimum_is_compared_exactly():
         hoffman_bound(sp)
 
 
+def _ranks_below(a, b):
+    # a < b as the extremes rank two values: the least of (b, a) is the
+    # second exactly when a < b (a tie keeps the first), and the largest of
+    # (a, b) must agree
+    below = _extreme([b, a], min) == 1
+    assert (_extreme([a, b], max) == 1) is below, (a, b)
+    return below
+
+
 def test_irrational_value_orders_against_a_close_integer_above_2_53():
     # 10**20 + zeta + zeta^4 lies about 0.38 below 10**20 + 1; rounding each
     # side to a float on its own made the two inseparable at any precision.
     near = CycInt(5, [10**20, 1, 0, 0, 1])
-    assert _less_than(near, 10**20 + 1) is True
-    assert _less_than(10**20 + 1, near) is False
+    assert _ranks_below(near, 10**20 + 1) is True
+    assert _ranks_below(10**20 + 1, near) is False
 
 
 def _fibonacci(count):
@@ -614,8 +697,8 @@ def test_fibonacci_near_ties_in_q_zeta_5(k):
     # psi = (1 - sqrt 5)/2: a value of size 0.618^k, sign (-1)^k, whose
     # coefficients grow like phi^k
     alpha = CycInt(5, (_FIB[k + 1], 0, _FIB[k], _FIB[k]))
-    assert _less_than(alpha, 0) is (k % 2 == 1)
-    assert _less_than(0, alpha) is (k % 2 == 0)
+    assert _ranks_below(alpha, 0) is (k % 2 == 1)
+    assert _ranks_below(0, alpha) is (k % 2 == 0)
 
 
 def test_pell_near_ties_in_q_zeta_8():
@@ -625,13 +708,13 @@ def test_pell_near_ties_in_q_zeta_8():
     for k in range(1, 1501):
         a, b = a + 2 * b, a + b
         alpha = CycInt(8, (a, -b, 0, b))
-        assert _less_than(alpha, 0) is (k % 2 == 1), k
-        assert _less_than(0, alpha) is (k % 2 == 0), k
+        assert _ranks_below(alpha, 0) is (k % 2 == 1), k
+        assert _ranks_below(0, alpha) is (k % 2 == 0), k
 
 
 def _mp_floor(alpha):
     # Test-only oracle: the floor of a real alpha from mpmath at four times
-    # the bits _real_sign would use, far below its distance to any integer.
+    # the bits its sign would need, far below its distance to any integer.
     import mpmath
 
     exact = alpha.as_integer()
@@ -655,10 +738,27 @@ def test_real_values_order_exactly_against_their_floor(m, coeffs):
     beta = CycInt(m, coeffs)
     alpha = beta + beta.conjugate()
     floor = _mp_floor(alpha)
-    assert _less_than(alpha, floor) is False
-    assert _less_than(floor, alpha) is (alpha != floor)
-    assert _less_than(alpha, floor + 1) is True
-    assert _less_than(floor + 1, alpha) is False
+    assert _ranks_below(alpha, floor) is False
+    assert _ranks_below(floor, alpha) is (alpha != floor)
+    assert _ranks_below(alpha, floor + 1) is True
+    assert _ranks_below(floor + 1, alpha) is False
+
+
+def _pairwise_extreme(values, sign, real_sign):
+    # The pairwise scan the key ranking replaced: a later value displaces the
+    # best so far when sign * (value - best) has sign -1, each sign read off
+    # the exact difference (the real_sign oracle for an irrational one).
+    best = 0
+    for i in range(1, len(values)):
+        diff = sign * (values[i] - values[best])
+        if isinstance(diff, CycInt):
+            exact = diff.as_integer()
+            below = real_sign(diff) < 0 if exact is None else exact < 0
+        else:
+            below = diff < 0
+        if below:
+            best = i
+    return best
 
 
 def _undirected_grid():
@@ -668,15 +768,31 @@ def _undirected_grid():
                 spec = CompositionGraphSpec(cyclic(q), n, dcomp)
                 if spec.undirected:
                     yield spec
+    # the composition-spectra benchmark's undirected Z_5 and Z_6 bound
+    # generators, in every arrangement over the negation pairs
+    for q, n, x in (
+        (5, 8, (2, 2, 1, 1, 2)),
+        (5, 8, (2, 1, 2, 2, 1)),
+        (5, 9, (1, 3, 1, 1, 3)),
+        (5, 9, (1, 1, 3, 3, 1)),
+        (6, 8, (3, 2, 0, 1, 0, 2)),
+        (6, 8, (3, 0, 2, 1, 2, 0)),
+    ):
+        yield CompositionGraphSpec(cyclic(q), n, Composition(x))
 
 
-def test_extremes_match_the_float_order_on_the_undirected_grid():
+def test_extremes_match_the_float_order_on_the_undirected_grid(real_sign):
+    # the key ranking against the float order and against the pairwise
+    # scan it replaced, for the least and the largest value
     irrational = 0
     for spec in _undirected_grid():
         sp = composition_spectrum(spec)
-        irrational += any(isinstance(e.eigenvalue, CycInt) for e in sp.entries)
+        values = [e.eigenvalue for e in sp.entries]
+        irrational += any(isinstance(v, CycInt) for v in values)
         assert min_eigenvalue(sp) == _float_extreme(sp, 1)[:2], spec
         assert max_eigenvalue(sp) == _float_extreme(sp, -1)[:2], spec
+        for pick, sign in ((min, 1), (max, -1)):
+            assert _extreme(values, pick) == _pairwise_extreme(values, sign, real_sign), spec
     assert irrational > 30
 
 
