@@ -128,11 +128,13 @@ class LPSolution:
 
 def check_lp_solution(solution: LPSolution) -> bool:
     """Re-verify every LP constraint; raises Infeasible naming the violation."""
-    _check_weights(solution)
-    return _check_orthogonality(solution, kraw_column(solution.n, solution.q, solution.d))
+    return _check_solution(solution)
 
 
-def _check_weights(solution: LPSolution) -> None:
+def _check_solution(solution: LPSolution, column: Sequence[int] | None = None) -> bool:
+    # Sign, then positivity, then orthogonality against the column K_i(d),
+    # i = 0..n, of the solution's own n, q and d.  A column not passed in is
+    # read only after the weights pass, so a bad weight is refused first.
     coefficients = solution.coefficients
     if min(coefficients, default=0) < 0:
         i = next(i for i, c in enumerate(coefficients) if c < 0)
@@ -141,11 +143,9 @@ def _check_weights(solution: LPSolution) -> None:
         )
     if sum(coefficients) <= 0:
         raise Infeasible("total weight is not positive", witness=("positivity",))
-
-
-def _check_orthogonality(solution: LPSolution, column: Sequence[int]) -> bool:
-    # column is K_i(d), i = 0..n, for the solution's own n, q and d
-    acc = sum(map(operator.mul, solution.coefficients, column))
+    if column is None:
+        column = kraw_column(solution.n, solution.q, solution.d)
+    acc = sum(map(operator.mul, coefficients, column))
     if acc != 0:
         raise Infeasible(
             f"weighted Krawtchouk column at d={solution.d} sums to {acc}, expected 0",
@@ -170,8 +170,7 @@ def lp_two_support(n: int, q: int, d: int) -> LPSolution:
     n, q, d = spec.n, spec.q, spec.d
     column = kraw_column(n, q, d)
     solution = _two_support(n, q, d, column, _shell_sizes(n, q))
-    _check_weights(solution)
-    _check_orthogonality(solution, column)
+    _check_solution(solution, column)
     return solution
 
 
@@ -786,8 +785,7 @@ def _hamming_report(spec: HammingGraphSpec) -> BoundReport:
     hoffman = _hoffman_value(_least_hamming_eigenvalue(n, q, d, column, sizes), sizes[d])
     lower: list[tuple[Fraction, str]] = [(hoffman, "hoffman")]
     solution = _two_support(n, q, d, column, sizes)
-    _check_weights(solution)
-    _check_orthogonality(solution, column)
+    _check_solution(solution, column)
     # the objective sum_i c_i m_i from the sizes at hand, over the two
     # shells where c_i is nonzero
     coeffs = solution.coefficients

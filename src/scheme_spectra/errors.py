@@ -71,15 +71,6 @@ class IrrationalEigenvalue(SchemeSpectraError, ValueError):
     """An exact rational answer was requested but the eigenvalue is irrational."""
 
 
-class PrecisionEscalationError(SchemeSpectraError, ArithmeticError):
-    """A fixed-point sign sum failed to decide a nonzero real value.
-
-    An internal invariant: the precision of the sum is chosen in advance
-    from the norm bound, which proves the sum always decides, so this is
-    raised only if that proof or its arithmetic is broken.
-    """
-
-
 class NotOrthogonal(SchemeSpectraError):
     """An adjacent pair of representation rows has nonzero inner product."""
 

@@ -134,9 +134,6 @@ class CycInt:
     def coeffs(self) -> tuple[int, ...]:
         return self._coeffs
 
-    def is_zero(self) -> bool:
-        return not any(self._coeffs)
-
     def as_integer(self) -> int | None:
         """The value as a plain int when it lies in Z, else None."""
         if any(self._coeffs[1:]):

@@ -52,19 +52,6 @@ class Composition:
     def n(self) -> int:
         return sum(self.counts)
 
-    @property
-    def q(self) -> int:
-        return len(self.counts)
-
-    def shift_left(self, steps: int = 1) -> Composition:
-        """Cyclically rotate the counts left by ``steps`` positions."""
-        q = len(self.counts)
-        s = steps % q
-        return Composition(self.counts[s:] + self.counts[:s])
-
-    def cyclic_shifts(self) -> list[Composition]:
-        return [self.shift_left(s) for s in range(len(self.counts))]
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.counts)
 
@@ -149,22 +136,14 @@ class CyclicGroup(GroupSpec):
 
 
 def _poly_mul_mod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: int) -> tuple[int, ...]:
-    # Multiply two coefficient vectors over Z_p and reduce by the monic modulus.
-    k = len(modulus) - 1
-    conv = [0] * (len(a) + len(b) - 1)
+    # The product of two length-k vectors over Z_p, reduced by the monic modulus
+    # of degree k: its 2k - 1 >= k coefficients leave a remainder of exactly k.
+    product = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                conv[i + j] = (conv[i + j] + ai * bj) % p
-    for top in range(len(conv) - 1, k - 1, -1):
-        c = conv[top]
-        if c:
-            conv[top] = 0
-            for t in range(k):
-                conv[top - k + t] = (conv[top - k + t] - c * modulus[t]) % p
-    out = conv[:k]
-    out += [0] * (k - len(out))
-    return tuple(out)
+                product[i + j] += ai * bj
+    return _poly_rem(product, modulus, p)
 
 
 def _poly_rem(f: Sequence[int], g: Sequence[int], p: int) -> tuple[int, ...]:

@@ -4,7 +4,6 @@ import pytest
 
 from scheme_spectra import (
     Composition,
-    PrecisionEscalationError,
     binom,
     cyclic,
     exactnum,
@@ -80,6 +79,11 @@ def packed_balanced_columns():
     return _PackedBalancedColumns()
 
 
+class SignUndecided(ArithmeticError):
+    """The fixed-point sum of _real_sign failed to decide a nonzero real
+    value, which the precision bound below proves cannot happen."""
+
+
 def _real_sign(value):
     """The exact sign (-1, 0 or 1) of a real cyclotomic integer, one value
     at a time: the pairwise oracle for the extremes' key ranking.
@@ -93,7 +97,7 @@ def _real_sign(value):
     B = ``exactnum._sign_bits(deg, L)`` >= deg * bitlen(L) + 2, 2**B > 4 L**deg,
     hence 2**B * |alpha| > 4L and |S| > 2L with the sign of alpha.  So
     |S| <= 2L cannot happen for a nonzero real value: the oracle raises
-    PrecisionEscalationError rather than guess.
+    SignUndecided rather than guess.
     """
     coeffs = value.coeffs
     size = sum(abs(c) for c in coeffs)
@@ -103,7 +107,7 @@ def _real_sign(value):
     table = exactnum._cos_table(value.order, bits)
     total = sum(c * t for c, t in zip(coeffs, table) if c)
     if abs(total) <= 2 * size:
-        raise PrecisionEscalationError(
+        raise SignUndecided(
             f"fixed-point sum {total} at {bits} bits does not decide the sign of {value!r}"
         )
     return 1 if total > 0 else -1

@@ -357,7 +357,7 @@ def _oracle_orthogonal(rep, x, y):
     total = CycInt.from_int(rep.root_order, 0)
     for c in range(rep.cols):
         total = total + rep.entry(x, c).conjugate() * rep.entry(y, c)
-    return total.is_zero()
+    return total == 0
 
 
 def _verdict(rep, spec, sample=None):
@@ -666,7 +666,7 @@ def _pair_oracle(rep, spec):
         for y in sorted(_plus(group, n, x, s) for s in members):
             key = tuple(sorted((b - a) % m for a, b in zip(rows[x], rows[y])))
             if key not in values:
-                values[key] = sum((CycInt.root_of_unity(m, k) for k in key), zero).is_zero()
+                values[key] = sum((CycInt.root_of_unity(m, k) for k in key), zero) == 0
             if not values[key]:
                 return (x, y, index_word(group, x, n), index_word(group, y, n))
     return True
@@ -928,6 +928,32 @@ def test_vectorised_draws_match_the_stream():
         assert bounds._splitmix_draws(seed, 117, 300).tolist() == expected[117:]
 
 
+def _lp_rep(n):
+    return build_representation(lp_two_support(n, 2, 2), cyclic(2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: verify_representation(_lp_rep(4), HammingGraphSpec(4, 3, 2)),
+         "representation alphabet 2 does not match q=3"),
+        (lambda: verify_representation(_lp_rep(4), CompositionGraphSpec(cyclic(3), 4, (2, 1, 1))),
+         "representation and graph use different groups"),
+        (lambda: verify_representation(_lp_rep(3), HammingGraphSpec(4, 2, 2)),
+         "representation length 3 does not match n=4"),
+        (lambda: verify_representation(
+            Representation(cyclic(2), 3, np.zeros((4, 2), dtype=np.uint8), "short"),
+            HammingGraphSpec(3, 2, 2),
+        ), "representation has 4 rows, expected 8"),
+    ],
+    ids=["alphabet", "group", "length", "rows"],
+)
+def test_verification_refuses_a_representation_of_another_graph(call, message):
+    with pytest.raises(SpecMismatch) as exc:
+        call()
+    assert type(exc.value) is SpecMismatch and str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # bound reports
 
@@ -1172,6 +1198,19 @@ def test_hamming_report_raises_the_witnesses_of_check_lp_solution(monkeypatch):
         assert str(in_report.value) == str(direct.value)
 
 
+def test_lp_checks_refuse_the_sign_before_orthogonality(monkeypatch):
+    # c_0 = -1 is negative, and -1 + 5 K_2(2) = -11 breaks orthogonality too
+    bad = LPSolution(4, 2, 2, (-1, 0, 5, 0, 0))
+    with pytest.raises(Infeasible) as direct:
+        check_lp_solution(bad)
+    assert direct.value.witness == ("sign", 0)
+    monkeypatch.setattr(bounds, "_two_support", lambda *args: bad)
+    with pytest.raises(Infeasible) as in_report:
+        bound_report(HammingGraphSpec(4, 2, 2))
+    assert in_report.value.witness == ("sign", 0)
+    assert str(in_report.value) == str(direct.value)
+
+
 def _reciprocity_hoffman(eigenvalues, n, q, d):
     # the Hoffman bound 1 - m_d / lambda_min off the oracle's eigenvalues
     return 1 - Fraction((q - 1) ** d * binom(n, d), min(eigenvalues[n, q, d]))
@@ -1259,7 +1298,8 @@ def test_probe_holds_wherever_we_can_afford_to_look():
             continue
         verdict = conjecture_probe(q, n)
         assert verdict.verdict == "holds", (q, n)
-        shifts = {tuple(s) for s in verdict.pattern.cyclic_shifts()}
+        pattern = verdict.pattern
+        shifts = {pattern[s:] + pattern[:s] for s in range(q)}
         assert shifts & {tuple(c) for c in verdict.achieving}
 
 

@@ -374,6 +374,25 @@ def test_table_rejects_malformed_grid(capsys):
     assert "grid" in err
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("bounds", "--family", "composition", "--n", "2", "--q", "3", "--comp", "1,x"),
+         "error: cannot parse composition '1,x'\n"),
+        (("bounds", "--family", "composition", "--n", "2", "--q", "3", "--comp", "1,1,0",
+          "--modulus", "1,1"),
+         "error: --modulus only applies to --group field\n"),
+        (("bounds", "--family", "hamming", "--n", "2", "--q", "4", "--d", "1", "--group", "field"),
+         "error: hamming graphs do not take --group/--modulus\n"),
+        (("table", "--theorem", "1.1", "--grid", "n<=0,q in {2}"),
+         "error: degenerate grid 'n<=0,q in {2}'\n"),
+    ],
+    ids=["comp-not-a-number", "modulus-with-cyclic", "hamming-with-field", "grid-n-0"],
+)
+def test_flag_refusals_are_pinned_byte_for_byte(capsys, argv, expected):
+    assert run(capsys, *argv) == (2, "", expected)
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

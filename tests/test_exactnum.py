@@ -11,7 +11,6 @@ from scheme_spectra import (
     CycInt,
     DomainError,
     OrderMismatch,
-    PrecisionEscalationError,
     SumMismatch,
     binom,
     cyclotomic_polynomial,
@@ -20,6 +19,8 @@ from scheme_spectra import (
 )
 from scheme_spectra import exactnum
 from scheme_spectra.exactnum import _cos_table
+
+from conftest import SignUndecided
 
 # ---------------------------------------------------------------------------
 # binomial / multinomial against independent oracles
@@ -153,7 +154,7 @@ def test_root_identities():
     total = CycInt.from_int(5, 0)
     for k in range(5):
         total = total + z5**k
-    assert total.is_zero()
+    assert total == 0
 
 
 def test_root_power_wraps_modulo_order():
@@ -186,6 +187,20 @@ def test_integer_equality_across_orders():
 def test_mixed_order_arithmetic_raises():
     with pytest.raises(OrderMismatch):
         CycInt.root_of_unity(3) + CycInt.root_of_unity(4)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CycInt(0, (1,)), "root order must be >= 1, got 0"),
+        (lambda: CycInt.root_of_unity(3) ** -1, "negative powers leave the ring of integers"),
+    ],
+    ids=["order-0", "negative-power"],
+)
+def test_cycint_refusals(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert type(exc.value) is DomainError and str(exc.value) == message
 
 
 def test_conjugate_inverts_roots():
@@ -335,7 +350,7 @@ def test_a_broken_cos_table_trips_the_invariant(monkeypatch, real_sign):
     # the a-priori precision makes |S| > 2L a theorem; a table that breaks
     # it must raise rather than hand back a guessed sign
     monkeypatch.setattr(exactnum, "_cos_table", lambda m, bits: (0,) * 4)
-    with pytest.raises(PrecisionEscalationError):
+    with pytest.raises(SignUndecided):
         real_sign(CycInt(5, (0, 0, 1, 1)))
 
 

@@ -28,6 +28,7 @@ from scheme_spectra import (
     shell_size,
     weight,
     word_add,
+    word_char_exponent,
     word_char_value,
     word_index,
     word_neg,
@@ -72,19 +73,6 @@ def test_composition_counts_must_be_integers():
     label = Composition((True, np.int64(3), 0))
     assert label.counts == (1, 3, 0)
     assert all(type(c) is int for c in label.counts)
-
-
-def test_cyclic_shifts():
-    c = Composition((3, 1, 0, 0, 1))
-    assert tuple(c.shift_left()) == (1, 0, 0, 1, 3)
-    shifts = {tuple(s) for s in c.cyclic_shifts()}
-    assert shifts == {
-        (3, 1, 0, 0, 1),
-        (1, 0, 0, 1, 3),
-        (0, 0, 1, 3, 1),
-        (0, 1, 3, 1, 0),
-        (1, 3, 1, 0, 0),
-    }
 
 
 def test_negation_closure():
@@ -214,6 +202,82 @@ def test_prime_field_matches_cyclic_arithmetic():
             assert char_value(f5, a, b) == char_value(g5, a, b)
 
 
+# The field tables against arithmetic written here: schoolbook products of
+# coefficient vectors (constant term first) reduced by long division, and
+# the trace as the sum of the Frobenius powers a^(p^i) in that arithmetic.
+
+
+def _long_rem(f, g, p):
+    # the remainder of f by the monic g over Z_p, from the top coefficient down
+    r = list(f)
+    dg = len(g) - 1
+    for top in range(len(r) - 1, dg - 1, -1):
+        c = r[top] % p
+        for t in range(dg + 1):
+            r[top - dg + t] -= c * g[t]
+    return tuple(c % p for c in r[:dg])
+
+
+def _schoolbook_mul(a, b, modulus, p):
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    return _long_rem(prod, modulus, p)
+
+
+def _monic_irreducibles(p, k):
+    # by trial division by every monic polynomial of degree 1..k//2
+    def monics(deg):
+        return [(*tail, 1) for tail in itertools.product(range(p), repeat=deg)]
+
+    return [
+        f for f in monics(k)
+        if all(any(_long_rem(f, g, p)) for deg in range(1, k // 2 + 1) for g in monics(deg))
+    ]
+
+
+_ORACLE_FIELDS = [(q, None) for q in (4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128)] + [
+    (p**k, f) for p, top in ((2, 4), (3, 3), (5, 2)) for k in range(2, top + 1)
+    for f in _monic_irreducibles(p, k)
+]
+
+
+def test_the_oracle_finds_every_monic_irreducible():
+    # Gauss's count: 1, 2, 3 of degree 2, 3, 4 over Z_2; 3, 8 of degree
+    # 2, 3 over Z_3; 10 of degree 2 over Z_5
+    degrees = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2))
+    assert [len(_monic_irreducibles(p, k)) for p, k in degrees] == [1, 2, 3, 3, 8, 10]
+
+
+@pytest.mark.parametrize(
+    "q, modulus",
+    _ORACLE_FIELDS,
+    ids=[f"{q}-{''.join(map(str, f)) if f else 'default'}" for q, f in _ORACLE_FIELDS],
+)
+def test_field_tables_match_schoolbook_arithmetic(q, modulus):
+    field = finite_field(q, modulus)
+    p, k, f = field.p, field.k, field.modulus
+    assert modulus is None or f == modulus
+    vecs = [tuple(a // p**t % p for t in range(k)) for a in range(q)]
+    index = {v: a for a, v in enumerate(vecs)}
+    products = [[index[_schoolbook_mul(va, vb, f, p)] for vb in vecs] for va in vecs]
+    assert field._mul_table == products
+    for a in range(1, q):
+        assert 1 in products[a], (q, f, a)  # every nonzero element is a unit
+    for a, va in enumerate(vecs):
+        total = [0] * k
+        term = va
+        for _ in range(k):
+            total = [(x + y) % p for x, y in zip(total, term)]
+            frob = term
+            for _ in range(p - 1):
+                frob = _schoolbook_mul(frob, term, f, p)
+            term = frob
+        assert not any(total[1:]), (q, f, a)
+        assert field._trace_table[a] == total[0], (q, f, a)
+
+
 def test_cyclic_rejects_tiny_order():
     with pytest.raises(DomainError):
         CyclicGroup(1)
@@ -326,6 +390,35 @@ def test_shell_label_validation():
         list(enumerate_shell(g, 3, (1, 1)))  # wrong number of parts
     with pytest.raises(BadLabel):
         shell_size(g, 3, (4, 0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: word_add(cyclic(3), (1, 2), (1,)), SpecMismatch, "word lengths differ: 2 vs 1"),
+        (lambda: word_char_exponent(cyclic(3), (1, 2), (1,)), SpecMismatch,
+         "word lengths differ: 2 vs 1"),
+        (lambda: list(enumerate_shell(cyclic(3), 2, (3, -1, 0))), BadLabel,
+         "negative count in (3, -1, 0)"),
+        (lambda: list(enumerate_shell(cyclic(3), 2, (1, 1, 1))), BadLabel,
+         "composition (1, 1, 1) sums to 3, expected 2"),
+        (lambda: list(enumerate_compositions(0, 2)), BadLabel, "need at least one part, got q=0"),
+        (lambda: shell_size(cyclic(3), 2, 3), BadLabel, "weight 3 outside 0..2"),
+        (lambda: cyclic(3).is_negation_closed((1, 1)), BadLabel,
+         "composition has 2 parts, group has order 3"),
+        (lambda: FiniteField(2, 0, (1,)), DomainError,
+         "field extension degree must be >= 1, got 0"),
+    ],
+    ids=[
+        "word_add", "word_char_exponent", "shell-negative-count", "shell-wrong-sum",
+        "compositions-no-parts", "shell_size-weight-above-n", "negation-closed-part-count",
+        "field-degree-0",
+    ],
+)
+def test_refusals_of_outside_input(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 @settings(max_examples=80, deadline=None)

@@ -391,6 +391,20 @@ def test_circulant_guards():
         gen_kraw_circulant(2, 4, Composition((3, 2)))
 
 
+@pytest.mark.parametrize(
+    "q, n, r, error, message",
+    [
+        (1, 2, (2,), DomainError, "need q >= 2, got 1"),
+        (2, 2, (1, 1, 0), SumMismatch, "composition (1, 1, 0) has 3 parts, expected 2"),
+    ],
+    ids=["q-1", "part-count"],
+)
+def test_circulant_refusals(q, n, r, error, message):
+    with pytest.raises(error) as exc:
+        gen_kraw_circulant(q, n, r)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # balanced route: a power of the group determinant, read out on its nonzero
 # shells, against the packed expansion (character sums, independent of D)
@@ -853,7 +867,7 @@ def test_shift_flips_sign_by_parity():
     for q, n in ((2, 2), (2, 4), (3, 3), (3, 6), (4, 4)):
         sign = -1 if ((q - 1) * n // q) % 2 else 1
         for r in enumerate_compositions(q, n):
-            shifted = r.shift_left()
+            shifted = r[1:] + r[:1]
             assert gen_kraw_circulant(q, n, shifted) == sign * gen_kraw_circulant(q, n, r)
 
 

@@ -95,6 +95,20 @@ def test_composition_spec_basics():
         CompositionGraphSpec(cyclic(3), 4, Composition((1, 1, 1)))
 
 
+@pytest.mark.parametrize(
+    "n, dcomp, message",
+    [
+        (0, (0, 0, 0), "need n >= 1, got n=0"),
+        (2, (1, 1), "dcomp has 2 parts, group order is 3"),
+    ],
+    ids=["n-0", "part-count"],
+)
+def test_composition_spec_refusals(n, dcomp, message):
+    with pytest.raises(DomainError) as exc:
+        CompositionGraphSpec(cyclic(3), n, dcomp)
+    assert type(exc.value) is DomainError and str(exc.value) == message
+
+
 def test_composition_spec_takes_only_an_integral_n():
     # a float n was kept, gave "n": 3.0 in the JSON and a bare TypeError
     # from math.comb in the spectrum; a bool gave "n": true
