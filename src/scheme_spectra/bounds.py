@@ -579,7 +579,7 @@ def _folded_exponents(rep: Representation) -> tuple[np.ndarray, int]:
 
 def _shifted(digits: Sequence[np.ndarray], s: np.ndarray, addt: np.ndarray) -> np.ndarray:
     """Vertex indices of x + s for the digit arrays of x (one per coordinate,
-    as from np.unravel_index); s is one word or one per x."""
+    as from np.unravel_index); s holds one word per x."""
     import numpy as np
 
     shape = (len(addt),) * len(digits)
@@ -652,7 +652,9 @@ def verify_representation(
     character-built representation; then each pair has the inner product of
     rows 0 and s, and one check of row 0 against the rows of all generators
     decides.  Otherwise, for example after a :meth:`with_entry` that breaks
-    the character structure, it scans all rows once per generator.  Sampled
+    the character structure, it scans the rows in blocks that grow from one
+    row, checking each block against every generator in one call, so a
+    failure at row x stops after at most (2x + 1)|S| pairs.  Sampled
     mode checks ``sample`` pairs drawn from the deterministic generator
     seeded by :func:`representation_seed`.  All paths run the same exact
     check, one block of rows at a time.  A failure raises NotOrthogonal
@@ -704,19 +706,45 @@ def verify_representation(
                 witness = (0, int(ys[start + bad[0]]))
                 break
     else:
-        # Block by block of rows x, once per generator; once a pair fails,
-        # later generators only need the rows up to its x, and later blocks
-        # none.
-        for start in range(0, rep.rows, step):
-            digits = np.unravel_index(np.arange(start, min(start + step, rep.rows)), shape)
-            for s in words:
-                limit = len(digits[0]) if witness is None else witness[0] - start + 1
-                yv = _shifted([d[:limit] for d in digits], s, addt)
-                bad = _failing_rows(expm[start : start + limit], np.take(expm, yv, axis=0), m)
-                if bad.size and (witness is None or (start + bad[0], yv[bad[0]]) < witness):
-                    witness = (start + int(bad[0]), int(yv[bad[0]]))
-            if witness is not None:
-                break
+        # Block by block of rows x, each row against every generator s in one
+        # kernel call, x-major, so the first failing pair of a block has its
+        # smallest failing x.  The blocks grow from one row, so a failure at
+        # row x stops after about log2(x + 2) calls.  Should one row's pairs
+        # outgrow a block, the blocks stay one row and its generators are
+        # split instead.
+        # per pair: two exponent rows, their int64 differences, 2m bins and
+        # the int64 neighbour indices
+        pairs = _block_rows((2 * expm.itemsize + 8) * rep.cols + 32 * m + 32)
+        width = min(len(ys), pairs)
+        most = max(1, pairs // len(ys))
+        # x + s for digit x_k is table[k, x_k] in each chunk of generators, so
+        # a block's neighbour indices take one row gather per coordinate
+        narrow = addt.astype(np.min_scalar_type(q - 1))
+        chunks = [
+            np.ascontiguousarray(narrow[:, words[first : first + width].T].swapaxes(0, 1))
+            for first in range(0, len(ys), width)
+        ]
+        start, size = 0, 1
+        while witness is None and start < rep.rows:
+            stop = min(start + size, rep.rows)
+            digits = np.unravel_index(np.arange(start, stop), shape)
+            found = []
+            for table in chunks:
+                gens = table.shape[2]
+                yv = np.zeros((stop - start, gens), dtype=np.intp)
+                for d, row in zip(digits, table):
+                    yv *= q
+                    yv += np.take(row, d, axis=0)
+                ex = np.repeat(expm[start:stop], gens, axis=0)
+                bad = _failing_rows(ex, np.take(expm, yv.ravel(), axis=0), m)
+                if bad.size:
+                    # shell order is not vertex order: the least failing x + s
+                    x = bad[0] // gens
+                    y = yv[x, bad[bad // gens == x] % gens].min()
+                    found.append((start + int(x), int(y)))
+            if found:
+                witness = min(found)
+            start, size = stop, min(2 * size, most)
     if witness is not None:
         xi, yi = witness
         raise NotOrthogonal(xi, yi, index_word(group, xi, n), index_word(group, yi, n))

@@ -407,21 +407,34 @@ def _plus(group, n, x, s):
     return word_index(group, word_add(group, index_word(group, x, n), s))
 
 
+def _smallest_failing_pair(rep, spec):
+    group = rep.group
+    members = _generators(spec, group)
+    failing = [
+        (x, y)
+        for x in range(rep.rows)
+        for y in (_plus(group, spec.n, x, s) for s in members)
+        if not _oracle_orthogonal(rep, x, y)
+    ]
+    if not failing:
+        return True
+    x, y = min(failing)
+    return (x, y, index_word(group, x, spec.n), index_word(group, y, spec.n))
+
+
 def test_full_verification_reports_the_smallest_failing_pair():
     for rep, spec in _differential_cases():
-        group = rep.group
-        members = _generators(spec, group)
-        failing = [
-            (x, y)
-            for x in range(rep.rows)
-            for y in (_plus(group, spec.n, x, s) for s in members)
-            if not _oracle_orthogonal(rep, x, y)
-        ]
-        expected = True
-        if failing:
-            x, y = min(failing)
-            expected = (x, y, index_word(group, x, spec.n), index_word(group, y, spec.n))
-        assert _verdict(rep, spec) == expected
+        assert _verdict(rep, spec) == _smallest_failing_pair(rep, spec)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 200, 5000])
+def test_full_verification_keeps_its_witness_in_small_blocks(monkeypatch, block_bytes):
+    # 1 byte checks one pair per kernel call, so the scan splits each row's
+    # generators; 200 and 5000 bytes cap the growing row blocks early and
+    # move the block boundaries
+    monkeypatch.setattr(bounds, "_BLOCK_BYTES", block_bytes)
+    for rep, spec in _differential_cases():
+        assert _verdict(rep, spec) == _smallest_failing_pair(rep, spec)
 
 
 def test_sampled_verification_reports_the_first_failing_draw():
@@ -504,7 +517,8 @@ def test_verification_does_not_depend_on_the_exponent_dtype():
 #
 # A character-built matrix passes the additivity check, and full verification
 # then makes one kernel call, row 0 against the rows of all generators; any
-# other matrix is scanned once per generator.
+# other matrix is scanned in row blocks that grow from one row, each block
+# against every generator in one kernel call.
 
 
 def _characters_by_cell(group, n, words):
@@ -746,12 +760,33 @@ def test_a_negated_row_falls_back_to_the_scan_and_passes(monkeypatch):
     members = _generators(spec, rep.group)
     verdict, calls = _counted_verdict(monkeypatch, rep, spec)
     assert verdict is True
-    assert len(calls) == len(members)  # one pass per generator
+    assert sum(calls) == rep.rows * len(members) and len(calls) > 1  # every pair, in blocks
     assert all(
         _oracle_orthogonal(rep, x, _plus(rep.group, 3, x, s))
         for x in range(rep.rows)
         for s in members
     )
+
+
+@pytest.mark.parametrize("n, q, d", [(12, 2, 6), (8, 3, 8), (5, 5, 5)])
+def test_an_early_failure_costs_a_few_kernel_calls(monkeypatch, n, q, d):
+    # |S| = 924, 256 and 1024 generators: a failure in rows 0-2 is found in
+    # the blocks of rows {0} and {1, 2}, not in one pass per generator
+    spec = HammingGraphSpec(n, q, d)
+    rep = build_representation(lp_two_support(n, q, d), cyclic(q))
+    members = len(_generators(spec, rep.group))
+    m, col = rep.root_order, rep.cols // 2
+    for row in range(3):
+        changed = rep.with_entry(row, col, rep.entry(row, col) * CycInt.root_of_unity(m, 1))
+        verdict, calls = _counted_verdict(monkeypatch, changed, spec)
+        assert len(calls) <= 2 and sum(calls) <= 3 * members
+        # the same matrix with the exponent moved, for the override-free oracle
+        exponents = rep.exponents.copy()
+        exponents[row, col] = (exponents[row, col] + 1) % m
+        plain = Representation(rep.group, n, exponents, "test")
+        assert verdict == _pair_oracle(plain, spec) == _verdict(plain, spec)
+        if (n, row) == (12, 1):
+            assert verdict[:2] == (1, 62)
 
 
 def test_a_flipped_entry_keeps_its_witness():
@@ -903,6 +938,27 @@ def test_verification_and_csv_take_the_matrix_and_one_block(monkeypatch, block_b
         bound = 2 * rep.exponents.nbytes + bounds._BLOCK_BYTES
         assert _traced_peak(lambda: verify_representation(rep, spec)) < bound
         assert _traced_peak(lambda: rep.write_csv(_NullSink())) < bound
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1 << 18])
+def test_a_failing_scan_takes_the_matrix_and_one_block(monkeypatch, block_bytes):
+    # One entry of row 40 changed: the matrix is no longer character-built,
+    # so full verification scans several row blocks, after one narrow copy
+    # of the matrix to fold the override in.
+    if block_bytes is not None:
+        monkeypatch.setattr(bounds, "_BLOCK_BYTES", block_bytes)
+    spec = HammingGraphSpec(8, 3, 2)
+    rep = build_representation(lp_two_support(8, 3, 2), cyclic(3))
+    assert rep.exponents.dtype == np.uint8 and rep.exponents.nbytes > 6 << 20
+    col = rep.cols // 2
+    changed = rep.with_entry(40, col, rep.entry(40, col) * CycInt.root_of_unity(3, 1))
+    exponents = rep.exponents.copy()
+    exponents[40, col] = (exponents[40, col] + 1) % 3
+    expected = _pair_oracle(Representation(rep.group, 8, exponents, "test"), spec)
+    del exponents
+    assert expected is not True and _verdict(changed, spec) == expected
+    bound = 2 * rep.exponents.nbytes + bounds._BLOCK_BYTES
+    assert _traced_peak(lambda: _verdict(changed, spec)) < bound
 
 
 def test_index_shells_match_enumerate_shell():
