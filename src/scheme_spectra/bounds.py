@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Iterator, Sequence
 
+from ._record import Record
 from .errors import (
     DivisibilityError,
     DomainError,
@@ -71,8 +71,7 @@ _BLOCK_BYTES = 1 << 22
 # LP certificates
 
 
-@dataclass(frozen=True)
-class LPSolution:
+class LPSolution(Record):
     """Nonnegative integer weights c_0..c_n on the character shells.
 
     Feasibility means the weighted Krawtchouk column at the graph
@@ -86,17 +85,17 @@ class LPSolution:
     d: int
     coefficients: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, q: int, d: int, coefficients: Iterable[int]) -> None:
         # a float n, q or d would leak into the objective and the JSON
-        for name in ("n", "q", "d"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        object.__setattr__(
-            self, "coefficients", tuple(operator.index(c) for c in self.coefficients)
-        )
-        if len(self.coefficients) != self.n + 1:
-            raise DomainError(
-                f"need n+1 = {self.n + 1} coefficients, got {len(self.coefficients)}"
-            )
+        index = operator.index
+        n, q, d = index(n), index(q), index(d)
+        coefficients = tuple(map(index, coefficients))
+        if len(coefficients) != n + 1:
+            raise DomainError(f"need n+1 = {n + 1} coefficients, got {len(coefficients)}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "coefficients", coefficients)
 
     @classmethod
     def _trusted(cls, n: int, q: int, d: int, coefficients: tuple[int, ...]) -> LPSolution:
@@ -755,8 +754,7 @@ def verify_representation(
 # reports
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """Lower and upper bounds on the quantum chromatic number of one graph.
 
     Each bound carries a tag naming the method that produced
@@ -770,6 +768,20 @@ class BoundReport:
     upper: tuple[tuple[Fraction, str], ...]
     exact: Fraction | None
     diagnostics: dict
+
+    def __init__(
+        self,
+        graph: HammingGraphSpec | CompositionGraphSpec,
+        lower: tuple[tuple[Fraction, str], ...],
+        upper: tuple[tuple[Fraction, str], ...],
+        exact: Fraction | None,
+        diagnostics: dict,
+    ) -> None:
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "diagnostics", diagnostics)
 
     def to_json(self) -> dict:
         return {
@@ -907,8 +919,7 @@ def _composition_report(spec: CompositionGraphSpec) -> BoundReport:
 # the balanced-minimum probe
 
 
-@dataclass(frozen=True)
-class ProbeVerdict:
+class ProbeVerdict(Record):
     """Outcome of probing the balanced-graph least-eigenvalue prediction."""
 
     verdict: str
@@ -919,6 +930,26 @@ class ProbeVerdict:
     conjectured: Fraction | None = None
     pattern: Composition | None = None
     achieving: tuple[Composition, ...] = ()
+
+    def __init__(
+        self,
+        verdict: str,
+        q: int,
+        n: int,
+        reason: str | None = None,
+        minimum: int | None = None,
+        conjectured: Fraction | None = None,
+        pattern: Composition | None = None,
+        achieving: tuple[Composition, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "minimum", minimum)
+        object.__setattr__(self, "conjectured", conjectured)
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "achieving", achieving)
 
     def to_json(self) -> dict:
         out: dict = {"verdict": self.verdict}

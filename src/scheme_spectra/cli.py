@@ -182,13 +182,18 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 
 
 def _check_classical_reciprocity(max_n: int) -> tuple[str, list[str]]:
+    # each value K_i(j) is computed once and read on both sides: as the
+    # left-hand value of (i, j) and as the right-hand value of (j, i)
     failures = []
     for q in (2, 3, 4, 5):
         for n in range(1, max_n + 1):
-            for i in range(n + 1):
-                for j in range(n + 1):
-                    lhs = (q - 1) ** j * binom(n, j) * kraw(n, q, i, j)
-                    rhs = (q - 1) ** i * binom(n, i) * kraw(n, q, j, i)
+            shells = range(n + 1)
+            values = [[kraw(n, q, i, j) for j in shells] for i in shells]
+            sizes = [(q - 1) ** i * binom(n, i) for i in shells]
+            for i in shells:
+                for j in shells:
+                    lhs = sizes[j] * values[i][j]
+                    rhs = sizes[i] * values[j][i]
                     if lhs != rhs:
                         failures.append(f"classical reciprocity at q={q} n={n} i={i} j={j}")
     return f"classical reciprocity, q in 2..5, n <= {max_n}", failures
@@ -201,10 +206,13 @@ def _check_composition_reciprocity(max_n: int) -> tuple[str, list[str]]:
         group = cyclic(q)
         for n in range(1, top + 1):
             comps = list(enumerate_compositions(q, n))
-            for ci in comps:
-                for cj in comps:
-                    lhs = gen_kraw(group, n, ci, cj) * multinom(n, cj)
-                    rhs = gen_kraw(group, n, cj, ci) * multinom(n, ci)
+            # as in the classical suite, each value is computed once
+            values = [[gen_kraw(group, n, ci, cj) for cj in comps] for ci in comps]
+            sizes = [multinom(n, c) for c in comps]
+            for i, ci in enumerate(comps):
+                for j, cj in enumerate(comps):
+                    lhs = values[i][j] * sizes[j]
+                    rhs = values[j][i] * sizes[i]
                     if lhs != rhs:
                         failures.append(
                             f"composition reciprocity at q={q} n={n} i={tuple(ci)} j={tuple(cj)}"

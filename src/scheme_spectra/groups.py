@@ -12,24 +12,24 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
+from ._record import Record
 from .errors import BadLabel, DivisibilityError, DomainError, RangeError, SpecMismatch, SumMismatch
 from .exactnum import CycInt
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(Record):
     """How many times each of the q alphabet elements occurs in a word."""
 
     counts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(map(operator.index, self.counts)))
-        if any(c < 0 for c in self.counts):
-            raise BadLabel(f"negative count in composition {self.counts}")
+    def __init__(self, counts: Sequence[int]) -> None:
+        counts = tuple(map(operator.index, counts))
+        if any(c < 0 for c in counts):
+            raise BadLabel(f"negative count in composition {counts}")
+        object.__setattr__(self, "counts", counts)
 
     @classmethod
     def _trusted(cls, counts: tuple[int, ...]) -> Composition:
@@ -101,15 +101,15 @@ class GroupSpec:
         return all(counts[g] == counts[self.neg(g)] for g in self.elements())
 
 
-@dataclass(frozen=True)
-class CyclicGroup(GroupSpec):
+class CyclicGroup(GroupSpec, Record):
     """Integers modulo q under addition."""
 
     q: int
 
-    def __post_init__(self) -> None:
-        if self.q < 2:
-            raise DomainError(f"cyclic group needs q >= 2, got {self.q}")
+    def __init__(self, q: int) -> None:
+        if q < 2:
+            raise DomainError(f"cyclic group needs q >= 2, got {q}")
+        object.__setattr__(self, "q", q)
 
     @property
     def order(self) -> int:
@@ -199,8 +199,7 @@ def default_modulus(p: int, k: int) -> tuple[int, ...]:
     raise DomainError(f"no irreducible polynomial of degree {k} over Z_{p}")
 
 
-@dataclass(frozen=True)
-class FiniteField(GroupSpec):
+class FiniteField(GroupSpec, Record):
     """The additive group of GF(p^k), with field structure for characters.
 
     ``modulus`` is the monic irreducible polynomial defining the field,
@@ -212,20 +211,21 @@ class FiniteField(GroupSpec):
     k: int
     modulus: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if _prime_power(self.p) != (self.p, 1):
-            raise DomainError(f"field characteristic must be prime, got {self.p}")
-        if not self.modulus or self.modulus[-1] % self.p != 1:
-            raise SpecMismatch(f"modulus {self.modulus} is not monic over Z_{self.p}")
-        object.__setattr__(self, "modulus", tuple(int(c) % self.p for c in self.modulus))
-        if self.k < 1:
-            raise DomainError(f"field extension degree must be >= 1, got {self.k}")
-        if len(self.modulus) != self.k + 1:
-            raise SpecMismatch(
-                f"modulus degree {len(self.modulus) - 1} does not match k={self.k}"
-            )
-        if not _is_irreducible(self.modulus, self.p):
-            raise SpecMismatch(f"modulus {self.modulus} is reducible over Z_{self.p}")
+    def __init__(self, p: int, k: int, modulus: tuple[int, ...]) -> None:
+        if _prime_power(p) != (p, 1):
+            raise DomainError(f"field characteristic must be prime, got {p}")
+        if not modulus or modulus[-1] % p != 1:
+            raise SpecMismatch(f"modulus {modulus} is not monic over Z_{p}")
+        modulus = tuple(int(c) % p for c in modulus)
+        if k < 1:
+            raise DomainError(f"field extension degree must be >= 1, got {k}")
+        if len(modulus) != k + 1:
+            raise SpecMismatch(f"modulus degree {len(modulus) - 1} does not match k={k}")
+        if not _is_irreducible(modulus, p):
+            raise SpecMismatch(f"modulus {modulus} is reducible over Z_{p}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "modulus", modulus)
 
     @property
     def order(self) -> int:

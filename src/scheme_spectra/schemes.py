@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from ._record import Record
 from .errors import (
     DivisibilityError,
     DomainError,
@@ -59,23 +59,25 @@ PROJECTOR_MAX_VERTICES = 81
 COMPOSITION_MAX_WORK = 250_000_000
 
 
-@dataclass(frozen=True)
-class HammingGraphSpec:
+class HammingGraphSpec(Record):
     """Words of length n over a q-letter alphabet, edges at Hamming distance d."""
 
     n: int
     q: int
     d: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, q: int, d: int) -> None:
         # a float or a bool would leak into the "exact" outputs; refuse the
         # first and store the second as the int it stands for
-        for name in ("n", "q", "d"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        if self.n < 1 or self.q < 2:
-            raise DomainError(f"need n >= 1 and q >= 2, got n={self.n}, q={self.q}")
-        if not 1 <= self.d <= self.n:
-            raise RangeError(f"distance d={self.d} outside 1..{self.n}")
+        index = operator.index
+        n, q, d = index(n), index(q), index(d)
+        if n < 1 or q < 2:
+            raise DomainError(f"need n >= 1 and q >= 2, got n={n}, q={q}")
+        if not 1 <= d <= n:
+            raise RangeError(f"distance d={d} outside 1..{n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "d", d)
 
     @property
     def vertex_count(self) -> int:
@@ -89,8 +91,7 @@ class HammingGraphSpec:
         return {"family": "hamming", "n": self.n, "q": self.q, "d": self.d}
 
 
-@dataclass(frozen=True)
-class CompositionGraphSpec:
+class CompositionGraphSpec(Record):
     """Words over a group alphabet; x -> y is an edge when comp(y - x) = dcomp.
 
     The graph is undirected exactly when dcomp is negation-closed; the
@@ -102,18 +103,18 @@ class CompositionGraphSpec:
     n: int
     dcomp: Composition
 
-    def __post_init__(self) -> None:
+    def __init__(self, group: GroupSpec, n: int, dcomp: Composition | Sequence[int]) -> None:
         # as for HammingGraphSpec: refuse a float n, store a bool as an int
-        object.__setattr__(self, "n", operator.index(self.n))
-        if self.n < 1:
-            raise DomainError(f"need n >= 1, got n={self.n}")
-        counts = tuple(self.dcomp)
-        if len(counts) != self.group.order:
-            raise DomainError(
-                f"dcomp has {len(counts)} parts, group order is {self.group.order}"
-            )
-        if sum(counts) != self.n:
-            raise DomainError(f"dcomp {counts} does not sum to n={self.n}")
+        n = operator.index(n)
+        if n < 1:
+            raise DomainError(f"need n >= 1, got n={n}")
+        counts = tuple(dcomp)
+        if len(counts) != group.order:
+            raise DomainError(f"dcomp has {len(counts)} parts, group order is {group.order}")
+        if sum(counts) != n:
+            raise DomainError(f"dcomp {counts} does not sum to n={n}")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "dcomp", Composition(counts))
 
     @property
@@ -142,20 +143,26 @@ class CompositionGraphSpec:
         }
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(Record):
     """One character shell: its label, eigenvalue, and formal multiplicity."""
 
     label: int | Composition
     eigenvalue: int | CycInt
     multiplicity: int
 
+    def __init__(
+        self, label: int | Composition, eigenvalue: int | CycInt, multiplicity: int
+    ) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "eigenvalue", eigenvalue)
+        object.__setattr__(self, "multiplicity", multiplicity)
+
     @classmethod
     def _trusted(
         cls, label: int | Composition, eigenvalue: int | CycInt, multiplicity: int
     ) -> SpectrumEntry:
-        # Build an entry without the dataclass __init__: the three fields go
-        # straight into the instance dict, where __init__ would put them one
+        # Build an entry without __init__: the three fields go straight
+        # into the instance dict, where __init__ would put them one
         # object.__setattr__ call at a time.
         out = object.__new__(cls)
         fields = out.__dict__
@@ -165,14 +172,25 @@ class SpectrumEntry:
         return out
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Record):
     """The full eigenvalue list of a graph, one entry per character shell."""
 
     graph: HammingGraphSpec | CompositionGraphSpec | None
     entries: tuple[SpectrumEntry, ...]
     regular_degree: int
     vertex_count: int
+
+    def __init__(
+        self,
+        graph: HammingGraphSpec | CompositionGraphSpec | None,
+        entries: tuple[SpectrumEntry, ...],
+        regular_degree: int,
+        vertex_count: int,
+    ) -> None:
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "regular_degree", regular_degree)
+        object.__setattr__(self, "vertex_count", vertex_count)
 
     def to_json(self) -> dict:
         return {

@@ -1,16 +1,16 @@
 """End-to-end command-line behaviour, driven through main(argv)."""
 
-import dataclasses
 import json
 import os
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from scheme_spectra import CycInt, NotOrthogonal, Spectrum, SpectrumEntry
+from scheme_spectra import BoundReport, CycInt, NotOrthogonal, Spectrum, SpectrumEntry
 from scheme_spectra import cli
 
 
@@ -284,6 +284,53 @@ def test_verify_composition_line_ignores_classical_failures(capsys, monkeypatch)
     assert lines[1].startswith("ok - composition reciprocity")
 
 
+def test_verify_reciprocity_computes_each_value_once(capsys, monkeypatch):
+    # N shells give N^2 ordered pairs and so N^2 distinct values; each is
+    # computed once, where two calls per pair would make 2 N^2
+    real_kraw, real_gen_kraw = cli.kraw, cli.gen_kraw
+    classical, composition = {}, {}
+
+    def counting_kraw(n, q, i, j):
+        classical[q, n] = classical.get((q, n), 0) + 1
+        return real_kraw(n, q, i, j)
+
+    def counting_gen_kraw(group, n, i, j):
+        key = (group.order, n)
+        composition[key] = composition.get(key, 0) + 1
+        return real_gen_kraw(group, n, i, j)
+
+    monkeypatch.setattr(cli, "kraw", counting_kraw)
+    monkeypatch.setattr(cli, "gen_kraw", counting_gen_kraw)
+    assert run(capsys, "verify", "--suite", "reciprocity", "--max-n", "5")[0] == 0
+    assert classical == {(q, n): (n + 1) ** 2 for q in (2, 3, 4, 5) for n in range(1, 6)}
+    assert composition == {(q, n): comb(n + q - 1, q - 1) ** 2 for q in (2, 3) for n in range(1, 6)}
+    assert sum(composition.values()) == 901
+
+
+def test_a_wrong_value_fails_both_of_its_reciprocity_pairs(monkeypatch):
+    # the planted value is the left-hand side of (i, j) and the right-hand
+    # side of (j, i), so both ordered pairs fail, in the order they are met
+    real_kraw, real_gen_kraw = cli.kraw, cli.gen_kraw
+
+    def broken_kraw(n, q, i, j):
+        return real_kraw(n, q, i, j) + (1 if (n, q, i, j) == (3, 4, 2, 1) else 0)
+
+    def broken_gen_kraw(group, n, i, j):
+        planted = (group.order, n, tuple(i), tuple(j)) == (3, 2, (0, 1, 1), (1, 1, 0))
+        return real_gen_kraw(group, n, i, j) + (1 if planted else 0)
+
+    monkeypatch.setattr(cli, "kraw", broken_kraw)
+    monkeypatch.setattr(cli, "gen_kraw", broken_gen_kraw)
+    assert cli._check_classical_reciprocity(3)[1] == [
+        "classical reciprocity at q=4 n=3 i=1 j=2",
+        "classical reciprocity at q=4 n=3 i=2 j=1",
+    ]
+    assert cli._check_composition_reciprocity(3)[1] == [
+        "composition reciprocity at q=3 n=2 i=(1, 1, 0) j=(0, 1, 1)",
+        "composition reciprocity at q=3 n=2 i=(0, 1, 1) j=(1, 1, 0)",
+    ]
+
+
 def test_verify_hadamard_line_ignores_lp_failures(capsys, monkeypatch):
     real_verify = cli.verify_representation
 
@@ -308,7 +355,9 @@ def test_verify_eigenvalues_checks_the_report_route(capsys, monkeypatch):
         if (spec.n, spec.q, spec.d) != (3, 3, 3):
             return report
         ((value, tag),) = report.lower
-        return dataclasses.replace(report, lower=((value + 1, tag),))
+        return BoundReport(
+            report.graph, ((value + 1, tag),), report.upper, report.exact, report.diagnostics
+        )
 
     monkeypatch.setattr(cli, "bound_report", off_by_one)
     assert run(capsys, "verify", "--suite", "eigenvalues", "--max-n", "3") == (
@@ -487,11 +536,13 @@ def fresh_python(*args, cwd=None):
     )
 
 
-def test_importing_the_cli_loads_neither_numpy_nor_mpmath():
+def test_importing_the_cli_loads_no_heavy_or_code_generating_module():
+    # numpy and mpmath are heavy; dataclasses (with the inspect it imports)
+    # would compile generated source for every record class at import
     proc = fresh_python(
         "-c",
         "import sys, scheme_spectra, scheme_spectra.cli; "
-        "print(sorted({'numpy', 'mpmath'} & set(sys.modules)))",
+        "print(sorted({'numpy', 'mpmath', 'dataclasses', 'inspect'} & set(sys.modules)))",
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
