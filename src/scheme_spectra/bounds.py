@@ -92,19 +92,13 @@ class LPSolution(Record):
         coefficients = tuple(map(index, coefficients))
         if len(coefficients) != n + 1:
             raise DomainError(f"need n+1 = {n + 1} coefficients, got {len(coefficients)}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "coefficients", coefficients)
+        self._set(n, q, d, coefficients)
 
     @classmethod
     def _trusted(cls, n: int, q: int, d: int, coefficients: tuple[int, ...]) -> LPSolution:
         # Wrap ints and n + 1 int coefficients without re-validating them.
-        out = cls.__new__(cls)
-        object.__setattr__(out, "n", n)
-        object.__setattr__(out, "q", q)
-        object.__setattr__(out, "d", d)
-        object.__setattr__(out, "coefficients", coefficients)
+        out = object.__new__(cls)
+        out._set(n, q, d, coefficients)
         return out
 
     @property
@@ -777,11 +771,7 @@ class BoundReport(Record):
         exact: Fraction | None,
         diagnostics: dict,
     ) -> None:
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "diagnostics", diagnostics)
+        self._set(graph, lower, upper, exact, diagnostics)
 
     def to_json(self) -> dict:
         return {
@@ -925,11 +915,11 @@ class ProbeVerdict(Record):
     verdict: str
     q: int
     n: int
-    reason: str | None = None
-    minimum: int | None = None
-    conjectured: Fraction | None = None
-    pattern: Composition | None = None
-    achieving: tuple[Composition, ...] = ()
+    reason: str | None
+    minimum: int | None
+    conjectured: Fraction | None
+    pattern: Composition | None
+    achieving: tuple[Composition, ...]
 
     def __init__(
         self,
@@ -942,14 +932,7 @@ class ProbeVerdict(Record):
         pattern: Composition | None = None,
         achieving: tuple[Composition, ...] = (),
     ) -> None:
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "minimum", minimum)
-        object.__setattr__(self, "conjectured", conjectured)
-        object.__setattr__(self, "pattern", pattern)
-        object.__setattr__(self, "achieving", achieving)
+        self._set(verdict, q, n, reason, minimum, conjectured, pattern, achieving)
 
     def to_json(self) -> dict:
         out: dict = {"verdict": self.verdict}

@@ -181,21 +181,28 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 # -- verify checks: each returns (status-line title, failures) -------------
 
 
+def _reciprocity_failures(values: list[list], sizes: list[int], message) -> list[str]:
+    # m_j K_i(j) = m_i K_j(i) for every ordered pair (i, j): each value is
+    # read as the left-hand side of (i, j) and the right-hand side of (j, i)
+    shells = range(len(sizes))
+    return [
+        message(i, j)
+        for i in shells
+        for j in shells
+        if values[i][j] * sizes[j] != values[j][i] * sizes[i]
+    ]
+
+
 def _check_classical_reciprocity(max_n: int) -> tuple[str, list[str]]:
-    # each value K_i(j) is computed once and read on both sides: as the
-    # left-hand value of (i, j) and as the right-hand value of (j, i)
     failures = []
     for q in (2, 3, 4, 5):
         for n in range(1, max_n + 1):
             shells = range(n + 1)
             values = [[kraw(n, q, i, j) for j in shells] for i in shells]
             sizes = [(q - 1) ** i * binom(n, i) for i in shells]
-            for i in shells:
-                for j in shells:
-                    lhs = sizes[j] * values[i][j]
-                    rhs = sizes[i] * values[j][i]
-                    if lhs != rhs:
-                        failures.append(f"classical reciprocity at q={q} n={n} i={i} j={j}")
+            failures += _reciprocity_failures(
+                values, sizes, lambda i, j: f"classical reciprocity at q={q} n={n} i={i} j={j}"
+            )
     return f"classical reciprocity, q in 2..5, n <= {max_n}", failures
 
 
@@ -206,17 +213,14 @@ def _check_composition_reciprocity(max_n: int) -> tuple[str, list[str]]:
         group = cyclic(q)
         for n in range(1, top + 1):
             comps = list(enumerate_compositions(q, n))
-            # as in the classical suite, each value is computed once
             values = [[gen_kraw(group, n, ci, cj) for cj in comps] for ci in comps]
             sizes = [multinom(n, c) for c in comps]
-            for i, ci in enumerate(comps):
-                for j, cj in enumerate(comps):
-                    lhs = values[i][j] * sizes[j]
-                    rhs = values[j][i] * sizes[i]
-                    if lhs != rhs:
-                        failures.append(
-                            f"composition reciprocity at q={q} n={n} i={tuple(ci)} j={tuple(cj)}"
-                        )
+            failures += _reciprocity_failures(
+                values,
+                sizes,
+                lambda i, j: f"composition reciprocity at q={q} n={n} "
+                f"i={tuple(comps[i])} j={tuple(comps[j])}",
+            )
     return f"composition reciprocity, q in 2..3, n <= {top}", failures
 
 

@@ -29,12 +29,12 @@ class Composition(Record):
         counts = tuple(map(operator.index, counts))
         if any(c < 0 for c in counts):
             raise BadLabel(f"negative count in composition {counts}")
-        object.__setattr__(self, "counts", counts)
+        self._set(counts)
 
     @classmethod
     def _trusted(cls, counts: tuple[int, ...]) -> Composition:
-        # Wrap a tuple of nonnegative ints without re-validating it, writing
-        # the field straight into the instance dict.
+        # Wrap a tuple of nonnegative ints without re-validating it; the
+        # direct dict write pays for itself (see SpectrumEntry._trusted).
         out = object.__new__(cls)
         out.__dict__["counts"] = counts
         return out
@@ -107,9 +107,10 @@ class CyclicGroup(GroupSpec, Record):
     q: int
 
     def __init__(self, q: int) -> None:
+        q = operator.index(q)  # as for HammingGraphSpec
         if q < 2:
             raise DomainError(f"cyclic group needs q >= 2, got {q}")
-        object.__setattr__(self, "q", q)
+        self._set(q)
 
     @property
     def order(self) -> int:
@@ -212,20 +213,19 @@ class FiniteField(GroupSpec, Record):
     modulus: tuple[int, ...]
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]) -> None:
+        p, k = operator.index(p), operator.index(k)
         if _prime_power(p) != (p, 1):
             raise DomainError(f"field characteristic must be prime, got {p}")
         if not modulus or modulus[-1] % p != 1:
             raise SpecMismatch(f"modulus {modulus} is not monic over Z_{p}")
-        modulus = tuple(int(c) % p for c in modulus)
+        modulus = tuple(operator.index(c) % p for c in modulus)
         if k < 1:
             raise DomainError(f"field extension degree must be >= 1, got {k}")
         if len(modulus) != k + 1:
             raise SpecMismatch(f"modulus degree {len(modulus) - 1} does not match k={k}")
         if not _is_irreducible(modulus, p):
             raise SpecMismatch(f"modulus {modulus} is reducible over Z_{p}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "modulus", modulus)
+        self._set(p, k, modulus)
 
     @property
     def order(self) -> int:

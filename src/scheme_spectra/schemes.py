@@ -75,9 +75,7 @@ class HammingGraphSpec(Record):
             raise DomainError(f"need n >= 1 and q >= 2, got n={n}, q={q}")
         if not 1 <= d <= n:
             raise RangeError(f"distance d={d} outside 1..{n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "d", d)
+        self._set(n, q, d)
 
     @property
     def vertex_count(self) -> int:
@@ -113,9 +111,7 @@ class CompositionGraphSpec(Record):
             raise DomainError(f"dcomp has {len(counts)} parts, group order is {group.order}")
         if sum(counts) != n:
             raise DomainError(f"dcomp {counts} does not sum to n={n}")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "dcomp", Composition(counts))
+        self._set(group, n, Composition(counts))
 
     @property
     def vertex_count(self) -> int:
@@ -153,17 +149,16 @@ class SpectrumEntry(Record):
     def __init__(
         self, label: int | Composition, eigenvalue: int | CycInt, multiplicity: int
     ) -> None:
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "eigenvalue", eigenvalue)
-        object.__setattr__(self, "multiplicity", multiplicity)
+        self._set(label, eigenvalue, multiplicity)
 
     @classmethod
     def _trusted(
         cls, label: int | Composition, eigenvalue: int | CycInt, multiplicity: int
     ) -> SpectrumEntry:
-        # Build an entry without __init__: the three fields go straight
-        # into the instance dict, where __init__ would put them one
-        # object.__setattr__ call at a time.
+        # Skip __init__ and write the instance dict directly: later reads get
+        # slower (CPython drops its inline values), the build faster, and that
+        # pays.  With public constructors here and in Composition and LPSolution,
+        # composition-spectra fell 455-534 -> 408-461 jobs/s (2-core x86-64).
         out = object.__new__(cls)
         fields = out.__dict__
         fields["label"] = label
@@ -187,10 +182,7 @@ class Spectrum(Record):
         regular_degree: int,
         vertex_count: int,
     ) -> None:
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "regular_degree", regular_degree)
-        object.__setattr__(self, "vertex_count", vertex_count)
+        self._set(graph, entries, regular_degree, vertex_count)
 
     def to_json(self) -> dict:
         return {
@@ -225,9 +217,8 @@ def hamming_spectrum(spec: HammingGraphSpec) -> Spectrum:
     """
     n, q, d, degree = spec.n, spec.q, spec.d, spec.degree
     values = _hamming_eigenvalues(n, q, d, degree)
-    entries = tuple(
-        SpectrumEntry(j, v, m) for j, (v, m) in enumerate(zip(values, _shell_sizes(n, q)))
-    )
+    entry = SpectrumEntry._trusted  # the values passed the exactness checks
+    entries = tuple(entry(j, v, m) for j, (v, m) in enumerate(zip(values, _shell_sizes(n, q))))
     return Spectrum(spec, entries, degree, spec.vertex_count)
 
 

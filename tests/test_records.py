@@ -2,13 +2,17 @@
 
 Each record class is checked against a ``dataclasses.make_dataclass(...,
 frozen=True)`` twin with the same fields in the same order, built here:
-repr, equality, hashing, immutability and pickling must behave as the twin's
-do, and the constructors keep their defaults and validation errors.
+repr, equality, hashing, immutability, pickling and copying must behave as
+the twin's do, and the constructors keep their defaults and validation
+errors.
 """
 
+import copy
 import dataclasses
+import json
 import pickle
 
+import numpy as np
 import pytest
 
 from scheme_spectra import (
@@ -220,3 +224,70 @@ def test_validation_normalises_and_refuses_as_before():
         if message is not None:
             assert str(info.value) == message
 
+
+
+@pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
+def test_copies_are_equal_records_of_the_same_class_as_for_the_twin(cls):
+    for record in INSTANCES[cls]:
+        twin = _twin(record)
+        for duplicate in (copy.copy, copy.deepcopy):
+            mine, theirs = duplicate(record), duplicate(twin)
+            assert (type(mine), mine == record, repr(mine)) == (cls, True, repr(record))
+            assert (type(theirs), theirs == twin, repr(theirs)) == (type(twin), True, repr(twin))
+
+
+@pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
+def test_set_stores_values_in_field_order_and_refuses_a_wrong_count(cls):
+    count = len(FIELDS[cls])
+    record = object.__new__(cls)
+    for wrong in (count - 1, count + 1):
+        with pytest.raises(ValueError):
+            record._set(*range(wrong))
+    record._set(*range(count))
+    assert [getattr(record, name) for name in _names(cls)] == list(range(count))
+
+
+def test_a_field_annotated_but_never_stored_fails_at_construction():
+    class Extended(CyclicGroup):
+        q: int
+        extra: int
+
+    with pytest.raises(ValueError):
+        Extended(3)
+
+
+@pytest.mark.parametrize(
+    "cls, args, plain, n",
+    [
+        pytest.param(CyclicGroup, (np.int64(3),), (3,), 45, id="cyclic-numpy-int"),
+        pytest.param(
+            FiniteField,
+            (np.int64(2), np.int64(2), (np.int64(1), True, 1)),
+            (2, 2, (1, 1, 1)),
+            40,
+            id="field-numpy-ints-and-a-bool",
+        ),
+        pytest.param(CyclicGroup, (3.0,), None, None, id="cyclic-float"),
+        pytest.param(CyclicGroup, (np.float64(3),), None, None, id="cyclic-numpy-float"),
+        pytest.param(FiniteField, (2.0, 2, (1, 1, 1)), None, None, id="field-float-p"),
+        pytest.param(FiniteField, (2, 2.0, (1, 1, 1)), None, None, id="field-float-k"),
+        pytest.param(FiniteField, (2, 2, (1.5, 1, 1)), None, None, id="field-float-modulus"),
+    ],
+)
+def test_group_records_refuse_floats_and_store_plain_ints(cls, args, plain, n):
+    if plain is None:
+        with pytest.raises(TypeError):
+            cls(*args)
+        return
+    group, expected = cls(*args), cls(*plain)
+    values = [getattr(group, name) for name in _names(cls)]
+    flat = [v for value in values for v in (value if isinstance(value, tuple) else (value,))]
+    assert all(type(v) is int for v in flat)
+    assert (group == expected, hash(group) == hash(expected)) == (True, True)
+    assert repr(group) == repr(expected)
+    spec = CompositionGraphSpec(group, n, Composition.balanced(group.order, n))
+    assert spec.vertex_count == group.order**n == expected.order**n
+    assert json.dumps(spec.describe()) == json.dumps(
+        CompositionGraphSpec(expected, n, spec.dcomp).describe()
+    )
+    assert bound_report(spec).exact == n
