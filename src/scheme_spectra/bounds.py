@@ -11,6 +11,7 @@ sight are clearly-labeled diagnostics.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from fractions import Fraction
@@ -65,6 +66,10 @@ REPRESENTATION_MAX_CELLS = 1 << 27
 # Working memory, in bytes, of one row block when a representation is built,
 # verified or written out; each step sizes its blocks from its bytes per row.
 _BLOCK_BYTES = 1 << 22
+
+# Most entries in one table of CSV cell runs: a run takes the largest k
+# with m^k at most this for root order m, and one cell for m above it.
+_CHUNK_ENTRIES = 256
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +212,31 @@ def _block_rows(row_bytes: int) -> int:
     """Rows per block for a step that takes ``row_bytes`` of working memory
     per row, so that one block takes about _BLOCK_BYTES."""
     return max(1, _BLOCK_BYTES // max(1, row_bytes))
+
+
+@functools.lru_cache(maxsize=32)
+def _cell_runs(m: int, length: int, newline: bool) -> np.ndarray:
+    """Object array of the text of every run of ``length`` CSV cells
+    ``,<term of zeta^e>`` for root order m, indexed by the run's exponents
+    read as a base-m number, each ending in a newline if ``newline``."""
+    import numpy as np
+
+    cells = [f",{CycInt.root_of_unity(m, e).to_term_string()}" for e in range(m)]
+    end = "\n" if newline else ""
+    runs = np.empty(m**length, dtype=object)
+    runs[:] = ["".join(run) + end for run in itertools.product(cells, repeat=length)]
+    return runs
+
+
+@functools.lru_cache(maxsize=1)
+def _limbs() -> np.ndarray:
+    """Object array of the 3-digit limbs of CSV vertex numbers: 0..999
+    without leading zeros, then zero-padded."""
+    import numpy as np
+
+    limbs = np.empty(2000, dtype=object)
+    limbs[:] = [str(i) for i in range(1000)] + [f"{i:03}" for i in range(1000)]
+    return limbs
 
 
 def _checked_rows(q: int, n: int) -> int:
@@ -385,47 +415,81 @@ class Representation:
         """CSV export: a root-order header, a column header, then one row
         per vertex with entries in canonical ``a0+a1*z+...`` form.
 
-        Rows are written one block at a time.  A table holds, for each
-        exponent k, the cell ``,<term of zeta^k>`` as bytes padded with NULs
-        to a common width; a block gathers its cells from it, puts the vertex
-        digits (leading zeros as NULs) in front and a newline behind, and
-        drops the NULs.  Rows holding an override are written one by one."""
+        Rows are written one block at a time, each block as one join of
+        text chunks gathered from small tables.  A row's chunks are its
+        vertex number in 3-digit limbs, the first without leading zeros,
+        then its cells ``,<term>`` in runs of k, with m^k <= _CHUNK_ENTRIES
+        for root order m; the last run, of 1..k cells, ends in the newline.
+        A run's entry in its table is the Horner sum of its exponents in
+        base m.  Blocks are cut where the vertex number gains a limb, so
+        every row of a block has as many chunks.  Rows holding an override
+        are written one by one."""
         import numpy as np
 
         m, rows, cols = self.root_order, self.rows, self.cols
+        exponents = self.exponents
+        if exponents.dtype.kind not in "iu":
+            raise DomainError(f"exponents must be integers, got dtype {exponents.dtype}")
         fp.write(f"root_order,{m}\n")
         fp.write("vertex," + ",".join(f"c{c}" for c in range(cols)) + "\n")
-        terms = [CycInt.root_of_unity(m, k).to_term_string() for k in range(m)]
-        table = np.array([f",{t}".encode() for t in terms])  # NUL-padded, fixed width
-        width = table.itemsize
-        # place values of the vertex digits, most significant first
-        place = 10 ** np.arange(len(str(rows - 1)) - 1, -1, -1, dtype=np.int64)
-        digits = len(place)
-        # per row: the line, its gathered cells, the NUL mask, the kept bytes, the text
-        step = _block_rows(6 * (digits + cols * width + 1))
-        exponents = self.exponents
+        terms = [CycInt.root_of_unity(m, e).to_term_string() for e in range(m)]
+        k = 1
+        while m ** (k + 1) <= _CHUNK_ENTRIES:
+            k += 1
+        runs = (cols - 1) // k if cols else 0  # full runs before the last one
+        tail = cols - runs * k
+        full = _cell_runs(m, k if runs else 0, False)  # one empty run if unused
+        table = np.concatenate((full, _cell_runs(m, tail, True), _limbs()))
+        tail_at, lead_at = len(full), len(full) + m**tail
+        pad_at = lead_at + 1000
         unreduced = exponents.size and (exponents.min() < 0 or exponents.max() >= m)
+        # Horner sums stay below m^k, so they fit the exponents' own dtype
+        # once it holds m^k - 1
+        dtype = np.promote_types(exponents.dtype, np.min_scalar_type(m**k - 1))
+        items = -(-len(str(rows - 1)) // 3) + runs + 1  # chunks per row, at most
+        # per row: the chunk indices, the gathered chunks and their list (one
+        # word per chunk each), the joined text, two words of vertex limbs,
+        # the runs' Horner sums, and the reduced exponents if they need
+        # reducing
+        text = len(str(rows - 1)) + cols * (1 + max(map(len, terms))) + 1
+        reduced = cols * exponents.itemsize if unreduced else 0
+        step = _block_rows(24 * items + text + 16 + (runs + 1) * dtype.itemsize + reduced)
         changed: dict[int, dict[int, CycInt]] = {}
         for (r, c), value in self.overrides.items():
             changed.setdefault(r, {})[c] = value
-        lo = 0
+        start = 0
         for stop in (*sorted(changed), rows):
-            for start in range(lo, stop, step):
-                end = min(start + step, stop)
-                vertex = np.arange(start, end, dtype=np.int64)[:, None]
-                line = np.empty((end - start, digits + cols * width + 1), dtype=np.uint8)
-                line[:, :digits] = vertex // place % 10 + ord("0")
-                line[:, : digits - 1] *= vertex >= place[:-1]
+            while start < stop:
+                limbs = -(-len(str(start)) // 3)
+                end = min(start + step, stop, 1000**limbs)
+                index = np.empty((end - start, limbs + runs + 1), dtype=np.intp)
+                high = np.arange(start, end, dtype=np.intp)
+                for j in range(limbs - 1, 0, -1):
+                    high, low = np.divmod(high, 1000)
+                    index[:, j] = low + pad_at
+                index[:, 0] = high + lead_at
                 codes = exponents[start:end]
-                line[:, digits:-1].view(table.dtype)[:] = table[codes % m if unreduced else codes]
-                line[:, -1] = ord("\n")
-                fp.write(str(line[line != 0], "ascii"))
+                if unreduced:
+                    codes = codes % m
+                run = codes[:, 0 : runs * k : k].astype(dtype)
+                for i in range(1, k):
+                    run *= m
+                    run += codes[:, i : runs * k : k]
+                index[:, limbs:-1] = run
+                run = np.zeros(end - start, dtype)
+                for c in range(runs * k, cols):
+                    run *= m
+                    run += codes[:, c]
+                index[:, -1] = run
+                index[:, -1] += tail_at
+                fp.write("".join(table.take(index.ravel()).tolist()))
+                start = end
             if stop < rows:
-                row = [terms[k % m] for k in exponents[stop].tolist()]
+                row = [terms[e % m] for e in exponents[stop].tolist()]
                 for c, value in changed[stop].items():
                     row[c] = value.to_term_string()
                 fp.write(",".join((str(stop), *row)) + "\n")
-            lo = stop + 1
+            start = stop + 1
 
     def to_csv_text(self) -> str:
         import io

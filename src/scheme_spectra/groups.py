@@ -216,9 +216,10 @@ class FiniteField(GroupSpec, Record):
         p, k = operator.index(p), operator.index(k)
         if _prime_power(p) != (p, 1):
             raise DomainError(f"field characteristic must be prime, got {p}")
+        modulus = tuple(operator.index(c) for c in modulus)
         if not modulus or modulus[-1] % p != 1:
             raise SpecMismatch(f"modulus {modulus} is not monic over Z_{p}")
-        modulus = tuple(operator.index(c) % p for c in modulus)
+        modulus = tuple(c % p for c in modulus)
         if k < 1:
             raise DomainError(f"field extension degree must be >= 1, got {k}")
         if len(modulus) != k + 1:

@@ -891,6 +891,29 @@ def _csv_cases():
     rep = hadamard_representation(cyclic(3), 3)
     reps.append(Representation(rep.group, 3, rep.exponents.astype(np.int64) - 7, "negative"))
     reps.append(Representation(rep.group, 3, np.asfortranarray(rep.exponents), "fortran"))
+    # one column on both sides of 10^6 rows, where a vertex gains a third
+    # 3-digit limb, with overrides just before and after
+    big = Representation(cyclic(3), 1, rng.integers(0, 3, (1_000_002, 1), dtype=np.uint8), "1e6")
+    big = big.with_entry(999_998, 0, CycInt(3, [2, 1]))
+    reps.append(big.with_entry(1_000_001, 0, -big.entry(0, 0)))
+    # k cells per chunk with m^k <= 256 (k = 8, 5, 4, 3 for m = 2..5): every
+    # column count short of a multiple of k, with and without a full run
+    for m, k in ((2, 8), (3, 5), (4, 4), (5, 3)):
+        for r in range(1, k):
+            for cols in (r, 2 * k + r):
+                codes = rng.integers(0, m, (37, cols), dtype=np.uint8)
+                reps.append(Representation(cyclic(m), 1, codes, "runs"))
+    # one cell per chunk: m = 17, and m = 129 with uint16 exponents
+    reps.append(Representation(cyclic(17), 1, rng.integers(0, 17, (40, 5)), "m17"))
+    reps.append(build_representation(lp_two_support(1, 129, 1), cyclic(129)))
+    # overrides on both sides of the 1000-row limb cut, so that blocks end
+    # on an override row and on rows 999 and 1000 at any block size
+    rep = Representation(cyclic(4), 1, rng.integers(0, 4, (1003, 6), dtype=np.uint8), "edges")
+    for rows in ((998,), (999,), (1000,), (998, 1000), (997, 1001, 1002)):
+        changed = rep
+        for r in rows:
+            changed = changed.with_entry(r, r % 6, CycInt(4, [r, -1]))
+        reps.append(changed)
     return reps
 
 
@@ -904,6 +927,17 @@ def test_streamed_csv_matches_the_per_cell_writer(monkeypatch, block_bytes):
             continue
         assert rep.to_csv_text() == _csv_by_cell(rep)
     assert hadamard_representation(cyclic(2), 0).to_csv_text() == "root_order,2\nvertex,\n0\n"
+
+
+def test_csv_refuses_exponents_that_are_not_integers():
+    rep = hadamard_representation(cyclic(2), 2)
+    for dtype in (np.float64, np.bool_):
+        bad = Representation(rep.group, 2, rep.exponents.astype(dtype), "bad")
+        buf = io.StringIO()
+        with pytest.raises(DomainError) as exc:
+            bad.write_csv(buf)
+        assert str(exc.value) == f"exponents must be integers, got dtype {np.dtype(dtype)}"
+        assert buf.getvalue() == ""
 
 
 class _NullSink:
@@ -938,6 +972,30 @@ def test_verification_and_csv_take_the_matrix_and_one_block(monkeypatch, block_b
         bound = 2 * rep.exponents.nbytes + bounds._BLOCK_BYTES
         assert _traced_peak(lambda: verify_representation(rep, spec)) < bound
         assert _traced_peak(lambda: rep.write_csv(_NullSink())) < bound
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1 << 18])
+def test_csv_takes_one_block_beyond_its_tables(monkeypatch, block_bytes):
+    # The CSV export alone: one block of working memory, plus the chunk
+    # tables it builds on a cold cache and keeps, which is what the call
+    # leaves allocated.  At 256 KiB each of these writes several blocks.
+    import tracemalloc
+
+    if block_bytes is not None:
+        monkeypatch.setattr(bounds, "_BLOCK_BYTES", block_bytes)
+    for n, q, d in ((8, 3, 8), (5, 5, 5), (12, 2, 12)):
+        rep = build_representation(lp_two_support(n, q, d), cyclic(q))
+        tracemalloc.start()
+        try:
+            bounds._cell_runs.cache_clear()
+            bounds._limbs.cache_clear()
+            rep.write_csv(_NullSink())
+            tables, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < tables < 1 << 18
+        assert peak < bounds._BLOCK_BYTES + tables
+        assert _traced_peak(lambda: rep.write_csv(_NullSink())) < bounds._BLOCK_BYTES
 
 
 @pytest.mark.parametrize("block_bytes", [None, 1 << 18])

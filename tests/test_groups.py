@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -180,6 +181,25 @@ def test_field_rejects_bad_sizes_and_moduli():
         FiniteField(2, 3, (1, 0, 0, 2))  # not monic after the leading slot
     with pytest.raises(SpecMismatch):
         FiniteField(2, 3, (1, 1, 1))  # wrong degree
+
+
+def test_field_reads_numpy_moduli_and_integers():
+    f4 = FiniteField(np.int64(2), np.int64(2), np.array([1, 1, 1]))
+    assert f4 == finite_field(4) and hash(f4) == hash(finite_field(4))
+    assert type(f4.p) is type(f4.k) is int and all(type(c) is int for c in f4.modulus)
+    f8 = FiniteField(2, 3, np.array([1, 1, 0, 1], dtype=np.uint8))
+    assert f8 == finite_field(8, (1, 1, 0, 1))
+    # an empty modulus, as a tuple or an array, is refused with the same message
+    for empty in ((), np.array([], dtype=np.int64)):
+        with pytest.raises(SpecMismatch) as exc:
+            FiniteField(np.int64(2), 2, empty)
+        assert str(exc.value) == "modulus () is not monic over Z_2"
+    with pytest.raises(SpecMismatch) as exc:
+        FiniteField(2, 3, (1, 0, 0, 2))
+    assert str(exc.value) == "modulus (1, 0, 0, 2) is not monic over Z_2"
+    with pytest.raises(SpecMismatch) as exc:
+        FiniteField(2, 2, np.array([1, 0, 1]))
+    assert str(exc.value) == "modulus (1, 0, 1) is reducible over Z_2"
 
 
 def test_field_characteristic_must_be_prime():
