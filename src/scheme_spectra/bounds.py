@@ -26,7 +26,6 @@ from .errors import (
     NoNegativeEigenvalue,
     NonRealEigenvalue,
     NotOrthogonal,
-    NotUnitModulus,
     OrderMismatch,
     SizeExceeded,
     SpecMismatch,
@@ -37,6 +36,7 @@ from .groups import (
     FiniteField,
     GroupSpec,
     _prime_power,
+    _weight_label,
     cyclic,
     index_word,
 )
@@ -307,8 +307,9 @@ def _shell_indices(group: GroupSpec, n: int, label: int | Composition) -> np.nda
     import numpy as np
 
     alphabet = np.arange(group.order)
-    if isinstance(label, int):
-        return np.flatnonzero(_occurrences(alphabet != 0, n) == label)
+    w = _weight_label(label, n)
+    if w is not None:
+        return np.flatnonzero(_occurrences(alphabet != 0, n) == w)
     match = np.ones(group.order**n, dtype=bool)
     for g, c in enumerate(label):
         if c:
@@ -351,14 +352,38 @@ def _character_matrix(group: GroupSpec, n: int, words: Iterable[Sequence[int]]) 
     return exponents
 
 
-class Representation:
-    """A vertex-by-dimension matrix of unit-modulus cyclotomic entries.
+def _reduced_exponents(exponents: np.ndarray, m: int) -> np.ndarray:
+    """The exponent matrix as :class:`Representation` holds it; a copy takes
+    each block mod m in a dtype that holds both its values and m."""
+    import numpy as np
 
-    Rows follow the canonical base-q vertex order.  Entries are stored as
-    exponents of the common root of unity; tests may swap individual
-    entries for arbitrary cyclotomic values of the same root order via
-    :meth:`with_entry`, which is how the verifier's failure modes stay
-    reachable.
+    exponents = np.asarray(exponents)
+    if exponents.ndim != 2 or exponents.dtype.kind not in "iu":
+        raise DomainError(
+            f"exponents must be a 2-D integer array, got {exponents.ndim}-D {exponents.dtype}"
+        )
+    dtype = _exponent_dtype(m)
+    if (exponents.dtype == dtype and exponents.flags.c_contiguous
+            and (exponents.size == 0 or exponents.max() < m)):
+        return exponents
+    wide = np.promote_types(exponents.dtype, np.min_scalar_type(m))
+    out = np.empty(exponents.shape, dtype=dtype)
+    step = _block_rows(2 * exponents.shape[1] * wide.itemsize)  # a block and its residues
+    for start in range(0, len(out), step):
+        out[start : start + step] = exponents[start : start + step].astype(wide) % m
+    return out
+
+
+class Representation:
+    """A vertex-by-dimension matrix of roots of unity, stored by exponent.
+
+    Rows follow the canonical base-q vertex order.  Entry (x, c) is
+    zeta_m^e for e = ``exponents[x, c]`` and m the group's character order
+    (``root_order``), so every entry has modulus one by construction.  The
+    constructor takes any 2-D array of an integer dtype (bool is not one)
+    and raises DomainError for any other; it holds the exponents reduced to
+    0..m-1, C-ordered in the :func:`_exponent_dtype` of m, copying them one
+    row block at a time only when they are not already in that form.
     """
 
     def __init__(
@@ -368,20 +393,13 @@ class Representation:
         exponents: np.ndarray,
         provenance: str,
         solution: LPSolution | None = None,
-        overrides: dict[tuple[int, int], CycInt] | None = None,
     ):
         self.group = group
         self.n = n
         self.root_order = group.char_order
-        self.exponents = exponents
+        self.exponents = _reduced_exponents(exponents, self.root_order)
         self.provenance = provenance
         self.solution = solution
-        self.overrides = dict(overrides or {})
-        for value in self.overrides.values():
-            if value.order != self.root_order:
-                raise OrderMismatch(
-                    f"entry has root order {value.order}, representation has {self.root_order}"
-                )
 
     @property
     def rows(self) -> int:
@@ -397,19 +415,25 @@ class Representation:
 
     def entry(self, row: int, col: int) -> CycInt:
         self._check_cell(row, col)
-        override = self.overrides.get((row, col))
-        if override is not None:
-            return override
         return CycInt.root_of_unity(self.root_order, int(self.exponents[row, col]))
 
     def with_entry(self, row: int, col: int, value: CycInt) -> Representation:
-        """A copy of the representation with one entry replaced."""
+        """A copy of the representation with entry (row, col) set to
+        ``value``, which must be a power zeta_m^e of the representation's
+        root order m; e is written into a copy of the exponent matrix.  A
+        value of another root order raises OrderMismatch, any other value
+        of order m DomainError."""
         self._check_cell(row, col)
-        overrides = dict(self.overrides)
-        overrides[(row, col)] = value
-        return Representation(
-            self.group, self.n, self.exponents, self.provenance, self.solution, overrides
-        )
+        m = self.root_order
+        if value.order != m:
+            raise OrderMismatch(f"entry has root order {value.order}, representation has {m}")
+        try:
+            power = _reduction_rows(m).index(value.coeffs)
+        except ValueError:
+            raise DomainError(f"entry {value.to_term_string()} is not a power of zeta_{m}") from None
+        exponents = self.exponents.copy()
+        exponents[row, col] = power
+        return Representation(self.group, self.n, exponents, self.provenance, self.solution)
 
     def write_csv(self, fp: IO[str]) -> None:
         """CSV export: a root-order header, a column header, then one row
@@ -422,14 +446,11 @@ class Representation:
         for root order m; the last run, of 1..k cells, ends in the newline.
         A run's entry in its table is the Horner sum of its exponents in
         base m.  Blocks are cut where the vertex number gains a limb, so
-        every row of a block has as many chunks.  Rows holding an override
-        are written one by one."""
+        every row of a block has as many chunks."""
         import numpy as np
 
         m, rows, cols = self.root_order, self.rows, self.cols
         exponents = self.exponents
-        if exponents.dtype.kind not in "iu":
-            raise DomainError(f"exponents must be integers, got dtype {exponents.dtype}")
         fp.write(f"root_order,{m}\n")
         fp.write("vertex," + ",".join(f"c{c}" for c in range(cols)) + "\n")
         terms = [CycInt.root_of_unity(m, e).to_term_string() for e in range(m)]
@@ -442,54 +463,39 @@ class Representation:
         table = np.concatenate((full, _cell_runs(m, tail, True), _limbs()))
         tail_at, lead_at = len(full), len(full) + m**tail
         pad_at = lead_at + 1000
-        unreduced = exponents.size and (exponents.min() < 0 or exponents.max() >= m)
         # Horner sums stay below m^k, so they fit the exponents' own dtype
         # once it holds m^k - 1
         dtype = np.promote_types(exponents.dtype, np.min_scalar_type(m**k - 1))
         items = -(-len(str(rows - 1)) // 3) + runs + 1  # chunks per row, at most
         # per row: the chunk indices, the gathered chunks and their list (one
-        # word per chunk each), the joined text, two words of vertex limbs,
-        # the runs' Horner sums, and the reduced exponents if they need
-        # reducing
+        # word per chunk each), the joined text, two words of vertex limbs and
+        # the runs' Horner sums
         text = len(str(rows - 1)) + cols * (1 + max(map(len, terms))) + 1
-        reduced = cols * exponents.itemsize if unreduced else 0
-        step = _block_rows(24 * items + text + 16 + (runs + 1) * dtype.itemsize + reduced)
-        changed: dict[int, dict[int, CycInt]] = {}
-        for (r, c), value in self.overrides.items():
-            changed.setdefault(r, {})[c] = value
+        step = _block_rows(24 * items + text + 16 + (runs + 1) * dtype.itemsize)
         start = 0
-        for stop in (*sorted(changed), rows):
-            while start < stop:
-                limbs = -(-len(str(start)) // 3)
-                end = min(start + step, stop, 1000**limbs)
-                index = np.empty((end - start, limbs + runs + 1), dtype=np.intp)
-                high = np.arange(start, end, dtype=np.intp)
-                for j in range(limbs - 1, 0, -1):
-                    high, low = np.divmod(high, 1000)
-                    index[:, j] = low + pad_at
-                index[:, 0] = high + lead_at
-                codes = exponents[start:end]
-                if unreduced:
-                    codes = codes % m
-                run = codes[:, 0 : runs * k : k].astype(dtype)
-                for i in range(1, k):
-                    run *= m
-                    run += codes[:, i : runs * k : k]
-                index[:, limbs:-1] = run
-                run = np.zeros(end - start, dtype)
-                for c in range(runs * k, cols):
-                    run *= m
-                    run += codes[:, c]
-                index[:, -1] = run
-                index[:, -1] += tail_at
-                fp.write("".join(table.take(index.ravel()).tolist()))
-                start = end
-            if stop < rows:
-                row = [terms[e % m] for e in exponents[stop].tolist()]
-                for c, value in changed[stop].items():
-                    row[c] = value.to_term_string()
-                fp.write(",".join((str(stop), *row)) + "\n")
-            start = stop + 1
+        while start < rows:
+            limbs = -(-len(str(start)) // 3)
+            end = min(start + step, rows, 1000**limbs)
+            index = np.empty((end - start, limbs + runs + 1), dtype=np.intp)
+            high = np.arange(start, end, dtype=np.intp)
+            for j in range(limbs - 1, 0, -1):
+                high, low = np.divmod(high, 1000)
+                index[:, j] = low + pad_at
+            index[:, 0] = high + lead_at
+            codes = exponents[start:end]
+            run = codes[:, 0 : runs * k : k].astype(dtype)
+            for i in range(1, k):
+                run *= m
+                run += codes[:, i : runs * k : k]
+            index[:, limbs:-1] = run
+            run = np.zeros(end - start, dtype)
+            for c in range(runs * k, cols):
+                run *= m
+                run += codes[:, c]
+            index[:, -1] = run
+            index[:, -1] += tail_at
+            fp.write("".join(table.take(index.ravel()).tolist()))
+            start = end
 
     def to_csv_text(self) -> str:
         import io
@@ -601,39 +607,6 @@ def _generating_labels(
     return spec.group, spec.dcomp
 
 
-def _folded_exponents(rep: Representation) -> tuple[np.ndarray, int]:
-    """The exponent matrix reduced to 0..order-1, C-ordered in the
-    :func:`_exponent_dtype` of the order, with the (unit-modulus) overrides
-    written in, and its root order.  A unit of modulus one in Z[zeta_m] is
-    +-zeta_m^k (Kronecker), a power of zeta_(2m) when m is odd, so with
-    overrides present an odd order is lifted to 2m.  A matrix already in
-    that form is used as it is; any other is folded one row block at a time,
-    widened to int64 only within the block."""
-    import numpy as np
-
-    m = rep.root_order
-    lift = 2 if rep.overrides and m % 2 else 1
-    order = lift * m
-    exps = rep.exponents
-    dtype = _exponent_dtype(order)
-    if (not rep.overrides and exps.dtype == dtype and exps.flags.c_contiguous
-            and (exps.size == 0 or exps.max() < m)):
-        return exps, m
-    expm = np.empty(exps.shape, dtype=dtype)
-    step = _block_rows(24 * rep.cols)  # three int64 temporaries per cell
-    for start in range(0, rep.rows, step):
-        expm[start : start + step] = exps[start : start + step].astype(np.int64) % m * lift
-    if rep.overrides:
-        powers = {}
-        for k in range(m):
-            unit = CycInt.root_of_unity(m, k)
-            powers[unit.coeffs] = lift * k
-            powers[(-unit).coeffs] = (lift * k + order // 2) % order
-        for (r, c), value in rep.overrides.items():
-            expm[r, c] = powers[value.coeffs]
-    return expm, order
-
-
 def _shifted(digits: Sequence[np.ndarray], s: np.ndarray, addt: np.ndarray) -> np.ndarray:
     """Vertex indices of x + s for the digit arrays of x (one per coordinate,
     as from np.unravel_index); s holds one word per x."""
@@ -699,19 +672,19 @@ def verify_representation(
     spec: HammingGraphSpec | CompositionGraphSpec,
     sample: int | None = None,
 ) -> bool:
-    """Check unit modulus everywhere and orthogonality on adjacent pairs.
+    """Check orthogonality on adjacent pairs.
 
-    Overrides set by :meth:`Representation.with_entry` are checked for unit
-    modulus first, in (row, column) order, and raise NotUnitModulus.  Full
+    Every entry is a power of zeta_m, so it has modulus one by construction,
+    and the exponent matrix is read as it is, at its root order m.  Full
     mode (``sample=None``) checks the pair (x, x + s) for every vertex x and
     generator s.  It first checks, in one pass over the matrix, that the
     exponents are additive along each coordinate, as they are in every
     character-built representation; then each pair has the inner product of
     rows 0 and s, and one check of row 0 against the rows of all generators
-    decides.  Otherwise, for example after a :meth:`with_entry` that breaks
-    the character structure, it scans the rows in blocks that grow from one
-    row, checking each block against every generator in one call, so a
-    failure at row x stops after at most (2x + 1)|S| pairs.  Sampled
+    decides.  Otherwise, for example after a :meth:`Representation.with_entry`
+    that breaks the character structure, it scans the rows in blocks that
+    grow from one row, checking each block against every generator in one
+    call, so a failure at row x stops after at most (2x + 1)|S| pairs.  Sampled
     mode checks ``sample`` pairs drawn from the deterministic generator
     seeded by :func:`representation_seed`.  All paths run the same exact
     check, one block of rows at a time.  A failure raises NotOrthogonal
@@ -730,12 +703,7 @@ def verify_representation(
         raise SpecMismatch(f"representation length {rep.n} does not match n={n}")
     if rep.rows != q**n:
         raise SpecMismatch(f"representation has {rep.rows} rows, expected {q**n}")
-    one = CycInt.from_int(rep.root_order, 1)
-    for (r, c), value in sorted(rep.overrides.items()):
-        if value * value.conjugate() != one:
-            raise NotUnitModulus(r, c)
-
-    expm, m = _folded_exponents(rep)
+    expm, m = rep.exponents, rep.root_order
     ys = _shell_indices(group, n, label)
     shape = (q,) * n
     words = np.transpose(np.unravel_index(ys, shape))

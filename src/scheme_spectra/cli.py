@@ -37,7 +37,6 @@ from .errors import (
     Infeasible,
     NotFound,
     NotOrthogonal,
-    NotUnitModulus,
     RangeError,
     SpecMismatch,
 )
@@ -65,7 +64,7 @@ from .schemes import (
 
 _FLAG_ERRORS = (NotFound, ValueError)
 
-_VERIFY_ERRORS = (Infeasible, NotOrthogonal, NotUnitModulus)
+_VERIFY_ERRORS = (Infeasible, NotOrthogonal)
 
 
 def _dump(obj: dict) -> str:
@@ -247,7 +246,7 @@ def _check_lp_representations(max_n: int) -> tuple[str, list[str]]:
         rep = build_representation(lp_two_support(n, q, d), cyclic(q))
         try:
             verify_representation(rep, HammingGraphSpec(n, q, d))
-        except (NotOrthogonal, NotUnitModulus) as exc:
+        except NotOrthogonal as exc:
             failures.append(f"lp representation at n={n} q={q} d={d}: {exc}")
     return f"lp representations over {len(grid)} graphs", failures
 
@@ -263,7 +262,7 @@ def _check_hadamard_representations(max_n: int) -> tuple[str, list[str]]:
             spec = CompositionGraphSpec(group, n, Composition.balanced(q, n))
             try:
                 verify_representation(hadamard_representation(group, n), spec)
-            except (NotOrthogonal, NotUnitModulus) as exc:
+            except NotOrthogonal as exc:
                 failures.append(f"hadamard representation at q={q} n={n}: {exc}")
             count += 1
     return f"hadamard representations on {count} graphs", failures

@@ -84,11 +84,3 @@ class NotOrthogonal(SchemeSpectraError):
             f"(words {word_x} and {word_y})"
         )
 
-
-class NotUnitModulus(SchemeSpectraError):
-    """A representation entry fails the unit-modulus requirement."""
-
-    def __init__(self, row: int, col: int):
-        self.row = row
-        self.col = col
-        super().__init__(f"entry at row {row}, column {col} is not unit modulus")

@@ -11,6 +11,7 @@ rest of the library leans on.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -305,7 +306,9 @@ def multinom(n: int, parts: Iterable[int]) -> int:
 
     Raises SumMismatch unless the parts are nonnegative and sum to n.
     """
-    counts = list(parts)
+    # plain ints, so that numpy parts cannot wrap around in the sum
+    n = operator.index(n)
+    counts = list(map(operator.index, parts))
     if any(c < 0 for c in counts):
         raise SumMismatch(f"negative part in {counts}")
     if sum(counts) != n:

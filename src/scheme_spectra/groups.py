@@ -446,6 +446,19 @@ def _comp_words(q: int, n: int, remaining: list[int], prefix: list[int]) -> Iter
             remaining[g] += 1
 
 
+def _weight_label(label: object, n: int) -> int | None:
+    """A shell label read as a weight through operator.index and checked to
+    lie in 0..n (BadLabel otherwise), or None for a label that has no
+    integer value, which is then a composition."""
+    try:
+        w = operator.index(label)
+    except TypeError:
+        return None
+    if not 0 <= w <= n:
+        raise BadLabel(f"weight {w} outside 0..{n}")
+    return w
+
+
 def enumerate_shell(
     group: GroupSpec, n: int, label: int | Composition | Sequence[int]
 ) -> Iterator[tuple[int, ...]]:
@@ -457,11 +470,10 @@ def enumerate_shell(
     materialized all at once.
     """
     q = group.order
-    if isinstance(label, int):
-        if not 0 <= label <= n:
-            raise BadLabel(f"weight {label} outside 0..{n}")
-        return _weight_words(q, n, label, [])
-    counts = tuple(label)
+    w = _weight_label(label, n)
+    if w is not None:
+        return _weight_words(q, n, w, [])
+    counts = tuple(map(operator.index, label))
     if len(counts) != q:
         raise BadLabel(f"composition has {len(counts)} parts, expected {q}")
     if any(c < 0 for c in counts):
@@ -499,10 +511,9 @@ def shell_size(group: GroupSpec, n: int, label: int | Composition | Sequence[int
     from .exactnum import binom, multinom
 
     q = group.order
-    if isinstance(label, int):
-        if not 0 <= label <= n:
-            raise BadLabel(f"weight {label} outside 0..{n}")
-        return (q - 1) ** label * binom(n, label)
+    w = _weight_label(label, n)
+    if w is not None:
+        return (q - 1) ** w * binom(n, w)
     counts = tuple(label)
     try:
         return multinom(n, counts)

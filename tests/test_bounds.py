@@ -25,7 +25,6 @@ from scheme_spectra import (
     LPSolution,
     NoNegativeEigenvalue,
     NotOrthogonal,
-    NotUnitModulus,
     OrderMismatch,
     ProbeVerdict,
     RangeError,
@@ -307,15 +306,20 @@ def test_negated_entry_is_caught_with_a_witness():
     assert err.value.word_y == (0, 0, 1, 1)
 
 
-def test_non_unit_entry_is_caught_before_orthogonality():
-    spec = HammingGraphSpec(4, 2, 2)
+def test_with_entry_refuses_a_value_that_is_not_a_power_of_zeta():
+    # an entry is an exponent, so a value of modulus other than one, or a
+    # unit that is not an m-th root of unity (-1 at odd m), has no place
     rep = build_representation(lp_two_support(4, 2, 2), cyclic(2))
-    bad = rep.with_entry(1, 1, CycInt.from_int(2, 3))
-    with pytest.raises(NotUnitModulus) as err:
-        verify_representation(bad, spec)
-    assert (err.value.row, err.value.col) == (1, 1)
-    with pytest.raises(NotUnitModulus):
-        verify_representation(bad, spec, sample=10)
+    with pytest.raises(DomainError, match=r"^entry 3 is not a power of zeta_2$"):
+        rep.with_entry(1, 1, CycInt.from_int(2, 3))
+    odd = build_representation(lp_two_support(3, 3, 2), cyclic(3))
+    with pytest.raises(DomainError, match=r"^entry -1\+0\*z is not a power of zeta_3$"):
+        odd.with_entry(1, 1, CycInt.from_int(3, -1))
+    # every power of zeta is taken, and lands as its exponent
+    for k in range(-3, 4):
+        changed = odd.with_entry(1, 1, CycInt.root_of_unity(3, k))
+        assert changed.exponents[1, 1] == k % 3
+        assert changed.entry(1, 1) == CycInt.root_of_unity(3, k)
 
 
 def test_with_entry_does_not_mutate_the_original():
@@ -330,13 +334,11 @@ def test_with_entry_does_not_mutate_the_original():
 
 def test_with_entry_rejects_another_root_order():
     rep = build_representation(lp_two_support(4, 2, 2), cyclic(2))
-    with pytest.raises(OrderMismatch):
-        rep.with_entry(0, 0, CycInt.root_of_unity(4, 1))
-    assert rep.overrides == {}
-    with pytest.raises(OrderMismatch):
-        Representation(
-            rep.group, rep.n, rep.exponents, "test", overrides={(0, 0): CycInt.from_int(3, 1)}
-        )
+    before = rep.exponents.copy()
+    for value in (CycInt.root_of_unity(4, 1), CycInt.from_int(3, 1)):
+        with pytest.raises(OrderMismatch):
+            rep.with_entry(0, 0, value)
+    assert np.array_equal(rep.exponents, before)
 
 
 def test_entry_and_with_entry_share_the_bounds_check():
@@ -383,16 +385,17 @@ def _differential_cases():
     spec = CompositionGraphSpec(cyclic(3), 3, Composition.balanced(3, 3))
     reps.append((hadamard_representation(cyclic(3), 3), spec))
     # Row 1 of H(2,3,2) has only larger neighbours, met in generator order as
-    # rows 5, 3, 8, 6: the witness is not the first failure found for x = 1.
+    # rows 5, 3, 8, 6, and entry (1, 0) times zeta fails all four: the witness
+    # is not the first failure found for x = 1.
     rep = build_representation(lp_two_support(2, 3, 2), cyclic(3))
-    yield rep.with_entry(1, 0, CycInt.from_int(3, -1)), HammingGraphSpec(2, 3, 2)
+    yield rep.with_entry(1, 0, CycInt.root_of_unity(3, 1)), HammingGraphSpec(2, 3, 2)
     for rep, spec in reps:
         m = rep.root_order
         yield rep, spec
         for _ in range(4):
             mutated = rep
             for _ in range(rng.randint(1, 3)):
-                value = CycInt.root_of_unity(m, rng.randrange(m)) * rng.choice((1, -1))
+                value = CycInt.root_of_unity(m, rng.randrange(m))
                 row, col = rng.randrange(rep.rows), rng.randrange(rep.cols)
                 mutated = mutated.with_entry(row, col, value)
             yield mutated, spec
@@ -502,15 +505,15 @@ def test_verification_does_not_depend_on_the_exponent_dtype():
         narrow = Representation(group, n, rep.exponents.astype(dtype), rep.provenance)
         assert verify_representation(narrow, spec) is True
         assert verify_representation(narrow, spec, sample=100) is True
-    # a column-major copy is verified as a C-ordered one
+    # a column-major copy is held, and verified, as a C-ordered one
     fortran = Representation(group, n, np.asfortranarray(rep.exponents), rep.provenance)
-    assert not fortran.exponents.flags.c_contiguous
-    assert bounds._folded_exponents(fortran)[0].flags.c_contiguous
+    assert fortran.exponents.flags.c_contiguous
     assert verify_representation(fortran, spec) is True
     assert verify_representation(fortran, spec, sample=100) is True
-    flipped = fortran.with_entry(5, 2, -fortran.entry(5, 2))
-    assert bounds._folded_exponents(flipped)[0].flags.c_contiguous
-    assert _verdict(flipped, spec) == _verdict(rep.with_entry(5, 2, -rep.entry(5, 2)), spec)
+    zeta = CycInt.root_of_unity(3, 1)
+    flipped = fortran.with_entry(5, 2, fortran.entry(5, 2) * zeta)
+    assert flipped.exponents.flags.c_contiguous
+    assert _verdict(flipped, spec) == _verdict(rep.with_entry(5, 2, rep.entry(5, 2) * zeta), spec)
 
 
 # -- the translation-invariant fast path -------------------------------------
@@ -670,7 +673,6 @@ def _pair_oracle(rep, spec):
     """Full verification pair by pair: the smallest failing x, then the
     smallest failing x + s, each inner product summed in the cyclotomic ring
     (cached by the multiset of exponent differences)."""
-    assert not rep.overrides
     group, n, m = rep.group, spec.n, rep.root_order
     members = _generators(spec, group)
     rows = rep.exponents.tolist()
@@ -743,8 +745,7 @@ def test_fast_path_agrees_with_the_pair_oracle(monkeypatch):
 
 
 def test_an_override_equal_to_the_entry_keeps_the_fast_path(monkeypatch):
-    # m = 3 is odd, so the override lifts the order to 6; the doubled
-    # exponents are still additive
+    # writing an entry's own value leaves the exponents additive
     spec = HammingGraphSpec(3, 3, 2)
     rep = build_representation(lp_two_support(3, 3, 2), cyclic(3))
     same = rep.with_entry(13, 2, rep.entry(13, 2))
@@ -755,8 +756,11 @@ def test_an_override_equal_to_the_entry_keeps_the_fast_path(monkeypatch):
 def test_a_negated_row_falls_back_to_the_scan_and_passes(monkeypatch):
     spec = HammingGraphSpec(3, 3, 2)
     rep = build_representation(lp_two_support(3, 3, 2), cyclic(3))
+    # row 13 times zeta: a sign flip at odd m is not a power of zeta_m, and a
+    # unit factor on one row keeps every inner product zero
+    zeta = CycInt.root_of_unity(3, 1)
     for c in range(rep.cols):
-        rep = rep.with_entry(13, c, -rep.entry(13, c))
+        rep = rep.with_entry(13, c, rep.entry(13, c) * zeta)
     members = _generators(spec, rep.group)
     verdict, calls = _counted_verdict(monkeypatch, rep, spec)
     assert verdict is True
@@ -780,7 +784,7 @@ def test_an_early_failure_costs_a_few_kernel_calls(monkeypatch, n, q, d):
         changed = rep.with_entry(row, col, rep.entry(row, col) * CycInt.root_of_unity(m, 1))
         verdict, calls = _counted_verdict(monkeypatch, changed, spec)
         assert len(calls) <= 2 and sum(calls) <= 3 * members
-        # the same matrix with the exponent moved, for the override-free oracle
+        # the same matrix with the exponent moved by hand
         exponents = rep.exponents.copy()
         exponents[row, col] = (exponents[row, col] + 1) % m
         plain = Representation(rep.group, n, exponents, "test")
@@ -850,13 +854,11 @@ def test_csv_polynomial_entries_for_odd_roots():
 
 
 def _csv_by_cell(rep):
-    # the per-cell writer: a rows x cols object array of term strings, with
-    # the overrides written in, joined row by row
+    # the per-cell writer: a rows x cols object array of term strings,
+    # joined row by row
     m = rep.root_order
     terms = np.array([CycInt.root_of_unity(m, k).to_term_string() for k in range(m)], dtype=object)
     cells = terms[rep.exponents % m]
-    for (r, c), value in rep.overrides.items():
-        cells[r, c] = value.to_term_string()
     text = f"root_order,{m}\nvertex," + ",".join(f"c{c}" for c in range(rep.cols)) + "\n"
     return text + "".join(",".join((str(r), *row)) + "\n" for r, row in enumerate(cells.tolist()))
 
@@ -879,23 +881,25 @@ def _csv_cases():
     rng = np.random.default_rng(1018)
     for rows in (9, 10, 11, 99, 100, 101, 999, 1000, 1001, 9999, 10000, 10001, 100001):
         reps.append(Representation(cyclic(7), 1, rng.integers(0, 7, (rows, 2)), "rows"))
-    # overrides on odd orders in the first and last rows, including a
-    # non-unit value whose term string is longer than any root's
+    # edits on odd orders in the first and last rows
     for rep in (build_representation(lp_two_support(3, 3, 2), cyclic(3)),
                 hadamard_representation(cyclic(5), 5)):
         m, last = rep.root_order, rep.rows - 1
-        long = CycInt(m, [-123456789] + [987654321] * (m - 2))
-        changed = rep.with_entry(0, 0, -rep.entry(0, 0)).with_entry(last, rep.cols - 1, long)
-        reps += [changed, changed.with_entry(0, rep.cols - 1, long).with_entry(1, 1, -long)]
+        zeta = CycInt.root_of_unity(m, 1)
+        changed = rep.with_entry(0, 0, rep.entry(0, 0) * zeta)
+        changed = changed.with_entry(last, rep.cols - 1, changed.entry(last, rep.cols - 1) * zeta)
+        reps += [changed, changed.with_entry(0, rep.cols - 1, CycInt.root_of_unity(m, m - 1))
+                 .with_entry(1, 1, CycInt.root_of_unity(m, 2))]
     # exponents outside 0..m-1 and a column-major copy
     rep = hadamard_representation(cyclic(3), 3)
     reps.append(Representation(rep.group, 3, rep.exponents.astype(np.int64) - 7, "negative"))
     reps.append(Representation(rep.group, 3, np.asfortranarray(rep.exponents), "fortran"))
     # one column on both sides of 10^6 rows, where a vertex gains a third
-    # 3-digit limb, with overrides just before and after
+    # 3-digit limb, with edits just before and after
     big = Representation(cyclic(3), 1, rng.integers(0, 3, (1_000_002, 1), dtype=np.uint8), "1e6")
-    big = big.with_entry(999_998, 0, CycInt(3, [2, 1]))
-    reps.append(big.with_entry(1_000_001, 0, -big.entry(0, 0)))
+    zeta = CycInt.root_of_unity(3, 1)
+    big = big.with_entry(999_998, 0, big.entry(999_998, 0) * zeta)
+    reps.append(big.with_entry(1_000_001, 0, big.entry(1_000_001, 0) * zeta * zeta))
     # k cells per chunk with m^k <= 256 (k = 8, 5, 4, 3 for m = 2..5): every
     # column count short of a multiple of k, with and without a full run
     for m, k in ((2, 8), (3, 5), (4, 4), (5, 3)):
@@ -906,13 +910,14 @@ def _csv_cases():
     # one cell per chunk: m = 17, and m = 129 with uint16 exponents
     reps.append(Representation(cyclic(17), 1, rng.integers(0, 17, (40, 5)), "m17"))
     reps.append(build_representation(lp_two_support(1, 129, 1), cyclic(129)))
-    # overrides on both sides of the 1000-row limb cut, so that blocks end
-    # on an override row and on rows 999 and 1000 at any block size
+    # edits on both sides of the 1000-row limb cut, so that blocks end on an
+    # edited row and on rows 999 and 1000 at any block size
     rep = Representation(cyclic(4), 1, rng.integers(0, 4, (1003, 6), dtype=np.uint8), "edges")
     for rows in ((998,), (999,), (1000,), (998, 1000), (997, 1001, 1002)):
         changed = rep
         for r in rows:
-            changed = changed.with_entry(r, r % 6, CycInt(4, [r, -1]))
+            step = CycInt.root_of_unity(4, 1 + r % 3)  # never the entry itself
+            changed = changed.with_entry(r, r % 6, changed.entry(r, r % 6) * step)
         reps.append(changed)
     return reps
 
@@ -929,15 +934,52 @@ def test_streamed_csv_matches_the_per_cell_writer(monkeypatch, block_bytes):
     assert hadamard_representation(cyclic(2), 0).to_csv_text() == "root_order,2\nvertex,\n0\n"
 
 
-def test_csv_refuses_exponents_that_are_not_integers():
-    rep = hadamard_representation(cyclic(2), 2)
-    for dtype in (np.float64, np.bool_):
-        bad = Representation(rep.group, 2, rep.exponents.astype(dtype), "bad")
-        buf = io.StringIO()
-        with pytest.raises(DomainError) as exc:
-            bad.write_csv(buf)
-        assert str(exc.value) == f"exponents must be integers, got dtype {np.dtype(dtype)}"
-        assert buf.getvalue() == ""
+def test_the_constructor_refuses_exponents_that_are_not_a_2d_integer_array():
+    # Shifted by 0.3 or 0.5 as floats, or cast to bool, object or complex,
+    # the Hadamard matrix of Z_2 would read as the same roots once cast to
+    # int, and verify against the balanced graph; it is refused up front.
+    group, n = cyclic(2), 2
+    rep = hadamard_representation(group, n)
+    exponents = rep.exponents
+    bad = [exponents + 0.3, exponents + 0.5, exponents.astype(bool), exponents.astype(object),
+           exponents.astype(complex), exponents[0], exponents[None]]
+    for array in bad:
+        message = (f"^exponents must be a 2-D integer array, "
+                   f"got {array.ndim}-D {array.dtype}$")
+        with pytest.raises(DomainError, match=message):
+            Representation(group, n, array, "bad")
+
+
+def test_any_2d_integer_array_is_held_as_the_builders_exponents():
+    # int8, int16 and int64 copies, offsets by -7m and +m, and a column-major
+    # copy give the builder's bytes, verdict and CSV
+    cases = [
+        (build_representation(lp_two_support(3, 3, 2), cyclic(3)), HammingGraphSpec(3, 3, 2)),
+        (hadamard_representation(finite_field(4), 4),
+         CompositionGraphSpec(finite_field(4), 4, Composition.balanced(4, 4))),
+        (build_representation(lp_two_support(1, 129, 1), cyclic(129)), HammingGraphSpec(1, 129, 1)),
+    ]
+    for rep, spec in cases:
+        m, exponents = rep.root_order, rep.exponents
+        wide = exponents.astype(np.int64)
+        arrays = [exponents.astype(dtype) for dtype in (np.int8, np.int16, np.int64)]
+        arrays += [wide - 7 * m, wide + m, np.asfortranarray(exponents)]
+        if m > 127:
+            arrays[0] = wide.astype(np.int16)  # int8 cannot hold every exponent
+        broken = rep.with_entry(1, 0, rep.entry(1, 0) * CycInt.root_of_unity(m, 1))
+        expected = (_verdict(rep, spec), _verdict(broken, spec), rep.to_csv_text())
+        for array in arrays:
+            held = Representation(rep.group, rep.n, array, rep.provenance)
+            assert held.exponents.dtype == exponents.dtype and held.exponents.flags.c_contiguous
+            assert held.exponents.tobytes() == exponents.tobytes()
+            changed = held.with_entry(1, 0, held.entry(1, 0) * CycInt.root_of_unity(m, 1))
+            assert (_verdict(held, spec), _verdict(changed, spec), held.to_csv_text()) == expected
+        # an offset by -7 is reduced to the residues of its entries
+        held = Representation(rep.group, rep.n, wide - 7, rep.provenance)
+        assert np.array_equal(held.exponents, (wide - 7) % m)
+    # builder output is held as it is, without a copy
+    rep = cases[0][0]
+    assert Representation(rep.group, rep.n, rep.exponents, "same").exponents is rep.exponents
 
 
 class _NullSink:
@@ -1001,8 +1043,7 @@ def test_csv_takes_one_block_beyond_its_tables(monkeypatch, block_bytes):
 @pytest.mark.parametrize("block_bytes", [None, 1 << 18])
 def test_a_failing_scan_takes_the_matrix_and_one_block(monkeypatch, block_bytes):
     # One entry of row 40 changed: the matrix is no longer character-built,
-    # so full verification scans several row blocks, after one narrow copy
-    # of the matrix to fold the override in.
+    # so full verification scans several row blocks.
     if block_bytes is not None:
         monkeypatch.setattr(bounds, "_BLOCK_BYTES", block_bytes)
     spec = HammingGraphSpec(8, 3, 2)
