@@ -327,6 +327,7 @@ def _character_matrix(group: GroupSpec, n: int, words: Iterable[Sequence[int]]) 
     and the matrix is filled one row block at a time."""
     import numpy as np
 
+    n = operator.index(n)  # a narrow numpy n would wrap q**n under the row cap
     if n < 0:
         raise DomainError(f"need n >= 0, got n={n}")
     q = group.order
@@ -541,6 +542,7 @@ def hadamard_representation(group: GroupSpec, n: int) -> Representation:
     often; hence the graph's quantum chromatic number is at most n.
     Requires the alphabet size to divide n.
     """
+    n = operator.index(n)
     if n % group.order:
         raise DivisibilityError(f"needs q | n, got q={group.order}, n={n}")
     units = ((0,) * k + (1,) + (0,) * (n - 1 - k) for k in range(n))
@@ -661,10 +663,16 @@ def _failing_rows(ex: np.ndarray, ey: np.ndarray, m: int) -> np.ndarray:
     return np.nonzero((counts @ red).any(axis=1))[0]
 
 
-def _check_sample(sample: int | None) -> None:
-    """Raise DomainError for a sample count below 1, which would check nothing."""
-    if sample is not None and sample < 1:
+def _check_sample(sample: int | None) -> int | None:
+    """The sample count read as a plain int through operator.index, so that a
+    narrow numpy int cannot wrap in the draw arithmetic; DomainError for a
+    count below 1, which would check nothing."""
+    if sample is None:
+        return None
+    sample = operator.index(sample)
+    if sample < 1:
         raise DomainError(f"need sample >= 1, got {sample}")
+    return sample
 
 
 def verify_representation(
@@ -690,12 +698,12 @@ def verify_representation(
     check, one block of rows at a time.  A failure raises NotOrthogonal
     carrying, in full mode, the smallest failing x and then the smallest
     failing x + s, and in sampled mode the first failing pair in draw order;
-    a clean pass is True.  A ``sample`` below 1 would check nothing and
-    raises DomainError.
+    a clean pass is True.  ``sample`` is read as an int through
+    operator.index; one below 1 would check nothing and raises DomainError.
     """
     import numpy as np
 
-    _check_sample(sample)
+    sample = _check_sample(sample)
     group, label = _generating_labels(spec, rep)
     n = spec.n
     q = group.order

@@ -106,7 +106,8 @@ class CompositionGraphSpec(Record):
         n = operator.index(n)
         if n < 1:
             raise DomainError(f"need n >= 1, got n={n}")
-        counts = tuple(dcomp)
+        # parts read as ints before they are summed: int8 parts would wrap
+        counts = tuple(map(operator.index, dcomp))
         if len(counts) != group.order:
             raise DomainError(f"dcomp has {len(counts)} parts, group order is {group.order}")
         if sum(counts) != n:
@@ -501,7 +502,10 @@ def projector_identity_check(n: int, q: int) -> bool:
 
     Builds E_j with entries K_j(Hamming weight of x - y) / q^n for every
     shell j and verifies sum_j E_j = I and E_j E_l = [j = l] E_j, using
-    integer matrices scaled by q^n so every comparison is exact.
+    integer matrices scaled by q^n so every comparison is exact.  The
+    products must stay int64: numpy computes integer products in its own
+    loops, while a float product would call BLAS (whose thread pool the CLI
+    does not start) and give up exactness.
     """
     import numpy as np
 

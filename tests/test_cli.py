@@ -631,3 +631,62 @@ def test_irrational_eigenvalues_are_ordered_without_mpmath(capsys):
     least = min_eigenvalue(composition_spectrum(spec))
     assert least[0].as_integer() is None
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out + f"{least!r}\n", err)
+
+
+# no BLAS thread pool: every matrix product the library makes is an integer
+# one, so the CLI has numpy's OpenBLAS start single-threaded
+
+_BLAS_AFTER_MAIN = """
+import json, os, sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+from scheme_spectra import cli
+before = dict(os.environ)
+code = cli.main(sys.argv[2:])
+tasks = "/proc/self/task"
+print(json.dumps({
+    "numpy": "numpy" in sys.modules,
+    "setting": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "environ_unchanged": dict(os.environ) == before,
+    "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+}))
+sys.exit(code)
+"""
+
+
+def state_after_main(tmp_path, order, preset=None):
+    # main runs a small represent in a fresh interpreter whose environment
+    # holds OPENBLAS_NUM_THREADS only as ``preset``
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    argv = ("represent", "--n", "4", "--q", "2", "--d", "2", "--out", str(tmp_path / "rep.csv"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_AFTER_MAIN, order, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    summary, state = proc.stdout.splitlines()
+    assert json.loads(summary)["verified"] is True
+    return json.loads(state)
+
+
+def test_a_cli_process_loads_numpy_without_a_blas_thread_pool(tmp_path):
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads in")
+    state = state_after_main(tmp_path, "cli-first")
+    assert state["numpy"] and state["threads"] == 1
+    assert state["setting"] == "1"
+
+
+def test_a_preset_blas_thread_count_is_left_as_it_is(tmp_path):
+    state = state_after_main(tmp_path, "cli-first", preset="2")
+    assert state["numpy"] and state["setting"] == "2" and state["environ_unchanged"]
+
+
+def test_once_numpy_is_loaded_the_cli_leaves_the_environment_alone(tmp_path):
+    # its pool exists already; setting the variable would only leak into
+    # the caller's environment
+    state = state_after_main(tmp_path, "numpy-first")
+    assert state["numpy"] and state["setting"] is None and state["environ_unchanged"]

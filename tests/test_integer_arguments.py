@@ -1,4 +1,5 @@
-"""Integer-like arguments at the API boundary of groups, krawtchouk and exactnum.
+"""Integer-like arguments at the API boundary of groups, krawtchouk, exactnum,
+schemes and bounds.
 
 Every function that takes integers gives, for numpy integers of every width
 and for bools, the same result as for the plain ints they stand for: the
@@ -14,15 +15,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scheme_spectra import (
+    CompositionGraphSpec,
+    CycInt,
     HammingGraphSpec,
+    LPSolution,
+    NotOrthogonal,
     SchemeSpectraError,
+    SizeExceeded,
     binom,
+    build_representation,
+    check_lp_solution,
+    composition_spectrum,
+    conjecture_probe,
     cyclic,
     enumerate_shell,
+    hadamard_representation,
     kraw,
     kraw_column,
+    lp_two_support,
     multinom,
     shell_size,
+    verify_representation,
 )
 
 _NUMPY_INTS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
@@ -151,3 +164,155 @@ def test_numpy_composition_parts_are_summed_as_ints(kind):
     parts = (kind(127), kind(1))
     assert shell_size(cyclic(2), 128, parts) == 128 == multinom(128, parts)
     assert list(enumerate_shell(cyclic(2), 128, parts)) == list(enumerate_shell(cyclic(2), 128, (127, 1)))
+
+
+# ---------------------------------------------------------------------------
+# schemes and bounds
+
+
+@_SETTINGS
+@given(int_args((2, 3), (-1, 6), (-1, 6), (0, 6), (0, 6)))
+def test_composition_specs(args):
+    plain, cast = args
+
+    def spec(q, n, *parts):
+        return CompositionGraphSpec(cyclic(q), n, parts[:q])
+
+    _same(spec, plain, cast)
+    _same(lambda *a: (spec(*a).vertex_count, spec(*a).degree), plain, cast)
+    _same(lambda *a: composition_spectrum(spec(*a)), plain, cast)
+
+
+@_SETTINGS
+@given(int_args((-1, 5), (-1, 13)))
+def test_conjecture_probes(args):
+    plain, cast = args
+    _same(conjecture_probe, plain, cast)
+
+
+@_SETTINGS
+@given(int_args((0, 9), (1, 5), (0, 10)))
+def test_two_support_solutions(args):
+    plain, cast = args
+    _same(lp_two_support, plain, cast)
+    _same(lambda *a: lp_two_support(*a).to_json(), plain, cast)
+
+
+@_SETTINGS
+@given(int_args((0, 4), (1, 4), (0, 5), (-2, 4), (-2, 4), (-2, 4), (-2, 4), (-2, 4)))
+def test_lp_solutions(args):
+    # n + 1 coefficients for n <= 4, so that some are refused for their count
+    plain, cast = args
+
+    def solution(n, q, d, *coefficients):
+        return LPSolution(n, q, d, coefficients[: n + 1])
+
+    _same(solution, plain, cast)
+    _same(lambda *a: (solution(*a).objective, solution(*a).to_json()), plain, cast)
+    _same(lambda *a: check_lp_solution(solution(*a)), plain, cast)
+
+
+def _matrix(rep):
+    # what a representation holds, with the repr of n, where a numpy int shows
+    return repr(rep.n), rep.root_order, rep.exponents.dtype.str, rep.exponents.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_args((1, 6), (2, 3), (1, 6)), st.data())
+def test_lp_representations(args, data):
+    # the two-support weights of the plain arguments, each cast to a type
+    # that holds it, assembled over the cast alphabet
+    plain, cast = args
+    try:
+        weights = list(lp_two_support(*plain).coefficients)
+    except SchemeSpectraError:
+        weights = [1] * (plain[0] + 1)
+    cast_weights = [data.draw(st.sampled_from(_holders(c)))(c) for c in weights]
+
+    def matrix(n, q, d, *weights):
+        return _matrix(build_representation(LPSolution(n, q, d, weights), cyclic(q)))
+
+    _same(matrix, plain + weights, cast + cast_weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_args((2, 4), (-1, 9)))
+def test_hadamard_representations(args):
+    plain, cast = args
+    _same(lambda q, n: _matrix(hadamard_representation(cyclic(q), n)), plain, cast)
+
+
+def _verdict(rep, spec, sample):
+    # True, or the message of NotOrthogonal, which names the failing pair
+    try:
+        return verify_representation(rep, spec, sample=sample)
+    except NotOrthogonal as exc:
+        return str(exc)
+
+
+def _mutated(rep, row):
+    # entry (row, 0) times zeta_m, which breaks orthogonality at that row
+    return rep.with_entry(row, 0, rep.entry(row, 0) * CycInt.root_of_unity(rep.root_order, 1))
+
+
+_H623 = HammingGraphSpec(6, 2, 3)
+_BAD623 = _mutated(build_representation(lp_two_support(6, 2, 3), cyclic(2)), 5)
+
+
+@_SETTINGS
+@given(int_args((-2, 300)))
+def test_sample_counts(args):
+    # on a matrix of 64 rows, where 100 draws already meet the mutated row
+    plain, cast = args
+    _same(lambda sample: _verdict(_BAD623, _H623, sample), plain, cast)
+
+
+@_SETTINGS
+@given(int_args((1, 6), (2, 3), (1, 6), (-2, 300)))
+def test_full_and_sampled_verdicts(args):
+    # a spec of cast ints and a cast sample count (0 standing for none, the
+    # full check) on the representation of the plain arguments and on a
+    # mutated copy of it
+    plain, cast = args
+    try:
+        rep = build_representation(lp_two_support(*plain[:3]), cyclic(plain[1]))
+    except SchemeSpectraError:
+        return
+    for matrix in (rep, _mutated(rep, rep.rows - 1)):
+        _same(
+            lambda n, q, d, sample: _verdict(matrix, HammingGraphSpec(n, q, d), sample or None),
+            plain, cast,
+        )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", _NUMPY_INTS)
+def test_a_narrow_sample_count_draws_every_pair(kind):
+    # 2 * sample wrapped in int8, so np.int8(100) drew no pair and passed a
+    # matrix that is not orthogonal
+    with pytest.raises(NotOrthogonal, match=r"^rows 5 and 28 are not orthogonal "):
+        verify_representation(_BAD623, _H623, sample=kind(100))
+    assert _verdict(_BAD623, _H623, kind(100)) == _verdict(_BAD623, _H623, 100)
+
+
+@pytest.mark.parametrize("kind", [np.int8, np.int16, np.uint8])
+def test_a_narrow_n_meets_the_row_cap(kind):
+    # 2**22 wrapped to 0 in int8, so the cap passed and the build failed
+    # with an untyped ValueError
+    with pytest.raises(SizeExceeded, match=r"^representation would have 4194304 rows"):
+        hadamard_representation(cyclic(2), kind(22))
+
+
+@pytest.mark.parametrize("kind", _NUMPY_INTS)
+def test_a_representation_keeps_n_as_an_int(kind):
+    rep = hadamard_representation(cyclic(2), kind(4))
+    assert type(rep.n) is int
+    assert _matrix(rep) == _matrix(hadamard_representation(cyclic(2), 4))
+
+
+@pytest.mark.parametrize("kind", _NUMPY_INTS)
+def test_numpy_composition_parts_meet_n(kind):
+    # int8 parts 127 and 1 summed to -128 and were refused as not summing to n
+    spec = CompositionGraphSpec(cyclic(2), 128, (kind(127), kind(1)))
+    assert spec == CompositionGraphSpec(cyclic(2), 128, (127, 1))
+    assert spec.degree == 128
