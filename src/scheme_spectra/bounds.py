@@ -27,6 +27,7 @@ from .errors import (
     NonRealEigenvalue,
     NotOrthogonal,
     OrderMismatch,
+    RangeError,
     SizeExceeded,
     SpecMismatch,
 )
@@ -94,6 +95,11 @@ class LPSolution(Record):
         # a float n, q or d would leak into the objective and the JSON
         index = operator.index
         n, q, d = index(n), index(q), index(d)
+        # the domain of kraw_column, which check_lp_solution reads
+        if n < 1 or q < 2:
+            raise DomainError(f"need n >= 1 and q >= 2, got n={n}, q={q}")
+        if not 0 <= d <= n:
+            raise RangeError(f"distance d={d} outside 0..{n}")
         coefficients = tuple(map(index, coefficients))
         if len(coefficients) != n + 1:
             raise DomainError(f"need n+1 = {n + 1} coefficients, got {len(coefficients)}")
@@ -381,9 +387,10 @@ class Representation:
     Rows follow the canonical base-q vertex order.  Entry (x, c) is
     zeta_m^e for e = ``exponents[x, c]`` and m the group's character order
     (``root_order``), so every entry has modulus one by construction.  The
-    constructor takes any 2-D array of an integer dtype (bool is not one)
-    and raises DomainError for any other; it holds the exponents reduced to
-    0..m-1, C-ordered in the :func:`_exponent_dtype` of m, copying them one
+    constructor reads n through operator.index, refusing one below 0 with
+    DomainError, and takes any 2-D array of an integer dtype (bool is not
+    one), refusing any other with DomainError; it holds the exponents reduced
+    to 0..m-1, C-ordered in the :func:`_exponent_dtype` of m, copying them one
     row block at a time only when they are not already in that form.
     """
 
@@ -395,6 +402,9 @@ class Representation:
         provenance: str,
         solution: LPSolution | None = None,
     ):
+        n = operator.index(n)
+        if n < 0:
+            raise DomainError(f"need n >= 0, got n={n}")
         self.group = group
         self.n = n
         self.root_order = group.char_order
@@ -609,13 +619,19 @@ def _generating_labels(
     return spec.group, spec.dcomp
 
 
-def _shifted(digits: Sequence[np.ndarray], s: np.ndarray, addt: np.ndarray) -> np.ndarray:
-    """Vertex indices of x + s for the digit arrays of x (one per coordinate,
-    as from np.unravel_index); s holds one word per x."""
+def _neighbours(tables: np.ndarray, xs: np.ndarray, gens: np.ndarray | slice) -> np.ndarray:
+    """Vertex indices of x + s_j for the vertices xs, one gather per digit
+    table: one index per x for an array ``gens`` of one j per x, or a row
+    per x and a column per j for a slice ``gens`` of generators."""
     import numpy as np
 
-    shape = (len(addt),) * len(digits)
-    return np.ravel_multi_index([addt[d, s[..., k]] for k, d in enumerate(digits)], shape)
+    n, q = tables.shape[:2]
+    digits = np.unravel_index(xs, (q,) * n)
+    out = tables[0][digits[0], gens].astype(np.intp)
+    for table, d in zip(tables[1:], digits[1:]):
+        out *= q
+        out += table[d, gens]
+    return out
 
 
 def _translation_invariant(expm: np.ndarray, order: int, addt: np.ndarray, n: int) -> bool:
@@ -694,12 +710,16 @@ def verify_representation(
     grow from one row, checking each block against every generator in one
     call, so a failure at row x stops after at most (2x + 1)|S| pairs.  Sampled
     mode checks ``sample`` pairs drawn from the deterministic generator
-    seeded by :func:`representation_seed`.  All paths run the same exact
-    check, one block of rows at a time.  A failure raises NotOrthogonal
-    carrying, in full mode, the smallest failing x and then the smallest
-    failing x + s, and in sampled mode the first failing pair in draw order;
-    a clean pass is True.  ``sample`` is read as an int through
-    operator.index; one below 1 would check nothing and raises DomainError.
+    seeded by :func:`representation_seed`.  Every mode runs the same exact
+    check one block at a time and counts a block in pairs, each taking two
+    exponent rows, their int64 differences, 2m bins, its int64 indices and
+    the n int64 digits of x.  Beyond the shell's vertex indices, the row-0
+    check builds nothing, and sampled mode and the scan build the digit
+    tables, n x q x |S| bytes.  A failure raises NotOrthogonal carrying, in
+    full mode, the smallest failing x and then the smallest failing x + s,
+    and in sampled mode the first failing pair in draw order; a clean pass
+    is True.  ``sample`` is read as an int through operator.index; one below
+    1 would check nothing and raises DomainError.
     """
     import numpy as np
 
@@ -713,27 +733,29 @@ def verify_representation(
         raise SpecMismatch(f"representation has {rep.rows} rows, expected {q**n}")
     expm, m = rep.exponents, rep.root_order
     ys = _shell_indices(group, n, label)
-    shape = (q,) * n
-    words = np.transpose(np.unravel_index(ys, shape))
-    addt = np.array([[group.add(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
-    # per row: one gathered row, its int64 differences, and 2m bins
-    step = _block_rows(9 * rep.cols + 32 * m)
+    addt = np.array([[group.add(a, b) for b in range(q)] for a in range(q)],
+                    dtype=np.min_scalar_type(q - 1))
+    # a pair's int64 indices are a draw's two words, x, j and x + s
+    pairs = _block_rows((2 * expm.itemsize + 8) * rep.cols + 32 * m + 8 * (n + 5))
+    row0 = sample is None and _translation_invariant(expm, m, addt, n)
+    # entry (k, a, j) is digit k of x + s_j for any vertex x with x_k = a
+    tables = None if row0 else np.take(addt, np.unravel_index(ys, (q,) * n), axis=1).swapaxes(0, 1)
     witness: tuple[int, int] | None = None
     if sample is not None:
         seed = representation_seed(spec)
-        for start in range(0, sample, step):
-            draws = _splitmix_draws(seed, 2 * start, 2 * min(start + step, sample))
+        for start in range(0, sample, pairs):
+            draws = _splitmix_draws(seed, 2 * start, 2 * min(start + pairs, sample))
             xs = (draws[0::2] % rep.rows).astype(np.intp)
             gens = (draws[1::2] % len(ys)).astype(np.intp)
-            yv = _shifted(np.unravel_index(xs, shape), words[gens], addt)
+            yv = _neighbours(tables, xs, gens)
             bad = _failing_rows(np.take(expm, xs, axis=0), np.take(expm, yv, axis=0), m)
             if bad.size:
                 witness = (int(xs[bad[0]]), int(yv[bad[0]]))
                 break
-    elif _translation_invariant(expm, m, addt, n):
+    elif row0:
         # ys ascends, so the first failing block holds the smallest failing y
-        for start in range(0, len(ys), step):
-            ey = np.take(expm, ys[start : start + step], axis=0)
+        for start in range(0, len(ys), pairs):
+            ey = np.take(expm, ys[start : start + pairs], axis=0)
             bad = _failing_rows(np.broadcast_to(expm[0], ey.shape), ey, m)
             if bad.size:
                 witness = (0, int(ys[start + bad[0]]))
@@ -744,30 +766,17 @@ def verify_representation(
         # smallest failing x.  The blocks grow from one row, so a failure at
         # row x stops after about log2(x + 2) calls.  Should one row's pairs
         # outgrow a block, the blocks stay one row and its generators are
-        # split instead.
-        # per pair: two exponent rows, their int64 differences, 2m bins and
-        # the int64 neighbour indices
-        pairs = _block_rows((2 * expm.itemsize + 8) * rep.cols + 32 * m + 32)
+        # split into slices of the digit tables instead.
         width = min(len(ys), pairs)
         most = max(1, pairs // len(ys))
-        # x + s for digit x_k is table[k, x_k] in each chunk of generators, so
-        # a block's neighbour indices take one row gather per coordinate
-        narrow = addt.astype(np.min_scalar_type(q - 1))
-        chunks = [
-            np.ascontiguousarray(narrow[:, words[first : first + width].T].swapaxes(0, 1))
-            for first in range(0, len(ys), width)
-        ]
         start, size = 0, 1
         while witness is None and start < rep.rows:
             stop = min(start + size, rep.rows)
-            digits = np.unravel_index(np.arange(start, stop), shape)
+            xs = np.arange(start, stop)
             found = []
-            for table in chunks:
-                gens = table.shape[2]
-                yv = np.zeros((stop - start, gens), dtype=np.intp)
-                for d, row in zip(digits, table):
-                    yv *= q
-                    yv += np.take(row, d, axis=0)
+            for first in range(0, len(ys), width):
+                yv = _neighbours(tables, xs, slice(first, first + width))
+                gens = yv.shape[1]
                 ex = np.repeat(expm[start:stop], gens, axis=0)
                 bad = _failing_rows(ex, np.take(expm, yv.ravel(), axis=0), m)
                 if bad.size:

@@ -173,6 +173,18 @@ def test_lp_errors_keep_their_types():
         lp_two_support(4, 1, 2)
 
 
+def test_lp_solution_refuses_graphs_its_check_cannot_read():
+    # the domain of kraw_column: n >= 1, q >= 2 and d in 0..n, refused at
+    # construction rather than by the later check
+    with pytest.raises(DomainError, match=r"^need n >= 1 and q >= 2, got n=2, q=1$"):
+        LPSolution(2, 1, 1, (1, 1, 1))
+    with pytest.raises(DomainError, match=r"^need n >= 1 and q >= 2, got n=-1, q=2$"):
+        LPSolution(-1, 2, 1, ())
+    with pytest.raises(RangeError, match=r"^distance d=5 outside 0..2$"):
+        LPSolution(2, 2, 5, (0, 0, 1))
+    assert LPSolution(2, 2, 0, (1, 0, 0)).d == 0
+
+
 def test_check_rejects_negative_coefficient():
     sol = LPSolution(4, 2, 2, (1, -1, 1, 0, 0))
     with pytest.raises(Infeasible) as err:
@@ -458,6 +470,16 @@ def test_sampled_verification_reports_the_first_failing_draw():
                     break
             assert _verdict(rep, spec, sample) == expected
     assert late_failures  # some first failures lie beyond the first rep.rows draws
+
+
+@pytest.mark.parametrize("block_bytes", [1, 200, 5000])
+def test_sampled_verification_keeps_its_first_failing_draw_in_small_blocks(
+    monkeypatch, block_bytes
+):
+    # 1 byte checks one draw per kernel call; 200 and 5000 bytes put the
+    # block edges between other draws
+    monkeypatch.setattr(bounds, "_BLOCK_BYTES", block_bytes)
+    test_sampled_verification_reports_the_first_failing_draw()
 
 
 def test_sampled_verification_is_deterministic():
@@ -1058,6 +1080,24 @@ def test_a_failing_scan_takes_the_matrix_and_one_block(monkeypatch, block_bytes)
     assert expected is not True and _verdict(changed, spec) == expected
     bound = 2 * rep.exponents.nbytes + bounds._BLOCK_BYTES
     assert _traced_peak(lambda: _verdict(changed, spec)) < bound
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1 << 18])
+def test_sampled_verification_takes_the_matrix_the_digit_tables_and_one_block(
+    monkeypatch, block_bytes
+):
+    # Each draw's indices and digits count in its block, so that many draws
+    # over a long word take one block beyond the n x q x |S| one-byte digit
+    # tables.  At 256 KiB each of these checks many blocks.
+    if block_bytes is not None:
+        monkeypatch.setattr(bounds, "_BLOCK_BYTES", block_bytes)
+    cells = [(12, 2, 11, 400_000), (16, 2, 15, 400_000), (8, 3, 8, 100_000), (5, 5, 5, 100_000)]
+    for n, q, d, sample in cells:
+        spec = HammingGraphSpec(n, q, d)
+        rep = build_representation(lp_two_support(n, q, d), cyclic(q))
+        generators = len(_generators(spec, rep.group))
+        bound = 2 * rep.exponents.nbytes + n * q * generators + bounds._BLOCK_BYTES
+        assert _traced_peak(lambda: verify_representation(rep, spec, sample=sample)) < bound
 
 
 def test_index_shells_match_enumerate_shell():

@@ -17,11 +17,14 @@ from hypothesis import strategies as st
 from scheme_spectra import (
     CompositionGraphSpec,
     CycInt,
+    DomainError,
     HammingGraphSpec,
     LPSolution,
     NotOrthogonal,
+    Representation,
     SchemeSpectraError,
     SizeExceeded,
+    SpecMismatch,
     binom,
     build_representation,
     check_lp_solution,
@@ -308,6 +311,29 @@ def test_a_representation_keeps_n_as_an_int(kind):
     rep = hadamard_representation(cyclic(2), kind(4))
     assert type(rep.n) is int
     assert _matrix(rep) == _matrix(hadamard_representation(cyclic(2), 4))
+
+
+@pytest.mark.parametrize("kind", _NUMPY_INTS)
+def test_a_constructed_representation_keeps_n_as_an_int(kind):
+    plain = build_representation(lp_two_support(3, 2, 2), cyclic(2))
+    rep = Representation(cyclic(2), kind(3), plain.exponents, "cast")
+    assert type(rep.n) is int and rep.n == 3
+    assert _matrix(rep) == _matrix(plain)
+    assert _verdict(rep, HammingGraphSpec(3, 2, 2), None) is True
+
+
+def test_a_representation_refuses_an_n_that_is_not_a_count():
+    exponents = np.zeros((16, 4), dtype=np.uint8)
+    for n in (2.5, 3.0, "3"):
+        with pytest.raises(TypeError):
+            Representation(cyclic(2), n, exponents, "x")
+    for n in (-1, np.int8(-3)):
+        with pytest.raises(DomainError, match=rf"^need n >= 0, got n={int(n)}$"):
+            Representation(cyclic(2), n, exponents, "x")
+    # rows against q^n is the verifier's check: 16 rows are not 2^3
+    rep = Representation(cyclic(2), 3, exponents, "x")
+    with pytest.raises(SpecMismatch, match=r"^representation has 16 rows, expected 8$"):
+        verify_representation(rep, HammingGraphSpec(3, 2, 1))
 
 
 @pytest.mark.parametrize("kind", _NUMPY_INTS)
