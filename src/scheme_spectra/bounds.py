@@ -292,19 +292,6 @@ def _additive_blocks(
         yield h * len(tail), block
 
 
-def _occurrences(letters: np.ndarray, n: int) -> np.ndarray:
-    """For every vertex in canonical order, how many of its n coordinates
-    hold a letter g with letters[g] set, built one coordinate at a time like
-    :func:`_additive_matrix`."""
-    import numpy as np
-
-    count = np.zeros(1, dtype=np.uint8)
-    step = letters.astype(np.uint8)
-    for _ in range(n):
-        count = (count[:, None] + step).ravel()
-    return count
-
-
 def _shell_indices(group: GroupSpec, n: int, label: int | Composition) -> np.ndarray:
     """The vertex indices of a shell's words, ascending, which is their
     canonical order: a weight shell is read off the count of nonzero letters,
@@ -312,25 +299,51 @@ def _shell_indices(group: GroupSpec, n: int, label: int | Composition) -> np.nda
     it holds none of then occur nowhere, since the counts sum to n)."""
     import numpy as np
 
-    alphabet = np.arange(group.order)
+    alphabet = np.arange(group.order)[:, None]
     w = _weight_label(label, n)
     if w is not None:
-        return np.flatnonzero(_occurrences(alphabet != 0, n) == w)
-    match = np.ones(group.order**n, dtype=bool)
+        return np.flatnonzero(_additive_matrix([alphabet != 0] * n, 1, n + 1) == w)
+    match = np.ones((group.order**n, 1), dtype=bool)
     for g, c in enumerate(label):
         if c:
-            match &= _occurrences(alphabet == g, n) == c
+            match &= _additive_matrix([alphabet == g] * n, 1, n + 1) == c
     return np.flatnonzero(match)
+
+
+def _digits(group: GroupSpec) -> np.ndarray:
+    """Row g holds the k base-m digits of letter g, lowest first, for the
+    character order m and q = m^k (see :class:`~scheme_spectra.groups.GroupSpec`),
+    in the :func:`_exponent_dtype` of m, which holds the sum of two digits."""
+    import numpy as np
+
+    q, m = group.order, group.char_order
+    powers = [m**i for i in range(q.bit_length()) if m**i < q]
+    return (np.arange(q)[:, None] // powers % m).astype(_exponent_dtype(m))
+
+
+def _linear_blocks(coeffs: np.ndarray, units: np.ndarray, m: int) -> np.ndarray:
+    """The blocks coeffs @ units[j] mod m, n x q x cols for q x k coefficients
+    and n x k x cols units, in the :func:`_exponent_dtype` of m, built in int64
+    one block of q rows at a time."""
+    import numpy as np
+
+    n, _, cols = units.shape
+    out = np.empty((n, len(coeffs), cols), dtype=_exponent_dtype(m))
+    step = _block_rows(16 * n * cols)  # the int64 products and their residues
+    for start in range(0, len(coeffs), step):
+        out[:, start : start + step] = coeffs[start : start + step] @ units % m
+    return out
 
 
 def _character_matrix(group: GroupSpec, n: int, words: Iterable[Sequence[int]]) -> np.ndarray:
     """The characters of ``words`` as columns: entry (x, j) is the exponent
     of phi_(words[j])(x), x in canonical vertex order, reduced mod the root
     order m, C-ordered in the :func:`_exponent_dtype` of m.  ``words`` may
-    also be a columns x n array of digits.  The row cap is checked before any
+    also be a columns x n array of letters.  The row cap is checked before any
     word is read and the cell cap once they are listed.  Block k of the
-    :func:`_additive_matrix` holds the character table's columns words[j][k],
-    and the matrix is filled one row block at a time."""
+    :func:`_additive_matrix` holds phi_g(words[j][k]): phi_g at the digit units
+    (q x k calls) weighted by the :func:`_digits` of words[j][k].  The matrix
+    is filled one row block at a time."""
     import numpy as np
 
     n = operator.index(n)  # a narrow numpy n would wrap q**n under the row cap
@@ -346,14 +359,12 @@ def _character_matrix(group: GroupSpec, n: int, words: Iterable[Sequence[int]]) 
             f"cap is {REPRESENTATION_MAX_CELLS}"
         )
     m = group.char_order
-    table = np.array(
-        [[group.char_exponent(g, h) for h in range(q)] for g in range(q)],
-        dtype=_exponent_dtype(m),
-    )
+    digits = _digits(group)
+    units = np.array([[group.char_exponent(g, m**i) for i in range(digits.shape[1])]
+                      for g in range(q)], dtype=np.int64)
     words = words.reshape(cols, n)
-    # np.take keeps each block C-ordered, where table[:, ...] would not
-    blocks = [np.take(table, words[:, k], axis=1) for k in range(n)]
-    exponents = np.empty((rows, cols), dtype=table.dtype)
+    blocks = _linear_blocks(units, digits[words.T].swapaxes(1, 2), m)
+    exponents = np.empty((rows, cols), dtype=_exponent_dtype(m))
     for start, block in _additive_blocks(blocks, cols, m):
         exponents[start : start + len(block)] = block
     return exponents
@@ -634,32 +645,34 @@ def _neighbours(tables: np.ndarray, xs: np.ndarray, gens: np.ndarray | slice) ->
     return out
 
 
-def _translation_invariant(expm: np.ndarray, order: int, addt: np.ndarray, n: int) -> bool:
+def _translation_invariant(expm: np.ndarray, order: int, group: GroupSpec, n: int) -> bool:
     """Whether expm[x + g*e_k] - expm[x] == expm[g*e_k] - expm[0] (mod order)
     for every row x, coordinate k and g, where expm holds exponents reduced
     mod order: exactly when each delta_k[g] = expm[g*e_k] - expm[0] is
     additive in g and expm is expm[0] plus the :func:`_additive_matrix` of
-    the delta_k.  The sum is rebuilt and compared one row block at a time.
+    the delta_k.  The digit units m^i generate the alphabet, so delta_k is
+    additive when each u = delta_k[m^i] has m*u = 0 (mod order) and it is
+    built as their sum weighted by the :func:`_digits` of g.  The sum is
+    rebuilt and compared one row block at a time.
     Adding s to x then adds the same exponents to every row, so rows x and
     x + s have the inner product of rows 0 and s."""
     import numpy as np
 
-    q = len(addt)
-    dtype = _exponent_dtype(order)
-    # units[:, k, g] are the digits of g*e_k, so delta[k, g] is row g*e_k less row 0
-    units = np.eye(n, dtype=np.int64)[:, :, None] * np.arange(q)
-    delta = np.take(expm, np.ravel_multi_index(units, (q,) * n), axis=0).astype(np.int64)
-    delta -= expm[0]
-    delta = (delta % order).astype(dtype)
-    for dk in delta:
-        total = dk[:, None] + dk
-        np.minimum(total, total - order, out=total)
-        if not np.array_equal(total, dk[addt]):
-            return False
-    blocks = [expm[:1].astype(dtype), *delta]
+    digits = _digits(group)
+    q, k = digits.shape
+    m, cols = group.char_order, expm.shape[1]
+    # row m^i * q^(n-1-j) is the word m^i * e_j
+    rows = np.outer(q ** np.arange(n - 1, -1, -1), m ** np.arange(k))
+    units = np.take(expm, rows.ravel(), axis=0).astype(np.int64)
+    units -= expm[0]
+    units %= order
+    if (m * units % order).any():
+        return False
+    blocks = [expm[:1].astype(_exponent_dtype(order))]
+    blocks += list(_linear_blocks(digits, units.reshape(n, k, cols), order))
     return all(
         np.array_equal(block, expm[start : start + len(block)])
-        for start, block in _additive_blocks(blocks, expm.shape[1], order)
+        for start, block in _additive_blocks(blocks, cols, order)
     )
 
 
@@ -701,9 +714,10 @@ def verify_representation(
     Every entry is a power of zeta_m, so it has modulus one by construction,
     and the exponent matrix is read as it is, at its root order m.  Full
     mode (``sample=None``) checks the pair (x, x + s) for every vertex x and
-    generator s.  It first checks, in one pass over the matrix, that the
-    exponents are additive along each coordinate, as they are in every
-    character-built representation; then each pair has the inner product of
+    generator s.  It first checks that the exponents are additive along each
+    coordinate, as they are in every character-built representation, from
+    the rows of the n x k digit units and one pass over the matrix
+    (:func:`_translation_invariant`); then each pair has the inner product of
     rows 0 and s, and one check of row 0 against the rows of all generators
     decides.  Otherwise, for example after a :meth:`Representation.with_entry`
     that breaks the character structure, it scans the rows in blocks that
@@ -715,11 +729,12 @@ def verify_representation(
     exponent rows, their int64 differences, 2m bins, its int64 indices and
     the n int64 digits of x.  Beyond the shell's vertex indices, the row-0
     check builds nothing, and sampled mode and the scan build the digit
-    tables, n x q x |S| bytes.  A failure raises NotOrthogonal carrying, in
-    full mode, the smallest failing x and then the smallest failing x + s,
-    and in sampled mode the first failing pair in draw order; a clean pass
-    is True.  ``sample`` is read as an int through operator.index; one below
-    1 would check nothing and raises DomainError.
+    tables, n x q x |S| bytes, from digit-wise sums, or raise SizeExceeded
+    above REPRESENTATION_MAX_CELLS entries.  A failure raises NotOrthogonal
+    carrying, in full mode, the smallest failing x and then the smallest
+    failing x + s, and in sampled mode the first failing pair in draw order;
+    a clean pass is True.  ``sample`` is read as an int through
+    operator.index; one below 1 would check nothing and raises DomainError.
     """
     import numpy as np
 
@@ -733,13 +748,24 @@ def verify_representation(
         raise SpecMismatch(f"representation has {rep.rows} rows, expected {q**n}")
     expm, m = rep.exponents, rep.root_order
     ys = _shell_indices(group, n, label)
-    addt = np.array([[group.add(a, b) for b in range(q)] for a in range(q)],
-                    dtype=np.min_scalar_type(q - 1))
     # a pair's int64 indices are a draw's two words, x, j and x + s
     pairs = _block_rows((2 * expm.itemsize + 8) * rep.cols + 32 * m + 8 * (n + 5))
-    row0 = sample is None and _translation_invariant(expm, m, addt, n)
-    # entry (k, a, j) is digit k of x + s_j for any vertex x with x_k = a
-    tables = None if row0 else np.take(addt, np.unravel_index(ys, (q,) * n), axis=1).swapaxes(0, 1)
+    row0 = sample is None and _translation_invariant(expm, m, group, n)
+    if not row0:
+        cells = n * q * len(ys)
+        if cells > REPRESENTATION_MAX_CELLS:
+            raise SizeExceeded(
+                f"digit tables would have {cells} entries; cap is {REPRESENTATION_MAX_CELLS}"
+            )
+        # entry (k, a, j) is digit k of x + s_j for any vertex x with x_k = a,
+        # the letter a + s_j[k], summed digit-wise mod m on the _digits
+        digits = _digits(group)
+        tables = np.zeros((n, q, len(ys)), dtype=np.min_scalar_type(q - 1))
+        for table, letters in zip(tables, np.unravel_index(ys, (q,) * n)):
+            for i, column in enumerate(digits.T):
+                total = column[:, None] + column[letters]
+                np.minimum(total, total - m, out=total)
+                table += total * table.dtype.type(m**i)
     witness: tuple[int, int] | None = None
     if sample is not None:
         seed = representation_seed(spec)

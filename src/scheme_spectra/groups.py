@@ -5,7 +5,8 @@ power order.  Elements are handled as indices 0..q-1 (field elements are
 indexed by the base-p value of their coefficient vector), words over the
 alphabet are plain tuples of indices, and a word's composition counts how
 often each element occurs.  Characters take values in the cyclotomic
-integers of order q (cyclic case) or of the characteristic p (field case).
+integers of order m = q (cyclic case) or of the characteristic m = p (field
+case), and indices add as base-m numerals, digit by digit mod m (GroupSpec).
 """
 
 from __future__ import annotations
@@ -63,7 +64,12 @@ class Composition(Record):
 
 
 class GroupSpec:
-    """Shared interface of the supported alphabets."""
+    """Shared interface of the supported alphabets.
+
+    Every element index is a k-digit base-m numeral, m = ``char_order`` and
+    q = m^k (k = 1 for Z_q), and ``add`` sums numerals digit by digit mod m.
+    So ``char_exponent(g, h)`` is the sum of ``char_exponent(g, m^i)`` weighted
+    by the digits h_i of h, mod m, as the representation code relies on."""
 
     order: int
     char_order: int

@@ -16,6 +16,7 @@ from scheme_spectra import (
     Composition,
     CompositionGraphSpec,
     CycInt,
+    CyclicGroup,
     DivisibilityError,
     DomainError,
     FiniteField,
@@ -682,10 +683,8 @@ def _invariance_cases():
 def test_translation_invariance_agrees_with_its_definition():
     verdicts = {}
     for kind, expm, order, group, n in _invariance_cases():
-        q = group.order
-        addt = np.array([[group.add(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
         expected = _invariant_oracle(expm, order, group, n)
-        assert bounds._translation_invariant(expm, order, addt, n) is expected
+        assert bounds._translation_invariant(expm, order, group, n) is expected
         verdicts[kind, expected] = verdicts.get((kind, expected), 0) + 1
     assert verdicts["chars", True] >= 100 and verdicts["offset", True] >= 100
     assert verdicts["mutated", False] >= 50 and verdicts["blocked", False] >= 50
@@ -1098,6 +1097,54 @@ def test_sampled_verification_takes_the_matrix_the_digit_tables_and_one_block(
         generators = len(_generators(spec, rep.group))
         bound = 2 * rep.exponents.nbytes + n * q * generators + bounds._BLOCK_BYTES
         assert _traced_peak(lambda: verify_representation(rep, spec, sample=sample)) < bound
+
+
+def test_a_large_alphabet_verifies_in_the_matrix_and_one_block():
+    # H(1, 512, 1): one coordinate of 512 letters, a 512 x 512 two-byte
+    # matrix.  The additivity check reads the unit row and rebuilds the
+    # matrix in blocks, with no q x q x columns array.  The first call fills
+    # the cached reduction rows of zeta_512 that the exact check reads.
+    rep = build_representation(lp_two_support(1, 512, 1), cyclic(512))
+    spec = HammingGraphSpec(1, 512, 1)
+    assert rep.exponents.dtype == np.uint16 and verify_representation(rep, spec) is True
+    bound = 2 * rep.exponents.nbytes + bounds._BLOCK_BYTES
+    assert _traced_peak(lambda: verify_representation(rep, spec)) < bound
+
+
+def test_build_and_verify_read_characters_at_the_digit_units_only(monkeypatch):
+    # q x k char_exponent calls (k = 1 for Z_q) and no table of group sums
+    calls = {"char_exponent": 0, "add": 0}
+    for name in calls:
+        def counted(self, a, b, name=name, method=getattr(CyclicGroup, name)):
+            calls[name] += 1
+            return method(self, a, b)
+
+        monkeypatch.setattr(CyclicGroup, name, counted)
+    group, spec = cyclic(512), HammingGraphSpec(1, 512, 1)
+    rep = build_representation(lp_two_support(1, 512, 1), group)
+    assert verify_representation(rep, spec) is True
+    assert verify_representation(rep, spec, sample=100) is True
+    changed = rep.with_entry(3, 5, rep.entry(3, 5) * CycInt.root_of_unity(512, 1))
+    with pytest.raises(NotOrthogonal):
+        verify_representation(changed, spec)
+    assert calls == {"char_exponent": 512, "add": 0}
+
+
+def test_digit_tables_over_the_cell_cap_are_refused_before_they_are_built():
+    # H(2, 1024, 2) has 1023^2 generators: its digit tables would hold
+    # 2 x 1024 x 1023^2 entries, above REPRESENTATION_MAX_CELLS.
+    rep = Representation(cyclic(1024), 2, np.zeros((1 << 20, 1), dtype=np.uint16), "zeros")
+    spec = HammingGraphSpec(2, 1024, 2)
+    start = time.perf_counter()
+    message = r"^digit tables would have 2143291392 entries; cap is 134217728$"
+    with pytest.raises(SizeExceeded, match=message):
+        verify_representation(rep, spec, sample=1)
+    assert time.perf_counter() - start < 1
+    # full mode builds no tables: the matrix is additive, and row 0 fails
+    # against the least word of weight 2
+    with pytest.raises(NotOrthogonal) as failure:
+        verify_representation(rep, spec)
+    assert (failure.value.row_x, failure.value.row_y, failure.value.word_y) == (0, 1025, (1, 1))
 
 
 def test_index_shells_match_enumerate_shell():

@@ -120,6 +120,36 @@ def test_character_table(group):
         assert row == (q if g == 0 else 0)
 
 
+@pytest.mark.parametrize(
+    "group",
+    [cyclic(q) for q in range(2, 13)] + [finite_field(q) for q in (4, 8, 9, 16, 25, 27, 32)],
+    ids=lambda g: str(g.describe()),
+)
+def test_letters_are_base_m_numerals_that_add_digit_wise(group):
+    # The representation builder and verifier rely on this: with m the
+    # character order, every letter is a k-digit base-m numeral (q = m^k),
+    # letters add digit by digit mod m, and so a character is the sum of its
+    # values at the digit units m^i weighted by the digits of its argument.
+    q, m = group.order, group.char_order
+    k = 1
+    while m**k < q:
+        k += 1
+    assert m**k == q
+
+    def digits(a):
+        return [a // m**i % m for i in range(k)]
+
+    for a in range(q):
+        for b in range(q):
+            total = sum((x + y) % m * m**i for i, (x, y) in enumerate(zip(digits(a), digits(b))))
+            assert group.add(a, b) == total
+    for g in range(q):
+        at_units = [group.char_exponent(g, m**i) for i in range(k)]
+        for h in range(q):
+            weighted = sum(d * e for d, e in zip(digits(h), at_units)) % m
+            assert group.char_exponent(g, h) == weighted
+
+
 def test_cyclic_char_is_power_of_primitive_root():
     g = cyclic(5)
     z = CycInt.root_of_unity(5)
