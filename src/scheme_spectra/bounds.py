@@ -630,29 +630,31 @@ def _generating_labels(
     return spec.group, spec.dcomp
 
 
-def _neighbours(tables: np.ndarray, xs: np.ndarray, gens: np.ndarray | slice) -> np.ndarray:
-    """Vertex indices of x + s_j for the vertices xs, one gather per digit
-    table: one index per x for an array ``gens`` of one j per x, or a row
-    per x and a column per j for a slice ``gens`` of generators."""
+def _neighbours(m: int, xs: np.ndarray, steps: Sequence[np.ndarray]) -> np.ndarray:
+    """Vertex indices of x + s for the vertices xs and the generators whose
+    base-m digits, highest first, are the ``steps``, in the :func:`_exponent_dtype`
+    of m: vertices add as N-digit base-m numerals, digit by digit mod m (see
+    :class:`~scheme_spectra.groups.GroupSpec`).  xs and the steps pair up
+    entry by entry, or broadcast as a column of x against a row of s."""
     import numpy as np
 
-    n, q = tables.shape[:2]
-    digits = np.unravel_index(xs, (q,) * n)
-    out = tables[0][digits[0], gens].astype(np.intp)
-    for table, d in zip(tables[1:], digits[1:]):
-        out *= q
-        out += table[d, gens]
+    out = np.zeros(np.broadcast_shapes(xs.shape, steps[0].shape), dtype=np.intp)
+    for digit, step in zip(np.unravel_index(xs, (m,) * len(steps)), steps):
+        total = digit.astype(step.dtype) + step
+        np.minimum(total, total - m, out=total)
+        out *= m
+        out += total
     return out
 
 
-def _translation_invariant(expm: np.ndarray, order: int, group: GroupSpec, n: int) -> bool:
-    """Whether expm[x + g*e_k] - expm[x] == expm[g*e_k] - expm[0] (mod order)
+def _translation_invariant(expm: np.ndarray, group: GroupSpec, n: int) -> bool:
+    """Whether expm[x + g*e_k] - expm[x] == expm[g*e_k] - expm[0] (mod m)
     for every row x, coordinate k and g, where expm holds exponents reduced
-    mod order: exactly when each delta_k[g] = expm[g*e_k] - expm[0] is
-    additive in g and expm is expm[0] plus the :func:`_additive_matrix` of
-    the delta_k.  The digit units m^i generate the alphabet, so delta_k is
-    additive when each u = delta_k[m^i] has m*u = 0 (mod order) and it is
-    built as their sum weighted by the :func:`_digits` of g.  The sum is
+    mod the character order m: exactly when each delta_k[g] = expm[g*e_k] -
+    expm[0] is additive in g and expm is expm[0] plus the
+    :func:`_additive_matrix` of the delta_k.  The digit units m^i generate
+    the alphabet, so delta_k is additive exactly when it is the sum of the
+    u = delta_k[m^i] weighted by the :func:`_digits` of g.  The sum is
     rebuilt and compared one row block at a time.
     Adding s to x then adds the same exponents to every row, so rows x and
     x + s have the inner product of rows 0 and s."""
@@ -665,14 +667,12 @@ def _translation_invariant(expm: np.ndarray, order: int, group: GroupSpec, n: in
     rows = np.outer(q ** np.arange(n - 1, -1, -1), m ** np.arange(k))
     units = np.take(expm, rows.ravel(), axis=0).astype(np.int64)
     units -= expm[0]
-    units %= order
-    if (m * units % order).any():
-        return False
-    blocks = [expm[:1].astype(_exponent_dtype(order))]
-    blocks += list(_linear_blocks(digits, units.reshape(n, k, cols), order))
+    units %= m
+    blocks = [expm[:1].astype(_exponent_dtype(m))]
+    blocks += list(_linear_blocks(digits, units.reshape(n, k, cols), m))
     return all(
         np.array_equal(block, expm[start : start + len(block)])
-        for start, block in _additive_blocks(blocks, cols, order)
+        for start, block in _additive_blocks(blocks, cols, m)
     )
 
 
@@ -714,27 +714,24 @@ def verify_representation(
     Every entry is a power of zeta_m, so it has modulus one by construction,
     and the exponent matrix is read as it is, at its root order m.  Full
     mode (``sample=None``) checks the pair (x, x + s) for every vertex x and
-    generator s.  It first checks that the exponents are additive along each
-    coordinate, as they are in every character-built representation, from
-    the rows of the n x k digit units and one pass over the matrix
-    (:func:`_translation_invariant`); then each pair has the inner product of
-    rows 0 and s, and one check of row 0 against the rows of all generators
-    decides.  Otherwise, for example after a :meth:`Representation.with_entry`
-    that breaks the character structure, it scans the rows in blocks that
-    grow from one row, checking each block against every generator in one
-    call, so a failure at row x stops after at most (2x + 1)|S| pairs.  Sampled
+    generator s, scanning the rows in blocks that grow from one row, each
+    block against every generator in one call, so a failure at row x stops
+    after at most (2x + 1)|S| pairs.  When the exponents are additive along
+    each coordinate, as in every character-built representation
+    (:func:`_translation_invariant`), each pair has the inner product of
+    rows 0 and s, and the scan ends after its first block, row 0.  Sampled
     mode checks ``sample`` pairs drawn from the deterministic generator
     seeded by :func:`representation_seed`.  Every mode runs the same exact
     check one block at a time and counts a block in pairs, each taking two
-    exponent rows, their int64 differences, 2m bins, its int64 indices and
-    the n int64 digits of x.  Beyond the shell's vertex indices, the row-0
-    check builds nothing, and sampled mode and the scan build the digit
-    tables, n x q x |S| bytes, from digit-wise sums, or raise SizeExceeded
-    above REPRESENTATION_MAX_CELLS entries.  A failure raises NotOrthogonal
-    carrying, in full mode, the smallest failing x and then the smallest
-    failing x + s, and in sampled mode the first failing pair in draw order;
-    a clean pass is True.  ``sample`` is read as an int through
-    operator.index; one below 1 would check nothing and raises DomainError.
+    exponent rows, their int64 differences, 2m bins, its int64 indices, and
+    the N = n*k intp digits of x and narrow digits of s from which
+    :func:`_neighbours` sums x + s.  Beyond the shell's vertex indices,
+    sampled mode and a scan past row 0 hold the generators' N x |S| digits.
+    A failure raises NotOrthogonal carrying, in full mode, the smallest
+    failing x and then the smallest failing x + s, and in sampled mode the
+    first failing pair in draw order; a clean pass is True.  ``sample`` is
+    read as an int through operator.index; one below 1 would check nothing
+    and raises DomainError.
     """
     import numpy as np
 
@@ -748,24 +745,14 @@ def verify_representation(
         raise SpecMismatch(f"representation has {rep.rows} rows, expected {q**n}")
     expm, m = rep.exponents, rep.root_order
     ys = _shell_indices(group, n, label)
+    digits = n * _digits(group).shape[1]  # N, with q^n = m^N
     # a pair's int64 indices are a draw's two words, x, j and x + s
-    pairs = _block_rows((2 * expm.itemsize + 8) * rep.cols + 32 * m + 8 * (n + 5))
-    row0 = sample is None and _translation_invariant(expm, m, group, n)
-    if not row0:
-        cells = n * q * len(ys)
-        if cells > REPRESENTATION_MAX_CELLS:
-            raise SizeExceeded(
-                f"digit tables would have {cells} entries; cap is {REPRESENTATION_MAX_CELLS}"
-            )
-        # entry (k, a, j) is digit k of x + s_j for any vertex x with x_k = a,
-        # the letter a + s_j[k], summed digit-wise mod m on the _digits
-        digits = _digits(group)
-        tables = np.zeros((n, q, len(ys)), dtype=np.min_scalar_type(q - 1))
-        for table, letters in zip(tables, np.unravel_index(ys, (q,) * n)):
-            for i, column in enumerate(digits.T):
-                total = column[:, None] + column[letters]
-                np.minimum(total, total - m, out=total)
-                table += total * table.dtype.type(m**i)
+    pairs = _block_rows(
+        (2 * expm.itemsize + 8) * rep.cols + 32 * m + (8 + expm.itemsize) * digits + 40
+    )
+    rows = 1 if sample is None and _translation_invariant(expm, group, n) else rep.rows
+    if sample is not None or rows > 1:
+        steps = [d.astype(expm.dtype) for d in np.unravel_index(ys, (m,) * digits)]
     witness: tuple[int, int] | None = None
     if sample is not None:
         seed = representation_seed(spec)
@@ -773,18 +760,10 @@ def verify_representation(
             draws = _splitmix_draws(seed, 2 * start, 2 * min(start + pairs, sample))
             xs = (draws[0::2] % rep.rows).astype(np.intp)
             gens = (draws[1::2] % len(ys)).astype(np.intp)
-            yv = _neighbours(tables, xs, gens)
+            yv = _neighbours(m, xs, [s[gens] for s in steps])
             bad = _failing_rows(np.take(expm, xs, axis=0), np.take(expm, yv, axis=0), m)
             if bad.size:
                 witness = (int(xs[bad[0]]), int(yv[bad[0]]))
-                break
-    elif row0:
-        # ys ascends, so the first failing block holds the smallest failing y
-        for start in range(0, len(ys), pairs):
-            ey = np.take(expm, ys[start : start + pairs], axis=0)
-            bad = _failing_rows(np.broadcast_to(expm[0], ey.shape), ey, m)
-            if bad.size:
-                witness = (0, int(ys[start + bad[0]]))
                 break
     else:
         # Block by block of rows x, each row against every generator s in one
@@ -792,16 +771,17 @@ def verify_representation(
         # smallest failing x.  The blocks grow from one row, so a failure at
         # row x stops after about log2(x + 2) calls.  Should one row's pairs
         # outgrow a block, the blocks stay one row and its generators are
-        # split into slices of the digit tables instead.
+        # split into slices instead.
         width = min(len(ys), pairs)
         most = max(1, pairs // len(ys))
         start, size = 0, 1
-        while witness is None and start < rep.rows:
-            stop = min(start + size, rep.rows)
-            xs = np.arange(start, stop)
+        while witness is None and start < rows:
+            stop = min(start + size, rows)
+            xs = np.arange(start, stop)[:, None]
             found = []
             for first in range(0, len(ys), width):
-                yv = _neighbours(tables, xs, slice(first, first + width))
+                part = slice(first, first + width)
+                yv = _neighbours(m, xs, [s[part] for s in steps]) if start else ys[None, part]
                 gens = yv.shape[1]
                 ex = np.repeat(expm[start:stop], gens, axis=0)
                 bad = _failing_rows(ex, np.take(expm, yv.ravel(), axis=0), m)
@@ -810,6 +790,8 @@ def verify_representation(
                     x = bad[0] // gens
                     y = yv[x, bad[bad // gens == x] % gens].min()
                     found.append((start + int(x), int(y)))
+                    if not start:
+                        break  # row 0's neighbours ascend, as ys does
             if found:
                 witness = min(found)
             start, size = stop, min(2 * size, most)

@@ -69,7 +69,9 @@ class GroupSpec:
     Every element index is a k-digit base-m numeral, m = ``char_order`` and
     q = m^k (k = 1 for Z_q), and ``add`` sums numerals digit by digit mod m.
     So ``char_exponent(g, h)`` is the sum of ``char_exponent(g, m^i)`` weighted
-    by the digits h_i of h, mod m, as the representation code relies on."""
+    by the digits h_i of h, mod m, as the representation code relies on.
+    The vertex index of a word of length n is then an n*k-digit base-m
+    numeral, and words add digit by digit mod m too."""
 
     order: int
     char_order: int

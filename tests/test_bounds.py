@@ -630,9 +630,10 @@ def test_the_cell_cap_fires_once_the_words_are_listed(monkeypatch):
         bounds._character_matrix(cyclic(2), 4, iter([(0, 0, 0, 1)] * 4))
 
 
-def _invariant_oracle(expm, order, group, n):
+def _invariant_oracle(expm, group, n):
     """The definition, pair by pair: expm[x + g*e_k] - expm[x] equals
-    expm[g*e_k] - expm[0] (mod order) for every row x, coordinate k and g."""
+    expm[g*e_k] - expm[0] (mod m) for every row x, coordinate k and g."""
+    order = group.char_order
     rows = expm.tolist()
     for k in range(n):
         for g in range(1, group.order):
@@ -646,9 +647,10 @@ def _invariant_oracle(expm, order, group, n):
 
 
 def _invariance_cases():
-    """(kind, exponents, order, group, n) over Z_2..Z_6 and GF(4, 8, 9) at orders
-    m and 2m: character matrices, constant row offsets, point mutations and
-    sums of per-coordinate blocks that are not characters."""
+    """(kind, exponents, group, n) over Z_2..Z_6 and GF(4, 8, 9): character
+    matrices, constant row offsets, point mutations and sums of
+    per-coordinate blocks that are not characters, each also with a negated
+    column and with a negated row."""
     rng = random.Random(161803)
     cells = [(cyclic(q), n) for q in range(2, 7) for n in (1, 2, 3) if q**n <= 125]
     cells += [(cyclic(2), 5), (finite_field(4), 2), (finite_field(4), 3),
@@ -668,23 +670,22 @@ def _invariance_cases():
             )
             kinds = {"chars": chars, "offset": offset, "mutated": mutated % m, "blocked": blocked % m}
             for kind, expm in kinds.items():
-                yield kind, expm, m, group, n
-                yield kind, 2 * expm, 2 * m, group, n
-                # at order 2m, a negated column keeps the invariance and a
-                # negated row (generically) breaks it
-                negated = 2 * expm
-                negated[:, 0] += m
-                yield kind, negated % (2 * m), 2 * m, group, n
-                negated = 2 * expm
-                negated[rng.randrange(q**n)] += m
-                yield kind, negated % (2 * m), 2 * m, group, n
+                yield kind, expm, group, n
+                # a negated column keeps the invariance, and a negated row
+                # (generically, for m > 2) breaks it
+                negated = expm.astype(np.int64)
+                negated[:, 0] *= -1
+                yield kind, negated % m, group, n
+                negated = expm.astype(np.int64)
+                negated[rng.randrange(q**n)] *= -1
+                yield kind, negated % m, group, n
 
 
 def test_translation_invariance_agrees_with_its_definition():
     verdicts = {}
-    for kind, expm, order, group, n in _invariance_cases():
-        expected = _invariant_oracle(expm, order, group, n)
-        assert bounds._translation_invariant(expm, order, group, n) is expected
+    for kind, expm, group, n in _invariance_cases():
+        expected = _invariant_oracle(expm, group, n)
+        assert bounds._translation_invariant(expm, group, n) is expected
         verdicts[kind, expected] = verdicts.get((kind, expected), 0) + 1
     assert verdicts["chars", True] >= 100 and verdicts["offset", True] >= 100
     assert verdicts["mutated", False] >= 50 and verdicts["blocked", False] >= 50
@@ -820,7 +821,7 @@ def test_a_flipped_entry_keeps_its_witness():
     assert _verdict(bad, HammingGraphSpec(3, 3, 2)) == (1, 13, (0, 0, 1), (1, 1, 1))
 
 
-def test_an_infeasible_character_matrix_fails_at_row_zero():
+def test_an_infeasible_character_matrix_fails_at_row_zero(monkeypatch):
     # c_0 bumped by one: check_lp_solution would refuse it, so the columns
     # are assembled here, bypassing build_representation
     good = lp_two_support(4, 2, 2)
@@ -835,6 +836,9 @@ def test_an_infeasible_character_matrix_fails_at_row_zero():
     # every adjacent pair has inner product 1, so the witness is row 0 and
     # the smallest word of weight 2
     assert _verdict(rep, spec) == (0, 3, (0, 0, 0, 0), (0, 0, 1, 1)) == _pair_oracle(rep, spec)
+    # with one pair per block, row 0 stops at its first generator
+    monkeypatch.setattr(bounds, "_BLOCK_BYTES", 1)
+    assert _counted_verdict(monkeypatch, rep, spec) == (_verdict(rep, spec), [1])
 
 
 def test_hadamard_needs_q_dividing_n():
@@ -1082,20 +1086,24 @@ def test_a_failing_scan_takes_the_matrix_and_one_block(monkeypatch, block_bytes)
 
 
 @pytest.mark.parametrize("block_bytes", [None, 1 << 18])
-def test_sampled_verification_takes_the_matrix_the_digit_tables_and_one_block(
+def test_sampled_verification_takes_the_matrix_the_generators_digits_and_one_block(
     monkeypatch, block_bytes
 ):
     # Each draw's indices and digits count in its block, so that many draws
-    # over a long word take one block beyond the n x q x |S| one-byte digit
-    # tables.  At 256 KiB each of these checks many blocks.
+    # over a long word take one block beyond the generators' n x k x |S|
+    # digits in the exponents' dtype.  At 256 KiB each of these checks many
+    # blocks.
     if block_bytes is not None:
         monkeypatch.setattr(bounds, "_BLOCK_BYTES", block_bytes)
-    cells = [(12, 2, 11, 400_000), (16, 2, 15, 400_000), (8, 3, 8, 100_000), (5, 5, 5, 100_000)]
-    for n, q, d, sample in cells:
+    cells = [(12, 2, 11, cyclic(2), 400_000), (16, 2, 15, cyclic(2), 400_000),
+             (8, 3, 8, cyclic(3), 100_000), (5, 5, 5, cyclic(5), 100_000),
+             (4, 8, 3, finite_field(8), 100_000)]
+    for n, q, d, group, sample in cells:
         spec = HammingGraphSpec(n, q, d)
-        rep = build_representation(lp_two_support(n, q, d), cyclic(q))
-        generators = len(_generators(spec, rep.group))
-        bound = 2 * rep.exponents.nbytes + n * q * generators + bounds._BLOCK_BYTES
+        rep = build_representation(lp_two_support(n, q, d), group)
+        k = round(math.log(q, rep.root_order))
+        steps = n * k * len(_generators(spec, group)) * rep.exponents.itemsize
+        bound = 2 * rep.exponents.nbytes + steps + bounds._BLOCK_BYTES
         assert _traced_peak(lambda: verify_representation(rep, spec, sample=sample)) < bound
 
 
@@ -1130,21 +1138,58 @@ def test_build_and_verify_read_characters_at_the_digit_units_only(monkeypatch):
     assert calls == {"char_exponent": 512, "add": 0}
 
 
-def test_digit_tables_over_the_cell_cap_are_refused_before_they_are_built():
-    # H(2, 1024, 2) has 1023^2 generators: its digit tables would hold
-    # 2 x 1024 x 1023^2 entries, above REPRESENTATION_MAX_CELLS.
-    rep = Representation(cyclic(1024), 2, np.zeros((1 << 20, 1), dtype=np.uint16), "zeros")
-    spec = HammingGraphSpec(2, 1024, 2)
+def test_sampled_verification_of_a_million_generators_reports_the_first_draw():
+    # H(2, 1024, 2) has 1023^2 generators: sampled mode holds their 2 x 1023^2
+    # base-1024 digits, and the all-zero matrix fails at the first draw.
+    group, spec = cyclic(1024), HammingGraphSpec(2, 1024, 2)
+    rep = Representation(group, 2, np.zeros((1 << 20, 1), dtype=np.uint16), "zeros")
     start = time.perf_counter()
-    message = r"^digit tables would have 2143291392 entries; cap is 134217728$"
-    with pytest.raises(SizeExceeded, match=message):
+    with pytest.raises(NotOrthogonal) as failure:
         verify_representation(rep, spec, sample=1)
     assert time.perf_counter() - start < 1
-    # full mode builds no tables: the matrix is additive, and row 0 fails
+    draws = bounds._splitmix_draws(representation_seed(spec), 0, 2)
+    x = int(draws[0]) % rep.rows
+    s = next(itertools.islice(enumerate_shell(group, 2, 2), int(draws[1]) % 1023**2, None))
+    y = word_add(group, index_word(group, x, 2), s)
+    found = failure.value
+    assert (found.row_x, found.word_x) == (x, index_word(group, x, 2))
+    assert (found.row_y, found.word_y) == (word_index(group, y), y)
+    # full mode holds no digits: the matrix is additive, and row 0 fails
     # against the least word of weight 2
     with pytest.raises(NotOrthogonal) as failure:
         verify_representation(rep, spec)
     assert (failure.value.row_x, failure.value.row_y, failure.value.word_y) == (0, 1025, (1, 1))
+
+
+_NEIGHBOUR_GROUPS = [cyclic(q) for q in range(2, 8)] + [finite_field(q) for q in (4, 8, 9, 16)]
+
+
+@pytest.mark.parametrize(
+    "group", _NEIGHBOUR_GROUPS, ids=lambda g: f"{type(g).__name__}{g.order}"
+)
+def test_neighbours_agree_with_word_add(group):
+    # every x against every s, for q^n <= 512, as the scan passes them (a
+    # column of x against a row of s) and as sampled mode does (paired
+    # arrays, in a shuffled order)
+    rng = np.random.default_rng(group.order)
+    q, m = group.order, group.char_order
+    k = round(math.log(q, m))
+    n = 1
+    while q**n <= 512:
+        words = [index_word(group, x, n) for x in range(q**n)]
+        index = {word: word_index(group, word) for word in words}
+        expected = np.array([[index[word_add(group, x, s)] for s in words] for x in words])
+        # the base-m digits of each letter, highest first, letter by letter
+        steps = [np.array([s[j] // m**i % m for s in words], dtype=bounds._exponent_dtype(m))
+                 for j in range(n) for i in reversed(range(k))]
+        xs = np.arange(q**n)
+        assert np.array_equal(bounds._neighbours(m, xs[:, None], steps), expected)
+        px, ps = np.divmod(rng.permutation(q ** (2 * n)), q**n)
+        assert np.array_equal(bounds._neighbours(m, px, [step[ps] for step in steps]),
+                              expected[px, ps])
+        # the scan's row 0 takes the generators as their own neighbours
+        assert np.array_equal(bounds._neighbours(m, xs[:1, None], steps)[0], xs)
+        n += 1
 
 
 def test_index_shells_match_enumerate_shell():
