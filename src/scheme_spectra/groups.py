@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterator, Sequence
 
 from ._record import Record
@@ -71,7 +71,8 @@ class GroupSpec:
     So ``char_exponent(g, h)`` is the sum of ``char_exponent(g, m^i)`` weighted
     by the digits h_i of h, mod m, as the representation code relies on.
     The vertex index of a word of length n is then an n*k-digit base-m
-    numeral, and words add digit by digit mod m too."""
+    numeral, and words add digit by digit mod m too.  No alphabet keeps a
+    table of size q: a character costs O(1) over Z_q, O(k^2) over GF(p^k)."""
 
     order: int
     char_order: int
@@ -214,6 +215,10 @@ class FiniteField(GroupSpec, Record):
     ``modulus`` is the monic irreducible polynomial defining the field,
     stored constant term first (length k+1).  Element i stands for the
     polynomial whose Z_p coefficient vector is the base-p expansion of i.
+    ``add`` and ``neg`` work digit by digit on the index, ``mul`` is one
+    product reduced by the modulus, and as the trace is Z_p-linear,
+    Tr(gh) = vec(g)^T B vec(h) mod p for the k x k trace form B[i][j] =
+    Tr(x^(i+j)): O(k^2) a character, with no table of size q.
     """
 
     p: int
@@ -252,59 +257,53 @@ class FiniteField(GroupSpec, Record):
         return tuple(digits)
 
     def _idx(self, vec: Sequence[int]) -> int:
-        out = 0
-        for c in reversed(vec):
-            out = out * self.p + c
-        return out
+        return sum(c * self.p**i for i, c in enumerate(vec))
 
     @cached_property
-    def _mul_table(self) -> list[list[int]]:
-        q = self.order
-        table = [[0] * q for _ in range(q)]
-        for a in range(q):
-            va = self._vec(a)
-            for b in range(a, q):
-                prod = self._idx(_poly_mul_mod(va, self._vec(b), self.modulus, self.p))
-                table[a][b] = prod
-                table[b][a] = prod
-        return table
-
-    @cached_property
-    def _trace_table(self) -> list[int]:
-        # Tr(a) = a + a^p + ... + a^(p^(k-1)), landing in the prime subfield.
-        out = []
-        for a in range(self.order):
-            acc = 0
-            term = a
-            for _ in range(self.k):
+    def _trace_form(self) -> tuple[tuple[int, ...], ...]:
+        # B[i][j] = Tr(x^(i+j)), each trace x^e + (x^e)^p + ... + (x^e)^(p^(k-1))
+        # summed by Frobenius and checked to land in the prime subfield.
+        p, k = self.p, self.k
+        traces = []
+        for e in range(2 * k - 1):
+            acc = term = self._idx(_poly_rem([0] * e + [1], self.modulus, p))
+            for _ in range(k - 1):
+                term = reduce(self.mul, [term] * p)  # term^p
                 acc = self.add(acc, term)
-                frob = term
-                for _ in range(self.p - 1):
-                    frob = self._mul_table[frob][term]
-                term = frob
-            vec = self._vec(acc)
-            if any(vec[1:]):
-                raise ArithmeticError(f"trace of element {a} left the prime subfield")
-            out.append(vec[0])
-        return out
+            if acc >= p:
+                raise ArithmeticError(f"trace of x^{e} left the prime subfield")
+            traces.append(acc)
+        return tuple(tuple(traces[i : i + k]) for i in range(k))
 
     def add(self, a: int, b: int) -> int:
-        va, vb = self._vec(a), self._vec(b)
-        return self._idx(tuple((x + y) % self.p for x, y in zip(va, vb)))
+        p, out, place = self.p, 0, 1
+        while a or b:
+            out += (a + b) % p * place
+            a, b, place = a // p, b // p, place * p
+        return out
 
     def neg(self, a: int) -> int:
-        return self._idx(tuple((-x) % self.p for x in self._vec(a)))
+        p, out, place = self.p, 0, 1
+        while a:
+            out += -a % p * place
+            a, place = a // p, place * p
+        return out
 
     def mul(self, a: int, b: int) -> int:
-        return self._mul_table[a][b]
+        return self._idx(_poly_mul_mod(self._vec(a), self._vec(b), self.modulus, self.p))
 
     def trace(self, a: int) -> int:
         """Absolute trace down to Z_p, returned as an integer in 0..p-1."""
         self._check_element(a)
-        return self._trace_table[a]
+        return self.char_exponent(1, a)
 
     def char_exponent(self, g: int, h: int) -> int:
-        return self._trace_table[self._mul_table[g][h]]
+        vh = self._vec(h)
+        e = 0
+        for gi, row in zip(self._vec(g), self._trace_form):
+            if gi:
+                e += gi * sum(map(operator.mul, row, vh))
+        return e % self.p
 
     def describe(self) -> dict:
         return {

@@ -11,8 +11,9 @@ by the colexicographic rank of each monomial's exponent vector, and
 multiplies by z_g through a successor table, one per alphabet size and
 number of factors so far, that maps each rank to the rank of the
 exponent vector plus e_g.  It rotates a coefficient only for a character
-value other than 1, and takes the trivial character's factors last.  It
-is read out in one more pass: the list walks in step with the
+value other than 1, takes the trivial character's factors last, and
+skips every h with x_h = 0, whose character it never reads.  It is read
+out in one more pass: the list walks in step with the
 compositions in colexicographic order, and every shell's count total is
 checked against the shell size.  The first shell carrying a given
 coefficient folds it into the power basis and, for a spectrum, scales it
@@ -238,22 +239,29 @@ def _successors(q: int, t: int) -> tuple[Sequence[int], ...]:
     # shifted by that much.  The tables depend only on (q, t), so one
     # cached set, built for t = 0, 1, ... in turn, serves every n > t and
     # every group of order q: 4-byte arrays, and a range for the
-    # contiguous move.
-    rows = _SUCCESSORS.setdefault(q, [])
-    while len(rows) <= t:
-        u = len(rows)
-        if q == 1:
-            rows.append((range(1),))
-            continue
-        shift = math.comb(u + q - 1, q - 2)
-        tables: list[Sequence[int]] = []
-        for g, head in enumerate(_successors(q - 1, u)):
-            table = array("I", head)
-            if u:
-                table.frombytes(_shifted(rows[u - 1][g], shift))
-            tables.append(table)
-        tables.append(range(shift, shift + math.comb(u + q - 1, q - 1)))
-        rows.append(tuple(tables))
+    # contiguous move.  Each part count r = 1..q is built up to t in
+    # turn, from the one below it, so no call recurses through q.
+    rows = _SUCCESSORS.get(q, ())
+    if len(rows) > t:
+        return rows[t]
+    below: list[tuple[Sequence[int], ...]] = []
+    for r in range(1, q + 1):
+        rows = _SUCCESSORS.setdefault(r, [])
+        while len(rows) <= t:
+            u = len(rows)
+            if r == 1:
+                rows.append((range(1),))
+                continue
+            shift = math.comb(u + r - 1, r - 2)
+            tables: list[Sequence[int]] = []
+            for g, head in enumerate(below[u]):
+                table = array("I", head)
+                if u:
+                    table.frombytes(_shifted(rows[u - 1][g], shift))
+                tables.append(table)
+            tables.append(range(shift, shift + math.comb(u + r - 1, r - 1)))
+            rows.append(tuple(tables))
+        below = rows
     return rows[t]
 
 
@@ -322,7 +330,8 @@ def _expand(
     # A move with e = 0 (z_g with phi_h(g) = 1) adds the coefficient
     # unrotated.  The product commutes, so the factors of h = 0, the
     # trivial character, whose moves all have e = 0, are taken last, where
-    # the polynomial is largest.  With a `target`, only the monomials of
+    # the polynomial is largest.  A character phi_h with x_h = 0 gives no
+    # factor, and is never read.  With a `target`, only the monomials of
     # its sub-compositions are kept, over the tables of _sub_successors:
     # monomials only grow, so this prunes correctly in any factor order,
     # and the last list holds the coefficient of z^target alone.
@@ -341,6 +350,8 @@ def _expand(
     poly = [1]
     t = 0
     for h in [*range(1, q), 0]:
+        if not counts[h]:
+            continue
         moves = []
         for g in range(q):
             e = group.char_exponent(h, g) % m
@@ -376,22 +387,22 @@ def _gen_kraw_extraction(group: GroupSpec, n: int, i: Composition, j: Compositio
 @functools.cache
 def _colex_shells(q: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     # (counts of j, multinom(n, j)) for every composition j of n into q
-    # parts, in colex order, built one part at a time: rows[t] lists the
-    # compositions of t into the parts so far, and appending a last part
-    # c to one of t - c multiplies its multinomial by C(t, c).
-    rows = [[((t,), 1)] for t in range(n + 1)]
-
-    def extend(t: int) -> list[tuple[tuple[int, ...], int]]:
-        return [
-            (head + (last,), size * ways)
-            for last in range(t + 1)
-            for ways in (math.comb(t, last),)
-            for head, size in rows[t - last]
-        ]
-
-    for _ in range(q - 2):
-        rows = [extend(t) for t in range(n + 1)]
-    return tuple(extend(n) if q > 1 else rows[n])
+    # parts, in colex order, by one walk from (n, 0, ..., 0): the next
+    # composition empties the first nonzero part c_i = v into c_0 = v - 1
+    # and c_(i+1) + 1, which multiplies the multinomial by v / (c_(i+1) + 1).
+    # Each step touches one composition, so the walk costs q per shell.
+    counts = [n] + [0] * (q - 1)
+    size = 1
+    out = [(tuple(counts), size)]
+    while counts[-1] != n:
+        i = next(i for i, c in enumerate(counts) if c)
+        v, w = counts[i], counts[i + 1]
+        counts[i] = 0
+        counts[0] = v - 1
+        counts[i + 1] = w + 1
+        size = size * v // (w + 1)
+        out.append((tuple(counts), size))
+    return tuple(out)
 
 
 @functools.cache

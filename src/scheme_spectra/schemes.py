@@ -55,7 +55,8 @@ PROJECTOR_MAX_VERTICES = 81
 #: run time of the generating-product expansion and its read-out at about
 #: 16-32 ns per unit at a third to nine tenths of the cap on a 2-core
 #: x86-64 host, one cold process each, over Z_2 (6 chunks), Z_3..Z_7, GF(4)
-#: and GF(8), so the cap stands for about 4-8 s.
+#: and GF(8), so the cap stands for about 4-8 s.  Each successor table the
+#: expansion builds is charged too (see _composition_degree).
 COMPOSITION_MAX_WORK = 250_000_000
 
 
@@ -280,10 +281,10 @@ def composition_spectrum(spec: CompositionGraphSpec) -> Spectrum:
 
     Raises SizeExceeded, before expanding anything, when the work estimate
     C(n+q-1, q-1) n q m, times the 512-bit chunks in a count of up to
-    q^n, exceeds :data:`COMPOSITION_MAX_WORK`; this check runs for every
-    dcomp.  The balanced route's own cap,
-    :data:`~scheme_spectra.krawtchouk.BALANCED_MAX_WORK`, admits every
-    balanced spectrum that this one admits.
+    q^n, plus 128 for each of the n q (q+1) / 2 successor tables, exceeds
+    :data:`COMPOSITION_MAX_WORK`; this check runs for every dcomp.  The
+    balanced route's own cap, :data:`~scheme_spectra.krawtchouk.BALANCED_MAX_WORK`,
+    admits every balanced spectrum that this one admits.
     """
     n, q = spec.n, spec.group.order
     degree = _composition_degree(spec)
@@ -300,16 +301,20 @@ def composition_spectrum(spec: CompositionGraphSpec) -> Spectrum:
 
 def _composition_degree(spec: CompositionGraphSpec) -> int:
     # The degree of a composition graph, once its spectrum has passed the
-    # COMPOSITION_MAX_WORK check (SizeExceeded otherwise).
+    # COMPOSITION_MAX_WORK check (SizeExceeded otherwise).  The expansion
+    # also builds n q (q+1) / 2 successor tables, r for each r = 1..q parts
+    # at each of n lengths.  At q = 729..2048 and n = 1 they outweigh the
+    # expansion, at about 0.6-0.8 us and 92 bytes each, and they stay cached;
+    # at 128 units each the cap keeps them to about 2*10^6, some 180 MB.
     n = spec.n
     q, m = spec.group.order, spec.group.char_order
     chunks = int(n * math.log2(q)) // 512 + 1
-    work = binom(n + q - 1, q - 1) * n * q * m * chunks
+    work = binom(n + q - 1, q - 1) * n * q * m * chunks + 64 * n * q * (q + 1)
     if work > COMPOSITION_MAX_WORK:
         wide = f" x {chunks} chunks of 512 bits" if chunks > 1 else ""
         raise SizeExceeded(
-            f"composition spectrum would cost {work} units "
-            f"(shells x n x q x root order{wide}); cap is {COMPOSITION_MAX_WORK}"
+            f"composition spectrum would cost {work} units (shells x n x q x root order{wide}, "
+            f"plus 128 per successor table); cap is {COMPOSITION_MAX_WORK}"
         )
     return spec.degree  # n! and its divisions: only after the cap
 

@@ -64,8 +64,9 @@ def test_spectrum_over_the_composition_work_cap_is_a_flag_error(capsys):
     assert run(
         capsys, "spectrum", "--family", "composition", "--n", "40", "--q", "7",
         "--comp", "35,1,1,1,1,1,0",
-    ) == (2, "", "error: composition spectrum would cost 18358965240 units "
-                 "(shells x n x q x root order); cap is 250000000\n")
+    ) == (2, "", "error: composition spectrum would cost 18359108600 units "
+                 "(shells x n x q x root order, plus 128 per successor table); "
+                 "cap is 250000000\n")
 
 
 def test_repeat_invocations_are_byte_identical(capsys):

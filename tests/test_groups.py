@@ -1,6 +1,7 @@
 """Group layer: cyclic groups, finite fields, characters, shells."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from scheme_spectra import (
     word_neg,
     index_word,
 )
+from scheme_spectra import groups
 from scheme_spectra.groups import default_modulus
 
 ALL_GROUPS = [cyclic(q) for q in (2, 3, 4, 5, 6, 8)] + [
@@ -252,9 +254,10 @@ def test_prime_field_matches_cyclic_arithmetic():
             assert char_value(f5, a, b) == char_value(g5, a, b)
 
 
-# The field tables against arithmetic written here: schoolbook products of
-# coefficient vectors (constant term first) reduced by long division, and
-# the trace as the sum of the Frobenius powers a^(p^i) in that arithmetic.
+# The field's mul, trace and characters against arithmetic written here:
+# schoolbook products of coefficient vectors (constant term first) reduced
+# by long division, and the trace as the sum of the Frobenius powers
+# a^(p^i) in that arithmetic.
 
 
 def _long_rem(f, g, p):
@@ -312,9 +315,10 @@ def test_field_tables_match_schoolbook_arithmetic(q, modulus):
     vecs = [tuple(a // p**t % p for t in range(k)) for a in range(q)]
     index = {v: a for a, v in enumerate(vecs)}
     products = [[index[_schoolbook_mul(va, vb, f, p)] for vb in vecs] for va in vecs]
-    assert field._mul_table == products
+    assert [[field.mul(a, b) for b in range(q)] for a in range(q)] == products
     for a in range(1, q):
         assert 1 in products[a], (q, f, a)  # every nonzero element is a unit
+    traces = []
     for a, va in enumerate(vecs):
         total = [0] * k
         term = va
@@ -325,7 +329,43 @@ def test_field_tables_match_schoolbook_arithmetic(q, modulus):
                 frob = _schoolbook_mul(frob, term, f, p)
             term = frob
         assert not any(total[1:]), (q, f, a)
-        assert field._trace_table[a] == total[0], (q, f, a)
+        traces.append(total[0])
+    assert [field.trace(a) for a in range(q)] == traces
+    # the character of g at h is the trace of gh, on every pair
+    for g in range(q):
+        assert [field.char_exponent(g, h) for h in range(q)] == [
+            traces[gh] for gh in products[g]
+        ], (q, f, g)
+
+
+def test_the_first_character_of_gf_2048_does_no_work_of_order_q(monkeypatch):
+    # The characters come from the k x k trace form B[i][j] = Tr(x^(i+j)),
+    # built by Frobenius on the 2k - 1 powers x^e: (2k - 1)(k - 1)(p - 1) =
+    # 210 field products at p = 2, k = 11, where a product table would take
+    # q (q + 1) / 2 = 2098176 of them.
+    products = 0
+    schoolbook = groups._poly_mul_mod
+
+    def counted(*args):
+        nonlocal products
+        products += 1
+        assert products <= 4 * 11 * 11, "a character did work of order q"
+        return schoolbook(*args)
+
+    monkeypatch.setattr(groups, "_poly_mul_mod", counted)
+    field = finite_field(2048)
+    p, k, f = field.p, field.k, field.modulus
+    rng = random.Random(2048)
+    pairs = [(rng.randrange(2048), rng.randrange(2048)) for _ in range(64)]
+    exponents = [field.char_exponent(g, h) for g, h in pairs]
+    assert products == 210
+    for (g, h), e in zip(pairs, exponents):
+        vg, vh = (tuple(a >> t & 1 for t in range(k)) for a in (g, h))
+        total = term = _schoolbook_mul(vg, vh, f, p)
+        for _ in range(k - 1):
+            term = _schoolbook_mul(term, term, f, p)
+            total = tuple((x + y) % p for x, y in zip(total, term))
+        assert total == (e,) + (0,) * (k - 1), (g, h)
 
 
 def test_cyclic_rejects_tiny_order():

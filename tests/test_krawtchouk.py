@@ -7,6 +7,7 @@ brute-force character sum (see the oracle helpers at the top).
 import functools
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -630,6 +631,31 @@ def test_expand_matches_the_rotating_oracle(monkeypatch, group, top):
     for n, x, target in calls:
         poly, width = _rotating_expand(group, n, x, _keep_keys(target, n))
         assert expand(group, n, x, target) == (_oracle_values(poly), width), (n, x, target)
+
+
+@pytest.mark.parametrize(
+    "group", [cyclic(5), finite_field(8), finite_field(9)], ids=lambda g: f"{type(g).__name__}{g.order}"
+)
+def test_expand_reads_the_characters_of_its_factors_only(monkeypatch, group):
+    # phi_h is read at every g exactly when x_h > 0, unpruned and pruned to
+    # a target: a field's character costs a k x k form, not a table lookup
+    q = group.order
+    reads = []
+    exponent = type(group).char_exponent
+
+    def recording(self, h, g):
+        reads.append(h)
+        return exponent(self, h, g)
+
+    monkeypatch.setattr(type(group), "char_exponent", recording)
+    rng = random.Random(q)
+    for n in (1, 2, 3):
+        shells = list(enumerate_compositions(q, n))
+        for x in rng.sample(shells, min(6, len(shells))):
+            for target in (None, rng.choice(shells)):
+                reads.clear()
+                krawtchouk._expand(group, n, x, target)
+                assert Counter(reads) == {h: q for h in range(q) if x[h]}, (n, x, target)
 
 
 def _corrupt_expand(monkeypatch, pick):

@@ -358,17 +358,18 @@ def test_composition_spectrum_refuses_work_over_the_cap_up_front(monkeypatch):
     spec = CompositionGraphSpec(cyclic(7), 40, Composition((35, 1, 1, 1, 1, 1, 0)))
     start = time.perf_counter()
     with pytest.raises(SizeExceeded, match=(
-        r"^composition spectrum would cost 18358965240 units "
-        r"\(shells x n x q x root order\); cap is 250000000$"
+        r"^composition spectrum would cost 18359108600 units "
+        r"\(shells x n x q x root order, plus 128 per successor table\); cap is 250000000$"
     )):
         composition_spectrum(spec)
     assert time.perf_counter() - start < 1.0
-    # the cap is inclusive: Z_3 with n = 4 costs C(6, 2) * 4 * 3 * 3 = 540 units
+    # the cap is inclusive: Z_3 with n = 4 costs C(6, 2) * 4 * 3 * 3 = 540
+    # units, plus 128 for each of its 4 * 3 * 4 / 2 = 24 successor tables
     small = CompositionGraphSpec(cyclic(3), 4, Composition((2, 1, 1)))
-    monkeypatch.setattr(schemes, "COMPOSITION_MAX_WORK", 540)
+    monkeypatch.setattr(schemes, "COMPOSITION_MAX_WORK", 3612)
     assert trace_identity_check(composition_spectrum(small))
-    monkeypatch.setattr(schemes, "COMPOSITION_MAX_WORK", 539)
-    with pytest.raises(SizeExceeded, match="cost 540 units .* cap is 539$"):
+    monkeypatch.setattr(schemes, "COMPOSITION_MAX_WORK", 3611)
+    with pytest.raises(SizeExceeded, match="cost 3612 units .* cap is 3611$"):
         composition_spectrum(small)
 
 
@@ -379,8 +380,8 @@ def test_composition_work_counts_wide_packed_counts():
     spec = CompositionGraphSpec(cyclic(2), 7900, Composition((3950, 3950)))
     start = time.perf_counter()
     with pytest.raises(SizeExceeded, match=(
-        r"^composition spectrum would cost 3994745600 units "
-        r"\(shells x n x q x root order x 16 chunks of 512 bits\); cap is 250000000$"
+        r"^composition spectrum would cost 3997779200 units \(shells x n x q x root order "
+        r"x 16 chunks of 512 bits, plus 128 per successor table\); cap is 250000000$"
     )):
         composition_spectrum(spec)
     assert time.perf_counter() - start < 1.0
@@ -390,8 +391,34 @@ def test_composition_work_counts_wide_packed_counts():
     n = 10**6
     spec = CompositionGraphSpec(cyclic(2), n, Composition((n - 1, 1)))
     start = time.perf_counter()
-    with pytest.raises(SizeExceeded, match=r" x 1954 chunks of 512 bits\); cap is 250000000$"):
+    with pytest.raises(
+        SizeExceeded,
+        match=r" x 1954 chunks of 512 bits, plus 128 per successor table\); cap is 250000000$",
+    ):
         composition_spectrum(spec)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_spectrum_over_gf_1024_builds_its_successor_tables_without_recursion(monkeypatch):
+    # n = 1, x = e_1: the graph x -> x + 1, whose eigenvalue on shell e_j is
+    # phi_j(1) = (-1)^Tr(j).  Its 1024 * 1025 / 2 successor tables, r for
+    # each number of parts r = 1..q, are built without a recursion through
+    # q, which would pass the interpreter's limit.  The cap charges them
+    # (128 units each) and refuses GF(2048) up front.
+    monkeypatch.setattr(krawtchouk, "_SUCCESSORS", {})  # dropped after the test
+    field = finite_field(1024)
+    dcomp = Composition((0, 1) + (0,) * 1022)
+    sp = composition_spectrum(CompositionGraphSpec(field, 1, dcomp))
+    units = [(0,) * j + (1,) + (0,) * (1023 - j) for j in range(1024)]
+    assert [e.label for e in sp.entries] == list(map(Composition, units))
+    assert [e.eigenvalue for e in sp.entries] == [(-1) ** field.trace(j) for j in range(1024)]
+    assert all(e.multiplicity == 1 for e in sp.entries)
+    start = time.perf_counter()
+    with pytest.raises(SizeExceeded, match=(
+        r"^composition spectrum would cost 276955136 units "
+        r"\(shells x n x q x root order, plus 128 per successor table\); cap is 250000000$"
+    )):
+        composition_spectrum(CompositionGraphSpec(finite_field(2048), 1, (0, 1) + (0,) * 2046))
     assert time.perf_counter() - start < 1.0
 
 
