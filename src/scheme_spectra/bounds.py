@@ -37,7 +37,7 @@ from .groups import (
     FiniteField,
     GroupSpec,
     _prime_power,
-    _weight_label,
+    _shell_label,
     cyclic,
     index_word,
 )
@@ -300,9 +300,9 @@ def _shell_indices(group: GroupSpec, n: int, label: int | Composition) -> np.nda
     import numpy as np
 
     alphabet = np.arange(group.order)[:, None]
-    w = _weight_label(label, n)
-    if w is not None:
-        return np.flatnonzero(_additive_matrix([alphabet != 0] * n, 1, n + 1) == w)
+    label = _shell_label(group, n, label)
+    if isinstance(label, int):
+        return np.flatnonzero(_additive_matrix([alphabet != 0] * n, 1, n + 1) == label)
     match = np.ones((group.order**n, 1), dtype=bool)
     for g, c in enumerate(label):
         if c:

@@ -17,7 +17,7 @@ from functools import cached_property, reduce
 from typing import Iterator, Sequence
 
 from ._record import Record
-from .errors import BadLabel, DivisibilityError, DomainError, RangeError, SpecMismatch, SumMismatch
+from .errors import BadLabel, DivisibilityError, DomainError, RangeError, SpecMismatch
 from .exactnum import CycInt
 
 
@@ -96,9 +96,15 @@ class GroupSpec:
     def describe(self) -> dict:
         raise NotImplementedError
 
-    def _check_element(self, g: int) -> None:
-        if not isinstance(g, int) or not 0 <= g < self.order:
+    def _check_element(self, g: int) -> int:
+        # g as a plain int: a numpy letter is one, a float is none
+        try:
+            index = operator.index(g)
+        except TypeError:
+            index = -1
+        if not 0 <= index < self.order:
             raise SpecMismatch(f"{g!r} is not an element index of {self!r}")
+        return index
 
     def is_negation_closed(self, comp: Composition | Sequence[int]) -> bool:
         """Whether a generating composition is stable under negation."""
@@ -294,8 +300,7 @@ class FiniteField(GroupSpec, Record):
 
     def trace(self, a: int) -> int:
         """Absolute trace down to Z_p, returned as an integer in 0..p-1."""
-        self._check_element(a)
-        return self.char_exponent(1, a)
+        return self.char_exponent(1, self._check_element(a))
 
     def char_exponent(self, g: int, h: int) -> int:
         vh = self._vec(h)
@@ -345,8 +350,7 @@ def comp(group: GroupSpec, word: Sequence[int]) -> Composition:
     """The composition of a word: per-element occurrence counts."""
     counts = [0] * group.order
     for g in word:
-        group._check_element(g)
-        counts[g] += 1
+        counts[group._check_element(g)] += 1
     return Composition(tuple(counts))
 
 
@@ -368,8 +372,7 @@ def word_index(group: GroupSpec, word: Sequence[int]) -> int:
     """Canonical row index: the base-q value of the word, first digit high."""
     out = 0
     for g in map(operator.index, word):
-        group._check_element(g)
-        out = out * group.order + g
+        out = out * group.order + group._check_element(g)
     return out
 
 
@@ -403,8 +406,7 @@ def char_value(group: GroupSpec, g: int, h: int) -> CycInt:
     For Z_q this is zeta_q^(g*h); for GF(p^k) it is zeta_p^Tr(g*h).  The
     value is symmetric in its two arguments and multiplicative in each.
     """
-    group._check_element(g)
-    group._check_element(h)
+    g, h = group._check_element(g), group._check_element(h)
     return CycInt.root_of_unity(group.char_order, group.char_exponent(g, h))
 
 
@@ -426,44 +428,63 @@ def word_char_value(group: GroupSpec, x: Sequence[int], y: Sequence[int]) -> Cyc
 # shells and compositions
 
 
-def _weight_words(q: int, n: int, w: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
-    if len(prefix) == n:
-        yield tuple(prefix)
-        return
-    remaining = n - len(prefix)
-    for g in range(q):
-        nw = w - (1 if g else 0)
-        if nw < 0 or nw > remaining - 1:
-            continue
-        prefix.append(g)
-        yield from _weight_words(q, n, nw, prefix)
-        prefix.pop()
+def _weight_words(q: int, n: int, w: int) -> Iterator[tuple[int, ...]]:
+    # From the least word, n - w zeros then w ones, to the next: raise the last
+    # letter i below q - 1 with a nonzero letter at or after it, and refill the
+    # tail zeros first, one 1 per letter q - 1 it held, less one if i left 0.
+    top = q - 1
+    word = [0] * (n - w) + [1] * w
+    last = n - 1 if w else -1  # the last nonzero letter
+    while True:
+        yield tuple(word)
+        i = last
+        while i >= 0 and word[i] == top:
+            i -= 1
+        if i < 0:
+            return
+        ones = last - i - (not word[i])
+        word[i] += 1
+        word[i + 1 :] = [0] * (n - 1 - i - ones) + [1] * ones
+        last = n - 1 if ones else i
 
 
-def _comp_words(q: int, n: int, remaining: list[int], prefix: list[int]) -> Iterator[tuple[int, ...]]:
-    if len(prefix) == n:
-        yield tuple(prefix)
-        return
-    for g in range(q):
-        if remaining[g]:
-            remaining[g] -= 1
-            prefix.append(g)
-            yield from _comp_words(q, n, remaining, prefix)
-            prefix.pop()
-            remaining[g] += 1
+def _comp_words(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    # From the least word, letter g counts[g] times in ascending order, to the
+    # next multiset permutation (Knuth, TAOCP 7.2.1.2, Algorithm L): swap the last
+    # ascent's left letter with the last letter above it, reverse the tail after it.
+    word = [g for g, c in enumerate(counts) for _ in range(c)]
+    while True:
+        yield tuple(word)
+        j = len(word) - 2
+        while j >= 0 and word[j] >= word[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        k = len(word) - 1
+        while word[j] >= word[k]:
+            k -= 1
+        word[j], word[k] = word[k], word[j]
+        word[j + 1 :] = word[:j:-1]
 
 
-def _weight_label(label: object, n: int) -> int | None:
-    """A shell label read as a weight through operator.index and checked to
-    lie in 0..n (BadLabel otherwise), or None for a label that has no
-    integer value, which is then a composition."""
+def _shell_label(group: GroupSpec, n: int, label: object) -> int | tuple[int, ...]:
+    """A shell label as a weight in 0..n if it has an integer value, else as
+    the counts of a composition of n into q parts; BadLabel if it is not."""
     try:
         w = operator.index(label)
     except TypeError:
-        return None
-    if not 0 <= w <= n:
-        raise BadLabel(f"weight {w} outside 0..{n}")
-    return w
+        counts = tuple(map(operator.index, label))
+    else:
+        if not 0 <= w <= n:
+            raise BadLabel(f"weight {w} outside 0..{n}")
+        return w
+    if len(counts) != group.order:
+        raise BadLabel(f"composition has {len(counts)} parts, expected {group.order}")
+    if any(c < 0 for c in counts):
+        raise BadLabel(f"negative count in {counts}")
+    if sum(counts) != n:
+        raise BadLabel(f"composition {counts} sums to {sum(counts)}, expected {n}")
+    return counts
 
 
 def enumerate_shell(
@@ -473,56 +494,56 @@ def enumerate_shell(
 
     An integer label selects the Hamming sphere of that weight; a
     composition label selects the words with exactly those occurrence
-    counts.  Words are produced in ascending base-q order and never
-    materialized all at once.
+    counts; :func:`shell_size` accepts the same labels.  The words stream in
+    ascending base-q order, each the successor of the last, never all held.
     """
-    q = group.order
-    w = _weight_label(label, n)
-    if w is not None:
-        return _weight_words(q, n, w, [])
-    counts = tuple(map(operator.index, label))
-    if len(counts) != q:
-        raise BadLabel(f"composition has {len(counts)} parts, expected {q}")
-    if any(c < 0 for c in counts):
-        raise BadLabel(f"negative count in {counts}")
-    if sum(counts) != n:
-        raise BadLabel(f"composition {counts} sums to {sum(counts)}, expected {n}")
-    return _comp_words(q, n, list(counts), [])
+    label = _shell_label(group, n, label)
+    if isinstance(label, int):
+        return _weight_words(group.order, operator.index(n), label)
+    return _comp_words(label)
+
+
+def _colex_walk(q: int, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    # (counts of j, multinom(n, j)) for every composition j of n into q
+    # parts, in colex order, by one walk from (n, 0, ..., 0): the next
+    # composition empties the first nonzero part c_i = v into c_0 = v - 1
+    # and c_(i+1) + 1, which multiplies the multinomial by v / (c_(i+1) + 1).
+    # Each step touches one composition, so the walk costs q per shell.
+    q, n = operator.index(q), operator.index(n)
+    if n < 0 and q > 1:
+        return  # no composition; the one part of q = 1 is n, left to the caller
+    counts, size = [n] + [0] * (q - 1), 1
+    yield tuple(counts), size
+    while counts[-1] != n:
+        i = 0
+        while not counts[i]:
+            i += 1
+        v = counts[i]
+        counts[i], counts[0] = 0, v - 1
+        counts[i + 1] += 1
+        size = size * v // counts[i + 1]
+        yield tuple(counts), size
 
 
 def enumerate_compositions(q: int, n: int) -> Iterator[Composition]:
     """All compositions of n into q ordered parts, colexicographically.
 
     Colexicographic order compares the last differing coordinate, so the
-    stream starts at (n, 0, ..., 0) and ends at (0, ..., 0, n).
+    stream starts at (n, 0, ..., 0) and ends at (0, ..., 0, n), walked one
+    composition at a time by the same walk that sizes the spectra's shells.
     """
     if q < 1:
         raise BadLabel(f"need at least one part, got q={q}")
-
-    def rec(parts: int, total: int) -> Iterator[tuple[int, ...]]:
-        if parts == 1:
-            # n less the other parts, as an int even when n is an int-like
-            yield (operator.index(total),)
-            return
-        for last in range(total + 1):
-            for head in rec(parts - 1, total - last):
-                yield head + (last,)
-
-    # Every part is a nonnegative int, except the one part of q = 1, which is
-    # n itself and is still validated.
-    return map(Composition if q == 1 else Composition._trusted, rec(q, n))
+    # every part is a plain nonnegative int but the one of q = 1, n itself
+    wrap = Composition if q == 1 else Composition._trusted
+    return (wrap(counts) for counts, _ in _colex_walk(q, n))
 
 
 def shell_size(group: GroupSpec, n: int, label: int | Composition | Sequence[int]) -> int:
-    """Cardinality of a shell, computed by counting formulas."""
+    """Cardinality of a shell by counting formulas, for the labels of :func:`enumerate_shell`."""
     from .exactnum import binom, multinom
 
-    q = group.order
-    w = _weight_label(label, n)
-    if w is not None:
-        return (q - 1) ** w * binom(n, w)
-    counts = tuple(label)
-    try:
-        return multinom(n, counts)
-    except SumMismatch as exc:
-        raise BadLabel(str(exc)) from exc
+    label = _shell_label(group, n, label)
+    if isinstance(label, int):
+        return (group.order - 1) ** label * binom(n, label)
+    return multinom(n, label)

@@ -67,7 +67,7 @@ from .errors import (
     UnsupportedSize,
 )
 from .exactnum import CycInt, _fold_table, _reduction_rows, binom, multinom
-from .groups import Composition, GroupSpec, enumerate_shell
+from .groups import Composition, GroupSpec, _colex_walk, enumerate_shell
 
 #: Largest alphabet for which the circulant determinant is expanded exactly.
 CIRCULANT_MAX_Q = 7
@@ -195,16 +195,9 @@ def _validate_pair(group: GroupSpec, n: int, i: Composition, j: Composition) -> 
             raise SumMismatch(f"composition {name}={counts} does not sum to n={n}")
 
 
-def _canonical_word(j: Composition | tuple) -> tuple[int, ...]:
-    word: list[int] = []
-    for g, c in enumerate(tuple(j)):
-        word.extend([g] * c)
-    return tuple(word)
-
-
 def _gen_kraw_brute(group: GroupSpec, n: int, i: Composition, j: Composition) -> CycInt:
     m = group.char_order
-    x = _canonical_word(j)
+    x = next(enumerate_shell(group, n, j))
     exps = [[group.char_exponent(g, h) for h in group.elements()] for g in group.elements()]
     counts = [0] * m
     for y in enumerate_shell(group, n, i):
@@ -387,22 +380,8 @@ def _gen_kraw_extraction(group: GroupSpec, n: int, i: Composition, j: Compositio
 @functools.cache
 def _colex_shells(q: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     # (counts of j, multinom(n, j)) for every composition j of n into q
-    # parts, in colex order, by one walk from (n, 0, ..., 0): the next
-    # composition empties the first nonzero part c_i = v into c_0 = v - 1
-    # and c_(i+1) + 1, which multiplies the multinomial by v / (c_(i+1) + 1).
-    # Each step touches one composition, so the walk costs q per shell.
-    counts = [n] + [0] * (q - 1)
-    size = 1
-    out = [(tuple(counts), size)]
-    while counts[-1] != n:
-        i = next(i for i, c in enumerate(counts) if c)
-        v, w = counts[i], counts[i + 1]
-        counts[i] = 0
-        counts[0] = v - 1
-        counts[i + 1] = w + 1
-        size = size * v // (w + 1)
-        out.append((tuple(counts), size))
-    return tuple(out)
+    # parts, in colex order: the walk of enumerate_compositions, kept.
+    return tuple(_colex_walk(q, n))
 
 
 @functools.cache

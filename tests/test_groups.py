@@ -36,7 +36,7 @@ from scheme_spectra import (
     word_neg,
     index_word,
 )
-from scheme_spectra import groups
+from scheme_spectra import groups, krawtchouk
 from scheme_spectra.groups import default_modulus
 
 ALL_GROUPS = [cyclic(q) for q in (2, 3, 4, 5, 6, 8)] + [
@@ -472,6 +472,57 @@ def test_enumerated_compositions_hold_plain_ints():
         list(enumerate_compositions(2, 2.0))
 
 
+def _colex_key(counts):
+    return counts[::-1]
+
+
+@pytest.mark.parametrize(
+    "group", [cyclic(2), cyclic(3), cyclic(4), cyclic(5), finite_field(4)], ids=repr
+)
+def test_shells_match_the_filtered_product(group):
+    # itertools.product lists the words in canonical order, so each shell is
+    # the product filtered by weight or by counts, an oracle independent of
+    # the successor walks
+    q = group.order
+    n = 0
+    while q**n <= 4096:
+        by_weight, by_counts = {}, {}
+        for word in itertools.product(range(q), repeat=n):
+            by_weight.setdefault(sum(1 for g in word if g), []).append(word)
+            by_counts.setdefault(tuple(word.count(g) for g in range(q)), []).append(word)
+        for w in range(n + 1):
+            assert list(enumerate_shell(group, n, w)) == by_weight[w], (n, w)
+        for counts in enumerate_compositions(q, n):
+            assert list(enumerate_shell(group, n, counts)) == by_counts[tuple(counts)], (n, counts)
+        assert len(by_counts) == len(list(enumerate_compositions(q, n)))
+        n += 1
+
+
+@pytest.mark.parametrize("q", range(1, 7))
+def test_compositions_match_the_sorted_product(q):
+    # the compositions of the product's words, sorted by colex key, n = 0
+    # included; _colex_shells walks them with their multinomial sizes
+    for n in range(0, 7 if q < 5 else 5):
+        labels = {tuple(word.count(g) for g in range(q)) for word in itertools.product(range(q), repeat=n)}
+        expected = sorted(labels, key=_colex_key)
+        assert [tuple(c) for c in enumerate_compositions(q, n)] == expected, (q, n)
+        shells = krawtchouk._colex_shells(q, n)
+        assert [label for label, _ in shells] == expected
+        assert [size for _, size in shells] == [multinom(n, label) for label in expected]
+
+
+def test_long_words_and_many_parts_do_not_recurse():
+    # one recursion level per part or per letter overflowed the stack here
+    labels = [tuple(c) for c in enumerate_compositions(1024, 1)]
+    assert len(labels) == 1024
+    assert labels == [label for label, _ in krawtchouk._colex_shells(1024, 1)]
+    count = 0
+    for count, word in enumerate(enumerate_shell(cyclic(2), 3000, 1), 1):
+        if count == 1:
+            assert word == (0,) * 2999 + (1,)
+    assert count == 3000 and word == (1,) + (0,) * 2999
+
+
 def test_shell_label_validation():
     g = cyclic(3)
     with pytest.raises(BadLabel):
@@ -480,6 +531,11 @@ def test_shell_label_validation():
         list(enumerate_shell(g, 3, (1, 1)))  # wrong number of parts
     with pytest.raises(BadLabel):
         shell_size(g, 3, (4, 0, 0, 0))
+    # shells that do not exist have no size: too few parts, and too many
+    with pytest.raises(BadLabel, match=r"^composition has 2 parts, expected 3$"):
+        shell_size(g, 3, (1, 2))
+    with pytest.raises(BadLabel, match=r"^composition has 4 parts, expected 3$"):
+        shell_size(g, 3, (1, 1, 1, 0))
 
 
 @pytest.mark.parametrize(

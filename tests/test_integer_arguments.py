@@ -27,8 +27,10 @@ from scheme_spectra import (
     SpecMismatch,
     binom,
     build_representation,
+    char_value,
     check_lp_solution,
     composition_spectrum,
+    comp,
     conjecture_probe,
     cyclic,
     enumerate_shell,
@@ -167,6 +169,19 @@ def test_numpy_composition_parts_are_summed_as_ints(kind):
     parts = (kind(127), kind(1))
     assert shell_size(cyclic(2), 128, parts) == 128 == multinom(128, parts)
     assert list(enumerate_shell(cyclic(2), 128, parts)) == list(enumerate_shell(cyclic(2), 128, (127, 1)))
+
+
+@pytest.mark.parametrize("kind", _NUMPY_INTS)
+def test_numpy_letters_are_letters(kind):
+    # a numpy letter was refused as no element index, though word_index
+    # took it; it is read as the plain int it stands for
+    group = cyclic(3)
+    assert comp(group, np.array([0, 1, 2], dtype=kind)) == comp(group, (0, 1, 2))
+    assert char_value(group, kind(1), 2) == char_value(group, 1, 2)
+    assert char_value(group, kind(1), 2).coeffs == char_value(group, 1, 2).coeffs
+    for letter in (1.0, 3, -1):
+        with pytest.raises(SpecMismatch, match=r" is not an element index of "):
+            char_value(group, letter, 2)
 
 
 # ---------------------------------------------------------------------------

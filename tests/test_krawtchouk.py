@@ -383,6 +383,14 @@ def test_extraction_matches_brute_on_lopsided_targets():
         assert gen_kraw(group, n, i, j) == gen_kraw(group, n, i, j, method="brute"), (n, j)
 
 
+def test_brute_reaches_long_words():
+    # the character sum over the (1199, 1) shell, from the least word of
+    # (600, 600); recursion per letter overflowed the stack at n = 1200
+    group = cyclic(2)
+    i, j = Composition((1199, 1)), Composition((600, 600))
+    assert gen_kraw(group, 1200, i, j, method="brute") == gen_kraw(group, 1200, i, j) == 0
+
+
 def test_circulant_guards():
     with pytest.raises(UnsupportedSize):
         gen_kraw_circulant(8, 8, Composition((1,) * 8))

@@ -913,6 +913,13 @@ def test_eigenvector_action():
     assert eigenvector_check(spec, (1, 0, 1, 0), words[:5])
 
 
+def test_eigenvector_action_on_long_words():
+    # the neighbours of a long word, a shell that recursion per letter
+    # could not list
+    x = (1,) * 600 + (0,) * 600
+    assert eigenvector_check(HammingGraphSpec(1200, 2, 1), x, [x[::-1]])
+
+
 def test_spectrum_does_not_depend_on_the_field_modulus():
     # the eigenvalue multiset is an invariant of the field, not of the
     # modulus used to coordinatize it
