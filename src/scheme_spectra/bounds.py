@@ -276,7 +276,9 @@ def _additive_blocks(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The :func:`_additive_matrix` of ``blocks`` as (first row, row block)
     pairs in row order: the trailing blocks that fit in one row block are
-    summed once, and each row of the leading blocks' sum is added to that."""
+    summed once, and each row of the leading blocks' sum is added to that.
+    When every block fits, that sum is the only row block, yielded as it was
+    built: a fresh, writable, C-ordered array."""
     import numpy as np
 
     # per row: the tail, the block, its wrapped-around copy and a comparison
@@ -286,39 +288,73 @@ def _additive_blocks(
         split -= 1
         size *= len(blocks[split])
     tail = _additive_matrix(blocks[split:], cols, m)
+    if not split:
+        yield 0, tail
+        return
     for h, head in enumerate(_additive_matrix(blocks[:split], cols, m)):
         block = head + tail
         np.minimum(block, block - m, out=block)
         yield h * len(tail), block
 
 
-def _shell_indices(group: GroupSpec, n: int, label: int | Composition) -> np.ndarray:
-    """The vertex indices of a shell's words, ascending, which is their
-    canonical order: a weight shell is read off the count of nonzero letters,
-    a composition shell off the count of each letter it holds (the letters
-    it holds none of then occur nowhere, since the counts sum to n)."""
+@functools.lru_cache(maxsize=32)
+def _letter_counts(q: int, n: int, g: int) -> np.ndarray:
+    """How often letter g occurs in each word of length n over an alphabet
+    of q letters, in canonical vertex order, as a read-only vector in the
+    :func:`_exponent_dtype` of n + 1.
+
+    Cached per (q, n, g), so that building a representation and verifying it,
+    at every d of one (q, n), read one pass over the vertices; Z_q and GF(q)
+    share their entries.  Callers pass plain ints: a numpy n would be a hit
+    for the equal int, and its narrow arithmetic could store the counts in
+    a wrapped dtype.  An entry takes one byte a vertex, at most 1 MiB at the
+    row cap, so the 32 entries retain at most 32 MiB; the representations
+    benchmark fills 16 entries, none above 6561 bytes."""
     import numpy as np
 
-    alphabet = np.arange(group.order)[:, None]
+    counts = _additive_matrix([np.arange(q)[:, None] == g] * n, 1, n + 1).ravel()
+    # the vector is a view: its base, which owns the counts, is locked too
+    counts.base.flags.writeable = counts.flags.writeable = False
+    return counts
+
+
+def _shell_indices(group: GroupSpec, n: int, label: int | Composition) -> np.ndarray:
+    """The vertex indices of a shell's words, ascending, which is their
+    canonical order, as a fresh array: a weight shell w is read off the
+    count of letter 0, n - w, and a composition shell off the count of each
+    letter it holds (the letters it holds none of then occur nowhere, since
+    the counts sum to n).  The counts are the cached :func:`_letter_counts`."""
+    import numpy as np
+
     label = _shell_label(group, n, label)
+    q, n = group.order, operator.index(n)
     if isinstance(label, int):
-        return np.flatnonzero(_additive_matrix([alphabet != 0] * n, 1, n + 1) == label)
-    match = np.ones((group.order**n, 1), dtype=bool)
+        return np.flatnonzero(_letter_counts(q, n, 0) == n - label)
+    match = np.ones(q**n, dtype=bool)
     for g, c in enumerate(label):
         if c:
-            match &= _additive_matrix([alphabet == g] * n, 1, n + 1) == c
+            match &= _letter_counts(q, n, g) == c
     return np.flatnonzero(match)
 
 
+@functools.lru_cache(maxsize=8)
 def _digits(group: GroupSpec) -> np.ndarray:
     """Row g holds the k base-m digits of letter g, lowest first, for the
     character order m and q = m^k (see :class:`~scheme_spectra.groups.GroupSpec`),
-    in the :func:`_exponent_dtype` of m, which holds the sum of two digits."""
+    in the :func:`_exponent_dtype` of m, which holds the sum of two digits.
+
+    Cached per group and read-only, since a build and its verification read
+    the same table.  An entry takes q x k bytes: at most 20 MiB for a field
+    of 2^20 letters, the largest alphabet under the row cap, so the 8
+    entries retain at most 160 MiB; the benchmark's groups take at most 8
+    bytes each."""
     import numpy as np
 
     q, m = group.order, group.char_order
     powers = [m**i for i in range(q.bit_length()) if m**i < q]
-    return (np.arange(q)[:, None] // powers % m).astype(_exponent_dtype(m))
+    digits = (np.arange(q)[:, None] // powers % m).astype(_exponent_dtype(m))
+    digits.flags.writeable = False
+    return digits
 
 
 def _linear_blocks(coeffs: np.ndarray, units: np.ndarray, m: int) -> np.ndarray:
@@ -342,8 +378,9 @@ def _character_matrix(group: GroupSpec, n: int, words: Iterable[Sequence[int]]) 
     also be a columns x n array of letters.  The row cap is checked before any
     word is read and the cell cap once they are listed.  Block k of the
     :func:`_additive_matrix` holds phi_g(words[j][k]): phi_g at the digit units
-    (q x k calls) weighted by the :func:`_digits` of words[j][k].  The matrix
-    is filled one row block at a time."""
+    (q x k calls) weighted by the :func:`_digits` of words[j][k].  When every
+    coordinate fits one row block, that block is the matrix, returned as it
+    was built; otherwise the matrix is filled one row block at a time."""
     import numpy as np
 
     n = operator.index(n)  # a narrow numpy n would wrap q**n under the row cap
@@ -364,8 +401,13 @@ def _character_matrix(group: GroupSpec, n: int, words: Iterable[Sequence[int]]) 
                       for g in range(q)], dtype=np.int64)
     words = words.reshape(cols, n)
     blocks = _linear_blocks(units, digits[words.T].swapaxes(1, 2), m)
+    pieces = _additive_blocks(blocks, cols, m)
+    _, block = next(pieces)
+    if len(block) == rows:
+        return block
     exponents = np.empty((rows, cols), dtype=_exponent_dtype(m))
-    for start, block in _additive_blocks(blocks, cols, m):
+    exponents[: len(block)] = block
+    for start, block in pieces:
         exponents[start : start + len(block)] = block
     return exponents
 

@@ -1012,6 +1012,11 @@ class _NullSink:
         return len(text)
 
 
+def _clear_shell_caches():
+    bounds._letter_counts.cache_clear()
+    bounds._digits.cache_clear()
+
+
 def _traced_peak(call):
     import tracemalloc
 
@@ -1039,6 +1044,39 @@ def test_verification_and_csv_take_the_matrix_and_one_block(monkeypatch, block_b
         bound = 2 * rep.exponents.nbytes + bounds._BLOCK_BYTES
         assert _traced_peak(lambda: verify_representation(rep, spec)) < bound
         assert _traced_peak(lambda: rep.write_csv(_NullSink())) < bound
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1 << 18])
+def test_builds_take_the_matrix_and_one_block(monkeypatch, block_bytes):
+    # Building allocates at most one block of working memory beyond the
+    # matrix and one copy of it, with the letter counts and digits cold.
+    # A build whose coordinates all fit one row block returns that block as
+    # the matrix: C-ordered, writable, and beside it only the wrapped-around
+    # copy it was reduced with.
+    if block_bytes is not None:
+        monkeypatch.setattr(bounds, "_BLOCK_BYTES", block_bytes)
+    builds = [lambda: build_representation(lp_two_support(8, 3, 2), cyclic(3)),
+              lambda: hadamard_representation(cyclic(3), 12)]
+    for build in builds:
+        matrix = build().exponents.nbytes
+        assert matrix > 6 << 20
+        _clear_shell_caches()
+        assert _traced_peak(build) < 2 * matrix + bounds._BLOCK_BYTES
+    builds = [lambda: build_representation(lp_two_support(8, 3, 8), cyclic(3)),
+              lambda: build_representation(lp_two_support(12, 2, 12), cyclic(2)),
+              lambda: build_representation(lp_two_support(5, 5, 5), cyclic(5)),
+              lambda: hadamard_representation(cyclic(2), 12)]
+    one_block = 0
+    for build in builds:
+        rep = build()
+        exponents = rep.exponents
+        assert exponents.dtype == bounds._exponent_dtype(rep.root_order)
+        assert exponents.flags.c_contiguous and exponents.flags.writeable
+        if 4 * exponents.nbytes <= bounds._BLOCK_BYTES:
+            _clear_shell_caches()
+            assert _traced_peak(build) < 3 * exponents.nbytes
+            one_block += 1
+    assert one_block == (4 if block_bytes is None else 1)
 
 
 @pytest.mark.parametrize("block_bytes", [None, 1 << 18])
@@ -1193,18 +1231,63 @@ def test_neighbours_agree_with_word_add(group):
 
 
 def test_index_shells_match_enumerate_shell():
+    # Labels interleave across every (group, n), so the cached letter counts
+    # are read cold (caches cleared), warm (just filled) and after other
+    # cells have evicted them; Z_4 and GF(4) share their counts.
     groups = [cyclic(q) for q in range(2, 6)] + [finite_field(4), finite_field(8)]
-    shells = 0
+    cells = []
     for group in groups:
         q = group.order
         for n in range(1, 13):
             if q**n > 5000:
                 break
-            for label in (*range(n + 1), *enumerate_compositions(q, n)):
-                expected = [word_index(group, y) for y in enumerate_shell(group, n, label)]
-                assert bounds._shell_indices(group, n, label).tolist() == expected
-                shells += 1
-    assert shells >= 1500
+            cells.append([
+                (group, n, label, [word_index(group, y) for y in enumerate_shell(group, n, label)])
+                for label in (*range(n + 1), *enumerate_compositions(q, n))
+            ])
+    shells = [case for row in itertools.zip_longest(*cells) for case in row if case]
+    assert len(shells) >= 1500
+    for group, n, label, expected in shells:
+        _clear_shell_caches()
+        assert bounds._shell_indices(group, n, label).tolist() == expected
+        assert bounds._shell_indices(group, n, label).tolist() == expected
+    for group, n, label, expected in shells:
+        assert bounds._shell_indices(group, n, label).tolist() == expected
+
+
+def test_cached_tables_are_read_only_and_indices_are_fresh():
+    _clear_shell_caches()
+    for n in (0, 1, 4):
+        counts = bounds._letter_counts(3, n, 1)
+        for array in (counts, counts.base):
+            with pytest.raises(ValueError):
+                array[0] = 1
+    digits = bounds._digits(finite_field(4))
+    with pytest.raises(ValueError):
+        digits[1, 0] = 0
+    assert bounds._digits(finite_field(4)).tolist() == [[0, 0], [1, 0], [0, 1], [1, 1]]
+    # a caller that writes into the indices it got changes nobody else's
+    for label in (2, (1, 2, 1)):
+        ys = bounds._shell_indices(cyclic(3), 4, label)
+        expected = ys.tolist()
+        ys[:] = 0
+        assert bounds._shell_indices(cyclic(3), 4, label).tolist() == expected
+        assert bounds._shell_indices(finite_field(3), 4, label).tolist() == expected
+
+
+@pytest.mark.parametrize("narrow", [np.int8, np.int64])
+def test_numpy_n_reads_the_shells_of_the_plain_int(narrow):
+    # A numpy n on a cold cache must store the counts of the plain int, for
+    # itself and for a plain-int call after it.
+    for group, n, labels in ((cyclic(2), 12, (0, 6, 12, (7, 5))),
+                             (cyclic(3), 7, (7, (3, 2, 2))),
+                             (finite_field(4), 5, (4, (1, 1, 1, 2)))):
+        expected = {label: [word_index(group, y) for y in enumerate_shell(group, n, label)]
+                    for label in labels}
+        _clear_shell_caches()
+        for label in labels:
+            assert bounds._shell_indices(group, narrow(n), label).tolist() == expected[label]
+            assert bounds._shell_indices(group, n, label).tolist() == expected[label]
 
 
 def test_vectorised_draws_match_the_stream():
