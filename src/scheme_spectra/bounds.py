@@ -1080,13 +1080,13 @@ def conjecture_probe(q: int, n: int) -> ProbeVerdict:
     counts[1] += 1
     counts[q - 1] += 1
     pattern = Composition(tuple(counts))
-    at_pattern = next((value for j, value, _ in shells if j == pattern), 0)
+    at_pattern = next((value for j, value, _ in shells if j == pattern.counts), 0)
     if at_pattern != target or target >= 0:
         raise ArithmeticError(
             f"pattern shell {tuple(pattern)} has eigenvalue {at_pattern}, expected {target} < 0"
         )
     minimum = min(value for _, value, _ in shells)
-    achieving = tuple(j for j, value, _ in shells if value == minimum)
+    achieving = tuple(Composition._trusted(j) for j, value, _ in shells if value == minimum)
     verdict = "holds" if Fraction(minimum) == target else "fails"
     return ProbeVerdict(
         verdict,

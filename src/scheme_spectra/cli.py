@@ -108,7 +108,7 @@ def _graph_from_args(args: argparse.Namespace):
         raise SpecMismatch("composition graphs do not take --d")
     group = _make_group(args)
     if args.comp is not None:
-        dcomp = Composition(_parse_comp(args.comp))
+        dcomp = _parse_comp(args.comp)
     else:
         dcomp = Composition.balanced(args.q, args.n)
     return CompositionGraphSpec(group, args.n, dcomp)

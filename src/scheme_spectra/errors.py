@@ -24,7 +24,9 @@ class SpecMismatch(SchemeSpectraError, ValueError):
 
 
 class BadLabel(SchemeSpectraError, ValueError):
-    """Shell label is not a valid weight or composition for the given length."""
+    """Shell label is not a valid weight or composition for the given length:
+    the one refusal of a malformed label, with one message per fault wherever
+    the label enters (groups._shell_label)."""
 
 
 class RangeError(SchemeSpectraError, ValueError):

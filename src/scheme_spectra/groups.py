@@ -107,12 +107,9 @@ class GroupSpec:
         return index
 
     def is_negation_closed(self, comp: Composition | Sequence[int]) -> bool:
-        """Whether a generating composition is stable under negation."""
-        counts = tuple(comp)
-        if len(counts) != self.order:
-            raise BadLabel(
-                f"composition has {len(counts)} parts, group has order {self.order}"
-            )
+        """Whether a generating composition is stable under negation; BadLabel
+        unless it has one nonnegative count per element (:func:`_shell_label`)."""
+        counts = _shell_label(self, None, tuple(comp))
         return all(counts[g] == counts[self.neg(g)] for g in self.elements())
 
 
@@ -467,9 +464,11 @@ def _comp_words(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
         word[j + 1 :] = word[:j:-1]
 
 
-def _shell_label(group: GroupSpec, n: int, label: object) -> int | tuple[int, ...]:
+def _shell_label(group: GroupSpec, n: int | None, label: object) -> int | tuple[int, ...]:
     """A shell label as a weight in 0..n if it has an integer value, else as
-    the counts of a composition of n into q parts; BadLabel if it is not."""
+    the counts of a composition of n into q parts; BadLabel if it is not.
+    Every reader of a composition label passes it here as a tuple (so an int
+    is a TypeError), with n None where any total will do."""
     try:
         w = operator.index(label)
     except TypeError:
@@ -482,7 +481,7 @@ def _shell_label(group: GroupSpec, n: int, label: object) -> int | tuple[int, ..
         raise BadLabel(f"composition has {len(counts)} parts, expected {group.order}")
     if any(c < 0 for c in counts):
         raise BadLabel(f"negative count in {counts}")
-    if sum(counts) != n:
+    if n is not None and sum(counts) != n:
         raise BadLabel(f"composition {counts} sums to {sum(counts)}, expected {n}")
     return counts
 

@@ -57,17 +57,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
-    BadLabel,
     DivisibilityError,
     DomainError,
     NotFound,
     RangeError,
     SizeExceeded,
-    SumMismatch,
     UnsupportedSize,
 )
 from .exactnum import CycInt, _fold_table, _reduction_rows, binom, multinom
-from .groups import Composition, GroupSpec, _colex_walk, enumerate_shell
+from .groups import Composition, GroupSpec, _colex_walk, _shell_label, cyclic, enumerate_shell
 
 #: Largest alphabet for which the circulant determinant is expanded exactly.
 CIRCULANT_MAX_Q = 7
@@ -181,21 +179,7 @@ def first_root_ratio(q: int, delta: float) -> float:
     return (q - 1 - (q - 2) * delta - 2.0 * math.sqrt((q - 1) * delta * (1.0 - delta))) / q
 
 
-def _validate_pair(group: GroupSpec, n: int, i: Composition, j: Composition) -> None:
-    for label, name in ((i, "i"), (j, "j")):
-        counts = tuple(label)
-        if len(counts) != group.order:
-            raise SumMismatch(
-                f"composition {name}={counts} has {len(counts)} parts, "
-                f"group order is {group.order}"
-            )
-        if min(counts) < 0:
-            raise BadLabel(f"negative count in composition {name}={counts}")
-        if sum(counts) != n:
-            raise SumMismatch(f"composition {name}={counts} does not sum to n={n}")
-
-
-def _gen_kraw_brute(group: GroupSpec, n: int, i: Composition, j: Composition) -> CycInt:
+def _gen_kraw_brute(group: GroupSpec, n: int, i: Sequence[int], j: Sequence[int]) -> CycInt:
     m = group.char_order
     x = next(enumerate_shell(group, n, j))
     exps = [[group.char_exponent(g, h) for h in group.elements()] for g in group.elements()]
@@ -309,7 +293,7 @@ def _sub_successors(
 
 
 def _expand(
-    group: GroupSpec, n: int, x: Composition, target: Composition | None = None
+    group: GroupSpec, n: int, x: Sequence[int], target: Sequence[int] | None = None
 ) -> tuple[list[int], int]:
     # The generating product prod_h (sum_g phi_h(g) z_g)^(x_h), expanded
     # one linear factor at a time, as (coefficients, width).  After t
@@ -368,7 +352,7 @@ def _expand(
     return poly, width
 
 
-def _gen_kraw_extraction(group: GroupSpec, n: int, i: Composition, j: Composition) -> CycInt:
+def _gen_kraw_extraction(group: GroupSpec, n: int, i: Sequence[int], j: Sequence[int]) -> CycInt:
     # The coefficient of z^i in the product of _expand for x = j, expanded
     # over the sub-compositions of i only.
     (packed,), width = _expand(group, n, j, i)
@@ -396,7 +380,7 @@ def _mirror_ranks(q: int, n: int, neg: tuple[int, ...]) -> array:
 
 
 def _read_out(
-    group: GroupSpec, n: int, x: Composition, degree: int | None = None
+    group: GroupSpec, n: int, x: Sequence[int], degree: int | None = None
 ) -> tuple[list[tuple[tuple[int, ...], int | CycInt, int]], Sequence[int]]:
     # The z^j coefficients of the product of _expand, one per composition j
     # of n, read out in one pass as (counts of j, value, multinom(n, j)) in
@@ -494,7 +478,7 @@ def _read_out(
 
 
 @functools.cache
-def _group_determinant(group: GroupSpec) -> tuple[tuple[Composition, int], ...]:
+def _group_determinant(group: GroupSpec) -> tuple[tuple[tuple[int, ...], int], ...]:
     # The group determinant D = prod_h L_h, L_h = sum_g phi_h(g) z_g, as
     # (exponent vector, coefficient) pairs in colex order, zero terms
     # dropped: the generating product of the balanced generator of length
@@ -508,7 +492,7 @@ def _group_determinant(group: GroupSpec) -> tuple[tuple[Composition, int], ...]:
                 f"group determinant of {group!r} has coefficient {value!r} at z^{j}"
             )
         if value:
-            terms.append((Composition._trusted(j), value))
+            terms.append((j, value))
     return tuple(terms)
 
 
@@ -529,7 +513,7 @@ def _balanced_work(group: GroupSpec, n: int) -> int:
     return terms * (20 * monomials * chunks + q**4 * m) // (20 * q * q)
 
 
-def _balanced_shells(group: GroupSpec, n: int) -> list[tuple[Composition, int, int]]:
+def _balanced_shells(group: GroupSpec, n: int) -> list[tuple[tuple[int, ...], int, int]]:
     # (j, eigenvalue, multinom(n, j)) on every shell j where the balanced
     # composition graph of length n has a nonzero eigenvalue, in colex
     # order.  For x = (n/q, ..., n/q) the generating product of _expand is
@@ -581,7 +565,7 @@ def _balanced_shells(group: GroupSpec, n: int) -> list[tuple[Composition, int, i
         value, rem = divmod(a * degree, size)
         if rem:
             raise ArithmeticError(f"{a} * {degree} / {size} is not an integer")
-        out.append((Composition._trusted(tuple(label)), value, size))
+        out.append((tuple(label), value, size))
     return out
 
 
@@ -606,11 +590,12 @@ def gen_kraw(
     only, without touching the shell.
 
     The value is a plain int when it is rational, as for :func:`kraw`,
-    and a :class:`CycInt` otherwise.
+    and a :class:`CycInt` otherwise.  BadLabel refuses a label that is
+    not a composition of n into q parts, whichever the method.
     """
     # a float n would pass the sum check, and the two routes then disagree
     n = operator.index(n)
-    _validate_pair(group, n, i, j)
+    i, j = _shell_label(group, n, tuple(i)), _shell_label(group, n, tuple(j))
     if method == "brute":
         value = _gen_kraw_brute(group, n, i, j)
     elif method == "extraction":
@@ -660,7 +645,9 @@ def gen_kraw_circulant(q: int, n: int, r: Composition) -> int:
     the balanced spectrum route takes from the character-sum expansion;
     here it is expanded as a sum over permutations instead, so this route
     is the oracle for that determinant, independent of the character
-    sums.  The alphabet is capped because of the q! permutations.
+    sums.  The alphabet is capped because of the q! permutations.  After
+    the checks of q and q | n, BadLabel refuses an r that is not a
+    composition of n into q parts.
     """
     if q < 2:
         raise DomainError(f"need q >= 2, got {q}")
@@ -670,11 +657,7 @@ def gen_kraw_circulant(q: int, n: int, r: Composition) -> int:
         )
     if n % q:
         raise DivisibilityError(f"balanced generator needs q | n, got q={q}, n={n}")
-    target = tuple(r)
-    if len(target) != q:
-        raise SumMismatch(f"composition {target} has {len(target)} parts, expected {q}")
-    if sum(target) != n:
-        raise SumMismatch(f"composition {target} does not sum to n={n}")
+    target = _shell_label(cyclic(q), n, tuple(r))
 
     det = _circulant_determinant(q)
     states: dict[tuple[int, ...], int] = {(0,) * q: 1}
@@ -699,6 +682,7 @@ def gen_kraw_circulant(q: int, n: int, r: Composition) -> int:
 
 
 def zero_shell_predicate(q: int, r: Composition | tuple) -> bool:
-    """True when sum_g g*r_g is nonzero mod q, forcing a zero balanced value."""
-    counts = tuple(r)
+    """True when sum_g g*r_g is nonzero mod q, forcing a zero balanced value;
+    BadLabel unless r has one nonnegative count per element of Z_q."""
+    counts = _shell_label(cyclic(q), None, tuple(r))
     return sum(g * c for g, c in enumerate(counts)) % q != 0

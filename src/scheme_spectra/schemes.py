@@ -31,6 +31,7 @@ from .exactnum import CycInt, _cos_table, _sign_bits, binom, multinom
 from .groups import (
     Composition,
     GroupSpec,
+    _shell_label,
     comp as word_composition,
     cyclic,
     enumerate_shell,
@@ -95,7 +96,8 @@ class CompositionGraphSpec(Record):
 
     The graph is undirected exactly when dcomp is negation-closed; the
     balanced case dcomp = (n/q, ..., n/q) is the generalized Hadamard
-    graph of the alphabet.
+    graph of the alphabet.  BadLabel refuses a dcomp that is not a
+    composition of n into one count per element.
     """
 
     group: GroupSpec
@@ -107,13 +109,7 @@ class CompositionGraphSpec(Record):
         n = operator.index(n)
         if n < 1:
             raise DomainError(f"need n >= 1, got n={n}")
-        # parts read as ints before they are summed: int8 parts would wrap
-        counts = tuple(map(operator.index, dcomp))
-        if len(counts) != group.order:
-            raise DomainError(f"dcomp has {len(counts)} parts, group order is {group.order}")
-        if sum(counts) != n:
-            raise DomainError(f"dcomp {counts} does not sum to n={n}")
-        self._set(group, n, Composition(counts))
+        self._set(group, n, Composition._trusted(_shell_label(group, n, tuple(dcomp))))
 
     @property
     def vertex_count(self) -> int:
@@ -290,7 +286,7 @@ def composition_spectrum(spec: CompositionGraphSpec) -> Spectrum:
     degree = _composition_degree(spec)
     if spec.balanced:
         # the shells the balanced route leaves out have eigenvalue 0
-        values = {j.counts: value for j, value, _ in _balanced_shells(spec.group, n)}
+        values = {j: value for j, value, _ in _balanced_shells(spec.group, n)}
         column = [(j, values.get(j, 0), size) for j, size in _colex_shells(q, n)]
     else:
         column, _ = _read_out(spec.group, n, spec.dcomp, degree)

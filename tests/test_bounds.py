@@ -1809,7 +1809,7 @@ def test_probe_checks_that_the_pattern_shell_is_negative(monkeypatch):
     # the zero shells are left out, which is sound only while the minimum
     # is negative; a route that lost the pattern shell must not pass
     shells = krawtchouk._balanced_shells(cyclic(3), 6)
-    pattern = Composition((4, 1, 1))
+    pattern = (4, 1, 1)
     monkeypatch.setattr(
         bounds, "_balanced_shells", lambda *args: [e for e in shells if e[0] != pattern]
     )

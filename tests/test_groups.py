@@ -551,14 +551,20 @@ def test_shell_label_validation():
         (lambda: list(enumerate_compositions(0, 2)), BadLabel, "need at least one part, got q=0"),
         (lambda: shell_size(cyclic(3), 2, 3), BadLabel, "weight 3 outside 0..2"),
         (lambda: cyclic(3).is_negation_closed((1, 1)), BadLabel,
-         "composition has 2 parts, group has order 3"),
+         "composition has 2 parts, expected 3"),
+        # both read only the counts they needed: the short label gave True,
+        # and so did the negative count
+        (lambda: krawtchouk.zero_shell_predicate(3, (1, 1)), BadLabel,
+         "composition has 2 parts, expected 3"),
+        (lambda: cyclic(3).is_negation_closed((3, -1, -1)), BadLabel,
+         "negative count in (3, -1, -1)"),
         (lambda: FiniteField(2, 0, (1,)), DomainError,
          "field extension degree must be >= 1, got 0"),
     ],
     ids=[
         "word_add", "word_char_exponent", "shell-negative-count", "shell-wrong-sum",
         "compositions-no-parts", "shell_size-weight-above-n", "negation-closed-part-count",
-        "field-degree-0",
+        "zero-shell-part-count", "negation-closed-negative-count", "field-degree-0",
     ],
 )
 def test_refusals_of_outside_input(call, error, message):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scheme_spectra import (
+    BadLabel,
     CompositionGraphSpec,
     CycInt,
     DomainError,
@@ -34,6 +35,8 @@ from scheme_spectra import (
     conjecture_probe,
     cyclic,
     enumerate_shell,
+    gen_kraw,
+    gen_kraw_circulant,
     hadamard_representation,
     kraw,
     kraw_column,
@@ -41,7 +44,9 @@ from scheme_spectra import (
     multinom,
     shell_size,
     verify_representation,
+    zero_shell_predicate,
 )
+from scheme_spectra.bounds import _shell_indices
 
 _NUMPY_INTS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
 
@@ -357,3 +362,53 @@ def test_numpy_composition_parts_meet_n(kind):
     spec = CompositionGraphSpec(cyclic(2), 128, (kind(127), kind(1)))
     assert spec == CompositionGraphSpec(cyclic(2), 128, (127, 1))
     assert spec.degree == 128
+
+
+# ---------------------------------------------------------------------------
+# malformed composition labels
+
+# one message per fault, wherever the label enters; {n} is the length asked for
+_MALFORMED = {
+    (1, 1): "composition has 2 parts, expected 3",
+    (1, 1, 1, 0): "composition has 4 parts, expected 3",
+    (3, -1, 0): "negative count in (3, -1, 0)",
+    (1, 1, 1): "composition (1, 1, 1) sums to 3, expected {n}",
+}
+
+
+def _label_readers():
+    # (name, n, call) for every function that reads a composition label over
+    # Z_3, at length n, or at none (None); the circulant route needs 3 | n
+    g = cyclic(3)
+    return [
+        ("gen_kraw i", 2, lambda r: gen_kraw(g, 2, r, (2, 0, 0))),
+        ("gen_kraw j", 2, lambda r: gen_kraw(g, 2, (2, 0, 0), r)),
+        ("gen_kraw brute i", 2, lambda r: gen_kraw(g, 2, r, (2, 0, 0), method="brute")),
+        ("gen_kraw brute j", 2, lambda r: gen_kraw(g, 2, (2, 0, 0), r, method="brute")),
+        ("gen_kraw_circulant", 6, lambda r: gen_kraw_circulant(3, 6, r)),
+        ("CompositionGraphSpec", 2, lambda r: CompositionGraphSpec(g, 2, r)),
+        ("enumerate_shell", 2, lambda r: list(enumerate_shell(g, 2, r))),
+        ("shell_size", 2, lambda r: shell_size(g, 2, r)),
+        ("_shell_indices", 2, lambda r: _shell_indices(g, 2, r)),
+        ("is_negation_closed", None, g.is_negation_closed),
+        ("zero_shell_predicate", None, lambda r: zero_shell_predicate(3, r)),
+    ]
+
+
+@pytest.mark.parametrize("kind", [int, *_NUMPY_INTS, bool])
+def test_one_refusal_of_a_malformed_label(kind):
+    # gen_kraw and the circulant raised SumMismatch with messages of their
+    # own, CompositionGraphSpec DomainError, and is_negation_closed and
+    # zero_shell_predicate let a short label or a negative count through
+    for label, message in _MALFORMED.items():
+        if not all(kind in _holders(c) for c in label):
+            continue
+        parts = tuple(map(kind, label))
+        for name, n, read in _label_readers():
+            if n is None and "{n}" in message:
+                assert read(parts) in (True, False), name  # any total will do
+                continue
+            with pytest.raises(BadLabel) as exc:
+                read(parts)
+            assert type(exc.value) is BadLabel, name
+            assert str(exc.value) == message.format(n=n), name

@@ -209,13 +209,13 @@ def test_validation_normalises_and_refuses_as_before():
         (lambda: HammingGraphSpec(3.0, 2, 1), TypeError, None),
         (
             lambda: CompositionGraphSpec(cyclic(3), 3, (1, 1)),
-            DomainError,
-            "dcomp has 2 parts, group order is 3",
+            BadLabel,
+            "composition has 2 parts, expected 3",
         ),
         (
             lambda: CompositionGraphSpec(cyclic(3), 4, (1, 1, 1)),
-            DomainError,
-            "dcomp (1, 1, 1) does not sum to n=4",
+            BadLabel,
+            "composition (1, 1, 1) sums to 3, expected 4",
         ),
     ]
     for build, error, message in cases:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scheme_spectra import (
+    BadLabel,
     Composition,
     CompositionGraphSpec,
     CycInt,
@@ -91,22 +92,22 @@ def test_composition_spec_basics():
     assert spec.undirected and spec.balanced
     skew = CompositionGraphSpec(cyclic(3), 3, Composition((1, 2, 0)))
     assert not skew.undirected and not skew.balanced
-    with pytest.raises(DomainError):
+    with pytest.raises(BadLabel):
         CompositionGraphSpec(cyclic(3), 4, Composition((1, 1, 1)))
 
 
 @pytest.mark.parametrize(
-    "n, dcomp, message",
+    "n, dcomp, error, message",
     [
-        (0, (0, 0, 0), "need n >= 1, got n=0"),
-        (2, (1, 1), "dcomp has 2 parts, group order is 3"),
+        (0, (0, 0, 0), DomainError, "need n >= 1, got n=0"),
+        (2, (1, 1), BadLabel, "composition has 2 parts, expected 3"),
     ],
     ids=["n-0", "part-count"],
 )
-def test_composition_spec_refusals(n, dcomp, message):
-    with pytest.raises(DomainError) as exc:
+def test_composition_spec_refusals(n, dcomp, error, message):
+    with pytest.raises(error) as exc:
         CompositionGraphSpec(cyclic(3), n, dcomp)
-    assert type(exc.value) is DomainError and str(exc.value) == message
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 def test_composition_spec_takes_only_an_integral_n():
