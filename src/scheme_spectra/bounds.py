@@ -43,7 +43,6 @@ from .groups import (
 )
 from .krawtchouk import (
     _balanced_shells,
-    _first_nonpositive,
     _read_out,
     _shell_sizes,
     first_root_ratio,
@@ -131,25 +130,32 @@ class LPSolution(Record):
 
 
 def check_lp_solution(solution: LPSolution) -> bool:
-    """Re-verify every LP constraint; raises Infeasible naming the violation."""
+    """Re-verify every LP constraint; raises Infeasible naming the violation.
+
+    Zero weights break no constraint and are skipped, which changes no
+    verdict, message or witness.
+    """
     return _check_solution(solution)
 
 
 def _check_solution(solution: LPSolution, column: Sequence[int] | None = None) -> bool:
     # Sign, then positivity, then orthogonality against the column K_i(d),
-    # i = 0..n, of the solution's own n, q and d.  A column not passed in is
-    # read only after the weights pass, so a bad weight is refused first.
+    # i = 0..n, of the solution's own n, q and d, over the nonzero weights.
+    # A column not passed in is read only after the weights pass, so a bad
+    # weight is refused first.
     coefficients = solution.coefficients
-    if min(coefficients, default=0) < 0:
-        i = next(i for i, c in enumerate(coefficients) if c < 0)
+    support = list(itertools.compress(range(len(coefficients)), coefficients))
+    weights = list(map(coefficients.__getitem__, support))
+    if min(weights, default=0) < 0:
+        i = next(i for i in support if coefficients[i] < 0)
         raise Infeasible(
             f"coefficient c_{i} = {coefficients[i]} is negative", witness=("sign", i)
         )
-    if sum(coefficients) <= 0:
+    if sum(weights) <= 0:
         raise Infeasible("total weight is not positive", witness=("positivity",))
     if column is None:
         column = kraw_column(solution.n, solution.q, solution.d)
-    acc = sum(map(operator.mul, coefficients, column))
+    acc = sum(map(operator.mul, weights, map(column.__getitem__, support)))
     if acc != 0:
         raise Infeasible(
             f"weighted Krawtchouk column at d={solution.d} sums to {acc}, expected 0",
@@ -173,32 +179,51 @@ def lp_two_support(n: int, q: int, d: int) -> LPSolution:
     # or the trusted solution
     n, q, d = spec.n, spec.q, spec.d
     column = kraw_column(n, q, d)
-    solution = _two_support(n, q, d, column, _shell_sizes(n, q))
+    _, cheapest, _ = _scan_column(n, q, d, column, _shell_sizes(n, q))
+    solution = _two_support(n, q, d, column, cheapest)
     _check_solution(solution, column)
     return solution
 
 
-def _two_support(
+def _scan_column(
     n: int, q: int, d: int, column: Sequence[int], sizes: Sequence[int]
-) -> LPSolution:
-    # The pick of lp_two_support from the column K_i(d) and the shell sizes;
-    # it checks nothing.
-    best: int | None = None
-    best_cost = 0
+) -> tuple[int, int, int]:
+    # One pass over the nonpositive K_i(d), i = 1..n: the first of them (the
+    # first sign change), the cheapest certificate (least m_i - K_i(d)) and,
+    # over the negative ones, the least ratio K_j(d) / m_j, which by
+    # reciprocity K_d(j) = m_d K_j(d) / m_j is the least eigenvalue's shell;
+    # the first minimiser wins each.  With a = K_j(d).bit_length() (which
+    # ignores the sign) and c = m_j.bit_length() the ratio's size lies
+    # strictly between 2^(a-c-1) and 2^(a-c+1), so a shell whose a - c is at
+    # least 2 below the best's cannot win; the rest cross-multiply exactly.
+    first = cheapest = least = 0
+    cheapest_cost = least_gap = 0
     for i in range(1, n + 1):
         k = column[i]
         if k > 0:
             continue
-        cost = sizes[i] - k
-        if best is None or cost < best_cost:
-            best, best_cost = i, cost
-    if best is None:
-        raise Infeasible(
-            f"no shell index has a nonpositive Krawtchouk value at d={d}"
-        )
+        m = sizes[i]
+        if not first:
+            first = cheapest = i
+            cheapest_cost = m - k
+        elif m - k < cheapest_cost:
+            cheapest, cheapest_cost = i, m - k
+        if k:
+            gap = k.bit_length() - m.bit_length()
+            if not least or (gap + 2 > least_gap and k * sizes[least] < column[least] * m):
+                least, least_gap = i, gap
+    if not least:
+        # sum_j m_j K_d(j) = 0 with K_d(0) = m_d > 0, so this cannot happen
+        raise ArithmeticError(f"no negative Krawtchouk value K_j(d) at n={n}, q={q}, d={d}")
+    return first, cheapest, least
+
+
+def _two_support(n: int, q: int, d: int, column: Sequence[int], i: int) -> LPSolution:
+    # The certificate c_0 = -K_i(d), c_i = 1 of the shell i that
+    # _scan_column picked; it checks nothing.
     coeffs = [0] * (n + 1)
-    coeffs[0] = -column[best]
-    coeffs[best] = 1
+    coeffs[0] = -column[i]
+    coeffs[i] = 1
     return LPSolution._trusted(n, q, d, tuple(coeffs))
 
 
@@ -905,15 +930,18 @@ def bound_report(spec: HammingGraphSpec | CompositionGraphSpec) -> BoundReport:
 
 
 def _hamming_report(spec: HammingGraphSpec) -> BoundReport:
-    # One Krawtchouk column K_i(d) serves the least eigenvalue, the Hoffman
-    # bound, the first sign change and the LP certificate, which is still
-    # checked exactly against it.
+    # One Krawtchouk column K_i(d) and one scan of it serve the least
+    # eigenvalue, the Hoffman bound, the first sign change and the LP
+    # certificate, which is still checked exactly against the column.
     n, q, d = spec.n, spec.q, spec.d
     column = kraw_column(n, q, d)
     sizes = _shell_sizes(n, q)
-    hoffman = _hoffman_value(_least_hamming_eigenvalue(n, q, d, column, sizes), sizes[d])
-    lower: list[tuple[Fraction, str]] = [(hoffman, "hoffman")]
-    solution = _two_support(n, q, d, column, sizes)
+    first, cheapest, least = _scan_column(n, q, d, column, sizes)
+    lam, rem = divmod(sizes[d] * column[least], sizes[least])
+    if rem:
+        raise ArithmeticError(f"reciprocity is not integral at n={n}, q={q}, d={d}, j={least}")
+    lower: list[tuple[Fraction, str]] = [(_hoffman_value(lam, sizes[d]), "hoffman")]
+    solution = _two_support(n, q, d, column, cheapest)
     _check_solution(solution, column)
     # the objective sum_i c_i m_i from the sizes at hand, over the two
     # shells where c_i is nonzero
@@ -921,8 +949,8 @@ def _hamming_report(spec: HammingGraphSpec) -> BoundReport:
     objective = sum(coeffs[i] * sizes[i] for i in itertools.compress(range(n + 1), coeffs))
     upper: list[tuple[Fraction, str]] = [(Fraction(objective), "lp-two-support")]
     diagnostics: dict = {
-        "first_nonpositive_shell": _first_nonpositive(column),
-        "lp_coefficients": list(solution.coefficients),
+        "first_nonpositive_shell": first,
+        "lp_coefficients": list(coeffs),
     }
     slack = (q - 1) * n - q * d
     if slack <= 0:
@@ -935,35 +963,6 @@ def _hamming_report(spec: HammingGraphSpec) -> BoundReport:
         diagnostics["regime"] = "entropy"
         diagnostics["entropy_exponent"] = entropy_q(q, first_root_ratio(q, d / n))
     return _finish_report(spec, lower, upper, diagnostics)
-
-
-def _least_hamming_eigenvalue(
-    n: int, q: int, d: int, column: Sequence[int], sizes: Sequence[int]
-) -> int:
-    # By reciprocity K_d(j) = m_d K_j(d) / m_j, so the least eigenvalue sits
-    # on the shell b with the least ratio K_j(d) / m_j.  Only negative K_j(d)
-    # can attain it.  With a = bit length of -K_j(d) and c = that of m_j the
-    # ratio's size lies strictly between 2^(a-c-1) and 2^(a-c+1), so a shell
-    # whose a - c is at least 2 below the best's cannot win; every other one
-    # is decided exactly by cross-multiplication, the first minimiser
-    # winning.  One checked division then gives the eigenvalue.  (The bit
-    # length of an int ignores its sign, so K_j(d) needs no negation.)
-    best = 0
-    best_gap = 0
-    for j in range(1, n + 1):
-        k = column[j]
-        if k >= 0:
-            continue
-        gap = k.bit_length() - sizes[j].bit_length()
-        if not best or (gap + 2 > best_gap and k * sizes[best] < column[best] * sizes[j]):
-            best, best_gap = j, gap
-    if not best:
-        # sum_j m_j K_d(j) = 0 with K_d(0) = m_d > 0, so this cannot happen
-        raise ArithmeticError(f"no negative Krawtchouk value K_j(d) at n={n}, q={q}, d={d}")
-    value, rem = divmod(sizes[d] * column[best], sizes[best])
-    if rem:
-        raise ArithmeticError(f"reciprocity is not integral at n={n}, q={q}, d={d}, j={best}")
-    return value
 
 
 def _composition_report(spec: CompositionGraphSpec) -> BoundReport:

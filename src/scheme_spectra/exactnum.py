@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -308,7 +307,7 @@ def multinom(n: int, parts: Iterable[int]) -> int:
     """
     # plain ints, so that numpy parts cannot wrap around in the sum
     n = operator.index(n)
-    counts = list(map(operator.index, parts))
+    counts = tuple(map(operator.index, parts))
     if any(c < 0 for c in counts):
         raise SumMismatch(f"negative part in {counts}")
     if sum(counts) != n:
@@ -319,20 +318,45 @@ def multinom(n: int, parts: Iterable[int]) -> int:
     return result
 
 
+def _unit_place(q: int, x: object) -> tuple[bool, bool] | None:
+    # (x == 0, x == (q-1)/q) if x lies in [0, (q-1)/q], else None; a NaN or
+    # an infinity lies outside.  Comparisons with 0, 1/2 and 1 are exact for
+    # ints, floats, Fractions, Decimals and numpy scalars, and settle every x
+    # up to 1/2 <= (q-1)/q.  Above it x is read as p / r through its integer
+    # ratio (numpy ints have none and are read through __index__), which
+    # there is no larger than x's own digits: a Decimal such as 1E-999999999
+    # would give a power of ten of a billion digits.
+    if x != x or x < 0 or x > 1:
+        return None
+    if x <= 0.5:
+        return x == 0, q == 2 and x == 0.5
+    try:
+        p, r = x.as_integer_ratio()
+    except AttributeError:
+        p, r = operator.index(x), 1
+    gap = (q - 1) * r - q * p
+    return (False, not gap) if gap >= 0 else None
+
+
 def entropy_q(q: int, x: float) -> float:
     """q-ary entropy  x*log_q(q-1) - x*log_q(x) - (1-x)*log_q(1-x).
 
     Defined on [0, (q-1)/q] with the endpoint conventions h(0) = 0 and
-    h((q-1)/q) = 1 returned exactly.
+    h((q-1)/q) = 1 returned exactly.  The domain and the endpoints are
+    decided exactly without building a Fraction: by comparisons with 0, 1/2
+    and 1, and above 1/2 in integers on x's integer ratio.  Floats, numpy
+    scalars, Fractions, Decimals and ints are read; a NaN is outside.
     """
     if q < 2:
         raise DomainError(f"entropy_q needs q >= 2, got {q}")
-    top = Fraction(q - 1, q)
-    if x < 0 or x > top:
-        raise DomainError(f"entropy_q argument {x} outside [0, {top}]")
-    if x == 0:
+    q = operator.index(q)
+    place = _unit_place(q, x)
+    if place is None:
+        raise DomainError(f"entropy_q argument {x} outside [0, {q - 1}/{q}]")
+    at_zero, at_top = place
+    if at_zero:
         return 0.0
-    if x == top:
+    if at_top:
         return 1.0
     x = float(x)
     value = -x * math.log(x, q) - (1.0 - x) * math.log(1.0 - x, q)

@@ -29,7 +29,7 @@ class Composition(Record):
     def __init__(self, counts: Sequence[int]) -> None:
         counts = tuple(map(operator.index, counts))
         if any(c < 0 for c in counts):
-            raise BadLabel(f"negative count in composition {counts}")
+            raise BadLabel(f"negative count in {counts}")
         self._set(counts)
 
     @classmethod

@@ -53,7 +53,6 @@ import math
 import operator
 import sys
 from array import array
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
@@ -64,7 +63,7 @@ from .errors import (
     SizeExceeded,
     UnsupportedSize,
 )
-from .exactnum import CycInt, _fold_table, _reduction_rows, binom, multinom
+from .exactnum import CycInt, _fold_table, _reduction_rows, _unit_place, binom, multinom
 from .groups import Composition, GroupSpec, _colex_walk, _shell_label, cyclic, enumerate_shell
 
 #: Largest alphabet for which the circulant determinant is expanded exactly.
@@ -155,25 +154,24 @@ def first_nonpositive(n: int, q: int, d: int) -> int:
     NotFound guards the degenerate d = 0 case (and n = 0, with no shells).
     """
     if n >= 1:
-        j = _first_nonpositive(kraw_column(n, q, d))
-        if j is not None:
-            return j
+        column = kraw_column(n, q, d)
+        for j in range(1, n + 1):
+            if column[j] <= 0:
+                return j
     raise NotFound(f"K_{d} stays positive on 1..{n} for n={n}, q={q}")
-
-
-def _first_nonpositive(column: list[int]) -> int | None:
-    """Smallest index j >= 1 with column[j] <= 0, or None."""
-    return next((j for j in range(1, len(column)) if column[j] <= 0), None)
 
 
 def first_root_ratio(q: int, delta: float) -> float:
     """Large-n limit of (first Krawtchouk root)/n at degree delta*n.
 
-    A float diagnostic only; all bound bookkeeping elsewhere is exact.
+    A float diagnostic only; all bound bookkeeping elsewhere is exact.  The
+    domain is checked exactly, as :func:`entropy_q` checks its own: without
+    building a Fraction, and above 1/2 in integers on delta's integer ratio.
+    A NaN is outside it.
     """
     if q < 2:
         raise DomainError(f"need q >= 2, got {q}")
-    if delta < 0 or delta > Fraction(q - 1, q):
+    if _unit_place(operator.index(q), delta) is None:
         raise DomainError(f"delta must lie in [0, {q - 1}/{q}], got {delta}")
     delta = float(delta)
     return (q - 1 - (q - 2) * delta - 2.0 * math.sqrt((q - 1) * delta * (1.0 - delta))) / q

@@ -413,7 +413,8 @@ def hoffman_bound(spectrum: Spectrum) -> Fraction:
 
 
 def _hoffman_value(lam_min: int | CycInt, degree: int) -> Fraction:
-    # 1 - degree / lam_min, refused unless lam_min is a negative integer.
+    # 1 - degree / lam_min as one Fraction, refused unless lam_min is a
+    # negative integer.
     if isinstance(lam_min, CycInt):
         raise IrrationalEigenvalue(
             f"least eigenvalue {lam_min!r} is irrational; no exact rational bound"
@@ -422,7 +423,7 @@ def _hoffman_value(lam_min: int | CycInt, degree: int) -> Fraction:
         raise NoNegativeEigenvalue(
             f"least eigenvalue {lam_min} is nonnegative; the bound needs lambda_min < 0"
         )
-    return 1 - Fraction(degree, lam_min)
+    return Fraction(lam_min - degree, lam_min)
 
 
 def trace_identity_check(spectrum: Spectrum) -> bool:

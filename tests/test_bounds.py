@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -207,6 +208,78 @@ def test_check_rejects_broken_orthogonality():
         check_lp_solution(bad)
     assert err.value.witness[0] == "orthogonality"
     assert err.value.witness[1] != 0
+
+
+def _full_length_check(solution, column):
+    # check_lp_solution's three checks over all n + 1 weights, zeros
+    # included: the reference for the checks on the support
+    coefficients = solution.coefficients
+    if min(coefficients, default=0) < 0:
+        i = next(i for i, c in enumerate(coefficients) if c < 0)
+        raise Infeasible(
+            f"coefficient c_{i} = {coefficients[i]} is negative", witness=("sign", i)
+        )
+    if sum(coefficients) <= 0:
+        raise Infeasible("total weight is not positive", witness=("positivity",))
+    acc = sum(map(operator.mul, coefficients, column))
+    if acc != 0:
+        raise Infeasible(
+            f"weighted Krawtchouk column at d={solution.d} sums to {acc}, expected 0",
+            witness=("orthogonality", acc),
+        )
+    return True
+
+
+def _lp_verdict(check, *args):
+    try:
+        return check(*args)
+    except Infeasible as exc:
+        return type(exc), str(exc), exc.witness
+
+
+def _weight_vectors(rng, n, q, d):
+    size = n + 1
+    certificate = list(lp_two_support(n, q, d).coefficients)
+    yield certificate
+    for delta in (-1, 1):
+        yield [certificate[0] + delta] + certificate[1:]
+        off = certificate[:]
+        off[off.index(1, 1)] += delta
+        yield off
+    yield [0] * size
+    for _ in range(6):
+        yield [rng.randint(-3, 6) for _ in range(size)]  # dense
+        yield [rng.randint(0, 6) for _ in range(size)]
+        sparse = [0] * size
+        for i in rng.sample(range(size), min(size, 3)):
+            sparse[i] = rng.randint(-2, 4)
+        yield sparse
+        big = [0] * size
+        for i in rng.sample(range(size), min(size, 4)):
+            big[i] = rng.choice((1, -1)) * rng.getrandbits(300)
+        yield big
+        yield [abs(c) for c in big]
+    for i in (0, size // 2, size - 1):
+        negative = certificate[:]
+        negative[i] = -rng.randint(1, 5)
+        yield negative
+        dense = [rng.randint(1, 9) for _ in range(size)]
+        dense[i] = -1
+        yield dense
+
+
+def test_checks_on_the_support_match_the_full_length_check():
+    rng = random.Random(20251020)
+    for n, q, d in ((1, 2, 1), (4, 2, 2), (6, 3, 4), (12, 5, 7), (40, 3, 13), (150, 4, 60)):
+        column = krawtchouk.kraw_column(n, q, d)
+        kinds = set()
+        for weights in _weight_vectors(rng, n, q, d):
+            solution = LPSolution(n, q, d, weights)
+            want = _lp_verdict(_full_length_check, solution, column)
+            assert _lp_verdict(check_lp_solution, solution) == want, (n, q, d, weights)
+            assert _lp_verdict(bounds._check_solution, solution, column) == want, (n, q, d, weights)
+            kinds.add(want if want is True else want[2][0])
+        assert kinds == {True, "sign", "positivity", "orthogonality"}, (n, q, d)
 
 
 def test_lp_two_support_is_the_validated_solution():
@@ -1623,15 +1696,18 @@ def test_least_hamming_eigenvalue_is_decided_exactly_on_near_ties(
     assert least < second and least / second < 2
     gap = [(-column[j]).bit_length() - sizes[j].bit_length() for j in (winner, runner_up)]
     assert gap[1] >= gap[0]
-    value = bounds._least_hamming_eigenvalue(n, q, d, column, sizes)
-    assert value == sizes[d] * column[winner] // sizes[winner]
+    _, _, picked = bounds._scan_column(n, q, d, column, sizes)
+    assert picked == winner
+    value = sizes[d] * column[winner] // sizes[winner]
+    report = bound_report(HammingGraphSpec(n, q, d))
+    assert report.lower == ((1 - Fraction(sizes[d], value), "hoffman"),)
     assert 1 - Fraction(sizes[d], value) == _reciprocity_hoffman(reciprocity_eigenvalues, n, q, d)
 
 
 def test_least_hamming_eigenvalue_refuses_a_column_without_a_negative_entry():
     sizes = krawtchouk._shell_sizes(3, 2)
     with pytest.raises(ArithmeticError, match=r"n=3, q=2, d=1"):
-        bounds._least_hamming_eigenvalue(3, 2, 1, [3, 1, 0, 0], sizes)
+        bounds._scan_column(3, 2, 1, [3, 1, 0, 0], sizes)
 
 
 def test_large_hamming_report_is_fast():

@@ -1,8 +1,10 @@
 """Exact-arithmetic layer: counting helpers, cyclotomic integers, exact signs."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from scheme_spectra import (
     binom,
     cyclotomic_polynomial,
     entropy_q,
+    first_root_ratio,
     multinom,
 )
 from scheme_spectra import exactnum
@@ -82,6 +85,11 @@ def test_multinom_rejects_bad_parts():
         multinom(4, (3, 2))
     with pytest.raises(SumMismatch):
         multinom(4, (5, -1))
+    # the parts print as a tuple, as composition labels do
+    with pytest.raises(SumMismatch, match=r"^parts \(1, 1, 1\) sum to 3, expected 2$"):
+        multinom(2, [1, 1, 1])
+    with pytest.raises(SumMismatch, match=r"^negative part in \(5, -1\)$"):
+        multinom(4, [5, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -383,3 +391,91 @@ def test_entropy_domain_errors():
         entropy_q(2, 0.51)
     with pytest.raises(DomainError):
         entropy_q(3, -0.01)
+
+
+def _fraction_entropy_q(q, x):
+    # entropy_q with its domain decided by Fraction comparisons, the
+    # reference for the integer check
+    if q < 2:
+        raise DomainError(f"entropy_q needs q >= 2, got {q}")
+    top = Fraction(q - 1, q)
+    if x < 0 or x > top:
+        raise DomainError(f"entropy_q argument {x} outside [0, {top}]")
+    if x == 0:
+        return 0.0
+    if x == top:
+        return 1.0
+    x = float(x)
+    value = -x * math.log(x, q) - (1.0 - x) * math.log(1.0 - x, q)
+    if q > 2:
+        value += x * math.log(q - 1, q)
+    return value
+
+
+def _fraction_first_root_ratio(q, delta):
+    if q < 2:
+        raise DomainError(f"need q >= 2, got {q}")
+    if delta < 0 or delta > Fraction(q - 1, q):
+        raise DomainError(f"delta must lie in [0, {q - 1}/{q}], got {delta}")
+    delta = float(delta)
+    return (q - 1 - (q - 2) * delta - 2.0 * math.sqrt((q - 1) * delta * (1.0 - delta))) / q
+
+
+def _domain_grid(q):
+    top = (q - 1) / q
+    exact = Fraction(q - 1, q)
+    tiny = Fraction(1, 10**30)
+    return [
+        0, -0.0, 1e-300, -1e-300,
+        top, math.nextafter(top, 0.0), math.nextafter(top, 1.0),
+        exact, exact - tiny, exact + tiny,
+        Decimal("0.25"), Decimal(q - 1) / Decimal(q), Decimal(repr(top)),
+        True, False,
+        np.int8(0), np.int8(1), np.int64(0), np.int64(-1),
+        np.float16(top), np.float16(0.25), np.float32(top), np.float32(-0.0),
+        np.float64(top), np.float64(0.5),
+    ]
+
+
+def _outcome(f, q, x):
+    try:
+        return "value", f(q, x)
+    except DomainError as exc:
+        return "DomainError", str(exc)
+
+
+@pytest.mark.parametrize("q", range(2, 8))
+def test_integer_domain_checks_match_the_fraction_comparisons(q):
+    for x in _domain_grid(q):
+        assert _outcome(entropy_q, q, x) == _outcome(_fraction_entropy_q, q, x), (q, x)
+        assert _outcome(first_root_ratio, q, x) == _outcome(_fraction_first_root_ratio, q, x), (q, x)
+    for q_bad in (1, 0, -3):
+        assert _outcome(entropy_q, q_bad, 0.1) == _outcome(_fraction_entropy_q, q_bad, 0.1)
+        assert _outcome(first_root_ratio, q_bad, 0.1) == _outcome(_fraction_first_root_ratio, q_bad, 0.1)
+
+
+def test_a_nan_or_an_infinity_lies_outside_the_domain():
+    # a NaN is neither below 0 nor above (q-1)/q, so comparisons alone
+    # would let it through to a NaN result
+    for x in (math.nan, np.float32("nan"), Decimal("NaN"), math.inf, -math.inf, Decimal("-Infinity")):
+        with pytest.raises(DomainError, match=r"outside \[0, 2/3\]$"):
+            entropy_q(3, x)
+        with pytest.raises(DomainError, match=r"^delta must lie in \[0, 2/3\], got "):
+            first_root_ratio(3, x)
+
+
+class _RatioRefused(Decimal):
+    def as_integer_ratio(self):
+        raise AssertionError(f"integer ratio of {self} read")
+
+
+def test_values_up_to_a_half_are_placed_without_their_integer_ratio():
+    # 1E-999999999 as an integer ratio has a billion-digit denominator
+    assert first_root_ratio(3, _RatioRefused("1E-999999999")) == first_root_ratio(3, 0.0)
+    assert entropy_q(3, _RatioRefused("0.25")) == entropy_q(3, 0.25)
+    assert entropy_q(2, _RatioRefused("0.5")) == 1.0
+    for x in ("1E+999999999", "-1E-999999999", "Infinity"):
+        with pytest.raises(DomainError):
+            entropy_q(3, _RatioRefused(x))
+        with pytest.raises(DomainError):
+            first_root_ratio(3, _RatioRefused(x))

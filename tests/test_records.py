@@ -199,7 +199,7 @@ def test_validation_normalises_and_refuses_as_before():
     spec = CompositionGraphSpec(group=cyclic(3), n=3, dcomp=[1, 1, 1])
     assert spec.dcomp == Composition((1, 1, 1))
     cases = [
-        (lambda: Composition((1, -1)), BadLabel, "negative count in composition (1, -1)"),
+        (lambda: Composition((1, -1)), BadLabel, "negative count in (1, -1)"),
         (lambda: LPSolution(2, 2, 1, (1, 1)), DomainError, "need n+1 = 3 coefficients, got 2"),
         (lambda: cyclic(1), DomainError, "cyclic group needs q >= 2, got 1"),
         (lambda: HammingGraphSpec(0, 2, 1), DomainError, "need n >= 1 and q >= 2, got n=0, q=2"),
