@@ -990,7 +990,7 @@ def _composition_report(spec: CompositionGraphSpec) -> BoundReport:
         # has the same value and comes no later, so it is that shell.
         degree = _composition_degree(spec)
         column, computed = _read_out(group, n, spec.dcomp, degree)
-        values = [column[i][1] for i in computed]
+        values = [column[i] for i in computed]
         try:
             lam_min = values[_extreme(values)]
             lower.append((_hoffman_value(lam_min, degree), "hoffman"))

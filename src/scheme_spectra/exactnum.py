@@ -330,12 +330,17 @@ def _unit_place(q: int, x: object) -> tuple[bool, bool] | None:
         return None
     if x <= 0.5:
         return x == 0, q == 2 and x == 0.5
-    try:
-        p, r = x.as_integer_ratio()
-    except AttributeError:
-        p, r = operator.index(x), 1
+    p, r = _integer_ratio(x)
     gap = (q - 1) * r - q * p
     return (False, not gap) if gap >= 0 else None
+
+
+def _integer_ratio(x: object) -> tuple[int, int]:
+    # x as p / r in integers; numpy ints have no as_integer_ratio
+    try:
+        return x.as_integer_ratio()
+    except AttributeError:
+        return operator.index(x), 1
 
 
 def entropy_q(q: int, x: float) -> float:
@@ -346,6 +351,13 @@ def entropy_q(q: int, x: float) -> float:
     decided exactly without building a Fraction: by comparisons with 0, 1/2
     and 1, and above 1/2 in integers on x's integer ratio.  Floats, numpy
     scalars, Fractions, Decimals and ints are read; a NaN is outside.
+
+    Inside the domain x is read as a float, unless that float is 0.0 (x
+    below 2^-1074) or 1.0 (x within 2^-53 of 1, so q > 2^52), where a log
+    of it or of 1 - x would be a log of 0.  Then x and 1 - x come from x's
+    integer ratio, whose logs math.log reads exactly; an x below 2^-1090
+    has an entropy below 2^-1075, which rounds to 0.0, and is never turned
+    into a ratio, as a Decimal such as 1E-999999999 would be.
     """
     if q < 2:
         raise DomainError(f"entropy_q needs q >= 2, got {q}")
@@ -358,8 +370,23 @@ def entropy_q(q: int, x: float) -> float:
         return 0.0
     if at_top:
         return 1.0
-    x = float(x)
-    value = -x * math.log(x, q) - (1.0 - x) * math.log(1.0 - x, q)
+    xf = float(x)
+    if xf == 0.0:
+        if x * 2**1090 < 1:
+            return 0.0
+        # h = x (ln(1/x) + ln(q-1) + c) / ln q with c = -(1-x) ln(1-x) / x,
+        # which is 1 to double precision, as one correctly rounded quotient
+        p, r = _integer_ratio(x)
+        scale = (math.log(r) - math.log(p) + math.log(q - 1) + 1.0) / math.log(q)
+        a, b = scale.as_integer_ratio()
+        return p * a / (r * b)
+    if xf == 1.0:
+        # x = 1 - y, y below 2^-53 and above 1/q: ln x = ln(1 - y), and
+        # x = 1 to double precision in the other two terms
+        p, r = _integer_ratio(x)
+        y = (r - p) / r
+        return (-math.log1p(-y) - y * math.log(y) + math.log(q - 1)) / math.log(q)
+    value = -xf * math.log(xf, q) - (1.0 - xf) * math.log(1.0 - xf, q)
     if q > 2:
-        value += x * math.log(q - 1, q)
+        value += xf * math.log(q - 1, q)
     return value

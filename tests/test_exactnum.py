@@ -384,6 +384,43 @@ def test_entropy_is_concave_increasing_below_peak():
     assert all(b > a for a, b in zip(samples, samples[1:]))
 
 
+# (q, x) whose float is 0.0 or 1.0: a positive x below 2^-1074, and an x
+# within 2^-53 of 1 below (q-1)/q; the first three raised ValueError (math
+# domain error) from a log of 0.0
+_ENTROPY_EDGES = [
+    (2, Decimal("1E-400")),
+    (2, Fraction(1, 10**400)),
+    (2**60, Fraction(2**60 - 2, 2**60)),
+    (3, Decimal("1E-324")),
+    (2, Fraction(1, 2**1080)),
+    (7, Fraction(3, 2**1078)),
+    (5, Decimal("3.7E-330")),
+    (2, Decimal("1E-999999999")),
+    (2**70, Fraction(2**70 - 5, 2**70)),
+    (2**60 + 1, Fraction(2**60 - 1, 2**60)),
+]
+
+
+@pytest.mark.parametrize("q, x", _ENTROPY_EDGES, ids=[str(i) for i in range(len(_ENTROPY_EDGES))])
+def test_entropy_of_an_x_whose_float_is_zero_or_one(q, x):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        if isinstance(x, Fraction):
+            big = mpmath.mpf(x.numerator) / x.denominator
+        else:
+            big = mpmath.mpf(str(x))
+        # log1p: at 50 digits 1 - big rounds to 1 for the tiny x
+        exact = big * mpmath.log(q - 1) - big * mpmath.log(big) - (1 - big) * mpmath.log1p(-big)
+        expected = float(exact / mpmath.log(q))
+    assert float(x) in (0.0, 1.0)
+    got = entropy_q(q, x)
+    assert type(got) is float
+    if expected == 0.0:
+        assert got == 0.0  # the result underflows
+    else:
+        assert abs(got - expected) <= 1e-12 * expected, (got, expected)
+
+
 def test_entropy_domain_errors():
     with pytest.raises(DomainError):
         entropy_q(1, 0.3)

@@ -576,11 +576,14 @@ def test_read_out_matches_the_two_pass_oracle(group, top):
         for x in enumerate_compositions(group.order, n):
             oracle = _two_pass_column(group, n, x)
             degree = multinom(n, x)
-            column, plain_computed = _read_out(group, n, x)
+            shells = krawtchouk._colex_shells(group.order, n)
+            values, plain_computed = _read_out(group, n, x)
+            column = [(j, v, s) for (j, s), v in zip(shells, values)]
             assert [(Composition(j), v, s) for j, v, s in column] == [
                 (j, _plain(v), s) for j, v, s in oracle
             ]
-            column, computed = _read_out(group, n, x, degree)
+            values, computed = _read_out(group, n, x, degree)
+            column = [(j, v, s) for (j, s), v in zip(shells, values)]
             expected = [(j, _two_pass_rescale(v, degree, s), s) for j, v, s in oracle]
             assert [(Composition(j), v, s) for j, v, s in column] == expected, (n, x)
             assert [type(v) for _, v, _ in column] == [type(v) for _, v, _ in expected]
@@ -615,7 +618,16 @@ def test_expand_matches_the_rotating_oracle(monkeypatch, group, top):
     # product, so the oracle's coefficients in ascending key order,
     # unpruned on every grid generator and pruned to the sub-compositions
     # of every target that the extraction route expands for
-    q = group.order
+    q, m = group.order, group.char_order
+    # Unpruned, the z_(q-1) move's table is a range, written as one slice:
+    # a plain copy for a character trivial at q - 1 and a rotated one
+    # otherwise.  The trivial character h = 0 gives the first and h = 1 the
+    # second in every group of the grid, so the grid's generator
+    # (1, 1, 0, ..., 0) takes both copies.
+    assert group.char_exponent(0, q - 1) % m == 0 and group.char_exponent(1, q - 1) % m
+    assert all(type(krawtchouk._successors(q, t)[q - 1]) is range for t in range(top))
+    both = (1, 1) + (0,) * (q - 2)
+    assert both in [tuple(x) for x in enumerate_compositions(q, 2)]
     for n in range(1, top + 1):
         for x in enumerate_compositions(q, n):
             poly, width = _oracle_expand(group, n, x)
@@ -635,6 +647,17 @@ def test_expand_matches_the_rotating_oracle(monkeypatch, group, top):
             for i in rng.sample(shells, min(3, len(shells))):
                 gen_kraw(group, n, i, x)
     assert calls and all(target is not None for _, _, target in calls)
+    # pruned, the z_(q-1) table is an array slice (None for a target with no
+    # q - 1), taken by the scattered loop, and some call moves by z_(q-1)
+    # under a character nontrivial there
+    assert all(
+        type(krawtchouk._sub_successors(tuple(target))[2][q - 1]) is not range
+        for _, _, target in calls
+    )
+    assert any(
+        target[q - 1] and any(x[h] and group.char_exponent(h, q - 1) % m for h in range(q))
+        for _, x, target in calls
+    )
     for n, x, target in calls:
         poly, width = _rotating_expand(group, n, x, _keep_keys(target, n))
         assert expand(group, n, x, target) == (_oracle_values(poly), width), (n, x, target)

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -462,7 +463,8 @@ def test_composition_column_refuses_an_expansion_missing_a_shell():
     # those keys would be wrong, so the read-out raises instead
     with pytest.raises(ArithmeticError, match="10 monomials, expected one per composition of n=4"):
         krawtchouk._read_out(cyclic(3), 4, Composition((1, 1, 1)))
-    column, _ = krawtchouk._read_out(cyclic(3), 3, Composition((1, 1, 1)))
+    values, _ = krawtchouk._read_out(cyclic(3), 3, Composition((1, 1, 1)))
+    column = [(j, v, s) for (j, s), v in zip(krawtchouk._colex_shells(3, 3), values)]
     assert [j for j, _, _ in column] == [tuple(c) for c in enumerate_compositions(3, 3)]
 
 
@@ -497,6 +499,85 @@ def test_big_multiplicities_serialize_as_decimal_strings():
     data = sp.to_json()
     assert data["vertices"] == str(3**40)
     assert data["entries"][20]["multiplicity"] == str(2**20 * binom(40, 20))
+
+
+def _entry_json(entry):
+    """One entry as the spectrum JSON was once built, a call per entry:
+    the oracle for Spectrum.to_json's one comprehension."""
+    label = entry.label
+    value = entry.eigenvalue
+    return {
+        "shell": label if isinstance(label, int) else list(label.counts),
+        "eigenvalue": (
+            {"coeffs": list(value._coeffs), "order": value._order}
+            if isinstance(value, CycInt)
+            else value
+        ),
+        "multiplicity": str(entry.multiplicity),
+    }
+
+
+def _spectrum_json(spectrum):
+    return {
+        "graph": None if spectrum.graph is None else spectrum.graph.describe(),
+        "entries": [_entry_json(e) for e in spectrum.entries],
+        "degree": str(spectrum.regular_degree),
+        "vertices": str(spectrum.vertex_count),
+    }
+
+
+JSON_GROUPS = [cyclic(q) for q in range(2, 8)] + [finite_field(q) for q in (4, 8, 9)]
+
+
+@pytest.mark.parametrize("group", JSON_GROUPS, ids=lambda g: f"{type(g).__name__}{g.order}")
+def test_spectrum_json_matches_the_per_entry_oracle(group):
+    # every generator of length 3, directed and undirected, and the
+    # balanced one of length q
+    q = group.order
+    kinds = Counter()
+    specs = [CompositionGraphSpec(group, 3, x) for x in enumerate_compositions(q, 3)]
+    specs.append(CompositionGraphSpec(group, q, Composition.balanced(q, q)))
+    for spec in specs:
+        spectrum = composition_spectrum(spec)
+        kinds["balanced" if spec.balanced else "undirected" if spec.undirected else "directed"] += 1
+        kinds["irrational"] += any(isinstance(e.eigenvalue, CycInt) for e in spectrum.entries)
+        got = json.dumps(spectrum.to_json())
+        assert got == json.dumps(_spectrum_json(spectrum)), spec
+    assert kinds["balanced"] and kinds["undirected"]
+    # characters of order 2 are real and rational; negation fixes every
+    # element of Z_2 and GF(2^k), whose generators are all undirected
+    assert kinds["irrational"] or group.char_order == 2
+    assert kinds["directed"] or all(group.neg(g) == g for g in range(q))
+    spectrum = Spectrum(None, spectrum.entries[:3], spectrum.regular_degree, 1)
+    assert json.dumps(spectrum.to_json()) == json.dumps(_spectrum_json(spectrum))
+
+
+def test_hamming_spectrum_json_matches_the_per_entry_oracle():
+    for n, q, d in ((1, 2, 1), (5, 3, 2), (12, 4, 9), (40, 3, 21), (300, 5, 150)):
+        spectrum = hamming_spectrum(HammingGraphSpec(n, q, d))
+        assert json.dumps(spectrum.to_json()) == json.dumps(_spectrum_json(spectrum)), (n, q, d)
+
+
+def test_spectra_of_one_shape_share_their_frozen_labels():
+    # the labels of a (q, n) are built once: directed, undirected and
+    # balanced spectra over any group of order q list the same objects
+    spectra = [
+        composition_spectrum(CompositionGraphSpec(group, 4, x))
+        for group, x in (
+            (cyclic(4), (2, 1, 1, 0)),
+            (cyclic(4), (1, 1, 1, 1)),
+            (cyclic(4), (0, 2, 1, 1)),
+            (finite_field(4), (3, 0, 0, 1)),
+        )
+    ]
+    first = spectra[0].entries
+    for spectrum in spectra[1:]:
+        assert all(a.label is b.label for a, b in zip(first, spectrum.entries, strict=True))
+    shared = first[0].label
+    with pytest.raises(AttributeError, match="cannot assign to field 'counts'"):
+        shared.counts = (0, 0, 0, 4)
+    assert shared == Composition((4, 0, 0, 0))
+    assert spectra[3].entries[0].label.counts == (4, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
