@@ -362,24 +362,13 @@ def _shell_indices(group: GroupSpec, n: int, label: int | Composition) -> np.nda
     return np.flatnonzero(match)
 
 
-@functools.lru_cache(maxsize=8)
-def _digits(group: GroupSpec) -> np.ndarray:
-    """Row g holds the k base-m digits of letter g, lowest first, for the
-    character order m and q = m^k (see :class:`~scheme_spectra.groups.GroupSpec`),
-    in the :func:`_exponent_dtype` of m, which holds the sum of two digits.
-
-    Cached per group and read-only, since a build and its verification read
-    the same table.  An entry takes q x k bytes: at most 20 MiB for a field
-    of 2^20 letters, the largest alphabet under the row cap, so the 8
-    entries retain at most 160 MiB; the benchmark's groups take at most 8
-    bytes each."""
-    import numpy as np
-
-    q, m = group.order, group.char_order
-    powers = [m**i for i in range(q.bit_length()) if m**i < q]
-    digits = (np.arange(q)[:, None] // powers % m).astype(_exponent_dtype(m))
-    digits.flags.writeable = False
-    return digits
+def _digit_count(group: GroupSpec) -> int:
+    """k, the base-m digits of a letter: q = m^k for the character order m
+    (see :class:`~scheme_spectra.groups.GroupSpec`)."""
+    k = 0
+    while group.char_order**k < group.order:
+        k += 1
+    return k
 
 
 def _linear_blocks(coeffs: np.ndarray, units: np.ndarray, m: int) -> np.ndarray:
@@ -396,14 +385,18 @@ def _linear_blocks(coeffs: np.ndarray, units: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _character_matrix(group: GroupSpec, n: int, words: Iterable[Sequence[int]]) -> np.ndarray:
-    """The characters of ``words`` as columns: entry (x, j) is the exponent
-    of phi_(words[j])(x), x in canonical vertex order, reduced mod the root
-    order m, C-ordered in the :func:`_exponent_dtype` of m.  ``words`` may
-    also be a columns x n array of letters.  The row cap is checked before any
-    word is read and the cell cap once they are listed.  Block k of the
-    :func:`_additive_matrix` holds phi_g(words[j][k]): phi_g at the digit units
-    (q x k calls) weighted by the :func:`_digits` of words[j][k].  When every
+def _character_matrix(group: GroupSpec, n: int, columns: Iterable[int]) -> np.ndarray:
+    """The characters of the words whose vertex indices are ``columns``:
+    entry (x, j) is the exponent of phi_y(x) for y the word of index
+    columns[j], x in canonical vertex order, reduced mod the root order m,
+    C-ordered in the :func:`_exponent_dtype` of m.  The row cap is checked
+    before any column is read and the cell cap once they are listed.  An
+    index is an N = n*k digit base-m numeral whose digit i, highest first,
+    is index // m^(N-1-i) % m, so coordinate c holds digits c*k..c*k+k-1,
+    the digits of y_c highest first (see
+    :class:`~scheme_spectra.groups.GroupSpec`).  Block c of the
+    :func:`_additive_matrix` holds phi_g(y_c): phi_g at the digit units
+    m^(k-1), ..., 1 (q x k calls) weighted by those digits.  When every
     coordinate fits one row block, that block is the matrix, returned as it
     was built; otherwise the matrix is filled one row block at a time."""
     import numpy as np
@@ -413,19 +406,18 @@ def _character_matrix(group: GroupSpec, n: int, words: Iterable[Sequence[int]]) 
         raise DomainError(f"need n >= 0, got n={n}")
     q = group.order
     rows = _checked_rows(q, n)
-    words = np.asarray(words if isinstance(words, np.ndarray) else list(words), dtype=np.intp)
-    cols = len(words)
+    columns = np.asarray(columns if isinstance(columns, np.ndarray) else list(columns), dtype=np.intp)
+    cols = len(columns)
     if rows * cols > REPRESENTATION_MAX_CELLS:
         raise SizeExceeded(
             f"representation would have {rows} x {cols} = {rows * cols} cells; "
             f"cap is {REPRESENTATION_MAX_CELLS}"
         )
-    m = group.char_order
-    digits = _digits(group)
-    units = np.array([[group.char_exponent(g, m**i) for i in range(digits.shape[1])]
+    m, k = group.char_order, _digit_count(group)
+    units = np.array([[group.char_exponent(g, m**i) for i in range(k - 1, -1, -1)]
                       for g in range(q)], dtype=np.int64)
-    words = words.reshape(cols, n)
-    blocks = _linear_blocks(units, digits[words.T].swapaxes(1, 2), m)
+    digits = columns // m ** np.arange(n * k - 1, -1, -1)[:, None] % m
+    blocks = _linear_blocks(units, digits.reshape(n, k, cols), m)
     pieces = _additive_blocks(blocks, cols, m)
     _, block = next(pieces)
     if len(block) == rows:
@@ -615,8 +607,7 @@ def build_representation(solution: LPSolution, group: GroupSpec) -> Representati
         np.tile(_shell_indices(group, n, i), c)
         for i, c in enumerate(solution.coefficients) if c
     ])
-    words = np.transpose(np.unravel_index(columns, (group.order,) * n))
-    exponents = _character_matrix(group, n, words)
+    exponents = _character_matrix(group, n, columns)
     return Representation(group, n, exponents, "lp-orthogonal-representation", solution)
 
 
@@ -625,15 +616,17 @@ def hadamard_representation(group: GroupSpec, n: int) -> Representation:
 
     Row x is (phi(x_1), ..., phi(x_n)) for the fixed character phi of
     alphabet element 1, that is, column k is the character of the unit word
-    e_k.  Rows adjacent in the balanced composition graph are orthogonal
-    because their inner product sums phi over every alphabet element equally
-    often; hence the graph's quantum chromatic number is at most n.
+    e_k, of vertex index q^(n-1-k); the indices are listed lazily, so the
+    row cap is checked before any is read.  Rows adjacent in the balanced
+    composition graph are orthogonal because their inner product sums phi
+    over every alphabet element equally often; hence the graph's quantum
+    chromatic number is at most n.
     Requires the alphabet size to divide n.
     """
     n = operator.index(n)
     if n % group.order:
         raise DivisibilityError(f"needs q | n, got q={group.order}, n={n}")
-    units = ((0,) * k + (1,) + (0,) * (n - 1 - k) for k in range(n))
+    units = (group.order ** (n - 1 - k) for k in range(n))
     exponents = _character_matrix(group, n, units)
     return Representation(group, n, exponents, "hadamard-character")
 
@@ -721,15 +714,16 @@ def _translation_invariant(expm: np.ndarray, group: GroupSpec, n: int) -> bool:
     expm[0] is additive in g and expm is expm[0] plus the
     :func:`_additive_matrix` of the delta_k.  The digit units m^i generate
     the alphabet, so delta_k is additive exactly when it is the sum of the
-    u = delta_k[m^i] weighted by the :func:`_digits` of g.  The sum is
-    rebuilt and compared one row block at a time.
+    u = delta_k[m^i] weighted by the k base-m digits of g, lowest first,
+    g // m^i % m, the order in which the unit rows m^i * q^(n-1-j) are read.
+    The sum is rebuilt and compared one row block at a time.
     Adding s to x then adds the same exponents to every row, so rows x and
     x + s have the inner product of rows 0 and s."""
     import numpy as np
 
-    digits = _digits(group)
-    q, k = digits.shape
-    m, cols = group.char_order, expm.shape[1]
+    q, m, k = group.order, group.char_order, _digit_count(group)
+    cols = expm.shape[1]
+    digits = np.arange(q)[:, None] // m ** np.arange(k) % m
     # row m^i * q^(n-1-j) is the word m^i * e_j
     rows = np.outer(q ** np.arange(n - 1, -1, -1), m ** np.arange(k))
     units = np.take(expm, rows.ravel(), axis=0).astype(np.int64)
@@ -812,7 +806,7 @@ def verify_representation(
         raise SpecMismatch(f"representation has {rep.rows} rows, expected {q**n}")
     expm, m = rep.exponents, rep.root_order
     ys = _shell_indices(group, n, label)
-    digits = n * _digits(group).shape[1]  # N, with q^n = m^N
+    digits = n * _digit_count(group)  # N, with q^n = m^N
     # a pair's int64 indices are a draw's two words, x, j and x + s
     pairs = _block_rows(
         (2 * expm.itemsize + 8) * rep.cols + 32 * m + (8 + expm.itemsize) * digits + 40

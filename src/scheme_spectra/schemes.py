@@ -458,6 +458,7 @@ def multiplicity_ratio(q: int, n: int) -> Fraction:
     two; a value above 1 is a certificate that the shell's formal
     multiplicity cannot fit inside the budget.
     """
+    q, n = operator.index(q), operator.index(n)  # numpy ints would wrap q**n
     if q < 3:
         raise DomainError(f"the ratio is defined for q >= 3, got q={q}")
     if ((q - 1) * n) % q:
@@ -522,6 +523,7 @@ def projector_identity_check(n: int, q: int) -> bool:
     """
     import numpy as np
 
+    n, q = operator.index(n), operator.index(q)  # numpy ints would wrap q**n under the cap
     if q**n > PROJECTOR_MAX_VERTICES:
         raise SizeExceeded(
             f"dense projector check is capped at q^n <= {PROJECTOR_MAX_VERTICES}, "

@@ -634,24 +634,27 @@ def _characters_by_cell(group, n, words):
 
 
 def test_character_matrix_matches_the_per_cell_oracle():
+    # columns are vertex indices, with repeats, index 0 and index q^n - 1,
+    # from n = 0 and over fields of k >= 2 digits a letter, m = 2, 3 and 5
     rng = random.Random(271828)
-    groups = [cyclic(q) for q in range(2, 7)] + [finite_field(q) for q in (4, 8, 9)]
+    groups = [cyclic(q) for q in range(2, 7)] + [finite_field(q) for q in (4, 8, 9, 16, 25, 27)]
     cases = 0
     for group in groups:
         q = group.order
-        for n in range(1, 6):
+        for n in range(6):
             if q**n > 5000:
                 break
             for _ in range(2):
                 words = [tuple(rng.randrange(q) for _ in range(n))
                          for _ in range(rng.randint(1, 4))]
-                words += [(0,) * n] + rng.sample(words, min(2, len(words)))  # zero and repeats
+                words += [(0,) * n, (q - 1,) * n] + rng.sample(words, min(2, len(words)))
                 rng.shuffle(words)
-                got = bounds._character_matrix(group, n, iter(words))
+                columns = [word_index(group, y) for y in words]
+                got = bounds._character_matrix(group, n, iter(columns))
                 assert got.dtype == np.uint8 and got.flags.c_contiguous
                 assert np.array_equal(got, _characters_by_cell(group, n, words))
                 cases += 1
-    assert cases >= 60
+    assert cases >= 100
     assert bounds._character_matrix(cyclic(3), 2, []).shape == (9, 0)
 
 
@@ -700,7 +703,7 @@ def test_the_cell_cap_fires_once_the_words_are_listed(monkeypatch):
     with pytest.raises(SizeExceeded, match=message):
         hadamard_representation(cyclic(2), 4)
     with pytest.raises(SizeExceeded, match=message):
-        bounds._character_matrix(cyclic(2), 4, iter([(0, 0, 0, 1)] * 4))
+        bounds._character_matrix(cyclic(2), 4, iter([word_index(cyclic(2), (0, 0, 0, 1))] * 4))
 
 
 def _invariant_oracle(expm, group, n):
@@ -733,7 +736,7 @@ def _invariance_cases():
         for _ in range(3):
             cols = rng.randint(1, 4)
             words = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(cols)]
-            chars = bounds._character_matrix(group, n, words)
+            chars = bounds._character_matrix(group, n, [word_index(group, y) for y in words])
             offset = (chars + np.array([rng.randrange(m) for _ in range(cols)])) % m
             mutated = offset.copy()
             mutated[rng.randrange(q**n), rng.randrange(cols)] += rng.randrange(1, m)
@@ -1087,7 +1090,6 @@ class _NullSink:
 
 def _clear_shell_caches():
     bounds._letter_counts.cache_clear()
-    bounds._digits.cache_clear()
 
 
 def _traced_peak(call):
@@ -1122,7 +1124,7 @@ def test_verification_and_csv_take_the_matrix_and_one_block(monkeypatch, block_b
 @pytest.mark.parametrize("block_bytes", [None, 1 << 18])
 def test_builds_take_the_matrix_and_one_block(monkeypatch, block_bytes):
     # Building allocates at most one block of working memory beyond the
-    # matrix and one copy of it, with the letter counts and digits cold.
+    # matrix and one copy of it, with the letter counts cold.
     # A build whose coordinates all fit one row block returns that block as
     # the matrix: C-ordered, writable, and beside it only the wrapped-around
     # copy it was reduced with.
@@ -1335,10 +1337,6 @@ def test_cached_tables_are_read_only_and_indices_are_fresh():
         for array in (counts, counts.base):
             with pytest.raises(ValueError):
                 array[0] = 1
-    digits = bounds._digits(finite_field(4))
-    with pytest.raises(ValueError):
-        digits[1, 0] = 0
-    assert bounds._digits(finite_field(4)).tolist() == [[0, 0], [1, 0], [0, 1], [1, 1]]
     # a caller that writes into the indices it got changes nobody else's
     for label in (2, (1, 2, 1)):
         ys = bounds._shell_indices(cyclic(3), 4, label)

@@ -11,7 +11,7 @@ from collections.abc import Iterator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scheme_spectra import (
@@ -42,6 +42,8 @@ from scheme_spectra import (
     kraw_column,
     lp_two_support,
     multinom,
+    multiplicity_ratio,
+    projector_identity_check,
     shell_size,
     verify_representation,
     zero_shell_predicate,
@@ -211,6 +213,25 @@ def test_composition_specs(args):
 def test_conjecture_probes(args):
     plain, cast = args
     _same(conjecture_probe, plain, cast)
+
+
+@_SETTINGS
+@given(int_args((-1, 9), (-1, 270)))
+@example(([3, 60], [np.int64(3), 60]))
+@example(([3, 12], [np.int8(3), 12]))
+def test_multiplicity_ratios(args):
+    # q^n wrapped in int64 at q = 3, n = 60, and overflowed int8 at n = 12
+    plain, cast = args
+    _same(multiplicity_ratio, plain, cast)
+
+
+@_SETTINGS
+@given(int_args((1, 4), (0, 1 << 33)))
+@example(([2, 1 << 32], [2, np.int64(1 << 32)]))
+def test_projector_identity_checks(args):
+    # q^n wrapped in int64 (to 0 at q = 2^32, n = 2), which passed the cap
+    plain, cast = args
+    _same(projector_identity_check, plain, cast)
 
 
 @_SETTINGS
