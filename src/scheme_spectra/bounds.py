@@ -337,10 +337,15 @@ def _letter_counts(q: int, n: int, g: int) -> np.ndarray:
     benchmark fills 16 entries, none above 6561 bytes."""
     import numpy as np
 
-    counts = _additive_matrix([np.arange(q)[:, None] == g] * n, 1, n + 1).ravel()
-    # the vector is a view: its base, which owns the counts, is locked too
-    counts.base.flags.writeable = counts.flags.writeable = False
-    return counts
+    return _locked(_additive_matrix([np.arange(q)[:, None] == g] * n, 1, n + 1).ravel())
+
+
+def _locked(array: np.ndarray) -> np.ndarray:
+    """The array made read-only, with the array that owns its memory if it is a view."""
+    if array.base is not None:
+        array.base.flags.writeable = False
+    array.flags.writeable = False
+    return array
 
 
 def _shell_indices(group: GroupSpec, n: int, label: int | Composition) -> np.ndarray:
@@ -421,17 +426,17 @@ def _character_matrix(group: GroupSpec, n: int, columns: Iterable[int]) -> np.nd
     pieces = _additive_blocks(blocks, cols, m)
     _, block = next(pieces)
     if len(block) == rows:
-        return block
+        return _locked(block)
     exponents = np.empty((rows, cols), dtype=_exponent_dtype(m))
     exponents[: len(block)] = block
     for start, block in pieces:
         exponents[start : start + len(block)] = block
-    return exponents
+    return _locked(exponents)
 
 
 def _reduced_exponents(exponents: np.ndarray, m: int) -> np.ndarray:
-    """The exponent matrix as :class:`Representation` holds it; a copy takes
-    each block mod m in a dtype that holds both its values and m."""
+    """The exponent matrix as :class:`Representation` holds it, :func:`_locked`;
+    a copy takes each block mod m in a dtype that holds both its values and m."""
     import numpy as np
 
     exponents = np.asarray(exponents)
@@ -440,7 +445,9 @@ def _reduced_exponents(exponents: np.ndarray, m: int) -> np.ndarray:
             f"exponents must be a 2-D integer array, got {exponents.ndim}-D {exponents.dtype}"
         )
     dtype = _exponent_dtype(m)
-    if (exponents.dtype == dtype and exponents.flags.c_contiguous
+    owner = exponents if exponents.base is None else exponents.base
+    if (isinstance(owner, np.ndarray) and not (owner.flags.writeable or exponents.flags.writeable)
+            and exponents.dtype == dtype and exponents.flags.c_contiguous
             and (exponents.size == 0 or exponents.max() < m)):
         return exponents
     wide = np.promote_types(exponents.dtype, np.min_scalar_type(m))
@@ -448,7 +455,7 @@ def _reduced_exponents(exponents: np.ndarray, m: int) -> np.ndarray:
     step = _block_rows(2 * exponents.shape[1] * wide.itemsize)  # a block and its residues
     for start in range(0, len(out), step):
         out[start : start + step] = exponents[start : start + step].astype(wide) % m
-    return out
+    return _locked(out)
 
 
 class Representation:
@@ -460,8 +467,9 @@ class Representation:
     constructor reads n through operator.index, refusing one below 0 with
     DomainError, and takes any 2-D array of an integer dtype (bool is not
     one), refusing any other with DomainError; it holds the exponents reduced
-    to 0..m-1, C-ordered in the :func:`_exponent_dtype` of m, copying them one
-    row block at a time only when they are not already in that form.
+    to 0..m-1, C-ordered in the :func:`_exponent_dtype` of m and read-only,
+    copying them one row block at a time unless they are in that form and
+    no write can reach them, they and any array they view being read-only.
     """
 
     def __init__(
@@ -514,7 +522,7 @@ class Representation:
             raise DomainError(f"entry {value.to_term_string()} is not a power of zeta_{m}") from None
         exponents = self.exponents.copy()
         exponents[row, col] = power
-        return Representation(self.group, self.n, exponents, self.provenance, self.solution)
+        return Representation(self.group, self.n, _locked(exponents), self.provenance, self.solution)
 
     def write_csv(self, fp: IO[str]) -> None:
         """CSV export: a root-order header, a column header, then one row

@@ -17,7 +17,7 @@ value other than 1, takes the trivial character's factors last, and
 skips every h with x_h = 0, whose character it never reads.  It is read
 out in one more pass into one flat column of values: the list walks in
 step with the compositions in colexicographic order, whose labels and
-sizes are cached apart, and every shell's count total is checked against
+sizes are cached together, and every shell's count total is checked against
 the shell size.  The first shell carrying a given coefficient folds it
 into the power basis and, for a spectrum, scales it to the eigenvalue in
 the same step; every later shell with the same coefficient, after its
@@ -56,7 +56,7 @@ import math
 import operator
 import sys
 from array import array
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DivisibilityError,
@@ -180,16 +180,14 @@ def first_root_ratio(q: int, delta: float) -> float:
     return (q - 1 - (q - 2) * delta - 2.0 * math.sqrt((q - 1) * delta * (1.0 - delta))) / q
 
 
-def _gen_kraw_brute(group: GroupSpec, n: int, i: Sequence[int], j: Sequence[int]) -> CycInt:
+def _character_sum(group: GroupSpec, x: Sequence[int], words: Iterable[Sequence[int]]) -> CycInt:
+    # The sum of phi_x(y) over the words y, streamed, counted per power of
+    # zeta from one row of exponents per letter of x: the oracles' brute sum.
     m = group.char_order
-    x = next(enumerate_shell(group, n, j))
-    exps = [[group.char_exponent(g, h) for h in group.elements()] for g in group.elements()]
+    rows = [[group.char_exponent(a, b) for b in group.elements()] for a in x]
     counts = [0] * m
-    for y in enumerate_shell(group, n, i):
-        e = 0
-        for a, b in zip(x, y):
-            e += exps[a][b]
-        counts[e % m] += 1
+    for y in words:
+        counts[sum(map(list.__getitem__, rows, y)) % m] += 1
     return CycInt.from_root_powers(m, counts)
 
 
@@ -379,10 +377,11 @@ def _gen_kraw_extraction(group: GroupSpec, n: int, i: Sequence[int], j: Sequence
 
 
 @functools.cache
-def _colex_shells(q: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    # (counts of j, multinom(n, j)) for every composition j of n into q
-    # parts, in colex order: the walk of enumerate_compositions, kept.
-    return tuple(_colex_walk(q, n))
+def _colex_shells(q: int, n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    # The counts of every composition j of n into q parts in colex order, and
+    # their sizes multinom(n, j), in two columns: enumerate_compositions' walk.
+    walk = tuple(_colex_walk(q, n))
+    return tuple(j for j, _ in walk), tuple(size for _, size in walk)
 
 
 @functools.cache
@@ -390,10 +389,10 @@ def _mirror_ranks(q: int, n: int, neg: tuple[int, ...]) -> array:
     # Entry r is the colex rank of the mirror of the r-th composition j of n
     # into q parts, the composition with counts j[neg[g]]: an involution on
     # the ranks of _colex_shells(q, n), 4 bytes a shell, kept per negation.
-    shells = _colex_shells(q, n)
-    rank = {label: r for r, (label, _) in enumerate(shells)}
+    labels, _ = _colex_shells(q, n)
+    rank = {label: r for r, label in enumerate(labels)}
     twin = operator.itemgetter(*neg)
-    return array("I", [rank[twin(label)] for label, _ in shells])
+    return array("I", [rank[twin(label)] for label in labels])
 
 
 def _read_out(
@@ -401,7 +400,7 @@ def _read_out(
 ) -> tuple[list[int | CycInt], list[int]]:
     # The z^j coefficients of the product of _expand, one per composition j
     # of n, read out in one pass as (values, computed): the values in the
-    # colex order of _colex_shells, which holds each shell's label and size,
+    # colex order of _colex_shells, whose size column the pass walks in step,
     # and the indices of the shells whose value was folded rather than
     # reused, the first shell of each distinct coefficient.  The value is
     # K_j(x), or with `degree` the eigenvalue K_j(x) degree / multinom(n, j)
@@ -430,8 +429,8 @@ def _read_out(
     # first.
     m, q = group.char_order, group.order
     poly, width = _expand(group, n, x)
-    shells = _colex_shells(q, n)
-    if len(poly) != len(shells):
+    labels, sizes = _colex_shells(q, n)
+    if len(poly) != len(sizes):
         raise ArithmeticError(
             f"expansion has {len(poly)} monomials, expected one per composition of n={n}"
         )
@@ -441,7 +440,7 @@ def _read_out(
         perm = _mirror_ranks(q, n, neg)
         if list(map(poly.__getitem__, perm)) != poly:
             i = next(i for i, r in enumerate(perm) if r < i and poly[r] != poly[i])
-            mirrors = (shells[perm[i]][0], shells[i][0])
+            mirrors = (labels[perm[i]], labels[i])
             poly = poly[:i]
     basis = len(_reduction_rows(m)[0])
     table = _fold_table(m)
@@ -452,10 +451,10 @@ def _read_out(
     get = first.get
     values: list[int | CycInt] = []
     computed: list[int] = []
-    for packed, (label, size) in zip(poly, shells):
+    for packed, size in zip(poly, sizes):
         k = get(packed)
         if k is not None:
-            total = shells[k][1]
+            total = sizes[k]
             if total == size:
                 values.append(values[k])
                 continue
@@ -468,7 +467,7 @@ def _read_out(
             total = sum(counts)
         if total != size:
             raise ArithmeticError(
-                f"coefficient of z^{label} has {total} terms, "
+                f"coefficient of z^{labels[len(values)]} has {total} terms, "
                 f"expected multinom(n, j) = {size}"
             )
         coeffs = counts[:basis]
@@ -510,7 +509,7 @@ def _group_determinant(group: GroupSpec) -> tuple[tuple[tuple[int, ...], int], .
     q = group.order
     terms = []
     values, _ = _read_out(group, q, Composition.balanced(q, q))
-    for (j, _), value in zip(_colex_shells(q, q), values):
+    for j, value in zip(_colex_shells(q, q)[0], values):
         if isinstance(value, CycInt):
             raise ArithmeticError(
                 f"group determinant of {group!r} has coefficient {value!r} at z^{j}"
@@ -621,7 +620,8 @@ def gen_kraw(
     n = operator.index(n)
     i, j = _shell_label(group, n, tuple(i)), _shell_label(group, n, tuple(j))
     if method == "brute":
-        value = _gen_kraw_brute(group, n, i, j)
+        x = next(enumerate_shell(group, n, j))
+        value = _character_sum(group, x, enumerate_shell(group, n, i))
     elif method == "extraction":
         value = _gen_kraw_extraction(group, n, i, j)
     else:

@@ -41,6 +41,7 @@ from .groups import (
 )
 from .krawtchouk import (
     _balanced_shells,
+    _character_sum,
     _colex_shells,
     _read_out,
     _shell_sizes,
@@ -255,7 +256,7 @@ def composition_spectrum(spec: CompositionGraphSpec) -> Spectrum:
     K_dcomp(j) = K_j(dcomp) multinom(n, dcomp) / multinom(n, j) turns it
     into the eigenvalue, every division checked; a later shell with the
     same coefficient, and so the same checked size, reuses that
-    eigenvalue.  The entries pair that column with the labels and sizes
+    eigenvalue.  The entries pair that column with the sizes and labels
     of (q, n), built once and shared by every spectrum of that shape.
     Per-shell values from :func:`gen_kraw` (either method) are the oracle
     for it.
@@ -288,22 +289,19 @@ def composition_spectrum(spec: CompositionGraphSpec) -> Spectrum:
     if spec.balanced:
         # the shells the balanced route leaves out have eigenvalue 0
         nonzero = {j: value for j, value, _ in _balanced_shells(spec.group, n)}
-        values = [nonzero.get(j, 0) for j, _ in _colex_shells(q, n)]
+        values = [nonzero.get(j, 0) for j in _colex_shells(q, n)[0]]
     else:
         values, _ = _read_out(spec.group, n, spec.dcomp, degree)
-    labels, sizes = _shell_columns(q, n)
-    entries = tuple(map(SpectrumEntry._trusted, labels, values, sizes))
+    _, sizes = _colex_shells(q, n)  # after the expansion, whose peak a cold table would raise
+    entries = tuple(map(SpectrumEntry._trusted, _shell_labels(q, n), values, sizes))
     return Spectrum(spec, entries, degree, spec.vertex_count)
 
 
 @functools.cache
-def _shell_columns(q: int, n: int) -> tuple[tuple[Composition, ...], tuple[int, ...]]:
-    # The labels of _colex_shells(q, n) as Compositions and their sizes, as
-    # two columns built once per (q, n) and shared by every spectrum of that
-    # shape; a Composition is frozen, so no spectrum can spoil another's.
-    shells = _colex_shells(q, n)
-    labels = tuple(Composition._trusted(j) for j, _ in shells)
-    return labels, tuple(size for _, size in shells)
+def _shell_labels(q: int, n: int) -> tuple[Composition, ...]:
+    # The count tuples of _colex_shells(q, n) wrapped as frozen Compositions,
+    # built once per (q, n) and shared by every spectrum of that shape.
+    return tuple(map(Composition._trusted, _colex_shells(q, n)[0]))
 
 
 def _composition_degree(spec: CompositionGraphSpec) -> int:
@@ -481,8 +479,8 @@ def eigenvector_check(
     """Verify the character of x is an eigenvector by direct adjacency action.
 
     For every sampled vertex y this sums phi_x over the actual neighbors
-    y + s of y and compares, exactly in the cyclotomic ring, against
-    lambda_x * phi_x(y) with lambda_x taken from the Krawtchouk formula.
+    y + s of y, s streamed from its shell, and compares, exactly in the
+    cyclotomic ring, against lambda_x * phi_x(y), lambda_x from Krawtchouk.
     The two sides come from unrelated code paths on purpose.
     """
     if isinstance(spec, HammingGraphSpec):
@@ -493,20 +491,11 @@ def eigenvector_check(
         group = spec.group
         shell_label = spec.dcomp
         lam = gen_kraw(group, spec.n, spec.dcomp, word_composition(group, x))
-    m = group.char_order
     x = tuple(x)
-    shell = list(enumerate_shell(group, spec.n, shell_label))
     for y in sample:
         y = tuple(y)
-        counts = [0] * m
-        for s in shell:
-            e = 0
-            for a, b in zip(x, word_add(group, y, s)):
-                e += group.char_exponent(a, b)
-            counts[e % m] += 1
-        lhs = CycInt.from_root_powers(m, counts)
-        rhs = word_char_value(group, x, y) * lam
-        if lhs != rhs:
+        neighbours = (word_add(group, y, s) for s in enumerate_shell(group, spec.n, shell_label))
+        if _character_sum(group, x, neighbours) != word_char_value(group, x, y) * lam:
             return False
     return True
 
@@ -519,11 +508,14 @@ def projector_identity_check(n: int, q: int) -> bool:
     integer matrices scaled by q^n so every comparison is exact.  The
     products must stay int64: numpy computes integer products in its own
     loops, while a float product would call BLAS (whose thread pool the CLI
-    does not start) and give up exactness.
+    does not start) and give up exactness.  Raises DomainError unless
+    n >= 1 and q >= 2, and SizeExceeded above the vertex cap.
     """
     import numpy as np
 
     n, q = operator.index(n), operator.index(q)  # numpy ints would wrap q**n under the cap
+    if n < 1 or q < 2:
+        raise DomainError(f"need n >= 1 and q >= 2, got n={n}, q={q}")
     if q**n > PROJECTOR_MAX_VERTICES:
         raise SizeExceeded(
             f"dense projector check is capped at q^n <= {PROJECTOR_MAX_VERTICES}, "

@@ -68,8 +68,8 @@ class _PackedBalancedColumns(dict):
         group, n = key
         balanced = Composition.balanced(group.order, n)
         values, _ = krawtchouk._read_out(group, n, balanced, multinom(n, balanced))
-        shells = krawtchouk._colex_shells(group.order, n)
-        self[key] = [(Composition(j), value, size) for (j, size), value in zip(shells, values)]
+        labels, sizes = krawtchouk._colex_shells(group.order, n)
+        self[key] = [(Composition(j), value, size) for j, value, size in zip(labels, values, sizes)]
         return self[key]
 
 

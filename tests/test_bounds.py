@@ -1083,6 +1083,33 @@ def test_any_2d_integer_array_is_held_as_the_builders_exponents():
     assert Representation(rep.group, rep.n, rep.exponents, "same").exponents is rep.exponents
 
 
+def test_held_exponents_are_read_only():
+    # a write into the held matrix raises, whichever route built it, and a
+    # caller's writable array is copied, so a later write to it does not
+    # reach the held matrix
+    group, spec = cyclic(3), HammingGraphSpec(4, 3, 2)
+    rep = build_representation(lp_two_support(4, 3, 2), group)
+    text = rep.to_csv_text()
+    changed = rep.with_entry(0, 0, rep.entry(0, 0) * CycInt.root_of_unity(3, 1))
+    reps = [rep, changed, hadamard_representation(group, 3),
+            Representation(group, 4, rep.exponents.astype(np.int64), "copy")]
+    for held in reps:
+        with pytest.raises(ValueError, match="read-only"):
+            held.exponents[0, 0] = 4
+        base = held.exponents.base
+        assert base is None or not base.flags.writeable
+    assert rep.to_csv_text() == text and _verdict(rep, spec) is True
+    mine = rep.exponents.copy()  # writable, and already in the held form
+    view = mine[:]
+    view.flags.writeable = False  # read-only, over a writable base
+    for array in (mine, view):
+        held = Representation(group, 4, array, "caller")
+        assert held.exponents is not array and not np.shares_memory(held.exponents, mine)
+        mine[0, 0] = (mine[0, 0] + 1) % 3
+        assert held.to_csv_text() == text and _verdict(held, spec) is True
+        mine[0, 0] = rep.exponents[0, 0]
+
+
 class _NullSink:
     def write(self, text):
         return len(text)
@@ -1126,7 +1153,7 @@ def test_builds_take_the_matrix_and_one_block(monkeypatch, block_bytes):
     # Building allocates at most one block of working memory beyond the
     # matrix and one copy of it, with the letter counts cold.
     # A build whose coordinates all fit one row block returns that block as
-    # the matrix: C-ordered, writable, and beside it only the wrapped-around
+    # the matrix: C-ordered, read-only, and beside it only the wrapped-around
     # copy it was reduced with.
     if block_bytes is not None:
         monkeypatch.setattr(bounds, "_BLOCK_BYTES", block_bytes)
@@ -1146,7 +1173,7 @@ def test_builds_take_the_matrix_and_one_block(monkeypatch, block_bytes):
         rep = build()
         exponents = rep.exponents
         assert exponents.dtype == bounds._exponent_dtype(rep.root_order)
-        assert exponents.flags.c_contiguous and exponents.flags.writeable
+        assert exponents.flags.c_contiguous and not exponents.flags.writeable
         if 4 * exponents.nbytes <= bounds._BLOCK_BYTES:
             _clear_shell_caches()
             assert _traced_peak(build) < 3 * exponents.nbytes
@@ -1514,8 +1541,8 @@ def test_report_least_eigenvalue_over_folded_shells_is_the_full_minimum(monkeypa
             seen.clear()
             report = bound_report(spec).to_json()
             values, computed = seen["_read_out"]
-            shells = krawtchouk._colex_shells(group.order, n)
-            column = [(j, v, s) for (j, s), v in zip(shells, values)]
+            labels, sizes = krawtchouk._colex_shells(group.order, n)
+            column = list(zip(labels, values, sizes))
             assert len(computed) <= len(column)
             shell = column[computed[seen["_extreme"]]]
             spectrum = composition_spectrum(spec)

@@ -576,14 +576,14 @@ def test_read_out_matches_the_two_pass_oracle(group, top):
         for x in enumerate_compositions(group.order, n):
             oracle = _two_pass_column(group, n, x)
             degree = multinom(n, x)
-            shells = krawtchouk._colex_shells(group.order, n)
+            labels, sizes = krawtchouk._colex_shells(group.order, n)
             values, plain_computed = _read_out(group, n, x)
-            column = [(j, v, s) for (j, s), v in zip(shells, values)]
+            column = list(zip(labels, values, sizes))
             assert [(Composition(j), v, s) for j, v, s in column] == [
                 (j, _plain(v), s) for j, v, s in oracle
             ]
             values, computed = _read_out(group, n, x, degree)
-            column = [(j, v, s) for (j, s), v in zip(shells, values)]
+            column = list(zip(labels, values, sizes))
             expected = [(j, _two_pass_rescale(v, degree, s), s) for j, v, s in oracle]
             assert [(Composition(j), v, s) for j, v, s in column] == expected, (n, x)
             assert [type(v) for _, v, _ in column] == [type(v) for _, v, _ in expected]
@@ -695,7 +695,7 @@ def _corrupt_expand(monkeypatch, pick):
 
     def patched(group, n, x, target=None):
         poly, width = expand(group, n, x, target)
-        for index, (label, _) in enumerate(krawtchouk._colex_shells(group.order, n)):
+        for index, label in enumerate(krawtchouk._colex_shells(group.order, n)[0]):
             new = pick(label, poly[index], width, group.char_order)
             if new is not None:
                 poly[index] = new
@@ -761,7 +761,7 @@ def test_read_out_raises_the_fault_met_first_in_shell_order(monkeypatch, count_a
         poly[count_at] += 1
         return poly, width
 
-    labels = [label for label, _ in krawtchouk._colex_shells(5, n)]
+    labels, _ = krawtchouk._colex_shells(5, n)
     assert _mirror(group, labels[15]) == labels[5]
     assert _mirror(group, labels[count_at]) == labels[count_at]
     monkeypatch.setattr(krawtchouk, "_expand", patched)
@@ -827,12 +827,11 @@ def test_colex_shells_walk_in_step_with_the_sorted_keys(q):
     # the read-out pairs the i-th sorted key with the i-th shell of
     # _colex_shells: the two orders must agree on every label
     for n in range(0, 9 if q < 6 else 6):
-        shells = krawtchouk._colex_shells(q, n)
-        labels = [label for label, _ in shells]
+        labels, sizes = krawtchouk._colex_shells(q, n)
         keys = [sum(c * (n + 1) ** g for g, c in enumerate(label)) for label in labels]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
-        assert labels == [tuple(c) for c in enumerate_compositions(q, n)]
-        assert [size for _, size in shells] == [multinom(n, label) for label in labels]
+        assert list(labels) == [tuple(c) for c in enumerate_compositions(q, n)]
+        assert list(sizes) == [multinom(n, label) for label in labels]
 
 
 def _brute_colex(q, t, bound=None):
@@ -892,10 +891,13 @@ def test_sub_successor_tables_rank_every_next_sub_composition():
 def test_colex_shells_are_cached_and_immutable():
     shells = krawtchouk._colex_shells(4, 5)
     assert krawtchouk._colex_shells(4, 5) is shells
-    assert type(shells) is tuple
-    assert all(type(entry) is tuple and type(entry[0]) is tuple for entry in shells)
-    with pytest.raises(TypeError):
-        shells[0] = shells[1]
+    assert type(shells) is tuple and len(shells) == 2
+    labels, sizes = shells
+    assert type(labels) is tuple and all(type(label) is tuple for label in labels)
+    assert type(sizes) is tuple and all(type(size) is int for size in sizes)
+    for column in shells:
+        with pytest.raises(TypeError):
+            column[0] = column[1]
 
 
 def test_zero_shells_vanish():

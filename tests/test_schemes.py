@@ -464,7 +464,8 @@ def test_composition_column_refuses_an_expansion_missing_a_shell():
     with pytest.raises(ArithmeticError, match="10 monomials, expected one per composition of n=4"):
         krawtchouk._read_out(cyclic(3), 4, Composition((1, 1, 1)))
     values, _ = krawtchouk._read_out(cyclic(3), 3, Composition((1, 1, 1)))
-    column = [(j, v, s) for (j, s), v in zip(krawtchouk._colex_shells(3, 3), values)]
+    labels, sizes = krawtchouk._colex_shells(3, 3)
+    column = list(zip(labels, values, sizes))
     assert [j for j, _, _ in column] == [tuple(c) for c in enumerate_compositions(3, 3)]
 
 
@@ -578,6 +579,23 @@ def test_spectra_of_one_shape_share_their_frozen_labels():
         shared.counts = (0, 0, 0, 4)
     assert shared == Composition((4, 0, 0, 0))
     assert spectra[3].entries[0].label.counts == (4, 0, 0, 0)
+
+
+def test_each_shell_datum_is_held_once():
+    # the read-out's table holds the count tuples and sizes of a (q, n); the
+    # frozen labels wrap those same tuples and hold no sizes, and every
+    # spectrum, balanced or not, lists the table's own size objects
+    labels, sizes = krawtchouk._colex_shells(3, 60)
+    frozen = schemes._shell_labels(3, 60)
+    assert type(frozen) is tuple and len(frozen) == len(labels) == 1891
+    assert all(type(label) is Composition for label in frozen)
+    assert all(label.counts is counts for label, counts in zip(frozen, labels, strict=True))
+    for dcomp in ((58, 1, 1), (57, 3, 0), (20, 20, 20)):
+        entries = composition_spectrum(CompositionGraphSpec(cyclic(3), 60, dcomp)).entries
+        assert all(
+            entry.label is label and entry.multiplicity is size
+            for entry, label, size in zip(entries, frozen, sizes, strict=True)
+        ), dcomp
 
 
 # ---------------------------------------------------------------------------
@@ -997,9 +1015,18 @@ def test_eigenvector_action():
 
 def test_eigenvector_action_on_long_words():
     # the neighbours of a long word, a shell that recursion per letter
-    # could not list
+    # could not list, streamed one word at a time: the 1200 words of 1200
+    # letters take 11.6 MB when all held
+    import tracemalloc
+
     x = (1,) * 600 + (0,) * 600
-    assert eigenvector_check(HammingGraphSpec(1200, 2, 1), x, [x[::-1]])
+    tracemalloc.start()
+    try:
+        assert eigenvector_check(HammingGraphSpec(1200, 2, 1), x, [x[::-1]])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_spectrum_does_not_depend_on_the_field_modulus():
@@ -1044,3 +1071,10 @@ def test_projector_identities_on_the_full_small_grid():
 def test_projector_size_guard():
     with pytest.raises(SizeExceeded):
         projector_identity_check(4, 5)
+
+
+@pytest.mark.parametrize("n,q", [(0, 2), (-1, 2), (2, 1), (2, -2)])
+def test_projector_check_refuses_a_domain_without_shells(n, q):
+    # refused with the message of kraw, before numpy reads the shape (q,) * n
+    with pytest.raises(DomainError, match=f"^need n >= 1 and q >= 2, got n={n}, q={q}$"):
+        projector_identity_check(n, q)
