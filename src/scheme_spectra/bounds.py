@@ -367,15 +367,6 @@ def _shell_indices(group: GroupSpec, n: int, label: int | Composition) -> np.nda
     return np.flatnonzero(match)
 
 
-def _digit_count(group: GroupSpec) -> int:
-    """k, the base-m digits of a letter: q = m^k for the character order m
-    (see :class:`~scheme_spectra.groups.GroupSpec`)."""
-    k = 0
-    while group.char_order**k < group.order:
-        k += 1
-    return k
-
-
 def _linear_blocks(coeffs: np.ndarray, units: np.ndarray, m: int) -> np.ndarray:
     """The blocks coeffs @ units[j] mod m, n x q x cols for q x k coefficients
     and n x k x cols units, in the :func:`_exponent_dtype` of m, built in int64
@@ -418,7 +409,7 @@ def _character_matrix(group: GroupSpec, n: int, columns: Iterable[int]) -> np.nd
             f"representation would have {rows} x {cols} = {rows * cols} cells; "
             f"cap is {REPRESENTATION_MAX_CELLS}"
         )
-    m, k = group.char_order, _digit_count(group)
+    m, k = group.char_order, group.k
     units = np.array([[group.char_exponent(g, m**i) for i in range(k - 1, -1, -1)]
                       for g in range(q)], dtype=np.int64)
     digits = columns // m ** np.arange(n * k - 1, -1, -1)[:, None] % m
@@ -729,7 +720,7 @@ def _translation_invariant(expm: np.ndarray, group: GroupSpec, n: int) -> bool:
     x + s have the inner product of rows 0 and s."""
     import numpy as np
 
-    q, m, k = group.order, group.char_order, _digit_count(group)
+    q, m, k = group.order, group.char_order, group.k
     cols = expm.shape[1]
     digits = np.arange(q)[:, None] // m ** np.arange(k) % m
     # row m^i * q^(n-1-j) is the word m^i * e_j
@@ -814,7 +805,7 @@ def verify_representation(
         raise SpecMismatch(f"representation has {rep.rows} rows, expected {q**n}")
     expm, m = rep.exponents, rep.root_order
     ys = _shell_indices(group, n, label)
-    digits = n * _digit_count(group)  # N, with q^n = m^N
+    digits = n * group.k  # N, with q^n = m^N
     # a pair's int64 indices are a draw's two words, x, j and x + s
     pairs = _block_rows(
         (2 * expm.itemsize + 8) * rep.cols + 32 * m + (8 + expm.itemsize) * digits + 40
@@ -979,7 +970,7 @@ def _composition_report(spec: CompositionGraphSpec) -> BoundReport:
         # A balanced graph is undirected, and its eigenvalues are integers,
         # 0 on every shell the balanced route leaves out; there is always
         # such a shell, (n-1, 1, 0, ..., 0) for one.
-        lam_min = min(0, *(value for _, value, _ in _balanced_shells(group, n)))
+        lam_min = min(0, *(value for _, value in _balanced_shells(group, n)))
         try:
             lower.append((_hoffman_value(lam_min, spec.degree), "hoffman"))
         except NoNegativeEigenvalue as exc:
@@ -1081,13 +1072,13 @@ def conjecture_probe(q: int, n: int) -> ProbeVerdict:
     counts[1] += 1
     counts[q - 1] += 1
     pattern = Composition(tuple(counts))
-    at_pattern = next((value for j, value, _ in shells if j == pattern.counts), 0)
+    at_pattern = next((value for j, value in shells if j == pattern.counts), 0)
     if at_pattern != target or target >= 0:
         raise ArithmeticError(
             f"pattern shell {tuple(pattern)} has eigenvalue {at_pattern}, expected {target} < 0"
         )
-    minimum = min(value for _, value, _ in shells)
-    achieving = tuple(Composition._trusted(j) for j, value, _ in shells if value == minimum)
+    minimum = min(value for _, value in shells)
+    achieving = tuple(Composition._trusted(j) for j, value in shells if value == minimum)
     verdict = "holds" if Fraction(minimum) == target else "fails"
     return ProbeVerdict(
         verdict,

@@ -6,7 +6,9 @@ indexed by the base-p value of their coefficient vector), words over the
 alphabet are plain tuples of indices, and a word's composition counts how
 often each element occurs.  Characters take values in the cyclotomic
 integers of order m = q (cyclic case) or of the characteristic m = p (field
-case), and indices add as base-m numerals, digit by digit mod m (GroupSpec).
+case).  Indices add as base-m numerals, digit by digit mod m, by the one
+digit routine that GroupSpec holds for both families; each family adds
+only its character pairing and its multiplication.
 """
 
 from __future__ import annotations
@@ -70,8 +72,13 @@ class GroupSpec:
     """Shared interface of the supported alphabets.
 
     Every element index is a k-digit base-m numeral, m = ``char_order`` and
-    q = m^k (k = 1 for Z_q), and ``add`` sums numerals digit by digit mod m.
-    So ``char_exponent(g, h)`` is the sum of ``char_exponent(g, m^i)`` weighted
+    q = m^k (k = 1 for Z_q), and letters add digit by digit mod m.  That
+    digit arithmetic lives here, once for every alphabet: ``_vec`` and
+    ``_idx`` map an index to its k digits, lowest first, and back, and
+    ``add`` and ``neg`` read their letters through ``_check_element``, so a
+    non-letter raises SpecMismatch.  An alphabet supplies k, ``mul`` and its
+    character pairing ``char_exponent``.  As letters add digit-wise,
+    ``char_exponent(g, h)`` is the sum of ``char_exponent(g, m^i)`` weighted
     by the digits h_i of h, mod m, as the representation code relies on.
     The vertex index of a word of length n is then an n*k-digit base-m
     numeral, and words add digit by digit mod m too.  No alphabet keeps a
@@ -79,15 +86,39 @@ class GroupSpec:
 
     order: int
     char_order: int
+    k: int
 
     def elements(self) -> range:
         return range(self.order)
 
+    def _vec(self, a: int) -> tuple[int, ...]:
+        m, digits = self.char_order, []
+        for _ in range(self.k):
+            digits.append(a % m)
+            a //= m
+        return tuple(digits)
+
+    def _idx(self, vec: Sequence[int]) -> int:
+        m = self.char_order
+        return sum(c * m**i for i, c in enumerate(vec))
+
     def add(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        # digit i of a is a // m^i % m, read at each place m^i < q in turn
+        # by a loop that allocates nothing
+        a, b = self._check_element(a), self._check_element(b)
+        q, m, out, place = self.order, self.char_order, 0, 1
+        while place < q:
+            out += (a // place + b // place) % m * place
+            place *= m
+        return out
 
     def neg(self, a: int) -> int:
-        raise NotImplementedError
+        a = self._check_element(a)
+        q, m, out, place = self.order, self.char_order, 0, 1
+        while place < q:
+            out += -(a // place) % m * place
+            place *= m
+        return out
 
     def mul(self, a: int, b: int) -> int:
         raise NotImplementedError
@@ -117,9 +148,10 @@ class GroupSpec:
 
 
 class CyclicGroup(GroupSpec, Record):
-    """Integers modulo q under addition."""
+    """Integers modulo q under addition: one base-q digit a letter."""
 
     q: int
+    k = 1
 
     def __init__(self, q: int) -> None:
         q = operator.index(q)  # as for HammingGraphSpec
@@ -134,12 +166,6 @@ class CyclicGroup(GroupSpec, Record):
     @property
     def char_order(self) -> int:
         return self.q
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.q
@@ -220,9 +246,10 @@ class FiniteField(GroupSpec, Record):
 
     ``modulus`` is the monic irreducible polynomial defining the field,
     stored constant term first (length k+1).  Element i stands for the
-    polynomial whose Z_p coefficient vector is the base-p expansion of i.
-    ``add`` and ``neg`` work digit by digit on the index, ``mul`` is one
-    product reduced by the modulus, and as the trace is Z_p-linear,
+    polynomial whose Z_p coefficient vector is the base-p expansion of i,
+    so ``add``, ``neg`` and the digit vectors are GroupSpec's, in base p.
+    What is field-specific is kept here: ``mul`` is one product reduced by
+    the modulus, and as the trace is Z_p-linear,
     Tr(gh) = vec(g)^T B vec(h) mod p for the k x k trace form B[i][j] =
     Tr(x^(i+j)): O(k^2) a character, with no table of size q.
     """
@@ -255,16 +282,6 @@ class FiniteField(GroupSpec, Record):
     def char_order(self) -> int:
         return self.p
 
-    def _vec(self, a: int) -> tuple[int, ...]:
-        digits = []
-        for _ in range(self.k):
-            digits.append(a % self.p)
-            a //= self.p
-        return tuple(digits)
-
-    def _idx(self, vec: Sequence[int]) -> int:
-        return sum(c * self.p**i for i, c in enumerate(vec))
-
     @cached_property
     def _trace_form(self) -> tuple[tuple[int, ...], ...]:
         # B[i][j] = Tr(x^(i+j)), each trace x^e + (x^e)^p + ... + (x^e)^(p^(k-1))
@@ -280,20 +297,6 @@ class FiniteField(GroupSpec, Record):
                 raise ArithmeticError(f"trace of x^{e} left the prime subfield")
             traces.append(acc)
         return tuple(tuple(traces[i : i + k]) for i in range(k))
-
-    def add(self, a: int, b: int) -> int:
-        p, out, place = self.p, 0, 1
-        while a or b:
-            out += (a + b) % p * place
-            a, b, place = a // p, b // p, place * p
-        return out
-
-    def neg(self, a: int) -> int:
-        p, out, place = self.p, 0, 1
-        while a:
-            out += -a % p * place
-            a, place = a // p, place * p
-        return out
 
     def mul(self, a: int, b: int) -> int:
         return self._idx(_poly_mul_mod(self._vec(a), self._vec(b), self.modulus, self.p))
@@ -326,6 +329,7 @@ def cyclic(q: int) -> CyclicGroup:
 
 def finite_field(q: int, modulus: Sequence[int] | None = None) -> FiniteField:
     """GF(q) for a prime power q; the modulus defaults to the canonical one."""
+    q = operator.index(q)  # as for cyclic
     if q < 2:
         raise DomainError(f"field order must be >= 2, got {q}")
     base = _prime_power(q)

@@ -536,12 +536,12 @@ def _balanced_work(group: GroupSpec, n: int) -> int:
     return terms * (20 * monomials * chunks + q**4 * m) // (20 * q * q)
 
 
-def _balanced_shells(group: GroupSpec, n: int) -> list[tuple[tuple[int, ...], int, int]]:
-    # (j, eigenvalue, multinom(n, j)) on every shell j where the balanced
-    # composition graph of length n has a nonzero eigenvalue, in colex
-    # order.  For x = (n/q, ..., n/q) the generating product of _expand is
-    # D^(n/q), D the group determinant, so it is raised one D factor at a
-    # time over plain ints, in a dict keyed by the base-(n+1) numeral
+def _balanced_shells(group: GroupSpec, n: int) -> list[tuple[tuple[int, ...], int]]:
+    # (j, eigenvalue) on every shell j where the balanced composition graph
+    # of length n has a nonzero eigenvalue, in colex order.  For
+    # x = (n/q, ..., n/q) the generating product of _expand is D^(n/q), D
+    # the group determinant, so it is raised one D factor at a time over
+    # plain ints, in a dict keyed by the base-(n+1) numeral
     # sum_g c_g (n+1)^g of each exponent vector c (ascending keys are colex
     # order) and with zero coefficients dropped.  Every monomial of D sums
     # to 0 in the group, so only those shells survive.  Reciprocity turns
@@ -588,7 +588,7 @@ def _balanced_shells(group: GroupSpec, n: int) -> list[tuple[tuple[int, ...], in
         value, rem = divmod(a * degree, size)
         if rem:
             raise ArithmeticError(f"{a} * {degree} / {size} is not an integer")
-        out.append((tuple(label), value, size))
+        out.append((tuple(label), value))
     return out
 
 

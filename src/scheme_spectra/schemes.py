@@ -288,7 +288,7 @@ def composition_spectrum(spec: CompositionGraphSpec) -> Spectrum:
     degree = _composition_degree(spec)
     if spec.balanced:
         # the shells the balanced route leaves out have eigenvalue 0
-        nonzero = {j: value for j, value, _ in _balanced_shells(spec.group, n)}
+        nonzero = dict(_balanced_shells(spec.group, n))
         values = [nonzero.get(j, 0) for j in _colex_shells(q, n)[0]]
     else:
         values, _ = _read_out(spec.group, n, spec.dcomp, degree)

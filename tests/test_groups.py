@@ -1,5 +1,6 @@
 """Group layer: cyclic groups, finite fields, characters, shells."""
 
+import functools
 import itertools
 import random
 
@@ -34,6 +35,7 @@ from scheme_spectra import (
     word_char_value,
     word_index,
     word_neg,
+    word_sub,
     index_word,
 )
 from scheme_spectra import groups, krawtchouk
@@ -150,6 +152,71 @@ def test_letters_are_base_m_numerals_that_add_digit_wise(group):
         for h in range(q):
             weighted = sum(d * e for d, e in zip(digits(h), at_units)) % m
             assert group.char_exponent(g, h) == weighted
+
+
+def _field_add(p, a, b):
+    # the field's own digit loop, kept as the reference for the shared routine
+    out, place = 0, 1
+    while a or b:
+        out += (a + b) % p * place
+        a, b, place = a // p, b // p, place * p
+    return out
+
+
+def _field_neg(p, a):
+    out, place = 0, 1
+    while a:
+        out += -a % p * place
+        a, place = a // p, place * p
+    return out
+
+
+@pytest.mark.parametrize(
+    "group",
+    [cyclic(q) for q in range(2, 13)] + [finite_field(q) for q in (4, 8, 9, 16, 25, 27)],
+    ids=lambda g: str(g.describe()),
+)
+def test_shared_digit_routine_matches_each_alphabets_formula(group):
+    # GroupSpec adds and negates letters for every alphabet; on every pair of
+    # letters it gives (a + b) % q over Z_q and the digit loop over GF(p^k),
+    # as plain ints, and every alphabet's k digits span its q letters
+    q = group.order
+    assert type(group.k) is int and group.char_order**group.k == q
+    if isinstance(group, CyclicGroup):
+        add, neg = (lambda a, b: (a + b) % q), (lambda a: (-a) % q)
+    else:
+        add, neg = functools.partial(_field_add, group.p), functools.partial(_field_neg, group.p)
+    for a in range(q):
+        assert type(group.neg(a)) is int and group.neg(a) == neg(a), a
+        for b in range(q):
+            assert type(group.add(a, b)) is int and group.add(a, b) == add(a, b), (a, b)
+
+
+@pytest.mark.parametrize(
+    "group", [cyclic(2), cyclic(6), finite_field(4), finite_field(9), finite_field(27)], ids=repr
+)
+def test_non_letters_are_refused_by_the_word_arithmetic(group):
+    # every entry point of the letter arithmetic names the first non-letter
+    # it reads, whatever its type, over Z_q and GF(p^k) alike
+    q = group.order
+    for bad in (-1, -q, q, q + 1, 3 * q, 2.0, "1", None, np.int8(-1)):
+        message = f"{bad!r} is not an element index of {group!r}"
+        for call in (
+            lambda: group.add(bad, 0),
+            lambda: group.add(0, bad),
+            lambda: group.neg(bad),
+            lambda: word_add(group, (0, bad), (1, 0)),
+            lambda: word_add(group, (1, 0), (0, bad)),
+            lambda: word_neg(group, (0, bad)),
+            lambda: word_sub(group, (bad,), (0,)),
+            lambda: word_sub(group, (0,), (bad,)),
+        ):
+            with pytest.raises(SpecMismatch) as exc:
+                call()
+            assert type(exc.value) is SpecMismatch and str(exc.value) == message, bad
+    numpy_letters = (np.int8(q - 1), np.uint64(1))
+    assert word_add(group, numpy_letters, (0, 1)) == (q - 1, group.add(1, 1))
+    assert all(type(g) is int for g in word_neg(group, numpy_letters))
 
 
 def test_cyclic_char_is_power_of_primitive_root():
@@ -560,11 +627,21 @@ def test_shell_label_validation():
          "negative count in (3, -1, -1)"),
         (lambda: FiniteField(2, 0, (1,)), DomainError,
          "field extension degree must be >= 1, got 0"),
+        # the field's digit loop never ended on the first and third, and
+        # summed 10 + 3 digit by digit to 13, past the nine letters
+        (lambda: finite_field(9).neg(-1), SpecMismatch,
+         "-1 is not an element index of FiniteField(p=3, k=2, modulus=(1, 0, 1))"),
+        (lambda: finite_field(9).add(10, 3), SpecMismatch,
+         "10 is not an element index of FiniteField(p=3, k=2, modulus=(1, 0, 1))"),
+        (lambda: word_neg(finite_field(4), (-1,)), SpecMismatch,
+         "-1 is not an element index of FiniteField(p=2, k=2, modulus=(1, 1, 1))"),
+        (lambda: cyclic(3).add(5, 7), SpecMismatch, "5 is not an element index of CyclicGroup(q=3)"),
     ],
     ids=[
         "word_add", "word_char_exponent", "shell-negative-count", "shell-wrong-sum",
         "compositions-no-parts", "shell_size-weight-above-n", "negation-closed-part-count",
         "zero-shell-part-count", "negation-closed-negative-count", "field-degree-0",
+        "field-neg-negative", "field-add-past-q", "field-word_neg-negative", "cyclic-add-past-q",
     ],
 )
 def test_refusals_of_outside_input(call, error, message):

@@ -35,6 +35,7 @@ from scheme_spectra import (
     conjecture_probe,
     cyclic,
     enumerate_shell,
+    finite_field,
     gen_kraw,
     gen_kraw_circulant,
     hadamard_representation,
@@ -152,6 +153,25 @@ def test_cyclic_groups(args):
     plain, cast = args
     _same(cyclic, plain, cast)
     _same(lambda q: cyclic(q).order ** 3, plain, cast)
+
+
+@pytest.mark.parametrize("kind", [*_NUMPY_INTS, bool])
+def test_finite_field_orders_of_every_width(kind):
+    # q is read through operator.index, as cyclic reads it: a refusal names
+    # the plain int (a bool order was named True), and a float order is
+    # refused rather than read as the field it stands for
+    for q in (0, 1, 2, 4, 9, 12, 125, 243, 251, 256):
+        if kind in _holders(q):
+            _same(finite_field, [q], [kind(q)])
+            _same(lambda q: finite_field(q).describe(), [q], [kind(q)])
+    for q in (0, 1):
+        with pytest.raises(DomainError) as exc:
+            finite_field(kind(q))
+        assert str(exc.value) == f"field order must be >= 2, got {q}"
+    for q in (4.0, 9.0):
+        for make in (cyclic, finite_field):
+            with pytest.raises(TypeError):
+                make(q)
 
 
 @_SETTINGS
