@@ -77,9 +77,10 @@ class GroupSpec:
     ``_idx`` map an index to its k digits, lowest first, and back, and
     ``add`` and ``neg`` read their letters through ``_check_element``, so a
     non-letter raises SpecMismatch.  An alphabet supplies k, ``mul`` and its
-    character pairing ``char_exponent``.  As letters add digit-wise,
-    ``char_exponent(g, h)`` is the sum of ``char_exponent(g, m^i)`` weighted
-    by the digits h_i of h, mod m, as the representation code relies on.
+    character pairing ``char_exponent``, which read their letters the same
+    way.  As letters add digit-wise, ``char_exponent(g, h)`` is the sum of
+    ``char_exponent(g, m^i)`` weighted by the digits h_i of h, mod m, as
+    the representation code relies on.
     The vertex index of a word of length n is then an n*k-digit base-m
     numeral, and words add digit by digit mod m too.  No alphabet keeps a
     table of size q: a character costs O(1) over Z_q, O(k^2) over GF(p^k)."""
@@ -168,10 +169,10 @@ class CyclicGroup(GroupSpec, Record):
         return self.q
 
     def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
+        return self._check_element(a) * self._check_element(b) % self.q
 
     def char_exponent(self, g: int, h: int) -> int:
-        return (g * h) % self.q
+        return self._check_element(g) * self._check_element(h) % self.q
 
     def describe(self) -> dict:
         return {"kind": "cyclic", "q": self.q}
@@ -299,13 +300,15 @@ class FiniteField(GroupSpec, Record):
         return tuple(tuple(traces[i : i + k]) for i in range(k))
 
     def mul(self, a: int, b: int) -> int:
+        a, b = self._check_element(a), self._check_element(b)
         return self._idx(_poly_mul_mod(self._vec(a), self._vec(b), self.modulus, self.p))
 
     def trace(self, a: int) -> int:
         """Absolute trace down to Z_p, returned as an integer in 0..p-1."""
-        return self.char_exponent(1, self._check_element(a))
+        return self.char_exponent(1, a)
 
     def char_exponent(self, g: int, h: int) -> int:
+        g, h = self._check_element(g), self._check_element(h)
         vh = self._vec(h)
         e = 0
         for gi, row in zip(self._vec(g), self._trace_form):
@@ -410,7 +413,6 @@ def char_value(group: GroupSpec, g: int, h: int) -> CycInt:
     For Z_q this is zeta_q^(g*h); for GF(p^k) it is zeta_p^Tr(g*h).  The
     value is symmetric in its two arguments and multiplicative in each.
     """
-    g, h = group._check_element(g), group._check_element(h)
     return CycInt.root_of_unity(group.char_order, group.char_exponent(g, h))
 
 

@@ -22,8 +22,8 @@ the shell size.  The first shell carrying a given coefficient folds it
 into the power basis and, for a spectrum, scales it to the eigenvalue in
 the same step; every later shell with the same coefficient, after its
 count-total check, reuses that value.  The default per-value route
-expands the same product with the same kernel, over successor tables of
-the sub-compositions of its target only, where every move is scattered.
+expands the same whole product and reads one coefficient off it, with
+the same count-total check.
 
 For a negation-closed generator x (x_h = x_(-h)) every shell is also
 checked against its mirror.  The substitution z_g -> z_(-g) turns L_h
@@ -247,53 +247,15 @@ _ONE = array("I", [1]).tobytes()
 def _shifted(table: array, shift: int) -> bytes:
     # The bytes of an array("I") with `shift` added to every entry, by one
     # big-int addition over all of them: each entry is one unsigned-int
-    # field, and every rank stays far below 2^32 (the work caps bound the
-    # number of compositions), so no carry crosses into the next field.
+    # field, and every rank that _expand can use stays below 2^32 (a larger
+    # one indexes a list of 2^32 coefficients, 32 GB of pointers alone), so
+    # no carry crosses into the next field.
     raw = table.tobytes()
     ones = int.from_bytes(_ONE * len(table), sys.byteorder)
     return (int.from_bytes(raw, sys.byteorder) + shift * ones).to_bytes(len(raw), sys.byteorder)
 
 
-@functools.lru_cache(maxsize=32)
-def _sub_successors(
-    parts: tuple[int, ...],
-) -> tuple[list[int], list[int], tuple[array | None, ...]]:
-    # The tables of _successors restricted to the sub-compositions c of a
-    # target composition `parts` of n, as (sizes, starts, tables): sizes[t]
-    # sub-compositions have sum t, and entries starts[t]:starts[t + 1] of
-    # table g send each of them, by colex rank among those of sum t, to
-    # the rank of c + e_g among those of sum t + 1.  Each c is keyed by the
-    # mixed-radix numeral sum_g c_g R_g, R_g = prod_(h<g) (parts_h + 1), so
-    # a stable sort of the keys by sum lists every sum in colex order.  A
-    # move past parts_g goes to the sink -1, and a move by e_g with
-    # parts_g = 0 is left out (None).  A per-value loop (the reciprocity
-    # self-check, say) revisits its targets, so the last 32 are kept.
-    n = sum(parts)
-    sums, radix = [0], []
-    for c in parts:
-        radix.append(len(sums))
-        sums = [s + k for k in range(c + 1) for s in sums]
-    order = sorted(range(len(sums)), key=sums.__getitem__)
-    sizes = [0] * (n + 2)
-    rank = []
-    for s in sums:
-        rank.append(sizes[s])
-        sizes[s] += 1
-    starts = list(itertools.accumulate(sizes, initial=0))
-    tables = []
-    for c, step in zip(parts, radix):
-        span, top = step * (c + 1), c * step
-        tables.append(
-            array("i", [rank[key + step] if key % span < top else -1 for key in order])
-            if c
-            else None
-        )
-    return sizes, starts, tuple(tables)
-
-
-def _expand(
-    group: GroupSpec, n: int, x: Sequence[int], target: Sequence[int] | None = None
-) -> tuple[list[int], int]:
+def _expand(group: GroupSpec, n: int, x: Sequence[int]) -> tuple[list[int], int]:
     # The generating product prod_h (sum_g phi_h(g) z_g)^(x_h), expanded
     # one linear factor at a time, as (coefficients, width).  After t
     # factors the coefficient of z^c sits at the colex rank of c among the
@@ -310,22 +272,11 @@ def _expand(
     # factor, and is never read.  Table q - 1 of _successors is a range
     # over the whole list, so the z_(q-1) move is one slice assignment
     # into the fresh list, before the other moves add to it: a copy, or a
-    # rotated copy from one list comprehension.  With a `target`, only the
-    # monomials of its sub-compositions are kept, over the tables of
-    # _sub_successors, arrays in which every move is scattered: monomials
-    # only grow, so this prunes correctly in any factor order, and the
-    # last list holds the coefficient of z^target alone.
+    # rotated copy from one list comprehension.
     m, q = group.char_order, group.order
     width = (q**n).bit_length()
     full = (1 << (m * width)) - 1
-    if target is None:
-        steps = [(math.comb(t + q, q - 1), _successors(q, t)) for t in range(n)]
-    else:
-        sizes, starts, pruned = _sub_successors(tuple(target))
-        steps = [
-            (sizes[t + 1], [None if g is None else g[starts[t] : starts[t + 1]] for g in pruned])
-            for t in range(n)
-        ]
+    steps = [(math.comb(t + q, q - 1), _successors(q, t)) for t in range(n)]
     counts = tuple(x)
     poly = [1]
     t = 0
@@ -336,44 +287,30 @@ def _expand(
         for g in range(q):
             e = group.char_exponent(h, g) % m
             moves.append((g, e * width, (m - e) * width))
-        if target is None:
-            # the z_(q-1) move's table is one range (see _successors): its
-            # block is written first into the fresh list, as one slice
-            _, lift, drop = moves.pop()
+        # the z_(q-1) move's table is one range (see _successors): its
+        # block is written first into the fresh list, as one slice
+        _, lift, drop = moves.pop()
         for _ in range(counts[h]):
             size, tables = steps[t]
-            nxt = [0] * (size + 1)  # the last slot is the sink of a pruned move
-            if target is None:
-                block = tables[q - 1]
-                if lift:
-                    nxt[block.start : block.stop] = [
-                        ((packed << lift) & full) | (packed >> drop) for packed in poly
-                    ]
-                else:
-                    nxt[block.start : block.stop] = poly
+            nxt = [0] * size
+            block = tables[q - 1]
+            if lift:
+                nxt[block.start : block.stop] = [
+                    ((packed << lift) & full) | (packed >> drop) for packed in poly
+                ]
+            else:
+                nxt[block.start : block.stop] = poly
             for g, up, down in moves:
                 table = tables[g]
-                if table is None:
-                    continue
                 if up:
                     for i, packed in zip(table, poly):
                         nxt[i] += ((packed << up) & full) | (packed >> down)
                 else:
                     for i, packed in zip(table, poly):
                         nxt[i] += packed
-            nxt.pop()
             poly = nxt
             t += 1
     return poly, width
-
-
-def _gen_kraw_extraction(group: GroupSpec, n: int, i: Sequence[int], j: Sequence[int]) -> CycInt:
-    # The coefficient of z^i in the product of _expand for x = j, expanded
-    # over the sub-compositions of i only.
-    (packed,), width = _expand(group, n, j, i)
-    mask = (1 << width) - 1
-    counts = [(packed >> s) & mask for s in range(0, group.char_order * width, width)]
-    return CycInt.from_root_powers(group.char_order, counts)
 
 
 @functools.cache
@@ -609,8 +546,10 @@ def gen_kraw(
 
     ``method`` selects the route: "brute" walks the shell and sums
     characters; "extraction" (default) reads the coefficient of z^i off
-    a product of linear forms, expanded over the sub-compositions of i
-    only, without touching the shell.
+    the product of linear forms for x = j, without touching the shell,
+    and checks that its count total is multinom(n, i).  It expands the
+    whole product, as a composition spectrum of the same (q, n) does, so
+    one value costs as much as that spectrum's expansion.
 
     The value is a plain int when it is rational, as for :func:`kraw`,
     and a :class:`CycInt` otherwise.  BadLabel refuses a label that is
@@ -623,7 +562,19 @@ def gen_kraw(
         x = next(enumerate_shell(group, n, j))
         value = _character_sum(group, x, enumerate_shell(group, n, i))
     elif method == "extraction":
-        value = _gen_kraw_extraction(group, n, i, j)
+        # the z^i coefficient at i's colex rank, checked as _read_out checks
+        # every shell, without _read_out's fold of all the others
+        labels, sizes = _colex_shells(group.order, n)
+        rank = labels.index(i)
+        poly, width = _expand(group, n, j)
+        m, mask = group.char_order, (1 << width) - 1
+        counts = [(poly[rank] >> s) & mask for s in range(0, m * width, width)]
+        if sum(counts) != sizes[rank]:
+            raise ArithmeticError(
+                f"coefficient of z^{i} has {sum(counts)} terms, "
+                f"expected multinom(n, j) = {sizes[rank]}"
+            )
+        value = CycInt.from_root_powers(m, counts)
     else:
         raise DomainError(f"unknown method {method!r}")
     integer = value.as_integer()

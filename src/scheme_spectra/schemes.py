@@ -258,8 +258,9 @@ def composition_spectrum(spec: CompositionGraphSpec) -> Spectrum:
     same coefficient, and so the same checked size, reuses that
     eigenvalue.  The entries pair that column with the sizes and labels
     of (q, n), built once and shared by every spectrum of that shape.
-    Per-shell values from :func:`gen_kraw` (either method) are the oracle
-    for it.
+    Per-shell values from :func:`gen_kraw` are the oracle for it: the
+    brute method for the whole route, the default method, which reads
+    the same expansion, for the read-out.
 
     For an undirected dcomp (dcomp_h = dcomp_(-h)) the substitution
     z_g -> z_(-g) maps L_h to sum_g phi_h(-g) z_g = L_(-h), so it maps

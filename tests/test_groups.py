@@ -210,6 +210,12 @@ def test_non_letters_are_refused_by_the_word_arithmetic(group):
             lambda: word_neg(group, (0, bad)),
             lambda: word_sub(group, (bad,), (0,)),
             lambda: word_sub(group, (0,), (bad,)),
+            lambda: group.mul(bad, 1),
+            lambda: group.mul(1, bad),
+            lambda: group.char_exponent(bad, 1),
+            lambda: group.char_exponent(1, bad),
+            lambda: char_value(group, bad, 1),
+            lambda: char_value(group, 1, bad),
         ):
             with pytest.raises(SpecMismatch) as exc:
                 call()
@@ -636,12 +642,30 @@ def test_shell_label_validation():
         (lambda: word_neg(finite_field(4), (-1,)), SpecMismatch,
          "-1 is not an element index of FiniteField(p=2, k=2, modulus=(1, 1, 1))"),
         (lambda: cyclic(3).add(5, 7), SpecMismatch, "5 is not an element index of CyclicGroup(q=3)"),
+        # mul and char_exponent reduced any int: 4, 1, 2 and 2 came back
+        (lambda: finite_field(9).mul(-1, 2), SpecMismatch,
+         "-1 is not an element index of FiniteField(p=3, k=2, modulus=(1, 0, 1))"),
+        (lambda: finite_field(9).mul(10, 1), SpecMismatch,
+         "10 is not an element index of FiniteField(p=3, k=2, modulus=(1, 0, 1))"),
+        (lambda: cyclic(3).mul(5, 7), SpecMismatch, "5 is not an element index of CyclicGroup(q=3)"),
+        (lambda: finite_field(9).char_exponent(-1, 2), SpecMismatch,
+         "-1 is not an element index of FiniteField(p=3, k=2, modulus=(1, 0, 1))"),
+        (lambda: cyclic(3).char_exponent(1, 3), SpecMismatch,
+         "3 is not an element index of CyclicGroup(q=3)"),
+        # the first non-letter named is g, then h
+        (lambda: char_value(finite_field(4), 4, -1), SpecMismatch,
+         "4 is not an element index of FiniteField(p=2, k=2, modulus=(1, 1, 1))"),
+        (lambda: finite_field(9).trace(9), SpecMismatch,
+         "9 is not an element index of FiniteField(p=3, k=2, modulus=(1, 0, 1))"),
     ],
     ids=[
         "word_add", "word_char_exponent", "shell-negative-count", "shell-wrong-sum",
         "compositions-no-parts", "shell_size-weight-above-n", "negation-closed-part-count",
         "zero-shell-part-count", "negation-closed-negative-count", "field-degree-0",
         "field-neg-negative", "field-add-past-q", "field-word_neg-negative", "cyclic-add-past-q",
+        "field-mul-negative", "field-mul-past-q", "cyclic-mul-past-q",
+        "field-char_exponent-negative", "cyclic-char_exponent-past-q", "field-char_value-g-first",
+        "field-trace-past-q",
     ],
 )
 def test_refusals_of_outside_input(call, error, message):

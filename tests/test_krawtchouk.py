@@ -371,9 +371,10 @@ def test_extraction_matches_circulant_past_the_sweeps():
 
 def test_extraction_matches_brute_on_lopsided_targets():
     # a target such as (n-2, 1, 1) has a small shell, so the literal
-    # character sum reaches n = 60 while the extraction prunes to its
-    # sub-compositions; (n-2, 2, 0) and (n-2, 0, 2) are not closed under
-    # negation, so their values are not real and a conjugated route fails
+    # character sum reaches n = 60, where the extraction expands the whole
+    # product, as a spectrum does; (n-2, 2, 0) and (n-2, 0, 2) are not
+    # closed under negation, so their values are not real and a conjugated
+    # route fails
     rng = random.Random(40)
     group = cyclic(3)
     for n in range(40, 61):
@@ -453,7 +454,7 @@ def test_group_determinant_refuses_a_non_integer_coefficient(monkeypatch):
 # the one-pass read-out of the packed expansion
 
 
-def _rotating_expand(group, n, x, keep=None):
+def _rotating_expand(group, n, x):
     """The former packed expansion, kept as the oracle: every factor in
     the order of x, every move rotated, e = 0 included."""
     m, q = group.char_order, group.order
@@ -464,9 +465,8 @@ def _rotating_expand(group, n, x, keep=None):
     for h, copies in enumerate(tuple(x)):
         moves = []
         for g in range(q):
-            if keep is None or keys[g] in keep:
-                e = group.char_exponent(h, g) % m
-                moves.append((keys[g], e * width, (m - e) * width))
+            e = group.char_exponent(h, g) % m
+            moves.append((keys[g], e * width, (m - e) * width))
         for _ in range(copies):
             nxt = {}
             get = nxt.get
@@ -474,25 +474,15 @@ def _rotating_expand(group, n, x, keep=None):
                 for key, packed in poly.items():
                     dest = key + step
                     nxt[dest] = get(dest, 0) + (((packed << up) & full) | (packed >> down))
-            if keep is not None:
-                nxt = {key: packed for key, packed in nxt.items() if key in keep}
             poly = nxt
     return poly, width
 
 
 @functools.cache
 def _oracle_expand(group, n, x):
-    """_rotating_expand unpruned, once per generator: the grid tests below
-    read the same oracle expansion several times."""
+    """_rotating_expand once per generator: the grid tests below read the
+    same oracle expansion several times."""
     return _rotating_expand(group, n, x)
-
-
-def _keep_keys(target, n):
-    """The keys of the sub-compositions of target, the oracle's pruning set."""
-    keep = {0}
-    for g, c in enumerate(tuple(target)):
-        keep = {key + t * (n + 1) ** g for key in keep for t in range(c + 1)}
-    return keep
 
 
 def _oracle_values(poly):
@@ -612,18 +602,17 @@ def test_read_out_matches_the_two_pass_oracle(group, top):
 @pytest.mark.parametrize(
     "group,top", READ_OUT_GRID, ids=[f"{type(g).__name__}{g.order}" for g, _ in READ_OUT_GRID]
 )
-def test_expand_matches_the_rotating_oracle(monkeypatch, group, top):
+def test_expand_matches_the_rotating_oracle(group, top):
     # the kernel adds e = 0 moves unrotated, takes the trivial character's
     # factors last and lists the coefficients in colex order: the same
-    # product, so the oracle's coefficients in ascending key order,
-    # unpruned on every grid generator and pruned to the sub-compositions
-    # of every target that the extraction route expands for
+    # product, so the oracle's coefficients in ascending key order, on
+    # every grid generator
     q, m = group.order, group.char_order
-    # Unpruned, the z_(q-1) move's table is a range, written as one slice:
-    # a plain copy for a character trivial at q - 1 and a rotated one
-    # otherwise.  The trivial character h = 0 gives the first and h = 1 the
-    # second in every group of the grid, so the grid's generator
-    # (1, 1, 0, ..., 0) takes both copies.
+    # The z_(q-1) move's table is a range, written as one slice: a plain
+    # copy for a character trivial at q - 1 and a rotated one otherwise.
+    # The trivial character h = 0 gives the first and h = 1 the second in
+    # every group of the grid, so the grid's generator (1, 1, 0, ..., 0)
+    # takes both copies.
     assert group.char_exponent(0, q - 1) % m == 0 and group.char_exponent(1, q - 1) % m
     assert all(type(krawtchouk._successors(q, t)[q - 1]) is range for t in range(top))
     both = (1, 1) + (0,) * (q - 2)
@@ -632,43 +621,14 @@ def test_expand_matches_the_rotating_oracle(monkeypatch, group, top):
         for x in enumerate_compositions(q, n):
             poly, width = _oracle_expand(group, n, x)
             assert krawtchouk._expand(group, n, x) == (_oracle_values(poly), width), (n, x)
-    expand = krawtchouk._expand
-    calls = []
-
-    def recording(group, n, x, target=None):
-        calls.append((n, x, target))
-        return expand(group, n, x, target)
-
-    monkeypatch.setattr(krawtchouk, "_expand", recording)
-    rng = random.Random(f"{group!r}")
-    for n in range(1, top + 1):
-        shells = list(enumerate_compositions(q, n))
-        for x in shells:
-            for i in rng.sample(shells, min(3, len(shells))):
-                gen_kraw(group, n, i, x)
-    assert calls and all(target is not None for _, _, target in calls)
-    # pruned, the z_(q-1) table is an array slice (None for a target with no
-    # q - 1), taken by the scattered loop, and some call moves by z_(q-1)
-    # under a character nontrivial there
-    assert all(
-        type(krawtchouk._sub_successors(tuple(target))[2][q - 1]) is not range
-        for _, _, target in calls
-    )
-    assert any(
-        target[q - 1] and any(x[h] and group.char_exponent(h, q - 1) % m for h in range(q))
-        for _, x, target in calls
-    )
-    for n, x, target in calls:
-        poly, width = _rotating_expand(group, n, x, _keep_keys(target, n))
-        assert expand(group, n, x, target) == (_oracle_values(poly), width), (n, x, target)
 
 
 @pytest.mark.parametrize(
     "group", [cyclic(5), finite_field(8), finite_field(9)], ids=lambda g: f"{type(g).__name__}{g.order}"
 )
 def test_expand_reads_the_characters_of_its_factors_only(monkeypatch, group):
-    # phi_h is read at every g exactly when x_h > 0, unpruned and pruned to
-    # a target: a field's character costs a k x k form, not a table lookup
+    # phi_h is read at every g exactly when x_h > 0: a field's character
+    # costs a k x k form, not a table lookup
     q = group.order
     reads = []
     exponent = type(group).char_exponent
@@ -682,10 +642,9 @@ def test_expand_reads_the_characters_of_its_factors_only(monkeypatch, group):
     for n in (1, 2, 3):
         shells = list(enumerate_compositions(q, n))
         for x in rng.sample(shells, min(6, len(shells))):
-            for target in (None, rng.choice(shells)):
-                reads.clear()
-                krawtchouk._expand(group, n, x, target)
-                assert Counter(reads) == {h: q for h in range(q) if x[h]}, (n, x, target)
+            reads.clear()
+            krawtchouk._expand(group, n, x)
+            assert Counter(reads) == {h: q for h in range(q) if x[h]}, (n, x)
 
 
 def _corrupt_expand(monkeypatch, pick):
@@ -693,8 +652,8 @@ def _corrupt_expand(monkeypatch, pick):
     # width, m), the label read off _colex_shells at the same position
     expand = krawtchouk._expand
 
-    def patched(group, n, x, target=None):
-        poly, width = expand(group, n, x, target)
+    def patched(group, n, x):
+        poly, width = expand(group, n, x)
         for index, label in enumerate(krawtchouk._colex_shells(group.order, n)[0]):
             new = pick(label, poly[index], width, group.char_order)
             if new is not None:
@@ -752,8 +711,8 @@ def test_read_out_raises_the_fault_met_first_in_shell_order(monkeypatch, count_a
     group, n = cyclic(5), 4
     expand = krawtchouk._expand
 
-    def patched(group, n, x, target=None):
-        poly, width = expand(group, n, x, target)
+    def patched(group, n, x):
+        poly, width = expand(group, n, x)
         full = (1 << (5 * width)) - 1
         rotated = ((poly[15] << width) & full) | (poly[15] >> (4 * width))
         assert rotated != poly[15]
@@ -779,6 +738,39 @@ def test_read_out_checks_every_count_total(monkeypatch):
     message = r"^coefficient of z\^\(3, 0, 0\) has 2 terms, expected multinom\(n, j\) = 1$"
     with pytest.raises(ArithmeticError, match=message):
         _read_out(cyclic(3), 3, Composition((1, 2, 0)))
+
+
+@pytest.mark.parametrize(
+    "group,i,j,message",
+    [
+        (
+            cyclic(3),
+            (2, 1, 0),
+            (1, 2, 0),
+            r"z\^\(2, 1, 0\) has 4 terms, expected multinom\(n, j\) = 3$",
+        ),
+        (
+            finite_field(4),
+            (1, 0, 1, 1),
+            (0, 2, 0, 1),
+            r"z\^\(1, 0, 1, 1\) has 7 terms, expected multinom\(n, j\) = 6$",
+        ),
+    ],
+    ids=["Z3", "GF4"],
+)
+def test_gen_kraw_checks_the_count_total_of_its_coefficient(monkeypatch, group, i, j, message):
+    # one more count on the coefficient at i's colex rank: the value could
+    # still be unpacked, but its count total no longer matches multinom(n, i);
+    # a target at another rank reads its coefficient as before
+    def one_more(label, packed, width, m):
+        return packed + 1 if label == i else None
+
+    other = (3,) + (0,) * (group.order - 1)
+    expected = gen_kraw(group, 3, other, j)
+    _corrupt_expand(monkeypatch, one_more)
+    with pytest.raises(ArithmeticError, match=r"^coefficient of " + message):
+        gen_kraw(group, 3, i, j)
+    assert gen_kraw(group, 3, other, j) == expected == gen_kraw(group, 3, other, j, method="brute")
 
 
 @pytest.mark.parametrize(
@@ -834,14 +826,12 @@ def test_colex_shells_walk_in_step_with_the_sorted_keys(q):
         assert list(sizes) == [multinom(n, label) for label in labels]
 
 
-def _brute_colex(q, t, bound=None):
-    """Every composition of t into q parts (each part at most bound[g],
-    when given), listed part by part and sorted into colex order: last
-    part most significant."""
-    top = bound or (t,) * q
+def _brute_colex(q, t):
+    """Every composition of t into q parts, listed part by part and sorted
+    into colex order: last part most significant."""
     comps = [()]
     for g in range(q):
-        comps = [c + (k,) for c in comps for k in range(min(top[g], t - sum(c)) + 1)]
+        comps = [c + (k,) for c in comps for k in range(t - sum(c) + 1)]
     return sorted((c for c in comps if sum(c) == t), key=_colex_key)
 
 
@@ -861,31 +851,6 @@ def test_successor_tables_rank_every_next_composition(q):
         for g, table in enumerate(tables):
             assert list(table) == [rank[_plus(c, g)] for c in here], (q, t, g)
         assert krawtchouk._successors(q, t) is tables
-
-
-def test_sub_successor_tables_rank_every_next_sub_composition():
-    # the pruned tables of a target: within each sum, colex ranks among its
-    # sub-compositions; a move past the target goes to the sink -1 and a
-    # move by e_g with target_g = 0 is None
-    rng = random.Random("sub-successors")
-    for q in range(2, 7):
-        for n in range(1, 9 if q < 5 else 6):
-            shells = list(enumerate_compositions(q, n))
-            for target in rng.sample(shells, min(4, len(shells))):
-                parts = tuple(target)
-                sizes, starts, tables = krawtchouk._sub_successors(parts)
-                levels = [_brute_colex(q, t, parts) for t in range(n + 1)]
-                assert sizes[: n + 1] == [len(level) for level in levels]
-                for g, table in enumerate(tables):
-                    if parts[g] == 0:
-                        assert table is None
-                        continue
-                    # the target itself, the one sub-composition of sum n, moves to the sink
-                    assert list(table[starts[n] :]) == [-1]
-                    for t in range(n):
-                        rank = {c: r for r, c in enumerate(levels[t + 1])}
-                        expected = [rank.get(_plus(c, g), -1) for c in levels[t]]
-                        assert list(table[starts[t] : starts[t + 1]]) == expected, (parts, t, g)
 
 
 def test_colex_shells_are_cached_and_immutable():
