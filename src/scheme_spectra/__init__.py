@@ -1,5 +1,11 @@
 """Exact spectra of Hamming and composition graphs over finite alphabets,
-with orthogonal-representation bounds on the quantum chromatic number."""
+with orthogonal-representation bounds on the quantum chromatic number.
+
+The representation layer, :mod:`.representation`, is loaded on first use:
+``Representation``, ``build_representation``, ``hadamard_representation``,
+``representation_seed`` and ``verify_representation`` are imported when
+one of them is first read from the package, so that spectra, bound reports
+and probes never compile it."""
 
 from .errors import (
     BadLabel,
@@ -68,18 +74,31 @@ from .schemes import (
     trace_identity_check,
 )
 from .bounds import (
+    _REPRESENTATION_NAMES,
     BoundReport,
     LPSolution,
     ProbeVerdict,
-    Representation,
     bound_report,
-    build_representation,
     check_lp_solution,
     conjecture_probe,
-    hadamard_representation,
     lp_two_support,
-    representation_seed,
-    verify_representation,
 )
 
 __version__ = "0.1.0"
+
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | _REPRESENTATION_NAMES)
+
+
+def __getattr__(name: str):
+    # PEP 562: a representation name is imported on first access and then
+    # stored here, so that the next access is a plain attribute
+    if name not in _REPRESENTATION_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import representation
+
+    value = globals()[name] = getattr(representation, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _REPRESENTATION_NAMES)

@@ -7,8 +7,10 @@ least-eigenvalue prediction, and ``table`` tabulates bound families over
 a parameter grid.  All output is deterministic: JSON keys are sorted,
 big integers travel as decimal strings, and repeated invocations produce
 byte-identical bytes.  Exit codes: 0 success, 1 verification failure,
-2 malformed flags.  numpy loads only for ``represent`` and the projector and
-representation suites.
+2 malformed flags.  The representation layer, :mod:`.representation`, is
+imported only by ``represent`` and the representation suite, inside the
+functions that use it, and numpy loads only for those and the projector
+suite; the other subcommands compile neither.
 
 The library never calls BLAS: its only matrix products are int64 ones,
 which numpy computes in its own loops.  So :func:`main` sets
@@ -28,17 +30,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import (
-    REPRESENTATION_MAX_ROWS,
-    _check_sample,
-    bound_report,
-    build_representation,
-    conjecture_probe,
-    hadamard_representation,
-    lp_two_support,
-    representation_seed,
-    verify_representation,
-)
+from .bounds import bound_report, conjecture_probe, lp_two_support
 from .errors import (
     BadLabel,
     DomainError,
@@ -150,6 +142,13 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_represent(args: argparse.Namespace) -> int:
+    from .representation import (
+        _check_sample,
+        build_representation,
+        representation_seed,
+        verify_representation,
+    )
+
     group = _make_group(args)
     spec = HammingGraphSpec(args.n, args.q, args.d)
     sample = _check_sample(args.sample)
@@ -241,6 +240,8 @@ def _check_projectors(max_n: int) -> tuple[str, list[str]]:
 
 
 def _check_lp_representations(max_n: int) -> tuple[str, list[str]]:
+    from .representation import build_representation, verify_representation
+
     grid = [
         (n, q, d)
         for q in (2, 3)
@@ -259,6 +260,12 @@ def _check_lp_representations(max_n: int) -> tuple[str, list[str]]:
 
 
 def _check_hadamard_representations(max_n: int) -> tuple[str, list[str]]:
+    from .representation import (
+        REPRESENTATION_MAX_ROWS,
+        hadamard_representation,
+        verify_representation,
+    )
+
     failures = []
     count = 0
     for q, make in ((2, cyclic), (3, cyclic), (4, finite_field)):

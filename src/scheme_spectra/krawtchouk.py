@@ -549,7 +549,10 @@ def gen_kraw(
     the product of linear forms for x = j, without touching the shell,
     and checks that its count total is multinom(n, i).  It expands the
     whole product, as a composition spectrum of the same (q, n) does, so
-    one value costs as much as that spectrum's expansion.
+    one value costs as much as that spectrum's expansion, and it is
+    refused as that spectrum is: SizeExceeded, before anything is
+    expanded, above :data:`~scheme_spectra.schemes.COMPOSITION_MAX_WORK`.
+    The brute method has no cap.
 
     The value is a plain int when it is rational, as for :func:`kraw`,
     and a :class:`CycInt` otherwise.  BadLabel refuses a label that is
@@ -562,6 +565,11 @@ def gen_kraw(
         x = next(enumerate_shell(group, n, j))
         value = _character_sum(group, x, enumerate_shell(group, n, i))
     elif method == "extraction":
+        # the cap of a composition spectrum of this (q, n), charged before the
+        # same expansion; imported at call time, as schemes imports this module
+        from .schemes import _check_expansion_work
+
+        _check_expansion_work(group, n)
         # the z^i coefficient at i's colex rank, checked as _read_out checks
         # every shell, without _read_out's fold of all the others
         labels, sizes = _colex_shells(group.order, n)

@@ -15,7 +15,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._record import Record
 from .errors import (
@@ -27,6 +27,7 @@ from .errors import (
     OrderMismatch,
     RangeError,
     SizeExceeded,
+    SpecMismatch,
 )
 from .exactnum import CycInt, _cos_table, _sign_bits, binom, multinom
 from .groups import (
@@ -36,7 +37,6 @@ from .groups import (
     comp as word_composition,
     cyclic,
     enumerate_shell,
-    word_add,
     word_char_value,
 )
 from .krawtchouk import (
@@ -59,7 +59,9 @@ PROJECTOR_MAX_VERTICES = 81
 #: 16-32 ns per unit at a third to nine tenths of the cap on a 2-core
 #: x86-64 host, one cold process each, over Z_2 (6 chunks), Z_3..Z_7, GF(4)
 #: and GF(8), so the cap stands for about 4-8 s.  Each successor table the
-#: expansion builds is charged too (see _composition_degree).
+#: expansion builds is charged too (see _check_expansion_work).  The default
+#: route of :func:`~scheme_spectra.krawtchouk.gen_kraw` expands the same
+#: product and is charged the same.
 COMPOSITION_MAX_WORK = 250_000_000
 
 
@@ -307,13 +309,20 @@ def _shell_labels(q: int, n: int) -> tuple[Composition, ...]:
 
 def _composition_degree(spec: CompositionGraphSpec) -> int:
     # The degree of a composition graph, once its spectrum has passed the
-    # COMPOSITION_MAX_WORK check (SizeExceeded otherwise).  The expansion
-    # also builds n q (q+1) / 2 successor tables, r for each r = 1..q parts
-    # at each of n lengths.  At q = 729..2048 and n = 1 they outweigh the
-    # expansion, at about 0.6-0.8 us and 92 bytes each, and they stay cached;
-    # at 128 units each the cap keeps them to about 2*10^6, some 180 MB.
-    n = spec.n
-    q, m = spec.group.order, spec.group.char_order
+    # COMPOSITION_MAX_WORK check (SizeExceeded otherwise).
+    _check_expansion_work(spec.group, spec.n)
+    return spec.degree  # n! and its divisions: only after the cap
+
+
+def _check_expansion_work(group: GroupSpec, n: int) -> None:
+    # SizeExceeded when expanding a generating product of length n over the
+    # group, as a composition spectrum and gen_kraw's default route do, costs
+    # more than COMPOSITION_MAX_WORK.  The expansion also builds n q (q+1) / 2
+    # successor tables, r for each r = 1..q parts at each of n lengths.  At
+    # q = 729..2048 and n = 1 they outweigh the expansion, at about 0.6-0.8 us
+    # and 92 bytes each, and they stay cached; at 128 units each the cap keeps
+    # them to about 2*10^6, some 180 MB.
+    q, m = group.order, group.char_order
     chunks = int(n * math.log2(q)) // 512 + 1
     work = binom(n + q - 1, q - 1) * n * q * m * chunks + 64 * n * q * (q + 1)
     if work > COMPOSITION_MAX_WORK:
@@ -322,7 +331,6 @@ def _composition_degree(spec: CompositionGraphSpec) -> int:
             f"composition spectrum would cost {work} units (shells x n x q x root order{wide}, "
             f"plus 128 per successor table); cap is {COMPOSITION_MAX_WORK}"
         )
-    return spec.degree  # n! and its divisions: only after the cap
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +490,8 @@ def eigenvector_check(
     For every sampled vertex y this sums phi_x over the actual neighbors
     y + s of y, s streamed from its shell, and compares, exactly in the
     cyclotomic ring, against lambda_x * phi_x(y), lambda_x from Krawtchouk.
-    The two sides come from unrelated code paths on purpose.
+    The two sides come from unrelated code paths on purpose.  A word of
+    the wrong length or a non-letter in y raises SpecMismatch.
     """
     if isinstance(spec, HammingGraphSpec):
         group = cyclic(spec.q)
@@ -495,10 +504,26 @@ def eigenvector_check(
     x = tuple(x)
     for y in sample:
         y = tuple(y)
-        neighbours = (word_add(group, y, s) for s in enumerate_shell(group, spec.n, shell_label))
+        neighbours = _translates(group, y, spec.n, enumerate_shell(group, spec.n, shell_label))
         if _character_sum(group, x, neighbours) != word_char_value(group, x, y) * lam:
             return False
     return True
+
+
+def _translates(
+    group: GroupSpec, y: tuple[int, ...], n: int, words: Iterable[tuple[int, ...]]
+) -> Iterator[tuple[int, ...]]:
+    # The words y + s, streamed, for the words s of length n of letters that
+    # enumerate_shell yields, which are not checked again.  y is read in one
+    # pass, into one row of sums y_i + g per letter, g over the alphabet, by
+    # group.add, which checks y_i: n q additions for y in place of n per
+    # word s.  As a generator this raises, for a wrong length or a non-letter
+    # in y, where word_add did, at the first word and with its messages.
+    if len(y) != n:
+        raise SpecMismatch(f"word lengths differ: {len(y)} vs {n}")
+    rows = [[group.add(a, g) for g in group.elements()] for a in y]
+    for s in words:
+        yield tuple(map(list.__getitem__, rows, s))
 
 
 def projector_identity_check(n: int, q: int) -> bool:

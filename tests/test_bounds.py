@@ -60,7 +60,7 @@ from scheme_spectra import (
     word_add,
     word_index,
 )
-from scheme_spectra import bounds, krawtchouk, schemes
+from scheme_spectra import bounds, krawtchouk, representation, schemes
 
 
 def _splitmix_stream(seed):
@@ -68,7 +68,7 @@ def _splitmix_stream(seed):
     mask = (1 << 64) - 1
     state = seed & mask
     while True:
-        yield bounds._mix64(state)
+        yield representation._mix64(state)
         state = (state + 0x9E3779B97F4A7C15) & mask
 
 
@@ -521,7 +521,7 @@ def test_full_verification_keeps_its_witness_in_small_blocks(monkeypatch, block_
     # 1 byte checks one pair per kernel call, so the scan splits each row's
     # generators; 200 and 5000 bytes cap the growing row blocks early and
     # move the block boundaries
-    monkeypatch.setattr(bounds, "_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(representation, "_BLOCK_BYTES", block_bytes)
     for rep, spec in _differential_cases():
         assert _verdict(rep, spec) == _smallest_failing_pair(rep, spec)
 
@@ -552,7 +552,7 @@ def test_sampled_verification_keeps_its_first_failing_draw_in_small_blocks(
 ):
     # 1 byte checks one draw per kernel call; 200 and 5000 bytes put the
     # block edges between other draws
-    monkeypatch.setattr(bounds, "_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(representation, "_BLOCK_BYTES", block_bytes)
     test_sampled_verification_reports_the_first_failing_draw()
 
 
@@ -650,12 +650,12 @@ def test_character_matrix_matches_the_per_cell_oracle():
                 words += [(0,) * n, (q - 1,) * n] + rng.sample(words, min(2, len(words)))
                 rng.shuffle(words)
                 columns = [word_index(group, y) for y in words]
-                got = bounds._character_matrix(group, n, iter(columns))
+                got = representation._character_matrix(group, n, iter(columns))
                 assert got.dtype == np.uint8 and got.flags.c_contiguous
                 assert np.array_equal(got, _characters_by_cell(group, n, words))
                 cases += 1
     assert cases >= 100
-    assert bounds._character_matrix(cyclic(3), 2, []).shape == (9, 0)
+    assert representation._character_matrix(cyclic(3), 2, []).shape == (9, 0)
 
 
 def test_builders_return_c_ordered_narrow_unsigned():
@@ -681,29 +681,29 @@ def test_the_row_cap_fires_before_any_word_is_read(monkeypatch):
     def refuse(*args):
         raise AssertionError("a shell was enumerated")
 
-    monkeypatch.setattr(bounds, "_shell_indices", refuse)
+    monkeypatch.setattr(representation, "_shell_indices", refuse)
     message = "representation would have 2097152 rows; cap is 1048576"
     with pytest.raises(SizeExceeded, match=f"^{message}$"):
         build_representation(lp_two_support(21, 2, 11), cyclic(2))
     with pytest.raises(SizeExceeded, match=f"^{message}$"):
-        bounds._character_matrix(cyclic(2), 21, (refuse() for _ in range(1)))
+        representation._character_matrix(cyclic(2), 21, (refuse() for _ in range(1)))
     with pytest.raises(SizeExceeded, match="^representation would have 4194304 rows"):
         hadamard_representation(cyclic(2), 22)
 
 
 def test_the_cell_cap_fires_once_the_words_are_listed(monkeypatch):
     # H(4, 2, 2) and the Hadamard representation of Z_2, n = 4, are 16 x 4
-    monkeypatch.setattr(bounds, "REPRESENTATION_MAX_CELLS", 64)
+    monkeypatch.setattr(representation, "REPRESENTATION_MAX_CELLS", 64)
     assert build_representation(lp_two_support(4, 2, 2), cyclic(2)).exponents.size == 64
     assert hadamard_representation(cyclic(2), 4).exponents.size == 64
-    monkeypatch.setattr(bounds, "REPRESENTATION_MAX_CELLS", 63)
+    monkeypatch.setattr(representation, "REPRESENTATION_MAX_CELLS", 63)
     message = "^representation would have 16 x 4 = 64 cells; cap is 63$"
     with pytest.raises(SizeExceeded, match=message):
         build_representation(lp_two_support(4, 2, 2), cyclic(2))
     with pytest.raises(SizeExceeded, match=message):
         hadamard_representation(cyclic(2), 4)
     with pytest.raises(SizeExceeded, match=message):
-        bounds._character_matrix(cyclic(2), 4, iter([word_index(cyclic(2), (0, 0, 0, 1))] * 4))
+        representation._character_matrix(cyclic(2), 4, iter([word_index(cyclic(2), (0, 0, 0, 1))] * 4))
 
 
 def _invariant_oracle(expm, group, n):
@@ -736,12 +736,12 @@ def _invariance_cases():
         for _ in range(3):
             cols = rng.randint(1, 4)
             words = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(cols)]
-            chars = bounds._character_matrix(group, n, [word_index(group, y) for y in words])
+            chars = representation._character_matrix(group, n, [word_index(group, y) for y in words])
             offset = (chars + np.array([rng.randrange(m) for _ in range(cols)])) % m
             mutated = offset.copy()
             mutated[rng.randrange(q**n), rng.randrange(cols)] += rng.randrange(1, m)
             blocks = [rng.choices(range(m), k=q * cols) for _ in range(n)]
-            blocked = bounds._additive_matrix(
+            blocked = representation._additive_matrix(
                 (np.array(b, dtype=np.uint8).reshape(q, cols) for b in blocks), cols, m
             )
             kinds = {"chars": chars, "offset": offset, "mutated": mutated % m, "blocked": blocked % m}
@@ -761,7 +761,7 @@ def test_translation_invariance_agrees_with_its_definition():
     verdicts = {}
     for kind, expm, group, n in _invariance_cases():
         expected = _invariant_oracle(expm, group, n)
-        assert bounds._translation_invariant(expm, group, n) is expected
+        assert representation._translation_invariant(expm, group, n) is expected
         verdicts[kind, expected] = verdicts.get((kind, expected), 0) + 1
     assert verdicts["chars", True] >= 100 and verdicts["offset", True] >= 100
     assert verdicts["mutated", False] >= 50 and verdicts["blocked", False] >= 50
@@ -788,13 +788,13 @@ def _pair_oracle(rep, spec):
 
 def _counted_verdict(monkeypatch, rep, spec):
     calls = []
-    kernel = bounds._failing_rows
+    kernel = representation._failing_rows
 
     def counted(ex, ey, m):
         calls.append(len(ey))
         return kernel(ex, ey, m)
 
-    monkeypatch.setattr(bounds, "_failing_rows", counted)
+    monkeypatch.setattr(representation, "_failing_rows", counted)
     verdict = _verdict(rep, spec)
     monkeypatch.undo()
     return verdict, calls
@@ -913,7 +913,7 @@ def test_an_infeasible_character_matrix_fails_at_row_zero(monkeypatch):
     # the smallest word of weight 2
     assert _verdict(rep, spec) == (0, 3, (0, 0, 0, 0), (0, 0, 1, 1)) == _pair_oracle(rep, spec)
     # with one pair per block, row 0 stops at its first generator
-    monkeypatch.setattr(bounds, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(representation, "_BLOCK_BYTES", 1)
     assert _counted_verdict(monkeypatch, rep, spec) == (_verdict(rep, spec), [1])
 
 
@@ -1027,7 +1027,7 @@ def _csv_cases():
 def test_streamed_csv_matches_the_per_cell_writer(monkeypatch, block_bytes):
     # a block size of 1 byte writes one row per block
     if block_bytes is not None:
-        monkeypatch.setattr(bounds, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(representation, "_BLOCK_BYTES", block_bytes)
     for rep in _csv_cases():
         if block_bytes is not None and rep.rows > 20000:
             continue
@@ -1116,7 +1116,7 @@ class _NullSink:
 
 
 def _clear_shell_caches():
-    bounds._letter_counts.cache_clear()
+    representation._letter_counts.cache_clear()
 
 
 def _traced_peak(call):
@@ -1135,7 +1135,7 @@ def test_verification_and_csv_take_the_matrix_and_one_block(monkeypatch, block_b
     # Full verification and the CSV export allocate at most one block of
     # working memory beyond a narrow copy of the matrix.
     if block_bytes is not None:
-        monkeypatch.setattr(bounds, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(representation, "_BLOCK_BYTES", block_bytes)
     cases = [
         (hadamard_representation(cyclic(3), 12),
          CompositionGraphSpec(cyclic(3), 12, Composition.balanced(3, 12))),
@@ -1143,7 +1143,7 @@ def test_verification_and_csv_take_the_matrix_and_one_block(monkeypatch, block_b
     ]
     for rep, spec in cases:
         assert rep.exponents.dtype == np.uint8 and rep.exponents.nbytes > 6 << 20
-        bound = 2 * rep.exponents.nbytes + bounds._BLOCK_BYTES
+        bound = 2 * rep.exponents.nbytes + representation._BLOCK_BYTES
         assert _traced_peak(lambda: verify_representation(rep, spec)) < bound
         assert _traced_peak(lambda: rep.write_csv(_NullSink())) < bound
 
@@ -1156,14 +1156,14 @@ def test_builds_take_the_matrix_and_one_block(monkeypatch, block_bytes):
     # the matrix: C-ordered, read-only, and beside it only the wrapped-around
     # copy it was reduced with.
     if block_bytes is not None:
-        monkeypatch.setattr(bounds, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(representation, "_BLOCK_BYTES", block_bytes)
     builds = [lambda: build_representation(lp_two_support(8, 3, 2), cyclic(3)),
               lambda: hadamard_representation(cyclic(3), 12)]
     for build in builds:
         matrix = build().exponents.nbytes
         assert matrix > 6 << 20
         _clear_shell_caches()
-        assert _traced_peak(build) < 2 * matrix + bounds._BLOCK_BYTES
+        assert _traced_peak(build) < 2 * matrix + representation._BLOCK_BYTES
     builds = [lambda: build_representation(lp_two_support(8, 3, 8), cyclic(3)),
               lambda: build_representation(lp_two_support(12, 2, 12), cyclic(2)),
               lambda: build_representation(lp_two_support(5, 5, 5), cyclic(5)),
@@ -1172,9 +1172,9 @@ def test_builds_take_the_matrix_and_one_block(monkeypatch, block_bytes):
     for build in builds:
         rep = build()
         exponents = rep.exponents
-        assert exponents.dtype == bounds._exponent_dtype(rep.root_order)
+        assert exponents.dtype == representation._exponent_dtype(rep.root_order)
         assert exponents.flags.c_contiguous and not exponents.flags.writeable
-        if 4 * exponents.nbytes <= bounds._BLOCK_BYTES:
+        if 4 * exponents.nbytes <= representation._BLOCK_BYTES:
             _clear_shell_caches()
             assert _traced_peak(build) < 3 * exponents.nbytes
             one_block += 1
@@ -1189,20 +1189,20 @@ def test_csv_takes_one_block_beyond_its_tables(monkeypatch, block_bytes):
     import tracemalloc
 
     if block_bytes is not None:
-        monkeypatch.setattr(bounds, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(representation, "_BLOCK_BYTES", block_bytes)
     for n, q, d in ((8, 3, 8), (5, 5, 5), (12, 2, 12)):
         rep = build_representation(lp_two_support(n, q, d), cyclic(q))
         tracemalloc.start()
         try:
-            bounds._cell_runs.cache_clear()
-            bounds._limbs.cache_clear()
+            representation._cell_runs.cache_clear()
+            representation._limbs.cache_clear()
             rep.write_csv(_NullSink())
             tables, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert 0 < tables < 1 << 18
-        assert peak < bounds._BLOCK_BYTES + tables
-        assert _traced_peak(lambda: rep.write_csv(_NullSink())) < bounds._BLOCK_BYTES
+        assert peak < representation._BLOCK_BYTES + tables
+        assert _traced_peak(lambda: rep.write_csv(_NullSink())) < representation._BLOCK_BYTES
 
 
 @pytest.mark.parametrize("block_bytes", [None, 1 << 18])
@@ -1210,7 +1210,7 @@ def test_a_failing_scan_takes_the_matrix_and_one_block(monkeypatch, block_bytes)
     # One entry of row 40 changed: the matrix is no longer character-built,
     # so full verification scans several row blocks.
     if block_bytes is not None:
-        monkeypatch.setattr(bounds, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(representation, "_BLOCK_BYTES", block_bytes)
     spec = HammingGraphSpec(8, 3, 2)
     rep = build_representation(lp_two_support(8, 3, 2), cyclic(3))
     assert rep.exponents.dtype == np.uint8 and rep.exponents.nbytes > 6 << 20
@@ -1221,7 +1221,7 @@ def test_a_failing_scan_takes_the_matrix_and_one_block(monkeypatch, block_bytes)
     expected = _pair_oracle(Representation(rep.group, 8, exponents, "test"), spec)
     del exponents
     assert expected is not True and _verdict(changed, spec) == expected
-    bound = 2 * rep.exponents.nbytes + bounds._BLOCK_BYTES
+    bound = 2 * rep.exponents.nbytes + representation._BLOCK_BYTES
     assert _traced_peak(lambda: _verdict(changed, spec)) < bound
 
 
@@ -1234,7 +1234,7 @@ def test_sampled_verification_takes_the_matrix_the_generators_digits_and_one_blo
     # digits in the exponents' dtype.  At 256 KiB each of these checks many
     # blocks.
     if block_bytes is not None:
-        monkeypatch.setattr(bounds, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(representation, "_BLOCK_BYTES", block_bytes)
     cells = [(12, 2, 11, cyclic(2), 400_000), (16, 2, 15, cyclic(2), 400_000),
              (8, 3, 8, cyclic(3), 100_000), (5, 5, 5, cyclic(5), 100_000),
              (4, 8, 3, finite_field(8), 100_000)]
@@ -1243,7 +1243,7 @@ def test_sampled_verification_takes_the_matrix_the_generators_digits_and_one_blo
         rep = build_representation(lp_two_support(n, q, d), group)
         k = round(math.log(q, rep.root_order))
         steps = n * k * len(_generators(spec, group)) * rep.exponents.itemsize
-        bound = 2 * rep.exponents.nbytes + steps + bounds._BLOCK_BYTES
+        bound = 2 * rep.exponents.nbytes + steps + representation._BLOCK_BYTES
         assert _traced_peak(lambda: verify_representation(rep, spec, sample=sample)) < bound
 
 
@@ -1255,7 +1255,7 @@ def test_a_large_alphabet_verifies_in_the_matrix_and_one_block():
     rep = build_representation(lp_two_support(1, 512, 1), cyclic(512))
     spec = HammingGraphSpec(1, 512, 1)
     assert rep.exponents.dtype == np.uint16 and verify_representation(rep, spec) is True
-    bound = 2 * rep.exponents.nbytes + bounds._BLOCK_BYTES
+    bound = 2 * rep.exponents.nbytes + representation._BLOCK_BYTES
     assert _traced_peak(lambda: verify_representation(rep, spec)) < bound
 
 
@@ -1287,7 +1287,7 @@ def test_sampled_verification_of_a_million_generators_reports_the_first_draw():
     with pytest.raises(NotOrthogonal) as failure:
         verify_representation(rep, spec, sample=1)
     assert time.perf_counter() - start < 1
-    draws = bounds._splitmix_draws(representation_seed(spec), 0, 2)
+    draws = representation._splitmix_draws(representation_seed(spec), 0, 2)
     x = int(draws[0]) % rep.rows
     s = next(itertools.islice(enumerate_shell(group, 2, 2), int(draws[1]) % 1023**2, None))
     y = word_add(group, index_word(group, x, 2), s)
@@ -1320,15 +1320,15 @@ def test_neighbours_agree_with_word_add(group):
         index = {word: word_index(group, word) for word in words}
         expected = np.array([[index[word_add(group, x, s)] for s in words] for x in words])
         # the base-m digits of each letter, highest first, letter by letter
-        steps = [np.array([s[j] // m**i % m for s in words], dtype=bounds._exponent_dtype(m))
+        steps = [np.array([s[j] // m**i % m for s in words], dtype=representation._exponent_dtype(m))
                  for j in range(n) for i in reversed(range(k))]
         xs = np.arange(q**n)
-        assert np.array_equal(bounds._neighbours(m, xs[:, None], steps), expected)
+        assert np.array_equal(representation._neighbours(m, xs[:, None], steps), expected)
         px, ps = np.divmod(rng.permutation(q ** (2 * n)), q**n)
-        assert np.array_equal(bounds._neighbours(m, px, [step[ps] for step in steps]),
+        assert np.array_equal(representation._neighbours(m, px, [step[ps] for step in steps]),
                               expected[px, ps])
         # the scan's row 0 takes the generators as their own neighbours
-        assert np.array_equal(bounds._neighbours(m, xs[:1, None], steps)[0], xs)
+        assert np.array_equal(representation._neighbours(m, xs[:1, None], steps)[0], xs)
         n += 1
 
 
@@ -1351,26 +1351,26 @@ def test_index_shells_match_enumerate_shell():
     assert len(shells) >= 1500
     for group, n, label, expected in shells:
         _clear_shell_caches()
-        assert bounds._shell_indices(group, n, label).tolist() == expected
-        assert bounds._shell_indices(group, n, label).tolist() == expected
+        assert representation._shell_indices(group, n, label).tolist() == expected
+        assert representation._shell_indices(group, n, label).tolist() == expected
     for group, n, label, expected in shells:
-        assert bounds._shell_indices(group, n, label).tolist() == expected
+        assert representation._shell_indices(group, n, label).tolist() == expected
 
 
 def test_cached_tables_are_read_only_and_indices_are_fresh():
     _clear_shell_caches()
     for n in (0, 1, 4):
-        counts = bounds._letter_counts(3, n, 1)
+        counts = representation._letter_counts(3, n, 1)
         for array in (counts, counts.base):
             with pytest.raises(ValueError):
                 array[0] = 1
     # a caller that writes into the indices it got changes nobody else's
     for label in (2, (1, 2, 1)):
-        ys = bounds._shell_indices(cyclic(3), 4, label)
+        ys = representation._shell_indices(cyclic(3), 4, label)
         expected = ys.tolist()
         ys[:] = 0
-        assert bounds._shell_indices(cyclic(3), 4, label).tolist() == expected
-        assert bounds._shell_indices(finite_field(3), 4, label).tolist() == expected
+        assert representation._shell_indices(cyclic(3), 4, label).tolist() == expected
+        assert representation._shell_indices(finite_field(3), 4, label).tolist() == expected
 
 
 @pytest.mark.parametrize("narrow", [np.int8, np.int64])
@@ -1384,16 +1384,16 @@ def test_numpy_n_reads_the_shells_of_the_plain_int(narrow):
                     for label in labels}
         _clear_shell_caches()
         for label in labels:
-            assert bounds._shell_indices(group, narrow(n), label).tolist() == expected[label]
-            assert bounds._shell_indices(group, n, label).tolist() == expected[label]
+            assert representation._shell_indices(group, narrow(n), label).tolist() == expected[label]
+            assert representation._shell_indices(group, n, label).tolist() == expected[label]
 
 
 def test_vectorised_draws_match_the_stream():
     for seed in (0, 1, representation_seed(HammingGraphSpec(4, 2, 2)), (1 << 64) - 1):
         stream = _splitmix_stream(seed)
         expected = [next(stream) for _ in range(300)]
-        assert bounds._splitmix_draws(seed, 0, 300).tolist() == expected
-        assert bounds._splitmix_draws(seed, 117, 300).tolist() == expected[117:]
+        assert representation._splitmix_draws(seed, 0, 300).tolist() == expected
+        assert representation._splitmix_draws(seed, 117, 300).tolist() == expected[117:]
 
 
 def _lp_rep(n):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from scheme_spectra import BoundReport, CycInt, NotOrthogonal, Spectrum, SpectrumEntry
-from scheme_spectra import cli
+from scheme_spectra import cli, representation
 
 
 def run(capsys, *argv):
@@ -333,14 +333,14 @@ def test_a_wrong_value_fails_both_of_its_reciprocity_pairs(monkeypatch):
 
 
 def test_verify_hadamard_line_ignores_lp_failures(capsys, monkeypatch):
-    real_verify = cli.verify_representation
+    real_verify = representation.verify_representation
 
     def lp_only_fails(rep, spec, sample=None):
         if rep.provenance == "lp-orthogonal-representation":
             raise NotOrthogonal(0, 1, (0,), (1,))
         return real_verify(rep, spec, sample=sample)
 
-    monkeypatch.setattr(cli, "verify_representation", lp_only_fails)
+    monkeypatch.setattr(representation, "verify_representation", lp_only_fails)
     code, out, _ = run(capsys, "verify", "--suite", "representations", "--max-n", "2")
     assert code == 1
     lines = out.splitlines()
@@ -505,7 +505,7 @@ def test_verification_failure_exits_1(capsys, monkeypatch):
     def explode(rep, spec, sample=None):
         raise NotOrthogonal(0, 1, (0, 0), (0, 1))
 
-    monkeypatch.setattr(cli, "verify_representation", explode)
+    monkeypatch.setattr(representation, "verify_representation", explode)
     code, _, err = run(capsys, "represent", "--n", "4", "--q", "2", "--d", "2")
     assert code == 1
     assert "verification failed" in err
@@ -604,6 +604,109 @@ def test_first_call_in_a_fresh_process_loads_only_what_it_needs(
     if "--out" in argv:
         fresh_csv = (tmp_path / "fresh" / "rep.csv").read_bytes()
         assert fresh_csv == (tmp_path / "in-process" / "rep.csv").read_bytes()
+
+
+# The representation layer, scheme_spectra.representation, is compiled only
+# for represent and the representation suite: which of it and numpy each
+# case of _DEFERRED_CASES loads, and the suite besides.
+_FRESH_LAYERS = _FRESH_MAIN.replace('"mpmath"', '"scheme_spectra.representation"')
+
+_LAYERS_LOADED = {
+    "represent": "numpy,scheme_spectra.representation",
+    # its sample check is the layer's, and numpy stays unloaded
+    "represent-vacuous-sample": "scheme_spectra.representation",
+    "verify-projectors": "numpy",
+}
+
+
+@pytest.mark.parametrize("argv, loads", [
+    *(pytest.param(case.values[0], _LAYERS_LOADED.get(case.id, ""), id=case.id)
+      for case in _DEFERRED_CASES),
+    pytest.param(("verify", "--suite", "representations", "--max-n", "2"),
+                 "numpy,scheme_spectra.representation", id="verify-representations"),
+])
+def test_only_the_representation_paths_compile_the_representation_layer(argv, loads, tmp_path):
+    proc = fresh_python("-c", _FRESH_LAYERS, *argv, cwd=tmp_path)
+    assert proc.stderr.splitlines()[-1] == loads
+
+
+_LIBRARY_CALLS = """
+import sys
+import scheme_spectra as ss
+ss.bound_report(ss.HammingGraphSpec(12, 3, 9))
+ss.bound_report(ss.CompositionGraphSpec(ss.cyclic(3), 6, (2, 2, 2)))
+ss.composition_spectrum(ss.CompositionGraphSpec(ss.cyclic(3), 6, (3, 2, 1)))
+ss.conjecture_probe(3, 6)
+print(sorted({"numpy", "scheme_spectra.representation"} & set(sys.modules)))
+"""
+
+
+def test_spectra_reports_and_probes_load_neither_numpy_nor_the_representation_layer():
+    proc = fresh_python("-c", _LIBRARY_CALLS)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+# every name the package exported when it imported the representation layer
+# eagerly; the last five are now read from it on first access
+_EXPORTED = """
+BadLabel BoundReport Composition CompositionGraphSpec CycInt CyclicGroup DivisibilityError
+DomainError FiniteField GroupSpec HammingGraphSpec Infeasible IrrationalEigenvalue LPSolution
+NoNegativeEigenvalue NonRealEigenvalue NotFound NotOrthogonal OrderMismatch ProbeVerdict
+RangeError SchemeSpectraError SizeExceeded SpecMismatch Spectrum SpectrumEntry SumMismatch
+UnsupportedSize all_words binom bound_report char_value check_lp_solution comp
+composition_spectrum conjecture_probe cyclic cyclotomic_polynomial default_modulus
+eigenvector_check entropy_q enumerate_compositions enumerate_shell finite_field
+first_nonpositive first_root_ratio gen_kraw gen_kraw_circulant hamming_spectrum hoffman_bound
+index_word kraw kraw_column lp_two_support max_eigenvalue min_eigenvalue multinom
+multiplicity_ratio projector_identity_check shell_size trace_identity_check weight word_add
+word_char_exponent word_char_value word_index word_neg word_sub zero_shell_predicate
+Representation build_representation hadamard_representation representation_seed
+verify_representation
+""".split()
+_MOVED = _EXPORTED[-5:]
+
+_LAZY_NAMES = """
+import json, sys
+import scheme_spectra as ss
+from scheme_spectra import bounds
+names, moved = sys.argv[1].split(), sys.argv[2].split()
+layer = "scheme_spectra.representation"
+out = {
+    "stored_before": [name for name in moved if name in vars(ss)],
+    "listed": [name for name in names if name in dir(ss) and name in ss.__all__],
+    "loaded_by_dir": layer in sys.modules,
+}
+for name in names:
+    exec(f"from scheme_spectra import {name}")
+out["loaded"] = layer in sys.modules
+representation = sys.modules[layer]
+out["shared"] = [
+    name for name in moved
+    if getattr(ss, name) is getattr(bounds, name) is getattr(representation, name)
+]
+out["stored_after"] = [name for name in moved if name in vars(ss)]
+out["bounds_forwards"] = [
+    name for name in ("REPRESENTATION_MAX_ROWS", "REPRESENTATION_MAX_CELLS", "_BLOCK_BYTES",
+                      "_CHUNK_ENTRIES", "_shell_indices", "_failing_rows", "_check_sample")
+    if hasattr(bounds, name)
+]
+print(json.dumps(out))
+"""
+
+
+def test_every_exported_name_resolves_once_and_lazily():
+    proc = fresh_python("-c", _LAZY_NAMES, " ".join(_EXPORTED), " ".join(_MOVED))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {
+        "stored_before": [],
+        "listed": _EXPORTED,
+        "loaded_by_dir": False,
+        "loaded": True,
+        "shared": _MOVED,
+        "stored_after": _MOVED,
+        # a patch there would change nothing that the layer reads
+        "bounds_forwards": [],
+    }
 
 
 # Irrational eigenvalues are ordered without mpmath: with the package made

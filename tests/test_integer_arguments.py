@@ -49,7 +49,7 @@ from scheme_spectra import (
     verify_representation,
     zero_shell_predicate,
 )
-from scheme_spectra.bounds import _shell_indices
+from scheme_spectra.representation import _shell_indices
 
 _NUMPY_INTS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
 

@@ -7,6 +7,7 @@ brute-force character sum (see the oracle helpers at the top).
 import functools
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -16,14 +17,17 @@ import pytest
 from scheme_spectra import (
     BadLabel,
     Composition,
+    CompositionGraphSpec,
     CycInt,
     DivisibilityError,
     DomainError,
     NotFound,
     RangeError,
+    SizeExceeded,
     UnsupportedSize,
     binom,
     comp,
+    composition_spectrum,
     cyclic,
     enumerate_compositions,
     enumerate_shell,
@@ -37,7 +41,7 @@ from scheme_spectra import (
     word_char_value,
     zero_shell_predicate,
 )
-from scheme_spectra import finite_field, krawtchouk
+from scheme_spectra import finite_field, krawtchouk, schemes
 from scheme_spectra.krawtchouk import (
     CIRCULANT_MAX_Q,
     _balanced_shells,
@@ -297,6 +301,30 @@ def test_gen_kraw_validation():
             with pytest.raises(TypeError):
                 gen_kraw(group, n, balanced, balanced, method=method)
     assert gen_kraw(group, np.int64(6), balanced, balanced) == 9
+
+
+def test_gen_kraw_is_refused_where_the_composition_spectrum_is(monkeypatch):
+    # the default route expands the product a spectrum of the same (q, n)
+    # expands, which took 5.4 s and 202 MB here; it is refused up front
+    # with the spectrum's message
+    group = cyclic(3)
+    spec = CompositionGraphSpec(group, 400, Composition((398, 1, 1)))
+    with pytest.raises(SizeExceeded) as refused:
+        composition_spectrum(spec)
+    start = time.perf_counter()
+    with pytest.raises(SizeExceeded) as raised:
+        gen_kraw(group, 400, (398, 1, 1), (134, 133, 133))
+    assert time.perf_counter() - start < 1.0
+    assert str(raised.value) == str(refused.value)
+    assert str(raised.value).startswith("composition spectrum would cost 580634400 units ")
+    # the cap is the spectrum's own, read when called, and the brute
+    # method has none
+    small = Composition((2, 1, 1))
+    assert gen_kraw(group, 4, small, small) == gen_kraw(group, 4, small, small, method="brute")
+    monkeypatch.setattr(schemes, "COMPOSITION_MAX_WORK", 3611)
+    with pytest.raises(SizeExceeded, match="cost 3612 units .* cap is 3611$"):
+        gen_kraw(group, 4, small, small)
+    assert gen_kraw(group, 4, small, small, method="brute") == -3
 
 
 def test_certified_integer_passthrough():

@@ -27,6 +27,7 @@ from scheme_spectra import (
     OrderMismatch,
     RangeError,
     SizeExceeded,
+    SpecMismatch,
     Spectrum,
     SpectrumEntry,
     all_words,
@@ -49,6 +50,7 @@ from scheme_spectra import (
     multiplicity_ratio,
     projector_identity_check,
     trace_identity_check,
+    word_add,
     word_sub,
     weight,
 )
@@ -1027,6 +1029,40 @@ def test_eigenvector_action_on_long_words():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_eigenvector_action_adds_the_shell_words_unchecked(monkeypatch):
+    # each sampled letter is added to every letter of the alphabet once, into
+    # a row of sums that the shell words, letters by construction, index:
+    # n q additions a sampled word, not n per neighbour
+    calls = Counter()
+    for cls in (type(cyclic(2)), type(finite_field(4))):
+        add = cls.add
+
+        def counting(self, a, b, add=add):
+            calls[self] += 1
+            return add(self, a, b)
+
+        monkeypatch.setattr(cls, "add", counting)
+    x = (1,) * 6 + (0,) * 6
+    assert eigenvector_check(HammingGraphSpec(12, 2, 6), x, [x, x[::-1]])  # 924 neighbours
+    field = finite_field(4)
+    spec = CompositionGraphSpec(field, 4, Composition((1, 1, 1, 1)))
+    assert eigenvector_check(spec, (0, 1, 2, 3), [])  # the field's trace form, built once
+    del calls[field]
+    assert eigenvector_check(spec, (0, 1, 2, 3), [(3, 2, 1, 0)])  # 24 neighbours
+    assert calls == {cyclic(2): 2 * 12 * 2, field: 4 * 4}
+    # a non-letter or a wrong length in a sampled word raises as word_add does
+    for group, spec, x in (
+        (cyclic(3), HammingGraphSpec(3, 3, 2), (0, 1, 2)),
+        (field, CompositionGraphSpec(field, 3, Composition((1, 1, 1, 0))), (0, 1, 2)),
+    ):
+        for y in ((0, 4, 1), (0, 1.0, 1), (0, -1, 2), (0, 1)):
+            with pytest.raises(SpecMismatch) as expected:
+                word_add(group, y, (1, 1, 0))
+            with pytest.raises(SpecMismatch) as raised:
+                eigenvector_check(spec, x, [(0, 0, 0), y])
+            assert str(raised.value) == str(expected.value)
 
 
 def test_spectrum_does_not_depend_on_the_field_modulus():
