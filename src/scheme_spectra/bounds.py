@@ -1,4 +1,4 @@
-"""LP certificates, bound reports and the balanced-minimum probe.
+"""LP certificates and bound reports.
 
 The quantum chromatic number of a graph is bounded from below by the
 Hoffman-type spectral quantity of its least eigenvalue, and from above by
@@ -6,9 +6,12 @@ the dimension of an orthogonal representation.  Here the upper bounds come
 as LP certificates: nonnegative weights on the character shells whose
 weighted Krawtchouk column vanishes at the graph distance, checked
 exactly.  :mod:`.representation` assembles and verifies the representation
-a certificate prescribes; it is loaded only when one of its names is first
-read, here or from the package.  Everything here is exact: the only floats
-in sight are clearly-labeled diagnostics.
+a certificate prescribes, and :mod:`.composition` holds the report of a
+composition graph and the balanced-minimum probe; each is loaded only when
+one of its names is first read, here or from the package, and
+:func:`bound_report` imports the composition report only for a graph that
+is not a Hamming graph.  Everything here is exact: the only floats in sight
+are clearly-labeled diagnostics.
 """
 
 from __future__ import annotations
@@ -16,39 +19,21 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ._record import Record
-from .errors import (
-    DivisibilityError,
-    DomainError,
-    Infeasible,
-    IrrationalEigenvalue,
-    NoNegativeEigenvalue,
-    NonRealEigenvalue,
-    RangeError,
-)
-from .exactnum import binom, entropy_q, multinom
-from .groups import Composition, FiniteField, _prime_power, cyclic
-from .krawtchouk import (
-    _balanced_shells,
-    _read_out,
-    _shell_sizes,
-    first_root_ratio,
-    kraw_column,
-)
-from .schemes import (
-    CompositionGraphSpec,
-    HammingGraphSpec,
-    _composition_degree,
-    _extreme,
-    _hoffman_value,
-)
+from .errors import DomainError, Infeasible, RangeError
+from .exactnum import binom, entropy_q
+from .krawtchouk import _shell_sizes, first_root_ratio, kraw_column
+from .schemes import HammingGraphSpec, _hoffman_value
 
-# The public names of the representation layer, read through this module on
-# first access (PEP 562) so that importing it does not compile that layer.
-# Its caps and private helpers are not forwarded: a patch here would change
-# nothing that the layer reads.
+if TYPE_CHECKING:
+    from .composition import CompositionGraphSpec
+
+# The public names of the representation layer and of the composition scheme
+# that this module held, read through it on first access (PEP 562), so that
+# importing it compiles neither.  Their caps and private helpers are not
+# forwarded: a patch here would change nothing that they read.
 _REPRESENTATION_NAMES = frozenset({
     "Representation",
     "build_representation",
@@ -56,14 +41,17 @@ _REPRESENTATION_NAMES = frozenset({
     "representation_seed",
     "verify_representation",
 })
+_COMPOSITION_NAMES = frozenset({"ProbeVerdict", "conjecture_probe"})
 
 
 def __getattr__(name: str):
-    if name not in _REPRESENTATION_NAMES:
+    if name in _REPRESENTATION_NAMES:
+        from . import representation as home
+    elif name in _COMPOSITION_NAMES:
+        from . import composition as home
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import representation
-
-    return getattr(representation, name)
+    return getattr(home, name)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +267,8 @@ def bound_report(spec: HammingGraphSpec | CompositionGraphSpec) -> BoundReport:
     """Compute every applicable bound for a graph and reconcile them."""
     if isinstance(spec, HammingGraphSpec):
         return _hamming_report(spec)
+    from .composition import _composition_report
+
     return _composition_report(spec)
 
 
@@ -316,136 +306,3 @@ def _hamming_report(spec: HammingGraphSpec) -> BoundReport:
         diagnostics["regime"] = "entropy"
         diagnostics["entropy_exponent"] = entropy_q(q, first_root_ratio(q, d / n))
     return _finish_report(spec, lower, upper, diagnostics)
-
-
-def _composition_report(spec: CompositionGraphSpec) -> BoundReport:
-    group, n = spec.group, spec.n
-    diagnostics: dict = {
-        "balanced": spec.balanced,
-        "undirected": spec.undirected,
-    }
-    lower: list[tuple[Fraction, str]] = []
-    upper: list[tuple[Fraction, str]] = []
-    if spec.balanced:
-        # A balanced graph is undirected, and its eigenvalues are integers,
-        # 0 on every shell the balanced route leaves out; there is always
-        # such a shell, (n-1, 1, 0, ..., 0) for one.
-        lam_min = min(0, *(value for _, value in _balanced_shells(group, n)))
-        try:
-            lower.append((_hoffman_value(lam_min, spec.degree), "hoffman"))
-        except NoNegativeEigenvalue as exc:
-            diagnostics["hoffman_unavailable"] = type(exc).__name__
-    elif spec.undirected:
-        # The read-out folds only the first shell of each distinct
-        # coefficient, and every other shell reuses a folded value, so the
-        # least over the folded shells is the least eigenvalue.  The first
-        # minimiser is folded too: the first shell carrying its coefficient
-        # has the same value and comes no later, so it is that shell.
-        degree = _composition_degree(spec)
-        column, computed = _read_out(group, n, spec.dcomp, degree)
-        values = [column[i] for i in computed]
-        try:
-            lam_min = values[_extreme(values)]
-            lower.append((_hoffman_value(lam_min, degree), "hoffman"))
-        except (IrrationalEigenvalue, NoNegativeEigenvalue, NonRealEigenvalue) as exc:
-            diagnostics["hoffman_unavailable"] = type(exc).__name__
-    if spec.balanced:
-        upper.append((Fraction(n), "hadamard-character"))
-        if isinstance(group, FiniteField) and _prime_power(n) is not None:
-            diagnostics["prime_power_pair"] = True
-    return _finish_report(spec, lower, upper, diagnostics)
-
-
-# ---------------------------------------------------------------------------
-# the balanced-minimum probe
-
-
-class ProbeVerdict(Record):
-    """Outcome of probing the balanced-graph least-eigenvalue prediction."""
-
-    verdict: str
-    q: int
-    n: int
-    reason: str | None
-    minimum: int | None
-    conjectured: Fraction | None
-    pattern: Composition | None
-    achieving: tuple[Composition, ...]
-
-    def __init__(
-        self,
-        verdict: str,
-        q: int,
-        n: int,
-        reason: str | None = None,
-        minimum: int | None = None,
-        conjectured: Fraction | None = None,
-        pattern: Composition | None = None,
-        achieving: tuple[Composition, ...] = (),
-    ) -> None:
-        self._set(verdict, q, n, reason, minimum, conjectured, pattern, achieving)
-
-    def to_json(self) -> dict:
-        out: dict = {"verdict": self.verdict}
-        if self.reason is not None:
-            out["reason"] = self.reason
-        if self.verdict != "not-applicable":
-            out["q"] = self.q
-            out["n"] = self.n
-            out["minimum"] = str(self.minimum)
-            out["conjectured"] = str(self.conjectured)
-            out["pattern_shell"] = list(self.pattern)
-            out["achieving_shells"] = [list(a) for a in self.achieving]
-        return out
-
-
-def conjecture_probe(q: int, n: int) -> ProbeVerdict:
-    """Test whether the balanced graph's least eigenvalue matches the
-    predicted value -multinom(n; n/q,...,n/q)/(n-1).
-
-    The prediction concerns alphabets Z_q with (q-1)n/q even; the shell
-    (n-2, 1, 0, ..., 0, 1) always attains the predicted value, so the
-    probe reports whether anything lies below it, and lists the shells
-    attaining the least eigenvalue in colex order.  Odd (q-1)n/q is
-    reported as not applicable.
-
-    The eigenvalues come from the balanced route: the nonzero shells of
-    the power n/q of the group determinant, with the work cap
-    :data:`~scheme_spectra.krawtchouk.BALANCED_MAX_WORK` (SizeExceeded
-    above it).  A zero shell cannot attain the minimum, because the
-    pattern shell's value is negative; that is checked, not assumed.  A
-    probe is evidence for the prediction at one (q, n), not a proof.
-    """
-    q, n = operator.index(q), operator.index(n)
-    if q < 2:
-        raise DomainError(f"need q >= 2, got q={q}")
-    if n < 1:
-        raise DomainError(f"need n >= 1, got n={n}")
-    if n % q:
-        raise DivisibilityError(f"needs q | n, got q={q}, n={n}")
-    if ((q - 1) * n // q) % 2:
-        return ProbeVerdict("not-applicable", q, n, reason="(q-1)n/q odd")
-    shells = _balanced_shells(cyclic(q), n)
-    target = Fraction(-multinom(n, Composition.balanced(q, n)), n - 1)
-    counts = [0] * q
-    counts[0] = n - 2
-    counts[1] += 1
-    counts[q - 1] += 1
-    pattern = Composition(tuple(counts))
-    at_pattern = next((value for j, value in shells if j == pattern.counts), 0)
-    if at_pattern != target or target >= 0:
-        raise ArithmeticError(
-            f"pattern shell {tuple(pattern)} has eigenvalue {at_pattern}, expected {target} < 0"
-        )
-    minimum = min(value for _, value in shells)
-    achieving = tuple(Composition._trusted(j) for j, value in shells if value == minimum)
-    verdict = "holds" if Fraction(minimum) == target else "fails"
-    return ProbeVerdict(
-        verdict,
-        q,
-        n,
-        minimum=minimum,
-        conjectured=target,
-        pattern=pattern,
-        achieving=achieving,
-    )

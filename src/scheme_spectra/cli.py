@@ -10,7 +10,12 @@ byte-identical bytes.  Exit codes: 0 success, 1 verification failure,
 2 malformed flags.  The representation layer, :mod:`.representation`, is
 imported only by ``represent`` and the representation suite, inside the
 functions that use it, and numpy loads only for those and the projector
-suite; the other subcommands compile neither.
+suite; the other subcommands compile neither.  In the same way the
+composition scheme, :mod:`.composition`, and the alphabets, :mod:`.groups`,
+are imported only on the composition paths: ``spectrum`` and ``bounds``
+with ``--family hamming``, ``table --theorem 1.1|1.2`` and
+``verify --suite projectors`` compile neither, and ``represent`` compiles
+the alphabets alone.
 
 The library never calls BLAS: its only matrix products are int64 ones,
 which numpy computes in its own loops.  So :func:`main` sets
@@ -28,9 +33,9 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .bounds import bound_report, conjecture_probe, lp_two_support
+from .bounds import bound_report, lp_two_support
 from .errors import (
     BadLabel,
     DomainError,
@@ -41,26 +46,18 @@ from .errors import (
     SpecMismatch,
 )
 from .exactnum import binom, multinom
-from .groups import (
-    Composition,
-    GroupSpec,
-    all_words,
-    cyclic,
-    enumerate_compositions,
-    finite_field,
-)
-from .krawtchouk import gen_kraw, gen_kraw_circulant, kraw, zero_shell_predicate
+from .krawtchouk import kraw
 from .schemes import (
-    CompositionGraphSpec,
     HammingGraphSpec,
-    composition_spectrum,
-    eigenvector_check,
     hamming_spectrum,
     hoffman_bound,
     min_eigenvalue,
     projector_identity_check,
     trace_identity_check,
 )
+
+if TYPE_CHECKING:
+    from .groups import GroupSpec
 
 _FLAG_ERRORS = (NotFound, ValueError)
 
@@ -79,6 +76,8 @@ def _parse_comp(text: str) -> tuple[int, ...]:
 
 
 def _make_group(args: argparse.Namespace) -> GroupSpec:
+    from .groups import cyclic, finite_field
+
     if args.group == "field":
         modulus = _parse_comp(args.modulus) if args.modulus else None
         return finite_field(args.q, modulus)
@@ -98,6 +97,9 @@ def _graph_from_args(args: argparse.Namespace):
         return HammingGraphSpec(args.n, args.q, args.d)
     if args.d is not None:
         raise SpecMismatch("composition graphs do not take --d")
+    from .composition import CompositionGraphSpec
+    from .groups import Composition
+
     group = _make_group(args)
     if args.comp is not None:
         dcomp = _parse_comp(args.comp)
@@ -129,6 +131,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     if isinstance(spec, HammingGraphSpec):
         spectrum = hamming_spectrum(spec)
     else:
+        from .composition import composition_spectrum
+
         spectrum = composition_spectrum(spec)
     print(_dump(spectrum.to_json()))
     return 0
@@ -178,6 +182,8 @@ def _cmd_represent(args: argparse.Namespace) -> int:
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
+    from .composition import conjecture_probe
+
     verdict = conjecture_probe(args.q, args.n)
     print(_dump(verdict.to_json()))
     return 0
@@ -212,13 +218,19 @@ def _check_classical_reciprocity(max_n: int) -> tuple[str, list[str]]:
 
 
 def _check_composition_reciprocity(max_n: int) -> tuple[str, list[str]]:
+    from .composition import _read_out
+    from .groups import cyclic, enumerate_compositions
+
     failures = []
     top = min(max_n, 5)
     for q in (2, 3):
         group = cyclic(q)
         for n in range(1, top + 1):
             comps = list(enumerate_compositions(q, n))
-            values = [[gen_kraw(group, n, ci, cj) for cj in comps] for ci in comps]
+            # one expansion per generator cj reads its column K_ci(cj) for
+            # every ci, in the colex order that enumerate_compositions lists
+            columns = [_read_out(group, n, cj)[0] for cj in comps]
+            values = [list(row) for row in zip(*columns)]
             sizes = [multinom(n, c) for c in comps]
             failures += _reciprocity_failures(
                 values,
@@ -240,6 +252,7 @@ def _check_projectors(max_n: int) -> tuple[str, list[str]]:
 
 
 def _check_lp_representations(max_n: int) -> tuple[str, list[str]]:
+    from .groups import cyclic
     from .representation import build_representation, verify_representation
 
     grid = [
@@ -260,6 +273,8 @@ def _check_lp_representations(max_n: int) -> tuple[str, list[str]]:
 
 
 def _check_hadamard_representations(max_n: int) -> tuple[str, list[str]]:
+    from .composition import CompositionGraphSpec
+    from .groups import Composition, cyclic, finite_field
     from .representation import (
         REPRESENTATION_MAX_ROWS,
         hadamard_representation,
@@ -304,6 +319,14 @@ def _check_least_eigenvalues(max_n: int) -> tuple[str, list[str]]:
 
 
 def _check_balanced_spectra(max_n: int) -> tuple[str, list[str]]:
+    from .composition import (
+        CompositionGraphSpec,
+        composition_spectrum,
+        gen_kraw_circulant,
+        zero_shell_predicate,
+    )
+    from .groups import Composition, cyclic
+
     failures = []
     for q in (2, 3, 4):
         for n in range(q, max_n + 1, q):
@@ -332,6 +355,9 @@ def _check_balanced_spectra(max_n: int) -> tuple[str, list[str]]:
 
 
 def _check_eigenvector_spots(max_n: int) -> tuple[str, list[str]]:
+    from .composition import CompositionGraphSpec, eigenvector_check
+    from .groups import Composition, all_words, cyclic
+
     spot = [
         (HammingGraphSpec(4, 2, 2), (1, 0, 0, 0)),
         (HammingGraphSpec(3, 3, 2), (0, 1, 2)),
@@ -414,6 +440,9 @@ def _table_lower(max_n: int, qs: tuple[int, ...], out) -> None:
 
 
 def _table_exact(max_n: int, qs: tuple[int, ...], out) -> None:
+    from .composition import CompositionGraphSpec
+    from .groups import Composition, cyclic, finite_field
+
     out.write("family,q,n,lower,upper,exact\n")
     for q in qs:
         for n in range(q, max_n + 1, q):

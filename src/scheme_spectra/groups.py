@@ -40,7 +40,7 @@ class Composition(Record):
         # SpectrumEntry._trusted this sets its one field as Record._set does,
         # which keeps it inline: 88 bytes a label rather than 152 with an
         # instance dict, and no slower to build.  The spectra keep one label
-        # per shell for the life of the process (schemes._shell_labels).
+        # per shell for the life of the process (composition._shell_labels).
         out = object.__new__(cls)
         object.__setattr__(out, "counts", counts)
         return out

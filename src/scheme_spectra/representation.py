@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .bounds import LPSolution, check_lp_solution
 from .errors import (
@@ -31,7 +31,10 @@ from .errors import (
 )
 from .exactnum import CycInt, _reduction_rows
 from .groups import Composition, GroupSpec, _shell_label, index_word
-from .schemes import CompositionGraphSpec, HammingGraphSpec
+from .schemes import HammingGraphSpec
+
+if TYPE_CHECKING:
+    from .composition import CompositionGraphSpec
 
 #: Row-count cap for materializing a representation.
 REPRESENTATION_MAX_ROWS = 1 << 20

@@ -1,21 +1,23 @@
-"""Distance and composition graphs on words, and their exact spectra.
+"""Hamming graphs on words, their exact spectra, and the ordering of
+eigenvalues that every spectrum and report shares.
 
-A Hamming graph joins words differing in exactly d coordinates; its
-composition refinement joins x to y when y - x has a prescribed
-occurrence-count vector.  Both are Cayley graphs of the additive group,
-so every character shell contributes one eigenvalue, computed here from
-Krawtchouk formulas — the dense adjacency matrix is never formed except
-inside the deliberately independent oracle checks at the bottom of this
-module.
+A Hamming graph joins words differing in exactly d coordinates.  It is a
+Cayley graph of the additive group, so every weight shell of characters
+contributes one eigenvalue, computed here from the Krawtchouk recurrence —
+the dense adjacency matrix is never formed except inside the deliberately
+independent projector check at the bottom of this module.
+
+Its composition refinement, which joins x to y when y - x has a prescribed
+occurrence-count vector, is :mod:`.composition`, loaded on first use; its
+public names ``CompositionGraphSpec``, ``composition_spectrum`` and
+``eigenvector_check`` still resolve here, read from there on first access.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ._record import Record
 from .errors import (
@@ -27,42 +29,30 @@ from .errors import (
     OrderMismatch,
     RangeError,
     SizeExceeded,
-    SpecMismatch,
 )
-from .exactnum import CycInt, _cos_table, _sign_bits, binom, multinom
-from .groups import (
-    Composition,
-    GroupSpec,
-    _shell_label,
-    comp as word_composition,
-    cyclic,
-    enumerate_shell,
-    word_char_value,
-)
-from .krawtchouk import (
-    _balanced_shells,
-    _character_sum,
-    _colex_shells,
-    _read_out,
-    _shell_sizes,
-    gen_kraw,
-    kraw,
-)
+from .exactnum import CycInt, _cos_table, _sign_bits, binom
+from .krawtchouk import _shell_sizes, kraw
+
+if TYPE_CHECKING:
+    from .composition import CompositionGraphSpec
+    from .groups import Composition
+
+# The public names of the composition scheme that this module held, read
+# through it on first access (PEP 562).  Its cap and private helpers are not
+# forwarded: a patch here would change nothing that the scheme reads.
+_COMPOSITION_NAMES = frozenset({"CompositionGraphSpec", "composition_spectrum", "eigenvector_check"})
+
+
+def __getattr__(name: str):
+    if name not in _COMPOSITION_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import composition
+
+    return getattr(composition, name)
+
 
 #: Vertex-count cap for the dense projector check.
 PROJECTOR_MAX_VERTICES = 81
-
-#: Work cap for a composition spectrum: shells x n x q x (root order),
-#: times the number of 512-bit chunks in one packed count (about n log2 q
-#: bits, so one chunk for every input with q^n < 2^512).  That tracks the
-#: run time of the generating-product expansion and its read-out at about
-#: 16-32 ns per unit at a third to nine tenths of the cap on a 2-core
-#: x86-64 host, one cold process each, over Z_2 (6 chunks), Z_3..Z_7, GF(4)
-#: and GF(8), so the cap stands for about 4-8 s.  Each successor table the
-#: expansion builds is charged too (see _check_expansion_work).  The default
-#: route of :func:`~scheme_spectra.krawtchouk.gen_kraw` expands the same
-#: product and is charged the same.
-COMPOSITION_MAX_WORK = 250_000_000
 
 
 class HammingGraphSpec(Record):
@@ -93,52 +83,6 @@ class HammingGraphSpec(Record):
 
     def describe(self) -> dict:
         return {"family": "hamming", "n": self.n, "q": self.q, "d": self.d}
-
-
-class CompositionGraphSpec(Record):
-    """Words over a group alphabet; x -> y is an edge when comp(y - x) = dcomp.
-
-    The graph is undirected exactly when dcomp is negation-closed; the
-    balanced case dcomp = (n/q, ..., n/q) is the generalized Hadamard
-    graph of the alphabet.  BadLabel refuses a dcomp that is not a
-    composition of n into one count per element.
-    """
-
-    group: GroupSpec
-    n: int
-    dcomp: Composition
-
-    def __init__(self, group: GroupSpec, n: int, dcomp: Composition | Sequence[int]) -> None:
-        # as for HammingGraphSpec: refuse a float n, store a bool as an int
-        n = operator.index(n)
-        if n < 1:
-            raise DomainError(f"need n >= 1, got n={n}")
-        self._set(group, n, Composition._trusted(_shell_label(group, n, tuple(dcomp))))
-
-    @property
-    def vertex_count(self) -> int:
-        return self.group.order**self.n
-
-    @property
-    def degree(self) -> int:
-        return multinom(self.n, self.dcomp)
-
-    @property
-    def undirected(self) -> bool:
-        return self.group.is_negation_closed(self.dcomp)
-
-    @property
-    def balanced(self) -> bool:
-        q = self.group.order
-        return self.n % q == 0 and all(c == self.n // q for c in self.dcomp)
-
-    def describe(self) -> dict:
-        return {
-            "family": "composition",
-            "group": self.group.describe(),
-            "n": self.n,
-            "dcomp": list(self.dcomp),
-        }
 
 
 class SpectrumEntry(Record):
@@ -238,99 +182,6 @@ def _hamming_eigenvalues(n: int, q: int, d: int, degree: int) -> list[int]:
         values.append(value)
     return values
 
-
-def composition_spectrum(spec: CompositionGraphSpec) -> Spectrum:
-    """Exact spectrum of a composition graph, one entry per composition shell.
-
-    Shell labels run in colexicographic order; the eigenvalue on shell j
-    is the composition Krawtchouk value K_dcomp(j), a plain int when it
-    is rational and a :class:`CycInt` otherwise, and the multiplicity is
-    the shell size multinom(n, j).
-
-    The generating product prod_h L_h^(dcomp_h), L_h = sum_g phi_h(g) z_g,
-    is expanded once, as a list indexed by colex rank that each factor
-    z_g advances through a cached successor table (for z_(q-1) one slice
-    copy), and one pass reads it out into a flat column of eigenvalues:
-    the list walks in step with the colex list of shells and their sizes
-    multinom(n, j), each checked against the count total of the
-    coefficient of z^j, which is K_j(dcomp).  The first shell carrying a
-    given coefficient is folded, and in the same step reciprocity
-    K_dcomp(j) = K_j(dcomp) multinom(n, dcomp) / multinom(n, j) turns it
-    into the eigenvalue, every division checked; a later shell with the
-    same coefficient, and so the same checked size, reuses that
-    eigenvalue.  The entries pair that column with the sizes and labels
-    of (q, n), built once and shared by every spectrum of that shape.
-    Per-shell values from :func:`gen_kraw` are the oracle for it: the
-    brute method for the whole route, the default method, which reads
-    the same expansion, for the read-out.
-
-    For an undirected dcomp (dcomp_h = dcomp_(-h)) the substitution
-    z_g -> z_(-g) maps L_h to sum_g phi_h(-g) z_g = L_(-h), so it maps
-    the product to prod_h L_h^(dcomp_(-h)), which is the product again:
-    shell j and its mirror j o (-1) share one coefficient.  Every pair is
-    checked at once, by comparing the list with itself permuted by the
-    colex ranks of the mirrors, cached per (q, n, negation); if a pair
-    differs, the shells before its later shell are read out and checked
-    first, and then ArithmeticError names both shells.  The later shell
-    of each pair reuses its eigenvalue.
-
-    A balanced dcomp = (n/q, ..., n/q) takes the group-determinant route
-    of :mod:`.krawtchouk` instead: its product is a power of the group
-    determinant, whose nonzero shells give integer eigenvalues; every
-    other shell gets 0, and shell sizes are products of binomials.  The
-    packed expansion is the oracle for that route.
-
-    Raises SizeExceeded, before expanding anything, when the work estimate
-    C(n+q-1, q-1) n q m, times the 512-bit chunks in a count of up to
-    q^n, plus 128 for each of the n q (q+1) / 2 successor tables, exceeds
-    :data:`COMPOSITION_MAX_WORK`; this check runs for every dcomp.  The
-    balanced route's own cap, :data:`~scheme_spectra.krawtchouk.BALANCED_MAX_WORK`,
-    admits every balanced spectrum that this one admits.
-    """
-    n, q = spec.n, spec.group.order
-    degree = _composition_degree(spec)
-    if spec.balanced:
-        # the shells the balanced route leaves out have eigenvalue 0
-        nonzero = dict(_balanced_shells(spec.group, n))
-        values = [nonzero.get(j, 0) for j in _colex_shells(q, n)[0]]
-    else:
-        values, _ = _read_out(spec.group, n, spec.dcomp, degree)
-    _, sizes = _colex_shells(q, n)  # after the expansion, whose peak a cold table would raise
-    entries = tuple(map(SpectrumEntry._trusted, _shell_labels(q, n), values, sizes))
-    return Spectrum(spec, entries, degree, spec.vertex_count)
-
-
-@functools.cache
-def _shell_labels(q: int, n: int) -> tuple[Composition, ...]:
-    # The count tuples of _colex_shells(q, n) wrapped as frozen Compositions,
-    # built once per (q, n) and shared by every spectrum of that shape.
-    return tuple(map(Composition._trusted, _colex_shells(q, n)[0]))
-
-
-def _composition_degree(spec: CompositionGraphSpec) -> int:
-    # The degree of a composition graph, once its spectrum has passed the
-    # COMPOSITION_MAX_WORK check (SizeExceeded otherwise).
-    _check_expansion_work(spec.group, spec.n)
-    return spec.degree  # n! and its divisions: only after the cap
-
-
-def _check_expansion_work(group: GroupSpec, n: int) -> None:
-    # SizeExceeded when expanding a generating product of length n over the
-    # group, as a composition spectrum and gen_kraw's default route do, costs
-    # more than COMPOSITION_MAX_WORK.  The expansion also builds n q (q+1) / 2
-    # successor tables, r for each r = 1..q parts at each of n lengths.  At
-    # q = 729..2048 and n = 1 they outweigh the expansion, at about 0.6-0.8 us
-    # and 92 bytes each, and they stay cached; at 128 units each the cap keeps
-    # them to about 2*10^6, some 180 MB.
-    q, m = group.order, group.char_order
-    chunks = int(n * math.log2(q)) // 512 + 1
-    work = binom(n + q - 1, q - 1) * n * q * m * chunks + 64 * n * q * (q + 1)
-    if work > COMPOSITION_MAX_WORK:
-        wide = f" x {chunks} chunks of 512 bits" if chunks > 1 else ""
-        raise SizeExceeded(
-            f"composition spectrum would cost {work} units (shells x n x q x root order{wide}, "
-            f"plus 128 per successor table); cap is {COMPOSITION_MAX_WORK}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +319,8 @@ def multiplicity_ratio(q: int, n: int) -> Fraction:
     q, n = operator.index(q), operator.index(n)  # numpy ints would wrap q**n
     if q < 3:
         raise DomainError(f"the ratio is defined for q >= 3, got q={q}")
+    if n < 1:
+        raise DomainError(f"need n >= 1, got n={n}")
     if ((q - 1) * n) % q:
         raise DivisibilityError(f"needs q | (q-1)n, got q={q}, n={n}")
     d = (q - 1) * n // q
@@ -478,52 +331,6 @@ def multiplicity_ratio(q: int, n: int) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # independent oracles
-
-
-def eigenvector_check(
-    spec: HammingGraphSpec | CompositionGraphSpec,
-    x: Sequence[int],
-    sample: Iterable[Sequence[int]],
-) -> bool:
-    """Verify the character of x is an eigenvector by direct adjacency action.
-
-    For every sampled vertex y this sums phi_x over the actual neighbors
-    y + s of y, s streamed from its shell, and compares, exactly in the
-    cyclotomic ring, against lambda_x * phi_x(y), lambda_x from Krawtchouk.
-    The two sides come from unrelated code paths on purpose.  A word of
-    the wrong length or a non-letter in y raises SpecMismatch.
-    """
-    if isinstance(spec, HammingGraphSpec):
-        group = cyclic(spec.q)
-        shell_label: int | Composition = spec.d
-        lam: int | CycInt = kraw(spec.n, spec.q, spec.d, sum(1 for g in x if g))
-    else:
-        group = spec.group
-        shell_label = spec.dcomp
-        lam = gen_kraw(group, spec.n, spec.dcomp, word_composition(group, x))
-    x = tuple(x)
-    for y in sample:
-        y = tuple(y)
-        neighbours = _translates(group, y, spec.n, enumerate_shell(group, spec.n, shell_label))
-        if _character_sum(group, x, neighbours) != word_char_value(group, x, y) * lam:
-            return False
-    return True
-
-
-def _translates(
-    group: GroupSpec, y: tuple[int, ...], n: int, words: Iterable[tuple[int, ...]]
-) -> Iterator[tuple[int, ...]]:
-    # The words y + s, streamed, for the words s of length n of letters that
-    # enumerate_shell yields, which are not checked again.  y is read in one
-    # pass, into one row of sums y_i + g per letter, g over the alphabet, by
-    # group.add, which checks y_i: n q additions for y in place of n per
-    # word s.  As a generator this raises, for a wrong length or a non-letter
-    # in y, where word_add did, at the first word and with its messages.
-    if len(y) != n:
-        raise SpecMismatch(f"word lengths differ: {len(y)} vs {n}")
-    rows = [[group.add(a, g) for g in group.elements()] for a in y]
-    for s in words:
-        yield tuple(map(list.__getitem__, rows, s))
 
 
 def projector_identity_check(n: int, q: int) -> bool:

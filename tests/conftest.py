@@ -5,6 +5,7 @@ import pytest
 from scheme_spectra import (
     Composition,
     binom,
+    composition,
     cyclic,
     exactnum,
     finite_field,
@@ -67,8 +68,8 @@ class _PackedBalancedColumns(dict):
     def __missing__(self, key):
         group, n = key
         balanced = Composition.balanced(group.order, n)
-        values, _ = krawtchouk._read_out(group, n, balanced, multinom(n, balanced))
-        labels, sizes = krawtchouk._colex_shells(group.order, n)
+        values, _ = composition._read_out(group, n, balanced, multinom(n, balanced))
+        labels, sizes = composition._colex_shells(group.order, n)
         self[key] = [(Composition(j), value, size) for j, value, size in zip(labels, values, sizes)]
         return self[key]
 

@@ -60,7 +60,7 @@ from scheme_spectra import (
     word_add,
     word_index,
 )
-from scheme_spectra import bounds, krawtchouk, representation, schemes
+from scheme_spectra import bounds, composition, krawtchouk, representation, schemes
 
 
 def _splitmix_stream(seed):
@@ -1522,7 +1522,7 @@ def test_report_least_eigenvalue_over_folded_shells_is_the_full_minimum(monkeypa
     seen = {}
 
     def recording(name):
-        original = getattr(bounds, name)
+        original = getattr(composition, name)
 
         def wrapper(*args):
             seen[name] = out = original(*args)
@@ -1530,8 +1530,8 @@ def test_report_least_eigenvalue_over_folded_shells_is_the_full_minimum(monkeypa
 
         return wrapper
 
-    monkeypatch.setattr(bounds, "_read_out", recording("_read_out"))
-    monkeypatch.setattr(bounds, "_extreme", recording("_extreme"))
+    monkeypatch.setattr(composition, "_read_out", recording("_read_out"))
+    monkeypatch.setattr(composition, "_extreme", recording("_extreme"))
     checked = 0
     for n in range(1, top + 1):
         for x in enumerate_compositions(group.order, n):
@@ -1541,7 +1541,7 @@ def test_report_least_eigenvalue_over_folded_shells_is_the_full_minimum(monkeypa
             seen.clear()
             report = bound_report(spec).to_json()
             values, computed = seen["_read_out"]
-            labels, sizes = krawtchouk._colex_shells(group.order, n)
+            labels, sizes = composition._colex_shells(group.order, n)
             column = list(zip(labels, values, sizes))
             assert len(computed) <= len(column)
             shell = column[computed[seen["_extreme"]]]
@@ -1615,8 +1615,9 @@ def test_hamming_report_makes_one_krawtchouk_pass(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(bounds, name, counting(name))
-    for name in ("lp_two_support", "check_lp_solution", "_extreme"):
+    for name in ("lp_two_support", "check_lp_solution"):
         monkeypatch.setattr(bounds, name, forbidden)
+    monkeypatch.setattr(schemes, "_extreme", forbidden)
     monkeypatch.setattr(schemes, "min_eigenvalue", forbidden)
     monkeypatch.setattr(schemes, "SpectrumEntry", forbidden)
     monkeypatch.setattr(schemes, "Spectrum", forbidden)
@@ -1900,10 +1901,10 @@ def test_balanced_route_refuses_work_over_its_cap_up_front(monkeypatch):
         bound_report(CompositionGraphSpec(cyclic(10), 20, Composition.balanced(10, 20)))
     assert time.perf_counter() - start < 1.0
     # the cap is inclusive
-    work = krawtchouk._balanced_work(cyclic(3), 6)
-    monkeypatch.setattr(krawtchouk, "BALANCED_MAX_WORK", work)
+    work = composition._balanced_work(cyclic(3), 6)
+    monkeypatch.setattr(composition, "BALANCED_MAX_WORK", work)
     assert conjecture_probe(3, 6).verdict == "holds"
-    monkeypatch.setattr(krawtchouk, "BALANCED_MAX_WORK", work - 1)
+    monkeypatch.setattr(composition, "BALANCED_MAX_WORK", work - 1)
     with pytest.raises(SizeExceeded, match=f"cost {work} units .* cap is {work - 1}$"):
         conjecture_probe(3, 6)
 
@@ -1911,10 +1912,10 @@ def test_balanced_route_refuses_work_over_its_cap_up_front(monkeypatch):
 def test_probe_checks_that_the_pattern_shell_is_negative(monkeypatch):
     # the zero shells are left out, which is sound only while the minimum
     # is negative; a route that lost the pattern shell must not pass
-    shells = krawtchouk._balanced_shells(cyclic(3), 6)
+    shells = composition._balanced_shells(cyclic(3), 6)
     pattern = (4, 1, 1)
     monkeypatch.setattr(
-        bounds, "_balanced_shells", lambda *args: [e for e in shells if e[0] != pattern]
+        composition, "_balanced_shells", lambda *args: [e for e in shells if e[0] != pattern]
     )
     with pytest.raises(ArithmeticError, match=r"pattern shell \(4, 1, 1\) has eigenvalue 0"):
         conjecture_probe(3, 6)

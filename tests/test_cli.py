@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from scheme_spectra import BoundReport, CycInt, NotOrthogonal, Spectrum, SpectrumEntry
-from scheme_spectra import cli, representation
+from scheme_spectra import cli, composition, representation
 
 
 def run(capsys, *argv):
@@ -287,41 +287,51 @@ def test_verify_composition_line_ignores_classical_failures(capsys, monkeypatch)
 
 def test_verify_reciprocity_computes_each_value_once(capsys, monkeypatch):
     # N shells give N^2 ordered pairs and so N^2 distinct values; each is
-    # computed once, where two calls per pair would make 2 N^2
-    real_kraw, real_gen_kraw = cli.kraw, cli.gen_kraw
-    classical, composition = {}, {}
+    # computed once, where two calls per pair would make 2 N^2: the classical
+    # ones by one kraw call each, the composition ones by one expansion per
+    # generator, which reads out its whole column, and no gen_kraw call
+    real_kraw, real_read_out = cli.kraw, composition._read_out
+    classical, columns = {}, {}
 
     def counting_kraw(n, q, i, j):
         classical[q, n] = classical.get((q, n), 0) + 1
         return real_kraw(n, q, i, j)
 
-    def counting_gen_kraw(group, n, i, j):
+    def counting_read_out(group, n, x, *degree):
         key = (group.order, n)
-        composition[key] = composition.get(key, 0) + 1
-        return real_gen_kraw(group, n, i, j)
+        columns[key] = columns.get(key, 0) + 1
+        return real_read_out(group, n, x, *degree)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the reciprocity suite expanded one value at a time")
 
     monkeypatch.setattr(cli, "kraw", counting_kraw)
-    monkeypatch.setattr(cli, "gen_kraw", counting_gen_kraw)
+    monkeypatch.setattr(composition, "_read_out", counting_read_out)
+    monkeypatch.setattr(composition, "gen_kraw", forbidden)
     assert run(capsys, "verify", "--suite", "reciprocity", "--max-n", "5")[0] == 0
     assert classical == {(q, n): (n + 1) ** 2 for q in (2, 3, 4, 5) for n in range(1, 6)}
-    assert composition == {(q, n): comb(n + q - 1, q - 1) ** 2 for q in (2, 3) for n in range(1, 6)}
-    assert sum(composition.values()) == 901
+    assert columns == {(q, n): comb(n + q - 1, q - 1) for q in (2, 3) for n in range(1, 6)}
+    assert sum(columns.values()) == 75
 
 
 def test_a_wrong_value_fails_both_of_its_reciprocity_pairs(monkeypatch):
     # the planted value is the left-hand side of (i, j) and the right-hand
     # side of (j, i), so both ordered pairs fail, in the order they are met
-    real_kraw, real_gen_kraw = cli.kraw, cli.gen_kraw
+    real_kraw, real_read_out = cli.kraw, composition._read_out
 
     def broken_kraw(n, q, i, j):
         return real_kraw(n, q, i, j) + (1 if (n, q, i, j) == (3, 4, 2, 1) else 0)
 
-    def broken_gen_kraw(group, n, i, j):
-        planted = (group.order, n, tuple(i), tuple(j)) == (3, 2, (0, 1, 1), (1, 1, 0))
-        return real_gen_kraw(group, n, i, j) + (1 if planted else 0)
+    def broken_read_out(group, n, x, *degree):
+        # K_i(j) with i = (0, 1, 1) is entry i of the column of j = (1, 1, 0)
+        values, computed = real_read_out(group, n, x, *degree)
+        if (group.order, n, tuple(x)) == (3, 2, (1, 1, 0)):
+            values = list(values)
+            values[composition._colex_shells(3, 2)[0].index((0, 1, 1))] += 1
+        return values, computed
 
     monkeypatch.setattr(cli, "kraw", broken_kraw)
-    monkeypatch.setattr(cli, "gen_kraw", broken_gen_kraw)
+    monkeypatch.setattr(composition, "_read_out", broken_read_out)
     assert cli._check_classical_reciprocity(3)[1] == [
         "classical reciprocity at q=4 n=3 i=1 j=2",
         "classical reciprocity at q=4 n=3 i=2 j=1",
@@ -372,7 +382,7 @@ def test_verify_eigenvalues_checks_the_report_route(capsys, monkeypatch):
 
 
 def test_verify_reports_an_irrational_balanced_value(monkeypatch):
-    real_spectrum = cli.composition_spectrum
+    real_spectrum = composition.composition_spectrum
 
     def with_irrational_entry(spec):
         sp = real_spectrum(spec)
@@ -383,7 +393,7 @@ def test_verify_reports_an_irrational_balanced_value(monkeypatch):
         entries[1] = SpectrumEntry(e.label, CycInt(3, (0, 1)), e.multiplicity)
         return Spectrum(sp.graph, tuple(entries), sp.regular_degree, sp.vertex_count)
 
-    monkeypatch.setattr(cli, "composition_spectrum", with_irrational_entry)
+    monkeypatch.setattr(composition, "composition_spectrum", with_irrational_entry)
     title, failures = cli._check_balanced_spectra(3)
     assert title == "balanced spectra: trace, zero shells, circulant agreement, n <= 3"
     assert "irrational balanced value at q=3 n=3 shell=(2, 1, 0)" in failures
@@ -630,24 +640,72 @@ def test_only_the_representation_paths_compile_the_representation_layer(argv, lo
     assert proc.stderr.splitlines()[-1] == loads
 
 
+# The composition scheme, scheme_spectra.composition, and the alphabets,
+# scheme_spectra.groups, are compiled only on the composition paths, and
+# represent compiles the alphabets alone: which of the two each case of
+# _DEFERRED_CASES loads, and the representation suite besides.
+_FRESH_SCHEME = _FRESH_MAIN.replace(
+    '{"numpy", "mpmath"}', '{"scheme_spectra.composition", "scheme_spectra.groups"}'
+)
+
+_BOTH = "scheme_spectra.composition,scheme_spectra.groups"
+_SCHEME_LOADED = {
+    "spectrum-balanced-z3": _BOTH,
+    "bounds-rational-composition": _BOTH,
+    "probe": _BOTH,
+    "table-1.3": _BOTH,
+    "verify-reciprocity": _BOTH,
+    "verify-eigenvalues": _BOTH,
+    "represent": "scheme_spectra.groups",
+    # the alphabet is made before the sample is checked
+    "represent-vacuous-sample": "scheme_spectra.groups",
+    "bounds-irrational-composition": _BOTH,
+}
+
+
+@pytest.mark.parametrize("argv, loads", [
+    *(pytest.param(case.values[0], _SCHEME_LOADED.get(case.id, ""), id=case.id)
+      for case in _DEFERRED_CASES),
+    pytest.param(("verify", "--suite", "representations", "--max-n", "2"), _BOTH,
+                 id="verify-representations"),
+])
+def test_only_the_composition_paths_compile_the_composition_scheme(argv, loads, tmp_path):
+    proc = fresh_python("-c", _FRESH_SCHEME, *argv, cwd=tmp_path)
+    assert proc.stderr.splitlines()[-1] == loads
+
+
+# Hamming reports, certificates and spectra first, then the composition
+# calls: which layers each half has loaded.
 _LIBRARY_CALLS = """
 import sys
 import scheme_spectra as ss
+def loaded(*names):
+    print(sorted({"scheme_spectra." + name for name in names} & set(sys.modules)))
 ss.bound_report(ss.HammingGraphSpec(12, 3, 9))
+ss.check_lp_solution(ss.lp_two_support(12, 3, 9))
+ss.hamming_spectrum(ss.HammingGraphSpec(12, 3, 9))
+loaded("groups", "composition")
 ss.bound_report(ss.CompositionGraphSpec(ss.cyclic(3), 6, (2, 2, 2)))
 ss.composition_spectrum(ss.CompositionGraphSpec(ss.cyclic(3), 6, (3, 2, 1)))
 ss.conjecture_probe(3, 6)
+loaded("groups", "composition")
 print(sorted({"numpy", "scheme_spectra.representation"} & set(sys.modules)))
 """
 
 
 def test_spectra_reports_and_probes_load_neither_numpy_nor_the_representation_layer():
     proc = fresh_python("-c", _LIBRARY_CALLS)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "[]",
+        "['scheme_spectra.composition', 'scheme_spectra.groups']",
+        "[]",
+    ]
 
 
 # every name the package exported when it imported the representation layer
-# eagerly; the last five are now read from it on first access
+# eagerly; the alphabets', the composition scheme's and the representation
+# layer's are now read from them on first access
 _EXPORTED = """
 BadLabel BoundReport Composition CompositionGraphSpec CycInt CyclicGroup DivisibilityError
 DomainError FiniteField GroupSpec HammingGraphSpec Infeasible IrrationalEigenvalue LPSolution
@@ -663,49 +721,89 @@ word_char_exponent word_char_value word_index word_neg word_sub zero_shell_predi
 Representation build_representation hadamard_representation representation_seed
 verify_representation
 """.split()
-_MOVED = _EXPORTED[-5:]
+# name -> (the module that defines it, the module that held it before and
+# still forwards it, or None)
+_HOMES = {
+    **dict.fromkeys(
+        """Composition CyclicGroup FiniteField GroupSpec all_words char_value comp cyclic
+        default_modulus enumerate_compositions enumerate_shell finite_field index_word
+        shell_size weight word_add word_char_exponent word_char_value word_index word_neg
+        word_sub""".split(),
+        ("groups", None),
+    ),
+    **dict.fromkeys(("gen_kraw", "gen_kraw_circulant", "zero_shell_predicate"),
+                    ("composition", "krawtchouk")),
+    **dict.fromkeys(("CompositionGraphSpec", "composition_spectrum", "eigenvector_check"),
+                    ("composition", "schemes")),
+    **dict.fromkeys(("ProbeVerdict", "conjecture_probe"), ("composition", "bounds")),
+    **dict.fromkeys(_EXPORTED[-5:], ("representation", "bounds")),
+}
+_MOVED = [name for name in _EXPORTED if name in _HOMES]
+# moved caps and private helpers, which no old module forwards: a patch there
+# would change nothing that the new module reads
+_NOT_FORWARDED = [
+    ("bounds", name) for name in (
+        "REPRESENTATION_MAX_ROWS", "REPRESENTATION_MAX_CELLS", "_BLOCK_BYTES", "_CHUNK_ENTRIES",
+        "_shell_indices", "_failing_rows", "_check_sample", "_composition_report",
+        "_balanced_shells", "_read_out",
+    )
+] + [
+    ("krawtchouk", name) for name in (
+        "CIRCULANT_MAX_Q", "BALANCED_MAX_WORK", "_expand", "_successors", "_colex_shells",
+        "_read_out", "_group_determinant", "_balanced_shells", "_character_sum",
+    )
+] + [
+    ("schemes", name) for name in (
+        "COMPOSITION_MAX_WORK", "_shell_labels", "_composition_degree", "_check_expansion_work",
+        "_translates", "_read_out", "_colex_shells",
+    )
+]
 
 _LAZY_NAMES = """
-import json, sys
+import importlib, json, sys
 import scheme_spectra as ss
-from scheme_spectra import bounds
-names, moved = sys.argv[1].split(), sys.argv[2].split()
-layer = "scheme_spectra.representation"
+names, homes, hidden = sys.argv[1].split(), json.loads(sys.argv[2]), json.loads(sys.argv[3])
+layers = ["scheme_spectra." + name for name in ("composition", "groups", "representation")]
 out = {
-    "stored_before": [name for name in moved if name in vars(ss)],
+    "stored_before": [name for name in homes if name in vars(ss)],
     "listed": [name for name in names if name in dir(ss) and name in ss.__all__],
-    "loaded_by_dir": layer in sys.modules,
+    "loaded_by_dir": [layer for layer in layers if layer in sys.modules],
+    "groups_listed": "groups" in dir(ss) and "groups" in ss.__all__,
 }
 for name in names:
     exec(f"from scheme_spectra import {name}")
-out["loaded"] = layer in sys.modules
-representation = sys.modules[layer]
+out["loaded"] = [layer for layer in layers if layer in sys.modules]
+module = lambda name: importlib.import_module("scheme_spectra." + name)
 out["shared"] = [
-    name for name in moved
-    if getattr(ss, name) is getattr(bounds, name) is getattr(representation, name)
+    name for name, (home, old) in homes.items()
+    if getattr(ss, name) is getattr(module(home), name)
+    and (old is None or getattr(module(old), name) is getattr(ss, name))
 ]
-out["stored_after"] = [name for name in moved if name in vars(ss)]
-out["bounds_forwards"] = [
-    name for name in ("REPRESENTATION_MAX_ROWS", "REPRESENTATION_MAX_CELLS", "_BLOCK_BYTES",
-                      "_CHUNK_ENTRIES", "_shell_indices", "_failing_rows", "_check_sample")
-    if hasattr(bounds, name)
-]
+out["stored_after"] = [name for name in homes if name in vars(ss)]
+out["groups_module"] = ss.groups is sys.modules["scheme_spectra.groups"]
+out["forwards"] = [f"{old}.{name}" for old, name in hidden if hasattr(module(old), name)]
 print(json.dumps(out))
 """
 
 
 def test_every_exported_name_resolves_once_and_lazily():
-    proc = fresh_python("-c", _LAZY_NAMES, " ".join(_EXPORTED), " ".join(_MOVED))
+    homes = {name: _HOMES[name] for name in _MOVED}
+    proc = fresh_python(
+        "-c", _LAZY_NAMES, " ".join(_EXPORTED), json.dumps(homes), json.dumps(_NOT_FORWARDED)
+    )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout) == {
         "stored_before": [],
         "listed": _EXPORTED,
-        "loaded_by_dir": False,
-        "loaded": True,
+        "loaded_by_dir": [],
+        "groups_listed": True,
+        "loaded": [
+            "scheme_spectra.composition", "scheme_spectra.groups", "scheme_spectra.representation"
+        ],
         "shared": _MOVED,
         "stored_after": _MOVED,
-        # a patch there would change nothing that the layer reads
-        "bounds_forwards": [],
+        "groups_module": True,
+        "forwards": [],
     }
 
 

@@ -38,7 +38,7 @@ from scheme_spectra import (
     word_sub,
     index_word,
 )
-from scheme_spectra import groups, krawtchouk
+from scheme_spectra import composition, groups, krawtchouk
 from scheme_spectra.groups import default_modulus
 
 ALL_GROUPS = [cyclic(q) for q in (2, 3, 4, 5, 6, 8)] + [
@@ -579,7 +579,7 @@ def test_compositions_match_the_sorted_product(q):
         labels = {tuple(word.count(g) for g in range(q)) for word in itertools.product(range(q), repeat=n)}
         expected = sorted(labels, key=_colex_key)
         assert [tuple(c) for c in enumerate_compositions(q, n)] == expected, (q, n)
-        labels, sizes = krawtchouk._colex_shells(q, n)
+        labels, sizes = composition._colex_shells(q, n)
         assert list(labels) == expected
         assert list(sizes) == [multinom(n, label) for label in expected]
 
@@ -588,7 +588,7 @@ def test_long_words_and_many_parts_do_not_recurse():
     # one recursion level per part or per letter overflowed the stack here
     labels = [tuple(c) for c in enumerate_compositions(1024, 1)]
     assert len(labels) == 1024
-    assert labels == list(krawtchouk._colex_shells(1024, 1)[0])
+    assert labels == list(composition._colex_shells(1024, 1)[0])
     count = 0
     for count, word in enumerate(enumerate_shell(cyclic(2), 3000, 1), 1):
         if count == 1:

@@ -41,8 +41,8 @@ from scheme_spectra import (
     word_char_value,
     zero_shell_predicate,
 )
-from scheme_spectra import finite_field, krawtchouk, schemes
-from scheme_spectra.krawtchouk import (
+from scheme_spectra import composition, finite_field, krawtchouk
+from scheme_spectra.composition import (
     CIRCULANT_MAX_Q,
     _balanced_shells,
     _circulant_determinant,
@@ -321,7 +321,7 @@ def test_gen_kraw_is_refused_where_the_composition_spectrum_is(monkeypatch):
     # method has none
     small = Composition((2, 1, 1))
     assert gen_kraw(group, 4, small, small) == gen_kraw(group, 4, small, small, method="brute")
-    monkeypatch.setattr(schemes, "COMPOSITION_MAX_WORK", 3611)
+    monkeypatch.setattr(composition, "COMPOSITION_MAX_WORK", 3611)
     with pytest.raises(SizeExceeded, match="cost 3612 units .* cap is 3611$"):
         gen_kraw(group, 4, small, small)
     assert gen_kraw(group, 4, small, small, method="brute") == -3
@@ -469,7 +469,7 @@ def test_group_determinant_refuses_a_non_integer_coefficient(monkeypatch):
     # the column of the unbalanced generator (2, 1, 0) has irrational
     # coefficients; the balanced one of length q never does
     column = _read_out(cyclic(3), 3, Composition((2, 1, 0)))
-    monkeypatch.setattr(krawtchouk, "_read_out", lambda *args: column)
+    monkeypatch.setattr(composition, "_read_out", lambda *args: column)
     _group_determinant.cache_clear()
     try:
         with pytest.raises(ArithmeticError, match=r"^group determinant of .* has coefficient"):
@@ -594,7 +594,7 @@ def test_read_out_matches_the_two_pass_oracle(group, top):
         for x in enumerate_compositions(group.order, n):
             oracle = _two_pass_column(group, n, x)
             degree = multinom(n, x)
-            labels, sizes = krawtchouk._colex_shells(group.order, n)
+            labels, sizes = composition._colex_shells(group.order, n)
             values, plain_computed = _read_out(group, n, x)
             column = list(zip(labels, values, sizes))
             assert [(Composition(j), v, s) for j, v, s in column] == [
@@ -642,13 +642,13 @@ def test_expand_matches_the_rotating_oracle(group, top):
     # every group of the grid, so the grid's generator (1, 1, 0, ..., 0)
     # takes both copies.
     assert group.char_exponent(0, q - 1) % m == 0 and group.char_exponent(1, q - 1) % m
-    assert all(type(krawtchouk._successors(q, t)[q - 1]) is range for t in range(top))
+    assert all(type(composition._successors(q, t)[q - 1]) is range for t in range(top))
     both = (1, 1) + (0,) * (q - 2)
     assert both in [tuple(x) for x in enumerate_compositions(q, 2)]
     for n in range(1, top + 1):
         for x in enumerate_compositions(q, n):
             poly, width = _oracle_expand(group, n, x)
-            assert krawtchouk._expand(group, n, x) == (_oracle_values(poly), width), (n, x)
+            assert composition._expand(group, n, x) == (_oracle_values(poly), width), (n, x)
 
 
 @pytest.mark.parametrize(
@@ -671,25 +671,25 @@ def test_expand_reads_the_characters_of_its_factors_only(monkeypatch, group):
         shells = list(enumerate_compositions(q, n))
         for x in rng.sample(shells, min(6, len(shells))):
             reads.clear()
-            krawtchouk._expand(group, n, x)
+            composition._expand(group, n, x)
             assert Counter(reads) == {h: q for h in range(q) if x[h]}, (n, x)
 
 
 def _corrupt_expand(monkeypatch, pick):
     # _expand with one packed coefficient replaced by pick(label, packed,
     # width, m), the label read off _colex_shells at the same position
-    expand = krawtchouk._expand
+    expand = composition._expand
 
     def patched(group, n, x):
         poly, width = expand(group, n, x)
-        for index, label in enumerate(krawtchouk._colex_shells(group.order, n)[0]):
+        for index, label in enumerate(composition._colex_shells(group.order, n)[0]):
             new = pick(label, poly[index], width, group.char_order)
             if new is not None:
                 poly[index] = new
                 break
         return poly, width
 
-    monkeypatch.setattr(krawtchouk, "_expand", patched)
+    monkeypatch.setattr(composition, "_expand", patched)
 
 
 @pytest.mark.parametrize(
@@ -737,7 +737,7 @@ def test_read_out_raises_the_fault_met_first_in_shell_order(monkeypatch, count_a
     # checked at once, yet the fault raised is the one a shell-by-shell
     # pass meets first.
     group, n = cyclic(5), 4
-    expand = krawtchouk._expand
+    expand = composition._expand
 
     def patched(group, n, x):
         poly, width = expand(group, n, x)
@@ -748,10 +748,10 @@ def test_read_out_raises_the_fault_met_first_in_shell_order(monkeypatch, count_a
         poly[count_at] += 1
         return poly, width
 
-    labels, _ = krawtchouk._colex_shells(5, n)
+    labels, _ = composition._colex_shells(5, n)
     assert _mirror(group, labels[15]) == labels[5]
     assert _mirror(group, labels[count_at]) == labels[count_at]
-    monkeypatch.setattr(krawtchouk, "_expand", patched)
+    monkeypatch.setattr(composition, "_expand", patched)
     with pytest.raises(ArithmeticError, match=message):
         _read_out(group, n, Composition((0, 2, 0, 0, 2)))
 
@@ -847,7 +847,7 @@ def test_colex_shells_walk_in_step_with_the_sorted_keys(q):
     # the read-out pairs the i-th sorted key with the i-th shell of
     # _colex_shells: the two orders must agree on every label
     for n in range(0, 9 if q < 6 else 6):
-        labels, sizes = krawtchouk._colex_shells(q, n)
+        labels, sizes = composition._colex_shells(q, n)
         keys = [sum(c * (n + 1) ** g for g, c in enumerate(label)) for label in labels]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
         assert list(labels) == [tuple(c) for c in enumerate_compositions(q, n)]
@@ -874,16 +874,16 @@ def test_successor_tables_rank_every_next_composition(q):
     for t in range(0, 9):
         here, there = _brute_colex(q, t), _brute_colex(q, t + 1)
         rank = {c: r for r, c in enumerate(there)}
-        tables = krawtchouk._successors(q, t)
+        tables = composition._successors(q, t)
         assert len(tables) == q
         for g, table in enumerate(tables):
             assert list(table) == [rank[_plus(c, g)] for c in here], (q, t, g)
-        assert krawtchouk._successors(q, t) is tables
+        assert composition._successors(q, t) is tables
 
 
 def test_colex_shells_are_cached_and_immutable():
-    shells = krawtchouk._colex_shells(4, 5)
-    assert krawtchouk._colex_shells(4, 5) is shells
+    shells = composition._colex_shells(4, 5)
+    assert composition._colex_shells(4, 5) is shells
     assert type(shells) is tuple and len(shells) == 2
     labels, sizes = shells
     assert type(labels) is tuple and all(type(label) is tuple for label in labels)

@@ -54,7 +54,7 @@ from scheme_spectra import (
     word_sub,
     weight,
 )
-from scheme_spectra import krawtchouk, schemes
+from scheme_spectra import composition, schemes
 from scheme_spectra.schemes import _extreme
 
 # ---------------------------------------------------------------------------
@@ -370,9 +370,9 @@ def test_composition_spectrum_refuses_work_over_the_cap_up_front(monkeypatch):
     # the cap is inclusive: Z_3 with n = 4 costs C(6, 2) * 4 * 3 * 3 = 540
     # units, plus 128 for each of its 4 * 3 * 4 / 2 = 24 successor tables
     small = CompositionGraphSpec(cyclic(3), 4, Composition((2, 1, 1)))
-    monkeypatch.setattr(schemes, "COMPOSITION_MAX_WORK", 3612)
+    monkeypatch.setattr(composition, "COMPOSITION_MAX_WORK", 3612)
     assert trace_identity_check(composition_spectrum(small))
-    monkeypatch.setattr(schemes, "COMPOSITION_MAX_WORK", 3611)
+    monkeypatch.setattr(composition, "COMPOSITION_MAX_WORK", 3611)
     with pytest.raises(SizeExceeded, match="cost 3612 units .* cap is 3611$"):
         composition_spectrum(small)
 
@@ -389,7 +389,7 @@ def test_composition_work_counts_wide_packed_counts():
     )):
         composition_spectrum(spec)
     assert time.perf_counter() - start < 1.0
-    assert 7901 * 7900 * 2 * 2 <= schemes.COMPOSITION_MAX_WORK
+    assert 7901 * 7900 * 2 * 2 <= composition.COMPOSITION_MAX_WORK
     # and the degree multinom(n, dcomp), whose n! took 22 s at n = 10^6,
     # is not computed before the cap refuses
     n = 10**6
@@ -409,7 +409,7 @@ def test_a_spectrum_over_gf_1024_builds_its_successor_tables_without_recursion(m
     # each number of parts r = 1..q, are built without a recursion through
     # q, which would pass the interpreter's limit.  The cap charges them
     # (128 units each) and refuses GF(2048) up front.
-    monkeypatch.setattr(krawtchouk, "_SUCCESSORS", {})  # dropped after the test
+    monkeypatch.setattr(composition, "_SUCCESSORS", {})  # dropped after the test
     field = finite_field(1024)
     dcomp = Composition((0, 1) + (0,) * 1022)
     sp = composition_spectrum(CompositionGraphSpec(field, 1, dcomp))
@@ -437,9 +437,9 @@ def test_the_balanced_cap_admits_every_balanced_spectrum_the_composition_cap_adm
         n = q
         while True:
             chunks = int(n * math.log2(q)) // 512 + 1
-            if binom(n + q - 1, q - 1) * n * q * m * chunks > schemes.COMPOSITION_MAX_WORK:
+            if binom(n + q - 1, q - 1) * n * q * m * chunks > composition.COMPOSITION_MAX_WORK:
                 break
-            assert krawtchouk._balanced_work(group, n) <= krawtchouk.BALANCED_MAX_WORK, (group, n)
+            assert composition._balanced_work(group, n) <= composition.BALANCED_MAX_WORK, (group, n)
             admitted += 1
             n += q
     assert admitted > 1700
@@ -450,7 +450,7 @@ def test_balanced_spectra_take_the_group_determinant_route(monkeypatch):
         raise AssertionError("the packed expansion ran")
 
     # D itself comes from the packed column of length q, through krawtchouk
-    monkeypatch.setattr(schemes, "_read_out", refuse)
+    monkeypatch.setattr(composition, "_read_out", refuse)
     sp = composition_spectrum(CompositionGraphSpec(cyclic(3), 6, Composition.balanced(3, 6)))
     assert [e.label for e in sp.entries] == list(enumerate_compositions(3, 6))
     assert [e.multiplicity for e in sp.entries] == [multinom(6, j) for j in enumerate_compositions(3, 6)]
@@ -464,9 +464,9 @@ def test_composition_column_refuses_an_expansion_missing_a_shell():
     # degree 3, not the C(6, 2) = 15 shells of n = 4: labels decoded from
     # those keys would be wrong, so the read-out raises instead
     with pytest.raises(ArithmeticError, match="10 monomials, expected one per composition of n=4"):
-        krawtchouk._read_out(cyclic(3), 4, Composition((1, 1, 1)))
-    values, _ = krawtchouk._read_out(cyclic(3), 3, Composition((1, 1, 1)))
-    labels, sizes = krawtchouk._colex_shells(3, 3)
+        composition._read_out(cyclic(3), 4, Composition((1, 1, 1)))
+    values, _ = composition._read_out(cyclic(3), 3, Composition((1, 1, 1)))
+    labels, sizes = composition._colex_shells(3, 3)
     column = list(zip(labels, values, sizes))
     assert [j for j, _, _ in column] == [tuple(c) for c in enumerate_compositions(3, 3)]
 
@@ -587,8 +587,8 @@ def test_each_shell_datum_is_held_once():
     # the read-out's table holds the count tuples and sizes of a (q, n); the
     # frozen labels wrap those same tuples and hold no sizes, and every
     # spectrum, balanced or not, lists the table's own size objects
-    labels, sizes = krawtchouk._colex_shells(3, 60)
-    frozen = schemes._shell_labels(3, 60)
+    labels, sizes = composition._colex_shells(3, 60)
+    frozen = composition._shell_labels(3, 60)
     assert type(frozen) is tuple and len(frozen) == len(labels) == 1891
     assert all(type(label) is Composition for label in frozen)
     assert all(label.counts is counts for label, counts in zip(frozen, labels, strict=True))
@@ -1003,6 +1003,12 @@ def test_multiplicity_ratio_validation():
         multiplicity_ratio(2, 4)
     with pytest.raises(DivisibilityError):
         multiplicity_ratio(3, 7)
+    # a graph without edges, and a negative length, refused before any
+    # arithmetic: not a ratio of 0, nor binom's message
+    with pytest.raises(DomainError, match=r"^need n >= 1, got n=0$"):
+        multiplicity_ratio(3, 0)
+    with pytest.raises(DomainError, match=r"^need n >= 1, got n=-3$"):
+        multiplicity_ratio(3, -3)
 
 
 def test_eigenvector_action():
