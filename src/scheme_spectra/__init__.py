@@ -1,13 +1,14 @@
 """Exact spectra of Hamming and composition graphs over finite alphabets,
 with orthogonal-representation bounds on the quantum chromatic number.
 
-Three parts are loaded on first use: the alphabets, :mod:`.groups`; the
-composition scheme, :mod:`.composition` (composition Krawtchouk values,
-graphs, spectra, reports and the probe); and the representation layer,
-:mod:`.representation`.  Each public name of theirs is imported when it is
-first read from the package and then stored here, so that Hamming spectra,
-reports and LP certificates compile none of them, and spectra, reports and
-probes never compile the representation layer."""
+Four parts are loaded on first use: the cyclotomic ring, :mod:`.cyclotomic`;
+the alphabets, :mod:`.groups`; the composition scheme, :mod:`.composition`
+(composition Krawtchouk values, graphs, spectra, reports and the probe); and
+the representation layer, :mod:`.representation`.  Each public name of
+theirs is imported when it is first read from the package and then stored
+here, so that Hamming spectra, reports, LP certificates and Hoffman bounds
+compile none of them, and spectra, reports and probes never compile the
+representation layer."""
 
 from .errors import (
     BadLabel,
@@ -27,8 +28,8 @@ from .errors import (
     SumMismatch,
     UnsupportedSize,
 )
-from .exactnum import CycInt, binom, cyclotomic_polynomial, entropy_q, multinom
-from . import bounds, krawtchouk, schemes
+from .exactnum import binom, entropy_q, multinom
+from . import bounds, exactnum, krawtchouk, schemes
 from .krawtchouk import first_nonpositive, first_root_ratio, kraw, kraw_column
 from .schemes import (
     HammingGraphSpec,
@@ -47,10 +48,11 @@ from .bounds import BoundReport, LPSolution, bound_report, check_lp_solution, lp
 __version__ = "0.1.0"
 
 # name -> the submodule that defines it, for the names read on first access:
-# the alphabets', and the ones that krawtchouk, schemes and bounds forward;
-# "groups" is the submodule itself, which the package listed before it was
-# loaded on first use
+# the alphabets', and the ones that exactnum, krawtchouk, schemes and bounds
+# forward; "groups" is the submodule itself, which the package listed before
+# it was loaded on first use
 _HOMES = {
+    **dict.fromkeys(exactnum._CYCLOTOMIC_NAMES, "cyclotomic"),
     **dict.fromkeys(
         """groups Composition CyclicGroup FiniteField GroupSpec all_words char_value comp
         cyclic default_modulus enumerate_compositions enumerate_shell finite_field

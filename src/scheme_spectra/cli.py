@@ -6,16 +6,20 @@ Six subcommands: ``spectrum`` and ``bounds`` emit JSON for one graph,
 least-eigenvalue prediction, and ``table`` tabulates bound families over
 a parameter grid.  All output is deterministic: JSON keys are sorted,
 big integers travel as decimal strings, and repeated invocations produce
-byte-identical bytes.  Exit codes: 0 success, 1 verification failure,
-2 malformed flags.  The representation layer, :mod:`.representation`, is
-imported only by ``represent`` and the representation suite, inside the
-functions that use it, and numpy loads only for those and the projector
-suite; the other subcommands compile neither.  In the same way the
-composition scheme, :mod:`.composition`, and the alphabets, :mod:`.groups`,
-are imported only on the composition paths: ``spectrum`` and ``bounds``
-with ``--family hamming``, ``table --theorem 1.1|1.2`` and
-``verify --suite projectors`` compile neither, and ``represent`` compiles
-the alphabets alone.
+byte-identical bytes.  Exact values are printed in full, however many
+digits they have.  Exit codes: 0 success, 1 verification failure,
+2 malformed flags, 141 a stdout closed before the output was written
+(quietly, as for a process killed by SIGPIPE).
+
+The representation layer, :mod:`.representation`, is imported only by
+``represent`` and the representation suite, inside the functions that use
+it, and numpy loads only for those and the projector suite; the other
+subcommands compile neither.  In the same way the composition scheme,
+:mod:`.composition`, the alphabets, :mod:`.groups`, and the cyclotomic
+ring, :mod:`.cyclotomic`, are imported only on the composition paths:
+``spectrum`` and ``bounds`` with ``--family hamming``, ``table --theorem
+1.1|1.2`` and ``verify --suite projectors`` compile none of them, and
+``represent`` compiles the alphabets and the ring alone.
 
 The library never calls BLAS: its only matrix products are int64 ones,
 which numpy computes in its own loops.  So :func:`main` sets
@@ -64,13 +68,33 @@ _FLAG_ERRORS = (NotFound, ValueError)
 _VERIFY_ERRORS = (Infeasible, NotOrthogonal)
 
 
+def _set_digit_limit(limit: int | None) -> int | None:
+    # Set the digit limit (0: none) and return the one it replaces; where
+    # Python has no limit (3.10.0-3.10.6), or for None, set nothing.
+    if limit is None or not hasattr(sys, "set_int_max_str_digits"):
+        return None
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    return previous
+
+
+def _flag_ints(texts: Sequence[str], limit: int | None) -> list[int]:
+    # int() of each number in flag text under the digit limit that main()
+    # found, and lifted after parsing the flags so that exact values print
+    previous = _set_digit_limit(limit)
+    try:
+        return [int(text) for text in texts]
+    finally:
+        _set_digit_limit(previous)
+
+
 def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
 
 
-def _parse_comp(text: str) -> tuple[int, ...]:
+def _parse_comp(text: str, limit: int | None) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(_flag_ints(text.split(","), limit))
     except ValueError as exc:
         raise BadLabel(f"cannot parse composition {text!r}") from exc
 
@@ -79,7 +103,7 @@ def _make_group(args: argparse.Namespace) -> GroupSpec:
     from .groups import cyclic, finite_field
 
     if args.group == "field":
-        modulus = _parse_comp(args.modulus) if args.modulus else None
+        modulus = _parse_comp(args.modulus, args.digit_limit) if args.modulus else None
         return finite_field(args.q, modulus)
     if args.modulus:
         raise SpecMismatch("--modulus only applies to --group field")
@@ -102,7 +126,7 @@ def _graph_from_args(args: argparse.Namespace):
 
     group = _make_group(args)
     if args.comp is not None:
-        dcomp = _parse_comp(args.comp)
+        dcomp = _parse_comp(args.comp, args.digit_limit)
     else:
         dcomp = Composition.balanced(args.q, args.n)
     return CompositionGraphSpec(group, args.n, dcomp)
@@ -399,13 +423,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # -- tables -----------------------------------------------------------------
 
 
-def _parse_grid(text: str) -> tuple[int, tuple[int, ...]]:
+def _parse_grid(text: str, limit: int | None) -> tuple[int, tuple[int, ...]]:
     m_n = re.search(r"n\s*(?:≤|<=)\s*(\d+)", text)
     m_q = re.search(r"q\s*(?:∈|in|=)\s*\{([\d\s,]+)\}", text)
     if not m_n or not m_q:
         raise BadLabel(f"cannot parse grid {text!r}; expected like 'n<=10,q in {{2,3}}'")
-    max_n = int(m_n.group(1))
-    qs = tuple(sorted(int(tok) for tok in m_q.group(1).replace(" ", "").split(",") if tok))
+    max_n, *qs = _flag_ints(
+        [m_n.group(1), *(tok for tok in m_q.group(1).replace(" ", "").split(",") if tok)], limit
+    )
+    qs = tuple(sorted(qs))
     if max_n < 1 or not qs or any(q < 2 for q in qs):
         raise BadLabel(f"degenerate grid {text!r}")
     return max_n, qs
@@ -467,7 +493,7 @@ _TABLES = {"1.1": _table_upper, "1.2": _table_lower, "1.3": _table_exact}
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    max_n, qs = _parse_grid(args.grid)
+    max_n, qs = _parse_grid(args.grid, args.digit_limit)
     _TABLES[args.theorem](max_n, qs, sys.stdout)
     return 0
 
@@ -524,19 +550,38 @@ def main(argv: Sequence[str] | None = None) -> int:
     Before numpy loads, an unset ``OPENBLAS_NUM_THREADS`` is set to 1: no
     product the library makes goes through BLAS, so a pool would only cost
     start-up time.  A user's own setting is kept, and once numpy is loaded
-    its pool exists already, so the environment is then left as it is."""
+    its pool exists already, so the environment is then left as it is.
+
+    Exact values print in full: once the flags are parsed, Python's limit on
+    int <-> str conversions (4300 digits by default) is lifted, and it is
+    restored on return.  Flag parsing keeps the limit, so a flag with a
+    longer number still exits 2.  A stdout closed early (``| head``) ends the
+    run quietly with 141, as a process killed by SIGPIPE would."""
     if "numpy" not in sys.modules:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the limit found here still applies to the numbers in flag text
+    # (_flag_ints), and comes back on return
+    args.digit_limit = _set_digit_limit(0)
     try:
-        return args.fn(args)
-    except _VERIFY_ERRORS as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
-    except _FLAG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        try:
+            code = args.fn(args)
+        except _VERIFY_ERRORS as exc:
+            print(f"verification failed: {exc}", file=sys.stderr)
+            code = 1
+        except _FLAG_ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # as the Python docs' note on SIGPIPE has it: what is left in the
+        # buffer goes to devnull at exit, not into a second BrokenPipeError
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    finally:
+        _set_digit_limit(args.digit_limit)
+    return code
 
 
 if __name__ == "__main__":

@@ -67,6 +67,7 @@ from typing import Iterable, Iterator, Sequence
 
 from ._record import Record
 from .bounds import BoundReport, _finish_report
+from .cyclotomic import CycInt, _fold_table, _reduction_rows
 from .errors import (
     DivisibilityError,
     DomainError,
@@ -77,7 +78,7 @@ from .errors import (
     SpecMismatch,
     UnsupportedSize,
 )
-from .exactnum import CycInt, _fold_table, _reduction_rows, binom, multinom
+from .exactnum import binom, multinom
 from .groups import (
     Composition,
     FiniteField,

@@ -19,8 +19,8 @@ from functools import cached_property, reduce
 from typing import Iterator, Sequence
 
 from ._record import Record
+from .cyclotomic import CycInt
 from .errors import BadLabel, DivisibilityError, DomainError, RangeError, SpecMismatch
-from .exactnum import CycInt
 
 
 class Composition(Record):

@@ -128,11 +128,24 @@ def first_root_ratio(q: int, delta: float) -> float:
     A float diagnostic only; all bound bookkeeping elsewhere is exact.  The
     domain is checked exactly, as :func:`entropy_q` checks its own: without
     building a Fraction, and above 1/2 in integers on delta's integer ratio.
-    A NaN is outside it.
+    A NaN is outside it.  A q too large for a float (about 2^1024 and up)
+    is never converted: the same expression is then evaluated in integers
+    and its value returned as a float.
     """
     if q < 2:
         raise DomainError(f"need q >= 2, got {q}")
     if _unit_place(operator.index(q), delta) is None:
         raise DomainError(f"delta must lie in [0, {q - 1}/{q}], got {delta}")
     delta = float(delta)
-    return (q - 1 - (q - 2) * delta - 2.0 * math.sqrt((q - 1) * delta * (1.0 - delta))) / q
+    try:
+        return (q - 1 - (q - 2) * delta - 2.0 * math.sqrt((q - 1) * delta * (1.0 - delta))) / q
+    except OverflowError:
+        pass
+    # With delta = a/b the value is (X - 2 sqrt N) / (q b), X = (q-1) b - (q-2) a
+    # and N = (q-1) a (b-a).  It is read as (X^2 - 4N) / ((X + 2 sqrt N) q b),
+    # so that nothing cancels; X >= q - 1 > 2^1023, so the floor of 2 sqrt N,
+    # off by under 1, moves the quotient by under 2^-1023 of itself.
+    a, b = delta.as_integer_ratio()
+    x = (q - 1) * b - (q - 2) * a
+    four_n = 4 * (q - 1) * a * (b - a)
+    return (x * x - four_n) / ((x + math.isqrt(four_n)) * q * b)

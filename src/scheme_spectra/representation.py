@@ -21,6 +21,7 @@ import operator
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .bounds import LPSolution, check_lp_solution
+from .cyclotomic import CycInt, _reduction_rows
 from .errors import (
     DivisibilityError,
     DomainError,
@@ -29,7 +30,6 @@ from .errors import (
     SizeExceeded,
     SpecMismatch,
 )
-from .exactnum import CycInt, _reduction_rows
 from .groups import Composition, GroupSpec, _shell_label, index_word
 from .schemes import HammingGraphSpec
 

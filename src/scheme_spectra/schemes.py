@@ -11,11 +11,18 @@ Its composition refinement, which joins x to y when y - x has a prescribed
 occurrence-count vector, is :mod:`.composition`, loaded on first use; its
 public names ``CompositionGraphSpec``, ``composition_spectrum`` and
 ``eigenvector_check`` still resolve here, read from there on first access.
+
+The cyclotomic ring, :mod:`.cyclotomic`, is not imported here either.  The
+type tests that tell a ``CycInt`` from an int read the class from the loaded
+modules, and the ordering of irrational values imports its cosine tables
+only when it meets one, so Hamming spectra, extremes and Hoffman bounds
+compile none of the ring.
 """
 
 from __future__ import annotations
 
 import operator
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -30,11 +37,12 @@ from .errors import (
     RangeError,
     SizeExceeded,
 )
-from .exactnum import CycInt, _cos_table, _sign_bits, binom
+from .exactnum import binom
 from .krawtchouk import _shell_sizes, kraw
 
 if TYPE_CHECKING:
     from .composition import CompositionGraphSpec
+    from .cyclotomic import CycInt
     from .groups import Composition
 
 # The public names of the composition scheme that this module held, read
@@ -49,6 +57,14 @@ def __getattr__(name: str):
     from . import composition
 
     return getattr(composition, name)
+
+
+def _cyclotomic_type() -> type | tuple:
+    # CycInt once its module is loaded, else the empty tuple, which isinstance
+    # matches with nothing: no CycInt can exist before its module is loaded,
+    # so a type test reads the same without loading it
+    module = sys.modules.get(__package__ + ".cyclotomic")
+    return () if module is None else module.CycInt
 
 
 #: Vertex-count cap for the dense projector check.
@@ -131,6 +147,7 @@ class Spectrum(Record):
         self._set(graph, entries, regular_degree, vertex_count)
 
     def to_json(self) -> dict:
+        ring = _cyclotomic_type()
         return {
             "graph": None if self.graph is None else self.graph.describe(),
             "entries": [
@@ -138,7 +155,7 @@ class Spectrum(Record):
                     "shell": label if isinstance(label := e.label, int) else list(label.counts),
                     "eigenvalue": (
                         {"coeffs": list(value._coeffs), "order": value._order}
-                        if isinstance(value := e.eigenvalue, CycInt)
+                        if isinstance(value := e.eigenvalue, ring)
                         else value
                     ),
                     "multiplicity": str(e.multiplicity),
@@ -202,7 +219,7 @@ def _extreme(values: Sequence[int | CycInt], pick: Callable[[list[int]], int] = 
 
     Each value gets one integer key, S(v) = sum_k c_k T_k over its
     power-basis coefficients c_k and the fixed-point table T of
-    :func:`exactnum._cos_table` at B bits, where |T_k - 2**B cos(2 pi k/m)|
+    :func:`cyclotomic._cos_table` at B bits, where |T_k - 2**B cos(2 pi k/m)|
     < 2 and T_0 = 2**B exactly, so an int v has the key v 2**B.  With
     ||v|| = sum_k |c_k|, S(v) lies within 2||v|| of 2**B v, since a real v
     is sum_k c_k cos(2 pi k/m).
@@ -213,7 +230,7 @@ def _extreme(values: Sequence[int | CycInt], pick: Callable[[list[int]], int] = 
     With B >= deg bitlen(L) + 2 and ||alpha|| <= L, 2**B > 4 L**deg, hence
     2**B |alpha| > 4||alpha|| and |S(alpha)| > 2||alpha||, with the sign of
     alpha.  The key is linear, S(a) - S(b) = S(a - b), and ||a - b|| is at
-    most 2 max ||v||, so L = 2 max ||v|| (:func:`exactnum._sign_bits`) makes
+    most 2 max ||v||, so L = 2 max ||v|| (:func:`cyclotomic._sign_bits`) makes
     S(a) < S(b) exactly when a < b, and equal values get equal keys.  The
     first index of the least key is then the first exact minimiser, and
     likewise for the largest.
@@ -226,9 +243,12 @@ def _extreme(values: Sequence[int | CycInt], pick: Callable[[list[int]], int] = 
     """
     if not values:
         raise DomainError("empty spectrum")
-    cyclotomic = [v for v in values if isinstance(v, CycInt)]
+    ring = _cyclotomic_type()
+    cyclotomic = [v for v in values if isinstance(v, ring)]
     if not cyclotomic:
         return values.index(pick(values))
+    from .cyclotomic import _cos_table, _sign_bits
+
     for v in cyclotomic:
         _require_real(v)
     m = cyclotomic[0].order
@@ -284,7 +304,7 @@ def hoffman_bound(spectrum: Spectrum) -> Fraction:
 def _hoffman_value(lam_min: int | CycInt, degree: int) -> Fraction:
     # 1 - degree / lam_min as one Fraction, refused unless lam_min is a
     # negative integer.
-    if isinstance(lam_min, CycInt):
+    if isinstance(lam_min, _cyclotomic_type()):
         raise IrrationalEigenvalue(
             f"least eigenvalue {lam_min!r} is irrational; no exact rational bound"
         )

@@ -7,7 +7,7 @@ from scheme_spectra import (
     binom,
     composition,
     cyclic,
-    exactnum,
+    cyclotomic,
     finite_field,
     krawtchouk,
     multinom,
@@ -92,11 +92,11 @@ def _real_sign(value):
 
     With power-basis coefficients c_k, deg = len(c) and L = sum |c_k|, the
     value is sum c_k cos(2*pi*k/m).  One integer sum S = sum c_k T_k over
-    the fixed-point table of ``exactnum._cos_table`` at B bits satisfies
+    the fixed-point table of ``cyclotomic._cos_table`` at B bits satisfies
     |S - 2**B * value| < 2L.  A nonzero alpha in Z[zeta_m] has a norm, the
     product of its deg Galois conjugates, that is a nonzero integer, and
     each conjugate has modulus at most L, so |alpha| >= L**-(deg - 1).  With
-    B = ``exactnum._sign_bits(deg, L)`` >= deg * bitlen(L) + 2, 2**B > 4 L**deg,
+    B = ``cyclotomic._sign_bits(deg, L)`` >= deg * bitlen(L) + 2, 2**B > 4 L**deg,
     hence 2**B * |alpha| > 4L and |S| > 2L with the sign of alpha.  So
     |S| <= 2L cannot happen for a nonzero real value: the oracle raises
     SignUndecided rather than guess.
@@ -105,8 +105,8 @@ def _real_sign(value):
     size = sum(abs(c) for c in coeffs)
     if not size:
         return 0
-    bits = exactnum._sign_bits(len(coeffs), size)
-    table = exactnum._cos_table(value.order, bits)
+    bits = cyclotomic._sign_bits(len(coeffs), size)
+    table = cyclotomic._cos_table(value.order, bits)
     total = sum(c * t for c, t in zip(coeffs, table) if c)
     if abs(total) <= 2 * size:
         raise SignUndecided(

@@ -1749,6 +1749,22 @@ def test_large_hamming_report_is_fast():
     assert report.lower == ((1 - Fraction(spec.degree, least), "hoffman"),)
 
 
+def test_a_report_reads_a_q_too_large_for_a_float():
+    # H(2, q, 1) is the q x q rook's graph; its entropy-regime diagnostic
+    # once converted q to a float and raised OverflowError
+    q = 10**2200 + 1
+    report = bound_report(HammingGraphSpec(2, q, 1))
+    assert report.lower == ((Fraction(q), "hoffman"),)
+    assert report.upper == ((Fraction(q * (q - 1)), "lp-two-support"),)
+    assert report.exact is None
+    assert report.diagnostics == {
+        "first_nonpositive_shell": 2,
+        "lp_coefficients": [q - 1, 0, 1],
+        "regime": "entropy",
+        "entropy_exponent": 0.5001368318162109,
+    }
+
+
 # ---------------------------------------------------------------------------
 # the balanced least-eigenvalue probe
 

@@ -523,6 +523,71 @@ def test_verification_failure_exits_1(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# long exact values and a closed stdout
+
+_LONG_Q = 10**2200 + 1  # the vertex count q^2 has 4401 digits
+
+
+def test_exact_values_past_the_digit_limit_print_in_full(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(
+        capsys, "spectrum", "--family", "hamming", "--n", "2", "--q", str(_LONG_Q), "--d", "1"
+    )
+    # main() restores the limit, so that in-process callers see no change
+    assert (code, err, sys.get_int_max_str_digits()) == (0, "", limit)
+    q = _LONG_Q
+    # H(2, q, 1): K_1(j) = 2(q-1), q-2, -2 on shells of sizes 1, 2(q-1), (q-1)^2
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = {
+            "degree": str(2 * (q - 1)),
+            "entries": [
+                {"eigenvalue": 2 * (q - 1), "multiplicity": "1", "shell": 0},
+                {"eigenvalue": q - 2, "multiplicity": str(2 * (q - 1)), "shell": 1},
+                {"eigenvalue": -2, "multiplicity": str((q - 1) ** 2), "shell": 2},
+            ],
+            "graph": {"d": 1, "family": "hamming", "n": 2, "q": q},
+            "vertices": str(q * q),
+        }
+        assert out == cli._dump(expected) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_flag_text_keeps_the_digit_limit(capsys):
+    over = "1" + "0" * 4300  # 4301 digits
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--family", "hamming", "--n", "2", "--q", over, "--d", "1"])
+    assert exc.value.code == 2
+    assert "argument --q: invalid int value" in capsys.readouterr().err
+    # the numbers in --comp and --grid are read under the limit too
+    code, out, err = run(
+        capsys, "spectrum", "--family", "composition", "--n", "3", "--q", "3",
+        "--comp", over + ",0,0",
+    )
+    assert (code, out, err) == (2, "", f"error: cannot parse composition '{over},0,0'\n")
+    code, out, err = run(capsys, "table", "--theorem", "1.1", "--grid", f"n<={over},q in {{2}}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Exceeds the limit (4300 digits) for integer string conversion")
+
+
+def test_a_closed_pipe_ends_the_process_quietly_with_141():
+    # the reader takes one line and closes the pipe, as `| head -1` does
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "scheme_spectra.cli", "table", "--theorem", "1.1",
+         "--grid", "n<=60,q in {2,3,4,5}"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), first, err) == (
+        141, b"n,q,d,regime,lp_objective,regime_cap\n", b""
+    )
+
+
+# ---------------------------------------------------------------------------
 # deferred imports: numpy loads only on the paths that use it, mpmath never
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -640,33 +705,36 @@ def test_only_the_representation_paths_compile_the_representation_layer(argv, lo
     assert proc.stderr.splitlines()[-1] == loads
 
 
-# The composition scheme, scheme_spectra.composition, and the alphabets,
-# scheme_spectra.groups, are compiled only on the composition paths, and
-# represent compiles the alphabets alone: which of the two each case of
+# The composition scheme, scheme_spectra.composition, the alphabets,
+# scheme_spectra.groups, and the cyclotomic ring, scheme_spectra.cyclotomic,
+# are compiled only on the composition paths, and represent compiles the
+# alphabets and the ring alone: which of the three each case of
 # _DEFERRED_CASES loads, and the representation suite besides.
 _FRESH_SCHEME = _FRESH_MAIN.replace(
-    '{"numpy", "mpmath"}', '{"scheme_spectra.composition", "scheme_spectra.groups"}'
+    '{"numpy", "mpmath"}',
+    '{"scheme_spectra.composition", "scheme_spectra.cyclotomic", "scheme_spectra.groups"}',
 )
 
-_BOTH = "scheme_spectra.composition,scheme_spectra.groups"
+_ALL = "scheme_spectra.composition,scheme_spectra.cyclotomic,scheme_spectra.groups"
+_ALPHABETS = "scheme_spectra.cyclotomic,scheme_spectra.groups"
 _SCHEME_LOADED = {
-    "spectrum-balanced-z3": _BOTH,
-    "bounds-rational-composition": _BOTH,
-    "probe": _BOTH,
-    "table-1.3": _BOTH,
-    "verify-reciprocity": _BOTH,
-    "verify-eigenvalues": _BOTH,
-    "represent": "scheme_spectra.groups",
+    "spectrum-balanced-z3": _ALL,
+    "bounds-rational-composition": _ALL,
+    "probe": _ALL,
+    "table-1.3": _ALL,
+    "verify-reciprocity": _ALL,
+    "verify-eigenvalues": _ALL,
+    "represent": _ALPHABETS,
     # the alphabet is made before the sample is checked
-    "represent-vacuous-sample": "scheme_spectra.groups",
-    "bounds-irrational-composition": _BOTH,
+    "represent-vacuous-sample": _ALPHABETS,
+    "bounds-irrational-composition": _ALL,
 }
 
 
 @pytest.mark.parametrize("argv, loads", [
     *(pytest.param(case.values[0], _SCHEME_LOADED.get(case.id, ""), id=case.id)
       for case in _DEFERRED_CASES),
-    pytest.param(("verify", "--suite", "representations", "--max-n", "2"), _BOTH,
+    pytest.param(("verify", "--suite", "representations", "--max-n", "2"), _ALL,
                  id="verify-representations"),
 ])
 def test_only_the_composition_paths_compile_the_composition_scheme(argv, loads, tmp_path):
@@ -674,8 +742,8 @@ def test_only_the_composition_paths_compile_the_composition_scheme(argv, loads, 
     assert proc.stderr.splitlines()[-1] == loads
 
 
-# Hamming reports, certificates and spectra first, then the composition
-# calls: which layers each half has loaded.
+# Hamming reports, certificates, spectra and Hoffman bounds first, then the
+# composition calls: which layers each half has loaded.
 _LIBRARY_CALLS = """
 import sys
 import scheme_spectra as ss
@@ -683,12 +751,13 @@ def loaded(*names):
     print(sorted({"scheme_spectra." + name for name in names} & set(sys.modules)))
 ss.bound_report(ss.HammingGraphSpec(12, 3, 9))
 ss.check_lp_solution(ss.lp_two_support(12, 3, 9))
-ss.hamming_spectrum(ss.HammingGraphSpec(12, 3, 9))
-loaded("groups", "composition")
+ss.hamming_spectrum(ss.HammingGraphSpec(12, 3, 9)).to_json()
+ss.hoffman_bound(ss.hamming_spectrum(ss.HammingGraphSpec(12, 3, 9)))
+loaded("groups", "composition", "cyclotomic")
 ss.bound_report(ss.CompositionGraphSpec(ss.cyclic(3), 6, (2, 2, 2)))
 ss.composition_spectrum(ss.CompositionGraphSpec(ss.cyclic(3), 6, (3, 2, 1)))
 ss.conjecture_probe(3, 6)
-loaded("groups", "composition")
+loaded("groups", "composition", "cyclotomic")
 print(sorted({"numpy", "scheme_spectra.representation"} & set(sys.modules)))
 """
 
@@ -698,14 +767,14 @@ def test_spectra_reports_and_probes_load_neither_numpy_nor_the_representation_la
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == [
         "[]",
-        "['scheme_spectra.composition', 'scheme_spectra.groups']",
+        "['scheme_spectra.composition', 'scheme_spectra.cyclotomic', 'scheme_spectra.groups']",
         "[]",
     ]
 
 
 # every name the package exported when it imported the representation layer
-# eagerly; the alphabets', the composition scheme's and the representation
-# layer's are now read from them on first access
+# eagerly; the cyclotomic ring's, the alphabets', the composition scheme's and
+# the representation layer's are now read from them on first access
 _EXPORTED = """
 BadLabel BoundReport Composition CompositionGraphSpec CycInt CyclicGroup DivisibilityError
 DomainError FiniteField GroupSpec HammingGraphSpec Infeasible IrrationalEigenvalue LPSolution
@@ -724,6 +793,7 @@ verify_representation
 # name -> (the module that defines it, the module that held it before and
 # still forwards it, or None)
 _HOMES = {
+    **dict.fromkeys(("CycInt", "cyclotomic_polynomial"), ("cyclotomic", "exactnum")),
     **dict.fromkeys(
         """Composition CyclicGroup FiniteField GroupSpec all_words char_value comp cyclic
         default_modulus enumerate_compositions enumerate_shell finite_field index_word
@@ -742,6 +812,10 @@ _MOVED = [name for name in _EXPORTED if name in _HOMES]
 # moved caps and private helpers, which no old module forwards: a patch there
 # would change nothing that the new module reads
 _NOT_FORWARDED = [
+    ("exactnum", name) for name in (
+        "_exact_poly_div", "_reduction_rows", "_fold_table", "_cos_table", "_sign_bits",
+    )
+] + [
     ("bounds", name) for name in (
         "REPRESENTATION_MAX_ROWS", "REPRESENTATION_MAX_CELLS", "_BLOCK_BYTES", "_CHUNK_ENTRIES",
         "_shell_indices", "_failing_rows", "_check_sample", "_composition_report",
@@ -763,7 +837,10 @@ _LAZY_NAMES = """
 import importlib, json, sys
 import scheme_spectra as ss
 names, homes, hidden = sys.argv[1].split(), json.loads(sys.argv[2]), json.loads(sys.argv[3])
-layers = ["scheme_spectra." + name for name in ("composition", "groups", "representation")]
+layers = [
+    "scheme_spectra." + name
+    for name in ("composition", "cyclotomic", "groups", "representation")
+]
 out = {
     "stored_before": [name for name in homes if name in vars(ss)],
     "listed": [name for name in names if name in dir(ss) and name in ss.__all__],
@@ -798,7 +875,10 @@ def test_every_exported_name_resolves_once_and_lazily():
         "loaded_by_dir": [],
         "groups_listed": True,
         "loaded": [
-            "scheme_spectra.composition", "scheme_spectra.groups", "scheme_spectra.representation"
+            "scheme_spectra.composition",
+            "scheme_spectra.cyclotomic",
+            "scheme_spectra.groups",
+            "scheme_spectra.representation",
         ],
         "shared": _MOVED,
         "stored_after": _MOVED,

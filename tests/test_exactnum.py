@@ -20,8 +20,8 @@ from scheme_spectra import (
     first_root_ratio,
     multinom,
 )
-from scheme_spectra import exactnum
-from scheme_spectra.exactnum import _cos_table
+from scheme_spectra import cyclotomic
+from scheme_spectra.cyclotomic import _cos_table
 
 from conftest import SignUndecided
 
@@ -275,7 +275,7 @@ def test_pow_matches_repeated_multiplication(vals, e):
 def _dense_fold(m, coeffs):
     # The reference normal form: sum_e c_e * (row of zeta^(e mod m)), with
     # every row of the reduction table read in full.
-    rows = exactnum._reduction_rows(m)
+    rows = cyclotomic._reduction_rows(m)
     acc = [0] * len(rows[0])
     for e, c in enumerate(coeffs):
         for k, r in enumerate(rows[e % m]):
@@ -357,7 +357,7 @@ def test_real_sign_of_small_values(real_sign):
 def test_a_broken_cos_table_trips_the_invariant(monkeypatch, real_sign):
     # the a-priori precision makes |S| > 2L a theorem; a table that breaks
     # it must raise rather than hand back a guessed sign
-    monkeypatch.setattr(exactnum, "_cos_table", lambda m, bits: (0,) * 4)
+    monkeypatch.setattr(cyclotomic, "_cos_table", lambda m, bits: (0,) * 4)
     with pytest.raises(SignUndecided):
         real_sign(CycInt(5, (0, 0, 1, 1)))
 

@@ -941,3 +941,26 @@ def test_first_root_ratio_endpoints_and_guards():
         first_root_ratio(1, 0.1)
     with pytest.raises(DomainError):
         first_root_ratio(3, 0.7)  # above (q-1)/q
+
+
+def _decimal_first_root_ratio(q, delta):
+    # the same expression in 5000-digit decimals, delta read exactly; no term
+    # cancels for a float delta, as 1 - delta >= 2^-53 dwarfs 1/q
+    from decimal import Context, Decimal
+
+    ctx = Context(prec=5000)
+    q, delta = Decimal(q), Decimal(delta)
+    head = ctx.subtract(ctx.subtract(q, 1), ctx.multiply(ctx.subtract(q, 2), delta))
+    root = ctx.sqrt(ctx.multiply(ctx.multiply(ctx.subtract(q, 1), delta), ctx.subtract(1, delta)))
+    return float(ctx.divide(ctx.subtract(head, ctx.multiply(2, root)), q))
+
+
+@pytest.mark.parametrize(
+    "q",
+    [2**1024, 2**1100 + 7, 3**700, 10**2200 + 1],
+    ids=["2^1024", "2^1100+7", "3^700", "10^2200+1"],
+)
+def test_first_root_ratio_reads_a_q_too_large_for_a_float(q):
+    # float(q) would raise OverflowError; the value is the one the expression has
+    for delta in (0.0, 1e-300, 0.1, 1 / 3, 0.5, 0.75, 0.9999999999999999):
+        assert first_root_ratio(q, delta) == _decimal_first_root_ratio(q, delta), (q, delta)
