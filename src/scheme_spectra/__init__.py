@@ -8,7 +8,51 @@ the representation layer, :mod:`.representation`.  Each public name of
 theirs is imported when it is first read from the package and then stored
 here, so that Hamming spectra, reports, LP certificates and Hoffman bounds
 compile none of them, and spectra, reports and probes never compile the
-representation layer."""
+representation layer.  ``_HOMES`` below says where each such name lives."""
+
+# name -> (the submodule that defines it, the submodule that held it before
+# and still forwards it, or None), for every name read on first access;
+# "groups" is the submodule itself.  This table and _resolve sit above the
+# submodule imports: while the package initialises, the import system probes
+# each submodule for __path__, through that submodule's __getattr__.
+_HOMES = {
+    **dict.fromkeys(("CycInt", "cyclotomic_polynomial"), ("cyclotomic", "exactnum")),
+    **dict.fromkeys(
+        """groups Composition CyclicGroup FiniteField GroupSpec all_words char_value comp
+        cyclic default_modulus enumerate_compositions enumerate_shell finite_field
+        index_word shell_size weight word_add word_char_exponent word_char_value
+        word_index word_neg word_sub""".split(),
+        ("groups", None),
+    ),
+    **dict.fromkeys(
+        ("gen_kraw", "gen_kraw_circulant", "zero_shell_predicate"), ("composition", "krawtchouk")
+    ),
+    **dict.fromkeys(
+        ("CompositionGraphSpec", "composition_spectrum", "eigenvector_check"),
+        ("composition", "schemes"),
+    ),
+    **dict.fromkeys(("ProbeVerdict", "conjecture_probe"), ("composition", "bounds")),
+    **dict.fromkeys(
+        """Representation build_representation hadamard_representation representation_seed
+        verify_representation""".split(),
+        ("representation", "bounds"),
+    ),
+}
+
+
+def _resolve(module: str, name: str):
+    # PEP 562, for the package and for each submodule that forwards: ``name``
+    # read from ``module``, imported from its home.  A submodule forwards only
+    # the public names it held, not the caps and private helpers that moved
+    # with them: a patch there would change nothing that the home reads.
+    home, old = _HOMES.get(name, (None, None))  # old None names no submodule
+    if home is None or module not in (__name__, f"{__name__}.{old}"):
+        raise AttributeError(f"module {module!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    found = import_module(f"{__name__}.{home}")
+    return found if name == home else getattr(found, name)
+
 
 from .errors import (
     BadLabel,
@@ -47,39 +91,13 @@ from .bounds import BoundReport, LPSolution, bound_report, check_lp_solution, lp
 
 __version__ = "0.1.0"
 
-# name -> the submodule that defines it, for the names read on first access:
-# the alphabets', and the ones that exactnum, krawtchouk, schemes and bounds
-# forward; "groups" is the submodule itself, which the package listed before
-# it was loaded on first use
-_HOMES = {
-    **dict.fromkeys(exactnum._CYCLOTOMIC_NAMES, "cyclotomic"),
-    **dict.fromkeys(
-        """groups Composition CyclicGroup FiniteField GroupSpec all_words char_value comp
-        cyclic default_modulus enumerate_compositions enumerate_shell finite_field
-        index_word shell_size weight word_add word_char_exponent word_char_value
-        word_index word_neg word_sub""".split(),
-        "groups",
-    ),
-    **dict.fromkeys(
-        krawtchouk._COMPOSITION_NAMES | schemes._COMPOSITION_NAMES | bounds._COMPOSITION_NAMES,
-        "composition",
-    ),
-    **dict.fromkeys(bounds._REPRESENTATION_NAMES, "representation"),
-}
-
 __all__ = sorted({name for name in globals() if not name.startswith("_")} | _HOMES.keys())
 
 
 def __getattr__(name: str):
-    # PEP 562: a name read on first access is imported from its submodule and
-    # then stored here, so that the next access is a plain attribute
-    home = _HOMES.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    module = import_module(f"{__name__}.{home}")
-    value = globals()[name] = module if name == home else getattr(module, name)
+    # a name read on first access is stored here, so that the next access is
+    # a plain attribute
+    value = globals()[name] = _resolve(__name__, name)
     return value
 
 

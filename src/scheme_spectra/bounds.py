@@ -8,10 +8,11 @@ weighted Krawtchouk column vanishes at the graph distance, checked
 exactly.  :mod:`.representation` assembles and verifies the representation
 a certificate prescribes, and :mod:`.composition` holds the report of a
 composition graph and the balanced-minimum probe; each is loaded only when
-one of its names is first read, here or from the package, and
-:func:`bound_report` imports the composition report only for a graph that
-is not a Hamming graph.  Everything here is exact: the only floats in sight
-are clearly-labeled diagnostics.
+one of its names is first read, here or from the package, as the package's
+``_HOMES`` table lists them, and :func:`bound_report` imports the
+composition report only for a graph that is not a Hamming graph.
+Everything here is exact: the only floats in sight are clearly-labeled
+diagnostics.
 """
 
 from __future__ import annotations
@@ -30,28 +31,11 @@ from .schemes import HammingGraphSpec, _hoffman_value
 if TYPE_CHECKING:
     from .composition import CompositionGraphSpec
 
-# The public names of the representation layer and of the composition scheme
-# that this module held, read through it on first access (PEP 562), so that
-# importing it compiles neither.  Their caps and private helpers are not
-# forwarded: a patch here would change nothing that they read.
-_REPRESENTATION_NAMES = frozenset({
-    "Representation",
-    "build_representation",
-    "hadamard_representation",
-    "representation_seed",
-    "verify_representation",
-})
-_COMPOSITION_NAMES = frozenset({"ProbeVerdict", "conjecture_probe"})
-
 
 def __getattr__(name: str):
-    if name in _REPRESENTATION_NAMES:
-        from . import representation as home
-    elif name in _COMPOSITION_NAMES:
-        from . import composition as home
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(home, name)
+    from . import _resolve
+
+    return _resolve(__name__, name)
 
 
 # ---------------------------------------------------------------------------

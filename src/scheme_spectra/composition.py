@@ -49,8 +49,8 @@ and the direct adjacency action for the eigenvalues.  That is what makes
 cross-checking possible.
 
 This module, with :mod:`.groups`, is loaded on first use: the package
-reads its public names on first access, and :mod:`.krawtchouk`,
-:mod:`.schemes` and :mod:`.bounds` forward the ones they used to hold, so
+reads its public names on first access, and the older modules forward the
+ones they used to hold, as the package's ``_HOMES`` table lists them, so
 Hamming spectra, reports and LP certificates compile neither.
 """
 
@@ -518,7 +518,7 @@ def gen_kraw(
         if sum(counts) != sizes[rank]:
             raise ArithmeticError(
                 f"coefficient of z^{i} has {sum(counts)} terms, "
-                f"expected multinom(n, j) = {sizes[rank]}"
+                f"expected multinom(n, i) = {sizes[rank]}"
             )
         value = CycInt.from_root_powers(m, counts)
     else:
@@ -905,7 +905,7 @@ def eigenvector_check(
     y + s of y, s streamed from its shell, and compares, exactly in the
     cyclotomic ring, against lambda_x * phi_x(y), lambda_x from Krawtchouk.
     The two sides come from unrelated code paths on purpose.  A word of
-    the wrong length or a non-letter in y raises SpecMismatch.
+    the wrong length or a non-letter in x or y raises SpecMismatch.
     """
     if isinstance(spec, HammingGraphSpec):
         group = cyclic(spec.q)
@@ -921,6 +921,12 @@ def eigenvector_check(
         neighbours = _translates(group, y, spec.n, enumerate_shell(group, spec.n, shell_label))
         if _character_sum(group, x, neighbours) != word_char_value(group, x, y) * lam:
             return False
+    # the first y reads x as a word and raises for a wrong length or a
+    # non-letter; with no y, x is checked here, as word_add would check it
+    if len(x) != spec.n:
+        raise SpecMismatch(f"word lengths differ: {len(x)} vs {spec.n}")
+    for g in x:
+        group._check_element(g)
     return True
 
 

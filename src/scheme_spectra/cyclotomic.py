@@ -6,8 +6,9 @@ powers of zeta are cached per m.  The fixed-point cosine tables here order
 its real elements exactly (see ``schemes._extreme``).  Only composition
 spectra, the alphabets' characters and the representation layer use the
 ring, so Hamming spectra, reports and LP certificates never compile this
-module; :mod:`.exactnum` and the package still resolve ``CycInt`` and
-``cyclotomic_polynomial``, read from here on first access.
+module; the package, and :mod:`.exactnum` for the names it held, read its
+public names from here on first access, as the package's ``_HOMES`` table
+lists them.
 """
 
 from __future__ import annotations

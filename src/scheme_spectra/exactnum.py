@@ -7,9 +7,9 @@ library leans on, and the q-ary entropy with its exact domain check.
 
 The ring of cyclotomic integers Z[zeta_m], with the fixed-point cosine
 tables that order its real elements, is :mod:`.cyclotomic`, loaded on first
-use.  Its public names ``CycInt`` and ``cyclotomic_polynomial`` still
-resolve here, read from there on first access, so that importing this
-module compiles none of the ring.
+use.  The public names of the ring that this module held still resolve
+here, read from there on first access as the package's ``_HOMES`` table
+lists them, so that importing this module compiles none of the ring.
 """
 
 from __future__ import annotations
@@ -20,18 +20,11 @@ from typing import Iterable
 
 from .errors import DomainError, SumMismatch
 
-# The public names of the cyclotomic ring that this module held, read through
-# it on first access (PEP 562).  Its private helpers are not forwarded: a
-# patch here would change nothing that the ring reads.
-_CYCLOTOMIC_NAMES = frozenset({"CycInt", "cyclotomic_polynomial"})
-
 
 def __getattr__(name: str):
-    if name not in _CYCLOTOMIC_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import cyclotomic
+    from . import _resolve
 
-    return getattr(cyclotomic, name)
+    return _resolve(__name__, name)
 
 
 def binom(n: int, k: int) -> int:

@@ -235,6 +235,11 @@ def default_modulus(p: int, k: int) -> tuple[int, ...]:
 
     Candidates are compared coefficient-wise from the constant term up.
     """
+    p, k = operator.index(p), operator.index(k)
+    if _prime_power(p) != (p, 1):
+        raise DomainError(f"field characteristic must be prime, got {p}")
+    if k < 1:
+        raise DomainError(f"field extension degree must be >= 1, got {k}")
     for tail in itertools.product(range(p), repeat=k):
         f = (*tail, 1)
         if _is_irreducible(f, p):

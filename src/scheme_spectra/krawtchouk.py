@@ -8,10 +8,9 @@ oracle.
 
 The composition refinement, which replaces weights by full
 occurrence-count vectors, is :mod:`.composition`, loaded on first use.
-Its public values ``gen_kraw``, ``gen_kraw_circulant`` and
-``zero_shell_predicate`` still resolve here, read from there on first
-access, so that importing this module compiles neither it nor
-:mod:`.groups`.
+The public values of it that this module held still resolve here, read
+from there on first access as the package's ``_HOMES`` table lists them,
+so that importing this module compiles neither it nor :mod:`.groups`.
 """
 
 from __future__ import annotations
@@ -23,18 +22,11 @@ import operator
 from .errors import DomainError, NotFound, RangeError
 from .exactnum import _unit_place, binom
 
-# The public names of the composition scheme that this module held, read
-# through it on first access (PEP 562).  Its caps and private helpers are not
-# forwarded: a patch here would change nothing that the scheme reads.
-_COMPOSITION_NAMES = frozenset({"gen_kraw", "gen_kraw_circulant", "zero_shell_predicate"})
-
 
 def __getattr__(name: str):
-    if name not in _COMPOSITION_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import composition
+    from . import _resolve
 
-    return getattr(composition, name)
+    return _resolve(__name__, name)
 
 
 def kraw(n: int, q: int, i: int, j: int) -> int:

@@ -8,9 +8,9 @@ the dense adjacency matrix is never formed except inside the deliberately
 independent projector check at the bottom of this module.
 
 Its composition refinement, which joins x to y when y - x has a prescribed
-occurrence-count vector, is :mod:`.composition`, loaded on first use; its
-public names ``CompositionGraphSpec``, ``composition_spectrum`` and
-``eigenvector_check`` still resolve here, read from there on first access.
+occurrence-count vector, is :mod:`.composition`, loaded on first use; the
+public names of it that this module held still resolve here, read from
+there on first access as the package's ``_HOMES`` table lists them.
 
 The cyclotomic ring, :mod:`.cyclotomic`, is not imported here either.  The
 type tests that tell a ``CycInt`` from an int read the class from the loaded
@@ -45,18 +45,11 @@ if TYPE_CHECKING:
     from .cyclotomic import CycInt
     from .groups import Composition
 
-# The public names of the composition scheme that this module held, read
-# through it on first access (PEP 562).  Its cap and private helpers are not
-# forwarded: a patch here would change nothing that the scheme reads.
-_COMPOSITION_NAMES = frozenset({"CompositionGraphSpec", "composition_spectrum", "eigenvector_check"})
-
 
 def __getattr__(name: str):
-    if name not in _COMPOSITION_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import composition
+    from . import _resolve
 
-    return getattr(composition, name)
+    return _resolve(__name__, name)
 
 
 def _cyclotomic_type() -> type | tuple:

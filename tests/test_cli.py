@@ -887,6 +887,70 @@ def test_every_exported_name_resolves_once_and_lazily():
     }
 
 
+_OLD_MODULES = ("exactnum", "krawtchouk", "schemes", "bounds")
+
+# each old module asked, with nothing loaded, for every moved public name that
+# it never held, and then probed for __path__ as the import system probes a
+# submodule: what each raised, and which layers were loaded after it all
+_NOT_HELD = """
+import importlib, json, sys
+import scheme_spectra
+raised = []
+for old, name in json.loads(sys.argv[1]):
+    try:
+        getattr(importlib.import_module("scheme_spectra." + old), name)
+    except AttributeError as exc:
+        raised.append(str(exc))
+probes = [hasattr(importlib.import_module("scheme_spectra." + old), "__path__")
+          for old in json.loads(sys.argv[2])]
+layers = ("composition", "cyclotomic", "groups", "representation")
+loaded = [name for name in layers if "scheme_spectra." + name in sys.modules]
+print(json.dumps({"raised": raised, "probes": probes, "loaded": loaded}))
+"""
+
+
+def test_an_old_module_refuses_the_moved_names_it_never_held():
+    asked = [
+        (old, name) for old in _OLD_MODULES for name in _MOVED if _HOMES[name][1] != old
+    ]
+    proc = fresh_python("-c", _NOT_HELD, json.dumps(asked), json.dumps(_OLD_MODULES))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    out = json.loads(proc.stdout)
+    assert out["raised"] == [
+        f"module 'scheme_spectra.{old}' has no attribute {name!r}" for old, name in asked
+    ]
+    for old, name in [("schemes", "gen_kraw"), ("krawtchouk", "composition_spectrum"),
+                      ("exactnum", "build_representation"), ("bounds", "CycInt"),
+                      ("krawtchouk", "Composition")]:
+        assert (old, name) in asked
+    assert out["probes"] == [False] * 4
+    assert out["loaded"] == []
+
+
+# one forwarded name imported from each old module in a fresh process: which
+# layers the import loads, the name's home and what that home imports
+_FROM_OLD = """
+import sys
+exec(f"from scheme_spectra.{sys.argv[1]} import {sys.argv[2]} as value")
+import scheme_spectra as ss
+assert value is getattr(ss, sys.argv[2])
+layers = ("composition", "cyclotomic", "groups", "representation")
+print(",".join(name for name in layers if "scheme_spectra." + name in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("old, name, loads", [
+    ("exactnum", "CycInt", "cyclotomic"),
+    ("krawtchouk", "gen_kraw", "composition,cyclotomic,groups"),
+    ("schemes", "composition_spectrum", "composition,cyclotomic,groups"),
+    ("bounds", "verify_representation", "cyclotomic,groups,representation"),
+])
+def test_a_forwarded_name_imports_from_its_old_module_alone(old, name, loads):
+    assert _HOMES[name][1] == old
+    proc = fresh_python("-c", _FROM_OLD, old, name)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", loads + "\n")
+
+
 # Irrational eigenvalues are ordered without mpmath: with the package made
 # unimportable, a report that ranks them and one irrational least eigenvalue
 # come out as they do in this process.

@@ -657,6 +657,13 @@ def test_shell_label_validation():
          "4 is not an element index of FiniteField(p=2, k=2, modulus=(1, 1, 1))"),
         (lambda: finite_field(9).trace(9), SpecMismatch,
          "9 is not an element index of FiniteField(p=3, k=2, modulus=(1, 0, 1))"),
+        # a polynomial over Z_4 or Z_6 came back, a constant for degree 0,
+        # and itertools' ValueError for a negative degree
+        (lambda: default_modulus(4, 2), DomainError, "field characteristic must be prime, got 4"),
+        (lambda: default_modulus(6, 2), DomainError, "field characteristic must be prime, got 6"),
+        (lambda: default_modulus(2, 0), DomainError, "field extension degree must be >= 1, got 0"),
+        (lambda: default_modulus(2, -1), DomainError,
+         "field extension degree must be >= 1, got -1"),
     ],
     ids=[
         "word_add", "word_char_exponent", "shell-negative-count", "shell-wrong-sum",
@@ -665,7 +672,8 @@ def test_shell_label_validation():
         "field-neg-negative", "field-add-past-q", "field-word_neg-negative", "cyclic-add-past-q",
         "field-mul-negative", "field-mul-past-q", "cyclic-mul-past-q",
         "field-char_exponent-negative", "cyclic-char_exponent-past-q", "field-char_value-g-first",
-        "field-trace-past-q",
+        "field-trace-past-q", "default_modulus-p-4", "default_modulus-p-6",
+        "default_modulus-k-0", "default_modulus-k-negative",
     ],
 )
 def test_refusals_of_outside_input(call, error, message):

@@ -775,13 +775,13 @@ def test_read_out_checks_every_count_total(monkeypatch):
             cyclic(3),
             (2, 1, 0),
             (1, 2, 0),
-            r"z\^\(2, 1, 0\) has 4 terms, expected multinom\(n, j\) = 3$",
+            r"z\^\(2, 1, 0\) has 4 terms, expected multinom\(n, i\) = 3$",
         ),
         (
             finite_field(4),
             (1, 0, 1, 1),
             (0, 2, 0, 1),
-            r"z\^\(1, 0, 1, 1\) has 7 terms, expected multinom\(n, j\) = 6$",
+            r"z\^\(1, 0, 1, 1\) has 7 terms, expected multinom\(n, i\) = 6$",
         ),
     ],
     ids=["Z3", "GF4"],

@@ -1071,6 +1071,32 @@ def test_eigenvector_action_adds_the_shell_words_unchecked(monkeypatch):
             assert str(raised.value) == str(expected.value)
 
 
+@pytest.mark.parametrize(
+    "spec, x, error, message",
+    [
+        # with no sampled word, x was never read: a wrong length and a
+        # non-letter came back True
+        (HammingGraphSpec(2, 2, 1), (0,), SpecMismatch, "word lengths differ: 1 vs 2"),
+        (HammingGraphSpec(2, 2, 1), (0, 5), SpecMismatch,
+         "5 is not an element index of CyclicGroup(q=2)"),
+        # the eigenvalue comes first, and refuses as it did
+        (HammingGraphSpec(2, 2, 1), (0, 1, 1, 1), RangeError, "indices i=1, j=3 outside 0..2"),
+        (CompositionGraphSpec(cyclic(3), 3, Composition((1, 1, 1))), (0, 1), BadLabel,
+         "composition (1, 1, 0) sums to 2, expected 3"),
+    ],
+    ids=["hamming-short", "hamming-non-letter", "hamming-long", "composition-short"],
+)
+def test_eigenvector_action_checks_x_with_no_sample(spec, x, error, message):
+    with pytest.raises(error) as raised:
+        eigenvector_check(spec, x, [])
+    assert type(raised.value) is error and str(raised.value) == message
+    if error is SpecMismatch:
+        # as a sampled word reads it
+        with pytest.raises(SpecMismatch) as sampled:
+            eigenvector_check(spec, x, [(0, 0)])
+        assert str(sampled.value) == message
+
+
 def test_spectrum_does_not_depend_on_the_field_modulus():
     # the eigenvalue multiset is an invariant of the field, not of the
     # modulus used to coordinatize it
