@@ -1,41 +1,46 @@
 """Exact spectra of Hamming and composition graphs over finite alphabets,
 with orthogonal-representation bounds on the quantum chromatic number.
 
-Four parts are loaded on first use: the cyclotomic ring, :mod:`.cyclotomic`;
+Five parts are loaded on first use: the cyclotomic ring, :mod:`.cyclotomic`;
 the alphabets, :mod:`.groups`; the composition scheme, :mod:`.composition`
-(composition Krawtchouk values, graphs, spectra, reports and the probe); and
-the representation layer, :mod:`.representation`.  Each public name of
+(composition Krawtchouk values, graphs, spectra, reports and the probe); the
+representation layer, :mod:`.representation`; and the independent routes
+with the word layer they stream, :mod:`.oracles`.  Each public name of
 theirs is imported when it is first read from the package and then stored
 here, so that Hamming spectra, reports, LP certificates and Hoffman bounds
-compile none of them, and spectra, reports and probes never compile the
-representation layer.  ``_HOMES`` below says where each such name lives."""
+compile none of them, spectra, reports and probes never compile the
+representation layer, and only checks compile the oracles.  ``_HOMES``
+below says where each such name lives."""
 
-# name -> (the submodule that defines it, the submodule that held it before
-# and still forwards it, or None), for every name read on first access;
-# "groups" is the submodule itself.  This table and _resolve sit above the
-# submodule imports: while the package initialises, the import system probes
-# each submodule for __path__, through that submodule's __getattr__.
+# name -> (the submodule that defines it, the submodules that held it before
+# and still forward it), for every name read on first access; "groups" is
+# the submodule itself.  This table and _resolve sit above the submodule
+# imports: while the package initialises, the import system probes each
+# submodule for __path__, through that submodule's __getattr__.
 _HOMES = {
-    **dict.fromkeys(("CycInt", "cyclotomic_polynomial"), ("cyclotomic", "exactnum")),
+    **dict.fromkeys(("CycInt", "cyclotomic_polynomial"), ("cyclotomic", ("exactnum",))),
     **dict.fromkeys(
-        """groups Composition CyclicGroup FiniteField GroupSpec all_words char_value comp
-        cyclic default_modulus enumerate_compositions enumerate_shell finite_field
-        index_word shell_size weight word_add word_char_exponent word_char_value
-        word_index word_neg word_sub""".split(),
-        ("groups", None),
+        """groups Composition CyclicGroup FiniteField GroupSpec cyclic default_modulus
+        enumerate_compositions finite_field index_word""".split(),
+        ("groups", ()),
     ),
     **dict.fromkeys(
-        ("gen_kraw", "gen_kraw_circulant", "zero_shell_predicate"), ("composition", "krawtchouk")
+        """all_words char_value comp enumerate_shell shell_size weight word_add
+        word_char_exponent word_char_value word_index word_neg word_sub""".split(),
+        ("oracles", ("groups",)),
     ),
     **dict.fromkeys(
-        ("CompositionGraphSpec", "composition_spectrum", "eigenvector_check"),
-        ("composition", "schemes"),
+        ("gen_kraw", "gen_kraw_circulant", "zero_shell_predicate"),
+        ("oracles", ("composition", "krawtchouk")),
     ),
-    **dict.fromkeys(("ProbeVerdict", "conjecture_probe"), ("composition", "bounds")),
+    "eigenvector_check": ("oracles", ("composition", "schemes")),
+    "projector_identity_check": ("oracles", ("schemes",)),
+    **dict.fromkeys(("CompositionGraphSpec", "composition_spectrum"), ("composition", ("schemes",))),
+    **dict.fromkeys(("ProbeVerdict", "conjecture_probe"), ("composition", ("bounds",))),
     **dict.fromkeys(
         """Representation build_representation hadamard_representation representation_seed
         verify_representation""".split(),
-        ("representation", "bounds"),
+        ("representation", ("bounds",)),
     ),
 }
 
@@ -45,8 +50,8 @@ def _resolve(module: str, name: str):
     # read from ``module``, imported from its home.  A submodule forwards only
     # the public names it held, not the caps and private helpers that moved
     # with them: a patch there would change nothing that the home reads.
-    home, old = _HOMES.get(name, (None, None))  # old None names no submodule
-    if home is None or module not in (__name__, f"{__name__}.{old}"):
+    home, olds = _HOMES.get(name, (None, ()))
+    if home is None or module not in (__name__, *(f"{__name__}.{old}" for old in olds)):
         raise AttributeError(f"module {module!r} has no attribute {name!r}")
     from importlib import import_module
 
@@ -84,7 +89,6 @@ from .schemes import (
     max_eigenvalue,
     min_eigenvalue,
     multiplicity_ratio,
-    projector_identity_check,
     trace_identity_check,
 )
 from .bounds import BoundReport, LPSolution, bound_report, check_lp_solution, lp_two_support

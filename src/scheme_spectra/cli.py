@@ -19,7 +19,9 @@ subcommands compile neither.  In the same way the composition scheme,
 ring, :mod:`.cyclotomic`, are imported only on the composition paths:
 ``spectrum`` and ``bounds`` with ``--family hamming``, ``table --theorem
 1.1|1.2`` and ``verify --suite projectors`` compile none of them, and
-``represent`` compiles the alphabets and the ring alone.
+``represent`` compiles the alphabets and the ring alone.  The independent
+routes, :mod:`.oracles`, are imported only by the ``projectors`` and
+``eigenvalues`` suites, which run them.
 
 The library never calls BLAS: its only matrix products are int64 ones,
 which numpy computes in its own loops.  So :func:`main` sets
@@ -56,7 +58,6 @@ from .schemes import (
     hamming_spectrum,
     hoffman_bound,
     min_eigenvalue,
-    projector_identity_check,
     trace_identity_check,
 )
 
@@ -266,6 +267,8 @@ def _check_composition_reciprocity(max_n: int) -> tuple[str, list[str]]:
 
 
 def _check_projectors(max_n: int) -> tuple[str, list[str]]:
+    from .oracles import projector_identity_check
+
     grids = [(n, q) for q in range(2, 82) for n in range(1, max_n + 1) if q**n <= 81]
     failures = [
         f"projector identities at n={n} q={q}"
@@ -343,13 +346,9 @@ def _check_least_eigenvalues(max_n: int) -> tuple[str, list[str]]:
 
 
 def _check_balanced_spectra(max_n: int) -> tuple[str, list[str]]:
-    from .composition import (
-        CompositionGraphSpec,
-        composition_spectrum,
-        gen_kraw_circulant,
-        zero_shell_predicate,
-    )
+    from .composition import CompositionGraphSpec, composition_spectrum
     from .groups import Composition, cyclic
+    from .oracles import gen_kraw_circulant, zero_shell_predicate
 
     failures = []
     for q in (2, 3, 4):
@@ -379,8 +378,9 @@ def _check_balanced_spectra(max_n: int) -> tuple[str, list[str]]:
 
 
 def _check_eigenvector_spots(max_n: int) -> tuple[str, list[str]]:
-    from .composition import CompositionGraphSpec, eigenvector_check
-    from .groups import Composition, all_words, cyclic
+    from .composition import CompositionGraphSpec
+    from .groups import Composition, cyclic
+    from .oracles import all_words, eigenvector_check
 
     spot = [
         (HammingGraphSpec(4, 2, 2), (1, 0, 0, 0)),

@@ -42,28 +42,28 @@ expansion of length q; its power runs over plain ints and keeps only the
 shells whose counts sum to 0 in the group, the only ones with a nonzero
 eigenvalue.
 
-Independent routes stay as oracles: direct character sums for the
-expansion, the expansion (which does not use D) for the balanced route,
-the circulant determinant of Z_q, a sum over permutations, for D itself,
-and the direct adjacency action for the eigenvalues.  That is what makes
-cross-checking possible.
+Independent routes stay as oracles: the expansion (which does not use D)
+for the balanced route, and in :mod:`.oracles`, loaded only when a check
+runs, direct character sums for the expansion, the circulant determinant
+of Z_q, a sum over permutations, for D itself, and the direct adjacency
+action for the eigenvalues.  That is what makes cross-checking possible.
 
 This module, with :mod:`.groups`, is loaded on first use: the package
 reads its public names on first access, and the older modules forward the
 ones they used to hold, as the package's ``_HOMES`` table lists them, so
-Hamming spectra, reports and LP certificates compile neither.
+Hamming spectra, reports and LP certificates compile neither.  The oracles
+that this module held resolve here in the same way.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import sys
 from array import array
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from ._record import Record
 from .bounds import BoundReport, _finish_report
@@ -75,8 +75,6 @@ from .errors import (
     NoNegativeEigenvalue,
     NonRealEigenvalue,
     SizeExceeded,
-    SpecMismatch,
-    UnsupportedSize,
 )
 from .exactnum import binom, multinom
 from .groups import (
@@ -86,16 +84,16 @@ from .groups import (
     _colex_walk,
     _prime_power,
     _shell_label,
-    comp as word_composition,
     cyclic,
-    enumerate_shell,
-    word_char_value,
 )
-from .krawtchouk import kraw
-from .schemes import HammingGraphSpec, Spectrum, SpectrumEntry, _extreme, _hoffman_value
+from .schemes import Spectrum, SpectrumEntry, _extreme, _hoffman_value
 
-#: Largest alphabet for which the circulant determinant is expanded exactly.
-CIRCULANT_MAX_Q = 7
+
+def __getattr__(name: str):
+    from . import _resolve
+
+    return _resolve(__name__, name)
+
 
 #: Work cap for the balanced route (:func:`_balanced_work`), in multiply-adds
 #: of plain-int coefficients.  Near the cap these take about 400-800 ns each
@@ -111,24 +109,13 @@ BALANCED_MAX_WORK = 25_000_000
 #: x86-64 host, one cold process each, over Z_2 (6 chunks), Z_3..Z_7, GF(4)
 #: and GF(8), so the cap stands for about 4-8 s.  Each successor table the
 #: expansion builds is charged too (see _check_expansion_work).  The default
-#: route of :func:`gen_kraw` expands the same product and is charged the
-#: same.
+#: route of :func:`.oracles.gen_kraw` expands the same product and is
+#: charged the same.
 COMPOSITION_MAX_WORK = 250_000_000
 
 
 # ---------------------------------------------------------------------------
 # composition Krawtchouk values
-
-
-def _character_sum(group: GroupSpec, x: Sequence[int], words: Iterable[Sequence[int]]) -> CycInt:
-    # The sum of phi_x(y) over the words y, streamed, counted per power of
-    # zeta from one row of exponents per letter of x: the oracles' brute sum.
-    m = group.char_order
-    rows = [[group.char_exponent(a, b) for b in group.elements()] for a in x]
-    counts = [0] * m
-    for y in words:
-        counts[sum(map(list.__getitem__, rows, y)) % m] += 1
-    return CycInt.from_root_powers(m, counts)
 
 
 #: _successors(q, t) for t = 0, 1, ... in turn, per alphabet size q: a list
@@ -469,146 +456,6 @@ def _balanced_shells(group: GroupSpec, n: int) -> list[tuple[tuple[int, ...], in
     return out
 
 
-def gen_kraw(
-    group: GroupSpec,
-    n: int,
-    i: Composition,
-    j: Composition,
-    method: str = "extraction",
-) -> int | CycInt:
-    """Composition Krawtchouk value K_i(j) over the given alphabet.
-
-    This is the eigenvalue, on the character shell of composition j, of
-    the graph whose edges shift a word by the composition-i sphere.
-    Equivalently: the sum of phi_x(y) over all y of composition i, for
-    any fixed x of composition j — independence from the choice of x is
-    one of the tested invariants.
-
-    ``method`` selects the route: "brute" walks the shell and sums
-    characters; "extraction" (default) reads the coefficient of z^i off
-    the product of linear forms for x = j, without touching the shell,
-    and checks that its count total is multinom(n, i).  It expands the
-    whole product, as a composition spectrum of the same (q, n) does, so
-    one value costs as much as that spectrum's expansion, and it is
-    refused as that spectrum is: SizeExceeded, before anything is
-    expanded, above :data:`COMPOSITION_MAX_WORK`.
-    The brute method has no cap.
-
-    The value is a plain int when it is rational, as for :func:`kraw`,
-    and a :class:`CycInt` otherwise.  BadLabel refuses a label that is
-    not a composition of n into q parts, whichever the method.
-    """
-    # a float n would pass the sum check, and the two routes then disagree
-    n = operator.index(n)
-    i, j = _shell_label(group, n, tuple(i)), _shell_label(group, n, tuple(j))
-    if method == "brute":
-        x = next(enumerate_shell(group, n, j))
-        value = _character_sum(group, x, enumerate_shell(group, n, i))
-    elif method == "extraction":
-        # the cap of a composition spectrum of this (q, n), charged before the
-        # same expansion
-        _check_expansion_work(group, n)
-        # the z^i coefficient at i's colex rank, checked as _read_out checks
-        # every shell, without _read_out's fold of all the others
-        labels, sizes = _colex_shells(group.order, n)
-        rank = labels.index(i)
-        poly, width = _expand(group, n, j)
-        m, mask = group.char_order, (1 << width) - 1
-        counts = [(poly[rank] >> s) & mask for s in range(0, m * width, width)]
-        if sum(counts) != sizes[rank]:
-            raise ArithmeticError(
-                f"coefficient of z^{i} has {sum(counts)} terms, "
-                f"expected multinom(n, i) = {sizes[rank]}"
-            )
-        value = CycInt.from_root_powers(m, counts)
-    else:
-        raise DomainError(f"unknown method {method!r}")
-    integer = value.as_integer()
-    return value if integer is None else integer
-
-
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        t = start
-        while not seen[t]:
-            seen[t] = True
-            t = perm[t]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _circulant_determinant(q: int) -> dict[tuple[int, ...], int]:
-    # det of the q x q circulant (z_(j-i mod q)) as a polynomial in
-    # z_0..z_(q-1); exponent vectors map to integer coefficients.
-    out: dict[tuple[int, ...], int] = {}
-    for perm in itertools.permutations(range(q)):
-        expo = [0] * q
-        for row, col in enumerate(perm):
-            expo[(col - row) % q] += 1
-        key = tuple(expo)
-        out[key] = out.get(key, 0) + _perm_sign(perm)
-    return {k: v for k, v in out.items() if v}
-
-
-def gen_kraw_circulant(q: int, n: int, r: Composition) -> int:
-    """Balanced composition Krawtchouk value over Z_q via the circulant route.
-
-    Computes K_(n/q,...,n/q)(r) by extracting the z^r coefficient of
-    det(C)^(n/q) for the circulant C of the z variables and rescaling by
-    the multinomial ratio.  det(C) is the group determinant of Z_q, which
-    the balanced spectrum route takes from the character-sum expansion;
-    here it is expanded as a sum over permutations instead, so this route
-    is the oracle for that determinant, independent of the character
-    sums.  The alphabet is capped because of the q! permutations.  After
-    the checks of q and q | n, BadLabel refuses an r that is not a
-    composition of n into q parts.
-    """
-    if q < 2:
-        raise DomainError(f"need q >= 2, got {q}")
-    if q > CIRCULANT_MAX_Q:
-        raise UnsupportedSize(
-            f"circulant determinant expansion is capped at q = {CIRCULANT_MAX_Q}, got q = {q}"
-        )
-    if n % q:
-        raise DivisibilityError(f"balanced generator needs q | n, got q={q}, n={n}")
-    target = _shell_label(cyclic(q), n, tuple(r))
-
-    det = _circulant_determinant(q)
-    states: dict[tuple[int, ...], int] = {(0,) * q: 1}
-    for _ in range(n // q):
-        nxt: dict[tuple[int, ...], int] = {}
-        for part, coeff in states.items():
-            for mono, c in det.items():
-                npart = tuple(a + b for a, b in zip(part, mono))
-                if any(a > t for a, t in zip(npart, target)):
-                    continue
-                nxt[npart] = nxt.get(npart, 0) + coeff * c
-        states = {k: v for k, v in nxt.items() if v}
-    extracted = states.get(target, 0)
-    scale_num = multinom(n, Composition.balanced(q, n))
-    scale_den = multinom(n, target)
-    value = extracted * scale_num
-    if value % scale_den:
-        raise ArithmeticError(
-            f"reciprocity scaling is not integral for q={q}, n={n}, r={target}"
-        )
-    return value // scale_den
-
-
-def zero_shell_predicate(q: int, r: Composition | tuple) -> bool:
-    """True when sum_g g*r_g is nonzero mod q, forcing a zero balanced value;
-    BadLabel unless r has one nonnegative count per element of Z_q."""
-    counts = _shell_label(cyclic(q), None, tuple(r))
-    return sum(g * c for g, c in enumerate(counts)) % q != 0
-
-
 # ---------------------------------------------------------------------------
 # composition graphs and their spectra
 
@@ -681,7 +528,7 @@ def composition_spectrum(spec: CompositionGraphSpec) -> Spectrum:
     same coefficient, and so the same checked size, reuses that
     eigenvalue.  The entries pair that column with the sizes and labels
     of (q, n), built once and shared by every spectrum of that shape.
-    Per-shell values from :func:`gen_kraw` are the oracle for it: the
+    Per-shell values from :func:`.oracles.gen_kraw` are the oracle for it: the
     brute method for the whole route, the default method, which reads
     the same expansion, for the read-out.
 
@@ -888,59 +735,3 @@ def conjecture_probe(q: int, n: int) -> ProbeVerdict:
         pattern=pattern,
         achieving=achieving,
     )
-
-
-# ---------------------------------------------------------------------------
-# independent oracles
-
-
-def eigenvector_check(
-    spec: HammingGraphSpec | CompositionGraphSpec,
-    x: Sequence[int],
-    sample: Iterable[Sequence[int]],
-) -> bool:
-    """Verify the character of x is an eigenvector by direct adjacency action.
-
-    For every sampled vertex y this sums phi_x over the actual neighbors
-    y + s of y, s streamed from its shell, and compares, exactly in the
-    cyclotomic ring, against lambda_x * phi_x(y), lambda_x from Krawtchouk.
-    The two sides come from unrelated code paths on purpose.  A word of
-    the wrong length or a non-letter in x or y raises SpecMismatch.
-    """
-    if isinstance(spec, HammingGraphSpec):
-        group = cyclic(spec.q)
-        shell_label: int | Composition = spec.d
-        lam: int | CycInt = kraw(spec.n, spec.q, spec.d, sum(1 for g in x if g))
-    else:
-        group = spec.group
-        shell_label = spec.dcomp
-        lam = gen_kraw(group, spec.n, spec.dcomp, word_composition(group, x))
-    x = tuple(x)
-    for y in sample:
-        y = tuple(y)
-        neighbours = _translates(group, y, spec.n, enumerate_shell(group, spec.n, shell_label))
-        if _character_sum(group, x, neighbours) != word_char_value(group, x, y) * lam:
-            return False
-    # the first y reads x as a word and raises for a wrong length or a
-    # non-letter; with no y, x is checked here, as word_add would check it
-    if len(x) != spec.n:
-        raise SpecMismatch(f"word lengths differ: {len(x)} vs {spec.n}")
-    for g in x:
-        group._check_element(g)
-    return True
-
-
-def _translates(
-    group: GroupSpec, y: tuple[int, ...], n: int, words: Iterable[tuple[int, ...]]
-) -> Iterator[tuple[int, ...]]:
-    # The words y + s, streamed, for the words s of length n of letters that
-    # enumerate_shell yields, which are not checked again.  y is read in one
-    # pass, into one row of sums y_i + g per letter, g over the alphabet, by
-    # group.add, which checks y_i: n q additions for y in place of n per
-    # word s.  As a generator this raises, for a wrong length or a non-letter
-    # in y, where word_add did, at the first word and with its messages.
-    if len(y) != n:
-        raise SpecMismatch(f"word lengths differ: {len(y)} vs {n}")
-    rows = [[group.add(a, g) for g in group.elements()] for a in y]
-    for s in words:
-        yield tuple(map(list.__getitem__, rows, s))

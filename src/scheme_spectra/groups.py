@@ -9,6 +9,12 @@ integers of order m = q (cyclic case) or of the characteristic m = p (field
 case).  Indices add as base-m numerals, digit by digit mod m, by the one
 digit routine that GroupSpec holds for both families; each family adds
 only its character pairing and its multiplication.
+
+The word layer (arithmetic and characters of whole words, and the shells
+streamed one word at a time) serves only the independent routes, the
+``verify`` suites and callers, so it lives in :mod:`.oracles`, loaded on
+first use.  The names of it that this module held still resolve here, read
+from there on first access as the package's ``_HOMES`` table lists them.
 """
 
 from __future__ import annotations
@@ -19,8 +25,13 @@ from functools import cached_property, reduce
 from typing import Iterator, Sequence
 
 from ._record import Record
-from .cyclotomic import CycInt
 from .errors import BadLabel, DivisibilityError, DomainError, RangeError, SpecMismatch
+
+
+def __getattr__(name: str):
+    from . import _resolve
+
+    return _resolve(__name__, name)
 
 
 class Composition(Record):
@@ -350,42 +361,7 @@ def finite_field(q: int, modulus: Sequence[int] | None = None) -> FiniteField:
 
 
 # ---------------------------------------------------------------------------
-# words
-
-
-def weight(word: Sequence[int]) -> int:
-    """Number of nonzero coordinates."""
-    return sum(1 for g in word if g)
-
-
-def comp(group: GroupSpec, word: Sequence[int]) -> Composition:
-    """The composition of a word: per-element occurrence counts."""
-    counts = [0] * group.order
-    for g in word:
-        counts[group._check_element(g)] += 1
-    return Composition(tuple(counts))
-
-
-def word_add(group: GroupSpec, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
-    if len(x) != len(y):
-        raise SpecMismatch(f"word lengths differ: {len(x)} vs {len(y)}")
-    return tuple(group.add(a, b) for a, b in zip(x, y))
-
-
-def word_neg(group: GroupSpec, x: Sequence[int]) -> tuple[int, ...]:
-    return tuple(group.neg(a) for a in x)
-
-
-def word_sub(group: GroupSpec, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
-    return word_add(group, x, word_neg(group, y))
-
-
-def word_index(group: GroupSpec, word: Sequence[int]) -> int:
-    """Canonical row index: the base-q value of the word, first digit high."""
-    out = 0
-    for g in map(operator.index, word):
-        out = out * group.order + group._check_element(g)
-    return out
+# words and shell labels
 
 
 def index_word(group: GroupSpec, index: int, n: int) -> tuple[int, ...]:
@@ -401,81 +377,6 @@ def index_word(group: GroupSpec, index: int, n: int) -> tuple[int, ...]:
     if index < 0 or rest:
         raise RangeError(f"index {index} is outside 0..q**n - 1 for q={group.order}, n={n}")
     return tuple(reversed(digits))
-
-
-def all_words(group: GroupSpec, n: int) -> Iterator[tuple[int, ...]]:
-    """Every word of length n in canonical (base-q ascending) order."""
-    return itertools.product(group.elements(), repeat=n)
-
-
-# ---------------------------------------------------------------------------
-# characters
-
-
-def char_value(group: GroupSpec, g: int, h: int) -> CycInt:
-    """The additive character of ``g`` evaluated at ``h``.
-
-    For Z_q this is zeta_q^(g*h); for GF(p^k) it is zeta_p^Tr(g*h).  The
-    value is symmetric in its two arguments and multiplicative in each.
-    """
-    return CycInt.root_of_unity(group.char_order, group.char_exponent(g, h))
-
-
-def word_char_exponent(group: GroupSpec, x: Sequence[int], y: Sequence[int]) -> int:
-    """Exponent e with  phi_x(y) = zeta^e  for words x, y of equal length."""
-    if len(x) != len(y):
-        raise SpecMismatch(f"word lengths differ: {len(x)} vs {len(y)}")
-    e = 0
-    for a, b in zip(x, y):
-        e += group.char_exponent(a, b)
-    return e % group.char_order
-
-
-def word_char_value(group: GroupSpec, x: Sequence[int], y: Sequence[int]) -> CycInt:
-    return CycInt.root_of_unity(group.char_order, word_char_exponent(group, x, y))
-
-
-# ---------------------------------------------------------------------------
-# shells and compositions
-
-
-def _weight_words(q: int, n: int, w: int) -> Iterator[tuple[int, ...]]:
-    # From the least word, n - w zeros then w ones, to the next: raise the last
-    # letter i below q - 1 with a nonzero letter at or after it, and refill the
-    # tail zeros first, one 1 per letter q - 1 it held, less one if i left 0.
-    top = q - 1
-    word = [0] * (n - w) + [1] * w
-    last = n - 1 if w else -1  # the last nonzero letter
-    while True:
-        yield tuple(word)
-        i = last
-        while i >= 0 and word[i] == top:
-            i -= 1
-        if i < 0:
-            return
-        ones = last - i - (not word[i])
-        word[i] += 1
-        word[i + 1 :] = [0] * (n - 1 - i - ones) + [1] * ones
-        last = n - 1 if ones else i
-
-
-def _comp_words(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    # From the least word, letter g counts[g] times in ascending order, to the
-    # next multiset permutation (Knuth, TAOCP 7.2.1.2, Algorithm L): swap the last
-    # ascent's left letter with the last letter above it, reverse the tail after it.
-    word = [g for g, c in enumerate(counts) for _ in range(c)]
-    while True:
-        yield tuple(word)
-        j = len(word) - 2
-        while j >= 0 and word[j] >= word[j + 1]:
-            j -= 1
-        if j < 0:
-            return
-        k = len(word) - 1
-        while word[j] >= word[k]:
-            k -= 1
-        word[j], word[k] = word[k], word[j]
-        word[j + 1 :] = word[:j:-1]
 
 
 def _shell_label(group: GroupSpec, n: int | None, label: object) -> int | tuple[int, ...]:
@@ -498,22 +399,6 @@ def _shell_label(group: GroupSpec, n: int | None, label: object) -> int | tuple[
     if n is not None and sum(counts) != n:
         raise BadLabel(f"composition {counts} sums to {sum(counts)}, expected {n}")
     return counts
-
-
-def enumerate_shell(
-    group: GroupSpec, n: int, label: int | Composition | Sequence[int]
-) -> Iterator[tuple[int, ...]]:
-    """Stream the words of a weight or composition shell in canonical order.
-
-    An integer label selects the Hamming sphere of that weight; a
-    composition label selects the words with exactly those occurrence
-    counts; :func:`shell_size` accepts the same labels.  The words stream in
-    ascending base-q order, each the successor of the last, never all held.
-    """
-    label = _shell_label(group, n, label)
-    if isinstance(label, int):
-        return _weight_words(group.order, operator.index(n), label)
-    return _comp_words(label)
 
 
 def _colex_walk(q: int, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -550,13 +435,3 @@ def enumerate_compositions(q: int, n: int) -> Iterator[Composition]:
     # every part is a plain nonnegative int but the one of q = 1, n itself
     wrap = Composition if q == 1 else Composition._trusted
     return (wrap(counts) for counts, _ in _colex_walk(q, n))
-
-
-def shell_size(group: GroupSpec, n: int, label: int | Composition | Sequence[int]) -> int:
-    """Cardinality of a shell by counting formulas, for the labels of :func:`enumerate_shell`."""
-    from .exactnum import binom, multinom
-
-    label = _shell_label(group, n, label)
-    if isinstance(label, int):
-        return (group.order - 1) ** label * binom(n, label)
-    return multinom(n, label)

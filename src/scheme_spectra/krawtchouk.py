@@ -7,10 +7,11 @@ division checked; the closed-form classical sum stays as its independent
 oracle.
 
 The composition refinement, which replaces weights by full
-occurrence-count vectors, is :mod:`.composition`, loaded on first use.
-The public values of it that this module held still resolve here, read
-from there on first access as the package's ``_HOMES`` table lists them,
-so that importing this module compiles neither it nor :mod:`.groups`.
+occurrence-count vectors, is :mod:`.composition`, and its per-value
+routes are :mod:`.oracles`, each loaded on first use.  The public values
+that this module held still resolve here, read from their home on first
+access as the package's ``_HOMES`` table lists them, so that importing
+this module compiles none of those modules nor :mod:`.groups`.
 """
 
 from __future__ import annotations

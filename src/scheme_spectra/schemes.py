@@ -5,12 +5,13 @@ A Hamming graph joins words differing in exactly d coordinates.  It is a
 Cayley graph of the additive group, so every weight shell of characters
 contributes one eigenvalue, computed here from the Krawtchouk recurrence —
 the dense adjacency matrix is never formed except inside the deliberately
-independent projector check at the bottom of this module.
+independent projector check of :mod:`.oracles`.
 
 Its composition refinement, which joins x to y when y - x has a prescribed
-occurrence-count vector, is :mod:`.composition`, loaded on first use; the
-public names of it that this module held still resolve here, read from
-there on first access as the package's ``_HOMES`` table lists them.
+occurrence-count vector, is :mod:`.composition`, and the independent
+routes are :mod:`.oracles`, each loaded on first use; the public names of
+them that this module held still resolve here, read from there on first
+access as the package's ``_HOMES`` table lists them.
 
 The cyclotomic ring, :mod:`.cyclotomic`, is not imported here either.  The
 type tests that tell a ``CycInt`` from an int read the class from the loaded
@@ -35,10 +36,9 @@ from .errors import (
     NonRealEigenvalue,
     OrderMismatch,
     RangeError,
-    SizeExceeded,
 )
 from .exactnum import binom
-from .krawtchouk import _shell_sizes, kraw
+from .krawtchouk import _shell_sizes, kraw  # kraw: no longer called here, still importable
 
 if TYPE_CHECKING:
     from .composition import CompositionGraphSpec
@@ -58,10 +58,6 @@ def _cyclotomic_type() -> type | tuple:
     # so a type test reads the same without loading it
     module = sys.modules.get(__package__ + ".cyclotomic")
     return () if module is None else module.CycInt
-
-
-#: Vertex-count cap for the dense projector check.
-PROJECTOR_MAX_VERTICES = 81
 
 
 class HammingGraphSpec(Record):
@@ -340,44 +336,3 @@ def multiplicity_ratio(q: int, n: int) -> Fraction:
     num = (q - 1) ** 3 * binom(n, 3) * (q - 1) ** d * binom(n, d)
     den = q**n * (q - 1) ** 2 * (n - 1) ** 2
     return Fraction(num, den)
-
-
-# ---------------------------------------------------------------------------
-# independent oracles
-
-
-def projector_identity_check(n: int, q: int) -> bool:
-    """Dense check that the Krawtchouk projectors resolve the identity.
-
-    Builds E_j with entries K_j(Hamming weight of x - y) / q^n for every
-    shell j and verifies sum_j E_j = I and E_j E_l = [j = l] E_j, using
-    integer matrices scaled by q^n so every comparison is exact.  The
-    products must stay int64: numpy computes integer products in its own
-    loops, while a float product would call BLAS (whose thread pool the CLI
-    does not start) and give up exactness.  Raises DomainError unless
-    n >= 1 and q >= 2, and SizeExceeded above the vertex cap.
-    """
-    import numpy as np
-
-    n, q = operator.index(n), operator.index(q)  # numpy ints would wrap q**n under the cap
-    if n < 1 or q < 2:
-        raise DomainError(f"need n >= 1 and q >= 2, got n={n}, q={q}")
-    if q**n > PROJECTOR_MAX_VERTICES:
-        raise SizeExceeded(
-            f"dense projector check is capped at q^n <= {PROJECTOR_MAX_VERTICES}, "
-            f"got {q**n}"
-        )
-    size = q**n
-    w = sum(d[:, None] != d[None, :] for d in np.unravel_index(np.arange(size), (q,) * n))
-    ktab = np.array([[kraw(n, q, j, i) for i in range(n + 1)] for j in range(n + 1)], dtype=np.int64)
-    scaled = [ktab[j][w] for j in range(n + 1)]
-    ident = size * np.eye(size, dtype=np.int64)
-    if not np.array_equal(sum(scaled), ident):
-        return False
-    for j in range(n + 1):
-        for l in range(j, n + 1):
-            prod = scaled[j] @ scaled[l]
-            expect = size * scaled[j] if j == l else np.zeros_like(prod)
-            if not np.array_equal(prod, expect):
-                return False
-    return True

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from scheme_spectra import BoundReport, CycInt, NotOrthogonal, Spectrum, SpectrumEntry
-from scheme_spectra import cli, composition, representation
+from scheme_spectra import cli, composition, oracles, representation
 
 
 def run(capsys, *argv):
@@ -307,7 +307,7 @@ def test_verify_reciprocity_computes_each_value_once(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "kraw", counting_kraw)
     monkeypatch.setattr(composition, "_read_out", counting_read_out)
-    monkeypatch.setattr(composition, "gen_kraw", forbidden)
+    monkeypatch.setattr(oracles, "gen_kraw", forbidden)
     assert run(capsys, "verify", "--suite", "reciprocity", "--max-n", "5")[0] == 0
     assert classical == {(q, n): (n + 1) ** 2 for q in (2, 3, 4, 5) for n in range(1, 6)}
     assert columns == {(q, n): comb(n + q - 1, q - 1) for q in (2, 3) for n in range(1, 6)}
@@ -790,23 +790,27 @@ word_char_exponent word_char_value word_index word_neg word_sub zero_shell_predi
 Representation build_representation hadamard_representation representation_seed
 verify_representation
 """.split()
-# name -> (the module that defines it, the module that held it before and
-# still forwards it, or None)
+# name -> (the module that defines it, the modules that held it before and
+# still forward it)
 _HOMES = {
-    **dict.fromkeys(("CycInt", "cyclotomic_polynomial"), ("cyclotomic", "exactnum")),
+    **dict.fromkeys(("CycInt", "cyclotomic_polynomial"), ("cyclotomic", ("exactnum",))),
     **dict.fromkeys(
-        """Composition CyclicGroup FiniteField GroupSpec all_words char_value comp cyclic
-        default_modulus enumerate_compositions enumerate_shell finite_field index_word
-        shell_size weight word_add word_char_exponent word_char_value word_index word_neg
-        word_sub""".split(),
-        ("groups", None),
+        """Composition CyclicGroup FiniteField GroupSpec cyclic default_modulus
+        enumerate_compositions finite_field index_word""".split(),
+        ("groups", ()),
+    ),
+    **dict.fromkeys(
+        """all_words char_value comp enumerate_shell shell_size weight word_add
+        word_char_exponent word_char_value word_index word_neg word_sub""".split(),
+        ("oracles", ("groups",)),
     ),
     **dict.fromkeys(("gen_kraw", "gen_kraw_circulant", "zero_shell_predicate"),
-                    ("composition", "krawtchouk")),
-    **dict.fromkeys(("CompositionGraphSpec", "composition_spectrum", "eigenvector_check"),
-                    ("composition", "schemes")),
-    **dict.fromkeys(("ProbeVerdict", "conjecture_probe"), ("composition", "bounds")),
-    **dict.fromkeys(_EXPORTED[-5:], ("representation", "bounds")),
+                    ("oracles", ("composition", "krawtchouk"))),
+    "eigenvector_check": ("oracles", ("composition", "schemes")),
+    "projector_identity_check": ("oracles", ("schemes",)),
+    **dict.fromkeys(("CompositionGraphSpec", "composition_spectrum"), ("composition", ("schemes",))),
+    **dict.fromkeys(("ProbeVerdict", "conjecture_probe"), ("composition", ("bounds",))),
+    **dict.fromkeys(_EXPORTED[-5:], ("representation", ("bounds",))),
 }
 _MOVED = [name for name in _EXPORTED if name in _HOMES]
 # moved caps and private helpers, which no old module forwards: a patch there
@@ -852,9 +856,9 @@ for name in names:
 out["loaded"] = [layer for layer in layers if layer in sys.modules]
 module = lambda name: importlib.import_module("scheme_spectra." + name)
 out["shared"] = [
-    name for name, (home, old) in homes.items()
+    name for name, (home, olds) in homes.items()
     if getattr(ss, name) is getattr(module(home), name)
-    and (old is None or getattr(module(old), name) is getattr(ss, name))
+    and all(getattr(module(old), name) is getattr(ss, name) for old in olds)
 ]
 out["stored_after"] = [name for name in homes if name in vars(ss)]
 out["groups_module"] = ss.groups is sys.modules["scheme_spectra.groups"]
@@ -911,7 +915,7 @@ print(json.dumps({"raised": raised, "probes": probes, "loaded": loaded}))
 
 def test_an_old_module_refuses_the_moved_names_it_never_held():
     asked = [
-        (old, name) for old in _OLD_MODULES for name in _MOVED if _HOMES[name][1] != old
+        (old, name) for old in _OLD_MODULES for name in _MOVED if old not in _HOMES[name][1]
     ]
     proc = fresh_python("-c", _NOT_HELD, json.dumps(asked), json.dumps(_OLD_MODULES))
     assert (proc.returncode, proc.stderr) == (0, "")
@@ -934,21 +938,123 @@ import sys
 exec(f"from scheme_spectra.{sys.argv[1]} import {sys.argv[2]} as value")
 import scheme_spectra as ss
 assert value is getattr(ss, sys.argv[2])
-layers = ("composition", "cyclotomic", "groups", "representation")
+layers = ("composition", "cyclotomic", "groups", "oracles", "representation")
 print(",".join(name for name in layers if "scheme_spectra." + name in sys.modules))
 """
 
 
 @pytest.mark.parametrize("old, name, loads", [
     ("exactnum", "CycInt", "cyclotomic"),
-    ("krawtchouk", "gen_kraw", "composition,cyclotomic,groups"),
+    # the oracles import the alphabets and the composition scheme when a
+    # route runs, not when they load
+    ("krawtchouk", "gen_kraw", "oracles"),
     ("schemes", "composition_spectrum", "composition,cyclotomic,groups"),
     ("bounds", "verify_representation", "cyclotomic,groups,representation"),
+    ("composition", "gen_kraw_circulant", "composition,cyclotomic,groups,oracles"),
+    ("schemes", "projector_identity_check", "oracles"),
+    ("groups", "enumerate_shell", "groups,oracles"),
 ])
 def test_a_forwarded_name_imports_from_its_old_module_alone(old, name, loads):
-    assert _HOMES[name][1] == old
+    assert old in _HOMES[name][1]
     proc = fresh_python("-c", _FROM_OLD, old, name)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", loads + "\n")
+
+
+# The independent routes and the word layer, scheme_spectra.oracles, are
+# compiled only by the suites that run them: which cases of _DEFERRED_CASES
+# load it, and the representation suite besides.
+_FRESH_ORACLES = _FRESH_MAIN.replace('{"numpy", "mpmath"}', '{"scheme_spectra.oracles"}')
+
+_ORACLES_LOADED = {
+    "verify-eigenvalues": "scheme_spectra.oracles",
+    "verify-projectors": "scheme_spectra.oracles",
+}
+
+
+@pytest.mark.parametrize("argv, loads", [
+    *(pytest.param(case.values[0], _ORACLES_LOADED.get(case.id, ""), id=case.id)
+      for case in _DEFERRED_CASES),
+    pytest.param(("verify", "--suite", "representations", "--max-n", "2"), "",
+                 id="verify-representations"),
+])
+def test_only_the_checks_compile_the_oracles(argv, loads, tmp_path):
+    proc = fresh_python("-c", _FRESH_ORACLES, *argv, cwd=tmp_path)
+    assert proc.stderr.splitlines()[-1] == loads
+
+
+# composition spectra, reports and probes and both kinds of representation,
+# built and verified, and then one gen_kraw call: whether the oracles were
+# loaded after each half
+_LIBRARY_ORACLES = """
+import sys
+import scheme_spectra as ss
+ss.bound_report(ss.CompositionGraphSpec(ss.cyclic(3), 6, (2, 2, 2)))
+ss.bound_report(ss.CompositionGraphSpec(ss.finite_field(4), 4, (1, 1, 1, 1)))
+ss.composition_spectrum(ss.CompositionGraphSpec(ss.cyclic(3), 6, (3, 2, 1))).to_json()
+ss.conjecture_probe(3, 6)
+ss.verify_representation(ss.build_representation(ss.lp_two_support(4, 2, 2), ss.cyclic(2)),
+                         ss.HammingGraphSpec(4, 2, 2))
+ss.verify_representation(ss.hadamard_representation(ss.cyclic(2), 4),
+                         ss.CompositionGraphSpec(ss.cyclic(2), 4, (2, 2)))
+print("scheme_spectra.oracles" in sys.modules)
+ss.gen_kraw(ss.cyclic(3), 3, (1, 1, 1), (2, 1, 0))
+print("scheme_spectra.oracles" in sys.modules)
+"""
+
+
+def test_a_check_loads_the_oracles_and_nothing_else_does():
+    proc = fresh_python("-c", _LIBRARY_ORACLES)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False\nTrue\n")
+
+
+# the two modules that now forward oracles, asked for the moved public names
+# that they never held (the alphabets for every name from elsewhere, the
+# composition scheme for the oracles' and the representation layer's, as it
+# imports the alphabets' and the ring's), and each module that held a route
+# or a word helper asked for the caps and private helpers that moved with
+# it: what each raised, and whether that loaded the oracles
+_CAPS_LEFT_BEHIND = [
+    ("composition", name) for name in (
+        "CIRCULANT_MAX_Q", "_character_sum", "_perm_sign", "_circulant_determinant",
+        "_translates",
+    )
+] + [
+    ("krawtchouk", "_perm_sign"), ("schemes", "PROJECTOR_MAX_VERTICES"),
+    ("groups", "_weight_words"), ("groups", "_comp_words"), ("groups", "CIRCULANT_MAX_Q"),
+]
+
+_REFUSED = """
+import importlib, json, sys
+import scheme_spectra
+raised = []
+for old, name in json.loads(sys.argv[1]):
+    try:
+        getattr(importlib.import_module("scheme_spectra." + old), name)
+    except AttributeError as exc:
+        raised.append(str(exc))
+print(json.dumps({"raised": raised, "oracles": "scheme_spectra.oracles" in sys.modules}))
+"""
+
+
+def test_caps_and_names_never_held_are_refused_by_the_module_asked():
+    asked = [
+        ("composition", name) for name in _MOVED
+        if _HOMES[name][0] in ("oracles", "representation") and "composition" not in _HOMES[name][1]
+    ] + [
+        ("groups", name) for name in _MOVED
+        if _HOMES[name][0] != "groups" and "groups" not in _HOMES[name][1]
+    ] + _CAPS_LEFT_BEHIND
+    for old, name in [("groups", "gen_kraw"), ("composition", "weight"),
+                      ("composition", "projector_identity_check"),
+                      ("groups", "eigenvector_check"), ("groups", "CycInt")]:
+        assert (old, name) in asked
+    proc = fresh_python("-c", _REFUSED, json.dumps(asked))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {
+        "raised": [f"module 'scheme_spectra.{old}' has no attribute {name!r}"
+                   for old, name in asked],
+        "oracles": False,
+    }
 
 
 # Irrational eigenvalues are ordered without mpmath: with the package made

@@ -664,6 +664,8 @@ def test_shell_label_validation():
         (lambda: default_modulus(2, 0), DomainError, "field extension degree must be >= 1, got 0"),
         (lambda: default_modulus(2, -1), DomainError,
          "field extension degree must be >= 1, got -1"),
+        # itertools' ValueError "repeat argument cannot be negative"
+        (lambda: all_words(cyclic(2), -1), DomainError, "word length must be >= 0, got n=-1"),
     ],
     ids=[
         "word_add", "word_char_exponent", "shell-negative-count", "shell-wrong-sum",
@@ -673,7 +675,7 @@ def test_shell_label_validation():
         "field-mul-negative", "field-mul-past-q", "cyclic-mul-past-q",
         "field-char_exponent-negative", "cyclic-char_exponent-past-q", "field-char_value-g-first",
         "field-trace-past-q", "default_modulus-p-4", "default_modulus-p-6",
-        "default_modulus-k-0", "default_modulus-k-negative",
+        "default_modulus-k-0", "default_modulus-k-negative", "all_words-negative-length",
     ],
 )
 def test_refusals_of_outside_input(call, error, message):

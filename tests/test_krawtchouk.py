@@ -42,13 +42,8 @@ from scheme_spectra import (
     zero_shell_predicate,
 )
 from scheme_spectra import composition, finite_field, krawtchouk
-from scheme_spectra.composition import (
-    CIRCULANT_MAX_Q,
-    _balanced_shells,
-    _circulant_determinant,
-    _group_determinant,
-    _read_out,
-)
+from scheme_spectra.composition import _balanced_shells, _group_determinant, _read_out
+from scheme_spectra.oracles import CIRCULANT_MAX_Q, _circulant_determinant
 
 # ---------------------------------------------------------------------------
 # oracles

@@ -1079,12 +1079,17 @@ def test_eigenvector_action_adds_the_shell_words_unchecked(monkeypatch):
         (HammingGraphSpec(2, 2, 1), (0,), SpecMismatch, "word lengths differ: 1 vs 2"),
         (HammingGraphSpec(2, 2, 1), (0, 5), SpecMismatch,
          "5 is not an element index of CyclicGroup(q=2)"),
-        # the eigenvalue comes first, and refuses as it did
-        (HammingGraphSpec(2, 2, 1), (0, 1, 1, 1), RangeError, "indices i=1, j=3 outside 0..2"),
-        (CompositionGraphSpec(cyclic(3), 3, Composition((1, 1, 1))), (0, 1), BadLabel,
-         "composition (1, 1, 0) sums to 2, expected 3"),
+        # x is read before the eigenvalue, for either family: a long Hamming
+        # x raised RangeError "indices i=1, j=3 outside 0..2", a short
+        # composition x BadLabel "composition (1, 1, 0) sums to 2, expected 3"
+        (HammingGraphSpec(2, 2, 1), (0, 1, 1, 1), SpecMismatch, "word lengths differ: 4 vs 2"),
+        (CompositionGraphSpec(cyclic(3), 3, Composition((1, 1, 1))), (0, 1), SpecMismatch,
+         "word lengths differ: 2 vs 3"),
+        (CompositionGraphSpec(cyclic(3), 3, Composition((1, 1, 1))), (0, 1, 3), SpecMismatch,
+         "3 is not an element index of CyclicGroup(q=3)"),
     ],
-    ids=["hamming-short", "hamming-non-letter", "hamming-long", "composition-short"],
+    ids=["hamming-short", "hamming-non-letter", "hamming-long", "composition-short",
+         "composition-non-letter"],
 )
 def test_eigenvector_action_checks_x_with_no_sample(spec, x, error, message):
     with pytest.raises(error) as raised:
