@@ -21,14 +21,8 @@ ring, :mod:`.cyclotomic`, are imported only on the composition paths:
 1.1|1.2`` and ``verify --suite projectors`` compile none of them, and
 ``represent`` compiles the alphabets and the ring alone.  The independent
 routes, :mod:`.oracles`, are imported only by the ``projectors`` and
-``eigenvalues`` suites, which run them.
-
-The library never calls BLAS: its only matrix products are int64 ones,
-which numpy computes in its own loops.  So :func:`main` sets
-``OPENBLAS_NUM_THREADS=1`` when it is unset and numpy is not yet loaded,
-and numpy's OpenBLAS then starts no thread pool of one idle thread per
-core.  Starting it took about 70 of the 150-160 ms that importing numpy
-took on a 2-core x86-64 host.  Importing the library sets nothing.
+``eigenvalues`` suites, which run them.  numpy loads as the library
+loads it, through :func:`~scheme_spectra._numpy.load_numpy`.
 """
 
 from __future__ import annotations
@@ -547,18 +541,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one subcommand and return its exit code.
 
-    Before numpy loads, an unset ``OPENBLAS_NUM_THREADS`` is set to 1: no
-    product the library makes goes through BLAS, so a pool would only cost
-    start-up time.  A user's own setting is kept, and once numpy is loaded
-    its pool exists already, so the environment is then left as it is.
-
     Exact values print in full: once the flags are parsed, Python's limit on
     int <-> str conversions (4300 digits by default) is lifted, and it is
     restored on return.  Flag parsing keeps the limit, so a flag with a
     longer number still exits 2.  A stdout closed early (``| head``) ends the
     run quietly with 141, as a process killed by SIGPIPE would."""
-    if "numpy" not in sys.modules:
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     # the limit found here still applies to the numbers in flag text

@@ -32,6 +32,7 @@ import itertools
 import operator
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
+from ._numpy import load_numpy
 from .errors import DivisibilityError, DomainError, SizeExceeded, SpecMismatch, UnsupportedSize
 from .exactnum import binom, multinom
 from .krawtchouk import kraw
@@ -436,11 +437,12 @@ def projector_identity_check(n: int, q: int) -> bool:
     shell j and verifies sum_j E_j = I and E_j E_l = [j = l] E_j, using
     integer matrices scaled by q^n so every comparison is exact.  The
     products must stay int64: numpy computes integer products in its own
-    loops, while a float product would call BLAS (whose thread pool the CLI
-    does not start) and give up exactness.  Raises DomainError unless
+    loops, while a float product would call BLAS (whose thread pool
+    :func:`~scheme_spectra._numpy.load_numpy` does not start) and give up
+    exactness.  Raises DomainError unless
     n >= 1 and q >= 2, and SizeExceeded above the vertex cap.
     """
-    import numpy as np
+    np = load_numpy()
 
     n, q = operator.index(n), operator.index(q)  # numpy ints would wrap q**n under the cap
     if n < 1 or q < 2:

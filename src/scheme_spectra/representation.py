@@ -8,9 +8,11 @@ representations here are character matrices: an LP certificate of
 or the coordinatewise character gives the Hadamard representation.
 Entries are stored by their exponents as roots of unity, so every entry
 has modulus one by construction, and orthogonality is checked exactly in
-the cyclotomic ring.  Every function here that needs numpy imports it
-when called, and the package loads this module only on the first use of
-one of its names.
+the cyclotomic ring.  Every function here that needs numpy loads it when
+called, through :func:`~scheme_spectra._numpy.load_numpy`, which keeps
+numpy's OpenBLAS from starting a thread pool that no product here would
+use; so ``represent --sample 0`` refuses before numpy loads.  The package
+loads this module only on the first use of one of its names.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ import itertools
 import operator
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Sequence
 
+from ._numpy import load_numpy
 from .bounds import LPSolution, check_lp_solution
-from .cyclotomic import CycInt, _reduction_rows
+from .cyclotomic import CycInt, _fold_table, _reduction_rows
 from .errors import (
     DivisibilityError,
     DomainError,
@@ -59,7 +62,7 @@ _CHUNK_ENTRIES = 256
 def _exponent_dtype(m: int) -> np.dtype:
     """The narrowest unsigned dtype that holds 2m - 2, the largest sum of two
     exponents reduced mod m: uint8 for m <= 128."""
-    import numpy as np
+    np = load_numpy()
 
     return np.min_scalar_type(2 * m - 2)
 
@@ -75,7 +78,7 @@ def _cell_runs(m: int, length: int, newline: bool) -> np.ndarray:
     """Object array of the text of every run of ``length`` CSV cells
     ``,<term of zeta^e>`` for root order m, indexed by the run's exponents
     read as a base-m number, each ending in a newline if ``newline``."""
-    import numpy as np
+    np = load_numpy()
 
     cells = [f",{CycInt.root_of_unity(m, e).to_term_string()}" for e in range(m)]
     end = "\n" if newline else ""
@@ -88,7 +91,7 @@ def _cell_runs(m: int, length: int, newline: bool) -> np.ndarray:
 def _limbs() -> np.ndarray:
     """Object array of the 3-digit limbs of CSV vertex numbers: 0..999
     without leading zeros, then zero-padded."""
-    import numpy as np
+    np = load_numpy()
 
     limbs = np.empty(2000, dtype=object)
     limbs[:] = [str(i) for i in range(1000)] + [f"{i:03}" for i in range(1000)]
@@ -112,7 +115,7 @@ def _additive_matrix(blocks: Iterable[np.ndarray], cols: int, m: int) -> np.ndar
     before it, so a build costs rows x cols, and reduces at once:
     min(s, s - m) is s mod m for s < 2m, since s - m wraps around above s
     when s < m."""
-    import numpy as np
+    np = load_numpy()
 
     out = np.zeros((1, cols), dtype=_exponent_dtype(m))
     for block in blocks:
@@ -129,7 +132,7 @@ def _additive_blocks(
     summed once, and each row of the leading blocks' sum is added to that.
     When every block fits, that sum is the only row block, yielded as it was
     built: a fresh, writable, C-ordered array."""
-    import numpy as np
+    np = load_numpy()
 
     # per row: the tail, the block, its wrapped-around copy and a comparison
     rows = _block_rows(4 * cols * _exponent_dtype(m).itemsize)
@@ -160,7 +163,7 @@ def _letter_counts(q: int, n: int, g: int) -> np.ndarray:
     a wrapped dtype.  An entry takes one byte a vertex, at most 1 MiB at the
     row cap, so the 32 entries retain at most 32 MiB; the representations
     benchmark fills 16 entries, none above 6561 bytes."""
-    import numpy as np
+    np = load_numpy()
 
     return _locked(_additive_matrix([np.arange(q)[:, None] == g] * n, 1, n + 1).ravel())
 
@@ -179,7 +182,7 @@ def _shell_indices(group: GroupSpec, n: int, label: int | Composition) -> np.nda
     count of letter 0, n - w, and a composition shell off the count of each
     letter it holds (the letters it holds none of then occur nowhere, since
     the counts sum to n).  The counts are the cached :func:`_letter_counts`."""
-    import numpy as np
+    np = load_numpy()
 
     label = _shell_label(group, n, label)
     q, n = group.order, operator.index(n)
@@ -196,7 +199,7 @@ def _linear_blocks(coeffs: np.ndarray, units: np.ndarray, m: int) -> np.ndarray:
     """The blocks coeffs @ units[j] mod m, n x q x cols for q x k coefficients
     and n x k x cols units, in the :func:`_exponent_dtype` of m, built in int64
     one block of q rows at a time."""
-    import numpy as np
+    np = load_numpy()
 
     n, _, cols = units.shape
     out = np.empty((n, len(coeffs), cols), dtype=_exponent_dtype(m))
@@ -220,7 +223,7 @@ def _character_matrix(group: GroupSpec, n: int, columns: Iterable[int]) -> np.nd
     m^(k-1), ..., 1 (q x k calls) weighted by those digits.  When every
     coordinate fits one row block, that block is the matrix, returned as it
     was built; otherwise the matrix is filled one row block at a time."""
-    import numpy as np
+    np = load_numpy()
 
     n = operator.index(n)  # a narrow numpy n would wrap q**n under the row cap
     if n < 0:
@@ -253,7 +256,7 @@ def _character_matrix(group: GroupSpec, n: int, columns: Iterable[int]) -> np.nd
 def _reduced_exponents(exponents: np.ndarray, m: int) -> np.ndarray:
     """The exponent matrix as :class:`Representation` holds it, :func:`_locked`;
     a copy takes each block mod m in a dtype that holds both its values and m."""
-    import numpy as np
+    np = load_numpy()
 
     exponents = np.asarray(exponents)
     if exponents.ndim != 2 or exponents.dtype.kind not in "iu":
@@ -352,7 +355,7 @@ class Representation:
         A run's entry in its table is the Horner sum of its exponents in
         base m.  Blocks are cut where the vertex number gains a limb, so
         every row of a block has as many chunks."""
-        import numpy as np
+        np = load_numpy()
 
         m, rows, cols = self.root_order, self.rows, self.cols
         exponents = self.exponents
@@ -418,7 +421,7 @@ def build_representation(solution: LPSolution, group: GroupSpec) -> Representati
     times; the entry in row x is phi_y(x).  The vanishing Krawtchouk
     constraint is exactly what makes rows at graph distance d orthogonal.
     """
-    import numpy as np
+    np = load_numpy()
 
     check_lp_solution(solution)
     if group.order != solution.q:
@@ -475,7 +478,7 @@ def _mix64(z: int) -> int:
 def _splitmix_draws(seed: int, start: int, stop: int) -> np.ndarray:
     """Draws start..stop-1 of the splitmix64 stream seeded by ``seed``, as
     uint64: draw k is :func:`_mix64` of seed + k * gamma, all mod 2^64."""
-    import numpy as np
+    np = load_numpy()
 
     z = np.arange(start + 1, stop + 1, dtype=np.uint64)
     z *= np.uint64(_GAMMA)
@@ -520,7 +523,7 @@ def _neighbours(m: int, xs: np.ndarray, steps: Sequence[np.ndarray]) -> np.ndarr
     of m: vertices add as N-digit base-m numerals, digit by digit mod m (see
     :class:`~scheme_spectra.groups.GroupSpec`).  xs and the steps pair up
     entry by entry, or broadcast as a column of x against a row of s."""
-    import numpy as np
+    np = load_numpy()
 
     out = np.zeros(np.broadcast_shapes(xs.shape, steps[0].shape), dtype=np.intp)
     for digit, step in zip(np.unravel_index(xs, (m,) * len(steps)), steps):
@@ -543,7 +546,7 @@ def _translation_invariant(expm: np.ndarray, group: GroupSpec, n: int) -> bool:
     The sum is rebuilt and compared one row block at a time.
     Adding s to x then adds the same exponents to every row, so rows x and
     x + s have the inner product of rows 0 and s."""
-    import numpy as np
+    np = load_numpy()
 
     q, m, k = group.order, group.char_order, group.k
     cols = expm.shape[1]
@@ -561,20 +564,44 @@ def _translation_invariant(expm: np.ndarray, group: GroupSpec, n: int) -> bool:
     )
 
 
+@functools.lru_cache(maxsize=32)
+def _fold_entries(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries (e, k, c) of the rows of :func:`_fold_table`,
+    zeta_m^e = sum over its entries of c zeta_m^k, sorted by k, as three
+    read-only int64 vectors: the exponents e, the coefficients c, and where
+    each k's entries start.  Every k below the degree has entries, since row
+    k < deg is zeta_m^k itself."""
+    np = load_numpy()
+
+    entries = sorted((k, e, c) for e, row in enumerate(_fold_table(m)) for k, c in row)
+    ks, exps, coeffs = np.array(entries, dtype=np.int64).T
+    starts = np.flatnonzero(np.diff(ks, prepend=-1))
+    return _locked(exps.copy()), _locked(coeffs[:, None].copy()), _locked(starts)
+
+
 def _failing_rows(ex: np.ndarray, ey: np.ndarray, m: int) -> np.ndarray:
     """Rows i where exponent rows ex[i], ey[i] in 0..m-1 are not orthogonal:
-    ey - ex + m is counted in 2m bins per row, bin j standing for zeta_m^(j % m),
-    and the counts are reduced modulo the m-th cyclotomic polynomial.  The
-    differences and bin offsets are widened to int64 here, one block at a time."""
-    import numpy as np
+    ey - ex + m is counted in 2m bins per row, bin j standing for
+    zeta_m^(j % m); bins j and j + m are folded together, and the m counts
+    are reduced modulo the m-th cyclotomic polynomial by the sparse rows of
+    :func:`_fold_table` that :class:`CycInt` reduces by, one term for each
+    entry :func:`_fold_entries` lists.  The bins are laid out bin-major, so
+    that each term gathers and sums whole rows of counts.  The differences
+    and bin indices are widened to int64 here, one block at a time."""
+    np = load_numpy()
 
     rows = len(ey)
-    diff = ey.astype(np.int64)
-    diff -= ex
-    diff += m + 2 * m * np.arange(rows, dtype=np.int64)[:, None]
-    counts = np.bincount(diff.ravel(), minlength=2 * m * rows).reshape(rows, 2 * m)
-    red = np.array(_reduction_rows(m) * 2, dtype=np.int64)
-    return np.nonzero((counts @ red).any(axis=1))[0]
+    index = ey.astype(np.int64)
+    index -= ex
+    index *= rows
+    index += np.arange(m * rows, (m + 1) * rows, dtype=np.int64)[:, None]
+    counts = np.bincount(index.ravel(), minlength=2 * m * rows).reshape(2 * m, rows)
+    folded = counts[:m]
+    folded += counts[m:]
+    exps, coeffs, starts = _fold_entries(m)
+    terms = folded[exps]
+    terms *= coeffs
+    return np.flatnonzero(np.add.reduceat(terms, starts).any(axis=0))
 
 
 def _check_sample(sample: int | None) -> int | None:
@@ -608,7 +635,8 @@ def verify_representation(
     mode checks ``sample`` pairs drawn from the deterministic generator
     seeded by :func:`representation_seed`.  Every mode runs the same exact
     check one block at a time and counts a block in pairs, each taking two
-    exponent rows, their int64 differences, 2m bins, its int64 indices, and
+    exponent rows, their int64 differences, 2m bins, one term per
+    :func:`_fold_entries` entry and the reduced counts, its int64 indices, and
     the N = n*k intp digits of x and narrow digits of s from which
     :func:`_neighbours` sums x + s.  Beyond the shell's vertex indices,
     sampled mode and a scan past row 0 hold the generators' N x |S| digits.
@@ -618,7 +646,7 @@ def verify_representation(
     read as an int through operator.index; one below 1 would check nothing
     and raises DomainError.
     """
-    import numpy as np
+    np = load_numpy()
 
     sample = _check_sample(sample)
     group, label = _generating_labels(spec, rep)
@@ -631,9 +659,12 @@ def verify_representation(
     expm, m = rep.exponents, rep.root_order
     ys = _shell_indices(group, n, label)
     digits = n * group.k  # N, with q^n = m^N
-    # a pair's int64 indices are a draw's two words, x, j and x + s
+    # a pair's int64 words are its bins, its fold terms and reduced counts,
+    # and its indices: a draw's two words, x, j and x + s
+    exps, _, starts = _fold_entries(m)
     pairs = _block_rows(
-        (2 * expm.itemsize + 8) * rep.cols + 32 * m + (8 + expm.itemsize) * digits + 40
+        (2 * expm.itemsize + 8) * rep.cols + 8 * (2 * m + len(exps) + len(starts))
+        + (8 + expm.itemsize) * digits + 40
     )
     rows = 1 if sample is None and _translation_invariant(expm, group, n) else rep.rows
     if sample is not None or rows > 1:

@@ -60,7 +60,7 @@ from scheme_spectra import (
     word_add,
     word_index,
 )
-from scheme_spectra import bounds, composition, krawtchouk, representation, schemes
+from scheme_spectra import bounds, composition, cyclotomic, krawtchouk, representation, schemes
 
 
 def _splitmix_stream(seed):
@@ -1257,6 +1257,63 @@ def test_a_large_alphabet_verifies_in_the_matrix_and_one_block():
     assert rep.exponents.dtype == np.uint16 and verify_representation(rep, spec) is True
     bound = 2 * rep.exponents.nbytes + representation._BLOCK_BYTES
     assert _traced_peak(lambda: verify_representation(rep, spec)) < bound
+
+
+def _dense_failing_rows(ex, ey, m):
+    # the reduction as one dense product, (rows x 2m) @ (2m x phi(m)): bins j
+    # and j + m are both reduced by row j % m of the reduction rows
+    rows = len(ey)
+    diff = ey.astype(np.int64) - ex + m + 2 * m * np.arange(rows, dtype=np.int64)[:, None]
+    counts = np.bincount(diff.ravel(), minlength=2 * m * rows).reshape(rows, 2 * m)
+    red = np.array(cyclotomic._reduction_rows(m) * 2, dtype=np.int64)
+    return np.flatnonzero((counts @ red).any(axis=1))
+
+
+def _orthogonal_differences(rng, m, cols):
+    # differences whose powers of zeta_m sum to zero: cosets of a subgroup of
+    # prime order p | m, {a + j m/p}, each a sum of all p-th roots times zeta^a
+    primes = [p for p in range(2, m + 1) if m % p == 0 and all(p % r for r in range(2, p))]
+    p = primes[rng.integers(len(primes))]
+    starts = rng.integers(0, m, cols // p)
+    return (starts[:, None] + m // p * np.arange(p)).ravel()
+
+
+@pytest.mark.parametrize("m", [*range(1, 41), 64, 105, 128, 210, 1024])
+def test_the_sparse_fold_fails_the_rows_the_dense_product_fails(m):
+    # Random exponent blocks, a third of whose rows are orthogonal by
+    # construction and a third one entry away from that.
+    rng = np.random.default_rng(m)
+    dtype = representation._exponent_dtype(m)
+    for rows in (1, 7, 300):
+        cols = m
+        ex = rng.integers(0, m, (rows, cols)).astype(dtype)
+        diff = rng.integers(0, m, (rows, cols))
+        if m > 1:
+            for i in range(0, rows, 3):
+                diff[i] = _orthogonal_differences(rng, m, cols)
+                if i + 1 < rows:
+                    diff[i + 1] = _orthogonal_differences(rng, m, cols)
+                    diff[i + 1, rng.integers(cols)] += 1
+        ey = ((ex + diff) % m).astype(dtype)
+        failing = representation._failing_rows(ex, ey, m)
+        assert failing.tolist() == _dense_failing_rows(ex, ey, m).tolist()
+        if m > 1:
+            assert set(range(0, rows, 3)).isdisjoint(failing.tolist())
+        if m > 1 and rows > 1:
+            assert 1 in failing
+
+
+def test_a_root_order_of_1024_verifies_within_budget():
+    # H(1, 1024, 1) over Z_1024 reduces 1024 bins to the 512 of the power
+    # basis; one entry changed fails at row 0 against its row
+    spec = HammingGraphSpec(1, 1024, 1)
+    rep = build_representation(lp_two_support(1, 1024, 1), cyclic(1024))
+    start = time.perf_counter()
+    assert verify_representation(rep, spec) is True
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, f"full verification took {elapsed:.2f}s"
+    changed = rep.with_entry(700, 1000, rep.entry(700, 1000) * CycInt.root_of_unity(1024, 1))
+    assert _verdict(changed, spec) == (0, 700, (0,), (700,))
 
 
 def test_build_and_verify_read_characters_at_the_digit_units_only(monkeypatch):

@@ -1086,7 +1086,24 @@ def test_irrational_eigenvalues_are_ordered_without_mpmath(capsys):
 
 
 # no BLAS thread pool: every matrix product the library makes is an integer
-# one, so the CLI has numpy's OpenBLAS start single-threaded
+# one, so the library has numpy's OpenBLAS start single-threaded, whether
+# the CLI or a caller of the library loads it, and leaves the environment
+# as it found it
+
+# the variables that size the pool when OpenBLAS loads
+_POOL_SIZES = (
+    "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_DEFAULT_NUM_THREADS",
+)
+
+_BLAS_STATE = """
+tasks = "/proc/self/task"
+print(json.dumps({
+    "numpy": "numpy" in sys.modules,
+    "setting": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "environ_unchanged": dict(os.environ) == before,
+    "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+}))
+"""
 
 _BLAS_AFTER_MAIN = """
 import json, os, sys
@@ -1095,41 +1112,99 @@ if sys.argv[1] == "numpy-first":
 from scheme_spectra import cli
 before = dict(os.environ)
 code = cli.main(sys.argv[2:])
-tasks = "/proc/self/task"
-print(json.dumps({
-    "numpy": "numpy" in sys.modules,
-    "setting": os.environ.get("OPENBLAS_NUM_THREADS"),
-    "environ_unchanged": dict(os.environ) == before,
-    "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
-}))
+""" + _BLAS_STATE + """
 sys.exit(code)
 """
 
+# a library call, or for reference numpy imported alone
+_BLAS_AFTER_CALL = """
+import json, os, sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+import scheme_spectra as ss
+before = dict(os.environ)
+if sys.argv[2] == "build":
+    ss.build_representation(ss.lp_two_support(4, 2, 2), ss.cyclic(2))
+elif sys.argv[2] == "projectors":
+    assert ss.projector_identity_check(3, 2)
+elif sys.argv[2] == "racing":
+    import threading, time
+    from scheme_spectra._numpy import load_numpy
+    sys.setswitchinterval(1e-6)
+    gate, loaded = threading.Barrier(8), []
+    def first_call():
+        gate.wait()
+        loaded.append(load_numpy())
+    workers = [threading.Thread(target=first_call) for _ in range(8)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=60)
+    assert not any(worker.is_alive() for worker in workers) and len(loaded) == 8
+    # a joined thread can linger in /proc/self/task while it exits; a pool
+    # thread would stay
+    deadline = time.monotonic() + 10
+    while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
+else:
+    import numpy
+""" + _BLAS_STATE
 
-def state_after_main(tmp_path, order, preset=None):
-    # main runs a small represent in a fresh interpreter whose environment
-    # holds OPENBLAS_NUM_THREADS only as ``preset``
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+
+def _pool_env(preset):
+    # the test's environment with none of the pool variables but ``preset``
+    env = {k: v for k, v in os.environ.items() if k not in _POOL_SIZES}
     env["PYTHONPATH"] = str(SRC)
-    if preset is not None:
-        env["OPENBLAS_NUM_THREADS"] = preset
-    argv = ("represent", "--n", "4", "--q", "2", "--d", "2", "--out", str(tmp_path / "rep.csv"))
+    env.update(preset)
+    return env
+
+
+def state_after_main(tmp_path, order, preset=None, argv=None):
+    # main runs a small represent, or ``argv``, in a fresh interpreter whose
+    # environment holds OPENBLAS_NUM_THREADS only as ``preset``
+    env = _pool_env({} if preset is None else {"OPENBLAS_NUM_THREADS": preset})
+    if argv is None:
+        argv = ("represent", "--n", "4", "--q", "2", "--d", "2", "--out", str(tmp_path / "rep.csv"))
     proc = subprocess.run(
         [sys.executable, "-c", _BLAS_AFTER_MAIN, order, *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    summary, state = proc.stdout.splitlines()
-    assert json.loads(summary)["verified"] is True
+    *out, state = proc.stdout.splitlines()
+    if argv[0] == "represent":
+        assert json.loads(out[0])["verified"] is True
     return json.loads(state)
 
 
-def test_a_cli_process_loads_numpy_without_a_blas_thread_pool(tmp_path):
+def state_after_call(call, order="library-first", preset=None):
+    # ``call`` in a fresh interpreter whose environment holds the pool
+    # variables only as ``preset``, a {name: value} dict
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_AFTER_CALL, order, call],
+        env=_pool_env(preset or {}), capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return json.loads(proc.stdout)
+
+
+def _need_tasks():
     if not os.path.isdir("/proc/self/task"):
         pytest.skip("no /proc/self/task to count threads in")
+
+
+def test_a_cli_process_loads_numpy_without_a_blas_thread_pool(tmp_path):
+    _need_tasks()
     state = state_after_main(tmp_path, "cli-first")
     assert state["numpy"] and state["threads"] == 1
-    assert state["setting"] == "1"
+    assert state["environ_unchanged"]
+
+
+@pytest.mark.parametrize("suite", ["representations", "projectors", "all"])
+def test_every_verify_suite_that_loads_numpy_starts_no_blas_thread_pool(tmp_path, suite):
+    _need_tasks()
+    state = state_after_main(tmp_path, "cli-first", argv=("verify", "--suite", suite, "--max-n", "2"))
+    assert state["numpy"] and state["threads"] == 1
+    assert state["setting"] is None and state["environ_unchanged"]
 
 
 def test_a_preset_blas_thread_count_is_left_as_it_is(tmp_path):
@@ -1142,3 +1217,38 @@ def test_once_numpy_is_loaded_the_cli_leaves_the_environment_alone(tmp_path):
     # the caller's environment
     state = state_after_main(tmp_path, "numpy-first")
     assert state["numpy"] and state["setting"] is None and state["environ_unchanged"]
+
+
+@pytest.mark.parametrize("call", ["build", "projectors", "racing"])
+def test_a_library_call_loads_numpy_without_a_blas_thread_pool(call):
+    # build_representation of H(4,2,2), the dense projector check of the
+    # oracles, and eight threads' first calls at once, made directly rather
+    # than through cli.main
+    _need_tasks()
+    state = state_after_call(call)
+    assert state["numpy"] and state["threads"] == 1
+    assert state["setting"] is None and state["environ_unchanged"]
+
+
+@pytest.mark.parametrize("name", _POOL_SIZES)
+@pytest.mark.parametrize("call", ["build", "projectors"])
+def test_a_preset_pool_size_is_left_set_and_honoured(call, name):
+    # the library's numpy starts the pool that numpy imported alone starts
+    # under the same setting: two threads on a host with two cores or more
+    _need_tasks()
+    preset = {name: "2"}
+    state = state_after_call(call, preset=preset)
+    alone = state_after_call("numpy", preset=preset)
+    assert state["numpy"] and state["environ_unchanged"]
+    assert state["threads"] == alone["threads"]
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert state["threads"] == 2
+
+
+@pytest.mark.parametrize("call", ["build", "projectors"])
+def test_once_numpy_is_loaded_a_library_call_leaves_everything_alone(call):
+    _need_tasks()
+    state = state_after_call(call, order="numpy-first")
+    alone = state_after_call("numpy", order="numpy-first")
+    assert state["numpy"] and state["setting"] is None and state["environ_unchanged"]
+    assert state["threads"] == alone["threads"]
